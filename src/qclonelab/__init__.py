@@ -9,6 +9,7 @@ from .core import (
     basis_ket,
     density_of,
     eig_hermitian,
+    eig_hermitian_batch,
     entropy,
     inner,
     partial_trace,
@@ -54,6 +55,7 @@ from .nosignal import (
     signalling_magnitude,
 )
 from .conservation import (
+    ConservationBatch,
     ConservationScenario,
     EntanglementDelta,
     GramMismatch,
@@ -62,6 +64,7 @@ from .conservation import (
     build_conservation,
     entanglement_delta,
     equivalence_unitary,
+    evaluate_batch,
     lambda_after,
     lambda_before,
 )

@@ -25,8 +25,8 @@ from .config import (
     load_config,
 )
 from .core import eig_hermitian, signature, trace_distance
-from .machines import check_consistency, random_isometry
-from .report import ScenarioReport, Verdict, format_scalar, render_csv
+from .machines import random_isometry
+from .report import ScenarioReport, Verdict, render_csv
 from .states import qubit_basis
 from .verification import run_all_checks
 
@@ -90,85 +90,79 @@ def _run_nosignal(cfg: ScenarioConfig) -> ScenarioReport:
     return ScenarioReport("nosignal", echoed, scalars, matrices, verdicts)
 
 
-def _run_conservation(cfg: ScenarioConfig) -> ScenarioReport:
-    tol_assert = float(cfg.get("tolerance.assert"))
-    tol_residual = float(cfg.get("tolerance.residual"))
-    weight = float(cfg.get("branch.weight"))
+def _overlap(cfg: ScenarioConfig, key: str) -> complex:
+    modulus = float(cfg.get(f"overlap.{key}"))
+    phase = float(cfg.get(f"overlap.{key}_phase"))
+    return modulus * complex(math.cos(phase), math.sin(phase))
 
-    def overlap(key: str) -> complex:
-        modulus = float(cfg.get(f"overlap.{key}"))
-        phase = float(cfg.get(f"overlap.{key}_phase"))
-        return modulus * complex(math.cos(phase), math.sin(phase))
 
-    a, b, c = overlap("a"), overlap("b"), overlap("c")
-    scenario = cons.build_conservation(
-        a, b, c, int(cfg.get("machine.ancilla_dim")), weight
-    )
-    before = cons.alice_marginal_before(scenario)
-    after = cons.alice_marginal_after(scenario)
-    lam_before_numeric = eig_hermitian(before).largest
-    lam_after_numeric = eig_hermitian(after).largest
-    lam_before_closed = cons.lambda_before(a, b, weight)
-    lam_after_closed = cons.lambda_after(a, c, weight)
-    delta = cons.entanglement_delta(scenario)
-    consistency = check_consistency(scenario.machine, tol_assert)
-    modulus_dev = float(
-        np.max(np.abs(np.abs(consistency.input_gram) - np.abs(consistency.output_gram)))
-    )
+def _max_abs(stack: np.ndarray) -> list[float]:
+    return np.max(np.abs(stack), axis=(1, 2)).tolist()
 
-    pq = math.sqrt(weight * (1.0 - weight))
-    before_closed = np.array(
-        [[weight, pq * np.conj(a * b)], [pq * a * b, 1.0 - weight]], dtype=complex
-    )
-    after_closed = np.array(
-        [[weight, pq * np.conj(a * a * c)], [pq * a * a * c, 1.0 - weight]], dtype=complex
-    )
 
-    scalars = {
-        "lambda_before_numeric": lam_before_numeric,
-        "lambda_before_closed": lam_before_closed,
-        "lambda_after_numeric": lam_after_numeric,
-        "lambda_after_closed": lam_after_closed,
-        "delta_lambda": delta.delta_lambda,
-        "delta_entropy": delta.delta_entropy,
-        "gram_deviation_phase_sensitive": consistency.max_deviation,
-        "gram_deviation_modulus_only": modulus_dev,
-    }
-    matrices = {
-        "alice_marginal_before": before.entries,
-        "alice_marginal_after": after.entries,
-        "machine_input_gram": consistency.input_gram,
-        "machine_output_gram": consistency.output_gram,
-    }
-    verdicts = (
-        Verdict(
-            "alice_marginal_before_matches_closed_form",
-            float(np.max(np.abs(before.entries - before_closed))),
-            tol_residual,
-        ),
-        Verdict(
-            "alice_marginal_after_matches_closed_form",
-            float(np.max(np.abs(after.entries - after_closed))),
-            tol_residual,
-        ),
-        Verdict(
-            "lambda_before_matches_numeric",
-            abs(lam_before_numeric - lam_before_closed),
-            tol_residual,
-        ),
-        Verdict(
-            "lambda_after_matches_numeric",
-            abs(lam_after_numeric - lam_after_closed),
-            tol_residual,
-        ),
-        Verdict("machine_gram_consistency", consistency.max_deviation, tol_assert),
-        Verdict(
-            "entanglement_conserved",
-            max(abs(delta.delta_lambda), abs(delta.delta_entropy)),
-            tol_residual,
-        ),
-    )
-    return ScenarioReport("conservation", cfg.echo(), scalars, matrices, verdicts)
+def _run_conservation(cfgs: list[ScenarioConfig]) -> list[ScenarioReport]:
+    """Reports for conservation configs sharing one ``machine.ancilla_dim``,
+    from a single batched evaluation."""
+    a = [_overlap(cfg, "a") for cfg in cfgs]
+    b = [_overlap(cfg, "b") for cfg in cfgs]
+    c = [_overlap(cfg, "c") for cfg in cfgs]
+    weights = [float(cfg.get("branch.weight")) for cfg in cfgs]
+    batch = cons.evaluate_batch(a, b, c, weights, int(cfgs[0].get("machine.ancilla_dim")))
+    lam_before = batch.eigenvalues_before[:, 0]
+    lam_after = batch.eigenvalues_after[:, 0]
+    delta_lambda = (lam_after - lam_before).tolist()
+    delta_entropy = (batch.entropy_after - batch.entropy_before).tolist()
+    gram_dev = _max_abs(batch.input_gram - batch.output_gram)
+    modulus_dev = _max_abs(np.abs(batch.input_gram) - np.abs(batch.output_gram))
+
+    # Closed forms per point in Python scalar arithmetic: the reported
+    # deviations are pinned to its rounding, which array arithmetic can miss
+    # in the last bit.
+    before_closed, after_closed = [], []
+    for ak, bk, ck, w in zip(a, b, c, weights):
+        pq = math.sqrt(w * (1.0 - w))
+        before_closed.append([[w, pq * np.conj(ak * bk)], [pq * ak * bk, 1.0 - w]])
+        after_closed.append([[w, pq * np.conj(ak * ak * ck)], [pq * ak * ak * ck, 1.0 - w]])
+    before_dev = _max_abs(batch.marginal_before - np.array(before_closed, dtype=complex))
+    after_dev = _max_abs(batch.marginal_after - np.array(after_closed, dtype=complex))
+
+    reports = []
+    for k, cfg in enumerate(cfgs):
+        tol_assert = float(cfg.get("tolerance.assert"))
+        tol_residual = float(cfg.get("tolerance.residual"))
+        lam_b, lam_a = float(lam_before[k]), float(lam_after[k])
+        lam_b_closed = cons.lambda_before(a[k], b[k], weights[k])
+        lam_a_closed = cons.lambda_after(a[k], c[k], weights[k])
+        scalars = {
+            "lambda_before_numeric": lam_b,
+            "lambda_before_closed": lam_b_closed,
+            "lambda_after_numeric": lam_a,
+            "lambda_after_closed": lam_a_closed,
+            "delta_lambda": delta_lambda[k],
+            "delta_entropy": delta_entropy[k],
+            "gram_deviation_phase_sensitive": gram_dev[k],
+            "gram_deviation_modulus_only": modulus_dev[k],
+        }
+        matrices = {
+            "alice_marginal_before": batch.marginal_before[k],
+            "alice_marginal_after": batch.marginal_after[k],
+            "machine_input_gram": batch.input_gram[k],
+            "machine_output_gram": batch.output_gram[k],
+        }
+        verdicts = (
+            Verdict("alice_marginal_before_matches_closed_form", before_dev[k], tol_residual),
+            Verdict("alice_marginal_after_matches_closed_form", after_dev[k], tol_residual),
+            Verdict("lambda_before_matches_numeric", abs(lam_b - lam_b_closed), tol_residual),
+            Verdict("lambda_after_matches_numeric", abs(lam_a - lam_a_closed), tol_residual),
+            Verdict("machine_gram_consistency", gram_dev[k], tol_assert),
+            Verdict(
+                "entanglement_conserved",
+                max(abs(delta_lambda[k]), abs(delta_entropy[k])),
+                tol_residual,
+            ),
+        )
+        reports.append(ScenarioReport("conservation", cfg.echo(), scalars, matrices, verdicts))
+    return reports
 
 
 def _run_gram_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
@@ -216,13 +210,28 @@ def _run_gram_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
 
 _RUNNERS = {
     "nosignal": _run_nosignal,
-    "conservation": _run_conservation,
     "gram-equivalence": _run_gram_equivalence,
 }
 
 
+def run_configs(cfgs: list[ScenarioConfig]) -> list[ScenarioReport]:
+    """Reports for the configs, in order.  Conservation configs are evaluated
+    as one batch per ``machine.ancilla_dim``; other kinds one at a time."""
+    reports: list[ScenarioReport | None] = [None] * len(cfgs)
+    batches: dict[int, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        if cfg.kind == "conservation":
+            batches.setdefault(int(cfg.get("machine.ancilla_dim")), []).append(i)
+        else:
+            reports[i] = _RUNNERS[cfg.kind](cfg)
+    for members in batches.values():
+        for i, report in zip(members, _run_conservation([cfgs[i] for i in members])):
+            reports[i] = report
+    return reports
+
+
 def run_config(cfg: ScenarioConfig) -> ScenarioReport:
-    return _RUNNERS[cfg.kind](cfg)
+    return run_configs([cfg])[0]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -255,10 +264,13 @@ def _cmd_sweep(args) -> int:
     cfg = load_config(args.config, _env_tolerance_overrides())
     points = grid_points(cfg, args.grid)
     if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            reports = list(pool.map(run_config, points))
+        # Contiguous chunks, one per worker, keep each worker's batches large.
+        size = -(-len(points) // args.workers)
+        chunks = [points[i:i + size] for i in range(0, len(points), size)]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            reports = [r for chunk in pool.map(run_configs, chunks) for r in chunk]
     else:
-        reports = [run_config(p) for p in points]
+        reports = run_configs(points)
     if args.format == "json":
         text = "[\n" + ",\n".join(r.render("json").rstrip("\n") for r in reports) + "\n]\n"
     else:
@@ -273,13 +285,7 @@ def _cmd_verify(args) -> int:
         env = os.environ.get(ENV_TOLERANCE)
         tolerance = float(env) if env is not None else None
     results = run_all_checks(seed=args.seed, tolerance=tolerance)
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(
-            f"{status} {r.name} deviation={format_scalar(r.deviation)} "
-            f"tolerance={format_scalar(r.tolerance)}"
-        )
+    lines = [r.line() for r in results]
     failed = sum(0 if r.passed else 1 for r in results)
     lines.append(f"{len(results) - failed}/{len(results)} checks passed")
     _emit("\n".join(lines) + "\n", args.out)

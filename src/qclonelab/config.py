@@ -102,6 +102,7 @@ class ScenarioConfig:
             if typ not in (float, int):
                 raise ConfigError(f"key {key!r} is not numeric and cannot be swept")
             vals[key] = typ(value)
+        _validate_ranges(self.kind, vals)
         return ScenarioConfig(self.kind, vals)
 
     def basis_angles(self, which: str) -> tuple[float, float, float, float]:
@@ -200,6 +201,13 @@ def _validate_ranges(kind: str, values: dict[str, object]) -> None:
     for key, minimum in (("machine.ancilla_dim", 2), ("family.dimension", 2), ("family.size", 1)):
         if key in values and int(values[key]) < minimum:
             raise ConfigError(f"key {key!r}: must be >= {minimum}")
+    if kind == "gram-equivalence":
+        target, dim = int(values["family.target_dimension"]), int(values["family.dimension"])
+        if target != 0 and target < dim:
+            raise ConfigError(
+                f"key 'family.target_dimension': {target} is smaller than "
+                f"family.dimension {dim} (0 means the same)"
+            )
 
 
 def load_config(

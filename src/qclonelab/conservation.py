@@ -19,15 +19,20 @@ import numpy as np
 from .core import (
     DensityMatrix,
     Ket,
-    density_of,
-    eig_hermitian,
-    entropy,
-    inner,
-    partial_trace,
+    eig_hermitian_batch,
+    entropy_bits,
+    first_failure,
+    kron_stack,
     signature,
 )
-from .machines import LinearMachine, MachineSpec, isometry_matrix_from_pairs, preset_strong_cloner
-from .states import StateFamily, gram, kets_with_overlap
+from .machines import (
+    LinearMachine,
+    MachineSpec,
+    isometry_matrix_from_pairs,
+    preset_strong_cloner,
+    strong_cloner_rules,
+)
+from .states import StateFamily, gram, gram_stack, overlap_pair_amplitudes
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
 ALICE_LABEL = "A"
@@ -63,6 +68,57 @@ class EntanglementDelta:
     delta_entropy: float
 
 
+@dataclass(frozen=True)
+class ConservationBatch:
+    """Results of :func:`evaluate_batch`, stacked over the batch (axis 0).
+
+    Marginals and Gram matrices have shape (n, 2, 2), eigenvalues (n, 2)
+    in descending order, entropies (n,) in bits.
+    """
+
+    marginal_before: np.ndarray
+    marginal_after: np.ndarray
+    eigenvalues_before: np.ndarray
+    eigenvalues_after: np.ndarray
+    entropy_before: np.ndarray
+    entropy_after: np.ndarray
+    input_gram: np.ndarray
+    output_gram: np.ndarray
+
+
+def _superpose(weight: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """sqrt(w)|0>first + sqrt(1-w)|1>second for stacked branch amplitudes,
+    shape (n, 2, m) with Alice's qubit on axis 1."""
+    p = np.sqrt(weight)[:, None]
+    q = np.sqrt(1.0 - weight)[:, None]
+    return np.stack([p * first, q * second], axis=1)
+
+
+def _branches(a, b, c, weight, ancilla_dim: int):
+    """Validated overlap pairs (psis, alphas, records) for a batch of overlap
+    triples and branch weights."""
+    if ancilla_dim < 2:
+        raise ValueError("environment register needs dimension >= 2")
+    if not len(a) == len(b) == len(c) == len(weight):
+        raise ValueError("overlap and weight batches differ in length")
+    w = np.asarray(weight, dtype=float)
+    outside = ~((w >= 0.0) & (w <= 1.0))
+    if np.any(outside):
+        k, where = first_failure(outside)
+        raise ValueError(f"branch weight must lie in [0, 1], got {float(w[k])!r}{where}")
+    return (
+        overlap_pair_amplitudes(a, 2),
+        overlap_pair_amplitudes(b, 2),
+        overlap_pair_amplitudes(c, 2 * ancilla_dim),
+    )
+
+
+def _shared(weight: np.ndarray, psis: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Stacked shared states, shape (n, 2, 4)."""
+    branches = [kron_stack(psis[:, k], alphas[:, k]) for k in (0, 1)]
+    return _superpose(weight, *branches)
+
+
 def build_conservation(
     a: complex,
     b: complex,
@@ -75,69 +131,127 @@ def build_conservation(
     ``branch_weight`` generalizes the equal-amplitude shared state; the
     closed-form eigenvalue helpers take the same parameter.
     """
-    for name, z in (("a", a), ("b", b), ("c", c)):
-        if abs(complex(z)) > 1.0 + 1e-12:
-            raise ValueError(f"overlap {name} has modulus {abs(complex(z))!r} > 1")
-    if not 0.0 <= branch_weight <= 1.0:
-        raise ValueError(f"branch weight must lie in [0, 1], got {branch_weight!r}")
-    psi_pair = kets_with_overlap(a, 2, label=BOB_LABELS[0])
-    alpha_pair = kets_with_overlap(b, 2, label=BOB_LABELS[1])
-    anc_pair = kets_with_overlap(c, 2 * ancilla_dim, label="env")
-    machine = preset_strong_cloner(psi_pair, alpha_pair, anc_pair, ancilla_dim)
+    psis, alphas, records = _branches([a], [b], [c], [branch_weight], ancilla_dim)
+    shared = _shared(np.array([float(branch_weight)]), psis, alphas)
 
-    p = math.sqrt(branch_weight)
-    q = math.sqrt(1.0 - branch_weight)
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
-    amp = p * np.kron(e0, np.kron(psi_pair[0].amplitudes, alpha_pair[0].amplitudes))
-    amp += q * np.kron(e1, np.kron(psi_pair[1].amplitudes, alpha_pair[1].amplitudes))
-    shared = Ket(
-        signature((ALICE_LABEL, 2), (BOB_LABELS[0], 2), (BOB_LABELS[1], 2)), amp
+    def pair(amps, label):
+        sig = signature((label, amps.shape[-1]))
+        return Ket(sig, amps[0, 0]), Ket(sig, amps[0, 1])
+
+    machine = preset_strong_cloner(
+        pair(psis, BOB_LABELS[0]), pair(alphas, BOB_LABELS[1]), pair(records, "env"), ancilla_dim
     )
-
-    for want, got in ((a, inner(*psi_pair)), (b, inner(*alpha_pair)), (c, inner(*anc_pair))):
-        if abs(complex(want) - got) > RESIDUAL_TOL:
-            raise ArithmeticError(f"realized overlap {got!r} misses requested {want!r}")
+    sig = signature((ALICE_LABEL, 2), (BOB_LABELS[0], 2), (BOB_LABELS[1], 2))
     return ConservationScenario(
-        complex(a), complex(b), complex(c),
-        ALICE_LABEL, BOB_LABELS, shared, machine, float(branch_weight), ancilla_dim,
+        complex(a), complex(b), complex(c), ALICE_LABEL, BOB_LABELS,
+        Ket(sig, shared[0].reshape(-1)), machine, float(branch_weight), ancilla_dim,
     )
 
 
-def _checked_marginal(s: ConservationScenario, state: Ket, off_diagonal: complex) -> DensityMatrix:
-    marginal = partial_trace(density_of(state), (s.alice_label,))
-    w = s.branch_weight
-    pq = math.sqrt(w * (1.0 - w))
-    expected = np.array(
-        [[w, pq * np.conj(off_diagonal)], [pq * off_diagonal, 1.0 - w]], dtype=complex
+def _leading_qubit_marginal(amp: np.ndarray) -> np.ndarray:
+    """Reduced state of the leading qubit of stacked kets (n, 2, m).
+
+    Sums over the traced index in ascending order, the order of the
+    ``partial_trace`` einsum, without forming the (2m x 2m) projectors.
+    """
+    out = np.zeros((amp.shape[0], 2, 2), dtype=complex)
+    for k in range(amp.shape[-1]):
+        out += amp[:, :, None, k] * amp[:, None, :, k].conj()
+    return out
+
+
+# Points per chunk of the marginal stage, whose rule amplitudes hold
+# 16 * ancilla_dim entries per point: 2**13 entries (128 KiB) per chunk keep
+# the stage's working set, and the process's peak memory, flat in the batch
+# size.
+_CHUNK_ENTRIES = 1 << 13
+
+
+def _marginals(a, b, c, weight, ancilla_dim: int):
+    """Guarded stacked marginals (before, after) and rule Gram matrices
+    (input, output); the first stage of :func:`evaluate_batch`."""
+    a, b, c = ([complex(z) for z in zs] for zs in (a, b, c))
+    w = np.broadcast_to(np.asarray(weight, dtype=float), (len(a),))
+
+    def fail(error, message: str, bad: np.ndarray):
+        if np.any(bad):
+            k, _ = first_failure(bad.reshape(len(a), -1).any(axis=1))
+            raise error(
+                f"{message} at point {k} "
+                f"(a={a[k]!r}, b={b[k]!r}, c={c[k]!r}, weight={float(w[k])!r})"
+            )
+
+    psis, alphas, records = _branches(a, b, c, w, ancilla_dim)
+    step = max(1, _CHUNK_ENTRIES // (16 * ancilla_dim))
+    before, after, input_gram, output_gram = [], [], [], []
+    for start in range(0, len(a), step):
+        part = slice(start, start + step)
+        inputs, outputs = strong_cloner_rules(psis[part], alphas[part], records[part], ancilla_dim)
+        input_gram.append(gram_stack(inputs))
+        output_gram.append(gram_stack(outputs))
+        before.append(_leading_qubit_marginal(_shared(w[part], psis[part], alphas[part])))
+        after.append(_leading_qubit_marginal(_superpose(w[part], outputs[:, 0], outputs[:, 1])))
+    before, after, input_gram, output_gram = (
+        np.concatenate(x) for x in (before, after, input_gram, output_gram)
     )
-    dev = float(np.max(np.abs(marginal.entries - expected)))
-    if dev > RESIDUAL_TOL:
-        raise ArithmeticError(f"marginal deviates from its closed form by {dev:g}")
-    return marginal
+    for name, g in (("declared rule input", input_gram), ("declared rule output", output_gram)):
+        norm = np.sqrt(np.diagonal(g, axis1=1, axis2=2).real)
+        fail(ValueError, f"{name} is not normalized", np.abs(norm - 1.0) > ASSERT_TOL)
+
+    pq = np.sqrt(w * (1.0 - w))
+    for label, rho, z in (
+        ("before", before, [x * y for x, y in zip(a, b)]),
+        ("after", after, [x * x * y for x, y in zip(a, c)]),
+    ):
+        herm = np.max(np.abs(rho - np.swapaxes(rho, 1, 2).conj()), axis=(1, 2))
+        fail(ValueError, f"marginal {label} is not Hermitian", herm > ASSERT_TOL)
+        trace = np.abs(rho[:, 0, 0] + rho[:, 1, 1] - 1.0)
+        fail(ValueError, f"marginal {label} trace deviates from 1", trace > ASSERT_TOL)
+        off = pq * np.array(z, dtype=complex)
+        closed = np.stack([np.stack([w, off.conj()], -1), np.stack([off, 1.0 - w], -1)], -2)
+        dev = np.max(np.abs(rho - closed), axis=(1, 2))
+        fail(ArithmeticError, f"marginal {label} deviates from its closed form", dev > RESIDUAL_TOL)
+
+    return before, after, input_gram, output_gram
+
+
+def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
+    """Alice's marginals before and after the branchwise strong cloner, their
+    spectra and entropies, and the cloner's Gram matrices, for a batch of
+    overlap triples (a, b, c) and branch weights at one ancilla dimension.
+
+    The batch is evaluated as stacked arrays; each result is bit-for-bit what
+    a batch of one gives for that point.  Every guard runs once per batch with
+    the default tolerances and names the first failing point: overlap moduli
+    and weights in range, realized overlaps, normalized rule kets, Hermitian
+    unit-trace marginals (the trace is the joint ket's squared norm),
+    marginals matching their closed forms [[w, pq conj(z)], [pq z, 1 - w]]
+    (z = ab before, a^2 c after, pq = sqrt(w(1 - w))), and the
+    eigendecomposition residuals.
+    """
+    before, after, input_gram, output_gram = _marginals(a, b, c, weight, ancilla_dim)
+    vals_before, _ = eig_hermitian_batch(before)
+    vals_after, _ = eig_hermitian_batch(after)
+    return ConservationBatch(
+        before, after, vals_before, vals_after,
+        entropy_bits(vals_before), entropy_bits(vals_after),
+        input_gram, output_gram,
+    )
+
+
+def _alice_marginal(s: ConservationScenario, stage: int) -> DensityMatrix:
+    marginals = _marginals([s.a], [s.b], [s.c], [s.branch_weight], s.ancilla_dim)
+    return DensityMatrix(signature((s.alice_label, 2)), marginals[stage][0])
 
 
 def alice_marginal_before(s: ConservationScenario) -> DensityMatrix:
     """Alice's reduced state of the shared state; cross-checked entrywise."""
-    return _checked_marginal(s, s.shared, s.a * s.b)
-
-
-def after_state(s: ConservationScenario) -> Ket:
-    """Shared state after Bob applies his declared rules branch by branch."""
-    p = math.sqrt(s.branch_weight)
-    q = math.sqrt(1.0 - s.branch_weight)
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
-    y_i = s.machine.pairs[0][1]
-    y_j = s.machine.pairs[1][1]
-    amp = p * np.kron(e0, y_i.amplitudes) + q * np.kron(e1, y_j.amplitudes)
-    sig = signature((s.alice_label, 2)).concat(s.machine.output_signature)
-    return Ket(sig, amp)
+    return _alice_marginal(s, 0)
 
 
 def alice_marginal_after(s: ConservationScenario) -> DensityMatrix:
     """Alice's reduced state after the branchwise cloner; cross-checked."""
-    return _checked_marginal(s, after_state(s), s.a * s.a * s.c)
+    return _alice_marginal(s, 1)
 
 
 def _lambda_max(offdiag_modulus: float, branch_weight: float) -> float:
@@ -164,11 +278,10 @@ def entanglement_delta(s: ConservationScenario) -> EntanglementDelta:
     Both vanish iff the machine preserves the Gram matrix (|b| = |a||c| for
     overlap moduli realized here, away from the a = 0 corner).
     """
-    before = alice_marginal_before(s)
-    after = alice_marginal_after(s)
+    batch = evaluate_batch([s.a], [s.b], [s.c], [s.branch_weight], s.ancilla_dim)
     return EntanglementDelta(
-        delta_lambda=eig_hermitian(after).largest - eig_hermitian(before).largest,
-        delta_entropy=entropy(after) - entropy(before),
+        delta_lambda=float(batch.eigenvalues_after[0, 0] - batch.eigenvalues_before[0, 0]),
+        delta_entropy=float(batch.entropy_after[0] - batch.entropy_before[0]),
     )
 
 

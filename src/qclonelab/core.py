@@ -172,6 +172,13 @@ def tensor(a: Ket, b: Ket) -> Ket:
     return Ket(sig, np.kron(a.amplitudes, b.amplitudes))
 
 
+def kron_stack(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Kronecker product over the last axis of stacked vectors; leading axes
+    broadcast.  Entrywise the same products as ``np.kron`` on each pair."""
+    batch = np.broadcast_shapes(u.shape[:-1], v.shape[:-1])
+    return (u[..., :, None] * v[..., None, :]).reshape(*batch, -1)
+
+
 def tensor_all(*kets: Ket) -> Ket:
     out = kets[0]
     for k in kets[1:]:
@@ -226,34 +233,70 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(kept_sig, reduced.reshape(d, d))
 
 
+def first_failure(bad) -> tuple[int, str]:
+    """Flat index of the first True entry of a batch guard mask, and an error
+    message suffix naming it (empty for a batch of one)."""
+    bad = np.asarray(bad)
+    k = int(np.argmax(bad.reshape(-1)))
+    return k, ("" if bad.size == 1 else f" at batch index {k}")
+
+
 def _require_hermitian(mat: np.ndarray, tol: float) -> np.ndarray:
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian within {tol:g} (deviation {dev:g})")
-    return 0.5 * (mat + mat.conj().T)
+    """Hermitian part of a stack of square matrices (..., n, n), after
+    checking every matrix is Hermitian within ``tol``."""
+    adjoint = np.swapaxes(mat, -1, -2).conj()
+    dev = np.max(np.abs(mat - adjoint), axis=(-2, -1))
+    bad = dev > tol
+    if np.any(bad):
+        k, where = first_failure(bad)
+        raise ValueError(
+            f"matrix is not Hermitian within {tol:g} "
+            f"(deviation {float(dev.reshape(-1)[k]):g}){where}"
+        )
+    return 0.5 * (mat + adjoint)
 
 
 def _eig_2x2(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = mat[0, 0].real
-    d = mat[1, 1].real
-    b = mat[0, 1]
+    """Closed-form eigenpairs of a stack of Hermitian 2x2 matrices.
+
+    The arithmetic is pinned so that reported eigenvalues stay byte-stable:
+    ``float_power`` is libm ``pow``, as ``x ** 2`` on a float scalar (an
+    array ``** 2`` squares and can differ in the last bit); ``hypot`` is
+    ``abs`` of a complex scalar; the 1x2 @ 2x1 products are the BLAS dot of
+    ``np.linalg.norm`` on one vector.
+    """
+    a = mat[..., 0, 0].real
+    d = mat[..., 1, 1].real
+    b = mat[..., 0, 1]
+    mod_b = np.hypot(b.real, b.imag)
     tr = a + d
-    disc = math.sqrt(max((a - d) ** 2 + 4.0 * abs(b) ** 2, 0.0))
+    disc = np.sqrt(
+        np.maximum(np.float_power(a - d, 2) + 4.0 * np.float_power(mod_b, 2), 0.0)
+    )
     hi = 0.5 * (tr + disc)
     lo = 0.5 * (tr - disc)
-    if abs(b) == 0.0:
-        vecs = np.eye(2, dtype=complex)
-        if a >= d:
-            return np.array([a, d]), vecs
-        return np.array([d, a]), vecs[:, ::-1]
-    v_hi = np.array([b, hi - a], dtype=complex)
-    v_lo = np.array([b, lo - a], dtype=complex)
-    v_hi /= np.linalg.norm(v_hi)
-    v_lo /= np.linalg.norm(v_lo)
-    return np.array([hi, lo]), np.stack([v_hi, v_lo], axis=1)
+    # Rows are the unnormalized eigenvectors (b, lambda - a).
+    rows = np.stack(
+        [np.stack([b, (hi - a).astype(complex)], -1), np.stack([b, (lo - a).astype(complex)], -1)],
+        -2,
+    )
+    norm = np.sqrt(
+        (rows.real[..., None, :] @ rows.real[..., :, None])[..., 0]
+        + (rows.imag[..., None, :] @ rows.imag[..., :, None])[..., 0]
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vecs = np.swapaxes(rows / norm, -1, -2)
+    vals = np.stack([hi, lo], -1)
+
+    # An already diagonal matrix keeps its diagonal exactly, largest first.
+    diagonal = mod_b == 0.0
+    swap = ~(a >= d)
+    diag_vals = np.where(swap[..., None], np.stack([d, a], -1), np.stack([a, d], -1))
+    eye = np.eye(2, dtype=complex)
+    diag_vecs = np.where(swap[..., None, None], eye[:, ::-1], eye)
+    vals = np.where(diagonal[..., None], diag_vals, vals)
+    vecs = np.where(diagonal[..., None, None], diag_vecs, vecs)
+    return vals, vecs
 
 
 def _jacobi(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,6 +337,60 @@ def _jacobi(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.real(np.diag(a)), v
 
 
+def _eigenpairs(stack: np.ndarray, tol: float, residual_tol: float):
+    mat = _require_hermitian(stack, tol)
+    n = mat.shape[-1]
+    if n == 1:
+        vals = mat[..., 0].real
+        vecs = np.ones(mat.shape, dtype=complex)
+    elif n == 2:
+        vals, vecs = _eig_2x2(mat)
+    else:
+        flat = mat.reshape(-1, n, n)
+        vals = np.empty(flat.shape[:2])
+        vecs = np.empty(flat.shape, dtype=complex)
+        for k, m in enumerate(flat):
+            v, u = _jacobi(m)
+            order = np.argsort(-v, kind="stable")
+            vals[k], vecs[k] = v[order], u[:, order]
+        vals = vals.reshape(mat.shape[:-1])
+        vecs = vecs.reshape(mat.shape)
+    # Deterministic column phases: largest-magnitude entry made real positive.
+    pivot_row = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
+    pivot = np.take_along_axis(vecs, pivot_row, axis=-2)
+    mod = np.hypot(pivot.real, pivot.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vecs = np.where(mod > 0.0, vecs * (pivot.conj() / mod), vecs)
+    recon = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2).conj()
+    residual = np.max(np.abs(mat - recon), axis=(-2, -1))
+    bad = residual > residual_tol
+    if np.any(bad):
+        k, where = first_failure(bad)
+        raise ArithmeticError(
+            f"eigendecomposition residual {float(residual.reshape(-1)[k]):g} "
+            f"exceeds {residual_tol:g}{where}"
+        )
+    return vals, vecs
+
+
+def eig_hermitian_batch(
+    stack,
+    tol: float = ASSERT_TOL,
+    residual_tol: float = RESIDUAL_TOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompositions of a stack of Hermitian matrices, shape (..., n, n).
+
+    Returns eigenvalues (..., n), descending, and eigenvectors (..., n, n)
+    as columns.  The 2x2 closed form runs on the whole stack at once; larger
+    matrices take cyclic Jacobi sweeps one by one.  The Hermiticity and
+    reconstruction-residual guards name the first failing batch index.
+    """
+    mat = np.asarray(stack, dtype=complex)
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {mat.shape}")
+    return _eigenpairs(mat, tol, residual_tol)
+
+
 def eig_hermitian(
     h,
     tol: float = ASSERT_TOL,
@@ -306,30 +403,11 @@ def eig_hermitian(
     """
     if isinstance(h, DensityMatrix):
         h = h.entries
-    mat = _require_hermitian(h, tol)
-    n = mat.shape[0]
-    if n == 1:
-        vals = np.array([mat[0, 0].real])
-        vecs = np.ones((1, 1), dtype=complex)
-    elif n == 2:
-        vals, vecs = _eig_2x2(mat)
-    else:
-        vals, vecs = _jacobi(mat)
-        order = np.argsort(-vals, kind="stable")
-        vals = vals[order]
-        vecs = vecs[:, order]
-    # Deterministic column phases: largest-magnitude entry made real positive.
-    for k in range(n):
-        col = vecs[:, k]
-        pivot = col[int(np.argmax(np.abs(col)))]
-        if abs(pivot) > 0.0:
-            vecs[:, k] = col * (np.conj(pivot) / abs(pivot))
-    residual = float(np.max(np.abs(mat - (vecs * vals) @ vecs.conj().T)))
-    if residual > residual_tol:
-        raise ArithmeticError(
-            f"eigendecomposition residual {residual:g} exceeds {residual_tol:g}"
-        )
-    return Spectrum(vals, vecs)
+    mat = np.asarray(h, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    vals, vecs = _eigenpairs(mat[None], tol, residual_tol)
+    return Spectrum(vals[0], vecs[0])
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -349,9 +427,15 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return 0.5 * float(np.sum(np.abs(spec.eigenvalues)))
 
 
+def entropy_bits(eigenvalues) -> np.ndarray:
+    """Von Neumann entropy in bits of stacked spectra (..., n), with 0*log(0)
+    taken as 0.  Non-positive eigenvalues contribute nothing."""
+    vals = np.clip(eigenvalues, 0.0, None)
+    positive = vals > 0.0
+    terms = np.where(positive, vals * np.log2(np.where(positive, vals, 1.0)), 0.0)
+    return -np.sum(terms, axis=-1)
+
+
 def entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy in bits, with 0*log(0) taken as 0."""
-    vals = eig_hermitian(rho).eigenvalues
-    vals = np.clip(vals, 0.0, None)
-    nz = vals[vals > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
+    return float(entropy_bits(eig_hermitian(rho).eigenvalues))

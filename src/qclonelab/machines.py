@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Ket, SubsystemSignature, signature
+from .core import Ket, SubsystemSignature, kron_stack, signature
 from .states import BasisPair, StateFamily, gram
 from .tolerances import ASSERT_TOL
 
@@ -342,7 +342,7 @@ def apply_termwise(
 def _kron_all(*vecs: np.ndarray) -> np.ndarray:
     out = np.array([1.0 + 0j])
     for v in vecs:
-        out = np.kron(out, v)
+        out = kron_stack(out, v)
     return out
 
 
@@ -412,6 +412,22 @@ def preset_wishful_cloner(
     return MachineSpec(in_sig, out_sig, pairs, MODE_TERMWISE)
 
 
+def strong_cloner_rules(
+    psis: np.ndarray, alphas: np.ndarray, env_outs: np.ndarray, ancilla_dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Declared inputs |psi_k>|0>|alpha_k>|C> and outputs |psi_k>|psi_k>|C_k>
+    of the strong cloner, stacked.
+
+    ``psis`` and ``alphas`` hold the two source and register qubit kets,
+    shape (..., 2, 2); ``env_outs`` holds the two output records, shape
+    (..., 2, 2 * ancilla_dim).  Both results have shape (..., 2, 8 * ancilla_dim).
+    """
+    blank = np.array([1.0, 0.0], dtype=complex)
+    env_in = np.zeros(ancilla_dim, dtype=complex)
+    env_in[0] = 1.0
+    return _kron_all(psis, blank, alphas, env_in), _kron_all(psis, psis, env_outs)
+
+
 def preset_strong_cloner(
     psi_pair: tuple[Ket, Ket],
     alpha_pair: tuple[Ket, Ket],
@@ -431,9 +447,6 @@ def preset_strong_cloner(
     out_env_dim = 2 * ancilla_dim
     in_sig = signature(("src", 2), ("blank", 2), ("reg", 2), ("env", ancilla_dim))
     out_sig = signature(("src", 2), ("copy", 2), ("env", out_env_dim))
-    blank = np.array([1.0, 0.0], dtype=complex)
-    env_in = np.zeros(ancilla_dim, dtype=complex)
-    env_in[0] = 1.0
     if ancilla_out_pair is None:
         c_i = np.zeros(out_env_dim, dtype=complex)
         c_i[0] = 1.0
@@ -445,15 +458,13 @@ def preset_strong_cloner(
             raise ValueError(
                 f"ancilla outputs must live in the {out_env_dim}-dimensional output environment"
             )
-    psis = [_qubit_amplitudes(k, "psi") for k in psi_pair]
-    alphas = [_qubit_amplitudes(k, "alpha") for k in alpha_pair]
-    pairs = tuple(
-        (
-            Ket(in_sig, _kron_all(psis[k], blank, alphas[k], env_in)),
-            Ket(out_sig, _kron_all(psis[k], psis[k], (c_i, c_j)[k])),
-        )
-        for k in (0, 1)
+    inputs, outputs = strong_cloner_rules(
+        np.stack([_qubit_amplitudes(k, "psi") for k in psi_pair]),
+        np.stack([_qubit_amplitudes(k, "alpha") for k in alpha_pair]),
+        np.stack([c_i, c_j]),
+        ancilla_dim,
     )
+    pairs = tuple((Ket(in_sig, inputs[k]), Ket(out_sig, outputs[k])) for k in (0, 1))
     return MachineSpec(in_sig, out_sig, pairs, MODE_LINEAR)
 
 

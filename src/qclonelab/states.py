@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ket, SubsystemSignature, inner, signature
-from .tolerances import ASSERT_TOL
+from .core import Ket, SubsystemSignature, first_failure, inner, signature
+from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,14 @@ class StateFamily:
         return len(self.members)
 
 
+def gram_stack(stack: np.ndarray) -> np.ndarray:
+    """Gram matrices G[..., i, j] = <v_i|v_j> of stacked vectors (..., m, d)."""
+    return stack.conj() @ np.swapaxes(stack, -1, -2)
+
+
 def gram(family: StateFamily) -> np.ndarray:
     """Matrix of pairwise inner products G[i][j] = <member_i|member_j>."""
-    stack = np.stack([k.amplitudes for k in family.members])
-    return stack.conj() @ stack.T
+    return gram_stack(np.stack([k.amplitudes for k in family.members]))
 
 
 def has_orthogonal_pair(family: StateFamily, tol: float = ASSERT_TOL) -> bool:
@@ -100,6 +104,35 @@ def has_orthogonal_pair(family: StateFamily, tol: float = ASSERT_TOL) -> bool:
     return False
 
 
+def overlap_pair_amplitudes(targets, dimension: int) -> np.ndarray:
+    """Amplitudes of :func:`kets_with_overlap` for each target, stacked:
+    shape (len(targets), 2, dimension).
+
+    Raises on a modulus above 1 or a realized overlap that misses its target,
+    naming the first failing index.
+    """
+    targets = [complex(t) for t in targets]
+    if dimension < 2:
+        raise ValueError("need dimension >= 2 to realize an arbitrary overlap")
+    moduli = [abs(t) for t in targets]
+    too_large = np.array(moduli) > 1.0 + 1e-12
+    if np.any(too_large):
+        k, where = first_failure(too_large)
+        raise ValueError(f"overlap modulus {moduli[k]!r} exceeds 1{where}")
+    out = np.zeros((len(targets), 2, dimension), dtype=complex)
+    out[:, 0, 0] = 1.0
+    out[:, 1, 0] = targets
+    out[:, 1, 1] = [math.sqrt(max(1.0 - m ** 2, 0.0)) for m in moduli]
+    realized = np.vecdot(out[:, 0], out[:, 1])
+    miss = np.abs(realized - np.array(targets, dtype=complex)) > RESIDUAL_TOL
+    if np.any(miss):
+        k, where = first_failure(miss)
+        raise ArithmeticError(
+            f"realized overlap {complex(realized[k])!r} misses requested {targets[k]!r}{where}"
+        )
+    return out
+
+
 def kets_with_overlap(
     target: complex, dimension: int, label: str = "r"
 ) -> tuple[Ket, Ket]:
@@ -107,15 +140,6 @@ def kets_with_overlap(
 
     first = e0, second = target*e0 + sqrt(1-|target|^2)*e1.
     """
-    target = complex(target)
-    if abs(target) > 1.0 + 1e-12:
-        raise ValueError(f"overlap modulus {abs(target)!r} exceeds 1")
-    if dimension < 2:
-        raise ValueError("need dimension >= 2 to realize an arbitrary overlap")
+    first, second = overlap_pair_amplitudes([target], dimension)[0]
     sig = signature((label, dimension))
-    first = np.zeros(dimension, dtype=complex)
-    first[0] = 1.0
-    second = np.zeros(dimension, dtype=complex)
-    second[0] = target
-    second[1] = math.sqrt(max(1.0 - abs(target) ** 2, 0.0))
     return Ket(sig, first), Ket(sig, second)

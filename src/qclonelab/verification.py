@@ -9,7 +9,6 @@ replaces each check's default threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,19 +39,9 @@ from .machines import (
     preset_strong_cloner,
     random_isometry,
 )
+from .report import Verdict
 from .states import StateFamily, gram, kets_with_overlap, qubit_basis, singlet
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    deviation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.deviation < self.tolerance
 
 
 def _rng(seed: int, salt: int) -> np.random.Generator:
@@ -426,32 +415,26 @@ def _check_sign_reading_invariance(seed):
     return dev, RESIDUAL_TOL
 
 
+_GRID = np.round(np.arange(0.0, 1.0 + 1e-12, 0.1), 10)
+
+
 @lru_cache(maxsize=1)
 def _conservation_grid_devs():
-    """One pass over the (a, b, c) grid; each named check reads one field."""
-    grid = tuple(np.round(np.arange(0.0, 1.0 + 1e-12, 0.1), 10))
-    lam_dev = 0.0
-    delta_form_dev = 0.0
-    flip_dev = 0.0
-    for a in grid:
-        for b in grid:
-            for c in grid:
-                s = cons.build_conservation(a, b, c)
-                lam_b = eig_hermitian(cons.alice_marginal_before(s)).largest
-                lam_a = eig_hermitian(cons.alice_marginal_after(s)).largest
-                lam_dev = max(lam_dev, abs(lam_b - cons.lambda_before(a, b)))
-                lam_dev = max(lam_dev, abs(lam_a - cons.lambda_after(a, c)))
-                delta_form_dev = max(
-                    delta_form_dev, abs((lam_a - lam_b) - (a * a * c - a * b) / 2.0)
-                )
-                consistent = check_consistency(s.machine).consistent
-                if a == 0.0:
-                    # Orthogonal source states are clonable for any b, c, so
-                    # the verdict flip is asserted on the a > 0 part only.
-                    if not consistent:
-                        flip_dev = 1.0
-                elif consistent != (abs(b - a * c) < 1e-9):
-                    flip_dev = 1.0
+    """One batch over the (a, b, c) grid; each named check reads one field."""
+    a, b, c = (x.ravel() for x in np.meshgrid(_GRID, _GRID, _GRID, indexing="ij"))
+    batch = cons.evaluate_batch(a, b, c, np.full(a.size, 0.5))
+    lam_b = batch.eigenvalues_before[:, 0]
+    lam_a = batch.eigenvalues_after[:, 0]
+    lam_dev = max(
+        max(abs(x - cons.lambda_before(y, z)) for x, y, z in zip(lam_b, a, b)),
+        max(abs(x - cons.lambda_after(y, z)) for x, y, z in zip(lam_a, a, c)),
+    )
+    delta_form_dev = np.max(np.abs((lam_a - lam_b) - (a * a * c - a * b) / 2.0))
+    consistent = np.max(np.abs(batch.input_gram - batch.output_gram), axis=(1, 2)) < ASSERT_TOL
+    # Orthogonal source states are clonable for any b, c, so the verdict flip
+    # is asserted on the a > 0 part only.
+    expected = (a == 0.0) | (np.abs(b - a * c) < 1e-9)
+    flip_dev = 1.0 if np.any(consistent != expected) else 0.0
     return lam_dev, delta_form_dev, flip_dev
 
 
@@ -460,14 +443,11 @@ def _check_lambda_closed_forms(seed):
 
 
 def _check_delta_zero_on_surface(seed):
-    grid = np.round(np.arange(0.0, 1.0 + 1e-12, 0.1), 10)
-    dev = 0.0
-    for a in grid:
-        for c in grid:
-            s = cons.build_conservation(a, a * c, c)
-            delta = cons.entanglement_delta(s)
-            dev = max(dev, abs(delta.delta_lambda), abs(delta.delta_entropy))
-    return dev, RESIDUAL_TOL
+    a, c = (x.ravel() for x in np.meshgrid(_GRID, _GRID, indexing="ij"))
+    batch = cons.evaluate_batch(a, a * c, c, np.full(a.size, 0.5))
+    delta_lambda = batch.eigenvalues_after[:, 0] - batch.eigenvalues_before[:, 0]
+    delta_entropy = batch.entropy_after - batch.entropy_before
+    return max(np.max(np.abs(delta_lambda)), np.max(np.abs(delta_entropy))), RESIDUAL_TOL
 
 
 def _check_delta_closed_form(seed):
@@ -579,11 +559,11 @@ _CHECKS = (
 
 def run_all_checks(
     seed: int = DEFAULT_SEED, tolerance: float | None = None
-) -> list[CheckResult]:
+) -> list[Verdict]:
     results = []
     for name, fn in _CHECKS:
         deviation, default_tol = fn(seed)
         results.append(
-            CheckResult(name, float(deviation), default_tol if tolerance is None else tolerance)
+            Verdict(name, float(deviation), default_tol if tolerance is None else tolerance)
         )
     return results

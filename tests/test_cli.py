@@ -224,6 +224,17 @@ class TestSweepCommand:
         assert rows[0.0] < 1e-12
         assert rows[round(math.pi / 4, 12)] > 1e-5
 
+    @pytest.mark.parametrize(
+        "axis", ["overlap.a=0.9:1.2:0.1", "branch.weight=0.9:1.2:0.1", "machine.ancilla_dim=1:2:1"]
+    )
+    def test_out_of_range_swept_value_exits_2(self, tmp_path, capsys, axis):
+        path = tmp_path / "c.cfg"
+        path.write_text(CONS_TEXT)
+        assert main(["sweep", str(path), "--grid", axis]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert axis.partition("=")[0] in err
+
     def test_worker_pool_matches_serial(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text(CONS_TEXT)
@@ -238,6 +249,15 @@ class TestSweepCommand:
 
 
 class TestGramEquivalenceCommand:
+    def test_target_smaller_than_dimension_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "g.cfg"
+        path.write_text(
+            "kind = gram-equivalence\nfamily.dimension = 4\nfamily.target_dimension = 3\n"
+        )
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "family.target_dimension" in err
+
     def test_roundtrip_report(self, tmp_path, capsys):
         path = tmp_path / "g.cfg"
         path.write_text(
