@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tolerances import (
-    ASSERT_TOL,
-    JACOBI_MAX_SWEEPS,
-    JACOBI_OFFDIAG_THRESHOLD,
-    RESIDUAL_TOL,
-)
+from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
 
 def _frozen(array: np.ndarray, dtype=complex) -> np.ndarray:
@@ -56,7 +51,7 @@ class SubsystemSignature:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64))
+        return math.prod(self.dims)
 
     def axis_of(self, label: str) -> int:
         for k, (lab, _) in enumerate(self.entries):
@@ -262,8 +257,7 @@ def _eig_2x2(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The arithmetic is pinned so that reported eigenvalues stay byte-stable:
     ``float_power`` is libm ``pow``, as ``x ** 2`` on a float scalar (an
     array ``** 2`` squares and can differ in the last bit); ``hypot`` is
-    ``abs`` of a complex scalar; the 1x2 @ 2x1 products are the BLAS dot of
-    ``np.linalg.norm`` on one vector.
+    ``abs`` of a complex scalar.
     """
     a = mat[..., 0, 0].real
     d = mat[..., 1, 1].real
@@ -275,66 +269,37 @@ def _eig_2x2(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
     hi = 0.5 * (tr + disc)
     lo = 0.5 * (tr - disc)
-    # Rows are the unnormalized eigenvectors (b, lambda - a).
-    rows = np.stack(
-        [np.stack([b, (hi - a).astype(complex)], -1), np.stack([b, (lo - a).astype(complex)], -1)],
-        -2,
-    )
-    norm = np.sqrt(
-        (rows.real[..., None, :] @ rows.real[..., :, None])[..., 0]
-        + (rows.imag[..., None, :] @ rows.imag[..., :, None])[..., 0]
-    )
+    swap = ~(a >= d)
+
+    # Each eigenvalue has two unnormalized eigenvectors, (b, lambda - a) and
+    # (lambda - d, conj b); take the better conditioned one.  With a >= d
+    # that is (h, conj b) for hi and (b, -h) for lo, else (b, h) and
+    # (-h, conj b), where h = hi - d = a - lo (or hi - a = d - lo) is formed
+    # without cancellation.  The pair is then orthogonal in floating point
+    # too, however nearly diagonal and degenerate the matrix is.
+    h = 0.5 * (np.abs(a - d) + disc)
+    scale = np.maximum(h, mod_b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vecs = np.swapaxes(rows / norm, -1, -2)
+        # Real divisions: a complex one overflows on a subnormal divisor.
+        hs, br, bi = h / scale, b.real / scale, b.imag / scale
+        norm = np.sqrt(hs * hs + br * br + bi * bi)
+        u = hs / norm
+        v = br / norm + 1j * (bi / norm)
+    vecs = np.where(
+        swap[..., None, None],
+        np.stack([np.stack([v, -u], -1), np.stack([u, v.conj()], -1)], -2),
+        np.stack([np.stack([u, v], -1), np.stack([v.conj(), -u], -1)], -2),
+    )
     vals = np.stack([hi, lo], -1)
 
     # An already diagonal matrix keeps its diagonal exactly, largest first.
     diagonal = mod_b == 0.0
-    swap = ~(a >= d)
     diag_vals = np.where(swap[..., None], np.stack([d, a], -1), np.stack([a, d], -1))
     eye = np.eye(2, dtype=complex)
     diag_vecs = np.where(swap[..., None, None], eye[:, ::-1], eye)
     vals = np.where(diagonal[..., None], diag_vals, vals)
     vecs = np.where(diagonal[..., None, None], diag_vecs, vecs)
     return vals, vecs
-
-
-def _jacobi(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic complex Jacobi diagonalization of a Hermitian matrix."""
-    a = np.array(mat, dtype=complex)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                off = max(off, mag)
-                if mag <= JACOBI_OFFDIAG_THRESHOLD:
-                    continue
-                w = apq / mag
-                phi = 0.5 * math.atan2(2.0 * mag, a[q, q].real - a[p, p].real)
-                c = math.cos(phi)
-                s = math.sin(phi)
-                # Right-multiply by the plane rotation, then left by its adjoint.
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(w) * col_q
-                a[:, q] = s * w * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * w * row_q
-                a[q, :] = s * np.conj(w) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vol_p = v[:, p].copy()
-                vol_q = v[:, q].copy()
-                v[:, p] = c * vol_p - s * np.conj(w) * vol_q
-                v[:, q] = s * w * vol_p + c * vol_q
-        if off <= JACOBI_OFFDIAG_THRESHOLD:
-            break
-    return np.real(np.diag(a)), v
 
 
 def _eigenpairs(stack: np.ndarray, tol: float, residual_tol: float):
@@ -346,15 +311,8 @@ def _eigenpairs(stack: np.ndarray, tol: float, residual_tol: float):
     elif n == 2:
         vals, vecs = _eig_2x2(mat)
     else:
-        flat = mat.reshape(-1, n, n)
-        vals = np.empty(flat.shape[:2])
-        vecs = np.empty(flat.shape, dtype=complex)
-        for k, m in enumerate(flat):
-            v, u = _jacobi(m)
-            order = np.argsort(-v, kind="stable")
-            vals[k], vecs[k] = v[order], u[:, order]
-        vals = vals.reshape(mat.shape[:-1])
-        vecs = vecs.reshape(mat.shape)
+        vals, vecs = np.linalg.eigh(mat)
+        vals, vecs = vals[..., ::-1], vecs[..., ::-1]
     # Deterministic column phases: largest-magnitude entry made real positive.
     pivot_row = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
     pivot = np.take_along_axis(vecs, pivot_row, axis=-2)
@@ -363,7 +321,7 @@ def _eigenpairs(stack: np.ndarray, tol: float, residual_tol: float):
         vecs = np.where(mod > 0.0, vecs * (pivot.conj() / mod), vecs)
     recon = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2).conj()
     residual = np.max(np.abs(mat - recon), axis=(-2, -1))
-    bad = residual > residual_tol
+    bad = ~(residual <= residual_tol)  # a NaN residual fails too
     if np.any(bad):
         k, where = first_failure(bad)
         raise ArithmeticError(
@@ -382,8 +340,9 @@ def eig_hermitian_batch(
 
     Returns eigenvalues (..., n), descending, and eigenvectors (..., n, n)
     as columns.  The 2x2 closed form runs on the whole stack at once; larger
-    matrices take cyclic Jacobi sweeps one by one.  The Hermiticity and
-    reconstruction-residual guards name the first failing batch index.
+    matrices take one LAPACK ``eigh`` call on the whole stack.  The
+    Hermiticity and reconstruction-residual guards name the first failing
+    batch index.
     """
     mat = np.asarray(stack, dtype=complex)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
@@ -398,7 +357,7 @@ def eig_hermitian(
 ) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix (or density matrix).
 
-    Uses the closed form for 2x2 inputs and cyclic Jacobi sweeps otherwise;
+    Uses the closed form for 2x2 inputs and LAPACK ``eigh`` otherwise;
     raises if the reconstruction residual exceeds ``residual_tol``.
     """
     if isinstance(h, DensityMatrix):

@@ -28,11 +28,6 @@ MODE_LINEAR = "linear-extension"
 MODE_TERMWISE = "termwise"
 MODES = (MODE_LINEAR, MODE_TERMWISE)
 
-# Residual norm below which a declared input counts as linearly dependent on
-# the previous ones (unit-norm inputs, so this is far above rounding noise).
-_DEPENDENT_THRESHOLD = 1e-8
-
-
 class InconsistentGram(ValueError):
     """Declared pairs do not preserve the Gram matrix; carries the report."""
 
@@ -45,7 +40,8 @@ class InconsistentGram(ValueError):
 
 
 class DependentInputsConflict(ValueError):
-    """Linearly dependent declared inputs map to incompatibly composed outputs."""
+    """Linearly dependent declared inputs map to incompatibly composed outputs,
+    so no isometry reproduces every declared pair."""
 
 
 @dataclass(frozen=True)
@@ -129,33 +125,6 @@ def check_consistency(m: MachineSpec, tol: float = ASSERT_TOL) -> ConsistencyRep
     return ConsistencyReport(g_in, g_out, dev, dev < tol)
 
 
-def _project_out(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    # Two classical Gram-Schmidt passes; enough at these dimensions.
-    r = vec.astype(complex)
-    for _ in range(2):
-        for u in basis:
-            r = r - np.vdot(u, r) * u
-    return r
-
-
-def _complete_orthonormal(basis: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    """Extend an orthonormal set to dim vectors using standard basis candidates
-    in index order (deterministic completion)."""
-    extras: list[np.ndarray] = []
-    for i in range(dim):
-        if len(basis) + len(extras) == dim:
-            break
-        e = np.zeros(dim, dtype=complex)
-        e[i] = 1.0
-        r = _project_out(e, basis + extras)
-        rn = np.linalg.norm(r)
-        if rn > 1e-6:
-            extras.append(r / rn)
-    if len(basis) + len(extras) != dim:
-        raise ArithmeticError("failed to complete an orthonormal basis")
-    return extras
-
-
 def isometry_matrix_from_pairs(
     xs: list[np.ndarray],
     ys: list[np.ndarray],
@@ -165,34 +134,33 @@ def isometry_matrix_from_pairs(
 ) -> np.ndarray:
     """Isometry M with M x_k = y_k, assuming the two Gram matrices agree.
 
-    Solves on span(xs) by paired Gram-Schmidt and completes deterministically
-    on the orthogonal complement.  Dependent inputs are accepted only when
-    their outputs match the linearly induced combination.
+    With the pairs stacked as columns of X (in_dim x K) and Y (out_dim x K)
+    and the SVD X = A S B^H, equal Gram matrices make Y B S^-1 = W A_r for
+    the sought isometry W on the range of X (rank r, counted as in
+    ``np.linalg.matrix_rank``).  A QR factorization orthonormalizes Y B S^-1
+    and completes it to a basis of the output space; M maps the columns of
+    A onto that basis.  Rounding in column j of Y B S^-1 is of order
+    eps / s_j but reaches M X only through s_j, and QR, largest singular
+    value first, keeps it out of the earlier columns, so the residual stays
+    at rounding level however close the inputs are to dependent.  Pairs
+    that no isometry maps (dependent inputs whose outputs are not the
+    induced combination) leave a residual max|M X - Y| above ``tol`` and
+    are refused.
     """
-    us: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
-    for x, y in zip(xs, ys):
-        r = np.asarray(x, dtype=complex).copy()
-        s = np.asarray(y, dtype=complex).copy()
-        for _ in range(2):
-            for u, v in zip(us, vs):
-                c = np.vdot(u, r)
-                r = r - c * u
-                s = s - c * v
-        rn = float(np.linalg.norm(r))
-        if rn > _DEPENDENT_THRESHOLD:
-            us.append(r / rn)
-            vs.append(s / rn)
-        elif float(np.max(np.abs(s))) > tol:
-            raise DependentInputsConflict(
-                "dependent declared input maps to an output that conflicts "
-                f"with the induced combination (residual {float(np.max(np.abs(s))):g})"
-            )
-    extra_in = _complete_orthonormal(us, in_dim)
-    extra_out = _complete_orthonormal(vs, out_dim)
-    mat = np.zeros((out_dim, in_dim), dtype=complex)
-    for u, v in zip(us + extra_in, vs + extra_out):
-        mat += np.outer(v, u.conj())
+    x = np.asarray(xs, dtype=complex).reshape(len(xs), in_dim).T
+    y = np.asarray(ys, dtype=complex).reshape(len(ys), out_dim).T
+    a, s, bh = np.linalg.svd(x)
+    rank = int(np.sum(s > s[0] * max(x.shape) * np.finfo(float).eps))
+    q, r = np.linalg.qr((y @ bh[:rank].conj().T) / s[:rank], mode="complete")
+    # Undo the phases QR puts on the diagonal of R, so q's columns match Y B S^-1.
+    q[:, :rank] *= np.exp(1j * np.angle(np.diagonal(r)[:rank]))
+    mat = q[:, :in_dim] @ a.conj().T
+    residual = float(np.max(np.abs(mat @ x - y)))
+    if not residual <= tol:
+        raise DependentInputsConflict(
+            "declared outputs are not an isometric image of the declared inputs "
+            f"(residual {residual:g})"
+        )
     return mat
 
 

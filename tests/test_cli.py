@@ -155,6 +155,15 @@ class TestRunCommand:
         path.write_text(CONS_TEXT.replace("overlap.b = 0.5", "overlap.b = 0.3"))
         assert main(["run", str(path), "--out", str(tmp_path / "r.txt")]) == 0
 
+    def test_degenerate_marginal_reports(self, tmp_path, capsys):
+        # Alice's marginal after the cloner is I/2 up to 1e-20: nearly
+        # diagonal and nearly degenerate, which the 2x2 eigensolver must
+        # still diagonalize within its residual guard.
+        path = tmp_path / "c.cfg"
+        path.write_text("kind = conservation\noverlap.a = 1\noverlap.b = 0\noverlap.c = 1e-20\n")
+        assert main(["run", str(path)]) == 0
+        assert "overall = PASS" in capsys.readouterr().out
+
     def test_nosignal_isometry_passes(self, tmp_path, capsys):
         path = tmp_path / "n.cfg"
         path.write_text(NOSIG_TEXT)

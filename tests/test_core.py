@@ -12,6 +12,7 @@ from qclonelab.core import (
     Ket,
     density_of,
     eig_hermitian,
+    eig_hermitian_batch,
     entropy,
     inner,
     partial_trace,
@@ -185,6 +186,40 @@ class TestEig:
         z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         vals = eig_hermitian(0.5 * (z + z.conj().T)).eigenvalues
         assert np.all(np.diff(vals) <= 1e-14)
+
+    def test_dense_batch_equals_single_calls_bitwise(self, rng):
+        z = rng.standard_normal((5, 16, 16)) + 1j * rng.standard_normal((5, 16, 16))
+        stack = 0.5 * (z + np.swapaxes(z, -1, -2).conj())
+        vals, vecs = eig_hermitian_batch(stack)
+        for k, h in enumerate(stack):
+            spec = eig_hermitian(h)
+            assert vals[k].tobytes() == spec.eigenvalues.tobytes()
+            assert vecs[k].tobytes() == spec.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize(
+        "a, d, b",
+        [
+            (0.5, 0.5, 1e-20),
+            (0.5 + 5e-17, 0.5 - 5e-17, 1e-20j),
+            (0.49999999999999994, 0.5, 8.05e-55 + 7.4e-55j),
+            (0.5, 0.5, 1e-170),
+            (0.5, 0.5, 5e-324j),
+            (0.25, 0.75, 1e-300),
+        ],
+    )
+    def test_2x2_nearly_diagonal_nearly_degenerate(self, a, d, b):
+        # The closed-form eigenvectors stay orthonormal where the two
+        # eigenvalues meet and the off-diagonal entry is tiny or subnormal.
+        h = np.array([[a, b], [np.conj(b), d]])
+        spec = eig_hermitian(h)
+        vecs = spec.eigenvectors
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(2))) < 1e-15
+        recon = (vecs * spec.eigenvalues) @ vecs.conj().T
+        assert np.max(np.abs(h - recon)) < 1e-15
+
+    def test_nan_residual_raises(self):
+        with pytest.raises(ArithmeticError, match="residual nan"):
+            eig_hermitian(np.array([[np.nan, 0.1], [0.1, 0.5]]))
 
 
 class TestTraceDistance:

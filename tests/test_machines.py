@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_ket
 from oracles import kron_all
+from qclonelab.conservation import equivalence_unitary
 from qclonelab.core import Ket, basis_ket, density_of, partial_trace, signature, tensor
 from qclonelab.machines import (
     MODE_LINEAR,
@@ -107,6 +110,51 @@ class TestExtendToIsometry:
         assert check_consistency(spec).consistent
         with pytest.raises(DependentInputsConflict):
             extend_to_isometry(spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    in_dim=st.integers(1, 8),
+    extra_out=st.integers(0, 4),
+    picks=st.lists(st.integers(0, 5), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extension_of_gram_consistent_spec(in_dim, extra_out, picks, seed):
+    # Inputs are drawn from up to six random kets, so repeated picks declare
+    # duplicated inputs; outputs are a hidden isometry's images.
+    rng = np.random.default_rng(seed)
+    sig_in = signature(("x", in_dim))
+    sig_out = signature(("y", in_dim + extra_out))
+    kets = [random_ket(sig_in, rng) for _ in range(6)]
+    hide = random_isometry(sig_in, sig_out, rng)
+    pairs = tuple(
+        (kets[k], Ket(sig_out, hide.matrix @ kets[k].amplitudes)) for k in picks
+    )
+    lm = extend_to_isometry(MachineSpec(sig_in, sig_out, pairs, MODE_LINEAR))
+    assert np.max(np.abs(lm.matrix.conj().T @ lm.matrix - np.eye(in_dim))) < 1e-10
+    for x, y in pairs:
+        assert np.max(np.abs(lm.matrix @ x.amplitudes - y.amplitudes)) < 1e-10
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11])
+def test_equivalence_of_nearly_identical_kets(eps):
+    # Four kets within eps of each other in dimension 6, and their images
+    # under a hidden unitary: the Gram matrices agree by construction at
+    # every eps, so the solver must recover a unitary at every eps.
+    rng = np.random.default_rng(6)
+    sig_f, sig_g = signature(("x", 6)), signature(("y", 6))
+    for _ in range(5):
+        base = random_ket(sig_f, rng).amplitudes
+        members = []
+        for _ in range(4):
+            z = base + eps * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+            members.append(Ket(sig_f, z / np.linalg.norm(z)))
+        hide = random_isometry(sig_f, sig_g, rng)
+        moved = [Ket(sig_g, hide.matrix @ k.amplitudes) for k in members]
+        u = equivalence_unitary(StateFamily(tuple(members)), StateFamily(tuple(moved)))
+        assert np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(6))) < 1e-10
+        for x, y in zip(members, moved):
+            assert np.max(np.abs(u.matrix @ x.amplitudes - y.amplitudes)) < 1e-10
 
 
 class TestApplyLinear:
