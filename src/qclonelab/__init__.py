@@ -30,6 +30,7 @@ from .states import (
 from .machines import (
     MODE_LINEAR,
     MODE_TERMWISE,
+    ConflictingRules,
     ConsistencyReport,
     DependentInputsConflict,
     InconsistentGram,
@@ -44,6 +45,7 @@ from .machines import (
     preset_strong_cloner,
     preset_wishful_cloner,
     random_isometry,
+    wishful_signatures,
 )
 from .nosignal import (
     TwoSingletScenario,
@@ -58,11 +60,13 @@ from .conservation import (
     ConservationBatch,
     ConservationScenario,
     EntanglementDelta,
+    EquivalenceRoundtrip,
     GramMismatch,
     alice_marginal_after,
     alice_marginal_before,
     build_conservation,
     entanglement_delta,
+    equivalence_roundtrip,
     equivalence_unitary,
     evaluate_batch,
     lambda_after,

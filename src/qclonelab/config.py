@@ -39,7 +39,6 @@ _SCHEMAS: dict[str, dict[str, tuple[type, object]]] = {
         **_BASIS_KEYS,
         "machine.mode": (str, "termwise"),
         "machine.ancilla_dim": (int, 4),
-        "machine.cross_outputs": (str, "passthrough"),
     },
     "conservation": {
         **_COMMON_SCHEMA,
@@ -69,7 +68,6 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
 _CHOICES: dict[str, tuple[str, ...]] = {
     "format": ("table", "csv", "json"),
     "machine.mode": ("termwise", "isometry"),
-    "machine.cross_outputs": ("passthrough",),
 }
 
 

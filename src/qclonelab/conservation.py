@@ -30,9 +30,10 @@ from .machines import (
     MachineSpec,
     isometry_matrix_from_pairs,
     preset_strong_cloner,
+    random_isometry,
     strong_cloner_rules,
 )
-from .states import StateFamily, gram, gram_stack, overlap_pair_amplitudes
+from .states import StateFamily, gram, gram_stack, overlap_pair_amplitudes, random_ket
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
 ALICE_LABEL = "A"
@@ -69,21 +70,34 @@ class EntanglementDelta:
 
 
 @dataclass(frozen=True)
+class EquivalenceRoundtrip:
+    """A random family, its image under a hidden random isometry, and how
+    well :func:`equivalence_unitary` recovers the map from Gram data."""
+
+    family: StateFamily
+    moved: StateFamily
+    member_residual: float
+    isometry_residual: float
+
+
+@dataclass(frozen=True)
 class ConservationBatch:
     """Results of :func:`evaluate_batch`, stacked over the batch (axis 0).
 
-    Marginals and Gram matrices have shape (n, 2, 2), eigenvalues (n, 2)
-    in descending order, entropies (n,) in bits.
+    Marginals, their closed forms and Gram matrices have shape (n, 2, 2),
+    eigenvalues (n, 2) in descending order, entropies (n,) in bits.
     """
 
     marginal_before: np.ndarray
     marginal_after: np.ndarray
+    closed_before: np.ndarray
+    closed_after: np.ndarray
+    input_gram: np.ndarray
+    output_gram: np.ndarray
     eigenvalues_before: np.ndarray
     eigenvalues_after: np.ndarray
     entropy_before: np.ndarray
     entropy_after: np.ndarray
-    input_gram: np.ndarray
-    output_gram: np.ndarray
 
 
 def _superpose(weight: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -167,18 +181,29 @@ def _leading_qubit_marginal(amp: np.ndarray) -> np.ndarray:
 _CHUNK_ENTRIES = 1 << 13
 
 
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y for complex arrays, written out in real arithmetic so that it
+    rounds as Python's complex ``*`` does; NumPy's complex multiply can
+    differ in the last bit."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
 def _marginals(a, b, c, weight, ancilla_dim: int):
-    """Guarded stacked marginals (before, after) and rule Gram matrices
-    (input, output); the first stage of :func:`evaluate_batch`."""
-    a, b, c = ([complex(z) for z in zs] for zs in (a, b, c))
+    """Guarded stacked marginals (before, after), their closed forms
+    (before, after) and rule Gram matrices (input, output); the first stage
+    of :func:`evaluate_batch`."""
+    a, b, c = (np.array(z, dtype=complex) for z in (a, b, c))
     w = np.broadcast_to(np.asarray(weight, dtype=float), (len(a),))
 
     def fail(error, message: str, bad: np.ndarray):
         if np.any(bad):
             k, _ = first_failure(bad.reshape(len(a), -1).any(axis=1))
             raise error(
-                f"{message} at point {k} "
-                f"(a={a[k]!r}, b={b[k]!r}, c={c[k]!r}, weight={float(w[k])!r})"
+                f"{message} at point {k} (a={complex(a[k])!r}, b={complex(b[k])!r}, "
+                f"c={complex(c[k])!r}, weight={float(w[k])!r})"
             )
 
     psis, alphas, records = _branches(a, b, c, w, ancilla_dim)
@@ -198,21 +223,26 @@ def _marginals(a, b, c, weight, ancilla_dim: int):
         norm = np.sqrt(np.diagonal(g, axis1=1, axis2=2).real)
         fail(ValueError, f"{name} is not normalized", np.abs(norm - 1.0) > ASSERT_TOL)
 
+    # Closed forms [[w, pq conj(z)], [pq z, 1 - w]], pq = sqrt(w(1 - w)), with
+    # z = ab before and a^2 c after.  The reported deviations from them are
+    # pinned to this rounding: (pq a) b and ((pq a) a) c below the diagonal,
+    # pq conj(ab) and pq conj((a a) c) above it.
     pq = np.sqrt(w * (1.0 - w))
-    for label, rho, z in (
-        ("before", before, [x * y for x, y in zip(a, b)]),
-        ("after", after, [x * x * y for x, y in zip(a, c)]),
+    closed = []
+    for label, rho, lower, upper in (
+        ("before", before, _cmul(pq * a, b), _cmul(a, b)),
+        ("after", after, _cmul(_cmul(pq * a, a), c), _cmul(_cmul(a, a), c)),
     ):
         herm = np.max(np.abs(rho - np.swapaxes(rho, 1, 2).conj()), axis=(1, 2))
         fail(ValueError, f"marginal {label} is not Hermitian", herm > ASSERT_TOL)
         trace = np.abs(rho[:, 0, 0] + rho[:, 1, 1] - 1.0)
         fail(ValueError, f"marginal {label} trace deviates from 1", trace > ASSERT_TOL)
-        off = pq * np.array(z, dtype=complex)
-        closed = np.stack([np.stack([w, off.conj()], -1), np.stack([off, 1.0 - w], -1)], -2)
-        dev = np.max(np.abs(rho - closed), axis=(1, 2))
+        upper = pq * upper.conj()
+        closed.append(np.stack([np.stack([w, upper], -1), np.stack([lower, 1.0 - w], -1)], -2))
+        dev = np.max(np.abs(rho - closed[-1]), axis=(1, 2))
         fail(ArithmeticError, f"marginal {label} deviates from its closed form", dev > RESIDUAL_TOL)
 
-    return before, after, input_gram, output_gram
+    return before, after, *closed, input_gram, output_gram
 
 
 def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
@@ -229,13 +259,11 @@ def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
     (z = ab before, a^2 c after, pq = sqrt(w(1 - w))), and the
     eigendecomposition residuals.
     """
-    before, after, input_gram, output_gram = _marginals(a, b, c, weight, ancilla_dim)
-    vals_before, _ = eig_hermitian_batch(before)
-    vals_after, _ = eig_hermitian_batch(after)
+    marginals = _marginals(a, b, c, weight, ancilla_dim)
+    vals_before, _ = eig_hermitian_batch(marginals[0])
+    vals_after, _ = eig_hermitian_batch(marginals[1])
     return ConservationBatch(
-        before, after, vals_before, vals_after,
-        entropy_bits(vals_before), entropy_bits(vals_after),
-        input_gram, output_gram,
+        *marginals, vals_before, vals_after, entropy_bits(vals_before), entropy_bits(vals_after)
     )
 
 
@@ -316,3 +344,22 @@ def equivalence_unitary(
     if worst > residual_tol:
         raise ArithmeticError(f"member reconstruction residual {worst:g} exceeds {residual_tol:g}")
     return lm
+
+
+def equivalence_roundtrip(dim: int, target_dim: int, size: int, rng) -> EquivalenceRoundtrip:
+    """Draw ``size`` random kets in dimension ``dim``, move them with a random
+    isometry into ``target_dim``, and recover an isometry from the two
+    families alone.  Records the largest entrywise member residual |U f_k - g_k|
+    and the deviation of U^dag U from the identity."""
+    sig_f = signature(("x", dim))
+    sig_g = signature(("y", target_dim))
+    family = StateFamily(tuple(random_ket(sig_f, rng) for _ in range(size)))
+    hide = random_isometry(sig_f, sig_g, rng)
+    moved = StateFamily(tuple(Ket(sig_g, hide.matrix @ k.amplitudes) for k in family.members))
+    u = equivalence_unitary(family, moved).matrix
+    member_residual = max(
+        float(np.max(np.abs(u @ x.amplitudes - y.amplitudes)))
+        for x, y in zip(family.members, moved.members)
+    )
+    isometry_residual = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
+    return EquivalenceRoundtrip(family, moved, member_residual, isometry_residual)

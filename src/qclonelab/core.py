@@ -257,15 +257,21 @@ def _eig_2x2(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The arithmetic is pinned so that reported eigenvalues stay byte-stable:
     ``float_power`` is libm ``pow``, as ``x ** 2`` on a float scalar (an
     array ``** 2`` squares and can differ in the last bit); ``hypot`` is
-    ``abs`` of a complex scalar.
+    ``abs`` of a complex scalar.  Only where the squares underflow is the
+    discriminant taken as ``hypot(a - d, 2|b|)`` instead.
     """
     a = mat[..., 0, 0].real
     d = mat[..., 1, 1].real
     b = mat[..., 0, 1]
     mod_b = np.hypot(b.real, b.imag)
     tr = a + d
-    disc = np.sqrt(
-        np.maximum(np.float_power(a - d, 2) + 4.0 * np.float_power(mod_b, 2), 0.0)
+    squares = np.float_power(a - d, 2) + 4.0 * np.float_power(mod_b, 2)
+    # Below the normal range the squares lose their precision or vanish;
+    # hypot does not square.
+    disc = np.where(
+        squares < np.finfo(float).tiny,
+        np.hypot(a - d, 2.0 * mod_b),
+        np.sqrt(np.maximum(squares, 0.0)),
     )
     hi = 0.5 * (tr + disc)
     lo = 0.5 * (tr - disc)

@@ -44,6 +44,11 @@ class DependentInputsConflict(ValueError):
     so no isometry reproduces every declared pair."""
 
 
+class ConflictingRules(ValueError):
+    """Two declared rules take one expansion element, up to global phase, to
+    different outputs, so a termwise application has no single reading."""
+
+
 @dataclass(frozen=True)
 class MachineSpec:
     """Finite set of declared input -> output ket pairs plus an application mode."""
@@ -235,10 +240,12 @@ def apply_termwise(
 
     ``expansion`` must be a complete orthonormal basis of the leading acted
     factors; the remaining acted factors form the ancilla, which every
-    matched declared input must carry in one shared fixed state.  The state
-    is expanded over the basis, each term is replaced by its declared output
-    with the coefficient (including sign) kept, and the result is
-    renormalized only on request.
+    matched declared input must carry in one shared fixed state, up to a
+    global phase that is folded into the rule's output.  Two rules that then
+    take one element to different outputs raise :class:`ConflictingRules`.
+    The state is expanded over the basis, each term is replaced by its
+    declared output with the coefficient (including sign) kept, and the
+    result is renormalized only on request.
     """
     spectators, block = _split_spectators(state, acted_labels, m.input_signature)
     in_dims = m.input_signature.dims
@@ -262,21 +269,32 @@ def apply_termwise(
     basis = np.stack([k.amplitudes for k in expansion.members], axis=1)  # (d_exp, d_exp)
 
     # Match declared pairs to expansion elements: a pair is usable when its
-    # input factors as (expansion element) x (fixed ancilla state).
+    # input factors as (expansion element) x (fixed ancilla state), up to a
+    # global phase that is folded into its output.
     ancilla_state = None
     outputs: list[np.ndarray | None] = [None] * d_exp
-    for x, y in m.pairs:
+    owners = [0] * d_exp
+    for i, (x, y) in enumerate(m.pairs):
         coeffs = basis.conj().T @ x.amplitudes.reshape(d_exp, d_anc)
         k = int(np.argmax(np.linalg.norm(coeffs, axis=1)))
         if float(np.max(np.abs(np.kron(basis[:, k], coeffs[k]) - x.amplitudes))) > tol:
             continue
-        if outputs[k] is not None:
-            continue  # first declared rule wins
         if ancilla_state is None:
             ancilla_state = coeffs[k]
-        elif float(np.max(np.abs(ancilla_state - coeffs[k]))) > tol:
-            raise ValueError("declared inputs do not share one fixed ancilla state")
-        outputs[k] = y.amplitudes
+        out = y.amplitudes
+        if float(np.max(np.abs(ancilla_state - coeffs[k]))) > tol:
+            overlap = complex(np.vdot(ancilla_state, coeffs[k]))
+            phase = overlap / abs(overlap) if abs(overlap) > tol else 0.0
+            if float(np.max(np.abs(phase * ancilla_state - coeffs[k]))) > tol:
+                raise ValueError("declared inputs do not share one fixed ancilla state")
+            out = out * phase.conjugate()
+        if outputs[k] is None:
+            outputs[k], owners[k] = out, i
+        elif (gap := float(np.max(np.abs(outputs[k] - out)))) > tol:
+            raise ConflictingRules(
+                f"declared rules {owners[k]} and {i} map expansion element {k} "
+                f"(up to global phase) to outputs that differ by {gap:g}"
+            )
 
     psi = block.reshape(-1, d_exp, d_anc)
     branch = np.einsum("ek,sea->ksa", basis.conj(), psi)
@@ -314,68 +332,62 @@ def _kron_all(*vecs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _records(kets: tuple[Ket, Ket], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes of two normalized environment records of dimension ``dim``."""
+    records = tuple(k.require_normalized().amplitudes for k in kets)
+    if any(len(r) != dim for r in records):
+        raise ValueError(f"ancilla outputs must live in the {dim}-dimensional environment register")
+    return records
+
+
 def _qubit_amplitudes(k: Ket, role: str) -> np.ndarray:
     if k.signature.dim != 2:
         raise ValueError(f"{role} must be a single-qubit ket, got dimension {k.signature.dim}")
     return k.require_normalized().amplitudes
 
 
+def wishful_signatures(ancilla_dim: int) -> tuple[SubsystemSignature, SubsystemSignature]:
+    """Input (src, reg, env) and output (src, copy, env) signatures of the
+    wishful cloner, and of any machine that replaces it on Bob's side of the
+    two-singlet scenario."""
+    return (
+        signature(("src", 2), ("reg", 2), ("env", ancilla_dim)),
+        signature(("src", 2), ("copy", 2), ("env", ancilla_dim)),
+    )
+
+
 def preset_wishful_cloner(
-    psi_basis: BasisPair,
-    alpha_basis: BasisPair,
-    cross_outputs: tuple[Ket, Ket] | None = None,
-    ancilla_outputs: tuple[Ket, Ket] | None = None,
-    ancilla_dim: int = 4,
+    psi_basis: BasisPair, alpha_basis: BasisPair, ancilla_dim: int = 4
 ) -> MachineSpec:
     """Termwise cloner whose copy of the source is steered by the register.
 
     Rules (|C> is the fixed environment input):
       |psi>|alpha>|C>       -> |psi>|psi>|C1>
       |psibar>|alphabar>|C> -> |psibar>|psibar>|C2>
-      |psi>|alphabar>|C>    -> cross output (default: same state, passed through)
-      |psibar>|alpha>|C>    -> second cross output (same default)
+      |psi>|alphabar>|C>    -> |psi>|alphabar>|C>   (passed through)
+      |psibar>|alpha>|C>    -> |psibar>|alpha>|C>   (passed through)
 
-    Default environment records C1, C2 are orthogonal basis states.  Within
-    one basis the four rules always map an orthonormal set to an orthonormal
-    set, so each single-basis rule set is isometric on its own; the choice of
-    records only matters once the two bases' rule sets are compared (with
-    C1 = C2 = |C> and pass-through crosses, the two conditioned mixtures
-    coincide and the signalling magnitude degenerates to zero).
+    The environment records C1 = |C> and C2 are orthogonal basis states.
+    Within one basis the four rules map an orthonormal set to an orthonormal
+    set, so each single-basis rule set is isometric on its own; the records
+    only matter once the two bases' rule sets are compared (with C1 = C2 =
+    |C>, the two conditioned mixtures would coincide and the signalling
+    magnitude would degenerate to zero).
     """
     if ancilla_dim < 2:
         raise ValueError("environment register needs dimension >= 2")
-    in_sig = signature(("src", 2), ("reg", 2), ("env", ancilla_dim))
-    out_sig = signature(("src", 2), ("copy", 2), ("env", ancilla_dim))
-    env_in = np.zeros(ancilla_dim, dtype=complex)
-    env_in[0] = 1.0
-    if ancilla_outputs is None:
-        c1 = np.zeros(ancilla_dim, dtype=complex)
-        c1[0] = 1.0
-        c2 = np.zeros(ancilla_dim, dtype=complex)
-        c2[1] = 1.0
-    else:
-        c1, c2 = (k.require_normalized().amplitudes for k in ancilla_outputs)
-        if len(c1) != ancilla_dim or len(c2) != ancilla_dim:
-            raise ValueError("ancilla outputs must live in the environment register")
-    psi = psi_basis.primary.amplitudes
-    psibar = psi_basis.complement.amplitudes
-    alpha = alpha_basis.primary.amplitudes
-    alphabar = alpha_basis.complement.amplitudes
-    if cross_outputs is None:
-        phi = Ket(out_sig, _kron_all(psi, alphabar, env_in))
-        phibar = Ket(out_sig, _kron_all(psibar, alpha, env_in))
-    else:
-        phi, phibar = cross_outputs
-        if phi.signature != out_sig or phibar.signature != out_sig:
-            raise ValueError("cross outputs must live on the machine output signature")
-    pairs = (
-        (Ket(in_sig, _kron_all(psi, alpha, env_in)), Ket(out_sig, _kron_all(psi, psi, c1))),
-        (
-            Ket(in_sig, _kron_all(psibar, alphabar, env_in)),
-            Ket(out_sig, _kron_all(psibar, psibar, c2)),
-        ),
-        (Ket(in_sig, _kron_all(psi, alphabar, env_in)), phi),
-        (Ket(in_sig, _kron_all(psibar, alpha, env_in)), phibar),
+    in_sig, out_sig = wishful_signatures(ancilla_dim)
+    env_in, c2 = np.eye(2, ancilla_dim, dtype=complex)  # C1 is the input state |C>
+    psi, psibar = psi_basis.primary.amplitudes, psi_basis.complement.amplitudes
+    alpha, alphabar = alpha_basis.primary.amplitudes, alpha_basis.complement.amplitudes
+    rules = (
+        (psi, alpha, _kron_all(psi, psi, env_in)),
+        (psibar, alphabar, _kron_all(psibar, psibar, c2)),
+        (psi, alphabar, _kron_all(psi, alphabar, env_in)),
+        (psibar, alpha, _kron_all(psibar, alpha, env_in)),
+    )
+    pairs = tuple(
+        (Ket(in_sig, _kron_all(src, reg, env_in)), Ket(out_sig, out)) for src, reg, out in rules
     )
     return MachineSpec(in_sig, out_sig, pairs, MODE_TERMWISE)
 
@@ -399,7 +411,7 @@ def strong_cloner_rules(
 def preset_strong_cloner(
     psi_pair: tuple[Ket, Ket],
     alpha_pair: tuple[Ket, Ket],
-    ancilla_out_pair: tuple[Ket, Ket] | None = None,
+    ancilla_out_pair: tuple[Ket, Ket],
     ancilla_dim: int = 4,
 ) -> MachineSpec:
     """Cloner fed a blank slot and a supplementary register:
@@ -415,21 +427,10 @@ def preset_strong_cloner(
     out_env_dim = 2 * ancilla_dim
     in_sig = signature(("src", 2), ("blank", 2), ("reg", 2), ("env", ancilla_dim))
     out_sig = signature(("src", 2), ("copy", 2), ("env", out_env_dim))
-    if ancilla_out_pair is None:
-        c_i = np.zeros(out_env_dim, dtype=complex)
-        c_i[0] = 1.0
-        c_j = np.zeros(out_env_dim, dtype=complex)
-        c_j[1] = 1.0
-    else:
-        c_i, c_j = (k.require_normalized().amplitudes for k in ancilla_out_pair)
-        if len(c_i) != out_env_dim or len(c_j) != out_env_dim:
-            raise ValueError(
-                f"ancilla outputs must live in the {out_env_dim}-dimensional output environment"
-            )
     inputs, outputs = strong_cloner_rules(
         np.stack([_qubit_amplitudes(k, "psi") for k in psi_pair]),
         np.stack([_qubit_amplitudes(k, "alpha") for k in alpha_pair]),
-        np.stack([c_i, c_j]),
+        np.stack(_records(ancilla_out_pair, out_env_dim)),
         ancilla_dim,
     )
     pairs = tuple((Ket(in_sig, inputs[k]), Ket(out_sig, outputs[k])) for k in (0, 1))
@@ -437,9 +438,7 @@ def preset_strong_cloner(
 
 
 def preset_deleter(
-    psi_pair: tuple[Ket, Ket],
-    ancilla_out_pair: tuple[Ket, Ket] | None = None,
-    ancilla_dim: int = 4,
+    psi_pair: tuple[Ket, Ket], ancilla_out_pair: tuple[Ket, Ket], ancilla_dim: int = 4
 ) -> MachineSpec:
     """Deleter returning one copy to the blank state:
 
@@ -452,20 +451,12 @@ def preset_deleter(
     blank = np.array([1.0, 0.0], dtype=complex)
     env_in = np.zeros(ancilla_dim, dtype=complex)
     env_in[0] = 1.0
-    if ancilla_out_pair is None:
-        a_i = np.zeros(ancilla_dim, dtype=complex)
-        a_i[0] = 1.0
-        a_j = np.zeros(ancilla_dim, dtype=complex)
-        a_j[1] = 1.0
-    else:
-        a_i, a_j = (k.require_normalized().amplitudes for k in ancilla_out_pair)
-        if len(a_i) != ancilla_dim or len(a_j) != ancilla_dim:
-            raise ValueError("ancilla outputs must live in the environment register")
+    records = _records(ancilla_out_pair, ancilla_dim)
     psis = [_qubit_amplitudes(k, "psi") for k in psi_pair]
     pairs = tuple(
         (
             Ket(in_sig, _kron_all(psis[k], psis[k], env_in)),
-            Ket(out_sig, _kron_all(psis[k], blank, (a_i, a_j)[k])),
+            Ket(out_sig, _kron_all(psis[k], blank, records[k])),
         )
         for k in (0, 1)
     )

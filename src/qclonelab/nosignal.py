@@ -10,7 +10,7 @@ Alice's basis index, breaks exactly this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +45,9 @@ ANCILLA_LABEL = "env"
 
 @dataclass(frozen=True)
 class TwoSingletScenario:
-    """Shared state singlet(pa,pb) x singlet(aa,ab) x |env_0> plus two basis choices."""
+    """Shared state singlet(pa,pb) x singlet(aa,ab) x |env_0> plus two basis
+    choices, with the largest entrywise deviation of Bob's pre-machine
+    marginal from I/4."""
 
     alice_labels: tuple[str, str]
     bob_labels: tuple[str, str]
@@ -54,6 +56,7 @@ class TwoSingletScenario:
     basis2: tuple[BasisPair, BasisPair]
     ancilla_dim: int
     joint: Ket
+    premachine_deviation: float = float("nan")
 
     def basis(self, index: int) -> tuple[BasisPair, BasisPair]:
         if index == 1:
@@ -68,7 +71,8 @@ def build_scenario(
     basis2: tuple[BasisPair, BasisPair],
     ancilla_dim: int = 4,
 ) -> TwoSingletScenario:
-    """Assemble the shared state and check Bob's half starts maximally mixed."""
+    """Assemble the shared state, check that Bob's half starts maximally mixed
+    and record its deviation from I/4."""
     pa, aa = ALICE_LABELS
     pb, ab = BOB_LABELS
     env = basis_ket(signature((ANCILLA_LABEL, ancilla_dim)), 0)
@@ -84,7 +88,7 @@ def build_scenario(
     dev = float(np.max(np.abs(marginal.entries - np.eye(4) / 4.0)))
     if dev > RESIDUAL_TOL:
         raise ArithmeticError(f"pre-machine Bob marginal deviates from I/4 by {dev:g}")
-    return scenario
+    return replace(scenario, premachine_deviation=dev)
 
 
 def bob_marginal_before(s: TwoSingletScenario) -> DensityMatrix:

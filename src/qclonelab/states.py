@@ -48,6 +48,12 @@ def qubit_basis(theta: float, phi: float = 0.0, label: str = "q") -> BasisPair:
     return BasisPair(float(theta), float(phi), primary, complement)
 
 
+def random_ket(sig: SubsystemSignature, rng: np.random.Generator) -> Ket:
+    """Normalized ket with standard complex Gaussian amplitudes."""
+    z = rng.standard_normal(sig.dim) + 1j * rng.standard_normal(sig.dim)
+    return Ket(sig, z / np.linalg.norm(z))
+
+
 def singlet(basis: BasisPair, labels: tuple[str, str]) -> Ket:
     """(|psi psibar> - |psibar psi>)/sqrt(2) over the two labels."""
     l0, l1 = labels

@@ -38,9 +38,10 @@ from .machines import (
     preset_deleter,
     preset_strong_cloner,
     random_isometry,
+    wishful_signatures,
 )
 from .report import Verdict
-from .states import StateFamily, gram, kets_with_overlap, qubit_basis, singlet
+from .states import StateFamily, gram, kets_with_overlap, qubit_basis, random_ket, singlet
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
 
@@ -48,15 +49,10 @@ def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng(seed * 1000 + salt)
 
 
-def _random_ket(sig, rng) -> Ket:
-    z = rng.standard_normal(sig.dim) + 1j * rng.standard_normal(sig.dim)
-    return Ket(sig, z / np.linalg.norm(z))
-
-
 def _random_density(sig, rng) -> DensityMatrix:
     # Reduced state of a random pure state on a doubled space: generic mixed.
     big = sig.concat(signature(("_purifier", sig.dim)))
-    return partial_trace(density_of(_random_ket(big, rng)), sig.labels)
+    return partial_trace(density_of(random_ket(big, rng)), sig.labels)
 
 
 def _random_basis_pair(rng, label="q"):
@@ -70,7 +66,7 @@ def _check_partial_trace_preserves_trace(seed):
     sig = signature(("x", 2), ("y", 3), ("z", 2))
     dev = 0.0
     for _ in range(20):
-        rho = density_of(_random_ket(sig, rng))
+        rho = density_of(random_ket(sig, rng))
         for keep in (("x",), ("y",), ("x", "z")):
             reduced = partial_trace(rho, keep)
             dev = max(dev, abs(complex(np.trace(reduced.entries)) - 1.0))
@@ -82,7 +78,7 @@ def _check_partial_trace_hermiticity(seed):
     sig = signature(("x", 2), ("y", 3), ("z", 2))
     dev = 0.0
     for _ in range(20):
-        rho = density_of(_random_ket(sig, rng))
+        rho = density_of(random_ket(sig, rng))
         for keep in (("x",), ("y", "z")):
             r = partial_trace(rho, keep).entries
             dev = max(dev, float(np.max(np.abs(r - r.conj().T))))
@@ -93,8 +89,8 @@ def _check_partial_trace_product_marginal(seed):
     rng = _rng(seed, 3)
     dev = 0.0
     for _ in range(10):
-        a = _random_ket(signature(("x", 3)), rng)
-        b = _random_ket(signature(("y", 4)), rng)
+        a = random_ket(signature(("x", 3)), rng)
+        b = random_ket(signature(("y", 4)), rng)
         reduced = partial_trace(density_of(tensor(a, b)), ("x",))
         dev = max(dev, float(np.max(np.abs(reduced.entries - density_of(a).entries))))
     return dev, RESIDUAL_TOL
@@ -158,10 +154,10 @@ def _check_inner_factorizes(seed):
     rng = _rng(seed, 8)
     dev = 0.0
     for _ in range(20):
-        a = _random_ket(signature(("x", 3)), rng)
-        c = _random_ket(signature(("x", 3)), rng)
-        b = _random_ket(signature(("y", 4)), rng)
-        d = _random_ket(signature(("y", 4)), rng)
+        a = random_ket(signature(("x", 3)), rng)
+        c = random_ket(signature(("x", 3)), rng)
+        b = random_ket(signature(("y", 4)), rng)
+        d = random_ket(signature(("y", 4)), rng)
         dev = max(dev, abs(inner(tensor(a, b), tensor(c, d)) - inner(a, c) * inner(b, d)))
     return dev, RESIDUAL_TOL
 
@@ -170,7 +166,7 @@ def _check_entropy_pure_zero(seed):
     rng = _rng(seed, 9)
     dev = 0.0
     for _ in range(20):
-        dev = max(dev, abs(entropy(density_of(_random_ket(signature(("x", 5)), rng)))))
+        dev = max(dev, abs(entropy(density_of(random_ket(signature(("x", 5)), rng)))))
     return dev, RESIDUAL_TOL
 
 
@@ -200,7 +196,7 @@ def _check_gram_psd(seed):
     sig = signature(("x", 4))
     dev = 0.0
     for _ in range(20):
-        fam = StateFamily(tuple(_random_ket(sig, rng) for _ in range(3)))
+        fam = StateFamily(tuple(random_ket(sig, rng) for _ in range(3)))
         vals = eig_hermitian(gram(fam)).eigenvalues
         dev = max(dev, max(0.0, -float(vals.min())))
     return dev, ASSERT_TOL
@@ -211,7 +207,7 @@ def _check_gram_unitary_invariance(seed):
     sig = signature(("x", 5))
     dev = 0.0
     for _ in range(10):
-        fam = StateFamily(tuple(_random_ket(sig, rng) for _ in range(4)))
+        fam = StateFamily(tuple(random_ket(sig, rng) for _ in range(4)))
         u = random_isometry(sig, signature(("y", 5)), rng)
         moved = StateFamily(tuple(apply_linear(u, k, ("x",)) for k in fam.members))
         dev = max(dev, float(np.max(np.abs(gram(fam) - gram(moved)))))
@@ -232,7 +228,7 @@ def _random_consistent_spec(rng, n_pairs=4, dim_in=8, dim_out=12) -> MachineSpec
     sig_in = signature(("x", dim_in))
     sig_out = signature(("y", dim_out))
     hide = random_isometry(sig_in, sig_out, rng)
-    xs = [_random_ket(sig_in, rng) for _ in range(n_pairs)]
+    xs = [random_ket(sig_in, rng) for _ in range(n_pairs)]
     pairs = tuple((x, Ket(sig_out, hide.matrix @ x.amplitudes)) for x in xs)
     return MachineSpec(sig_in, sig_out, pairs, MODE_LINEAR)
 
@@ -305,7 +301,7 @@ def _check_termwise_matches_linear(seed):
         expansion = StateFamily(
             tuple(Ket(sig_exp, basis_iso.matrix.conj().T[k]) for k in range(4))
         )
-        anc = _random_ket(sig_anc, rng)
+        anc = random_ket(sig_anc, rng)
         out_iso = random_isometry(sig_in, sig_out, rng)
         pairs = tuple(
             (
@@ -318,7 +314,7 @@ def _check_termwise_matches_linear(seed):
         lm = extend_to_isometry(spec)
         for _ in range(10):
             probe = tensor(
-                tensor(_random_ket(signature(("w", 3)), rng), _random_ket(sig_exp, rng)),
+                tensor(random_ket(signature(("w", 3)), rng), random_ket(sig_exp, rng)),
                 anc,
             )
             via_term = apply_termwise(spec, probe, ("p", "q", "e"), expansion)
@@ -334,7 +330,7 @@ def _check_linear_no_signalling(seed):
     sig_in = signature(("m1", 2), ("m2", 4))
     sig_out = signature(("n1", 4), ("n2", 3))
     for _ in range(20):
-        state = _random_ket(sig, rng)
+        state = random_ket(sig, rng)
         lm = random_isometry(sig_in, sig_out, rng)
         before = partial_trace(density_of(state), ("al",))
         after_state = apply_linear(lm, state, ("b1", "b2"))
@@ -343,35 +339,31 @@ def _check_linear_no_signalling(seed):
     return dev, RESIDUAL_TOL
 
 
+def _random_scenario(rng):
+    return nosig.build_scenario(
+        (_random_basis_pair(rng), _random_basis_pair(rng)),
+        (_random_basis_pair(rng), _random_basis_pair(rng)),
+    )
+
+
+def _computational_against(theta):
+    """Scenario with the computational basis against the Bloch angle theta."""
+    computational = qubit_basis(0.0, 0.0)
+    tilted = qubit_basis(theta, 0.0)
+    return nosig.build_scenario((computational, computational), (tilted, tilted))
+
+
 def _check_premachine_bob_marginal(seed):
     rng = _rng(seed, 19)
-    dev = 0.0
-    for _ in range(50):
-        s = nosig.build_scenario(
-            (_random_basis_pair(rng), _random_basis_pair(rng)),
-            (_random_basis_pair(rng), _random_basis_pair(rng)),
-        )
-        marg = nosig.bob_marginal_before(s)
-        dev = max(dev, float(np.max(np.abs(marg.entries - np.eye(4) / 4.0))))
-    return dev, RESIDUAL_TOL
-
-
-def _nosignal_machine_signatures(ancilla_dim):
-    return (
-        signature(("src", 2), ("reg", 2), ("env", ancilla_dim)),
-        signature(("src", 2), ("copy", 2), ("env", ancilla_dim)),
-    )
+    return max(_random_scenario(rng).premachine_deviation for _ in range(50)), RESIDUAL_TOL
 
 
 def _check_isometric_zero_signalling(seed):
     rng = _rng(seed, 20)
     dev = 0.0
-    sig_in, sig_out = _nosignal_machine_signatures(4)
+    sig_in, sig_out = wishful_signatures(4)
     for _ in range(100):
-        s = nosig.build_scenario(
-            (_random_basis_pair(rng), _random_basis_pair(rng)),
-            (_random_basis_pair(rng), _random_basis_pair(rng)),
-        )
+        s = _random_scenario(rng)
         lm = random_isometry(sig_in, sig_out, rng)
         dev = max(dev, nosig.signalling_magnitude(s, lm))
     return dev, RESIDUAL_TOL
@@ -381,10 +373,7 @@ def _check_wishful_signalling_positive(seed):
     floor = 1e-6
     worst = math.inf
     for theta in (math.pi / 8.0, math.pi / 4.0, 3.0 * math.pi / 8.0):
-        s = nosig.build_scenario(
-            (qubit_basis(0.0, 0.0), qubit_basis(0.0, 0.0)),
-            (qubit_basis(theta, 0.0), qubit_basis(theta, 0.0)),
-        )
+        s = _computational_against(theta)
         worst = min(worst, nosig.signalling_magnitude(s, nosig.default_wishful_machine(s)))
     return max(0.0, floor - worst), ASSERT_TOL
 
@@ -394,10 +383,7 @@ def _check_sign_reading_invariance(seed):
     # singlet product expansion: rebuild it with all-positive coefficients.
     dev = 0.0
     for theta in (math.pi / 8.0, 3.0 * math.pi / 8.0):
-        s = nosig.build_scenario(
-            (qubit_basis(0.0, 0.0), qubit_basis(0.0, 0.0)),
-            (qubit_basis(theta, 0.0), qubit_basis(theta, 0.0)),
-        )
+        s = _computational_against(theta)
         machine = nosig.default_wishful_machine(s)
         for index in (1, 2):
             marg = nosig.bob_marginal_after(s, machine, index)
@@ -478,28 +464,9 @@ def _check_isometric_preserves_alice(seed):
 @lru_cache(maxsize=4)
 def _check_equivalence_roundtrip(seed):
     rng = _rng(seed, 25)
-    member_dev = 0.0
-    iso_dev = 0.0
-    for trial in range(100):
-        dim = 2 + trial % 7  # dimensions 2..8
-        size = 1 + trial % 4
-        sig_f = signature(("x", dim))
-        sig_g = signature(("y", dim))
-        fam = StateFamily(tuple(_random_ket(sig_f, rng) for _ in range(size)))
-        hide = random_isometry(sig_f, sig_g, rng)
-        moved = StateFamily(
-            tuple(Ket(sig_g, hide.matrix @ k.amplitudes) for k in fam.members)
-        )
-        u = cons.equivalence_unitary(fam, moved)
-        for x, y in zip(fam.members, moved.members):
-            member_dev = max(
-                member_dev, float(np.max(np.abs(u.matrix @ x.amplitudes - y.amplitudes)))
-            )
-        iso_dev = max(
-            iso_dev,
-            float(np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(dim)))),
-        )
-    return member_dev, iso_dev
+    # Square families of dimensions 2..8 and sizes 1..4.
+    trips = [cons.equivalence_roundtrip(2 + t % 7, 2 + t % 7, 1 + t % 4, rng) for t in range(100)]
+    return max(t.member_residual for t in trips), max(t.isometry_residual for t in trips)
 
 
 def _check_equivalence_member_residual(seed):

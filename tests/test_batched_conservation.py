@@ -117,6 +117,29 @@ def test_batch_equals_batches_of_one(points, ancilla_dim):
         assert batch.marginal_before[k].tobytes() == reference.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(points=st.lists(_point, min_size=1, max_size=6))
+def test_closed_forms_round_as_scalar_arithmetic(points):
+    # The reported closed-form deviations are pinned to this rounding of the
+    # closed-form marginals, point by point in Python complex arithmetic.
+    a = [_complex(*p[0]) for p in points]
+    b = [_complex(*p[1]) for p in points]
+    c = [_complex(*p[2]) for p in points]
+    w = [p[3] for p in points]
+    try:
+        batch = evaluate_batch(a, b, c, w, 2)
+    except ArithmeticError:
+        return
+    for k, (ak, bk, ck, wk) in enumerate(zip(a, b, c, w)):
+        pq = math.sqrt(wk * (1.0 - wk))
+        before = np.array([[wk, pq * np.conj(ak * bk)], [pq * ak * bk, 1.0 - wk]], dtype=complex)
+        after = np.array(
+            [[wk, pq * np.conj(ak * ak * ck)], [pq * ak * ak * ck, 1.0 - wk]], dtype=complex
+        )
+        assert np.abs(batch.closed_before[k] - before).tobytes() == bytes(32)
+        assert np.abs(batch.closed_after[k] - after).tobytes() == bytes(32)
+
+
 def test_marginal_helpers_need_no_spectrum():
     # Here Alice's after-marginal is degenerate up to 1e-20, where the
     # closed-form 2x2 eigenvectors lose accuracy; the marginal helpers do not

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from qclonelab.cli import main, run_config
+from qclonelab.cli import main
+from qclonelab.scenarios import run_config
 from qclonelab.config import (
     ConfigError,
     grid_points,
@@ -71,6 +72,10 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigError, match="conflicts"):
             cfg.basis_angles("basis2")
+
+    def test_cross_outputs_key_rejected(self):
+        with pytest.raises(ConfigError, match="machine.cross_outputs"):
+            parse_config_text(NOSIG_TEXT + "machine.cross_outputs = passthrough\n")
 
     def test_env_default_override(self):
         cfg = parse_config_text(NOSIG_TEXT, {"tolerance.assert": 1e-6})

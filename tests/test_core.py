@@ -217,6 +217,17 @@ class TestEig:
         recon = (vecs * spec.eigenvalues) @ vecs.conj().T
         assert np.max(np.abs(h - recon)) < 1e-15
 
+    @pytest.mark.parametrize(
+        "h", [[[1e-300, 1e-310], [1e-310, 0.0]], [[3e-160, 1e-160], [1e-160, 1e-160]]]
+    )
+    def test_2x2_eigenvalues_where_squares_underflow(self, h):
+        # (a - d)^2 + 4|b|^2 is subnormal or zero here; the reference is the
+        # same matrix scaled into the normal range.
+        h = np.array(h)
+        reference = np.linalg.eigvalsh(h * 1e150)[::-1]
+        scaled = eig_hermitian(h).eigenvalues * 1e150
+        np.testing.assert_allclose(scaled, reference, rtol=1e-14, atol=1e-14 * reference[0])
+
     def test_nan_residual_raises(self):
         with pytest.raises(ArithmeticError, match="residual nan"):
             eig_hermitian(np.array([[np.nan, 0.1], [0.1, 0.5]]))

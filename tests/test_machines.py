@@ -12,6 +12,7 @@ from qclonelab.core import Ket, basis_ket, density_of, partial_trace, signature,
 from qclonelab.machines import (
     MODE_LINEAR,
     MODE_TERMWISE,
+    ConflictingRules,
     DependentInputsConflict,
     InconsistentGram,
     MachineSpec,
@@ -269,6 +270,47 @@ class TestApplyTermwise:
         np.testing.assert_allclose(
             renorm.amplitudes, raw.amplitudes / raw.norm, atol=1e-12
         )
+
+
+def _with_pairs(spec: MachineSpec, pairs) -> MachineSpec:
+    return MachineSpec(spec.input_signature, spec.output_signature, pairs, spec.mode)
+
+
+def _rephased(pair, phase):
+    x, y = pair
+    return Ket(x.signature, phase * x.amplitudes), Ket(y.signature, phase * y.amplitudes)
+
+
+class TestTermwiseRulesUpToPhase:
+    def _probe(self, rng, anc):
+        return tensor(random_ket(signature(("w", 2), ("p", 2), ("q", 2)), rng), anc)
+
+    def test_rephased_rule_reads_the_same(self, rng):
+        # A rule declared on e^{i t} (u_k x anc) -> e^{i t} y_k is the same
+        # linear rule; its phase is folded into the output.
+        spec, expansion, anc = _termwise_fixture(rng)
+        probe = self._probe(rng, anc)
+        rephased = _with_pairs(
+            spec, (spec.pairs[0], _rephased(spec.pairs[1], np.exp(1.1j)), *spec.pairs[2:])
+        )
+        plain = apply_termwise(spec, probe, ("p", "q", "e"), expansion)
+        folded = apply_termwise(rephased, probe, ("p", "q", "e"), expansion)
+        np.testing.assert_allclose(folded.amplitudes, plain.amplitudes, atol=1e-12)
+
+    def test_agreeing_duplicate_rule_accepted(self, rng):
+        spec, expansion, anc = _termwise_fixture(rng)
+        probe = self._probe(rng, anc)
+        doubled = _with_pairs(spec, spec.pairs + (_rephased(spec.pairs[2], -1.0),))
+        plain = apply_termwise(spec, probe, ("p", "q", "e"), expansion)
+        same = apply_termwise(doubled, probe, ("p", "q", "e"), expansion)
+        assert same.amplitudes.tobytes() == plain.amplitudes.tobytes()
+
+    def test_conflicting_duplicate_rule_raises(self, rng):
+        spec, expansion, anc = _termwise_fixture(rng)
+        x2, _ = _rephased(spec.pairs[2], 1j)
+        conflicting = _with_pairs(spec, spec.pairs + ((x2, spec.pairs[3][1]),))
+        with pytest.raises(ConflictingRules, match="rules 2 and 4 .* element 2"):
+            apply_termwise(conflicting, self._probe(rng, anc), ("p", "q", "e"), expansion)
 
 
 class TestMergeSpecs:
