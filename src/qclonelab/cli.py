@@ -12,9 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
-from .config import DEFAULT_SEED, ConfigError, grid_points, load_config
+from .config import DEFAULT_SEED, ConfigError, grid_points, load_config, require_tolerance
 from .report import render_csv
 from .scenarios import run_config, run_configs
 from .verification import run_all_checks
@@ -35,9 +34,10 @@ def _env_tolerance_overrides() -> dict[str, object]:
     if raw is None:
         return {}
     try:
-        return {"tolerance.assert": float(raw)}
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{ENV_TOLERANCE}={raw!r} is not a number") from exc
+    return {"tolerance.assert": require_tolerance(f"{ENV_TOLERANCE}={raw!r}", value)}
 
 
 def _cmd_run(args) -> int:
@@ -50,15 +50,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config, _env_tolerance_overrides())
-    points = grid_points(cfg, args.grid)
-    if args.workers > 1:
-        # Contiguous chunks, one per worker, keep each worker's batches large.
-        size = -(-len(points) // args.workers)
-        chunks = [points[i:i + size] for i in range(0, len(points), size)]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            reports = [r for chunk in pool.map(run_configs, chunks) for r in chunk]
-    else:
-        reports = run_configs(points)
+    reports = run_configs(grid_points(cfg, args.grid))
     if args.format == "json":
         text = "[\n" + ",\n".join(r.render("json").rstrip("\n") for r in reports) + "\n]\n"
     else:
@@ -71,6 +63,8 @@ def _cmd_verify(args) -> int:
     tolerance = args.tolerance
     if tolerance is None:
         tolerance = _env_tolerance_overrides().get("tolerance.assert")
+    else:
+        require_tolerance("--tolerance", tolerance)
     results = run_all_checks(seed=args.seed, tolerance=tolerance)
     lines = [r.line() for r in results]
     failed = sum(0 if r.passed else 1 for r in results)
@@ -101,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run every invariant check")

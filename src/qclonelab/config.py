@@ -75,6 +75,15 @@ class ConfigError(ValueError):
     pass
 
 
+def require_tolerance(name: str, value: float) -> float:
+    """A tolerance must be a finite positive number: a NaN, infinite or
+    non-positive one would pass or fail every verdict regardless of the
+    physics."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{name}: tolerance {value!r} must be finite and positive")
+    return value
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     kind: str
@@ -182,6 +191,8 @@ def parse_config_text(
 
 
 def _validate_ranges(kind: str, values: dict[str, object]) -> None:
+    for key in ("tolerance.assert", "tolerance.residual"):
+        require_tolerance(f"key {key!r}", float(values[key]))
     if kind == "conservation":
         for key in ("overlap.a", "overlap.b", "overlap.c"):
             v = float(values[key])

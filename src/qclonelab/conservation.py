@@ -76,6 +76,8 @@ class EquivalenceRoundtrip:
 
     family: StateFamily
     moved: StateFamily
+    family_gram: np.ndarray
+    gram_deviation: float
     member_residual: float
     isometry_residual: float
 
@@ -320,13 +322,23 @@ def equivalence_unitary(
     residual_tol: float = 1e-8,
 ) -> LinearMachine:
     """Constructive isometry U with U f_k = g_k for Gram-equal families."""
+    return _equivalence(f, g, tol, residual_tol)[0]
+
+
+def _equivalence(
+    f: StateFamily, g: StateFamily, tol: float = ASSERT_TOL, residual_tol: float = 1e-8
+):
+    """The isometry of :func:`equivalence_unitary`, with what its guards
+    measure: the Gram matrix of ``f``, the largest entrywise deviation of
+    ``g``'s from it, and the largest member residual |U f_k - g_k|."""
     if len(f) != len(g):
         raise ValueError(f"family sizes differ: {len(f)} vs {len(g)}")
     if g.signature.dim < f.signature.dim:
         raise ValueError(
             f"target dimension {g.signature.dim} is smaller than source {f.signature.dim}"
         )
-    dev = float(np.max(np.abs(gram(f) - gram(g))))
+    family_gram = gram(f)
+    dev = float(np.max(np.abs(family_gram - gram(g))))
     if dev > tol:
         raise GramMismatch(dev)
     mat = isometry_matrix_from_pairs(
@@ -343,23 +355,22 @@ def equivalence_unitary(
     )
     if worst > residual_tol:
         raise ArithmeticError(f"member reconstruction residual {worst:g} exceeds {residual_tol:g}")
-    return lm
+    return lm, family_gram, dev, worst
 
 
 def equivalence_roundtrip(dim: int, target_dim: int, size: int, rng) -> EquivalenceRoundtrip:
     """Draw ``size`` random kets in dimension ``dim``, move them with a random
     isometry into ``target_dim``, and recover an isometry from the two
-    families alone.  Records the largest entrywise member residual |U f_k - g_k|
-    and the deviation of U^dag U from the identity."""
+    families alone.  Records the Gram deviation and member residual that
+    :func:`equivalence_unitary` measures for its guards, and the deviation
+    of U^dag U from the identity."""
     sig_f = signature(("x", dim))
     sig_g = signature(("y", target_dim))
     family = StateFamily(tuple(random_ket(sig_f, rng) for _ in range(size)))
     hide = random_isometry(sig_f, sig_g, rng)
     moved = StateFamily(tuple(Ket(sig_g, hide.matrix @ k.amplitudes) for k in family.members))
-    u = equivalence_unitary(family, moved).matrix
-    member_residual = max(
-        float(np.max(np.abs(u @ x.amplitudes - y.amplitudes)))
-        for x, y in zip(family.members, moved.members)
+    lm, family_gram, gram_deviation, member_residual = _equivalence(family, moved)
+    isometry_residual = float(np.max(np.abs(lm.matrix.conj().T @ lm.matrix - np.eye(dim))))
+    return EquivalenceRoundtrip(
+        family, moved, family_gram, gram_deviation, member_residual, isometry_residual
     )
-    isometry_residual = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
-    return EquivalenceRoundtrip(family, moved, member_residual, isometry_residual)

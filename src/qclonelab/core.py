@@ -27,6 +27,10 @@ class SubsystemSignature:
     """Ordered list of (label, dimension) factors of a tensor-product space."""
 
     entries: tuple[tuple[str, int], ...]
+    # Derived once, at construction; equality and hashing use entries only.
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = tuple((str(lab), int(dim)) for lab, dim in self.entries)
@@ -40,18 +44,10 @@ class SubsystemSignature:
             seen.add(label)
             if dim < 1:
                 raise ValueError(f"subsystem {label!r} has non-positive dimension {dim}")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.entries)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.entries)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
+        dims = tuple(dim for _, dim in entries)
+        object.__setattr__(self, "labels", tuple(lab for lab, _ in entries))
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dim", math.prod(dims))
 
     def axis_of(self, label: str) -> int:
         for k, (lab, _) in enumerate(self.entries):

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Ket, SubsystemSignature, kron_stack, signature
-from .states import BasisPair, StateFamily, gram
+from .core import Ket, SubsystemSignature, first_failure, kron_stack, signature
+from .states import BasisPair, StateFamily, gram, gram_stack
 from .tolerances import ASSERT_TOL
 
 MODE_LINEAR = "linear-extension"
@@ -98,9 +98,7 @@ class LinearMachine:
         expected = (self.output_signature.dim, self.input_signature.dim)
         if mat.shape != expected:
             raise ValueError(f"matrix shape {mat.shape}, expected {expected}")
-        dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[1]))))
-        if dev > ASSERT_TOL:
-            raise ValueError(f"matrix is not an isometry (M^dag M deviates by {dev:g})")
+        require_isometries(mat)
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -122,11 +120,39 @@ class ConsistencyReport:
             object.__setattr__(self, name, arr)
 
 
+def require_isometries(mats: np.ndarray, tol: float = ASSERT_TOL) -> None:
+    """Check that every matrix of a stack (..., out, in), or a single matrix,
+    has orthonormal columns within ``tol``, naming the first that does not."""
+    gram_dev = np.swapaxes(mats, -1, -2).conj() @ mats - np.eye(mats.shape[-1])
+    dev = np.abs(gram_dev).max(axis=(-2, -1))
+    bad = dev > tol
+    if bad.any():
+        k, where = first_failure(bad)
+        raise ValueError(
+            f"matrix is not an isometry (M^dag M deviates by {float(dev.reshape(-1)[k]):g}){where}"
+        )
+
+
+def gram_comparison(inputs: np.ndarray, outputs: np.ndarray, tol: float = ASSERT_TOL):
+    """Gram matrices of stacked declared inputs (..., K, d_in) and outputs
+    (..., K, d_out), and their largest entrywise deviation (...,), after
+    checking that every rule ket is normalized within ``tol``."""
+    g_in, g_out = gram_stack(inputs), gram_stack(outputs)
+    for name, g in (("input", g_in), ("output", g_out)):
+        norm = np.sqrt(np.diagonal(g, axis1=-2, axis2=-1).real)
+        bad = np.any(np.abs(norm - 1.0) > tol, axis=-1)
+        if np.any(bad):
+            _, where = first_failure(bad)
+            raise ValueError(f"declared rule {name} is not normalized{where}")
+    return g_in, g_out, np.max(np.abs(g_in - g_out), axis=(-2, -1))
+
+
 def check_consistency(m: MachineSpec, tol: float = ASSERT_TOL) -> ConsistencyReport:
     """Compare the Gram matrices of declared inputs and outputs entrywise."""
-    g_in = gram(m.inputs())
-    g_out = gram(m.outputs())
-    dev = float(np.max(np.abs(g_in - g_out)))
+    g_in, g_out, dev = gram_comparison(
+        np.stack([x.amplitudes for x, _ in m.pairs]), np.stack([y.amplitudes for _, y in m.pairs])
+    )
+    dev = float(dev)
     return ConsistencyReport(g_in, g_out, dev, dev < tol)
 
 
@@ -228,6 +254,103 @@ def apply_linear(lm: LinearMachine, state: Ket, acted_labels) -> Ket:
     return Ket(_result_signature(spectators, lm.output_signature), out.reshape(-1))
 
 
+def _termwise_table(basis, inputs, outputs, tol):
+    """Rule table of termwise machines over stacked expansion bases.
+
+    ``basis`` (n, e, e) holds each point's expansion elements as columns,
+    ``inputs`` (n, R, e * a) and ``outputs`` (n, R, d_out) its declared
+    rules.  A rule is usable when its input factors as (expansion element)
+    x (ancilla state); the ancilla state of a point is that of its first
+    usable rule, and a later rule carrying it up to a global phase has the
+    phase folded into its output.  The first usable rule for an element
+    owns it; another that maps the element elsewhere raises
+    :class:`ConflictingRules`.  Returns the table (n, e, d_out), which
+    elements are covered (n, e) and the ancilla states (n, a).
+    """
+    n, n_rules = inputs.shape[:2]
+    d_exp = basis.shape[-1]
+    coeffs = np.swapaxes(basis.conj(), -1, -2)[:, None] @ inputs.reshape(n, n_rules, d_exp, -1)
+    element = np.argmax(np.linalg.norm(coeffs, axis=-1), axis=-1)  # (n, R)
+    column = np.take_along_axis(basis[:, None], element[..., None, None], axis=-1)[..., 0]
+    factor = np.take_along_axis(coeffs, element[..., None, None], axis=-2)[..., 0, :]
+    usable = ~(np.max(np.abs(kron_stack(column, factor) - inputs), axis=-1) > tol)
+
+    points = np.arange(n)
+    ancilla = factor[points, np.argmax(usable, axis=1)]
+    outputs = np.array(outputs, dtype=complex)
+    stray = np.zeros((n, n_rules), dtype=bool)
+    rephased = usable & (np.max(np.abs(ancilla[:, None] - factor), axis=-1) > tol)
+    for p, i in zip(*np.nonzero(rephased)):
+        overlap = complex(np.vdot(ancilla[p], factor[p, i]))
+        phase = overlap / abs(overlap) if abs(overlap) > tol else 0.0
+        stray[p, i] = float(np.max(np.abs(phase * ancilla[p] - factor[p, i]))) > tol
+        outputs[p, i] = outputs[p, i] * phase.conjugate()
+
+    # owner[p, i]: the first usable rule of point p on rule i's element.
+    same = usable[:, :, None] & usable[:, None, :] & (element[:, :, None] == element[:, None, :])
+    owner = np.argmax(same, axis=2)
+    gap = np.max(np.abs(np.take_along_axis(outputs, owner[..., None], axis=1) - outputs), axis=-1)
+    conflict = usable & (gap > tol)
+    failed = stray | conflict
+    if np.any(failed):
+        p, where = first_failure(failed.any(axis=1))
+        i = int(np.argmax(failed[p]))
+        if stray[p, i]:
+            raise ValueError(f"declared inputs do not share one fixed ancilla state{where}")
+        raise ConflictingRules(
+            f"declared rules {owner[p, i]} and {i} map expansion element {element[p, i]} "
+            f"(up to global phase) to outputs that differ by {gap[p, i]:g}{where}"
+        )
+
+    owns = usable & (owner == np.arange(n_rules))
+    table = np.zeros((n, d_exp, outputs.shape[-1]), dtype=complex)
+    covered = np.zeros((n, d_exp), dtype=bool)
+    p, i = np.nonzero(owns)
+    table[p, element[p, i]] = outputs[p, i]
+    covered[p, element[p, i]] = True
+    return table, covered, ancilla
+
+
+def termwise_batch(blocks, basis, inputs, outputs, tol: float = ASSERT_TOL) -> np.ndarray:
+    """Termwise images of stacked states under stacked rule sets.
+
+    ``blocks`` (n, s, e * a) holds each point's state with the spectators
+    on axis 1 and the acted factors (expansion x ancilla) on axis 2;
+    ``basis``, ``inputs`` and ``outputs`` are as in the rule table.  Each
+    state is expanded over its basis, and every term carrying weight is
+    replaced by its declared output with the coefficient (including sign)
+    kept.  Returns (n, s, d_out); every guard names the first failing point.
+    """
+    table, covered, ancilla = _termwise_table(basis, inputs, outputs, tol)
+    n, s, _ = blocks.shape
+    d_exp = basis.shape[-1]
+    psi = blocks.reshape(n, s, d_exp, -1)
+    branch = np.einsum("nek,nsea->nksa", basis.conj(), psi)
+    weight = np.linalg.norm(branch, axis=(-2, -1)) > tol
+    coeff = (branch @ ancilla.conj()[:, None, :, None])[..., 0]  # (n, e, s)
+    residue = branch - coeff[..., None] * ancilla[:, None, None, :]
+    outside = np.max(np.abs(residue), axis=(-2, -1)) > tol
+    uncovered = weight & ~covered
+    failed = uncovered | (weight & outside)
+    if np.any(failed):
+        p, where = first_failure(failed.any(axis=1))
+        k = int(np.argmax(failed[p]))
+        if uncovered[p, k]:
+            raise ValueError(
+                f"expansion element {k} carries weight but is not covered by the "
+                f"declared pairs{where}"
+            )
+        raise ValueError(
+            "state support leaves the declared domain: ancilla factor differs "
+            f"from the machine's fixed ancilla state{where}"
+        )
+    result = np.zeros((n, s, table.shape[-1]), dtype=complex)
+    for k in range(d_exp):
+        term = coeff[:, k, :, None] * table[:, k, None, :]
+        result += np.where(weight[:, k, None, None], term, 0.0)
+    return result
+
+
 def apply_termwise(
     m: MachineSpec,
     state: Ket,
@@ -245,7 +368,8 @@ def apply_termwise(
     take one element to different outputs raise :class:`ConflictingRules`.
     The state is expanded over the basis, each term is replaced by its
     declared output with the coefficient (including sign) kept, and the
-    result is renormalized only on request.
+    result is renormalized only on request.  A batch of one of
+    :func:`termwise_batch`.
     """
     spectators, block = _split_spectators(state, acted_labels, m.input_signature)
     in_dims = m.input_signature.dims
@@ -256,7 +380,6 @@ def apply_termwise(
             f"machine input factors {in_dims[:len(exp_dims)]}"
         )
     d_exp = expansion.signature.dim
-    d_anc = m.input_signature.dim // d_exp
     if len(expansion) != d_exp:
         raise ValueError(
             f"expansion must contain {d_exp} states to span the acted factors, "
@@ -267,56 +390,9 @@ def apply_termwise(
         raise ValueError("non-orthonormal expansion")
 
     basis = np.stack([k.amplitudes for k in expansion.members], axis=1)  # (d_exp, d_exp)
-
-    # Match declared pairs to expansion elements: a pair is usable when its
-    # input factors as (expansion element) x (fixed ancilla state), up to a
-    # global phase that is folded into its output.
-    ancilla_state = None
-    outputs: list[np.ndarray | None] = [None] * d_exp
-    owners = [0] * d_exp
-    for i, (x, y) in enumerate(m.pairs):
-        coeffs = basis.conj().T @ x.amplitudes.reshape(d_exp, d_anc)
-        k = int(np.argmax(np.linalg.norm(coeffs, axis=1)))
-        if float(np.max(np.abs(np.kron(basis[:, k], coeffs[k]) - x.amplitudes))) > tol:
-            continue
-        if ancilla_state is None:
-            ancilla_state = coeffs[k]
-        out = y.amplitudes
-        if float(np.max(np.abs(ancilla_state - coeffs[k]))) > tol:
-            overlap = complex(np.vdot(ancilla_state, coeffs[k]))
-            phase = overlap / abs(overlap) if abs(overlap) > tol else 0.0
-            if float(np.max(np.abs(phase * ancilla_state - coeffs[k]))) > tol:
-                raise ValueError("declared inputs do not share one fixed ancilla state")
-            out = out * phase.conjugate()
-        if outputs[k] is None:
-            outputs[k], owners[k] = out, i
-        elif (gap := float(np.max(np.abs(outputs[k] - out)))) > tol:
-            raise ConflictingRules(
-                f"declared rules {owners[k]} and {i} map expansion element {k} "
-                f"(up to global phase) to outputs that differ by {gap:g}"
-            )
-
-    psi = block.reshape(-1, d_exp, d_anc)
-    branch = np.einsum("ek,sea->ksa", basis.conj(), psi)
-    d_out = m.output_signature.dim
-    result = np.zeros((psi.shape[0], d_out), dtype=complex)
-    for k in range(d_exp):
-        t_k = branch[k]
-        if float(np.linalg.norm(t_k)) <= tol:
-            continue
-        if outputs[k] is None:
-            raise ValueError(
-                f"expansion element {k} carries weight but is not covered by the declared pairs"
-            )
-        spec_coeff = t_k @ ancilla_state.conj()
-        if float(np.max(np.abs(t_k - np.outer(spec_coeff, ancilla_state)))) > tol:
-            raise ValueError(
-                "state support leaves the declared domain: ancilla factor differs "
-                "from the machine's fixed ancilla state"
-            )
-        result += np.outer(spec_coeff, outputs[k])
-
-    amp = result.reshape(-1)
+    inputs = np.stack([x.amplitudes for x, _ in m.pairs])
+    outputs = np.stack([y.amplitudes for _, y in m.pairs])
+    amp = termwise_batch(block[None], basis[None], inputs[None], outputs[None], tol)[0].reshape(-1)
     if renormalize:
         n = np.linalg.norm(amp)
         if n == 0.0:
@@ -374,22 +450,32 @@ def preset_wishful_cloner(
     |C>, the two conditioned mixtures would coincide and the signalling
     magnitude would degenerate to zero).
     """
+    in_sig, out_sig = wishful_signatures(ancilla_dim)
+    inputs, outputs = wishful_rules(psi_basis.amplitudes, alpha_basis.amplitudes, ancilla_dim)
+    pairs = tuple((Ket(in_sig, x), Ket(out_sig, y)) for x, y in zip(inputs, outputs))
+    return MachineSpec(in_sig, out_sig, pairs, MODE_TERMWISE)
+
+
+def wishful_rules(
+    psi_bases: np.ndarray, alpha_bases: np.ndarray, ancilla_dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Declared inputs and outputs of the wishful cloner, stacked.
+
+    ``psi_bases`` and ``alpha_bases`` hold the amplitudes [primary,
+    complement] of the source and register bases, shape (..., 2, 2).  Both
+    results have shape (..., 4, 4 * ancilla_dim), rules in the order of
+    :func:`preset_wishful_cloner`.
+    """
     if ancilla_dim < 2:
         raise ValueError("environment register needs dimension >= 2")
-    in_sig, out_sig = wishful_signatures(ancilla_dim)
     env_in, c2 = np.eye(2, ancilla_dim, dtype=complex)  # C1 is the input state |C>
-    psi, psibar = psi_basis.primary.amplitudes, psi_basis.complement.amplitudes
-    alpha, alphabar = alpha_basis.primary.amplitudes, alpha_basis.complement.amplitudes
-    rules = (
-        (psi, alpha, _kron_all(psi, psi, env_in)),
-        (psibar, alphabar, _kron_all(psibar, psibar, c2)),
-        (psi, alphabar, _kron_all(psi, alphabar, env_in)),
-        (psibar, alpha, _kron_all(psibar, alpha, env_in)),
-    )
-    pairs = tuple(
-        (Ket(in_sig, _kron_all(src, reg, env_in)), Ket(out_sig, out)) for src, reg, out in rules
-    )
-    return MachineSpec(in_sig, out_sig, pairs, MODE_TERMWISE)
+    psi, psibar = psi_bases[..., 0, :], psi_bases[..., 1, :]
+    alpha, alphabar = alpha_bases[..., 0, :], alpha_bases[..., 1, :]
+    sources = np.stack([psi, psibar, psi, psibar], axis=-2)
+    registers = np.stack([alpha, alphabar, alphabar, alpha], axis=-2)
+    copies = np.stack([psi, psibar, alphabar, alpha], axis=-2)
+    records = np.stack([env_in, c2, env_in, env_in])
+    return _kron_all(sources, registers, env_in), _kron_all(sources, copies, records)
 
 
 def strong_cloner_rules(
@@ -448,19 +534,29 @@ def preset_deleter(
         raise ValueError("environment register needs dimension >= 2")
     in_sig = signature(("src", 2), ("copy", 2), ("env", ancilla_dim))
     out_sig = signature(("src", 2), ("blank", 2), ("env", ancilla_dim))
+    inputs, outputs = deleter_rules(
+        np.stack([_qubit_amplitudes(k, "psi") for k in psi_pair]),
+        np.stack(_records(ancilla_out_pair, ancilla_dim)),
+        ancilla_dim,
+    )
+    pairs = tuple((Ket(in_sig, inputs[k]), Ket(out_sig, outputs[k])) for k in (0, 1))
+    return MachineSpec(in_sig, out_sig, pairs, MODE_LINEAR)
+
+
+def deleter_rules(
+    psis: np.ndarray, records: np.ndarray, ancilla_dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Declared inputs |psi_k>|psi_k>|A> and outputs |psi_k>|0>|A_k> of the
+    deleter, stacked.
+
+    ``psis`` holds the two source qubit kets, shape (..., 2, 2), and
+    ``records`` the two output records, shape (..., 2, ancilla_dim).  Both
+    results have shape (..., 2, 4 * ancilla_dim).
+    """
     blank = np.array([1.0, 0.0], dtype=complex)
     env_in = np.zeros(ancilla_dim, dtype=complex)
     env_in[0] = 1.0
-    records = _records(ancilla_out_pair, ancilla_dim)
-    psis = [_qubit_amplitudes(k, "psi") for k in psi_pair]
-    pairs = tuple(
-        (
-            Ket(in_sig, _kron_all(psis[k], psis[k], env_in)),
-            Ket(out_sig, _kron_all(psis[k], blank, records[k])),
-        )
-        for k in (0, 1)
-    )
-    return MachineSpec(in_sig, out_sig, pairs, MODE_LINEAR)
+    return _kron_all(psis, psis, env_in), _kron_all(psis, blank, records)
 
 
 def merge_specs(a: MachineSpec, b: MachineSpec) -> MachineSpec:
@@ -478,12 +574,28 @@ def random_isometry(
     rng: np.random.Generator,
 ) -> LinearMachine:
     """Haar-style random isometry between the two spaces."""
-    n_in = input_signature.dim
-    n_out = output_signature.dim
+    z = haar_draw(input_signature.dim, output_signature.dim, rng)
+    return LinearMachine(haar_isometries(z[None])[0], input_signature, output_signature)
+
+
+def haar_draw(n_in: int, n_out: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian (n_out, n_in) matrix that :func:`haar_isometries` turns
+    into a Haar-random isometry; draws from ``rng`` in a fixed order."""
     if n_out < n_in:
         raise ValueError("output dimension must be at least the input dimension")
-    z = rng.standard_normal((n_out, n_in)) + 1j * rng.standard_normal((n_out, n_in))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    q = q * (d.conj() / np.abs(d))
-    return LinearMachine(q, input_signature, output_signature)
+    return rng.standard_normal((n_out, n_in)) + 1j * rng.standard_normal((n_out, n_in))
+
+
+def haar_isometries(z: np.ndarray) -> np.ndarray:
+    """Isometries from stacked Gaussian draws (n, out, in): the Q factor of
+    each QR decomposition, with R's diagonal phases moved into Q so the
+    result is Haar distributed.  Each matrix gets the bits it gets in a
+    stack of one."""
+    # Chunks of 2**12 entries keep the QR's working set flat in the stack size.
+    out = np.empty(z.shape, dtype=complex)
+    step = max(1, (1 << 12) // (z.shape[1] * z.shape[2]))
+    for start in range(0, len(z), step):
+        q, r = np.linalg.qr(z[start:start + step])
+        d = np.diagonal(r, axis1=1, axis2=2)
+        out[start:start + step] = q * (d.conj() / np.abs(d))[:, None, :]
+    return out

@@ -6,36 +6,39 @@ Alice measures her two qubits in one of two product bases; the outcome-
 averaged state on Bob's side must not depend on her choice for any physical
 machine.  The wishful termwise cloner, whose expansion basis is tied to
 Alice's basis index, breaks exactly this.
+
+:func:`evaluate_batch` evaluates a batch of scenarios as stacked arrays; the
+per-scenario helpers below are batches of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     DensityMatrix,
     Ket,
-    SubsystemSignature,
-    basis_ket,
-    density_of,
-    partial_trace,
+    eig_hermitian_batch,
+    first_failure,
+    kron_stack,
     signature,
-    tensor_all,
-    trace_distance,
 )
 from .machines import (
     MODE_LINEAR,
     LinearMachine,
     MachineSpec,
-    apply_linear,
-    apply_termwise,
     extend_to_isometry,
     merge_specs,
     preset_wishful_cloner,
+    require_isometries,
+    termwise_batch,
+    wishful_rules,
 )
-from .states import BasisPair, StateFamily, singlet
+from .states import BasisPair, StateFamily
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
 ALICE_LABELS = ("pa", "aa")
@@ -66,6 +69,239 @@ class TwoSingletScenario:
         raise ValueError(f"basis index must be 1 or 2, got {index!r}")
 
 
+@dataclass(frozen=True)
+class Premachine:
+    """Joint kets (n, 16 ancilla_dim), Bob's pre-machine marginals (n, 4, 4)
+    and their largest entrywise deviations from I/4 (n,)."""
+
+    joint: np.ndarray
+    marginal: np.ndarray
+    deviation: np.ndarray
+
+
+@dataclass(frozen=True)
+class NosignalBatch:
+    """Results of :func:`evaluate_batch`, stacked over the batch (axis 0).
+
+    Bob's marginals after the machine, conditioned on Alice's basis 1 and 2,
+    have shape (n, 2, D, D) and their spectra (n, 2, D), descending; the
+    validity deviation is the worst of both marginals' Hermiticity, trace
+    and eigenvalue-range deviations.
+    """
+
+    joint: np.ndarray
+    marginal_before: np.ndarray
+    premachine_deviation: np.ndarray
+    marginal_after: np.ndarray
+    eigenvalues_after: np.ndarray
+    validity_deviation: np.ndarray
+    signalling_magnitude: np.ndarray
+
+
+def scenario_bases(
+    basis1: tuple[BasisPair, BasisPair], basis2: tuple[BasisPair, BasisPair]
+) -> np.ndarray:
+    """Basis amplitudes of one scenario in the layout :func:`evaluate_batch`
+    stacks: [basis choice, psi/alpha, primary/complement, amplitude]."""
+    return np.array([[b.amplitudes for b in choice] for choice in (basis1, basis2)])
+
+
+def _fail(error, message: str, bad: np.ndarray) -> None:
+    if np.any(bad):
+        _, where = first_failure(bad)
+        raise error(message + where)
+
+
+def _products(psis: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Alice's product basis for one basis choice, stacked (..., 4, 4):
+    psi alpha, psibar alphabar, psi alphabar, psibar alpha."""
+    p, pb = psis[..., 0, :], psis[..., 1, :]
+    a, ab = alphas[..., 0, :], alphas[..., 1, :]
+    return kron_stack(np.stack([p, pb, p, pb], axis=-2), np.stack([a, ab, ab, a], axis=-2))
+
+
+def wishful_machine_rules(
+    bases: np.ndarray, ancilla_dim: int = 4
+) -> tuple[np.ndarray, np.ndarray]:
+    """Declared inputs and outputs (n, 8, 4 ancilla_dim) of the wishful
+    cloner of both basis choices, basis 1's rules first, as
+    :func:`default_wishful_machine` declares them."""
+    inputs, outputs = zip(
+        *(wishful_rules(bases[:, k, 0], bases[:, k, 1], ancilla_dim) for k in (0, 1))
+    )
+    return np.concatenate(inputs, axis=1), np.concatenate(outputs, axis=1)
+
+
+def _singlets(pairs: np.ndarray) -> np.ndarray:
+    p, q = pairs[..., 0, :], pairs[..., 1, :]
+    return (kron_stack(p, q) - kron_stack(q, p)) / math.sqrt(2.0)
+
+
+def premachine(bases, ancilla_dim: int = 4) -> Premachine:
+    """The shared states of a batch of scenarios and Bob's marginals before
+    any machine acts; the first stage of :func:`evaluate_batch`.
+
+    Guards, each naming the first failing point: every basis pair is
+    orthonormal, every joint ket is normalized, and every marginal is I/4
+    within the residual tolerance (which also bounds its Hermiticity and
+    trace).
+    """
+    bases = np.asarray(bases, dtype=complex)
+    if ancilla_dim < 2:
+        raise ValueError("environment register needs dimension >= 2")
+    overlap = np.vecdot(bases[..., 0, :], bases[..., 1, :])
+    _fail(ValueError, "basis pair is not orthogonal", np.any(np.abs(overlap) > 1e-12, axis=(1, 2)))
+    env = np.zeros(ancilla_dim, dtype=complex)
+    env[0] = 1.0
+    joint = kron_stack(kron_stack(_singlets(bases[:, 0, 0]), _singlets(bases[:, 0, 1])), env)
+    norm = np.linalg.norm(joint, axis=-1)
+    _fail(ValueError, "joint ket is not normalized", np.abs(norm - 1.0) > ASSERT_TOL)
+
+    # Sum over the traced (pa, aa, env) indices in ascending order, the order
+    # of the partial_trace einsum, without forming the projectors.
+    n = joint.shape[0]
+    amp = joint.reshape(n, 2, 2, 2, 2, ancilla_dim)
+    marginal = np.zeros((n, 2, 2, 2, 2), dtype=complex)
+    for a in range(2):
+        for c in range(2):
+            for e in range(ancilla_dim):
+                v = amp[:, a, :, c, :, e]
+                marginal = marginal + v[:, :, :, None, None] * v.conj()[:, None, None, :, :]
+    marginal = marginal.reshape(n, 4, 4)
+    deviation = np.max(np.abs(marginal - np.eye(4) / 4.0), axis=(1, 2))
+    bad = deviation > RESIDUAL_TOL
+    if np.any(bad):
+        k, where = first_failure(bad)
+        raise ArithmeticError(
+            f"pre-machine Bob marginal deviates from I/4 by {float(deviation[k]):g}{where}"
+        )
+    return Premachine(joint, marginal, deviation)
+
+
+def _bob_marginal(after: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """Outcome-averaged Bob states (n, D, D) of states ``after`` (n, 4, D),
+    Alice's two qubits leading, over her product basis ``outcomes``
+    (n, 4, 4): the conditioned states summed in outcome order."""
+    n, _, dim = after.shape
+    rho = np.zeros((n, dim, dim), dtype=complex)
+    for o in range(outcomes.shape[1]):
+        conditioned = (outcomes[:, o].conj()[:, None, :] @ after)[:, 0]
+        rho += conditioned[:, :, None] * conditioned.conj()[:, None, :]
+    return rho
+
+
+# Points per chunk of the machine stage hold about D * D entries each for
+# every stacked Bob marginal, difference and isometry: 2**11 entries (32 KiB)
+# per stack keep the stage's working set, and the process's peak memory,
+# flat in the batch size.
+_CHUNK_ENTRIES = 1 << 11
+
+
+def evaluate_batch(
+    bases,
+    ancilla_dim: int = 4,
+    isometries=None,
+    rules=None,
+    tol: float = ASSERT_TOL,
+) -> NosignalBatch:
+    """Bob's marginals before and after a machine, for Alice's two basis
+    choices, their spectra and validity deviations, and the signalling
+    magnitude (half the trace norm of their difference), for a batch of
+    scenarios at one ancilla dimension.
+
+    ``bases`` has shape (n, 2, 2, 2, 2): per point, Alice's basis choice,
+    then psi/alpha, then primary/complement amplitudes (see
+    :func:`scenario_bases`).  The machine is one per point: ``isometries``
+    (n, D, 4 ancilla_dim) applied as linear maps to (pb, ab, env), or
+    termwise ``rules`` (inputs (n, R, 4 ancilla_dim), outputs (n, R, D))
+    expanded in the product basis of Alice's choice; with neither, the
+    wishful cloner of both bases (basis 1's rules first).
+
+    Each result is bit-for-bit what a batch of one gives for that point.
+    Every guard runs once per batch and names the first failing point:
+    orthonormal bases, normalized joint kets, pre-machine marginals at I/4,
+    isometric machines, usable and non-conflicting termwise rules,
+    Hermitian unit-trace Bob marginals and the eigendecomposition residuals.
+    """
+    bases = np.asarray(bases, dtype=complex)
+    before = premachine(bases, ancilla_dim)
+    n = bases.shape[0]
+    if isometries is not None:
+        isometries = np.asarray(isometries, dtype=complex)
+        require_isometries(isometries)
+        dim = isometries.shape[-2]
+    else:
+        if rules is None:
+            rules = wishful_machine_rules(bases, ancilla_dim)
+        rules = [np.asarray(r, dtype=complex) for r in rules]
+        dim = rules[1].shape[-1]
+
+    step = max(1, _CHUNK_ENTRIES // (dim * dim))
+    after = np.empty((n, 2, dim, dim), dtype=complex)
+    vals = np.empty((n, 2, dim))
+    validity, distance = np.empty(n), np.empty(n)
+    for start in range(0, n, step):
+        part = slice(start, start + step)
+        machine = (
+            isometries[part] if isometries is not None else (rules[0][part], rules[1][part])
+        )
+        try:
+            after[part] = _machine_stage(
+                before.joint[part], bases[part], machine, ancilla_dim, tol
+            )
+            vals[part], validity[part], distance[part] = _spectra_and_distance(after[part])
+        except (ValueError, ArithmeticError) as exc:
+            if n <= step:
+                raise
+            # The guards name batch indices within this chunk.
+            renamed = copy.copy(exc)
+            last = min(n, start + step) - 1
+            renamed.args = (f"{exc} (in the chunk of points {start} to {last})",)
+            raise renamed from exc
+    return NosignalBatch(
+        before.joint, before.marginal, before.deviation, after, vals, validity, distance
+    )
+
+
+def _machine_stage(joint, bases, machine, ancilla_dim: int, tol: float) -> np.ndarray:
+    """Bob's marginals (n, 2, D, D) after an isometry stack or termwise rule
+    stacks (inputs, outputs), for Alice's two basis choices."""
+    # Spectators (pa, aa) lead, then the acted (pb, ab, env).
+    blocks = joint.reshape(-1, 2, 2, 2, 2, ancilla_dim)
+    blocks = blocks.transpose(0, 1, 3, 2, 4, 5).reshape(-1, 4, 4 * ancilla_dim)
+    marginals = []
+    for k in (0, 1):
+        outcomes = _products(bases[:, k, 0], bases[:, k, 1])
+        if isinstance(machine, np.ndarray):
+            state = blocks @ np.swapaxes(machine, -1, -2)
+        else:
+            basis = np.ascontiguousarray(np.swapaxes(outcomes, -1, -2))
+            state = termwise_batch(blocks, basis, *machine, tol)
+        marginals.append(_bob_marginal(state, outcomes))
+    return np.stack(marginals, axis=1)
+
+
+def _spectra_and_distance(rho: np.ndarray):
+    """Spectra, validity deviations and trace distances of stacked pairs of
+    Bob marginals (n, 2, D, D), after checking that every marginal is a
+    Hermitian unit-trace matrix."""
+    herm = np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj()), axis=(-2, -1))
+    _fail(ValueError, "Bob marginal is not Hermitian", np.any(herm > ASSERT_TOL, axis=1))
+    trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    _fail(ValueError, "Bob marginal trace deviates from 1", np.any(trace > ASSERT_TOL, axis=1))
+    vals, _ = eig_hermitian_batch(rho)
+    validity = np.max(
+        np.stack([herm, trace, -vals.min(axis=-1), vals.max(axis=-1) - 1.0]), axis=(0, 2)
+    )
+    # The difference is formed in a canonical order of the two marginals,
+    # chosen per point, so the distance is bitwise symmetric.
+    swap = np.array([m2.tobytes() < m1.tobytes() for m1, m2 in rho])
+    first = np.where(swap[:, None, None], rho[:, 1], rho[:, 0])
+    second = np.where(swap[:, None, None], rho[:, 0], rho[:, 1])
+    diff_vals, _ = eig_hermitian_batch(first - second, tol=10 * ASSERT_TOL)
+    return vals, validity, 0.5 * np.sum(np.abs(diff_vals), axis=-1)
+
+
 def build_scenario(
     basis1: tuple[BasisPair, BasisPair],
     basis2: tuple[BasisPair, BasisPair],
@@ -73,26 +309,17 @@ def build_scenario(
 ) -> TwoSingletScenario:
     """Assemble the shared state, check that Bob's half starts maximally mixed
     and record its deviation from I/4."""
-    pa, aa = ALICE_LABELS
-    pb, ab = BOB_LABELS
-    env = basis_ket(signature((ANCILLA_LABEL, ancilla_dim)), 0)
-    joint = tensor_all(
-        singlet(basis1[0], (pa, pb)),
-        singlet(basis1[1], (aa, ab)),
-        env,
+    before = premachine(scenario_bases(basis1, basis2)[None], ancilla_dim)
+    sig = signature(("pa", 2), ("pb", 2), ("aa", 2), ("ab", 2), (ANCILLA_LABEL, ancilla_dim))
+    return TwoSingletScenario(
+        ALICE_LABELS, BOB_LABELS, ANCILLA_LABEL, basis1, basis2, ancilla_dim,
+        Ket(sig, before.joint[0]), float(before.deviation[0]),
     )
-    scenario = TwoSingletScenario(
-        ALICE_LABELS, BOB_LABELS, ANCILLA_LABEL, basis1, basis2, ancilla_dim, joint
-    )
-    marginal = bob_marginal_before(scenario)
-    dev = float(np.max(np.abs(marginal.entries - np.eye(4) / 4.0)))
-    if dev > RESIDUAL_TOL:
-        raise ArithmeticError(f"pre-machine Bob marginal deviates from I/4 by {dev:g}")
-    return replace(scenario, premachine_deviation=dev)
 
 
 def bob_marginal_before(s: TwoSingletScenario) -> DensityMatrix:
-    return partial_trace(density_of(s.joint), s.bob_labels)
+    before = premachine(scenario_bases(s.basis1, s.basis2)[None], s.ancilla_dim)
+    return DensityMatrix(signature(*((label, 2) for label in s.bob_labels)), before.marginal[0])
 
 
 def default_wishful_machine(s: TwoSingletScenario) -> MachineSpec:
@@ -103,9 +330,7 @@ def default_wishful_machine(s: TwoSingletScenario) -> MachineSpec:
 
 
 def _product_states(psi: BasisPair, alpha: BasisPair) -> list[np.ndarray]:
-    p, pb_ = psi.primary.amplitudes, psi.complement.amplitudes
-    a, ab_ = alpha.primary.amplitudes, alpha.complement.amplitudes
-    return [np.kron(p, a), np.kron(pb_, ab_), np.kron(p, ab_), np.kron(pb_, a)]
+    return list(_products(psi.amplitudes, alpha.amplitudes))
 
 
 def expansion_family(s: TwoSingletScenario, index: int) -> StateFamily:
@@ -113,6 +338,25 @@ def expansion_family(s: TwoSingletScenario, index: int) -> StateFamily:
     psi, alpha = s.basis(index)
     sig = signature(("src", 2), ("reg", 2))
     return StateFamily(tuple(Ket(sig, v) for v in _product_states(psi, alpha)))
+
+
+def _evaluate_one(s: TwoSingletScenario, m: MachineSpec | LinearMachine, tol: float):
+    if m.input_signature.dims != (2, 2, s.ancilla_dim):
+        raise ValueError(
+            f"machine input dimensions {m.input_signature.dims} do not match Bob's "
+            f"(2, 2, {s.ancilla_dim})"
+        )
+    bases = scenario_bases(s.basis1, s.basis2)[None]
+    if isinstance(m, LinearMachine):
+        return evaluate_batch(bases, s.ancilla_dim, isometries=m.matrix[None], tol=tol)
+    if m.mode == MODE_LINEAR:
+        lm = extend_to_isometry(m, tol)
+        return evaluate_batch(bases, s.ancilla_dim, isometries=lm.matrix[None], tol=tol)
+    rules = (
+        np.stack([x.amplitudes for x, _ in m.pairs])[None],
+        np.stack([y.amplitudes for _, y in m.pairs])[None],
+    )
+    return evaluate_batch(bases, s.ancilla_dim, rules=rules, tol=tol)
 
 
 def bob_marginal_after(
@@ -127,27 +371,11 @@ def bob_marginal_after(
     unphysical step); isometric machines are applied as genuine linear maps.
     Alice's measurement is the complete product basis on her two qubits, and
     the four conditioned Bob states are mixed with their outcome
-    probabilities.
+    probabilities.  A batch of one of :func:`evaluate_batch`.
     """
-    acted = (*s.bob_labels, s.ancilla_label)
-    if isinstance(m, LinearMachine):
-        after = apply_linear(m, s.joint, acted)
-    elif m.mode == MODE_LINEAR:
-        after = apply_linear(extend_to_isometry(m, tol), s.joint, acted)
-    else:
-        after = apply_termwise(m, s.joint, acted, expansion_family(s, alice_basis_index), tol=tol)
-
-    # Spectators (pa, aa) lead the result signature.
-    assert after.signature.labels[:2] == s.alice_labels
-    psi, alpha = s.basis(alice_basis_index)
-    block = after.amplitudes.reshape(4, -1)
-    d_bob = block.shape[1]
-    rho = np.zeros((d_bob, d_bob), dtype=complex)
-    for outcome in _product_states(psi, alpha):
-        conditioned = outcome.conj() @ block
-        rho += np.outer(conditioned, conditioned.conj())
-    bob_sig = SubsystemSignature(after.signature.entries[2:])
-    return DensityMatrix(bob_sig, rho)
+    s.basis(alice_basis_index)
+    batch = _evaluate_one(s, m, tol)
+    return DensityMatrix(m.output_signature, batch.marginal_after[0, alice_basis_index - 1])
 
 
 def signalling_magnitude(
@@ -156,6 +384,4 @@ def signalling_magnitude(
     tol: float = ASSERT_TOL,
 ) -> float:
     """Trace distance between Bob's marginals for Alice's two basis choices."""
-    return trace_distance(
-        bob_marginal_after(s, m, 1, tol), bob_marginal_after(s, m, 2, tol)
-    )
+    return float(_evaluate_one(s, m, tol).signalling_magnitude[0])

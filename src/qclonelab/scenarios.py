@@ -3,8 +3,8 @@
 Each config kind has one runner that evaluates its scenario through the
 physics modules and assembles a :class:`~qclonelab.report.ScenarioReport`:
 scalars, matrices and named verdicts.  ``run`` is a batch of one; ``sweep``
-passes a whole grid, whose conservation points are evaluated as one batch
-per ``machine.ancilla_dim``.
+passes a whole grid, whose conservation and nosignal points are evaluated
+as stacked batches (see :func:`run_configs`).
 """
 
 from __future__ import annotations
@@ -16,60 +16,65 @@ import numpy as np
 from . import conservation as cons
 from . import nosignal as nosig
 from .config import ScenarioConfig
-from .core import eig_hermitian, trace_distance
-from .machines import random_isometry, wishful_signatures
+from .machines import haar_draw, haar_isometries, wishful_signatures
 from .report import ScenarioReport, Verdict
-from .states import gram, qubit_basis
+from .states import basis_amplitudes
 
 
-def _density_validity_deviation(rho, eigenvalues: np.ndarray) -> float:
-    herm = float(np.max(np.abs(rho.entries - rho.entries.conj().T)))
-    trace = abs(complex(np.trace(rho.entries)) - 1.0)
-    return max(herm, trace, 0.0, -float(eigenvalues.min()), float(eigenvalues.max()) - 1.0)
+def _bases(cfg: ScenarioConfig) -> np.ndarray:
+    """Basis amplitudes of a nosignal config, in ``nosignal.scenario_bases`` layout."""
+    out = []
+    for which in ("basis1", "basis2"):
+        th_psi, ph_psi, th_alpha, ph_alpha = cfg.basis_angles(which)
+        out.append([basis_amplitudes(th_psi, ph_psi), basis_amplitudes(th_alpha, ph_alpha)])
+    return np.array(out)
 
 
-def _bases(cfg: ScenarioConfig, which: str):
-    th_psi, ph_psi, th_alpha, ph_alpha = cfg.basis_angles(which)
-    return qubit_basis(th_psi, ph_psi), qubit_basis(th_alpha, ph_alpha)
-
-
-def _run_nosignal(cfg: ScenarioConfig) -> ScenarioReport:
-    tol_assert = float(cfg.get("tolerance.assert"))
-    tol_residual = float(cfg.get("tolerance.residual"))
-    ancilla_dim = int(cfg.get("machine.ancilla_dim"))
-    scenario = nosig.build_scenario(_bases(cfg, "basis1"), _bases(cfg, "basis2"), ancilla_dim)
-    if cfg.get("machine.mode") == "isometry":
-        rng = np.random.default_rng(int(cfg.get("seed")))
-        machine = random_isometry(*wishful_signatures(ancilla_dim), rng)
+def _run_nosignal(cfgs: list[ScenarioConfig]) -> list[ScenarioReport]:
+    """Reports for nosignal configs sharing one machine mode,
+    ``machine.ancilla_dim`` and ``tolerance.assert``, from a single batched
+    evaluation."""
+    tol_assert = float(cfgs[0].get("tolerance.assert"))
+    ancilla_dim = int(cfgs[0].get("machine.ancilla_dim"))
+    bases = np.array([_bases(cfg) for cfg in cfgs])
+    if cfgs[0].get("machine.mode") == "isometry":
+        n_in, n_out = (sig.dim for sig in wishful_signatures(ancilla_dim))
+        draws = [
+            haar_draw(n_in, n_out, np.random.default_rng(int(cfg.get("seed")))) for cfg in cfgs
+        ]
+        isometries = haar_isometries(np.stack(draws))
+        batch = nosig.evaluate_batch(bases, ancilla_dim, isometries=isometries, tol=tol_assert)
         applied_as = "fixed isometry (physical)"
     else:
-        machine = nosig.default_wishful_machine(scenario)
+        batch = nosig.evaluate_batch(bases, ancilla_dim, tol=tol_assert)
         applied_as = "termwise in the measured basis (unphysical step)"
 
-    marginals = [nosig.bob_marginal_after(scenario, machine, k, tol_assert) for k in (1, 2)]
-    spectra = [eig_hermitian(m).eigenvalues for m in marginals]
-    magnitude = trace_distance(*marginals)
-    validity = max(_density_validity_deviation(m, v) for m, v in zip(marginals, spectra))
-    pre_dev = scenario.premachine_deviation
-
-    scalars = {
-        "signalling_magnitude": magnitude,
-        "premachine_deviation_from_maximally_mixed": pre_dev,
-        "bob_marginal_basis1_lambda_max": float(spectra[0][0]),
-        "bob_marginal_basis2_lambda_max": float(spectra[1][0]),
-    }
-    matrices = {
-        "bob_marginal_basis1": marginals[0].entries,
-        "bob_marginal_basis2": marginals[1].entries,
-    }
-    verdicts = (
-        Verdict("premachine_bob_marginal_maximally_mixed", pre_dev, tol_residual),
-        Verdict("bob_marginals_are_density_matrices", validity, tol_assert),
-        Verdict("no_signalling", magnitude, tol_assert),
-    )
-    echoed = cfg.echo()
-    echoed["machine.applied_as"] = applied_as
-    return ScenarioReport("nosignal", echoed, scalars, matrices, verdicts)
+    magnitude = batch.signalling_magnitude.tolist()
+    pre_dev = batch.premachine_deviation.tolist()
+    validity = batch.validity_deviation.tolist()
+    lam_max = batch.eigenvalues_after[:, :, 0].tolist()
+    reports = []
+    for k, cfg in enumerate(cfgs):
+        tol_residual = float(cfg.get("tolerance.residual"))
+        scalars = {
+            "signalling_magnitude": magnitude[k],
+            "premachine_deviation_from_maximally_mixed": pre_dev[k],
+            "bob_marginal_basis1_lambda_max": lam_max[k][0],
+            "bob_marginal_basis2_lambda_max": lam_max[k][1],
+        }
+        matrices = {
+            "bob_marginal_basis1": batch.marginal_after[k, 0],
+            "bob_marginal_basis2": batch.marginal_after[k, 1],
+        }
+        verdicts = (
+            Verdict("premachine_bob_marginal_maximally_mixed", pre_dev[k], tol_residual),
+            Verdict("bob_marginals_are_density_matrices", validity[k], tol_assert),
+            Verdict("no_signalling", magnitude[k], tol_assert),
+        )
+        echoed = cfg.echo()
+        echoed["machine.applied_as"] = applied_as
+        reports.append(ScenarioReport("nosignal", echoed, scalars, matrices, verdicts))
+    return reports
 
 
 def _overlap(cfg: ScenarioConfig, key: str) -> complex:
@@ -140,41 +145,51 @@ def _run_gram_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
     target_dim = int(cfg.get("family.target_dimension")) or dim
     rng = np.random.default_rng(int(cfg.get("seed")))
     trip = cons.equivalence_roundtrip(dim, target_dim, size, rng)
-    family_gram = gram(trip.family)
-    gram_dev = float(np.max(np.abs(family_gram - gram(trip.moved))))
 
     scalars = {
-        "gram_deviation": gram_dev,
+        "gram_deviation": trip.gram_deviation,
         "member_reconstruction_residual": trip.member_residual,
         "isometry_residual": trip.isometry_residual,
     }
-    matrices = {"family_gram": family_gram}
+    matrices = {"family_gram": trip.family_gram}
     verdicts = (
-        Verdict("families_share_gram_matrix", gram_dev, tol_assert),
+        Verdict("families_share_gram_matrix", trip.gram_deviation, tol_assert),
         Verdict("member_reconstruction", trip.member_residual, 1e-8),
         Verdict("isometry_columns_orthonormal", trip.isometry_residual, 1e-10),
     )
     return ScenarioReport("gram-equivalence", cfg.echo(), scalars, matrices, verdicts)
 
 
-_RUNNERS = {
-    "nosignal": _run_nosignal,
-    "gram-equivalence": _run_gram_equivalence,
-}
+def _batch_key(cfg: ScenarioConfig):
+    """Configs with equal keys are evaluated as one batch."""
+    if cfg.kind == "conservation":
+        return cfg.kind, int(cfg.get("machine.ancilla_dim"))
+    if cfg.kind == "nosignal":
+        return (
+            cfg.kind, str(cfg.get("machine.mode")), int(cfg.get("machine.ancilla_dim")),
+            float(cfg.get("tolerance.assert")),
+        )
+    return None
+
+
+_BATCH_RUNNERS = {"conservation": _run_conservation, "nosignal": _run_nosignal}
 
 
 def run_configs(cfgs: list[ScenarioConfig]) -> list[ScenarioReport]:
     """Reports for the configs, in order.  Conservation configs are evaluated
-    as one batch per ``machine.ancilla_dim``; other kinds one at a time."""
+    as one batch per ``machine.ancilla_dim``, nosignal configs as one batch
+    per machine mode, ``machine.ancilla_dim`` and ``tolerance.assert``;
+    gram-equivalence configs one at a time."""
     reports: list[ScenarioReport | None] = [None] * len(cfgs)
-    batches: dict[int, list[int]] = {}
+    batches: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
-        if cfg.kind == "conservation":
-            batches.setdefault(int(cfg.get("machine.ancilla_dim")), []).append(i)
+        key = _batch_key(cfg)
+        if key is None:
+            reports[i] = _run_gram_equivalence(cfg)
         else:
-            reports[i] = _RUNNERS[cfg.kind](cfg)
-    for members in batches.values():
-        for i, report in zip(members, _run_conservation([cfgs[i] for i in members])):
+            batches.setdefault(key, []).append(i)
+    for key, members in batches.items():
+        for i, report in zip(members, _BATCH_RUNNERS[key[0]]([cfgs[i] for i in members])):
             reports[i] = report
     return reports
 

@@ -32,20 +32,30 @@ class BasisPair:
         if abs(inner(self.primary, self.complement)) > 1e-12:
             raise ValueError("basis pair is not orthogonal")
 
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Amplitudes [primary, complement], shape (2, 2)."""
+        return np.stack([self.primary.amplitudes, self.complement.amplitudes])
 
-def qubit_basis(theta: float, phi: float = 0.0, label: str = "q") -> BasisPair:
-    """Orthonormal qubit basis pair from Bloch angles."""
+
+def basis_amplitudes(theta: float, phi: float = 0.0) -> np.ndarray:
+    """Amplitudes [primary, complement] of the qubit basis pair at Bloch
+    angles (theta, phi), shape (2, 2)."""
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
     if not 0.0 <= phi < 2.0 * math.pi:
         raise ValueError(f"phi must lie in [0, 2*pi), got {phi!r}")
-    sig = signature((label, 2))
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
     w = complex(math.cos(phi), math.sin(phi))
-    primary = Ket(sig, np.array([c, w * s], dtype=complex))
-    complement = Ket(sig, np.array([-np.conj(w) * s, c], dtype=complex))
-    return BasisPair(float(theta), float(phi), primary, complement)
+    return np.array([[c, w * s], [-np.conj(w) * s, c]], dtype=complex)
+
+
+def qubit_basis(theta: float, phi: float = 0.0, label: str = "q") -> BasisPair:
+    """Orthonormal qubit basis pair from Bloch angles."""
+    sig = signature((label, 2))
+    primary, complement = basis_amplitudes(theta, phi)
+    return BasisPair(float(theta), float(phi), Ket(sig, primary), Ket(sig, complement))
 
 
 def random_ket(sig: SubsystemSignature, rng: np.random.Generator) -> Ket:

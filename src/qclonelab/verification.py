@@ -33,15 +33,26 @@ from .machines import (
     MachineSpec,
     apply_linear,
     apply_termwise,
-    check_consistency,
+    deleter_rules,
     extend_to_isometry,
-    preset_deleter,
-    preset_strong_cloner,
+    gram_comparison,
+    haar_draw,
+    haar_isometries,
     random_isometry,
+    strong_cloner_rules,
     wishful_signatures,
 )
 from .report import Verdict
-from .states import StateFamily, gram, kets_with_overlap, qubit_basis, random_ket, singlet
+from .states import (
+    StateFamily,
+    basis_amplitudes,
+    gram,
+    kets_with_overlap,
+    overlap_pair_amplitudes,
+    qubit_basis,
+    random_ket,
+    singlet,
+)
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
 
@@ -55,10 +66,14 @@ def _random_density(sig, rng) -> DensityMatrix:
     return partial_trace(density_of(random_ket(big, rng)), sig.labels)
 
 
-def _random_basis_pair(rng, label="q"):
+def _random_basis_angles(rng) -> tuple[float, float]:
     theta = float(rng.uniform(0.0, math.pi))
     phi = float(rng.uniform(0.0, 2.0 * math.pi - 1e-9))
-    return qubit_basis(theta, phi, label)
+    return theta, phi
+
+
+def _random_basis_pair(rng, label="q"):
+    return qubit_basis(*_random_basis_angles(rng), label)
 
 
 def _check_partial_trace_preserves_trace(seed):
@@ -248,44 +263,48 @@ def _check_isometry_extension(seed):
     return dev, ASSERT_TOL
 
 
+def _strong_cloner_deviation(a, b, c) -> np.ndarray:
+    """Gram deviations of strong cloners realizing the overlap triples."""
+    pairs = (overlap_pair_amplitudes(z, dim) for z, dim in ((a, 2), (b, 2), (c, 8)))
+    return gram_comparison(*strong_cloner_rules(*pairs, 4))[2]
+
+
 def _check_strong_cloner_boundary(seed):
     rng = _rng(seed, 15)
-    dev = 0.0
-    for _ in range(100):
-        a, c = rng.uniform(0.05, 1.0, size=2)
-        spec = preset_strong_cloner(
-            kets_with_overlap(a, 2), kets_with_overlap(a * c, 2), kets_with_overlap(c, 8)
-        )
-        dev = max(dev, check_consistency(spec).max_deviation)
+    a, c = np.array([rng.uniform(0.05, 1.0, size=2) for _ in range(100)]).T
+    dev = float(np.max(_strong_cloner_deviation(a, a * c, c)))
+    off_surface = []
     for _ in range(100):
         a = rng.uniform(0.1, 1.0)
         c = rng.uniform(0.0, 1.0)
         b = rng.uniform(0.0, 1.0)
         if abs(b - a * c) < 0.05:
             b = a * c + 0.1 if a * c + 0.1 <= 1.0 else a * c - 0.1
-        spec = preset_strong_cloner(
-            kets_with_overlap(a, 2), kets_with_overlap(b, 2), kets_with_overlap(c, 8)
-        )
-        if check_consistency(spec).consistent:
-            dev = max(dev, 1.0)
+        off_surface.append((a, b, c))
+    if np.any(_strong_cloner_deviation(*np.array(off_surface).T) < ASSERT_TOL):
+        dev = max(dev, 1.0)
     return dev, ASSERT_TOL
+
+
+def _deleter_deviation(a, g) -> np.ndarray:
+    """Gram deviations of deleters with source overlaps a and record overlaps g."""
+    rules = deleter_rules(overlap_pair_amplitudes(a, 2), overlap_pair_amplitudes(g, 4), 4)
+    return gram_comparison(*rules)[2]
 
 
 def _check_deleter_boundary(seed):
     rng = _rng(seed, 16)
-    dev = 0.0
-    for _ in range(100):
-        a = rng.uniform(0.05, 1.0)
-        spec = preset_deleter(kets_with_overlap(a, 2), kets_with_overlap(a, 4))
-        dev = max(dev, check_consistency(spec).max_deviation)
+    a = np.array([rng.uniform(0.05, 1.0) for _ in range(100)])
+    dev = float(np.max(_deleter_deviation(a, a)))
+    off_surface = []
     for _ in range(100):
         a = rng.uniform(0.1, 1.0)
         g = rng.uniform(0.0, 1.0)
         if abs(g - a) < 0.05:
             g = a + 0.1 if a + 0.1 <= 1.0 else a - 0.1
-        spec = preset_deleter(kets_with_overlap(a, 2), kets_with_overlap(g, 4))
-        if check_consistency(spec).consistent:
-            dev = max(dev, 1.0)
+        off_surface.append((a, g))
+    if np.any(_deleter_deviation(*np.array(off_surface).T) < ASSERT_TOL):
+        dev = max(dev, 1.0)
     return dev, ASSERT_TOL
 
 
@@ -339,42 +358,50 @@ def _check_linear_no_signalling(seed):
     return dev, RESIDUAL_TOL
 
 
-def _random_scenario(rng):
-    return nosig.build_scenario(
-        (_random_basis_pair(rng), _random_basis_pair(rng)),
-        (_random_basis_pair(rng), _random_basis_pair(rng)),
+def _random_bases(rng) -> np.ndarray:
+    """Basis amplitudes of a random scenario: four basis pairs, each drawn as
+    (theta, phi)."""
+    return np.array(
+        [[basis_amplitudes(*_random_basis_angles(rng)) for _ in range(2)] for _ in range(2)]
     )
 
 
-def _computational_against(theta):
-    """Scenario with the computational basis against the Bloch angle theta."""
-    computational = qubit_basis(0.0, 0.0)
-    tilted = qubit_basis(theta, 0.0)
-    return nosig.build_scenario((computational, computational), (tilted, tilted))
+def _computational_against(thetas) -> np.ndarray:
+    """Scenarios with the computational basis against each Bloch angle theta."""
+    computational = basis_amplitudes(0.0, 0.0)
+    return np.array([
+        [[computational, computational], [basis_amplitudes(theta, 0.0)] * 2] for theta in thetas
+    ])
 
 
 def _check_premachine_bob_marginal(seed):
     rng = _rng(seed, 19)
-    return max(_random_scenario(rng).premachine_deviation for _ in range(50)), RESIDUAL_TOL
+    bases = np.array([_random_bases(rng) for _ in range(50)])
+    return float(np.max(nosig.premachine(bases).deviation)), RESIDUAL_TOL
+
+
+def _random_isometric_scenarios(rng, n: int):
+    """Bases of n random scenarios, each drawn before its random isometry on
+    Bob's side, and the isometries."""
+    n_in, n_out = (sig.dim for sig in wishful_signatures(4))
+    bases = np.empty((n, 2, 2, 2, 2), dtype=complex)
+    draws = np.empty((n, n_out, n_in), dtype=complex)
+    for t in range(n):
+        bases[t] = _random_bases(rng)
+        draws[t] = haar_draw(n_in, n_out, rng)
+    return bases, haar_isometries(draws)
 
 
 def _check_isometric_zero_signalling(seed):
-    rng = _rng(seed, 20)
-    dev = 0.0
-    sig_in, sig_out = wishful_signatures(4)
-    for _ in range(100):
-        s = _random_scenario(rng)
-        lm = random_isometry(sig_in, sig_out, rng)
-        dev = max(dev, nosig.signalling_magnitude(s, lm))
-    return dev, RESIDUAL_TOL
+    bases, isometries = _random_isometric_scenarios(_rng(seed, 20), 100)
+    batch = nosig.evaluate_batch(bases, isometries=isometries)
+    return float(np.max(batch.signalling_magnitude)), RESIDUAL_TOL
 
 
 def _check_wishful_signalling_positive(seed):
     floor = 1e-6
-    worst = math.inf
-    for theta in (math.pi / 8.0, math.pi / 4.0, 3.0 * math.pi / 8.0):
-        s = _computational_against(theta)
-        worst = min(worst, nosig.signalling_magnitude(s, nosig.default_wishful_machine(s)))
+    bases = _computational_against((math.pi / 8.0, math.pi / 4.0, 3.0 * math.pi / 8.0))
+    worst = float(np.min(nosig.evaluate_batch(bases).signalling_magnitude))
     return max(0.0, floor - worst), ASSERT_TOL
 
 
@@ -382,22 +409,19 @@ def _check_sign_reading_invariance(seed):
     # The conditioned mixture must not depend on the +/- signs carried by the
     # singlet product expansion: rebuild it with all-positive coefficients.
     dev = 0.0
-    for theta in (math.pi / 8.0, 3.0 * math.pi / 8.0):
-        s = _computational_against(theta)
-        machine = nosig.default_wishful_machine(s)
+    bases = _computational_against((math.pi / 8.0, 3.0 * math.pi / 8.0))
+    marginals = nosig.evaluate_batch(bases).marginal_after
+    env = np.zeros(4, dtype=complex)
+    env[0] = 1.0
+    for point, (inputs, outputs) in enumerate(zip(*nosig.wishful_machine_rules(bases))):
+        rules = {x.tobytes(): y for x, y in zip(inputs, outputs)}
         for index in (1, 2):
-            marg = nosig.bob_marginal_after(s, machine, index)
-            psi, alpha = s.basis(index)
-            rules = {}
-            env = np.zeros(4, dtype=complex)
-            env[0] = 1.0
-            for x, y in machine.pairs:
-                rules[x.amplitudes.tobytes()] = y.amplitudes
+            psi, alpha = bases[point, index - 1]
             mix = np.zeros((16, 16), dtype=complex)
-            for u in nosig._product_states(psi, alpha):
+            for u in nosig._products(psi, alpha):
                 out = rules[np.kron(u, env).tobytes()]
                 mix += 0.25 * np.outer(out, out.conj())
-            dev = max(dev, float(np.max(np.abs(marg.entries - mix))))
+            dev = max(dev, float(np.max(np.abs(marginals[point, index - 1] - mix))))
     return dev, RESIDUAL_TOL
 
 

@@ -42,33 +42,30 @@ WEIGHT_PHASE = ["branch.weight=0:1:0.1", "overlap.c_phase=0:6:0.5"]
 MIXED_DIMS = ["machine.ancilla_dim=2:5:1", "overlap.b=0:1:0.25", "branch.weight=0:1:0.5"]
 
 PINNED = [
-    pytest.param("", CUBE, "csv", [],
+    pytest.param("", CUBE, "csv",
                  "6394458328593676468347a84467578e97fd3ff1295e91e04ca2f36351cd940d",
                  id="cube-1331-csv"),
-    pytest.param("machine.ancilla_dim = 3\n", WEIGHT_PHASE, "csv", [],
+    pytest.param("machine.ancilla_dim = 3\n", WEIGHT_PHASE, "csv",
                  "9c17982ab805865eaae6f14a0f553c172b2b1232e3d8c84379b7c3297a9c21d4",
                  id="weight-phase-dim3-csv"),
-    pytest.param("machine.ancilla_dim = 3\n", WEIGHT_PHASE, "json", [],
+    pytest.param("machine.ancilla_dim = 3\n", WEIGHT_PHASE, "json",
                  "6a14edc66c8d2638f78ae3326a10a5ec6ba604e31d5d3072011cd50ae3ea6314",
                  id="weight-phase-dim3-json"),
-    pytest.param("", MIXED_DIMS, "csv", [],
+    pytest.param("", MIXED_DIMS, "csv",
                  "d9db3fcc6a12a0660751a3087dc119e31eb183713a577961ffc6c6d7e346805e",
                  id="mixed-dims-csv"),
-    pytest.param("", MIXED_DIMS, "json", [],
+    pytest.param("", MIXED_DIMS, "json",
                  "cae648a50edc5c0988ed932eeaf9b849cf6af740ce514e1d2e315067886dbf77",
                  id="mixed-dims-json"),
-    pytest.param("", MIXED_DIMS, "csv", ["--workers", "2"],
-                 "d9db3fcc6a12a0660751a3087dc119e31eb183713a577961ffc6c6d7e346805e",
-                 id="mixed-dims-csv-2-workers"),
 ]
 
 
-@pytest.mark.parametrize("extra, grid, fmt, flags, digest", PINNED)
-def test_sweep_bytes_pinned(tmp_path, extra, grid, fmt, flags, digest):
+@pytest.mark.parametrize("extra, grid, fmt, digest", PINNED)
+def test_sweep_bytes_pinned(tmp_path, extra, grid, fmt, digest):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(SEED7_CONFIG + extra)
     out = tmp_path / f"sweep.{fmt}"
-    code = main(["sweep", str(cfg), "--grid", *grid, "--format", fmt, *flags, "--out", str(out)])
+    code = main(["sweep", str(cfg), "--grid", *grid, "--format", fmt, "--out", str(out)])
     assert code == 1  # off-surface points fail the conservation verdict
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

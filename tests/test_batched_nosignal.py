@@ -1,0 +1,187 @@
+"""The batched two-singlet kernel: batch/point agreement, its guards, and the
+stacked machine building blocks it shares with the per-point helpers."""
+
+import math
+import re
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qclonelab.nosignal as nosig
+from qclonelab.core import density_of, partial_trace, signature
+from qclonelab.machines import (
+    ConflictingRules,
+    deleter_rules,
+    gram_comparison,
+    haar_draw,
+    haar_isometries,
+    preset_deleter,
+    preset_wishful_cloner,
+    random_isometry,
+    require_isometries,
+)
+from qclonelab.states import basis_amplitudes, kets_with_overlap, qubit_basis
+
+# Bloch angles, with the edges where the two bases' wishful rules coincide
+# (theta = 0) or coincide up to phase (theta = pi).
+_theta = st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi))
+_phi = st.one_of(st.just(0.0), st.floats(0.0, 2.0 * math.pi - 1e-9))
+_scenario = st.lists(st.tuples(_theta, _phi), min_size=4, max_size=4)
+
+
+def _bases(angles) -> np.ndarray:
+    """(n, 2, 2, 2, 2) basis amplitudes of scenarios given as four (theta, phi)
+    pairs: basis 1 psi, basis 1 alpha, basis 2 psi, basis 2 alpha."""
+    return np.array([
+        [[basis_amplitudes(*point[0]), basis_amplitudes(*point[1])],
+         [basis_amplitudes(*point[2]), basis_amplitudes(*point[3])]]
+        for point in angles
+    ])
+
+
+def _failing_index(exc: Exception) -> int:
+    """The point a guard failure names; a batch of one names none."""
+    found = re.search(r"batch index (\d+)", str(exc))
+    return int(found.group(1)) if found else 0
+
+
+def _isometries(seeds, ancilla_dim):
+    n = 4 * ancilla_dim
+    return np.stack([haar_draw(n, n, np.random.default_rng(seed)) for seed in seeds])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    angles=st.lists(_scenario, min_size=1, max_size=6),
+    ancilla_dim=st.integers(2, 4),
+    isometric=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_batch_equals_batches_of_one(angles, ancilla_dim, isometric, seed):
+    bases = _bases(angles)
+    machine = {}
+    if isometric:
+        seeds = range(seed, seed + len(angles))
+        machine["isometries"] = haar_isometries(_isometries(seeds, ancilla_dim))
+    singles = []
+    for k in range(len(angles)):
+        one = {key: value[k:k + 1] for key, value in machine.items()}
+        try:
+            singles.append(nosig.evaluate_batch(bases[k:k + 1], ancilla_dim, **one))
+        except ValueError as exc:
+            singles.append(exc)
+    failed = [k for k, s in enumerate(singles) if isinstance(s, Exception)]
+    if failed:
+        with pytest.raises(ValueError) as caught:
+            nosig.evaluate_batch(bases, ancilla_dim, **machine)
+        assert type(caught.value) is type(singles[failed[0]])
+        assert _failing_index(caught.value) == failed[0]
+        return
+    batch = nosig.evaluate_batch(bases, ancilla_dim, **machine)
+    for f in fields(nosig.NosignalBatch):
+        one_by_one = np.concatenate([getattr(s, f.name) for s in singles])
+        assert getattr(batch, f.name).tobytes() == one_by_one.tobytes(), f.name
+
+
+@settings(max_examples=30, deadline=None)
+@given(angles=st.lists(_scenario, min_size=1, max_size=4), ancilla_dim=st.integers(2, 5))
+def test_premachine_marginal_is_partial_trace_bit_for_bit(angles, ancilla_dim):
+    # The stage contracts the kets in the order of the partial_trace einsum
+    # on the dense projector.
+    before = nosig.premachine(_bases(angles), ancilla_dim)
+    for k, point in enumerate(angles):
+        s = nosig.build_scenario(
+            (qubit_basis(*point[0]), qubit_basis(*point[1])),
+            (qubit_basis(*point[2]), qubit_basis(*point[3])),
+            ancilla_dim,
+        )
+        reduced = partial_trace(density_of(s.joint), s.bob_labels).entries
+        assert before.marginal[k].tobytes() == reduced.tobytes()
+        assert before.deviation[k] == s.premachine_deviation
+
+
+def test_wishful_rules_from_angles_match_the_preset():
+    angles = [(0.3, 1.0), (2.0, 0.5), (1.1, 4.0), (0.2, 6.0)]
+    inputs, outputs = nosig.wishful_machine_rules(_bases([angles]), 3)
+    for k in (0, 1):
+        psi, alpha = (qubit_basis(*a) for a in angles[2 * k:2 * k + 2])
+        preset = preset_wishful_cloner(psi, alpha, ancilla_dim=3)
+        for r, (x, y) in enumerate(preset.pairs):
+            assert inputs[0, 4 * k + r].tobytes() == x.amplitudes.tobytes()
+            assert outputs[0, 4 * k + r].tobytes() == y.amplitudes.tobytes()
+
+
+def test_conflict_beyond_the_first_chunk_names_its_chunk():
+    computational, tilted = basis_amplitudes(0.0), basis_amplitudes(0.7)
+    good = [[computational, computational], [tilted, tilted]]
+    bad = [[computational, computational], [basis_amplitudes(math.pi)] * 2]
+    step = nosig._CHUNK_ENTRIES // 16**2  # points per chunk at ancilla_dim 4
+    bases = np.array([good] * (step + 2) + [bad] + [good])
+    with pytest.raises(ConflictingRules, match=(
+        f"batch index 2 \\(in the chunk of points {step} to {step + 3}\\)"
+    )):
+        nosig.evaluate_batch(bases)
+
+
+def test_non_isometric_machine_named():
+    bases = _bases([[(0.1, 0.0)] * 4] * 3)
+    machines = haar_isometries(_isometries([1, 2, 3], 4))
+    machines[2, 0, 0] += 0.1
+    with pytest.raises(ValueError, match="not an isometry .*batch index 2"):
+        nosig.evaluate_batch(bases, isometries=machines)
+
+
+def test_non_orthogonal_basis_named():
+    bases = _bases([[(0.1, 0.0)] * 4] * 2)
+    bases[1, 1, 0, 1] = bases[1, 1, 0, 0]
+    with pytest.raises(ValueError, match="not orthogonal at batch index 1"):
+        nosig.premachine(bases)
+
+
+class TestStackedMachineParts:
+    def test_deleter_rules_match_the_preset(self):
+        for a, g in ((0.3, 0.3), (0.8, 0.1)):
+            spec = preset_deleter(kets_with_overlap(a, 2), kets_with_overlap(g, 4))
+            psis = np.stack([k.amplitudes for k in kets_with_overlap(a, 2)])
+            records = np.stack([k.amplitudes for k in kets_with_overlap(g, 4)])
+            inputs, outputs = deleter_rules(psis[None], records[None], 4)
+            for r, (x, y) in enumerate(spec.pairs):
+                assert inputs[0, r].tobytes() == x.amplitudes.tobytes()
+                assert outputs[0, r].tobytes() == y.amplitudes.tobytes()
+
+    def test_gram_comparison_names_unnormalized_rule(self):
+        inputs = np.tile(np.eye(2, 4, dtype=complex), (3, 1, 1))
+        outputs = inputs.copy()
+        outputs[1, 0] *= 1.1
+        with pytest.raises(ValueError, match="output is not normalized at batch index 1"):
+            gram_comparison(inputs, outputs)
+
+    def test_stacked_haar_isometries_match_one_at_a_time(self):
+        draws = _isometries(range(40), 2)  # 8x8: several QR chunks
+        singles = np.concatenate([haar_isometries(z[None]) for z in draws])
+        stacked = haar_isometries(draws)
+        assert stacked.tobytes() == singles.tobytes()
+        require_isometries(stacked)
+
+    def test_random_isometry_matches_a_plain_qr(self):
+        # The stacked QR gives what one np.linalg.qr call on the draw gives.
+        sig_in, sig_out = signature(("m", 3)), signature(("n", 5))
+        lm = random_isometry(sig_in, sig_out, np.random.default_rng(9))
+        q, r = np.linalg.qr(haar_draw(3, 5, np.random.default_rng(9)))
+        d = np.diag(r)
+        assert lm.matrix.tobytes() == (q * (d.conj() / np.abs(d))).tobytes()
+
+
+class TestSignatureFields:
+    def test_derived_fields_built_once(self):
+        sig = signature(("a", 2), ("b", 3))
+        assert sig.labels == ("a", "b") and sig.dims == (2, 3) and sig.dim == 6
+        assert sig.dims is sig.dims
+
+    def test_equality_and_hash_use_entries_only(self):
+        a, b = signature(("a", 2), ("b", 3)), signature(("a", 2), ("b", 3))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "SubsystemSignature(entries=(('a', 2), ('b', 3)))"

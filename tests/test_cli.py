@@ -249,18 +249,6 @@ class TestSweepCommand:
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert axis.partition("=")[0] in err
 
-    def test_worker_pool_matches_serial(self, tmp_path):
-        path = tmp_path / "c.cfg"
-        path.write_text(CONS_TEXT)
-        serial = tmp_path / "serial.csv"
-        parallel = tmp_path / "parallel.csv"
-        main(["sweep", str(path), "--grid", "overlap.a=0:1:0.5", "--out", str(serial)])
-        main([
-            "sweep", str(path), "--grid", "overlap.a=0:1:0.5",
-            "--workers", "2", "--out", str(parallel),
-        ])
-        assert serial.read_bytes() == parallel.read_bytes()
-
 
 class TestGramEquivalenceCommand:
     def test_target_smaller_than_dimension_exits_2(self, tmp_path, capsys):

@@ -13,7 +13,7 @@ import qclonelab.core as core
 import qclonelab.nosignal as nosig
 import qclonelab.scenarios as scenarios
 from qclonelab.cli import main
-from qclonelab.config import load_config
+from qclonelab.config import grid_points, load_config
 from qclonelab.conservation import equivalence_roundtrip
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,6 +74,12 @@ SWEEP_PINNED = [
 ]
 
 VERIFY_SEED7 = "7740cbd4c9c338b281d00b7ec8dd514205014a908e533b4139e47eea90cf3814"
+# `verify` on two more seeds, taken from the per-point nosignal and
+# Gram-boundary checks that the batched kernel replaced.
+VERIFY_PINNED = {
+    1: "19da2c3ac882225452ddc5dff0c6ce199eac94b8102343fcf2ee07dfeed72c41",
+    501: "90436e2ef3749437517cbebff229e60f4c2c4e1f53efa47e3c01fe03005f875a",
+}
 
 PI = "3.141592653589793"
 
@@ -105,6 +111,13 @@ def test_verify_bytes_pinned(tmp_path):
     out = tmp_path / "verify.txt"
     assert main(["verify", "--seed", "7", "--out", str(out)]) == 0
     assert _sha256(out) == VERIFY_SEED7
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_PINNED))
+def test_verify_more_seeds_bytes_pinned(tmp_path, seed):
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--seed", str(seed), "--out", str(out)]) == 0
+    assert _sha256(out) == VERIFY_PINNED[seed]
 
 
 def _write(tmp_path, text: str) -> str:
@@ -160,6 +173,53 @@ class TestExitCodes:
         _one_line(capsys.readouterr().err, "numerical failure: ArithmeticError:")
 
 
+BAD_TOLERANCES = ["nan", "inf", "-1", "0"]
+
+
+class TestToleranceRange:
+    """A NaN, infinite or non-positive tolerance is a configuration error
+    (exit 2), not a verdict that passes or fails regardless of the physics."""
+
+    @pytest.mark.parametrize("key", ["tolerance.assert", "tolerance.residual"])
+    @pytest.mark.parametrize("value", BAD_TOLERANCES)
+    def test_config_key(self, tmp_path, capsys, key, value):
+        text = (CONFIGS / "conservation_consistent.cfg").read_text() + f"{key} = {value}\n"
+        assert main(["run", _write(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        _one_line(captured.err, "configuration error:")
+        assert key in captured.err
+
+    def test_swept_tolerance(self, capsys):
+        code = main([
+            "sweep", str(CONFIGS / "nosignal_isometry.cfg"),
+            "--grid", "tolerance.assert=0:1e-10:1e-10",
+        ])
+        assert code == 2
+        _one_line(capsys.readouterr().err, "configuration error:")
+
+    @pytest.mark.parametrize("value", BAD_TOLERANCES)
+    @pytest.mark.parametrize("command", ["verify", "run"])
+    def test_environment_variable(self, monkeypatch, capsys, command, value):
+        monkeypatch.setenv("QCLONELAB_TOL", value)
+        argv = ["verify", "--seed", "7"] if command == "verify" else [
+            "run", str(CONFIGS / "nosignal_isometry.cfg")
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        _one_line(captured.err, "configuration error:")
+        assert "QCLONELAB_TOL" in captured.err
+
+    @pytest.mark.parametrize("value", BAD_TOLERANCES)
+    def test_verify_flag(self, capsys, value):
+        assert main(["verify", "--seed", "7", "--tolerance", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        _one_line(captured.err, "configuration error:")
+        assert "--tolerance" in captured.err
+
+
 class TestWishfulRulesUpToPhase:
     def test_equal_bases_up_to_phase_do_not_signal(self, tmp_path, capsys):
         # At theta = pi the azimuth only rephases the basis states, so the
@@ -191,7 +251,11 @@ class TestOneEvaluationPerQuantity:
 
     @pytest.mark.parametrize("name", ["nosignal_wishful", "nosignal_isometry"])
     def test_nosignal_point_builds_and_diagonalizes_once(self, monkeypatch, name):
-        calls = {"bob_marginal_before": 0, "eig_hermitian": 0}
+        # A whole nosignal batch is one kernel call: one pre-machine stage,
+        # and per chunk of points one stacked spectrum of the Bob marginals
+        # and one of their differences; no per-point eigensolve.
+        keys = ("evaluate_batch", "premachine", "eig_hermitian_batch", "eig_hermitian")
+        calls = dict.fromkeys(keys, 0)
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -199,17 +263,19 @@ class TestOneEvaluationPerQuantity:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(
-            nosig, "bob_marginal_before", counted("bob_marginal_before", nosig.bob_marginal_before)
-        )
-        eig = counted("eig_hermitian", core.eig_hermitian)
-        monkeypatch.setattr(core, "eig_hermitian", eig)
-        monkeypatch.setattr(scenarios, "eig_hermitian", eig)
-        report = scenarios.run_config(load_config(str(CONFIGS / f"{name}.cfg")))
-        # One marginal before the machine; one spectrum per Bob marginal
-        # after it, plus the trace distance's spectrum of their difference.
-        assert calls == {"bob_marginal_before": 1, "eig_hermitian": 3}
+        for key in ("evaluate_batch", "premachine", "eig_hermitian_batch"):
+            monkeypatch.setattr(nosig, key, counted(key, getattr(nosig, key)))
+        monkeypatch.setattr(core, "eig_hermitian", counted("eig_hermitian", core.eig_hermitian))
+        cfg = load_config(str(CONFIGS / f"{name}.cfg"))
+        report = scenarios.run_config(cfg)
+        assert calls == dict(zip(keys, (1, 1, 2, 0)))
         assert report.scalars["premachine_deviation_from_maximally_mixed"] < 1e-12
+
+        calls.update(dict.fromkeys(calls, 0))
+        reports = scenarios.run_configs(grid_points(cfg, ["basis2.theta=0:3.1:0.1"]))
+        assert len(reports) == 32
+        chunks = -(-32 // max(1, nosig._CHUNK_ENTRIES // 16**2))  # 16x16 Bob marginals
+        assert calls == dict(zip(keys, (1, 1, 2 * chunks, 0)))
 
 
 class TestEquivalenceRoundtrip:
