@@ -6,27 +6,19 @@ from .core import (
     Ket,
     Spectrum,
     SubsystemSignature,
-    basis_ket,
     density_of,
     eig_hermitian,
     eig_hermitian_batch,
     entropy,
     inner,
     partial_trace,
+    reduced_states,
     signature,
     tensor,
-    tensor_all,
     trace_distance,
+    trace_distances,
 )
-from .states import (
-    BasisPair,
-    StateFamily,
-    gram,
-    has_orthogonal_pair,
-    kets_with_overlap,
-    qubit_basis,
-    singlet,
-)
+from .states import StateFamily, gram, kets_with_overlap
 from .machines import (
     MODE_LINEAR,
     MODE_TERMWISE,
@@ -40,32 +32,13 @@ from .machines import (
     apply_termwise,
     check_consistency,
     extend_to_isometry,
-    merge_specs,
-    preset_deleter,
-    preset_strong_cloner,
-    preset_wishful_cloner,
     random_isometry,
     wishful_signatures,
 )
-from .nosignal import (
-    TwoSingletScenario,
-    bob_marginal_after,
-    bob_marginal_before,
-    build_scenario,
-    default_wishful_machine,
-    expansion_family,
-    signalling_magnitude,
-)
 from .conservation import (
     ConservationBatch,
-    ConservationScenario,
-    EntanglementDelta,
     EquivalenceRoundtrip,
     GramMismatch,
-    alice_marginal_after,
-    alice_marginal_before,
-    build_conservation,
-    entanglement_delta,
     equivalence_roundtrip,
     equivalence_unitary,
     evaluate_batch,

@@ -17,27 +17,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DensityMatrix,
+    CHUNK_ENTRIES,
     Ket,
     eig_hermitian_batch,
     entropy_bits,
     first_failure,
     kron_stack,
+    reduced_states,
     signature,
 )
 from .machines import (
     LinearMachine,
-    MachineSpec,
     isometry_matrix_from_pairs,
-    preset_strong_cloner,
     random_isometry,
     strong_cloner_rules,
 )
 from .states import StateFamily, gram, gram_stack, overlap_pair_amplitudes, random_ket
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
-
-ALICE_LABEL = "A"
-BOB_LABELS = ("bp", "br")
 
 
 class GramMismatch(ValueError):
@@ -46,27 +42,6 @@ class GramMismatch(ValueError):
     def __init__(self, max_deviation: float):
         super().__init__(f"Gram matrices differ by {max_deviation:g}")
         self.max_deviation = max_deviation
-
-
-@dataclass(frozen=True)
-class ConservationScenario:
-    """Shared state sqrt(w)|0>|psi_i>|alpha_i> + sqrt(1-w)|1>|psi_j>|alpha_j>."""
-
-    a: complex
-    b: complex
-    c: complex
-    alice_label: str
-    bob_labels: tuple[str, str]
-    shared: Ket
-    machine: MachineSpec
-    branch_weight: float
-    ancilla_dim: int
-
-
-@dataclass(frozen=True)
-class EntanglementDelta:
-    delta_lambda: float
-    delta_entropy: float
 
 
 @dataclass(frozen=True)
@@ -135,54 +110,6 @@ def _shared(weight: np.ndarray, psis: np.ndarray, alphas: np.ndarray) -> np.ndar
     return _superpose(weight, *branches)
 
 
-def build_conservation(
-    a: complex,
-    b: complex,
-    c: complex,
-    ancilla_dim: int = 4,
-    branch_weight: float = 0.5,
-) -> ConservationScenario:
-    """Realize overlaps (a, b, c) with deterministic kets and attach the cloner.
-
-    ``branch_weight`` generalizes the equal-amplitude shared state; the
-    closed-form eigenvalue helpers take the same parameter.
-    """
-    psis, alphas, records = _branches([a], [b], [c], [branch_weight], ancilla_dim)
-    shared = _shared(np.array([float(branch_weight)]), psis, alphas)
-
-    def pair(amps, label):
-        sig = signature((label, amps.shape[-1]))
-        return Ket(sig, amps[0, 0]), Ket(sig, amps[0, 1])
-
-    machine = preset_strong_cloner(
-        pair(psis, BOB_LABELS[0]), pair(alphas, BOB_LABELS[1]), pair(records, "env"), ancilla_dim
-    )
-    sig = signature((ALICE_LABEL, 2), (BOB_LABELS[0], 2), (BOB_LABELS[1], 2))
-    return ConservationScenario(
-        complex(a), complex(b), complex(c), ALICE_LABEL, BOB_LABELS,
-        Ket(sig, shared[0].reshape(-1)), machine, float(branch_weight), ancilla_dim,
-    )
-
-
-def _leading_qubit_marginal(amp: np.ndarray) -> np.ndarray:
-    """Reduced state of the leading qubit of stacked kets (n, 2, m).
-
-    Sums over the traced index in ascending order, the order of the
-    ``partial_trace`` einsum, without forming the (2m x 2m) projectors.
-    """
-    out = np.zeros((amp.shape[0], 2, 2), dtype=complex)
-    for k in range(amp.shape[-1]):
-        out += amp[:, :, None, k] * amp[:, None, :, k].conj()
-    return out
-
-
-# Points per chunk of the marginal stage, whose rule amplitudes hold
-# 16 * ancilla_dim entries per point: 2**13 entries (128 KiB) per chunk keep
-# the stage's working set, and the process's peak memory, flat in the batch
-# size.
-_CHUNK_ENTRIES = 1 << 13
-
-
 def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x * y for complex arrays, written out in real arithmetic so that it
     rounds as Python's complex ``*`` does; NumPy's complex multiply can
@@ -209,15 +136,19 @@ def _marginals(a, b, c, weight, ancilla_dim: int):
             )
 
     psis, alphas, records = _branches(a, b, c, w, ancilla_dim)
-    step = max(1, _CHUNK_ENTRIES // (16 * ancilla_dim))
+    # A point holds 16 * ancilla_dim entries in the stacked rule amplitudes.
+    step = max(1, CHUNK_ENTRIES // (16 * ancilla_dim))
     before, after, input_gram, output_gram = [], [], [], []
     for start in range(0, len(a), step):
         part = slice(start, start + step)
         inputs, outputs = strong_cloner_rules(psis[part], alphas[part], records[part], ancilla_dim)
         input_gram.append(gram_stack(inputs))
         output_gram.append(gram_stack(outputs))
-        before.append(_leading_qubit_marginal(_shared(w[part], psis[part], alphas[part])))
-        after.append(_leading_qubit_marginal(_superpose(w[part], outputs[:, 0], outputs[:, 1])))
+        shared = _shared(w[part], psis[part], alphas[part])
+        moved = _superpose(w[part], outputs[:, 0], outputs[:, 1])
+        # Alice's qubit leads; Bob's factors are traced as one index.
+        for out, amp in ((before, shared), (after, moved)):
+            out.append(reduced_states(amp.reshape(len(amp), -1), amp.shape[1:], (0,)))
     before, after, input_gram, output_gram = (
         np.concatenate(x) for x in (before, after, input_gram, output_gram)
     )
@@ -269,21 +200,6 @@ def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
     )
 
 
-def _alice_marginal(s: ConservationScenario, stage: int) -> DensityMatrix:
-    marginals = _marginals([s.a], [s.b], [s.c], [s.branch_weight], s.ancilla_dim)
-    return DensityMatrix(signature((s.alice_label, 2)), marginals[stage][0])
-
-
-def alice_marginal_before(s: ConservationScenario) -> DensityMatrix:
-    """Alice's reduced state of the shared state; cross-checked entrywise."""
-    return _alice_marginal(s, 0)
-
-
-def alice_marginal_after(s: ConservationScenario) -> DensityMatrix:
-    """Alice's reduced state after the branchwise cloner; cross-checked."""
-    return _alice_marginal(s, 1)
-
-
 def _lambda_max(offdiag_modulus: float, branch_weight: float) -> float:
     w = branch_weight
     return 0.5 + math.sqrt((w - 0.5) ** 2 + w * (1.0 - w) * offdiag_modulus**2)
@@ -300,19 +216,6 @@ def lambda_before(a: complex, b: complex, branch_weight: float = 0.5) -> float:
 def lambda_after(a: complex, c: complex, branch_weight: float = 0.5) -> float:
     """Closed-form largest eigenvalue after the cloner: 1/2 + |a|^2|c|/2 at equal weights."""
     return _lambda_max(abs(complex(a)) ** 2 * abs(complex(c)), branch_weight)
-
-
-def entanglement_delta(s: ConservationScenario) -> EntanglementDelta:
-    """Change in Alice's leading eigenvalue and entropy across the machine.
-
-    Both vanish iff the machine preserves the Gram matrix (|b| = |a||c| for
-    overlap moduli realized here, away from the a = 0 corner).
-    """
-    batch = evaluate_batch([s.a], [s.b], [s.c], [s.branch_weight], s.ancilla_dim)
-    return EntanglementDelta(
-        delta_lambda=float(batch.eigenvalues_after[0, 0] - batch.eigenvalues_before[0, 0]),
-        delta_entropy=float(batch.entropy_after[0] - batch.entropy_before[0]),
-    )
 
 
 def equivalence_unitary(
@@ -348,7 +251,7 @@ def _equivalence(
         g.signature.dim,
         tol,
     )
-    lm = LinearMachine(mat, f.signature, g.signature)
+    lm = LinearMachine(mat, f.signature, g.signature)  # guards the isometry
     worst = max(
         float(np.max(np.abs(mat @ x.amplitudes - y.amplitudes)))
         for x, y in zip(f.members, g.members)
@@ -363,14 +266,13 @@ def equivalence_roundtrip(dim: int, target_dim: int, size: int, rng) -> Equivale
     isometry into ``target_dim``, and recover an isometry from the two
     families alone.  Records the Gram deviation and member residual that
     :func:`equivalence_unitary` measures for its guards, and the deviation
-    of U^dag U from the identity."""
+    of U^dag U from the identity that the isometry guard measures."""
     sig_f = signature(("x", dim))
     sig_g = signature(("y", target_dim))
     family = StateFamily(tuple(random_ket(sig_f, rng) for _ in range(size)))
     hide = random_isometry(sig_f, sig_g, rng)
     moved = StateFamily(tuple(Ket(sig_g, hide.matrix @ k.amplitudes) for k in family.members))
     lm, family_gram, gram_deviation, member_residual = _equivalence(family, moved)
-    isometry_residual = float(np.max(np.abs(lm.matrix.conj().T @ lm.matrix - np.eye(dim))))
     return EquivalenceRoundtrip(
-        family, moved, family_gram, gram_deviation, member_residual, isometry_residual
+        family, moved, family_gram, gram_deviation, member_residual, lm.isometry_residual
     )

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Ket, SubsystemSignature, first_failure, kron_stack, signature
-from .states import BasisPair, StateFamily, gram, gram_stack
+from .core import CHUNK_ENTRIES, Ket, SubsystemSignature, first_failure, kron_stack, signature
+from .states import StateFamily, gram, gram_stack
 from .tolerances import ASSERT_TOL
 
 MODE_LINEAR = "linear-extension"
@@ -87,18 +87,21 @@ class MachineSpec:
 
 @dataclass(frozen=True)
 class LinearMachine:
-    """Isometry between labeled spaces; columns are orthonormal."""
+    """Isometry between labeled spaces; columns are orthonormal.  Keeps the
+    largest entrywise deviation of M^dag M from the identity that its
+    construction guard measured."""
 
     matrix: np.ndarray = field(repr=False)
     input_signature: SubsystemSignature
     output_signature: SubsystemSignature
+    isometry_residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         expected = (self.output_signature.dim, self.input_signature.dim)
         if mat.shape != expected:
             raise ValueError(f"matrix shape {mat.shape}, expected {expected}")
-        require_isometries(mat)
+        object.__setattr__(self, "isometry_residual", float(require_isometries(mat)))
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -120,9 +123,10 @@ class ConsistencyReport:
             object.__setattr__(self, name, arr)
 
 
-def require_isometries(mats: np.ndarray, tol: float = ASSERT_TOL) -> None:
+def require_isometries(mats: np.ndarray, tol: float = ASSERT_TOL) -> np.ndarray:
     """Check that every matrix of a stack (..., out, in), or a single matrix,
-    has orthonormal columns within ``tol``, naming the first that does not."""
+    has orthonormal columns within ``tol``, naming the first that does not.
+    Returns the largest entrywise deviations of M^dag M from the identity."""
     gram_dev = np.swapaxes(mats, -1, -2).conj() @ mats - np.eye(mats.shape[-1])
     dev = np.abs(gram_dev).max(axis=(-2, -1))
     bad = dev > tol
@@ -131,6 +135,7 @@ def require_isometries(mats: np.ndarray, tol: float = ASSERT_TOL) -> None:
         raise ValueError(
             f"matrix is not an isometry (M^dag M deviates by {float(dev.reshape(-1)[k]):g}){where}"
         )
+    return dev
 
 
 def gram_comparison(inputs: np.ndarray, outputs: np.ndarray, tol: float = ASSERT_TOL):
@@ -408,20 +413,6 @@ def _kron_all(*vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _records(kets: tuple[Ket, Ket], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes of two normalized environment records of dimension ``dim``."""
-    records = tuple(k.require_normalized().amplitudes for k in kets)
-    if any(len(r) != dim for r in records):
-        raise ValueError(f"ancilla outputs must live in the {dim}-dimensional environment register")
-    return records
-
-
-def _qubit_amplitudes(k: Ket, role: str) -> np.ndarray:
-    if k.signature.dim != 2:
-        raise ValueError(f"{role} must be a single-qubit ket, got dimension {k.signature.dim}")
-    return k.require_normalized().amplitudes
-
-
 def wishful_signatures(ancilla_dim: int) -> tuple[SubsystemSignature, SubsystemSignature]:
     """Input (src, reg, env) and output (src, copy, env) signatures of the
     wishful cloner, and of any machine that replaces it on Bob's side of the
@@ -432,12 +423,13 @@ def wishful_signatures(ancilla_dim: int) -> tuple[SubsystemSignature, SubsystemS
     )
 
 
-def preset_wishful_cloner(
-    psi_basis: BasisPair, alpha_basis: BasisPair, ancilla_dim: int = 4
-) -> MachineSpec:
-    """Termwise cloner whose copy of the source is steered by the register.
+def wishful_rules(
+    psi_bases: np.ndarray, alpha_bases: np.ndarray, ancilla_dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Declared inputs and outputs of the wishful cloner, stacked: a
+    termwise cloner whose copy of the source is steered by the register.
 
-    Rules (|C> is the fixed environment input):
+    Rules, in this order (|C> is the fixed environment input):
       |psi>|alpha>|C>       -> |psi>|psi>|C1>
       |psibar>|alphabar>|C> -> |psibar>|psibar>|C2>
       |psi>|alphabar>|C>    -> |psi>|alphabar>|C>   (passed through)
@@ -449,22 +441,11 @@ def preset_wishful_cloner(
     only matter once the two bases' rule sets are compared (with C1 = C2 =
     |C>, the two conditioned mixtures would coincide and the signalling
     magnitude would degenerate to zero).
-    """
-    in_sig, out_sig = wishful_signatures(ancilla_dim)
-    inputs, outputs = wishful_rules(psi_basis.amplitudes, alpha_basis.amplitudes, ancilla_dim)
-    pairs = tuple((Ket(in_sig, x), Ket(out_sig, y)) for x, y in zip(inputs, outputs))
-    return MachineSpec(in_sig, out_sig, pairs, MODE_TERMWISE)
-
-
-def wishful_rules(
-    psi_bases: np.ndarray, alpha_bases: np.ndarray, ancilla_dim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Declared inputs and outputs of the wishful cloner, stacked.
 
     ``psi_bases`` and ``alpha_bases`` hold the amplitudes [primary,
     complement] of the source and register bases, shape (..., 2, 2).  Both
-    results have shape (..., 4, 4 * ancilla_dim), rules in the order of
-    :func:`preset_wishful_cloner`.
+    results have shape (..., 4, 4 * ancilla_dim) over the signatures of
+    :func:`wishful_signatures`.
     """
     if ancilla_dim < 2:
         raise ValueError("environment register needs dimension >= 2")
@@ -482,7 +463,10 @@ def strong_cloner_rules(
     psis: np.ndarray, alphas: np.ndarray, env_outs: np.ndarray, ancilla_dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Declared inputs |psi_k>|0>|alpha_k>|C> and outputs |psi_k>|psi_k>|C_k>
-    of the strong cloner, stacked.
+    of the strong cloner, stacked: a cloner fed a blank slot and a
+    supplementary register.  The output environment has twice the input
+    environment dimension, so the total output dimension matches the input
+    and an isometric extension is possible whenever the Gram matrices agree.
 
     ``psis`` and ``alphas`` hold the two source and register qubit kets,
     shape (..., 2, 2); ``env_outs`` holds the two output records, shape
@@ -494,60 +478,11 @@ def strong_cloner_rules(
     return _kron_all(psis, blank, alphas, env_in), _kron_all(psis, psis, env_outs)
 
 
-def preset_strong_cloner(
-    psi_pair: tuple[Ket, Ket],
-    alpha_pair: tuple[Ket, Ket],
-    ancilla_out_pair: tuple[Ket, Ket],
-    ancilla_dim: int = 4,
-) -> MachineSpec:
-    """Cloner fed a blank slot and a supplementary register:
-
-      |psi_k>|0>|alpha_k>|C> -> |psi_k>|psi_k>|C_k>   for k in {i, j}.
-
-    The output environment has twice the input environment dimension so the
-    total output dimension matches the input and an isometric extension is
-    possible whenever the Gram matrices agree.
-    """
-    if ancilla_dim < 2:
-        raise ValueError("environment register needs dimension >= 2")
-    out_env_dim = 2 * ancilla_dim
-    in_sig = signature(("src", 2), ("blank", 2), ("reg", 2), ("env", ancilla_dim))
-    out_sig = signature(("src", 2), ("copy", 2), ("env", out_env_dim))
-    inputs, outputs = strong_cloner_rules(
-        np.stack([_qubit_amplitudes(k, "psi") for k in psi_pair]),
-        np.stack([_qubit_amplitudes(k, "alpha") for k in alpha_pair]),
-        np.stack(_records(ancilla_out_pair, out_env_dim)),
-        ancilla_dim,
-    )
-    pairs = tuple((Ket(in_sig, inputs[k]), Ket(out_sig, outputs[k])) for k in (0, 1))
-    return MachineSpec(in_sig, out_sig, pairs, MODE_LINEAR)
-
-
-def preset_deleter(
-    psi_pair: tuple[Ket, Ket], ancilla_out_pair: tuple[Ket, Ket], ancilla_dim: int = 4
-) -> MachineSpec:
-    """Deleter returning one copy to the blank state:
-
-      |psi_k>|psi_k>|A> -> |psi_k>|0>|A_k>   for k in {i, j}.
-    """
-    if ancilla_dim < 2:
-        raise ValueError("environment register needs dimension >= 2")
-    in_sig = signature(("src", 2), ("copy", 2), ("env", ancilla_dim))
-    out_sig = signature(("src", 2), ("blank", 2), ("env", ancilla_dim))
-    inputs, outputs = deleter_rules(
-        np.stack([_qubit_amplitudes(k, "psi") for k in psi_pair]),
-        np.stack(_records(ancilla_out_pair, ancilla_dim)),
-        ancilla_dim,
-    )
-    pairs = tuple((Ket(in_sig, inputs[k]), Ket(out_sig, outputs[k])) for k in (0, 1))
-    return MachineSpec(in_sig, out_sig, pairs, MODE_LINEAR)
-
-
 def deleter_rules(
     psis: np.ndarray, records: np.ndarray, ancilla_dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Declared inputs |psi_k>|psi_k>|A> and outputs |psi_k>|0>|A_k> of the
-    deleter, stacked.
+    deleter, which returns one copy to the blank state, stacked.
 
     ``psis`` holds the two source qubit kets, shape (..., 2, 2), and
     ``records`` the two output records, shape (..., 2, ancilla_dim).  Both
@@ -557,15 +492,6 @@ def deleter_rules(
     env_in = np.zeros(ancilla_dim, dtype=complex)
     env_in[0] = 1.0
     return _kron_all(psis, psis, env_in), _kron_all(psis, blank, records)
-
-
-def merge_specs(a: MachineSpec, b: MachineSpec) -> MachineSpec:
-    """Union of two rule sets over identical signatures and mode."""
-    if a.input_signature != b.input_signature or a.output_signature != b.output_signature:
-        raise ValueError("cannot merge machines with different signatures")
-    if a.mode != b.mode:
-        raise ValueError("cannot merge machines with different modes")
-    return MachineSpec(a.input_signature, a.output_signature, a.pairs + b.pairs, a.mode)
 
 
 def random_isometry(
@@ -591,9 +517,8 @@ def haar_isometries(z: np.ndarray) -> np.ndarray:
     each QR decomposition, with R's diagonal phases moved into Q so the
     result is Haar distributed.  Each matrix gets the bits it gets in a
     stack of one."""
-    # Chunks of 2**12 entries keep the QR's working set flat in the stack size.
     out = np.empty(z.shape, dtype=complex)
-    step = max(1, (1 << 12) // (z.shape[1] * z.shape[2]))
+    step = max(1, CHUNK_ENTRIES // (z.shape[1] * z.shape[2]))
     for start in range(0, len(z), step):
         q, r = np.linalg.qr(z[start:start + step])
         d = np.diagonal(r, axis1=1, axis2=2)

@@ -7,8 +7,8 @@ averaged state on Bob's side must not depend on her choice for any physical
 machine.  The wishful termwise cloner, whose expansion basis is tied to
 Alice's basis index, breaks exactly this.
 
-:func:`evaluate_batch` evaluates a batch of scenarios as stacked arrays; the
-per-scenario helpers below are batches of one.
+:func:`evaluate_batch` evaluates a batch of scenarios as stacked arrays;
+``run`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -20,53 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DensityMatrix,
-    Ket,
+    CHUNK_ENTRIES,
     eig_hermitian_batch,
     first_failure,
     kron_stack,
-    signature,
+    reduced_states,
+    trace_distances,
 )
-from .machines import (
-    MODE_LINEAR,
-    LinearMachine,
-    MachineSpec,
-    extend_to_isometry,
-    merge_specs,
-    preset_wishful_cloner,
-    require_isometries,
-    termwise_batch,
-    wishful_rules,
-)
-from .states import BasisPair, StateFamily
+from .machines import require_isometries, termwise_batch, wishful_rules
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
-
-ALICE_LABELS = ("pa", "aa")
-BOB_LABELS = ("pb", "ab")
-ANCILLA_LABEL = "env"
-
-
-@dataclass(frozen=True)
-class TwoSingletScenario:
-    """Shared state singlet(pa,pb) x singlet(aa,ab) x |env_0> plus two basis
-    choices, with the largest entrywise deviation of Bob's pre-machine
-    marginal from I/4."""
-
-    alice_labels: tuple[str, str]
-    bob_labels: tuple[str, str]
-    ancilla_label: str
-    basis1: tuple[BasisPair, BasisPair]
-    basis2: tuple[BasisPair, BasisPair]
-    ancilla_dim: int
-    joint: Ket
-    premachine_deviation: float = float("nan")
-
-    def basis(self, index: int) -> tuple[BasisPair, BasisPair]:
-        if index == 1:
-            return self.basis1
-        if index == 2:
-            return self.basis2
-        raise ValueError(f"basis index must be 1 or 2, got {index!r}")
 
 
 @dataclass(frozen=True)
@@ -98,14 +60,6 @@ class NosignalBatch:
     signalling_magnitude: np.ndarray
 
 
-def scenario_bases(
-    basis1: tuple[BasisPair, BasisPair], basis2: tuple[BasisPair, BasisPair]
-) -> np.ndarray:
-    """Basis amplitudes of one scenario in the layout :func:`evaluate_batch`
-    stacks: [basis choice, psi/alpha, primary/complement, amplitude]."""
-    return np.array([[b.amplitudes for b in choice] for choice in (basis1, basis2)])
-
-
 def _fail(error, message: str, bad: np.ndarray) -> None:
     if np.any(bad):
         _, where = first_failure(bad)
@@ -124,8 +78,7 @@ def wishful_machine_rules(
     bases: np.ndarray, ancilla_dim: int = 4
 ) -> tuple[np.ndarray, np.ndarray]:
     """Declared inputs and outputs (n, 8, 4 ancilla_dim) of the wishful
-    cloner of both basis choices, basis 1's rules first, as
-    :func:`default_wishful_machine` declares them."""
+    cloner of both basis choices, basis 1's rules first."""
     inputs, outputs = zip(
         *(wishful_rules(bases[:, k, 0], bases[:, k, 1], ancilla_dim) for k in (0, 1))
     )
@@ -133,6 +86,7 @@ def wishful_machine_rules(
 
 
 def _singlets(pairs: np.ndarray) -> np.ndarray:
+    """Singlets (|p q> - |q p>)/sqrt(2) of stacked basis pairs (..., 2, 2)."""
     p, q = pairs[..., 0, :], pairs[..., 1, :]
     return (kron_stack(p, q) - kron_stack(q, p)) / math.sqrt(2.0)
 
@@ -157,17 +111,8 @@ def premachine(bases, ancilla_dim: int = 4) -> Premachine:
     norm = np.linalg.norm(joint, axis=-1)
     _fail(ValueError, "joint ket is not normalized", np.abs(norm - 1.0) > ASSERT_TOL)
 
-    # Sum over the traced (pa, aa, env) indices in ascending order, the order
-    # of the partial_trace einsum, without forming the projectors.
-    n = joint.shape[0]
-    amp = joint.reshape(n, 2, 2, 2, 2, ancilla_dim)
-    marginal = np.zeros((n, 2, 2, 2, 2), dtype=complex)
-    for a in range(2):
-        for c in range(2):
-            for e in range(ancilla_dim):
-                v = amp[:, a, :, c, :, e]
-                marginal = marginal + v[:, :, :, None, None] * v.conj()[:, None, None, :, :]
-    marginal = marginal.reshape(n, 4, 4)
+    # Factors (pa, pb, aa, ab, env); Bob holds pb and ab.
+    marginal = reduced_states(joint, (2, 2, 2, 2, ancilla_dim), (1, 3))
     deviation = np.max(np.abs(marginal - np.eye(4) / 4.0), axis=(1, 2))
     bad = deviation > RESIDUAL_TOL
     if np.any(bad):
@@ -190,13 +135,6 @@ def _bob_marginal(after: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
     return rho
 
 
-# Points per chunk of the machine stage hold about D * D entries each for
-# every stacked Bob marginal, difference and isometry: 2**11 entries (32 KiB)
-# per stack keep the stage's working set, and the process's peak memory,
-# flat in the batch size.
-_CHUNK_ENTRIES = 1 << 11
-
-
 def evaluate_batch(
     bases,
     ancilla_dim: int = 4,
@@ -210,9 +148,9 @@ def evaluate_batch(
     scenarios at one ancilla dimension.
 
     ``bases`` has shape (n, 2, 2, 2, 2): per point, Alice's basis choice,
-    then psi/alpha, then primary/complement amplitudes (see
-    :func:`scenario_bases`).  The machine is one per point: ``isometries``
-    (n, D, 4 ancilla_dim) applied as linear maps to (pb, ab, env), or
+    then psi/alpha, then primary/complement amplitudes.  The machine is one
+    per point: ``isometries`` (n, D, 4 ancilla_dim) applied as linear maps
+    to (pb, ab, env), or
     termwise ``rules`` (inputs (n, R, 4 ancilla_dim), outputs (n, R, D))
     expanded in the product basis of Alice's choice; with neither, the
     wishful cloner of both bases (basis 1's rules first).
@@ -236,7 +174,9 @@ def evaluate_batch(
         rules = [np.asarray(r, dtype=complex) for r in rules]
         dim = rules[1].shape[-1]
 
-    step = max(1, _CHUNK_ENTRIES // (dim * dim))
+    # A point holds about D * D entries in every stacked Bob marginal,
+    # difference and isometry of the machine stage.
+    step = max(1, CHUNK_ENTRIES // (dim * dim))
     after = np.empty((n, 2, dim, dim), dtype=complex)
     vals = np.empty((n, 2, dim))
     validity, distance = np.empty(n), np.empty(n)
@@ -293,95 +233,4 @@ def _spectra_and_distance(rho: np.ndarray):
     validity = np.max(
         np.stack([herm, trace, -vals.min(axis=-1), vals.max(axis=-1) - 1.0]), axis=(0, 2)
     )
-    # The difference is formed in a canonical order of the two marginals,
-    # chosen per point, so the distance is bitwise symmetric.
-    swap = np.array([m2.tobytes() < m1.tobytes() for m1, m2 in rho])
-    first = np.where(swap[:, None, None], rho[:, 1], rho[:, 0])
-    second = np.where(swap[:, None, None], rho[:, 0], rho[:, 1])
-    diff_vals, _ = eig_hermitian_batch(first - second, tol=10 * ASSERT_TOL)
-    return vals, validity, 0.5 * np.sum(np.abs(diff_vals), axis=-1)
-
-
-def build_scenario(
-    basis1: tuple[BasisPair, BasisPair],
-    basis2: tuple[BasisPair, BasisPair],
-    ancilla_dim: int = 4,
-) -> TwoSingletScenario:
-    """Assemble the shared state, check that Bob's half starts maximally mixed
-    and record its deviation from I/4."""
-    before = premachine(scenario_bases(basis1, basis2)[None], ancilla_dim)
-    sig = signature(("pa", 2), ("pb", 2), ("aa", 2), ("ab", 2), (ANCILLA_LABEL, ancilla_dim))
-    return TwoSingletScenario(
-        ALICE_LABELS, BOB_LABELS, ANCILLA_LABEL, basis1, basis2, ancilla_dim,
-        Ket(sig, before.joint[0]), float(before.deviation[0]),
-    )
-
-
-def bob_marginal_before(s: TwoSingletScenario) -> DensityMatrix:
-    before = premachine(scenario_bases(s.basis1, s.basis2)[None], s.ancilla_dim)
-    return DensityMatrix(signature(*((label, 2) for label in s.bob_labels)), before.marginal[0])
-
-
-def default_wishful_machine(s: TwoSingletScenario) -> MachineSpec:
-    """Union of the wishful rule sets for both bases (termwise mode)."""
-    m1 = preset_wishful_cloner(s.basis1[0], s.basis1[1], ancilla_dim=s.ancilla_dim)
-    m2 = preset_wishful_cloner(s.basis2[0], s.basis2[1], ancilla_dim=s.ancilla_dim)
-    return merge_specs(m1, m2)
-
-
-def _product_states(psi: BasisPair, alpha: BasisPair) -> list[np.ndarray]:
-    return list(_products(psi.amplitudes, alpha.amplitudes))
-
-
-def expansion_family(s: TwoSingletScenario, index: int) -> StateFamily:
-    """Orthonormal product basis of Bob's two qubits for the chosen index."""
-    psi, alpha = s.basis(index)
-    sig = signature(("src", 2), ("reg", 2))
-    return StateFamily(tuple(Ket(sig, v) for v in _product_states(psi, alpha)))
-
-
-def _evaluate_one(s: TwoSingletScenario, m: MachineSpec | LinearMachine, tol: float):
-    if m.input_signature.dims != (2, 2, s.ancilla_dim):
-        raise ValueError(
-            f"machine input dimensions {m.input_signature.dims} do not match Bob's "
-            f"(2, 2, {s.ancilla_dim})"
-        )
-    bases = scenario_bases(s.basis1, s.basis2)[None]
-    if isinstance(m, LinearMachine):
-        return evaluate_batch(bases, s.ancilla_dim, isometries=m.matrix[None], tol=tol)
-    if m.mode == MODE_LINEAR:
-        lm = extend_to_isometry(m, tol)
-        return evaluate_batch(bases, s.ancilla_dim, isometries=lm.matrix[None], tol=tol)
-    rules = (
-        np.stack([x.amplitudes for x, _ in m.pairs])[None],
-        np.stack([y.amplitudes for _, y in m.pairs])[None],
-    )
-    return evaluate_batch(bases, s.ancilla_dim, rules=rules, tol=tol)
-
-
-def bob_marginal_after(
-    s: TwoSingletScenario,
-    m: MachineSpec | LinearMachine,
-    alice_basis_index: int,
-    tol: float = ASSERT_TOL,
-) -> DensityMatrix:
-    """Outcome-averaged Bob state after the machine, for Alice's basis choice.
-
-    Termwise machines expand in the basis matching Alice's index (the
-    unphysical step); isometric machines are applied as genuine linear maps.
-    Alice's measurement is the complete product basis on her two qubits, and
-    the four conditioned Bob states are mixed with their outcome
-    probabilities.  A batch of one of :func:`evaluate_batch`.
-    """
-    s.basis(alice_basis_index)
-    batch = _evaluate_one(s, m, tol)
-    return DensityMatrix(m.output_signature, batch.marginal_after[0, alice_basis_index - 1])
-
-
-def signalling_magnitude(
-    s: TwoSingletScenario,
-    m: MachineSpec | LinearMachine,
-    tol: float = ASSERT_TOL,
-) -> float:
-    """Trace distance between Bob's marginals for Alice's two basis choices."""
-    return float(_evaluate_one(s, m, tol).signalling_magnitude[0])
+    return vals, validity, trace_distances(rho[:, 0], rho[:, 1])

@@ -22,7 +22,8 @@ from .states import basis_amplitudes
 
 
 def _bases(cfg: ScenarioConfig) -> np.ndarray:
-    """Basis amplitudes of a nosignal config, in ``nosignal.scenario_bases`` layout."""
+    """Basis amplitudes of a nosignal config, in the layout
+    ``nosignal.evaluate_batch`` stacks."""
     out = []
     for which in ("basis1", "basis2"):
         th_psi, ph_psi, th_alpha, ph_alpha = cfg.basis_angles(which)

@@ -1,4 +1,5 @@
-"""Constructors for qubit bases, singlets, overlap-prescribed kets, and Gram matrices."""
+"""Constructors for qubit basis amplitudes, state families, overlap-prescribed
+kets, and Gram matrices."""
 
 from __future__ import annotations
 
@@ -7,40 +8,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ket, SubsystemSignature, first_failure, inner, signature
-from .tolerances import ASSERT_TOL, RESIDUAL_TOL
+from .core import Ket, SubsystemSignature, first_failure, signature
+from .tolerances import RESIDUAL_TOL
 
 
-@dataclass(frozen=True)
-class BasisPair:
-    """Orthonormal qubit pair {primary, complement} at Bloch angles (theta, phi).
+def basis_amplitudes(theta: float, phi: float = 0.0) -> np.ndarray:
+    """Amplitudes [primary, complement] of the orthonormal qubit basis pair
+    at Bloch angles (theta, phi), shape (2, 2):
 
     primary    = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>
     complement = -e^{-i phi} sin(theta/2)|0> + cos(theta/2)|1>
 
-    The complement phase is fixed so that the singlet built from any pair has
-    bit-identical amplitudes; state equality elsewhere is always up to global
-    phase (compare |inner| = 1, never amplitudes).
+    The complement phase is fixed so that every pair builds the same
+    singlet (|psi psibar> - |psibar psi>)/sqrt(2).  State equality elsewhere
+    is always up to global phase (compare |inner| = 1, never amplitudes).
     """
-
-    theta: float
-    phi: float
-    primary: Ket
-    complement: Ket
-
-    def __post_init__(self):
-        if abs(inner(self.primary, self.complement)) > 1e-12:
-            raise ValueError("basis pair is not orthogonal")
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Amplitudes [primary, complement], shape (2, 2)."""
-        return np.stack([self.primary.amplitudes, self.complement.amplitudes])
-
-
-def basis_amplitudes(theta: float, phi: float = 0.0) -> np.ndarray:
-    """Amplitudes [primary, complement] of the qubit basis pair at Bloch
-    angles (theta, phi), shape (2, 2)."""
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
     if not 0.0 <= phi < 2.0 * math.pi:
@@ -51,28 +33,10 @@ def basis_amplitudes(theta: float, phi: float = 0.0) -> np.ndarray:
     return np.array([[c, w * s], [-np.conj(w) * s, c]], dtype=complex)
 
 
-def qubit_basis(theta: float, phi: float = 0.0, label: str = "q") -> BasisPair:
-    """Orthonormal qubit basis pair from Bloch angles."""
-    sig = signature((label, 2))
-    primary, complement = basis_amplitudes(theta, phi)
-    return BasisPair(float(theta), float(phi), Ket(sig, primary), Ket(sig, complement))
-
-
 def random_ket(sig: SubsystemSignature, rng: np.random.Generator) -> Ket:
     """Normalized ket with standard complex Gaussian amplitudes."""
     z = rng.standard_normal(sig.dim) + 1j * rng.standard_normal(sig.dim)
     return Ket(sig, z / np.linalg.norm(z))
-
-
-def singlet(basis: BasisPair, labels: tuple[str, str]) -> Ket:
-    """(|psi psibar> - |psibar psi>)/sqrt(2) over the two labels."""
-    l0, l1 = labels
-    if l0 == l1:
-        raise ValueError(f"duplicate subsystem label {l0!r}")
-    p = basis.primary.amplitudes
-    q = basis.complement.amplitudes
-    amp = (np.kron(p, q) - np.kron(q, p)) / math.sqrt(2.0)
-    return Ket(signature((l0, 2), (l1, 2)), amp)
 
 
 @dataclass(frozen=True)
@@ -108,16 +72,6 @@ def gram_stack(stack: np.ndarray) -> np.ndarray:
 def gram(family: StateFamily) -> np.ndarray:
     """Matrix of pairwise inner products G[i][j] = <member_i|member_j>."""
     return gram_stack(np.stack([k.amplitudes for k in family.members]))
-
-
-def has_orthogonal_pair(family: StateFamily, tol: float = ASSERT_TOL) -> bool:
-    g = gram(family)
-    n = len(family)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(g[i, j]) < tol:
-                return True
-    return False
 
 
 def overlap_pair_amplitudes(targets, dimension: int) -> np.ndarray:

@@ -17,16 +17,17 @@ from . import conservation as cons
 from . import nosignal as nosig
 from .config import DEFAULT_SEED
 from .core import (
-    DensityMatrix,
     Ket,
     density_of,
     eig_hermitian,
     entropy,
     inner,
+    kron_stack,
     partial_trace,
+    reduced_states,
     signature,
     tensor,
-    trace_distance,
+    trace_distances,
 )
 from .machines import (
     MODE_LINEAR,
@@ -38,6 +39,7 @@ from .machines import (
     gram_comparison,
     haar_draw,
     haar_isometries,
+    isometry_matrix_from_pairs,
     random_isometry,
     strong_cloner_rules,
     wishful_signatures,
@@ -49,9 +51,7 @@ from .states import (
     gram,
     kets_with_overlap,
     overlap_pair_amplitudes,
-    qubit_basis,
     random_ket,
-    singlet,
 )
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
@@ -60,10 +60,15 @@ def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng(seed * 1000 + salt)
 
 
-def _random_density(sig, rng) -> DensityMatrix:
-    # Reduced state of a random pure state on a doubled space: generic mixed.
-    big = sig.concat(signature(("_purifier", sig.dim)))
-    return partial_trace(density_of(random_ket(big, rng)), sig.labels)
+def _random_kets(sig, rng, n: int) -> np.ndarray:
+    """Amplitudes of n random kets, drawn one after another, shape (n, dim)."""
+    return np.array([random_ket(sig, rng).amplitudes for _ in range(n)])
+
+
+def _random_densities(rng, n: int, dim: int = 4) -> np.ndarray:
+    # Reduced states of random pure states on a doubled space: generic mixed.
+    purified = _random_kets(signature(("x", dim), ("_purifier", dim)), rng, n)
+    return reduced_states(purified, (dim, dim), (0,))
 
 
 def _random_basis_angles(rng) -> tuple[float, float]:
@@ -72,64 +77,53 @@ def _random_basis_angles(rng) -> tuple[float, float]:
     return theta, phi
 
 
-def _random_basis_pair(rng, label="q"):
-    return qubit_basis(*_random_basis_angles(rng), label)
+def _random_singlets(rng, n: int) -> np.ndarray:
+    """Singlets of n random basis pairs, each drawn as (theta, phi)."""
+    pairs = [basis_amplitudes(*_random_basis_angles(rng)) for _ in range(n)]
+    return nosig._singlets(np.array(pairs))
+
+
+# The factors the partial-trace checks trace down to their kept axes.
+_XYZ = signature(("x", 2), ("y", 3), ("z", 2))
 
 
 def _check_partial_trace_preserves_trace(seed):
-    rng = _rng(seed, 1)
-    sig = signature(("x", 2), ("y", 3), ("z", 2))
+    kets = _random_kets(_XYZ, _rng(seed, 1), 20)
     dev = 0.0
-    for _ in range(20):
-        rho = density_of(random_ket(sig, rng))
-        for keep in (("x",), ("y",), ("x", "z")):
-            reduced = partial_trace(rho, keep)
-            dev = max(dev, abs(complex(np.trace(reduced.entries)) - 1.0))
+    for keep in ((0,), (1,), (0, 2)):
+        for r in reduced_states(kets, _XYZ.dims, keep):
+            dev = max(dev, abs(complex(np.trace(r)) - 1.0))
     return dev, RESIDUAL_TOL
 
 
 def _check_partial_trace_hermiticity(seed):
-    rng = _rng(seed, 2)
-    sig = signature(("x", 2), ("y", 3), ("z", 2))
+    kets = _random_kets(_XYZ, _rng(seed, 2), 20)
     dev = 0.0
-    for _ in range(20):
-        rho = density_of(random_ket(sig, rng))
-        for keep in (("x",), ("y", "z")):
-            r = partial_trace(rho, keep).entries
+    for keep in ((0,), (1, 2)):
+        for r in reduced_states(kets, _XYZ.dims, keep):
             dev = max(dev, float(np.max(np.abs(r - r.conj().T))))
     return dev, RESIDUAL_TOL
 
 
 def _check_partial_trace_product_marginal(seed):
     rng = _rng(seed, 3)
-    dev = 0.0
-    for _ in range(10):
-        a = random_ket(signature(("x", 3)), rng)
-        b = random_ket(signature(("y", 4)), rng)
-        reduced = partial_trace(density_of(tensor(a, b)), ("x",))
-        dev = max(dev, float(np.max(np.abs(reduced.entries - density_of(a).entries))))
-    return dev, RESIDUAL_TOL
+    sig_a, sig_b = signature(("x", 3)), signature(("y", 4))
+    pairs = [(random_ket(sig_a, rng), random_ket(sig_b, rng)) for _ in range(10)]
+    a, b = (np.array([k.amplitudes for k in kets]) for kets in zip(*pairs))
+    reduced = reduced_states(kron_stack(a, b), (3, 4), (0,))
+    dev = np.max(np.abs(reduced - a[:, :, None] * a.conj()[:, None, :]))
+    return float(dev), RESIDUAL_TOL
 
 
 def _check_trace_distance_symmetry(seed):
-    rng = _rng(seed, 4)
-    sig = signature(("x", 4))
-    dev = 0.0
-    for _ in range(10):
-        r = _random_density(sig, rng)
-        s = _random_density(sig, rng)
-        dev = max(dev, abs(trace_distance(r, s) - trace_distance(s, r)))
-    return dev, RESIDUAL_TOL
+    r, s = _random_densities(_rng(seed, 4), 20).reshape(10, 2, 4, 4).swapaxes(0, 1)
+    return float(np.max(np.abs(trace_distances(r, s) - trace_distances(s, r)))), RESIDUAL_TOL
 
 
 def _check_trace_distance_triangle(seed):
-    rng = _rng(seed, 5)
-    sig = signature(("x", 4))
-    dev = 0.0
-    for _ in range(20):
-        a, b, c = (_random_density(sig, rng) for _ in range(3))
-        dev = max(dev, trace_distance(a, c) - trace_distance(a, b) - trace_distance(b, c))
-    return max(dev, 0.0), RESIDUAL_TOL
+    a, b, c = _random_densities(_rng(seed, 5), 60).reshape(20, 3, 4, 4).swapaxes(0, 1)
+    excess = trace_distances(a, c) - trace_distances(a, b) - trace_distances(b, c)
+    return max(float(np.max(excess)), 0.0), RESIDUAL_TOL
 
 
 def _check_eig_reconstruction(seed):
@@ -156,11 +150,9 @@ def _check_eig_reconstruction(seed):
 
 
 def _check_density_eigenvalue_range(seed):
-    rng = _rng(seed, 7)
-    sig = signature(("x", 4))
     dev = 0.0
-    for _ in range(20):
-        vals = eig_hermitian(_random_density(sig, rng)).eigenvalues
+    for rho in _random_densities(_rng(seed, 7), 20):
+        vals = eig_hermitian(rho).eigenvalues
         dev = max(dev, max(0.0, -float(vals.min())), max(0.0, float(vals.max()) - 1.0))
     return dev, RESIDUAL_TOL
 
@@ -186,23 +178,17 @@ def _check_entropy_pure_zero(seed):
 
 
 def _check_singlet_invariance(seed):
-    rng = _rng(seed, 10)
-    dev = 0.0
-    for _ in range(50):
-        s1 = singlet(_random_basis_pair(rng), ("u", "v"))
-        s2 = singlet(_random_basis_pair(rng), ("u", "v"))
-        dev = max(dev, abs(1.0 - abs(inner(s1, s2))))
+    singlets = _random_singlets(_rng(seed, 10), 100)
+    dev = max(abs(1.0 - abs(np.vdot(s1, s2))) for s1, s2 in zip(singlets[::2], singlets[1::2]))
     return dev, ASSERT_TOL
 
 
 def _check_singlet_marginal(seed):
-    rng = _rng(seed, 11)
+    singlets = _random_singlets(_rng(seed, 11), 20)
     dev = 0.0
-    for _ in range(20):
-        s = singlet(_random_basis_pair(rng), ("u", "v"))
-        for keep in ("u", "v"):
-            reduced = partial_trace(density_of(s), (keep,))
-            dev = max(dev, float(np.max(np.abs(reduced.entries - np.eye(2) / 2.0))))
+    for keep in ((0,), (1,)):
+        reduced = reduced_states(singlets, (2, 2), keep)
+        dev = max(dev, float(np.max(np.abs(reduced - np.eye(2) / 2.0))))
     return dev, RESIDUAL_TOL
 
 
@@ -351,9 +337,8 @@ def _check_linear_no_signalling(seed):
     for _ in range(20):
         state = random_ket(sig, rng)
         lm = random_isometry(sig_in, sig_out, rng)
-        before = partial_trace(density_of(state), ("al",))
-        after_state = apply_linear(lm, state, ("b1", "b2"))
-        after = partial_trace(density_of(after_state), ("al",))
+        before = partial_trace(state, ("al",))
+        after = partial_trace(apply_linear(lm, state, ("b1", "b2")), ("al",))
         dev = max(dev, float(np.max(np.abs(before.entries - after.entries))))
     return dev, RESIDUAL_TOL
 
@@ -470,19 +455,22 @@ def _check_checker_flips_on_surface(seed):
 
 def _check_isometric_preserves_alice(seed):
     rng = _rng(seed, 24)
-    dev = 0.0
-    for _ in range(50):
-        a, c = rng.uniform(0.0, 1.0, size=2)
-        s = cons.build_conservation(a, a * c, c)
-        lm = extend_to_isometry(s.machine)
-        before = cons.alice_marginal_before(s)
-        blank = Ket(signature(("blank", 2)), np.array([1.0, 0.0]))
-        env = Ket(signature(("env", s.ancilla_dim)), np.eye(s.ancilla_dim)[0])
-        full = tensor(tensor(s.shared, blank), env)
-        moved = apply_linear(lm, full, ("bp", "blank", "br", "env"))
-        after = partial_trace(density_of(moved), (s.alice_label,))
-        dev = max(dev, float(np.max(np.abs(before.entries - after.entries))))
-    return dev, RESIDUAL_TOL
+    a, c = np.array([rng.uniform(0.0, 1.0, size=2) for _ in range(50)]).T
+    psis, alphas, records = (overlap_pair_amplitudes(z, d) for z, d in ((a, 2), (a * c, 2), (c, 8)))
+    inputs, outputs = strong_cloner_rules(psis, alphas, records, 4)
+    # Shared states over (A, src, reg), then a blank slot and the environment
+    # input appended and moved into the cloner's (src, blank, reg, env) order.
+    shared = cons._shared(np.full(len(a), 0.5), psis, alphas).reshape(len(a), 8)
+    blank, env = np.eye(2, dtype=complex)[0], np.eye(4, dtype=complex)[0]
+    full = kron_stack(kron_stack(shared, blank), env)
+    blocks = full.reshape(-1, 2, 2, 2, 2, 4).transpose(0, 1, 2, 4, 3, 5).reshape(-1, 2, 32)
+    moved = np.array([
+        block @ isometry_matrix_from_pairs(x, y, 32, 32).T
+        for x, y, block in zip(inputs, outputs, blocks)
+    ])
+    before = reduced_states(shared, (2, 4), (0,))
+    after = reduced_states(moved.reshape(len(a), -1), (2, 32), (0,))
+    return float(np.max(np.abs(before - after))), RESIDUAL_TOL
 
 
 @lru_cache(maxsize=4)

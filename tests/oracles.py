@@ -31,6 +31,27 @@ def trace_distance_eigsum(r, s):
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(r - s))))
 
 
+def partial_trace_einsum(rho, dims, keep):
+    """Partial trace of a dense density matrix as one einsum: row axes get
+    fresh letters, and each traced column axis reuses its row letter."""
+    n = len(dims)
+    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    row = letters[:n]
+    col = []
+    next_free = n
+    for axis in range(n):
+        if axis in keep:
+            col.append(letters[next_free])
+            next_free += 1
+        else:
+            col.append(row[axis])
+    kept = sorted(keep)
+    out_sub = "".join(row[a] for a in kept) + "".join(col[a] for a in kept)
+    reduced = np.einsum(f"{row}{''.join(col)}->{out_sub}", rho.reshape(tuple(dims) * 2))
+    d = int(np.prod([dims[a] for a in kept]))
+    return reduced.reshape(d, d)
+
+
 def partial_trace_loop(rho, dims, keep):
     """Partial trace via reshape and successive np.trace calls."""
     dims = list(dims)

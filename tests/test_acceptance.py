@@ -10,26 +10,18 @@ import math
 import numpy as np
 import pytest
 
+import qclonelab.nosignal as nosig
+from conftest import deleter, strong_cloner
 from oracles import trace_distance_eigsum, wishful_bob_mixture
 from qclonelab.cli import main
 from qclonelab.conservation import (
     GramMismatch,
-    alice_marginal_after,
-    alice_marginal_before,
-    build_conservation,
-    entanglement_delta,
     equivalence_unitary,
+    evaluate_batch,
     lambda_after,
     lambda_before,
 )
-from qclonelab.core import (
-    Ket,
-    density_of,
-    eig_hermitian,
-    inner,
-    partial_trace,
-    signature,
-)
+from qclonelab.core import Ket, eig_hermitian, partial_trace, signature
 from qclonelab.machines import (
     MODE_LINEAR,
     MachineSpec,
@@ -37,17 +29,9 @@ from qclonelab.machines import (
     apply_termwise,
     check_consistency,
     extend_to_isometry,
-    preset_deleter,
-    preset_strong_cloner,
     random_isometry,
 )
-from qclonelab.nosignal import (
-    bob_marginal_before,
-    build_scenario,
-    default_wishful_machine,
-    signalling_magnitude,
-)
-from qclonelab.states import StateFamily, kets_with_overlap, qubit_basis, singlet
+from qclonelab.states import StateFamily, basis_amplitudes, kets_with_overlap
 
 SEED = 20250810
 
@@ -75,18 +59,23 @@ def _lower(name, value, floor):
 
 
 def _random_pair(rng):
-    return qubit_basis(
+    return basis_amplitudes(
         float(rng.uniform(0.0, math.pi)), float(rng.uniform(0.0, 2 * math.pi - 1e-9))
     )
+
+
+def _random_scenario(rng):
+    """Basis amplitudes of one scenario: basis 1's pairs, then basis 2's."""
+    return np.array([[[_random_pair(rng), _random_pair(rng)] for _ in range(2)]])
 
 
 def test_criterion_1_singlet_invariance():
     rng = np.random.default_rng(SEED + 1)
     worst = 0.0
     for _ in range(50):
-        s1 = singlet(_random_pair(rng), ("u", "v"))
-        s2 = singlet(_random_pair(rng), ("u", "v"))
-        worst = max(worst, abs(1.0 - abs(inner(s1, s2))))
+        s1 = nosig._singlets(_random_pair(rng))
+        s2 = nosig._singlets(_random_pair(rng))
+        worst = max(worst, abs(1.0 - abs(np.vdot(s1, s2))))
     _upper("criterion-1 singlet-invariance", worst, 1e-10)
 
 
@@ -94,32 +83,29 @@ def test_criterion_2_maximally_mixed_precondition():
     rng = np.random.default_rng(SEED + 2)
     worst = 0.0
     for _ in range(50):
-        s = build_scenario(
-            (_random_pair(rng), _random_pair(rng)), (_random_pair(rng), _random_pair(rng))
-        )
-        worst = max(
-            worst, float(np.max(np.abs(bob_marginal_before(s).entries - np.eye(4) / 4)))
-        )
+        marginal = nosig.premachine(_random_scenario(rng)).marginal[0]
+        worst = max(worst, float(np.max(np.abs(marginal - np.eye(4) / 4))))
     _upper("criterion-2 premachine-bob-marginal", worst, 1e-12)
 
 
 def test_criterion_3_no_signalling_of_physical_maps():
     rng = np.random.default_rng(SEED + 3)
     sig_in = signature(("src", 2), ("reg", 2), ("env", 4))
+    joint_sig = signature(("pa", 2), ("pb", 2), ("aa", 2), ("ab", 2), ("env", 4))
     worst_mag = 0.0
     worst_alice = 0.0
     for trial in range(100):
-        s = build_scenario(
-            (_random_pair(rng), _random_pair(rng)), (_random_pair(rng), _random_pair(rng))
-        )
+        bases = _random_scenario(rng)
         d_out = 4 if trial % 2 == 0 else 8
         lm = random_isometry(
             sig_in, signature(("src", 2), ("copy", 2), ("env", d_out)), rng
         )
-        worst_mag = max(worst_mag, signalling_magnitude(s, lm))
-        before = partial_trace(density_of(s.joint), s.alice_labels).entries
-        moved = apply_linear(lm, s.joint, (*s.bob_labels, s.ancilla_label))
-        after = partial_trace(density_of(moved), s.alice_labels).entries
+        batch = nosig.evaluate_batch(bases, isometries=lm.matrix[None])
+        worst_mag = max(worst_mag, float(batch.signalling_magnitude[0]))
+        joint = Ket(joint_sig, batch.joint[0])
+        before = partial_trace(joint, ("pa", "aa")).entries
+        moved = apply_linear(lm, joint, ("pb", "ab", "env"))
+        after = partial_trace(moved, ("pa", "aa")).entries
         worst_alice = max(worst_alice, float(np.max(np.abs(before - after))))
     _upper("criterion-3 isometric-signalling-magnitude", worst_mag, 1e-12)
     _upper("criterion-3 isometric-alice-marginal-change", worst_alice, 1e-12)
@@ -130,11 +116,9 @@ def test_criterion_4_signalling_from_negation():
     worst_frozen_gap = 0.0
     smallest = math.inf
     for theta, frozen in FROZEN_SIGNALLING.items():
-        s = build_scenario(
-            (qubit_basis(0.0, 0.0), qubit_basis(0.0, 0.0)),
-            (qubit_basis(theta, 0.0), qubit_basis(theta, 0.0)),
-        )
-        magnitude = signalling_magnitude(s, default_wishful_machine(s))
+        computational, tilted = basis_amplitudes(0.0, 0.0), basis_amplitudes(theta, 0.0)
+        bases = np.array([[[computational, computational], [tilted, tilted]]])
+        magnitude = float(nosig.evaluate_batch(bases).signalling_magnitude[0])
         brute = trace_distance_eigsum(
             wishful_bob_mixture(0.0, theta, 1), wishful_bob_mixture(0.0, theta, 2)
         )
@@ -146,53 +130,50 @@ def test_criterion_4_signalling_from_negation():
     _upper("criterion-4 matches-frozen-oracle-values", worst_frozen_gap, 1e-10)
 
 
+def _grid_batch(a, b, c):
+    return evaluate_batch(a, b, c, np.full(len(a), 0.5))
+
+
 def test_criterion_5_closed_form_eigenvalues():
     worst = 0.0
     count = 0
-    for a in GRID:
-        for b in GRID:
-            for c in GRID:
-                s = build_conservation(a, b, c)
-                before = alice_marginal_before(s)
-                after = alice_marginal_after(s)
-                worst = max(
-                    worst,
-                    abs(eig_hermitian(before).largest - lambda_before(a, b)),
-                    abs(eig_hermitian(after).largest - lambda_after(a, c)),
-                    # independent eigensolver route
-                    abs(float(np.linalg.eigvalsh(before.entries)[-1]) - lambda_before(a, b)),
-                    abs(float(np.linalg.eigvalsh(after.entries)[-1]) - lambda_after(a, c)),
-                )
-                count += 1
+    a, b, c = (x.ravel() for x in np.meshgrid(GRID, GRID, GRID, indexing="ij"))
+    batch = _grid_batch(a, b, c)
+    for k in range(len(a)):
+        before, after = batch.marginal_before[k], batch.marginal_after[k]
+        worst = max(
+            worst,
+            abs(eig_hermitian(before).largest - lambda_before(a[k], b[k])),
+            abs(eig_hermitian(after).largest - lambda_after(a[k], c[k])),
+            # independent eigensolver route
+            abs(float(np.linalg.eigvalsh(before)[-1]) - lambda_before(a[k], b[k])),
+            abs(float(np.linalg.eigvalsh(after)[-1]) - lambda_after(a[k], c[k])),
+        )
+        count += 1
     assert count == 1331
     _upper("criterion-5 closed-form-eigenvalues-1331-grid", worst, 1e-12)
 
 
 def test_criterion_6_conservation_boundary():
-    worst_surface = 0.0
-    worst_form = 0.0
+    a, c = (x.ravel() for x in np.meshgrid(GRID, GRID, indexing="ij"))
+    batch = _grid_batch(a, a * c, c)
+    worst_surface = max(
+        float(np.max(np.abs(batch.eigenvalues_after[:, 0] - batch.eigenvalues_before[:, 0]))),
+        float(np.max(np.abs(batch.entropy_after - batch.entropy_before))),
+    )
+    a, b, c = (x.ravel() for x in np.meshgrid(GRID, GRID, GRID, indexing="ij"))
+    batch = _grid_batch(a, b, c)
+    delta_lambda = batch.eigenvalues_after[:, 0] - batch.eigenvalues_before[:, 0]
+    worst_form = float(np.max(np.abs(delta_lambda - (a * a * c - a * b) / 2)))
     verdict_errors = 0
-    for a in GRID:
-        for c in GRID:
-            delta = entanglement_delta(build_conservation(a, a * c, c))
-            worst_surface = max(
-                worst_surface, abs(delta.delta_lambda), abs(delta.delta_entropy)
-            )
-    for a in GRID:
-        for b in GRID:
-            for c in GRID:
-                s = build_conservation(a, b, c)
-                delta = entanglement_delta(s)
-                worst_form = max(
-                    worst_form, abs(delta.delta_lambda - (a * a * c - a * b) / 2)
-                )
-                consistent = check_consistency(s.machine).consistent
-                if a == 0.0:
-                    # Orthogonal source pair: clonable for every b, c, so the
-                    # checker stays consistent off the |b| = |a||c| surface.
-                    verdict_errors += 0 if consistent else 1
-                elif consistent != (abs(b - a * c) < 1e-9):
-                    verdict_errors += 1
+    for ak, bk, ck in zip(a, b, c):
+        consistent = check_consistency(strong_cloner(ak, bk, ck)).consistent
+        if ak == 0.0:
+            # Orthogonal source pair: clonable for every b, c, so the
+            # checker stays consistent off the |b| = |a||c| surface.
+            verdict_errors += 0 if consistent else 1
+        elif consistent != (abs(bk - ak * ck) < 1e-9):
+            verdict_errors += 1
     _upper("criterion-6 delta-zero-on-surface", worst_surface, 1e-12)
     _upper("criterion-6 delta-closed-form-off-surface", worst_form, 1e-12)
     _upper("criterion-6 checker-flips-on-surface", float(verdict_errors), 1.0)
@@ -213,10 +194,7 @@ def test_criterion_7_consistency_conditions():
             if abs(b - a * c) < 0.05:
                 b = min(1.0, a * c + 0.1) if a * c < 0.5 else max(0.0, a * c - 0.1)
             expect = False
-        spec = preset_strong_cloner(
-            kets_with_overlap(a, 2), kets_with_overlap(b, 2), kets_with_overlap(c, 8)
-        )
-        report = check_consistency(spec, tol=1e-10)
+        report = check_consistency(strong_cloner(a, b, c), tol=1e-10)
         if report.consistent != expect:
             errors += 1
         if expect:
@@ -231,8 +209,7 @@ def test_criterion_7_consistency_conditions():
             if abs(g - a) < 0.05:
                 g = min(1.0, a + 0.1) if a < 0.5 else max(0.0, a - 0.1)
             expect = False
-        spec = preset_deleter(kets_with_overlap(a, 2), kets_with_overlap(g, 4))
-        if check_consistency(spec, tol=1e-10).consistent != expect:
+        if check_consistency(deleter(a, g), tol=1e-10).consistent != expect:
             errors += 1
     _upper("criterion-7 consistency-boundaries-400-samples", float(errors), 1.0)
     _upper("criterion-7 on-surface-gram-deviation", worst_consistent_dev, 1e-10)

@@ -16,14 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qclonelab.conservation as cons
+from oracles import partial_trace_einsum
 from qclonelab.cli import main
-from qclonelab.conservation import (
-    ConservationBatch,
-    alice_marginal_after,
-    build_conservation,
-    evaluate_batch,
-)
-from qclonelab.core import density_of, eig_hermitian_batch, partial_trace
+from qclonelab.conservation import ConservationBatch, evaluate_batch
+from qclonelab.core import eig_hermitian_batch
+from qclonelab.states import overlap_pair_amplitudes
 
 # The text of perfbench.workloads.conservation_config(7): an off-surface
 # overlap triple with seeded phases.
@@ -109,8 +107,9 @@ def test_batch_equals_batches_of_one(points, ancilla_dim):
         for f in fields(ConservationBatch):
             assert getattr(batch, f.name)[k].tobytes() == getattr(one, f.name)[0].tobytes(), f.name
         # The generic partial trace of the dense projector is the reference.
-        s = build_conservation(a[k], b[k], c[k], ancilla_dim, w[k])
-        reference = partial_trace(density_of(s.shared), ("A",)).entries
+        psis, alphas = (overlap_pair_amplitudes([z[k]], 2) for z in (a, b))
+        shared = cons._shared(np.array([w[k]]), psis, alphas).reshape(-1)
+        reference = partial_trace_einsum(np.outer(shared, shared.conj()), (2, 2, 2), (0,))
         assert batch.marginal_before[k].tobytes() == reference.tobytes()
 
 
@@ -139,10 +138,10 @@ def test_closed_forms_round_as_scalar_arithmetic(points):
 
 def test_marginal_helpers_need_no_spectrum():
     # Here Alice's after-marginal is degenerate up to 1e-20, where the
-    # closed-form 2x2 eigenvectors lose accuracy; the marginal helpers do not
-    # diagonalize anything, so they still answer.
-    s = build_conservation(1.0, 0.0, 1e-20)
-    np.testing.assert_allclose(alice_marginal_after(s).entries, np.eye(2) / 2, atol=1e-15)
+    # closed-form 2x2 eigenvectors lose accuracy; the marginal stage does not
+    # diagonalize anything, so it still answers.
+    after = cons._marginals([1.0], [0.0], [1e-20], [0.5], 4)[1]
+    np.testing.assert_allclose(after[0], np.eye(2) / 2, atol=1e-15)
 
 
 class TestGuardsNameFirstFailingPoint:

@@ -1,5 +1,5 @@
 """The batched two-singlet kernel: batch/point agreement, its guards, and the
-stacked machine building blocks it shares with the per-point helpers."""
+stacked machine building blocks it is made of."""
 
 import math
 import re
@@ -11,19 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qclonelab.nosignal as nosig
-from qclonelab.core import density_of, partial_trace, signature
+from oracles import kron_all, partial_trace_einsum
+from qclonelab.core import CHUNK_ENTRIES, signature
 from qclonelab.machines import (
     ConflictingRules,
     deleter_rules,
     gram_comparison,
     haar_draw,
     haar_isometries,
-    preset_deleter,
-    preset_wishful_cloner,
     random_isometry,
     require_isometries,
+    wishful_rules,
 )
-from qclonelab.states import basis_amplitudes, kets_with_overlap, qubit_basis
+from qclonelab.states import basis_amplitudes, kets_with_overlap
 
 # Bloch angles, with the edges where the two bases' wishful rules coincide
 # (theta = 0) or coincide up to phase (theta = pi).
@@ -89,36 +89,35 @@ def test_batch_equals_batches_of_one(angles, ancilla_dim, isometric, seed):
 @settings(max_examples=30, deadline=None)
 @given(angles=st.lists(_scenario, min_size=1, max_size=4), ancilla_dim=st.integers(2, 5))
 def test_premachine_marginal_is_partial_trace_bit_for_bit(angles, ancilla_dim):
-    # The stage contracts the kets in the order of the partial_trace einsum
+    # The stage contracts the kets in the order of the partial trace einsum
     # on the dense projector.
     before = nosig.premachine(_bases(angles), ancilla_dim)
     for k, point in enumerate(angles):
-        s = nosig.build_scenario(
-            (qubit_basis(*point[0]), qubit_basis(*point[1])),
-            (qubit_basis(*point[2]), qubit_basis(*point[3])),
-            ancilla_dim,
+        one = nosig.premachine(_bases([point]), ancilla_dim)
+        joint = one.joint[0]
+        reduced = partial_trace_einsum(
+            np.outer(joint, joint.conj()), (2, 2, 2, 2, ancilla_dim), (1, 3)
         )
-        reduced = partial_trace(density_of(s.joint), s.bob_labels).entries
         assert before.marginal[k].tobytes() == reduced.tobytes()
-        assert before.deviation[k] == s.premachine_deviation
+        assert before.deviation[k] == one.deviation[0]
 
 
 def test_wishful_rules_from_angles_match_the_preset():
     angles = [(0.3, 1.0), (2.0, 0.5), (1.1, 4.0), (0.2, 6.0)]
     inputs, outputs = nosig.wishful_machine_rules(_bases([angles]), 3)
     for k in (0, 1):
-        psi, alpha = (qubit_basis(*a) for a in angles[2 * k:2 * k + 2])
-        preset = preset_wishful_cloner(psi, alpha, ancilla_dim=3)
-        for r, (x, y) in enumerate(preset.pairs):
-            assert inputs[0, 4 * k + r].tobytes() == x.amplitudes.tobytes()
-            assert outputs[0, 4 * k + r].tobytes() == y.amplitudes.tobytes()
+        psi, alpha = (basis_amplitudes(*a) for a in angles[2 * k:2 * k + 2])
+        xs, ys = wishful_rules(psi, alpha, 3)
+        for r, (x, y) in enumerate(zip(xs, ys)):
+            assert inputs[0, 4 * k + r].tobytes() == x.tobytes()
+            assert outputs[0, 4 * k + r].tobytes() == y.tobytes()
 
 
 def test_conflict_beyond_the_first_chunk_names_its_chunk():
     computational, tilted = basis_amplitudes(0.0), basis_amplitudes(0.7)
     good = [[computational, computational], [tilted, tilted]]
     bad = [[computational, computational], [basis_amplitudes(math.pi)] * 2]
-    step = nosig._CHUNK_ENTRIES // 16**2  # points per chunk at ancilla_dim 4
+    step = CHUNK_ENTRIES // 16**2  # points per chunk at ancilla_dim 4
     bases = np.array([good] * (step + 2) + [bad] + [good])
     with pytest.raises(ConflictingRules, match=(
         f"batch index 2 \\(in the chunk of points {step} to {step + 3}\\)"
@@ -143,14 +142,18 @@ def test_non_orthogonal_basis_named():
 
 class TestStackedMachineParts:
     def test_deleter_rules_match_the_preset(self):
+        # The declared rules |psi_k>|psi_k>|A> -> |psi_k>|0>|A_k>, written
+        # out with np.kron.
+        blank, env_in = np.eye(2)[0], np.eye(4)[0]
         for a, g in ((0.3, 0.3), (0.8, 0.1)):
-            spec = preset_deleter(kets_with_overlap(a, 2), kets_with_overlap(g, 4))
             psis = np.stack([k.amplitudes for k in kets_with_overlap(a, 2)])
             records = np.stack([k.amplitudes for k in kets_with_overlap(g, 4)])
             inputs, outputs = deleter_rules(psis[None], records[None], 4)
-            for r, (x, y) in enumerate(spec.pairs):
-                assert inputs[0, r].tobytes() == x.amplitudes.tobytes()
-                assert outputs[0, r].tobytes() == y.amplitudes.tobytes()
+            for r in (0, 1):
+                x = kron_all(psis[r], psis[r], env_in.astype(complex))
+                y = kron_all(psis[r], blank.astype(complex), records[r])
+                assert inputs[0, r].tobytes() == x.tobytes()
+                assert outputs[0, r].tobytes() == y.tobytes()
 
     def test_gram_comparison_names_unnormalized_rule(self):
         inputs = np.tile(np.eye(2, 4, dtype=complex), (3, 1, 1))

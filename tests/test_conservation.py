@@ -1,80 +1,90 @@
 import numpy as np
 import pytest
 
-from conftest import random_ket
-from oracles import binary_entropy
+import qclonelab.conservation as cons
+from conftest import random_ket, strong_cloner
+from oracles import binary_entropy, partial_trace_einsum
 from qclonelab.conservation import (
     GramMismatch,
-    alice_marginal_after,
-    alice_marginal_before,
-    build_conservation,
-    entanglement_delta,
     equivalence_unitary,
+    evaluate_batch,
     lambda_after,
     lambda_before,
 )
-from qclonelab.core import (
-    Ket,
-    density_of,
-    eig_hermitian,
-    entropy,
-    partial_trace,
-    signature,
-    tensor,
-)
+from qclonelab.core import Ket, eig_hermitian, partial_trace, signature, tensor
 from qclonelab.machines import apply_linear, check_consistency, extend_to_isometry, random_isometry
-from qclonelab.states import StateFamily, kets_with_overlap
+from qclonelab.states import StateFamily, kets_with_overlap, overlap_pair_amplitudes
 
 GRID = np.round(np.arange(0.0, 1.0 + 1e-12, 0.1), 10)
 
 
+def point(a, b, c, weight=0.5):
+    """The conservation kernel on one overlap triple."""
+    return evaluate_batch([a], [b], [c], [weight])
+
+
+def before(a, b, c=0.0, weight=0.5):
+    return point(a, b, c, weight).marginal_before[0]
+
+
+def after(a, b, c, weight=0.5):
+    return point(a, b, c, weight).marginal_after[0]
+
+
+def shared(a, b, weight=0.5):
+    """The shared state over (A, bp, br), flat."""
+    psis, alphas = overlap_pair_amplitudes([a], 2), overlap_pair_amplitudes([b], 2)
+    return cons._shared(np.array([weight]), psis, alphas).reshape(-1)
+
+
+def delta(a, b, c):
+    """Change in Alice's leading eigenvalue and entropy across the cloner."""
+    batch = point(a, b, c)
+    return (
+        batch.eigenvalues_after[0, 0] - batch.eigenvalues_before[0, 0],
+        batch.entropy_after[0] - batch.entropy_before[0],
+    )
+
+
 class TestBuild:
     def test_orthogonal_branches_maximally_mixed(self):
-        s = build_conservation(0.0, 0.7, 0.2)
-        np.testing.assert_allclose(alice_marginal_before(s).entries, np.eye(2) / 2, atol=1e-14)
+        np.testing.assert_allclose(before(0.0, 0.7, 0.2), np.eye(2) / 2, atol=1e-14)
 
     def test_product_state_pure_marginal(self):
-        s = build_conservation(1.0, 1.0, 0.3)
-        vals = eig_hermitian(alice_marginal_before(s)).eigenvalues
+        vals = eig_hermitian(before(1.0, 1.0, 0.3)).eigenvalues
         assert vals[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_off_diagonal_is_half_ab(self):
-        s = build_conservation(0.6, 0.5, 0.5)
-        assert alice_marginal_before(s).entries[1, 0] == pytest.approx(0.15, abs=1e-12)
+        assert before(0.6, 0.5, 0.5)[1, 0] == pytest.approx(0.15, abs=1e-12)
 
     def test_out_of_range_modulus(self):
         with pytest.raises(ValueError, match="modulus"):
-            build_conservation(1.2, 0.5, 0.5)
+            point(1.2, 0.5, 0.5)
 
     def test_complex_overlaps_realized(self):
         a = 0.5 * np.exp(1j * 0.7)
         b = 0.3 * np.exp(-1j * 1.2)
-        s = build_conservation(a, b, 0.4)
-        assert s.shared.norm == pytest.approx(1.0, abs=1e-12)
-        assert alice_marginal_before(s).entries[1, 0] == pytest.approx(a * b / 2, abs=1e-12)
+        assert np.linalg.norm(shared(a, b)) == pytest.approx(1.0, abs=1e-12)
+        assert before(a, b, 0.4)[1, 0] == pytest.approx(a * b / 2, abs=1e-12)
 
 
 class TestMarginals:
     def test_after_off_diagonal_is_half_a2c(self):
-        s = build_conservation(0.6, 0.5, 0.5)
-        assert alice_marginal_after(s).entries[1, 0] == pytest.approx(0.09, abs=1e-12)
+        assert after(0.6, 0.5, 0.5)[1, 0] == pytest.approx(0.09, abs=1e-12)
 
     def test_after_unchanged_when_a_zero(self):
-        s = build_conservation(0.0, 0.4, 0.9)
-        np.testing.assert_allclose(alice_marginal_after(s).entries, np.eye(2) / 2, atol=1e-14)
+        np.testing.assert_allclose(after(0.0, 0.4, 0.9), np.eye(2) / 2, atol=1e-14)
 
     def test_after_pure_when_all_one(self):
-        s = build_conservation(1.0, 1.0, 1.0)
-        vals = eig_hermitian(alice_marginal_after(s)).eigenvalues
+        vals = eig_hermitian(after(1.0, 1.0, 1.0)).eigenvalues
         assert vals[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_partial_trace_route_equals_closed_form(self):
         # The operation itself cross-checks; verify independently through the
         # generic partial trace on the raw projector.
-        s = build_conservation(0.7, 0.2, 0.6)
-        rho = density_of(s.shared)
-        reduced = partial_trace(rho, ("A",)).entries
-        np.testing.assert_allclose(reduced, alice_marginal_before(s).entries, atol=1e-14)
+        amp = shared(0.7, 0.2)
+        reduced = partial_trace_einsum(np.outer(amp, amp.conj()), (2, 2, 2), (0,))
+        np.testing.assert_allclose(reduced, before(0.7, 0.2, 0.6), atol=1e-14)
 
 
 class TestClosedForms:
@@ -91,66 +101,63 @@ class TestClosedForms:
         for a in GRID:
             for b in GRID:
                 for c in GRID:
-                    s = build_conservation(a, b, c)
+                    batch = point(a, b, c)
                     worst = max(
                         worst,
-                        abs(eig_hermitian(alice_marginal_before(s)).largest - lambda_before(a, b)),
-                        abs(eig_hermitian(alice_marginal_after(s)).largest - lambda_after(a, c)),
+                        abs(eig_hermitian(batch.marginal_before[0]).largest - lambda_before(a, b)),
+                        abs(eig_hermitian(batch.marginal_after[0]).largest - lambda_after(a, c)),
                     )
         assert worst < 1e-12
 
     def test_generalized_branch_weight_cross_checked(self):
         # Unequal amplitudes: closed form against the numeric eigenvalue.
         for w in (0.2, 0.35, 0.8):
-            s = build_conservation(0.6, 0.5, 0.5, branch_weight=w)
-            num_b = eig_hermitian(alice_marginal_before(s)).largest
-            num_a = eig_hermitian(alice_marginal_after(s)).largest
+            num_b = eig_hermitian(before(0.6, 0.5, 0.5, weight=w)).largest
+            num_a = eig_hermitian(after(0.6, 0.5, 0.5, weight=w)).largest
             assert num_b == pytest.approx(lambda_before(0.6, 0.5, w), abs=1e-12)
             assert num_a == pytest.approx(lambda_after(0.6, 0.5, w), abs=1e-12)
 
     def test_entropy_matches_binary_entropy_of_lambda(self):
-        s = build_conservation(0.6, 0.5, 0.5)
-        got = entropy(alice_marginal_before(s))
+        got = point(0.6, 0.5, 0.5).entropy_before[0]
         assert got == pytest.approx(binary_entropy(0.65), abs=1e-12)
         assert got == pytest.approx(0.93407, abs=5e-6)
 
 
 class TestEntanglementDelta:
     def test_consistency_surface_zero(self):
-        d = entanglement_delta(build_conservation(0.6, 0.3, 0.5))
-        assert abs(d.delta_lambda) < 1e-12
-        assert abs(d.delta_entropy) < 1e-12
+        delta_lambda, delta_entropy = delta(0.6, 0.3, 0.5)
+        assert abs(delta_lambda) < 1e-12
+        assert abs(delta_entropy) < 1e-12
 
     def test_violating_point(self):
-        d = entanglement_delta(build_conservation(0.6, 0.5, 0.5))
-        assert d.delta_lambda == pytest.approx(-0.06, abs=1e-12)
+        delta_lambda, _ = delta(0.6, 0.5, 0.5)
+        assert delta_lambda == pytest.approx(-0.06, abs=1e-12)
 
     def test_orthogonal_branches_zero(self):
-        d = entanglement_delta(build_conservation(0.0, 0.8, 0.3))
-        assert abs(d.delta_lambda) < 1e-12
-        assert abs(d.delta_entropy) < 1e-12
+        delta_lambda, delta_entropy = delta(0.0, 0.8, 0.3)
+        assert abs(delta_lambda) < 1e-12
+        assert abs(delta_entropy) < 1e-12
 
     def test_closed_form_everywhere_on_grid(self):
         worst = 0.0
         for a in GRID[::2]:
             for b in GRID[::2]:
                 for c in GRID[::2]:
-                    d = entanglement_delta(build_conservation(a, b, c))
-                    worst = max(worst, abs(d.delta_lambda - (a * a * c - a * b) / 2))
+                    delta_lambda, _ = delta(a, b, c)
+                    worst = max(worst, abs(delta_lambda - (a * a * c - a * b) / 2))
         assert worst < 1e-12
 
     def test_isometric_machine_never_changes_alice(self, rng):
         for _ in range(25):
             a, c = rng.uniform(0.0, 1.0, size=2)
-            s = build_conservation(a, a * c, c)
-            lm = extend_to_isometry(s.machine)
+            lm = extend_to_isometry(strong_cloner(a, a * c, c))
+            state = Ket(signature(("A", 2), ("bp", 2), ("br", 2)), shared(a, a * c))
             blank = Ket(signature(("blank", 2)), np.array([1.0, 0.0]))
             env = Ket(signature(("env", 4)), np.eye(4)[0])
-            full = tensor(tensor(s.shared, blank), env)
+            full = tensor(tensor(state, blank), env)
             moved = apply_linear(lm, full, ("bp", "blank", "br", "env"))
-            before = alice_marginal_before(s).entries
-            after = partial_trace(density_of(moved), ("A",)).entries
-            assert np.max(np.abs(before - after)) < 1e-12
+            marginal = before(a, a * c, c)
+            assert np.max(np.abs(marginal - partial_trace(moved, ("A",)).entries)) < 1e-12
 
 
 class TestEquivalenceUnitary:
@@ -204,22 +211,20 @@ class TestConsistencySurfaceVerdicts:
         # Away from a = 0 the Gram verdict and the vanishing deltas agree.
         for a in GRID[1:]:
             for c in GRID:
-                s = build_conservation(a, a * c, c)
-                assert check_consistency(s.machine).consistent
-        assert not check_consistency(build_conservation(0.6, 0.5, 0.5).machine).consistent
+                assert check_consistency(strong_cloner(a, a * c, c)).consistent
+        assert not check_consistency(strong_cloner(0.6, 0.5, 0.5)).consistent
 
     def test_a_zero_always_consistent(self):
         for b in GRID[::3]:
             for c in GRID[::3]:
-                assert check_consistency(build_conservation(0.0, b, c).machine).consistent
+                assert check_consistency(strong_cloner(0.0, b, c)).consistent
 
     def test_phase_sensitive_vs_modulus_only_deviation(self):
         # A pure phase on b keeps the moduli equal while the entrywise
         # comparison sees the rotation; both readings are exposed.
         a, c = 0.6, 0.5
         b = a * c * np.exp(1j * 0.8)
-        s = build_conservation(a, b, c)
-        report = check_consistency(s.machine)
+        report = check_consistency(strong_cloner(a, b, c))
         assert not report.consistent
         modulus_dev = np.max(np.abs(np.abs(report.input_gram) - np.abs(report.output_gram)))
         assert modulus_dev < 1e-12

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_ket
-from oracles import partial_trace_loop, trace_distance_eigsum
+from oracles import partial_trace_einsum, partial_trace_loop, trace_distance_eigsum
 from qclonelab.core import (
     DensityMatrix,
     Ket,
@@ -16,11 +16,14 @@ from qclonelab.core import (
     entropy,
     inner,
     partial_trace,
+    reduced_states,
     signature,
     tensor,
     trace_distance,
+    trace_distances,
 )
-from qclonelab.states import qubit_basis, singlet
+from qclonelab.nosignal import _singlets
+from qclonelab.states import basis_amplitudes
 
 
 def ket(label, amps):
@@ -78,7 +81,7 @@ class TestTensorInner:
 
     def test_bloch_overlap(self):
         theta = 0.83
-        got = inner(qubit_basis(theta, 0.0, "q0").primary, Q0)
+        got = inner(ket("q0", basis_amplitudes(theta, 0.0)[0]), Q0)
         assert got == pytest.approx(math.cos(theta / 2.0), abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -122,37 +125,58 @@ class TestDensity:
 
 class TestPartialTrace:
     def test_product_state_marginal(self):
-        rho = density_of(tensor(Q0, Q1))
-        np.testing.assert_allclose(partial_trace(rho, ("q0",)).entries, np.diag([1, 0]))
+        state = tensor(Q0, Q1)
+        np.testing.assert_allclose(partial_trace(state, ("q0",)).entries, np.diag([1, 0]))
 
     def test_singlet_marginal_maximally_mixed(self):
-        s = singlet(qubit_basis(0.7, 1.1), ("u", "v"))
+        s = Ket(signature(("u", 2), ("v", 2)), _singlets(basis_amplitudes(0.7, 1.1)))
         for keep in ("u", "v"):
             np.testing.assert_allclose(
-                partial_trace(density_of(s), (keep,)).entries, np.eye(2) / 2, atol=1e-14
+                partial_trace(s, (keep,)).entries, np.eye(2) / 2, atol=1e-14
             )
 
     def test_empty_keep_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            partial_trace(density_of(tensor(Q0, Q1)), ())
+            partial_trace(tensor(Q0, Q1), ())
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_trace_and_hermiticity_preserved(self, seed):
         rng = np.random.default_rng(seed)
         sig = signature(("x", 2), ("y", 3), ("z", 2))
-        rho = density_of(random_ket(sig, rng))
+        state = random_ket(sig, rng)
         for keep in (("x",), ("y",), ("x", "z"), ("x", "y", "z")):
-            red = partial_trace(rho, keep).entries
+            red = partial_trace(state, keep).entries
             assert abs(np.trace(red) - 1.0) < 1e-12
             assert np.max(np.abs(red - red.conj().T)) < 1e-12
 
     def test_matches_loop_oracle(self, rng):
         sig = signature(("x", 2), ("y", 3), ("z", 2))
-        rho = density_of(random_ket(sig, rng))
-        got = partial_trace(rho, ("x", "z")).entries
-        want = partial_trace_loop(rho.entries, (2, 3, 2), keep=[0, 2])
+        state = random_ket(sig, rng)
+        got = partial_trace(state, ("x", "z")).entries
+        want = partial_trace_loop(density_of(state).entries, (2, 3, 2), keep=[0, 2])
         np.testing.assert_allclose(got, want, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "dims, keep",
+        [
+            ((2, 3, 2), (0,)), ((2, 3, 2), (1,)), ((2, 3, 2), (0, 2)), ((2, 3, 2), (1, 2)),
+            ((3, 4), (0,)), ((4, 4), (0,)), ((2, 2), (1,)), ((2, 2, 2, 2, 4), (1, 3)),
+            ((2, 2, 2, 2, 5), (1, 3)), ((2, 2, 2, 8), (0,)), ((2, 2, 2, 16), (0,)),
+            ((3, 2, 4), (0,)), ((3, 4, 3), (0,)),
+        ],
+    )
+    def test_stack_is_the_dense_einsum_bit_for_bit(self, rng, dims, keep):
+        # The contraction sums the traced multi-index in the einsum's order,
+        # and a stack gives each state the bits of a stack of one.
+        shape = (30, math.prod(dims))
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kets = z / np.linalg.norm(z, axis=1, keepdims=True)
+        stacked = reduced_states(kets, dims, keep)
+        for k, amp in enumerate(kets):
+            want = partial_trace_einsum(np.outer(amp, amp.conj()), dims, keep)
+            assert stacked[k].tobytes() == want.tobytes()
+            assert reduced_states(kets[k:k + 1], dims, keep).tobytes() == stacked[k:k + 1].tobytes()
 
 
 class TestEig:
@@ -242,24 +266,36 @@ class TestTraceDistance:
         assert trace_distance(density_of(Q0), density_of(ket("q0", [0, 1]))) == pytest.approx(1.0)
 
     def test_bitwise_symmetric(self, rng):
-        sig = signature(("x", 4))
-        a = partial_trace(density_of(random_ket(signature(("x", 4), ("y", 4)), rng)), ("x",))
-        b = partial_trace(density_of(random_ket(signature(("x", 4), ("y", 4)), rng)), ("x",))
+        a = partial_trace(random_ket(signature(("x", 4), ("y", 4)), rng), ("x",))
+        b = partial_trace(random_ket(signature(("x", 4), ("y", 4)), rng), ("x",))
         assert trace_distance(a, b) == trace_distance(b, a)
 
     def test_triangle_inequality(self, rng):
         sig = signature(("x", 4), ("y", 4))
-        mats = [partial_trace(density_of(random_ket(sig, rng)), ("x",)) for _ in range(3)]
+        mats = [partial_trace(random_ket(sig, rng), ("x",)) for _ in range(3)]
         a, b, c = mats
         assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-12
 
     def test_matches_eigsum_oracle(self, rng):
         sig = signature(("x", 4), ("y", 4))
-        a = partial_trace(density_of(random_ket(sig, rng)), ("x",))
-        b = partial_trace(density_of(random_ket(sig, rng)), ("x",))
+        a = partial_trace(random_ket(sig, rng), ("x",))
+        b = partial_trace(random_ket(sig, rng), ("x",))
         assert trace_distance(a, b) == pytest.approx(
             trace_distance_eigsum(a.entries, b.entries), abs=1e-13
         )
+
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_stack_equals_batches_of_one_and_is_symmetric(self, rng, dim):
+        kets = rng.standard_normal((40, dim * dim)) + 1j * rng.standard_normal((40, dim * dim))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        r, s = reduced_states(kets, (dim, dim), (0,)).reshape(20, 2, dim, dim).swapaxes(0, 1)
+        stacked = trace_distances(r, s)
+        assert stacked.tobytes() == trace_distances(s, r).tobytes()
+        ones = [trace_distances(r[k:k + 1], s[k:k + 1]) for k in range(20)]
+        assert np.concatenate(ones).tobytes() == stacked.tobytes()
+        sig = signature(("x", dim))
+        for k in range(20):
+            assert stacked[k] == trace_distance(DensityMatrix(sig, r[k]), DensityMatrix(sig, s[k]))
 
     def test_signature_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -277,7 +313,7 @@ class TestEntropy:
         assert entropy(rho) == pytest.approx(1.0, abs=1e-14)
 
     def test_product_marginal_zero(self):
-        rho = partial_trace(density_of(tensor(Q0, PLUS)), ("q0",))
+        rho = partial_trace(tensor(Q0, PLUS), ("q0",))
         assert abs(entropy(rho)) < 1e-12
 
     def test_mixed_two_level(self):

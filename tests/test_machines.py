@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_ket
+import qclonelab.nosignal as nosig
+
+from conftest import basis_ket, deleter, random_ket, strong_cloner, wishful_cloner
 from oracles import kron_all
 from qclonelab.conservation import equivalence_unitary
-from qclonelab.core import Ket, basis_ket, density_of, partial_trace, signature, tensor
+from qclonelab.core import Ket, density_of, partial_trace, signature, tensor
 from qclonelab.machines import (
     MODE_LINEAR,
     MODE_TERMWISE,
@@ -20,19 +22,9 @@ from qclonelab.machines import (
     apply_termwise,
     check_consistency,
     extend_to_isometry,
-    merge_specs,
-    preset_deleter,
-    preset_strong_cloner,
-    preset_wishful_cloner,
     random_isometry,
 )
-from qclonelab.states import StateFamily, kets_with_overlap, qubit_basis
-
-
-def strong_cloner(a, b, c, dim=4):
-    return preset_strong_cloner(
-        kets_with_overlap(a, 2), kets_with_overlap(b, 2), kets_with_overlap(c, 2 * dim), dim
-    )
+from qclonelab.states import StateFamily, basis_amplitudes
 
 
 class TestConsistency:
@@ -177,7 +169,7 @@ class TestApplyLinear:
         lm = random_isometry(signature(("m", 4)), signature(("n", 6)), rng)
         out = apply_linear(lm, state, ("b",))
         before = density_of(spectator).entries
-        after = partial_trace(density_of(out), ("al",)).entries
+        after = partial_trace(out, ("al",)).entries
         assert np.max(np.abs(before - after)) < 1e-12
 
     def test_no_signalling_entangled(self, rng):
@@ -186,9 +178,9 @@ class TestApplyLinear:
         lm = random_isometry(
             signature(("m1", 2), ("m2", 4)), signature(("n1", 4), ("n2", 3)), rng
         )
-        before = partial_trace(density_of(state), ("al",)).entries
+        before = partial_trace(state, ("al",)).entries
         moved = apply_linear(lm, state, ("b1", "b2"))
-        after = partial_trace(density_of(moved), ("al",)).entries
+        after = partial_trace(moved, ("al",)).entries
         assert np.max(np.abs(before - after)) < 1e-12
         assert moved.norm == pytest.approx(1.0, abs=1e-12)
 
@@ -313,22 +305,21 @@ class TestTermwiseRulesUpToPhase:
             apply_termwise(conflicting, self._probe(rng, anc), ("p", "q", "e"), expansion)
 
 
-class TestMergeSpecs:
-    def test_mode_mismatch_rejected(self):
-        a = preset_wishful_cloner(qubit_basis(0.0, 0.0), qubit_basis(0.0, 0.0))
-        b = strong_cloner(0.5, 0.5, 0.5)
-        with pytest.raises(ValueError, match="mode|signatures"):
-            merge_specs(a, b)
+def _same(theta, phi=0.0):
+    """Source and register bases both at Bloch angles (theta, phi)."""
+    return basis_amplitudes(theta, phi), basis_amplitudes(theta, phi)
 
+
+class TestMergeSpecs:
     def test_union_has_all_pairs(self):
-        a = preset_wishful_cloner(qubit_basis(0.0, 0.0), qubit_basis(0.0, 0.0))
-        b = preset_wishful_cloner(qubit_basis(0.5, 0.0), qubit_basis(0.5, 0.0))
-        assert len(merge_specs(a, b).pairs) == 8
+        # The two-basis wishful machine is the union of both bases' rules.
+        inputs, _ = nosig.wishful_machine_rules(np.array([[_same(0.0), _same(0.5)]]))
+        assert inputs.shape[1] == 8
 
 
 class TestWishfulPreset:
     def test_four_normalized_pairs(self):
-        spec = preset_wishful_cloner(qubit_basis(0.0, 0.0), qubit_basis(0.0, 0.0))
+        spec = wishful_cloner(_same(0.0))
         assert len(spec.pairs) == 4
         assert spec.mode == MODE_TERMWISE
         for x, y in spec.pairs:
@@ -336,10 +327,9 @@ class TestWishfulPreset:
             assert y.norm == pytest.approx(1.0, abs=1e-12)
 
     def test_first_rule_output_is_double_copy(self):
-        psi = qubit_basis(0.9, 0.4)
-        alpha = qubit_basis(1.3, 2.0)
-        spec = preset_wishful_cloner(psi, alpha)
-        p = psi.primary.amplitudes
+        psi = basis_amplitudes(0.9, 0.4)
+        spec = wishful_cloner((psi, basis_amplitudes(1.3, 2.0)))
+        p = psi[0]
         c1 = np.zeros(4, dtype=complex)
         c1[0] = 1.0
         np.testing.assert_allclose(spec.pairs[0][1].amplitudes, kron_all(p, p, c1), atol=1e-15)
@@ -348,22 +338,16 @@ class TestWishfulPreset:
         # Within one basis the four rules map an orthonormal set to an
         # orthonormal set, so the unphysical content only appears in the
         # two-basis union.
-        spec = preset_wishful_cloner(qubit_basis(0.7, 0.0), qubit_basis(0.7, 0.0))
+        spec = wishful_cloner(_same(0.7))
         assert check_consistency(spec).consistent
 
     def test_two_basis_union_inconsistent(self):
         for theta in (math.pi / 8, math.pi / 4, 3 * math.pi / 8):
-            union = merge_specs(
-                preset_wishful_cloner(qubit_basis(0.0, 0.0), qubit_basis(0.0, 0.0)),
-                preset_wishful_cloner(qubit_basis(theta, 0.0), qubit_basis(theta, 0.0)),
-            )
+            union = wishful_cloner(_same(0.0), _same(theta))
             assert not check_consistency(union).consistent
 
     def test_identical_bases_union_consistent(self):
-        b = qubit_basis(0.4, 0.2)
-        union = merge_specs(
-            preset_wishful_cloner(b, b), preset_wishful_cloner(b, b)
-        )
+        union = wishful_cloner(_same(0.4, 0.2), _same(0.4, 0.2))
         assert check_consistency(union).consistent
 
 
@@ -395,13 +379,13 @@ class TestStrongClonerPreset:
 
 class TestDeleterPreset:
     def test_orthogonal_consistent(self):
-        spec = preset_deleter(kets_with_overlap(0.0, 2), kets_with_overlap(0.0, 4))
+        spec = deleter(0.0, 0.0)
         assert check_consistency(spec).consistent
 
     def test_squared_ancilla_overlap_inconsistent(self):
         # Input Gram a^2 against output a*a^2: information fails to persist.
         a = 0.7
-        spec = preset_deleter(kets_with_overlap(a, 2), kets_with_overlap(a * a, 4))
+        spec = deleter(a, a * a)
         report = check_consistency(spec)
         assert report.max_deviation == pytest.approx(abs(a**2 - a**3), abs=1e-12)
         assert not report.consistent
@@ -409,7 +393,7 @@ class TestDeleterPreset:
     def test_matching_ancilla_overlap_consistent(self, rng):
         for _ in range(50):
             a = rng.uniform(0.0, 1.0)
-            spec = preset_deleter(kets_with_overlap(a, 2), kets_with_overlap(a, 4))
+            spec = deleter(a, a)
             assert check_consistency(spec).consistent
 
 

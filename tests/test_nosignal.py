@@ -3,35 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_basis_angles
+import qclonelab.nosignal as nosig
+from conftest import random_basis_angles, wishful_cloner
 from oracles import (
     trace_distance_eigsum,
     wishful_after_state,
     wishful_bob_mixture,
 )
-from qclonelab.core import density_of, partial_trace, signature, trace_distance
-from qclonelab.machines import random_isometry
-from qclonelab.nosignal import (
-    bob_marginal_after,
-    bob_marginal_before,
-    build_scenario,
-    default_wishful_machine,
-    signalling_magnitude,
-)
-from qclonelab.states import qubit_basis
+from qclonelab.core import Ket, eig_hermitian, partial_trace, signature, trace_distances
+from qclonelab.machines import apply_linear, apply_termwise, random_isometry
+from qclonelab.states import StateFamily, basis_amplitudes
+
+JOINT = signature(("pa", 2), ("pb", 2), ("aa", 2), ("ab", 2), ("env", 4))
 
 
 def scenario_with_angles(theta1, theta2, phi=0.0):
-    return build_scenario(
-        (qubit_basis(theta1, phi), qubit_basis(theta1, phi)),
-        (qubit_basis(theta2, phi), qubit_basis(theta2, phi)),
-    )
+    """Basis amplitudes of one scenario, both of basis 1's pairs at
+    (theta1, phi) and both of basis 2's at (theta2, phi)."""
+    b1, b2 = basis_amplitudes(theta1, phi), basis_amplitudes(theta2, phi)
+    return np.array([[[b1, b1], [b2, b2]]])
 
 
 def random_scenario(rng):
-    return build_scenario(
-        (qubit_basis(*random_basis_angles(rng)), qubit_basis(*random_basis_angles(rng))),
-        (qubit_basis(*random_basis_angles(rng)), qubit_basis(*random_basis_angles(rng))),
+    return np.array(
+        [[[basis_amplitudes(*random_basis_angles(rng)) for _ in range(2)] for _ in range(2)]]
     )
 
 
@@ -43,62 +38,67 @@ def random_bob_machine(rng, d_env=4, d_out=None):
     )
 
 
+def joint_ket(bases) -> Ket:
+    return Ket(JOINT, nosig.premachine(bases).joint[0])
+
+
+def signalling_magnitude(bases, lm=None) -> float:
+    machine = {} if lm is None else {"isometries": lm.matrix[None]}
+    return float(nosig.evaluate_batch(bases, **machine).signalling_magnitude[0])
+
+
+def wishful_after(bases, index) -> Ket:
+    """The termwise image of the joint state under the two-basis wishful
+    cloner, expanded in the product basis of Alice's choice ``index``."""
+    psi, alpha = bases[0, index - 1]
+    machine = wishful_cloner(*bases[0])
+    sig = signature(("src", 2), ("reg", 2))
+    expansion = StateFamily(tuple(Ket(sig, v) for v in nosig._products(psi, alpha)))
+    return apply_termwise(machine, joint_ket(bases), ("pb", "ab", "env"), expansion)
+
+
 class TestScenario:
     def test_bob_premachine_marginal_random_bases(self, rng):
         for _ in range(50):
-            s = random_scenario(rng)
-            dev = np.max(np.abs(bob_marginal_before(s).entries - np.eye(4) / 4))
+            marginal = nosig.premachine(random_scenario(rng)).marginal[0]
+            dev = np.max(np.abs(marginal - np.eye(4) / 4))
             assert dev < 1e-12
 
     def test_degenerate_equal_bases_allowed(self):
-        s = scenario_with_angles(0.9, 0.9)
-        assert s.joint.norm == pytest.approx(1.0, abs=1e-12)
+        joint = nosig.premachine(scenario_with_angles(0.9, 0.9)).joint[0]
+        assert np.linalg.norm(joint) == pytest.approx(1.0, abs=1e-12)
 
     def test_cross_basis_overlap(self):
         theta = 1.1
-        s = scenario_with_angles(0.0, theta)
-        got = abs(
-            np.vdot(s.basis(1)[0].primary.amplitudes, s.basis(2)[0].primary.amplitudes)
-        )
+        bases = scenario_with_angles(0.0, theta)
+        got = abs(np.vdot(bases[0, 0, 0, 0], bases[0, 1, 0, 0]))
         assert got == pytest.approx(math.cos(theta / 2), abs=1e-12)
 
 
 class TestBobMarginalAfter:
     def test_matches_bruteforce_mixture(self):
         for theta in (math.pi / 8, math.pi / 4, 3 * math.pi / 8):
-            s = scenario_with_angles(0.0, theta)
-            machine = default_wishful_machine(s)
+            marginals = nosig.evaluate_batch(scenario_with_angles(0.0, theta)).marginal_after
             for index in (1, 2):
-                got = bob_marginal_after(s, machine, index).entries
+                got = marginals[0, index - 1]
                 want = wishful_bob_mixture(0.0, theta, index)
                 assert np.max(np.abs(got - want)) < 1e-12
 
     def test_after_state_matches_branch_expansion(self):
         # The termwise image of the shared state is the four-branch vector
         # with the expansion signs kept.
-        from qclonelab.machines import apply_termwise
-        from qclonelab.nosignal import expansion_family
-
         theta = math.pi / 4
-        s = scenario_with_angles(0.0, theta)
-        machine = default_wishful_machine(s)
+        bases = scenario_with_angles(0.0, theta)
         for index in (1, 2):
-            after = apply_termwise(
-                machine, s.joint, ("pb", "ab", "env"), expansion_family(s, index)
-            )
+            after = wishful_after(bases, index)
             want = wishful_after_state(0.0, theta, index)
             assert np.max(np.abs(after.amplitudes - want)) < 1e-12
 
     def test_outcome_probabilities_quarter_each(self):
-        from qclonelab.machines import apply_termwise
-        from qclonelab.nosignal import expansion_family, _product_states
-
         theta = math.pi / 8
-        s = scenario_with_angles(0.0, theta)
-        machine = default_wishful_machine(s)
-        after = apply_termwise(machine, s.joint, ("pb", "ab", "env"), expansion_family(s, 1))
-        block = after.amplitudes.reshape(4, -1)
-        for outcome in _product_states(*s.basis(1)):
+        bases = scenario_with_angles(0.0, theta)
+        block = wishful_after(bases, 1).amplitudes.reshape(4, -1)
+        for outcome in nosig._products(*bases[0, 0]):
             p = np.linalg.norm(outcome.conj() @ block) ** 2
             assert p == pytest.approx(0.25, abs=1e-12)
 
@@ -110,54 +110,42 @@ class TestBobMarginalAfter:
                 assert np.max(np.abs(faithful - allplus)) < 1e-12
 
     def test_isometric_machine_index_independent(self, rng):
-        s = random_scenario(rng)
+        bases = random_scenario(rng)
         lm = random_bob_machine(rng)
-        m1 = bob_marginal_after(s, lm, 1)
-        m2 = bob_marginal_after(s, lm, 2)
-        assert trace_distance(m1, m2) < 1e-12
+        m = nosig.evaluate_batch(bases, isometries=lm.matrix[None]).marginal_after
+        assert trace_distances(m[0, 0], m[0, 1]) < 1e-12
 
     def test_marginals_are_density_matrices(self):
-        from qclonelab.core import eig_hermitian
-
-        s = scenario_with_angles(0.0, math.pi / 4)
-        machine = default_wishful_machine(s)
+        marginals = nosig.evaluate_batch(scenario_with_angles(0.0, math.pi / 4)).marginal_after
         for index in (1, 2):
-            marg = bob_marginal_after(s, machine, index)
-            assert abs(complex(np.trace(marg.entries)) - 1.0) < 1e-12
+            marg = marginals[0, index - 1]
+            assert abs(complex(np.trace(marg)) - 1.0) < 1e-12
             assert eig_hermitian(marg).eigenvalues.min() > -1e-12
-
-    def test_bad_index_rejected(self):
-        s = scenario_with_angles(0.0, 0.5)
-        with pytest.raises(ValueError, match="index"):
-            bob_marginal_after(s, default_wishful_machine(s), 3)
 
 
 class TestSignallingMagnitude:
     def test_zero_for_isometries(self, rng):
         worst = 0.0
         for _ in range(30):
-            s = random_scenario(rng)
+            bases = random_scenario(rng)
             lm = random_bob_machine(rng)
-            worst = max(worst, signalling_magnitude(s, lm))
+            worst = max(worst, signalling_magnitude(bases, lm))
         assert worst < 1e-12
 
     def test_zero_for_identical_bases(self, rng):
         theta, phi = random_basis_angles(rng)
-        s = scenario_with_angles(theta, theta, phi)
-        assert signalling_magnitude(s, default_wishful_machine(s)) < 1e-12
+        assert signalling_magnitude(scenario_with_angles(theta, theta, phi)) < 1e-12
 
     def test_positive_on_theta_grid(self):
         for theta in (math.pi / 8, math.pi / 4, 3 * math.pi / 8):
-            s = scenario_with_angles(0.0, theta)
-            mag = signalling_magnitude(s, default_wishful_machine(s))
+            mag = signalling_magnitude(scenario_with_angles(0.0, theta))
             assert mag > 1e-5
 
     def test_matches_bruteforce_and_closed_form(self):
         # Closed form for these defaults: half the trace norm of the
         # difference collapses to sqrt(1 - cos(theta/2)^4) / 2.
         for theta in (math.pi / 8, math.pi / 4, 3 * math.pi / 8):
-            s = scenario_with_angles(0.0, theta)
-            mag = signalling_magnitude(s, default_wishful_machine(s))
+            mag = signalling_magnitude(scenario_with_angles(0.0, theta))
             brute = trace_distance_eigsum(
                 wishful_bob_mixture(0.0, theta, 1), wishful_bob_mixture(0.0, theta, 2)
             )
@@ -167,11 +155,9 @@ class TestSignallingMagnitude:
             )
 
     def test_alice_marginal_unchanged_by_isometry(self, rng):
-        from qclonelab.machines import apply_linear
-
-        s = random_scenario(rng)
+        joint = joint_ket(random_scenario(rng))
         lm = random_bob_machine(rng, d_out=8)
-        before = partial_trace(density_of(s.joint), s.alice_labels).entries
-        moved = apply_linear(lm, s.joint, (*s.bob_labels, s.ancilla_label))
-        after = partial_trace(density_of(moved), s.alice_labels).entries
+        before = partial_trace(joint, ("pa", "aa")).entries
+        moved = apply_linear(lm, joint, ("pb", "ab", "env"))
+        after = partial_trace(moved, ("pa", "aa")).entries
         assert np.max(np.abs(before - after)) < 1e-12

@@ -265,7 +265,9 @@ class TestOneEvaluationPerQuantity:
 
         for key in ("evaluate_batch", "premachine", "eig_hermitian_batch"):
             monkeypatch.setattr(nosig, key, counted(key, getattr(nosig, key)))
-        monkeypatch.setattr(core, "eig_hermitian", counted("eig_hermitian", core.eig_hermitian))
+        # The differences' spectrum is taken inside core.trace_distances.
+        for key in ("eig_hermitian_batch", "eig_hermitian"):
+            monkeypatch.setattr(core, key, counted(key, getattr(core, key)))
         cfg = load_config(str(CONFIGS / f"{name}.cfg"))
         report = scenarios.run_config(cfg)
         assert calls == dict(zip(keys, (1, 1, 2, 0)))
@@ -274,7 +276,7 @@ class TestOneEvaluationPerQuantity:
         calls.update(dict.fromkeys(calls, 0))
         reports = scenarios.run_configs(grid_points(cfg, ["basis2.theta=0:3.1:0.1"]))
         assert len(reports) == 32
-        chunks = -(-32 // max(1, nosig._CHUNK_ENTRIES // 16**2))  # 16x16 Bob marginals
+        chunks = -(-32 // max(1, core.CHUNK_ENTRIES // 16**2))  # 16x16 Bob marginals
         assert calls == dict(zip(keys, (1, 1, 2 * chunks, 0)))
 
 

@@ -5,46 +5,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_basis_angles, random_ket
+from conftest import basis_ket, random_basis_angles, random_ket
 from oracles import bloch_pair, kron_all
 from qclonelab.core import (
     Ket,
-    basis_ket,
-    density_of,
     eig_hermitian,
     inner,
-    partial_trace,
+    kron_stack,
+    reduced_states,
     signature,
-    tensor,
 )
-from qclonelab.states import (
-    StateFamily,
-    gram,
-    has_orthogonal_pair,
-    kets_with_overlap,
-    qubit_basis,
-    singlet,
-)
+from qclonelab.nosignal import _singlets
+from qclonelab.states import StateFamily, basis_amplitudes, gram, kets_with_overlap
+from qclonelab.tolerances import ASSERT_TOL
 
 
 class TestQubitBasis:
     def test_computational(self):
-        pair = qubit_basis(0.0, 0.0)
-        np.testing.assert_allclose(pair.primary.amplitudes, [1, 0])
-        np.testing.assert_allclose(pair.complement.amplitudes, [0, 1])
+        primary, complement = basis_amplitudes(0.0, 0.0)
+        np.testing.assert_allclose(primary, [1, 0])
+        np.testing.assert_allclose(complement, [0, 1])
 
     def test_hadamard_angle(self):
-        pair = qubit_basis(math.pi / 2, 0.0)
+        primary, complement = basis_amplitudes(math.pi / 2, 0.0)
         r = 1 / math.sqrt(2)
-        np.testing.assert_allclose(pair.primary.amplitudes, [r, r], atol=1e-15)
-        np.testing.assert_allclose(pair.complement.amplitudes, [-r, r], atol=1e-15)
-        assert abs(inner(pair.primary, pair.complement)) < 1e-15
+        np.testing.assert_allclose(primary, [r, r], atol=1e-15)
+        np.testing.assert_allclose(complement, [-r, r], atol=1e-15)
+        assert abs(np.vdot(primary, complement)) < 1e-15
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            qubit_basis(-0.1, 0.0)
+            basis_amplitudes(-0.1, 0.0)
         with pytest.raises(ValueError):
-            qubit_basis(0.5, 7.0)
+            basis_amplitudes(0.5, 7.0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -52,42 +45,45 @@ class TestQubitBasis:
         st.floats(0.0, 2 * math.pi, exclude_max=True, allow_nan=False),
     )
     def test_always_orthonormal(self, theta, phi):
-        pair = qubit_basis(theta, phi)
-        assert pair.primary.norm == pytest.approx(1.0, abs=1e-12)
-        assert pair.complement.norm == pytest.approx(1.0, abs=1e-12)
-        assert abs(inner(pair.primary, pair.complement)) < 1e-12
+        primary, complement = basis_amplitudes(theta, phi)
+        assert np.linalg.norm(primary) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(complement) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(primary, complement)) < 1e-12
 
     def test_overlap_with_pole(self):
         theta = 1.234
-        got = abs(inner(qubit_basis(0.0, 0.0).primary, qubit_basis(theta, 0.0).primary))
+        got = abs(np.vdot(basis_amplitudes(0.0, 0.0)[0], basis_amplitudes(theta, 0.0)[0]))
         assert got == pytest.approx(math.cos(theta / 2), abs=1e-12)
+
+
+def singlet(theta, phi, labels=("u", "v")) -> Ket:
+    """The singlet of the basis pair at Bloch angles (theta, phi)."""
+    return Ket(signature((labels[0], 2), (labels[1], 2)), _singlets(basis_amplitudes(theta, phi)))
 
 
 class TestSinglet:
     def test_computational_amplitudes(self):
-        s = singlet(qubit_basis(0.0, 0.0), ("u", "v"))
+        s = _singlets(basis_amplitudes(0.0, 0.0))
         r = 1 / math.sqrt(2)
-        np.testing.assert_allclose(s.amplitudes, [0, r, -r, 0])
+        np.testing.assert_allclose(s, [0, r, -r, 0])
 
     def test_duplicate_labels(self):
         with pytest.raises(ValueError, match="u"):
-            singlet(qubit_basis(0.0, 0.0), ("u", "u"))
+            singlet(0.0, 0.0, ("u", "u"))
 
     def test_basis_invariance_50_random(self, rng):
         worst = 0.0
         for _ in range(50):
-            b1 = qubit_basis(*random_basis_angles(rng))
-            b2 = qubit_basis(*random_basis_angles(rng))
-            ov = abs(inner(singlet(b1, ("u", "v")), singlet(b2, ("u", "v"))))
-            worst = max(worst, abs(1.0 - ov))
+            s1 = _singlets(basis_amplitudes(*random_basis_angles(rng)))
+            s2 = _singlets(basis_amplitudes(*random_basis_angles(rng)))
+            worst = max(worst, abs(1.0 - abs(np.vdot(s1, s2))))
         assert worst < 1e-10
 
     def test_marginals_maximally_mixed(self, rng):
-        b = qubit_basis(*random_basis_angles(rng))
-        s = singlet(b, ("u", "v"))
-        for keep in ("u", "v"):
+        s = _singlets(basis_amplitudes(*random_basis_angles(rng)))
+        for keep in (0, 1):
             np.testing.assert_allclose(
-                partial_trace(density_of(s), (keep,)).entries, np.eye(2) / 2, atol=1e-13
+                reduced_states(s, (2, 2), (keep,)), np.eye(2) / 2, atol=1e-13
             )
 
     def test_two_singlet_product_matches_termwise_expansion(self, rng):
@@ -95,9 +91,8 @@ class TestSinglet:
         # (+, -, -, +)/2 sign pattern over the four basis products.
         th, ph = random_basis_angles(rng)
         th2, ph2 = random_basis_angles(rng)
-        got = tensor(
-            singlet(qubit_basis(th, ph), ("pa", "pb")),
-            singlet(qubit_basis(th2, ph2), ("aa", "ab")),
+        got = kron_stack(
+            _singlets(basis_amplitudes(th, ph)), _singlets(basis_amplitudes(th2, ph2))
         )
         psi, psibar = bloch_pair(th, ph)
         al, albar = bloch_pair(th2, ph2)
@@ -107,7 +102,7 @@ class TestSinglet:
             - kron_all(psibar, psi, al, albar)
             + kron_all(psibar, psi, albar, al)
         )
-        np.testing.assert_allclose(got.amplitudes, want, atol=1e-14)
+        np.testing.assert_allclose(got, want, atol=1e-14)
 
 
 class TestGram:
@@ -137,6 +132,12 @@ class TestGram:
         sig = signature(("x", 4))
         fam = StateFamily(tuple(random_ket(sig, rng) for _ in range(3)))
         assert eig_hermitian(gram(fam)).eigenvalues.min() > -1e-10
+
+
+def has_orthogonal_pair(family: StateFamily) -> bool:
+    """Whether two members have a Gram entry below the assertion tolerance."""
+    g = np.abs(gram(family))
+    return bool(np.any(g[np.triu_indices(len(family), 1)] < ASSERT_TOL))
 
 
 class TestOrthogonalPair:
