@@ -28,23 +28,42 @@ from .core import (
 )
 from .machines import (
     LinearMachine,
+    gram_comparison,
+    haar_draw,
+    haar_isometries,
+    images,
     isometry_matrix_from_pairs,
-    random_isometry,
+    require_isometries,
     strong_cloner_rules,
 )
-from .states import StateFamily, gram, gram_stack, overlap_pair_amplitudes, random_ket
+from .states import StateFamily, gram_stack, overlap_pair_amplitudes, random_amplitudes
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
 
 class GramMismatch(ValueError):
     """The two families' Gram matrices differ; no unitary can relate them."""
 
-    def __init__(self, max_deviation: float):
-        super().__init__(f"Gram matrices differ by {max_deviation:g}")
+    def __init__(self, max_deviation: float, where: str = ""):
+        super().__init__(f"Gram matrices differ by {max_deviation:g}{where}")
         self.max_deviation = max_deviation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class EquivalenceBatch:
+    """Results of :func:`equivalence_batch`, stacked over the trials (axis
+    0): the isometries (n, d', d), the Gram matrices of the source families
+    (n, K, K), and the guards' measures (n,): the largest entrywise
+    deviation of the target families' Gram matrices, the member residuals
+    max_k |U f_k - g_k| and the deviations of U^dag U from the identity."""
+
+    isometries: np.ndarray
+    family_gram: np.ndarray
+    gram_deviation: np.ndarray
+    member_residual: np.ndarray
+    isometry_residual: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class EquivalenceRoundtrip:
     """A random family, its image under a hidden random isometry, and how
     well :func:`equivalence_unitary` recovers the map from Gram data."""
@@ -57,7 +76,7 @@ class EquivalenceRoundtrip:
     isometry_residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConservationBatch:
     """Results of :func:`evaluate_batch`, stacked over the batch (axis 0).
 
@@ -129,9 +148,9 @@ def _marginals(a, b, c, weight, ancilla_dim: int):
 
     def fail(error, message: str, bad: np.ndarray):
         if np.any(bad):
-            k, _ = first_failure(bad.reshape(len(a), -1).any(axis=1))
+            k, where = first_failure(bad.reshape(len(a), -1).any(axis=1))
             raise error(
-                f"{message} at point {k} (a={complex(a[k])!r}, b={complex(b[k])!r}, "
+                f"{message}{where} (a={complex(a[k])!r}, b={complex(b[k])!r}, "
                 f"c={complex(c[k])!r}, weight={float(w[k])!r})"
             )
 
@@ -218,47 +237,70 @@ def lambda_after(a: complex, c: complex, branch_weight: float = 0.5) -> float:
     return _lambda_max(abs(complex(a)) ** 2 * abs(complex(c)), branch_weight)
 
 
+def equivalence_batch(
+    family: np.ndarray,
+    moved: np.ndarray,
+    tol: float = ASSERT_TOL,
+    residual_tol: float = 1e-8,
+) -> EquivalenceBatch:
+    """Isometries U with U f_k = g_k for stacked Gram-equal families,
+    ``family`` (n, K, d) and ``moved`` (n, K, d'), from one stacked
+    :func:`~qclonelab.machines.isometry_matrix_from_pairs`.  Guards, each
+    naming the first failing trial: normalized members, agreeing Gram
+    matrices (:class:`GramMismatch`), those of the isometry construction,
+    and member residuals within ``residual_tol``."""
+    if family.shape[-2] != moved.shape[-2]:
+        raise ValueError(f"family sizes differ: {family.shape[-2]} vs {moved.shape[-2]}")
+    if moved.shape[-1] < family.shape[-1]:
+        raise ValueError(
+            f"target dimension {moved.shape[-1]} is smaller than source {family.shape[-1]}"
+        )
+    family_gram, _, dev = gram_comparison(family, moved, tol)
+    bad = dev > tol
+    if np.any(bad):
+        k, where = first_failure(bad)
+        raise GramMismatch(float(dev[k]), where)
+    mats, residual, isometry_residual = isometry_matrix_from_pairs(family, moved, tol)
+    bad = residual > residual_tol
+    if np.any(bad):
+        k, where = first_failure(bad)
+        raise ArithmeticError(
+            f"member reconstruction residual {float(residual[k]):g} exceeds "
+            f"{residual_tol:g}{where}"
+        )
+    return EquivalenceBatch(mats, family_gram, dev, residual, isometry_residual)
+
+
 def equivalence_unitary(
     f: StateFamily,
     g: StateFamily,
     tol: float = ASSERT_TOL,
     residual_tol: float = 1e-8,
 ) -> LinearMachine:
-    """Constructive isometry U with U f_k = g_k for Gram-equal families."""
-    return _equivalence(f, g, tol, residual_tol)[0]
+    """Constructive isometry U with U f_k = g_k for Gram-equal families.  A
+    batch of one of :func:`equivalence_batch`."""
+    family = np.stack([k.amplitudes for k in f.members])
+    moved = np.stack([k.amplitudes for k in g.members])
+    batch = equivalence_batch(family[None], moved[None], tol, residual_tol)
+    return LinearMachine(batch.isometries[0], f.signature, g.signature)
 
 
-def _equivalence(
-    f: StateFamily, g: StateFamily, tol: float = ASSERT_TOL, residual_tol: float = 1e-8
-):
-    """The isometry of :func:`equivalence_unitary`, with what its guards
-    measure: the Gram matrix of ``f``, the largest entrywise deviation of
-    ``g``'s from it, and the largest member residual |U f_k - g_k|."""
-    if len(f) != len(g):
-        raise ValueError(f"family sizes differ: {len(f)} vs {len(g)}")
-    if g.signature.dim < f.signature.dim:
-        raise ValueError(
-            f"target dimension {g.signature.dim} is smaller than source {f.signature.dim}"
-        )
-    family_gram = gram(f)
-    dev = float(np.max(np.abs(family_gram - gram(g))))
-    if dev > tol:
-        raise GramMismatch(dev)
-    mat = isometry_matrix_from_pairs(
-        [k.amplitudes for k in f.members],
-        [k.amplitudes for k in g.members],
-        f.signature.dim,
-        g.signature.dim,
-        tol,
-    )
-    lm = LinearMachine(mat, f.signature, g.signature)  # guards the isometry
-    worst = max(
-        float(np.max(np.abs(mat @ x.amplitudes - y.amplitudes)))
-        for x, y in zip(f.members, g.members)
-    )
-    if worst > residual_tol:
-        raise ArithmeticError(f"member reconstruction residual {worst:g} exceeds {residual_tol:g}")
-    return lm, family_gram, dev, worst
+def roundtrip_draws(dim: int, target_dim: int, size: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of one round trip, in order: ``size`` random kets in
+    dimension ``dim`` (size, dim), then the Gaussian draw (target_dim, dim)
+    of the hidden isometry into ``target_dim``."""
+    family = np.array([random_amplitudes(dim, rng) for _ in range(size)])
+    return family, haar_draw(dim, target_dim, rng)
+
+
+def roundtrips(families: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, EquivalenceBatch]:
+    """Stacked round trips of one shape: each family (n, K, d) moved by the
+    Haar isometry of its draw (n, d', d), and isometries recovered from the
+    two families alone.  Returns the moved families and the recovery."""
+    hidden = haar_isometries(draws)
+    require_isometries(hidden)
+    moved = images(hidden, families)
+    return moved, equivalence_batch(families, moved)
 
 
 def equivalence_roundtrip(dim: int, target_dim: int, size: int, rng) -> EquivalenceRoundtrip:
@@ -266,13 +308,16 @@ def equivalence_roundtrip(dim: int, target_dim: int, size: int, rng) -> Equivale
     isometry into ``target_dim``, and recover an isometry from the two
     families alone.  Records the Gram deviation and member residual that
     :func:`equivalence_unitary` measures for its guards, and the deviation
-    of U^dag U from the identity that the isometry guard measures."""
-    sig_f = signature(("x", dim))
-    sig_g = signature(("y", target_dim))
-    family = StateFamily(tuple(random_ket(sig_f, rng) for _ in range(size)))
-    hide = random_isometry(sig_f, sig_g, rng)
-    moved = StateFamily(tuple(Ket(sig_g, hide.matrix @ k.amplitudes) for k in family.members))
-    lm, family_gram, gram_deviation, member_residual = _equivalence(family, moved)
+    of U^dag U from the identity that the isometry guard measures.  A batch
+    of one of :func:`roundtrips`."""
+    family, draw = roundtrip_draws(dim, target_dim, size, rng)
+    moved, found = roundtrips(family[None], draw[None])
+    sig_f, sig_g = signature(("x", dim)), signature(("y", target_dim))
     return EquivalenceRoundtrip(
-        family, moved, family_gram, gram_deviation, member_residual, lm.isometry_residual
+        StateFamily(tuple(Ket(sig_f, k) for k in family)),
+        StateFamily(tuple(Ket(sig_g, k) for k in moved[0])),
+        found.family_gram[0],
+        float(found.gram_deviation[0]),
+        float(found.member_residual[0]),
+        float(found.isometry_residual[0]),
     )

@@ -3,7 +3,8 @@
 States are amplitude vectors indexed row-major over an ordered list of
 labeled subsystems, so ``|q0 q1>`` puts the q0 index on the slow axis.
 Values are immutable after construction and every operation is a pure
-function.  The stacked kernels (:func:`reduced_states`,
+function; records holding arrays compare by identity, since arrays have no
+single truth value for ``==``.  The stacked kernels (:func:`reduced_states`,
 :func:`trace_distances`, :func:`eig_hermitian_batch`) carry the arithmetic;
 the per-object functions are batches of one of them.
 """
@@ -11,6 +12,8 @@ the per-object functions are batches of one of them.
 from __future__ import annotations
 
 import math
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +87,7 @@ def signature(*entries: tuple[str, int]) -> SubsystemSignature:
     return SubsystemSignature(tuple(entries))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ket:
     """State vector over a signature; row-major amplitude order.
 
@@ -116,7 +119,7 @@ class Ket:
         return self.amplitudes.reshape(self.signature.dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian unit-trace operator over a signature.
 
@@ -142,7 +145,7 @@ class DensityMatrix:
         object.__setattr__(self, "entries", _frozen(mat))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
 
@@ -231,6 +234,38 @@ def first_failure(bad) -> tuple[int, str]:
     bad = np.asarray(bad)
     k = int(np.argmax(bad.reshape(-1)))
     return k, ("" if bad.size == 1 else f" at batch index {k}")
+
+
+# The suffix of first_failure, and the chunk that a chunked kernel
+# (nosignal.evaluate_batch) appends to it.
+_NAMED_INDEX = re.compile(
+    r" at batch index (\d+)(?: \(in the chunk of points (\d+) to \d+\))?"
+    r"| \(in the chunk of points (\d+) to \d+\)"
+)
+
+
+@contextmanager
+def failures_named(label: str, indices):
+    """Rename the error of a batch guard raised in the block to say where
+    the failing batch entry came from: ``indices[k]`` is the caller's name
+    for entry k, and the message says ``at {label} {indices[k]}`` where it
+    named batch index k (plus the chunk's first point).  A batch of one
+    names no index, so its entry is taken to be the first; an error that
+    names no entry of a larger batch passes as it is."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as exc:
+        found = _NAMED_INDEX.search(str(exc))
+        if found is None and len(indices) > 1:
+            raise
+        k = 0 if found is None else int(found[1] or 0) + int(found[2] or found[3] or 0)
+        named = f" at {label} {indices[k]}"
+        message = str(exc) + named if found is None else _NAMED_INDEX.sub(named, str(exc), 1)
+        # A copy without __init__, which may take other arguments than the message.
+        renamed = type(exc).__new__(type(exc))
+        renamed.__dict__.update(vars(exc))
+        renamed.args = (message,)
+        raise renamed from exc
 
 
 def _require_hermitian(mat: np.ndarray, tol: float) -> np.ndarray:

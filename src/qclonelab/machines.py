@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CHUNK_ENTRIES, Ket, SubsystemSignature, first_failure, kron_stack, signature
-from .states import StateFamily, gram, gram_stack
+from .states import StateFamily, gram_stack
 from .tolerances import ASSERT_TOL
 
 MODE_LINEAR = "linear-extension"
@@ -31,10 +31,10 @@ MODES = (MODE_LINEAR, MODE_TERMWISE)
 class InconsistentGram(ValueError):
     """Declared pairs do not preserve the Gram matrix; carries the report."""
 
-    def __init__(self, report: "ConsistencyReport"):
+    def __init__(self, report: "ConsistencyReport", where: str = ""):
         super().__init__(
             f"input/output Gram matrices differ by {report.max_deviation:g}; "
-            "no isometry can realize these pairs"
+            f"no isometry can realize these pairs{where}"
         )
         self.report = report
 
@@ -49,7 +49,7 @@ class ConflictingRules(ValueError):
     different outputs, so a termwise application has no single reading."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MachineSpec:
     """Finite set of declared input -> output ket pairs plus an application mode."""
 
@@ -78,14 +78,8 @@ class MachineSpec:
             x.require_normalized()
             y.require_normalized()
 
-    def inputs(self) -> StateFamily:
-        return StateFamily(tuple(x for x, _ in self.pairs))
 
-    def outputs(self) -> StateFamily:
-        return StateFamily(tuple(y for _, y in self.pairs))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearMachine:
     """Isometry between labeled spaces; columns are orthonormal.  Keeps the
     largest entrywise deviation of M^dag M from the identity that its
@@ -94,7 +88,7 @@ class LinearMachine:
     matrix: np.ndarray = field(repr=False)
     input_signature: SubsystemSignature
     output_signature: SubsystemSignature
-    isometry_residual: float = field(init=False, repr=False, compare=False)
+    isometry_residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -107,7 +101,7 @@ class LinearMachine:
         object.__setattr__(self, "matrix", mat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConsistencyReport:
     """Gram-matrix comparison between declared inputs and outputs."""
 
@@ -126,9 +120,16 @@ class ConsistencyReport:
 def require_isometries(mats: np.ndarray, tol: float = ASSERT_TOL) -> np.ndarray:
     """Check that every matrix of a stack (..., out, in), or a single matrix,
     has orthonormal columns within ``tol``, naming the first that does not.
-    Returns the largest entrywise deviations of M^dag M from the identity."""
-    gram_dev = np.swapaxes(mats, -1, -2).conj() @ mats - np.eye(mats.shape[-1])
-    dev = np.abs(gram_dev).max(axis=(-2, -1))
+    Returns the largest entrywise deviations of M^dag M from the identity,
+    measured a chunk of ``CHUNK_ENTRIES`` entries at a time."""
+    stack = mats.reshape(-1, *mats.shape[-2:])
+    step = max(1, CHUNK_ENTRIES // stack[0].size)
+    dev = np.empty(len(stack))
+    for start in range(0, len(stack), step):
+        part = stack[start:start + step]
+        gram_dev = np.swapaxes(part, -1, -2).conj() @ part - np.eye(mats.shape[-1])
+        dev[start:start + step] = np.abs(gram_dev).max(axis=(-2, -1))
+    dev = dev.reshape(mats.shape[:-2])
     bad = dev > tol
     if bad.any():
         k, where = first_failure(bad)
@@ -161,58 +162,107 @@ def check_consistency(m: MachineSpec, tol: float = ASSERT_TOL) -> ConsistencyRep
     return ConsistencyReport(g_in, g_out, dev, dev < tol)
 
 
-def isometry_matrix_from_pairs(
-    xs: list[np.ndarray],
-    ys: list[np.ndarray],
-    in_dim: int,
-    out_dim: int,
-    tol: float = ASSERT_TOL,
-) -> np.ndarray:
-    """Isometry M with M x_k = y_k, assuming the two Gram matrices agree.
+def images(mats: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Images M_n k_nj of stacked kets (n, K, d_in) under stacked matrices
+    (n, d_out, d_in), shape (n, K, d_out).  Each image is one matrix-vector
+    product, with the bits of ``M @ k``; a matrix product ``k @ M.T`` would
+    round differently."""
+    return (mats[:, None] @ kets[..., None])[..., 0]
 
-    With the pairs stacked as columns of X (in_dim x K) and Y (out_dim x K)
-    and the SVD X = A S B^H, equal Gram matrices make Y B S^-1 = W A_r for
-    the sought isometry W on the range of X (rank r, counted as in
-    ``np.linalg.matrix_rank``).  A QR factorization orthonormalizes Y B S^-1
-    and completes it to a basis of the output space; M maps the columns of
-    A onto that basis.  Rounding in column j of Y B S^-1 is of order
-    eps / s_j but reaches M X only through s_j, and QR, largest singular
-    value first, keeps it out of the earlier columns, so the residual stays
-    at rounding level however close the inputs are to dependent.  Pairs
-    that no isometry maps (dependent inputs whose outputs are not the
-    induced combination) leave a residual max|M X - Y| above ``tol`` and
-    are refused.
+
+def apply_isometries(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Stacked states (n, s, d_in), spectators on axis 1 and the acted
+    factors on axis 2, under stacked isometries (n, d_out, d_in): one
+    matrix product per state, shape (n, s, d_out)."""
+    return blocks @ np.swapaxes(mats, -1, -2)
+
+
+def isometry_matrix_from_pairs(inputs, outputs, tol: float = ASSERT_TOL):
+    """Isometries M with M x_k = y_k for stacked declared pairs, assuming
+    each slice's two Gram matrices agree.
+
+    ``inputs`` (n, K, d_in) and ``outputs`` (n, K, d_out) hold each
+    slice's declared kets.  With a slice's pairs as columns of X and Y and
+    the SVD X = A S B^H, equal Gram matrices make Y B S^-1 = W A_r for the
+    sought isometry W on the range of X (rank r, counted as in
+    ``np.linalg.matrix_rank``).  A QR factorization orthonormalizes
+    Y B S^-1 and completes it to a basis of the output space; M maps the
+    columns of A onto that basis.  Rounding in column j of Y B S^-1 is of
+    order eps / s_j but reaches M X only through s_j, and QR, largest
+    singular value first, keeps it out of the earlier columns, so the
+    residual stays at rounding level however close the inputs are to
+    dependent.
+
+    One SVD factors each chunk of the stack (of ``CHUNK_ENTRIES`` entries
+    per working array), and each group of a chunk's slices of equal rank
+    takes one complete QR; every slice gets the bits it gets in a stack of
+    one.  Returns the isometries (n, d_out, d_in), the residuals
+    max|M X - Y| (n,) with the images formed by :func:`images`, and the
+    deviations of M^dag M from the identity (n,).  Pairs that no isometry
+    maps (dependent inputs whose outputs are not the induced combination)
+    leave a residual above ``tol`` and raise
+    :class:`DependentInputsConflict`; it and the isometry guard name the
+    first failing slice.
     """
-    x = np.asarray(xs, dtype=complex).reshape(len(xs), in_dim).T
-    y = np.asarray(ys, dtype=complex).reshape(len(ys), out_dim).T
-    a, s, bh = np.linalg.svd(x)
-    rank = int(np.sum(s > s[0] * max(x.shape) * np.finfo(float).eps))
-    q, r = np.linalg.qr((y @ bh[:rank].conj().T) / s[:rank], mode="complete")
-    # Undo the phases QR puts on the diagonal of R, so q's columns match Y B S^-1.
-    q[:, :rank] *= np.exp(1j * np.angle(np.diagonal(r)[:rank]))
-    mat = q[:, :in_dim] @ a.conj().T
-    residual = float(np.max(np.abs(mat @ x - y)))
-    if not residual <= tol:
+    xs = np.asarray(inputs, dtype=complex)
+    ys = np.asarray(outputs, dtype=complex)
+    n, _, d_in = xs.shape
+    d_out = ys.shape[-1]
+    if d_out < d_in:
+        raise ValueError(
+            f"output dimension must be at least the input dimension ({d_out} < {d_in})"
+        )
+    mats = np.empty((n, d_out, d_in), dtype=complex)
+    # A slice holds at most d_out^2 entries in each working array.
+    step = max(1, CHUNK_ENTRIES // (d_out * d_out))
+    for start in range(0, n, step):
+        x = np.swapaxes(xs[start:start + step], -1, -2)
+        a, s, bh = np.linalg.svd(x)
+        rank = np.sum(s > s[:, :1] * max(d_in, x.shape[-1]) * np.finfo(float).eps, axis=-1)
+        for r in sorted(set(rank.tolist())):  # np.unique would import numpy.ma
+            group = np.nonzero(rank == r)[0]
+            y = np.swapaxes(ys[start + group], -1, -2)
+            sought = (y @ np.swapaxes(bh[group, :r].conj(), -1, -2)) / s[group, None, :r]
+            q, upper = np.linalg.qr(sought, mode="complete")
+            # Undo the phases QR puts on the diagonal of R, so q's columns match Y B S^-1.
+            phases = np.exp(1j * np.angle(np.diagonal(upper, axis1=-2, axis2=-1)[:, :r]))
+            q[..., :r] *= phases[:, None, :]
+            mats[start + group] = q[..., :d_in] @ np.swapaxes(a[group].conj(), -1, -2)
+    residual = np.max(np.abs(images(mats, xs) - ys), axis=(-2, -1))
+    bad = ~(residual <= tol)
+    if np.any(bad):
+        k, where = first_failure(bad)
         raise DependentInputsConflict(
             "declared outputs are not an isometric image of the declared inputs "
-            f"(residual {residual:g})"
+            f"(residual {float(residual[k]):g}){where}"
         )
-    return mat
+    return mats, residual, require_isometries(mats, tol)
+
+
+def extend_to_isometries(inputs, outputs, tol: float = ASSERT_TOL):
+    """Isometries extending stacked Gram-consistent declared pairs, inputs
+    (n, K, d_in) and outputs (n, K, d_out), to the whole input space.
+
+    Guards, each naming the first failing slice: normalized rule kets,
+    agreeing Gram matrices (:class:`InconsistentGram`), then those of
+    :func:`isometry_matrix_from_pairs`, whose results it returns.
+    """
+    g_in, g_out, dev = gram_comparison(inputs, outputs, tol)
+    bad = ~(dev < tol)
+    if np.any(bad):
+        k, where = first_failure(bad)
+        report = ConsistencyReport(g_in[k], g_out[k], float(dev[k]), False)
+        raise InconsistentGram(report, where)
+    return isometry_matrix_from_pairs(inputs, outputs, tol)
 
 
 def extend_to_isometry(m: MachineSpec, tol: float = ASSERT_TOL) -> LinearMachine:
-    """Extend a Gram-consistent machine to an isometry on the whole input space."""
-    report = check_consistency(m, tol)
-    if not report.consistent:
-        raise InconsistentGram(report)
-    mat = isometry_matrix_from_pairs(
-        [x.amplitudes for x, _ in m.pairs],
-        [y.amplitudes for _, y in m.pairs],
-        m.input_signature.dim,
-        m.output_signature.dim,
-        tol,
-    )
-    return LinearMachine(mat, m.input_signature, m.output_signature)
+    """Extend a Gram-consistent machine to an isometry on the whole input
+    space.  A batch of one of :func:`extend_to_isometries`."""
+    inputs = np.stack([x.amplitudes for x, _ in m.pairs])
+    outputs = np.stack([y.amplitudes for _, y in m.pairs])
+    mats, _, _ = extend_to_isometries(inputs[None], outputs[None], tol)
+    return LinearMachine(mats[0], m.input_signature, m.output_signature)
 
 
 def _split_spectators(state: Ket, acted_labels, machine_input: SubsystemSignature):
@@ -252,10 +302,10 @@ def apply_linear(lm: LinearMachine, state: Ket, acted_labels) -> Ket:
     """Apply an isometry to the acted factors, leaving spectators untouched.
 
     The result signature is the spectator labels (original order) followed by
-    the machine's output labels.
+    the machine's output labels.  A batch of one of :func:`apply_isometries`.
     """
     spectators, block = _split_spectators(state, acted_labels, lm.input_signature)
-    out = block @ lm.matrix.T
+    out = apply_isometries(lm.matrix[None], block[None])
     return Ket(_result_signature(spectators, lm.output_signature), out.reshape(-1))
 
 
@@ -324,11 +374,17 @@ def termwise_batch(blocks, basis, inputs, outputs, tol: float = ASSERT_TOL) -> n
     ``basis``, ``inputs`` and ``outputs`` are as in the rule table.  Each
     state is expanded over its basis, and every term carrying weight is
     replaced by its declared output with the coefficient (including sign)
-    kept.  Returns (n, s, d_out); every guard names the first failing point.
+    kept.  Returns (n, s, d_out); every guard names the first failing point,
+    starting with the orthonormality of each basis.
     """
-    table, covered, ancilla = _termwise_table(basis, inputs, outputs, tol)
     n, s, _ = blocks.shape
     d_exp = basis.shape[-1]
+    gram_dev = np.abs(np.swapaxes(basis, -1, -2).conj() @ basis - np.eye(d_exp))
+    bad = np.max(gram_dev, axis=(-2, -1)) > tol
+    if np.any(bad):
+        _, where = first_failure(bad)
+        raise ValueError(f"non-orthonormal expansion{where}")
+    table, covered, ancilla = _termwise_table(basis, inputs, outputs, tol)
     psi = blocks.reshape(n, s, d_exp, -1)
     branch = np.einsum("nek,nsea->nksa", basis.conj(), psi)
     weight = np.linalg.norm(branch, axis=(-2, -1)) > tol
@@ -390,10 +446,6 @@ def apply_termwise(
             f"expansion must contain {d_exp} states to span the acted factors, "
             f"got {len(expansion)}"
         )
-    g = gram(expansion)
-    if float(np.max(np.abs(g - np.eye(d_exp)))) > tol:
-        raise ValueError("non-orthonormal expansion")
-
     basis = np.stack([k.amplitudes for k in expansion.members], axis=1)  # (d_exp, d_exp)
     inputs = np.stack([x.amplitudes for x, _ in m.pairs])
     outputs = np.stack([y.amplitudes for _, y in m.pairs])

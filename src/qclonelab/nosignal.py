@@ -27,11 +27,11 @@ from .core import (
     reduced_states,
     trace_distances,
 )
-from .machines import require_isometries, termwise_batch, wishful_rules
+from .machines import apply_isometries, require_isometries, termwise_batch, wishful_rules
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Premachine:
     """Joint kets (n, 16 ancilla_dim), Bob's pre-machine marginals (n, 4, 4)
     and their largest entrywise deviations from I/4 (n,)."""
@@ -41,7 +41,7 @@ class Premachine:
     deviation: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NosignalBatch:
     """Results of :func:`evaluate_batch`, stacked over the batch (axis 0).
 
@@ -213,7 +213,7 @@ def _machine_stage(joint, bases, machine, ancilla_dim: int, tol: float) -> np.nd
     for k in (0, 1):
         outcomes = _products(bases[:, k, 0], bases[:, k, 1])
         if isinstance(machine, np.ndarray):
-            state = blocks @ np.swapaxes(machine, -1, -2)
+            state = apply_isometries(machine, blocks)
         else:
             basis = np.ascontiguousarray(np.swapaxes(outcomes, -1, -2))
             state = termwise_batch(blocks, basis, *machine, tol)

@@ -10,12 +10,14 @@ as stacked batches (see :func:`run_configs`).
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 
 from . import conservation as cons
 from . import nosignal as nosig
 from .config import ScenarioConfig
+from .core import failures_named
 from .machines import haar_draw, haar_isometries, wishful_signatures
 from .report import ScenarioReport, Verdict
 from .states import basis_amplitudes
@@ -180,19 +182,30 @@ def run_configs(cfgs: list[ScenarioConfig]) -> list[ScenarioReport]:
     """Reports for the configs, in order.  Conservation configs are evaluated
     as one batch per ``machine.ancilla_dim``, nosignal configs as one batch
     per machine mode, ``machine.ancilla_dim`` and ``tolerance.assert``;
-    gram-equivalence configs one at a time."""
+    gram-equivalence configs one at a time.  When there is more than one
+    config, a guard error names the failing config's index in ``cfgs`` (its
+    grid point) rather than its index within the batch."""
     reports: list[ScenarioReport | None] = [None] * len(cfgs)
     batches: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
         key = _batch_key(cfg)
         if key is None:
-            reports[i] = _run_gram_equivalence(cfg)
+            with _grid_points([i], len(cfgs)):
+                reports[i] = _run_gram_equivalence(cfg)
         else:
             batches.setdefault(key, []).append(i)
     for key, members in batches.items():
-        for i, report in zip(members, _BATCH_RUNNERS[key[0]]([cfgs[i] for i in members])):
+        with _grid_points(members, len(cfgs)):
+            group = _BATCH_RUNNERS[key[0]]([cfgs[i] for i in members])
+        for i, report in zip(members, group):
             reports[i] = report
     return reports
+
+
+def _grid_points(members: list[int], n_points: int):
+    """Guard errors of a batch of the configs ``members`` name the failing
+    grid point, unless the sweep has one point."""
+    return failures_named("grid point", members) if n_points > 1 else nullcontext()
 
 
 def run_config(cfg: ScenarioConfig) -> ScenarioReport:

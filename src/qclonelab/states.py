@@ -33,13 +33,18 @@ def basis_amplitudes(theta: float, phi: float = 0.0) -> np.ndarray:
     return np.array([[c, w * s], [-np.conj(w) * s, c]], dtype=complex)
 
 
+def random_amplitudes(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Normalized standard complex Gaussian amplitudes of dimension ``dim``."""
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return z / np.linalg.norm(z)
+
+
 def random_ket(sig: SubsystemSignature, rng: np.random.Generator) -> Ket:
     """Normalized ket with standard complex Gaussian amplitudes."""
-    z = rng.standard_normal(sig.dim) + 1j * rng.standard_normal(sig.dim)
-    return Ket(sig, z / np.linalg.norm(z))
+    return Ket(sig, random_amplitudes(sig.dim, rng))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateFamily:
     """Ordered list of normalized kets over one shared signature."""
 

@@ -17,40 +17,38 @@ from . import conservation as cons
 from . import nosignal as nosig
 from .config import DEFAULT_SEED
 from .core import (
-    Ket,
-    density_of,
-    eig_hermitian,
-    entropy,
+    eig_hermitian_batch,
+    entropy_bits,
+    failures_named,
     inner,
     kron_stack,
-    partial_trace,
     reduced_states,
     signature,
     tensor,
     trace_distances,
 )
 from .machines import (
-    MODE_LINEAR,
-    MachineSpec,
-    apply_linear,
-    apply_termwise,
+    apply_isometries,
     deleter_rules,
-    extend_to_isometry,
+    extend_to_isometries,
     gram_comparison,
     haar_draw,
     haar_isometries,
+    images,
     isometry_matrix_from_pairs,
-    random_isometry,
+    require_isometries,
     strong_cloner_rules,
+    termwise_batch,
     wishful_signatures,
 )
 from .report import Verdict
 from .states import (
     StateFamily,
     basis_amplitudes,
-    gram,
+    gram_stack,
     kets_with_overlap,
     overlap_pair_amplitudes,
+    random_amplitudes,
     random_ket,
 )
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
@@ -62,7 +60,7 @@ def _rng(seed: int, salt: int) -> np.random.Generator:
 
 def _random_kets(sig, rng, n: int) -> np.ndarray:
     """Amplitudes of n random kets, drawn one after another, shape (n, dim)."""
-    return np.array([random_ket(sig, rng).amplitudes for _ in range(n)])
+    return np.array([random_amplitudes(sig.dim, rng) for _ in range(n)])
 
 
 def _random_densities(rng, n: int, dim: int = 4) -> np.ndarray:
@@ -130,31 +128,21 @@ def _check_eig_reconstruction(seed):
     rng = _rng(seed, 6)
     dev = 0.0
     for n in (2, 8, 16):
-        for _ in range(5):
-            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            h = 0.5 * (z + z.conj().T)
-            spec = eig_hermitian(h)
-            recon = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
-            dev = max(dev, float(np.max(np.abs(h - recon))))
-            dev = max(
-                dev,
-                float(
-                    np.max(
-                        np.abs(
-                            spec.eigenvectors.conj().T @ spec.eigenvectors - np.eye(n)
-                        )
-                    )
-                ),
-            )
+        z = np.array([
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(5)
+        ])
+        h = 0.5 * (z + np.swapaxes(z, -1, -2).conj())
+        vals, vecs = eig_hermitian_batch(h)
+        adjoint = np.swapaxes(vecs, -1, -2).conj()
+        recon = (vecs * vals[:, None, :]) @ adjoint
+        dev = max(dev, float(np.max(np.abs(h - recon))))
+        dev = max(dev, float(np.max(np.abs(adjoint @ vecs - np.eye(n)))))
     return dev, RESIDUAL_TOL
 
 
 def _check_density_eigenvalue_range(seed):
-    dev = 0.0
-    for rho in _random_densities(_rng(seed, 7), 20):
-        vals = eig_hermitian(rho).eigenvalues
-        dev = max(dev, max(0.0, -float(vals.min())), max(0.0, float(vals.max()) - 1.0))
-    return dev, RESIDUAL_TOL
+    vals, _ = eig_hermitian_batch(_random_densities(_rng(seed, 7), 20))
+    return max(0.0, -float(vals.min()), float(vals.max()) - 1.0), RESIDUAL_TOL
 
 
 def _check_inner_factorizes(seed):
@@ -170,11 +158,9 @@ def _check_inner_factorizes(seed):
 
 
 def _check_entropy_pure_zero(seed):
-    rng = _rng(seed, 9)
-    dev = 0.0
-    for _ in range(20):
-        dev = max(dev, abs(entropy(density_of(random_ket(signature(("x", 5)), rng)))))
-    return dev, RESIDUAL_TOL
+    kets = _random_kets(signature(("x", 5)), _rng(seed, 9), 20)
+    projectors = kets[:, :, None] * kets.conj()[:, None, :]
+    return float(np.max(np.abs(entropy_bits(eig_hermitian_batch(projectors)[0])))), RESIDUAL_TOL
 
 
 def _check_singlet_invariance(seed):
@@ -194,25 +180,30 @@ def _check_singlet_marginal(seed):
 
 def _check_gram_psd(seed):
     rng = _rng(seed, 12)
-    sig = signature(("x", 4))
-    dev = 0.0
-    for _ in range(20):
-        fam = StateFamily(tuple(random_ket(sig, rng) for _ in range(3)))
-        vals = eig_hermitian(gram(fam)).eigenvalues
-        dev = max(dev, max(0.0, -float(vals.min())))
-    return dev, ASSERT_TOL
+    families = np.array([_random_kets(signature(("x", 4)), rng, 3) for _ in range(20)])
+    vals, _ = eig_hermitian_batch(gram_stack(families))
+    return max(0.0, -float(vals.min())), ASSERT_TOL
+
+
+def _random_isometries(draws) -> np.ndarray:
+    """Guarded Haar isometries of stacked Gaussian draws."""
+    isometries = haar_isometries(np.array(draws))
+    require_isometries(isometries)
+    return isometries
 
 
 def _check_gram_unitary_invariance(seed):
     rng = _rng(seed, 13)
     sig = signature(("x", 5))
-    dev = 0.0
+    families, draws = [], []
     for _ in range(10):
-        fam = StateFamily(tuple(random_ket(sig, rng) for _ in range(4)))
-        u = random_isometry(sig, signature(("y", 5)), rng)
-        moved = StateFamily(tuple(apply_linear(u, k, ("x",)) for k in fam.members))
-        dev = max(dev, float(np.max(np.abs(gram(fam) - gram(moved)))))
-    return dev, RESIDUAL_TOL
+        families.append(_random_kets(sig, rng, 4))
+        draws.append(haar_draw(5, 5, rng))
+    families = np.array(families)
+    # Each of the 40 kets is a state of its own, moved as one.
+    u = np.repeat(_random_isometries(draws), 4, axis=0)
+    moved = apply_isometries(u, families.reshape(40, 1, 5)).reshape(10, 4, 5)
+    return float(np.max(np.abs(gram_stack(families) - gram_stack(moved)))), RESIDUAL_TOL
 
 
 def _check_overlap_roundtrip(seed):
@@ -225,28 +216,18 @@ def _check_overlap_roundtrip(seed):
     return dev, RESIDUAL_TOL
 
 
-def _random_consistent_spec(rng, n_pairs=4, dim_in=8, dim_out=12) -> MachineSpec:
-    sig_in = signature(("x", dim_in))
-    sig_out = signature(("y", dim_out))
-    hide = random_isometry(sig_in, sig_out, rng)
-    xs = [random_ket(sig_in, rng) for _ in range(n_pairs)]
-    pairs = tuple((x, Ket(sig_out, hide.matrix @ x.amplitudes)) for x in xs)
-    return MachineSpec(sig_in, sig_out, pairs, MODE_LINEAR)
-
-
 def _check_isometry_extension(seed):
+    # Four random kets in dimension 8 per trial, declared to map to their
+    # images under a hidden random isometry into dimension 12.
     rng = _rng(seed, 14)
-    dev = 0.0
+    draws, inputs = [], []
     for _ in range(20):
-        spec = _random_consistent_spec(rng)
-        lm = extend_to_isometry(spec)
-        for x, y in spec.pairs:
-            dev = max(dev, float(np.max(np.abs(lm.matrix @ x.amplitudes - y.amplitudes))))
-        gram_dev = np.max(
-            np.abs(lm.matrix.conj().T @ lm.matrix - np.eye(spec.input_signature.dim))
-        )
-        dev = max(dev, float(gram_dev))
-    return dev, ASSERT_TOL
+        draws.append(haar_draw(8, 12, rng))
+        inputs.append(_random_kets(signature(("x", 8)), rng, 4))
+    inputs = np.array(inputs)
+    outputs = images(_random_isometries(draws), inputs)
+    _, residual, isometry_dev = extend_to_isometries(inputs, outputs)
+    return float(max(np.max(residual), np.max(isometry_dev))), ASSERT_TOL
 
 
 def _strong_cloner_deviation(a, b, c) -> np.ndarray:
@@ -295,52 +276,49 @@ def _check_deleter_boundary(seed):
 
 
 def _check_termwise_matches_linear(seed):
+    # Ten machines, each declared on an orthonormal expansion basis of two
+    # qubits times a fixed qutrit ancilla state and mapping it with a random
+    # isometry; ten probes (a qutrit spectator, two qubits, the ancilla
+    # state) per machine.
     rng = _rng(seed, 17)
-    dev = 0.0
-    sig_exp = signature(("p", 2), ("q", 2))
-    sig_anc = signature(("e", 3))
-    sig_in = sig_exp.concat(sig_anc)
-    sig_out = signature(("r", 2), ("s", 2), ("f", 3))
+    basis_draws, ancillas, out_draws, probes = [], [], [], []
     for _ in range(10):
-        basis_iso = random_isometry(sig_exp, signature(("t", 4)), rng)
-        expansion = StateFamily(
-            tuple(Ket(sig_exp, basis_iso.matrix.conj().T[k]) for k in range(4))
-        )
-        anc = random_ket(sig_anc, rng)
-        out_iso = random_isometry(sig_in, sig_out, rng)
-        pairs = tuple(
-            (
-                Ket(sig_in, np.kron(u.amplitudes, anc.amplitudes)),
-                Ket(sig_out, out_iso.matrix @ np.kron(u.amplitudes, anc.amplitudes)),
-            )
-            for u in expansion.members
-        )
-        spec = MachineSpec(sig_in, sig_out, pairs, MODE_LINEAR)
-        lm = extend_to_isometry(spec)
+        basis_draws.append(haar_draw(4, 4, rng))
+        ancillas.append(random_amplitudes(3, rng))
+        out_draws.append(haar_draw(12, 12, rng))
         for _ in range(10):
-            probe = tensor(
-                tensor(random_ket(signature(("w", 3)), rng), random_ket(sig_exp, rng)),
-                anc,
-            )
-            via_term = apply_termwise(spec, probe, ("p", "q", "e"), expansion)
-            via_lin = apply_linear(lm, probe, ("p", "q", "e"))
-            dev = max(dev, float(np.max(np.abs(via_term.amplitudes - via_lin.amplitudes))))
-    return dev, ASSERT_TOL
+            spectator = random_amplitudes(3, rng)
+            probes.append(kron_stack(spectator, random_amplitudes(4, rng)))
+    # Expansion element k is row k of the basis isometry's adjoint.
+    elements = np.swapaxes(_random_isometries(basis_draws), -1, -2).conj()
+    ancillas = np.array(ancillas)
+    inputs = kron_stack(elements, ancillas[:, None])
+    outputs = images(_random_isometries(out_draws), inputs)
+    linear, _, _ = extend_to_isometries(inputs, outputs)
+
+    def per_probe(stack):
+        return np.repeat(stack, 10, axis=0)
+
+    blocks = kron_stack(np.array(probes), per_probe(ancillas)).reshape(100, 3, 12)
+    basis = per_probe(np.swapaxes(elements, -1, -2))  # elements as columns
+    via_term = termwise_batch(blocks, basis, per_probe(inputs), per_probe(outputs))
+    via_lin = apply_isometries(per_probe(linear), blocks)
+    return float(np.max(np.abs(via_term - via_lin))), ASSERT_TOL
 
 
 def _check_linear_no_signalling(seed):
+    # Random states over (al 3, b1 2, b2 4); a random isometry takes Bob's
+    # (b1, b2) to (n1 4, n2 3).
     rng = _rng(seed, 18)
-    dev = 0.0
-    sig = signature(("al", 3), ("b1", 2), ("b2", 4))
-    sig_in = signature(("m1", 2), ("m2", 4))
-    sig_out = signature(("n1", 4), ("n2", 3))
+    states, draws = [], []
     for _ in range(20):
-        state = random_ket(sig, rng)
-        lm = random_isometry(sig_in, sig_out, rng)
-        before = partial_trace(state, ("al",))
-        after = partial_trace(apply_linear(lm, state, ("b1", "b2")), ("al",))
-        dev = max(dev, float(np.max(np.abs(before.entries - after.entries))))
-    return dev, RESIDUAL_TOL
+        states.append(random_amplitudes(24, rng))
+        draws.append(haar_draw(8, 12, rng))
+    states = np.array(states)
+    moved = apply_isometries(_random_isometries(draws), states.reshape(20, 3, 8))
+    before = reduced_states(states, (3, 2, 4), (0,))
+    after = reduced_states(moved.reshape(20, 36), (3, 4, 3), (0,))
+    return float(np.max(np.abs(before - after))), RESIDUAL_TOL
 
 
 def _random_bases(rng) -> np.ndarray:
@@ -464,10 +442,7 @@ def _check_isometric_preserves_alice(seed):
     blank, env = np.eye(2, dtype=complex)[0], np.eye(4, dtype=complex)[0]
     full = kron_stack(kron_stack(shared, blank), env)
     blocks = full.reshape(-1, 2, 2, 2, 2, 4).transpose(0, 1, 2, 4, 3, 5).reshape(-1, 2, 32)
-    moved = np.array([
-        block @ isometry_matrix_from_pairs(x, y, 32, 32).T
-        for x, y, block in zip(inputs, outputs, blocks)
-    ])
+    moved = apply_isometries(isometry_matrix_from_pairs(inputs, outputs)[0], blocks)
     before = reduced_states(shared, (2, 4), (0,))
     after = reduced_states(moved.reshape(len(a), -1), (2, 32), (0,))
     return float(np.max(np.abs(before - after))), RESIDUAL_TOL
@@ -476,9 +451,23 @@ def _check_isometric_preserves_alice(seed):
 @lru_cache(maxsize=4)
 def _check_equivalence_roundtrip(seed):
     rng = _rng(seed, 25)
-    # Square families of dimensions 2..8 and sizes 1..4.
-    trips = [cons.equivalence_roundtrip(2 + t % 7, 2 + t % 7, 1 + t % 4, rng) for t in range(100)]
-    return max(t.member_residual for t in trips), max(t.isometry_residual for t in trips)
+    # Square families of dimensions 2..8 and sizes 1..4, drawn trial by
+    # trial and recovered as one stack per (dimension, size).
+    trials_of_shape: dict[tuple[int, int], list[int]] = {}
+    draws = []
+    for t in range(100):
+        dim, size = 2 + t % 7, 1 + t % 4
+        trials_of_shape.setdefault((dim, size), []).append(t)
+        draws.append(cons.roundtrip_draws(dim, dim, size, rng))
+    member = isometry = 0.0
+    for trials in trials_of_shape.values():
+        families = np.array([draws[t][0] for t in trials])
+        hidden = np.array([draws[t][1] for t in trials])
+        with failures_named("trial", trials):
+            _, found = cons.roundtrips(families, hidden)
+        member = max(member, float(np.max(found.member_residual)))
+        isometry = max(isometry, float(np.max(found.isometry_residual)))
+    return member, isometry
 
 
 def _check_equivalence_member_residual(seed):

@@ -206,6 +206,57 @@ class TestEquivalenceUnitary:
             equivalence_unitary(f, g)
 
 
+class TestStackedEquivalenceGuards:
+    """The stacked round trips behind ``verify`` keep every guard, and each
+    names the first failing trial."""
+
+    def _trials(self, rng, n=4, size=3, dim=4):
+        draws = [cons.roundtrip_draws(dim, dim, size, rng) for _ in range(n)]
+        return (np.array([d[k] for d in draws]) for k in (0, 1))
+
+    def test_roundtrips_are_batches_of_one(self, rng):
+        families, hidden = self._trials(rng)
+        moved, found = cons.roundtrips(families, hidden)
+        for k in range(len(families)):
+            one_moved, one = cons.roundtrips(families[k:k + 1], hidden[k:k + 1])
+            assert one_moved[0].tobytes() == moved[k].tobytes()
+            for name in ("isometries", "family_gram", "member_residual", "isometry_residual"):
+                assert getattr(one, name)[0].tobytes() == getattr(found, name)[k].tobytes()
+        assert np.max(found.member_residual) < 1e-12
+        assert np.max(found.isometry_residual) < 1e-12
+
+    def test_gram_mismatch(self, rng):
+        families, hidden = self._trials(rng)
+        moved, _ = cons.roundtrips(families, hidden)
+        moved[2] = moved[2, ::-1]
+        with pytest.raises(GramMismatch, match="at batch index 2$") as exc:
+            cons.equivalence_batch(families, moved)
+        assert exc.value.max_deviation > 1e-3
+
+    def test_member_residual(self, rng):
+        families, hidden = self._trials(rng)
+        moved, found = cons.roundtrips(families, hidden)
+        assert np.max(found.member_residual) > 0.0
+        k = int(np.argmax(found.member_residual > 0.0))
+        with pytest.raises(ArithmeticError, match=f"at batch index {k}$"):
+            cons.equivalence_batch(families, moved, residual_tol=0.0)
+
+    def test_unnormalized_member(self, rng):
+        families, hidden = self._trials(rng)
+        moved, _ = cons.roundtrips(families, hidden)
+        families[1, 0] *= 1.01
+        with pytest.raises(ValueError, match="not normalized at batch index 1$"):
+            cons.equivalence_batch(families, moved)
+
+    def test_family_shapes(self, rng):
+        families, hidden = self._trials(rng)
+        moved, _ = cons.roundtrips(families, hidden)
+        with pytest.raises(ValueError, match="family sizes differ"):
+            cons.equivalence_batch(families, moved[:, :2])
+        with pytest.raises(ValueError, match="target dimension"):
+            cons.equivalence_batch(families, moved[..., :3])
+
+
 class TestConsistencySurfaceVerdicts:
     def test_checker_flips_with_delta(self):
         # Away from a = 0 the Gram verdict and the vanishing deltas agree.

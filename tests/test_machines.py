@@ -5,9 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qclonelab.core as core
 import qclonelab.nosignal as nosig
 
-from conftest import basis_ket, deleter, random_ket, strong_cloner, wishful_cloner
+from conftest import (
+    basis_ket,
+    deleter,
+    random_ket,
+    spec_from_rules,
+    strong_cloner,
+    wishful_cloner,
+)
 from oracles import kron_all
 from qclonelab.conservation import equivalence_unitary
 from qclonelab.core import Ket, density_of, partial_trace, signature, tensor
@@ -21,8 +29,15 @@ from qclonelab.machines import (
     apply_linear,
     apply_termwise,
     check_consistency,
+    extend_to_isometries,
     extend_to_isometry,
+    haar_draw,
+    haar_isometries,
+    images,
+    isometry_matrix_from_pairs,
     random_isometry,
+    require_isometries,
+    termwise_batch,
 )
 from qclonelab.states import StateFamily, basis_amplitudes
 
@@ -127,6 +142,114 @@ def test_extension_of_gram_consistent_spec(in_dim, extra_out, picks, seed):
     assert np.max(np.abs(lm.matrix.conj().T @ lm.matrix - np.eye(in_dim))) < 1e-10
     for x, y in pairs:
         assert np.max(np.abs(lm.matrix @ x.amplitudes - y.amplitudes)) < 1e-10
+
+
+def _hidden_images(rng, inputs, out_dim):
+    """Images of stacked inputs (n, K, d_in) under one hidden random
+    isometry into ``out_dim`` per slice."""
+    n, _, in_dim = inputs.shape
+    hidden = haar_isometries(np.array([haar_draw(in_dim, out_dim, rng) for _ in range(n)]))
+    return images(hidden, inputs)
+
+
+@st.composite
+def _mixed_rank_stacks(draw):
+    """Stacks of declared pairs, some slices full rank and some with a
+    repeated input ket."""
+    in_dim = draw(st.integers(2, 6))
+    size = draw(st.integers(2, in_dim))
+    mixed = st.lists(st.booleans(), min_size=2, max_size=6).filter(lambda r: len(set(r)) == 2)
+    repeated = draw(mixed)
+    out_dim = in_dim + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sig = signature(("x", in_dim))
+    inputs = np.array([[random_ket(sig, rng).amplitudes for _ in range(size)] for _ in repeated])
+    for k, r in enumerate(repeated):
+        if r:
+            inputs[k, -1] = inputs[k, 0]
+    return inputs, _hidden_images(rng, inputs, out_dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=_mixed_rank_stacks())
+def test_stacked_extension_slices_match_batches_of_one(stack):
+    inputs, outputs = stack
+    mats, residual, deviation = isometry_matrix_from_pairs(inputs, outputs)
+    ranks = np.linalg.matrix_rank(inputs)
+    assert ranks.min() < ranks.max()
+    for k in range(len(inputs)):
+        one, one_residual, one_deviation = isometry_matrix_from_pairs(
+            inputs[k:k + 1], outputs[k:k + 1]
+        )
+        assert mats[k].tobytes() == one[0].tobytes()
+        assert residual[k] == one_residual[0] and deviation[k] == one_deviation[0]
+    assert np.max(residual) < 1e-10 and np.max(deviation) < 1e-10
+
+
+class TestStackedGuardsNameTheSlice:
+    def _stack(self, rng, n=4, size=3, in_dim=4, out_dim=5):
+        sig = signature(("x", in_dim))
+        inputs = np.array([
+            [random_ket(sig, rng).amplitudes for _ in range(size)] for _ in range(n)
+        ])
+        return inputs, _hidden_images(rng, inputs, out_dim)
+
+    def test_dependent_inputs_conflict(self, rng):
+        # Slice 2 declares one input twice, the second output tilted by 1e-5
+        # away from the slice's other outputs: Gram-consistent within
+        # tolerance, but no isometry maps both.
+        inputs, outputs = self._stack(rng)
+        inputs[2, 1] = inputs[2, 0]
+        span = np.stack([outputs[2, 0], outputs[2, 2], outputs[1, 0]], axis=1)
+        away = np.linalg.qr(span)[0][:, 2]
+        outputs[2, 1] = math.cos(1e-5) * outputs[2, 0] + math.sin(1e-5) * away
+        assert check_consistency(spec_from_rules(
+            signature(("x", 4)), signature(("y", 5)), inputs[2], outputs[2]
+        )).consistent
+        with pytest.raises(DependentInputsConflict, match="at batch index 2$"):
+            isometry_matrix_from_pairs(inputs, outputs)
+        with pytest.raises(DependentInputsConflict, match="at batch index 2$"):
+            extend_to_isometries(inputs, outputs)
+
+    def test_inconsistent_gram(self, rng):
+        inputs, outputs = self._stack(rng)
+        outputs[1] = outputs[1, ::-1]
+        with pytest.raises(InconsistentGram, match="at batch index 1$") as exc:
+            extend_to_isometries(inputs, outputs)
+        assert exc.value.report.max_deviation > 1e-3
+
+    def test_unnormalized_rule(self, rng):
+        inputs, outputs = self._stack(rng)
+        outputs[3, 2] *= 1.01
+        with pytest.raises(ValueError, match="output is not normalized at batch index 3$"):
+            extend_to_isometries(inputs, outputs)
+
+    def test_non_isometry_beyond_the_first_chunk(self):
+        mats = np.stack([np.eye(32, dtype=complex)] * 10)
+        assert core.CHUNK_ENTRIES // mats[0].size < 7
+        mats[7, 0, 0] = 1.1
+        with pytest.raises(ValueError, match="not an isometry .* at batch index 7$"):
+            require_isometries(mats)
+        assert require_isometries(mats[0]).shape == ()
+
+    def test_output_smaller_than_input(self, rng):
+        inputs, _ = self._stack(rng)
+        with pytest.raises(ValueError, match="output dimension"):
+            isometry_matrix_from_pairs(inputs, inputs[..., :3])
+
+    def test_non_orthonormal_expansion(self, rng):
+        spec, expansion, anc = _termwise_fixture(rng)
+        basis = np.stack([k.amplitudes for k in expansion.members], axis=1)
+        inputs = np.stack([x.amplitudes for x, _ in spec.pairs])
+        outputs = np.stack([y.amplitudes for _, y in spec.pairs])
+        probe = tensor(random_ket(signature(("w", 2), ("p", 2), ("q", 2)), rng), anc)
+        bases = np.stack([basis] * 3)
+        bases[1, :, 1] = bases[1, :, 0]
+        with pytest.raises(ValueError, match="non-orthonormal expansion at batch index 1$"):
+            termwise_batch(
+                np.stack([probe.amplitudes.reshape(2, 12)] * 3), bases,
+                np.stack([inputs] * 3), np.stack([outputs] * 3),
+            )
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11])

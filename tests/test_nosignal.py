@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import qclonelab.nosignal as nosig
+import qclonelab.scenarios as scenarios
 from conftest import random_basis_angles, wishful_cloner
 from oracles import (
     trace_distance_eigsum,
     wishful_after_state,
     wishful_bob_mixture,
 )
+from qclonelab.config import grid_points, parse_config_text
 from qclonelab.core import Ket, eig_hermitian, partial_trace, signature, trace_distances
-from qclonelab.machines import apply_linear, apply_termwise, random_isometry
+from qclonelab.machines import ConflictingRules, apply_linear, apply_termwise, random_isometry
 from qclonelab.states import StateFamily, basis_amplitudes
 
 JOINT = signature(("pa", 2), ("pb", 2), ("aa", 2), ("ab", 2), ("env", 4))
@@ -161,3 +165,63 @@ class TestSignallingMagnitude:
         moved = apply_linear(lm, joint, ("pb", "ab", "env"))
         after = partial_trace(moved, ("pa", "aa")).entries
         assert np.max(np.abs(before - after)) < 1e-12
+
+
+class TestWishfulMagnitudeOracles:
+    """The paper's central claim, checked point by point: the wishful
+    cloner's signalling magnitude is the closed form where one exists and
+    the brute-force Bob mixtures of ``oracles`` everywhere.  A kernel that
+    is wrong in the same way at every point passes "a batch equals its
+    batches of one" but not these."""
+
+    @staticmethod
+    def _closed_form_gap(thetas, magnitudes) -> float:
+        # basis1.theta = 0: sqrt(1 - cos(theta/2)^4) / 2 at basis 2's theta.
+        closed = 0.5 * np.sqrt(1.0 - np.cos(np.asarray(thetas) / 2.0) ** 4)
+        return float(np.max(np.abs(np.asarray(magnitudes) - closed)))
+
+    @staticmethod
+    def _theta_grid():
+        """Basis 2's theta and the kernel's magnitude on the 311 points of
+        ``sweep --grid basis2.theta=0:3.1:0.01`` at basis1.theta = 0."""
+        cfg = parse_config_text("kind = nosignal\nbasis1.theta = 0.0\n")
+        points = grid_points(cfg, ["basis2.theta=0:3.1:0.01"])
+        bases = np.array([scenarios._bases(p) for p in points])
+        thetas = [p.basis_angles("basis2")[0] for p in points]
+        return thetas, nosig.evaluate_batch(bases).signalling_magnitude
+
+    @staticmethod
+    def _oracle_gap(theta1, theta2, phi, magnitude) -> float:
+        brute = trace_distance_eigsum(
+            wishful_bob_mixture(theta1, theta2, 1, phi=phi),
+            wishful_bob_mixture(theta1, theta2, 2, phi=phi),
+        )
+        return abs(magnitude - brute)
+
+    def test_closed_form_on_the_theta_grid(self):
+        thetas, magnitudes = self._theta_grid()
+        assert len(magnitudes) == 311
+        assert self._closed_form_gap(thetas, magnitudes) < 1e-12
+
+    def test_closed_form_sees_a_relative_perturbation(self):
+        thetas, magnitudes = self._theta_grid()
+        assert self._closed_form_gap(thetas, magnitudes * (1.0 + 1e-9)) > 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta1=st.floats(0.0, math.pi),
+        theta2=st.floats(0.0, math.pi),
+        phi=st.floats(0.0, 2.0 * math.pi - 1e-9),
+    )
+    def test_brute_force_mixtures_at_any_angles(self, theta1, theta2, phi):
+        try:
+            magnitude = signalling_magnitude(scenario_with_angles(theta1, theta2, phi))
+        except ConflictingRules:
+            reject()  # the two bases share an element, up to phase, that they clone differently
+        assert self._oracle_gap(theta1, theta2, phi, magnitude) < 1e-10
+
+    def test_brute_force_sees_a_relative_perturbation(self):
+        theta1, theta2, phi = 0.4, 2.3, 1.7
+        magnitude = signalling_magnitude(scenario_with_angles(theta1, theta2, phi))
+        assert self._oracle_gap(theta1, theta2, phi, magnitude) < 1e-10
+        assert self._oracle_gap(theta1, theta2, phi, magnitude * (1.0 + 1e-9)) > 1e-10

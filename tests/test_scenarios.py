@@ -74,11 +74,31 @@ SWEEP_PINNED = [
 ]
 
 VERIFY_SEED7 = "7740cbd4c9c338b281d00b7ec8dd514205014a908e533b4139e47eea90cf3814"
-# `verify` on two more seeds, taken from the per-point nosignal and
-# Gram-boundary checks that the batched kernel replaced.
+# `verify` on more seeds: 1 and 501 taken from the per-point nosignal and
+# Gram-boundary checks that the batched kernel replaced; 2-10 and 200-209
+# from the per-trial isometry loops that the stacked machine layer replaced.
 VERIFY_PINNED = {
     1: "19da2c3ac882225452ddc5dff0c6ce199eac94b8102343fcf2ee07dfeed72c41",
     501: "90436e2ef3749437517cbebff229e60f4c2c4e1f53efa47e3c01fe03005f875a",
+    2: "4a312a6d7a737a74e6b179c24ab07fb0cb53ded308ac2c09bb33f9d80a7d3be2",
+    3: "8b5bf32fe1766414a8fb9839b94cccac12917d8287a19a2f4a4130996d3327d0",
+    4: "2ae0f009c8e4f967e9ad2fb2f7720b2f48eccf6cf19d54c464cdd6badf673c6b",
+    5: "9e6685bbda413c6fbd3e87393290b69f742a0b29c906705e60c4fff14be0710a",
+    6: "d2e7dc03f28e306fa1ca7cca95c6d02bd1e2d51e85bdf31681100a1e78b52d6f",
+    7: "7740cbd4c9c338b281d00b7ec8dd514205014a908e533b4139e47eea90cf3814",
+    8: "460ca40df5def0b616d8f9d68b325128d2e3973a771561bd3b4d8d0683269d91",
+    9: "567a0a4fe4b922a7ef0c009e86deff3371129847cd9d432777600c7efa8f2d95",
+    10: "bfcb9e123630faa999717ac6e0c902d44c6a5ed4c08d486dd76d7a112c2bc58d",
+    200: "e9fcb1c76c19f620f6ed1a4cdd8d4622e8c0a77f979031a1beffeaa2e9363ed2",
+    201: "14e6ac4e2bc79fd34fd412f8fe56bd7fc530d7bc0c287d855574d7d2fec64e15",
+    202: "6ec432c6a3cbb707c8a4f3443a3730805471d76cf77a2e0aee3d6dd4c876da1f",
+    203: "f4e1fb8c999df1fafc58376bd29656680b76b04c04dc4f0d383a5c7c94529c99",
+    204: "63026cf5593bd3759134dae6d7bdbddd03208ef850ec81db67e3c113fa2bd046",
+    205: "a7bab2c10205b3745a6e27f15dc9680982c43ebfe36d7a77a0c19f0a0cc5b99b",
+    206: "c5f2f4f664f00bc96d93b1d95e3845d49c7b3e77785030072d362d017ba2fca7",
+    207: "9590fe7be459fed1c419f40af7960687a1b3bf7492809acea22f369ffddaf6df",
+    208: "349c7f2ec71d2266185413c15e77a1abb778472523ce86e2183ee0a76e67fabd",
+    209: "e020e508b0c64fc5c5d37ffa1f72390ed2bf0eaef97c26596268c572ff7e26fe",
 }
 
 PI = "3.141592653589793"
@@ -171,6 +191,59 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_config", tripped)
         assert main(["run", str(CONFIGS / "conservation_consistent.cfg")]) == 3
         _one_line(capsys.readouterr().err, "numerical failure: ArithmeticError:")
+
+
+class TestSweepGuardsNameGridPoints:
+    """A sweep evaluates its points in groups (one per machine mode, ancilla
+    dimension and assertion tolerance) and a nosignal group in chunks; a
+    guard error names the failing point's index on the whole grid."""
+
+    # At basis1.psi.theta = pi - 1 with phi = pi, basis 1's psi is basis 2's
+    # psibar up to a sign, and the two rule sets clone it differently.
+    CONFLICT = (
+        "kind = nosignal\nbasis1.alpha.theta = 0.0\n"
+        f"basis1.psi.phi = {PI}\nbasis2.psi.theta = 1.0\nbasis2.alpha.theta = 0.0\n"
+    )
+
+    def _sweep_error(self, tmp_path, capsys, *grid) -> str:
+        assert main(["sweep", _write(tmp_path, self.CONFLICT), "--grid", *grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        _one_line(captured.err, "rejected input: ConflictingRules:")
+        return captured.err
+
+    def test_point_behind_another_group(self, tmp_path, capsys):
+        # Ancilla dimensions alternate, so grid point 4 is index 2 of its group.
+        err = self._sweep_error(
+            tmp_path, capsys,
+            "basis1.psi.theta=2.04159265359:2.14159265359:0.05", "machine.ancilla_dim=2:3:1",
+        )
+        assert err.endswith(" at grid point 4\n")
+
+    def test_point_beyond_the_first_chunk(self, tmp_path, capsys):
+        # 21 points per group; at ancilla dimension 4 a chunk holds 16, so
+        # grid point 40 is index 4 of its group's second chunk.
+        assert core.CHUNK_ENTRIES // 16**2 == 16
+        err = self._sweep_error(
+            tmp_path, capsys,
+            "basis1.psi.theta=1.94159265359:2.14159265359:0.01", "machine.ancilla_dim=4:5:1",
+        )
+        assert err.endswith(" at grid point 40\n")
+
+    def test_single_point_group_is_named(self, tmp_path, capsys):
+        # One point per ancilla dimension: each group is a batch of one,
+        # whose guards name no index.
+        err = self._sweep_error(
+            tmp_path, capsys, "machine.ancilla_dim=2:3:1", "basis1.psi.theta=2.14159265359:2.2:1",
+        )
+        assert err.endswith(" at grid point 0\n")
+
+    def test_run_message_names_no_point(self, tmp_path, capsys):
+        text = self.CONFLICT + "basis1.psi.theta = 2.14159265359\n"
+        assert main(["run", _write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        _one_line(err, "rejected input: ConflictingRules:")
+        assert "point" not in err and "batch index" not in err
 
 
 BAD_TOLERANCES = ["nan", "inf", "-1", "0"]

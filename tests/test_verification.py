@@ -1,6 +1,7 @@
 """What ``verify`` certifies: its checks run the kernels the reports are
 computed with, and the benchmark finds the functions and checks it times."""
 
+import ast
 import importlib.util
 import inspect
 import sys
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import qclonelab.conservation as cons
 import qclonelab.core as core
+import qclonelab.machines as machines
 import qclonelab.nosignal as nosig
 import qclonelab.verification as verification
 
@@ -17,6 +20,7 @@ KERNELS = {
     "reduced_states": core.reduced_states,
     "trace_distances": core.trace_distances,
     "singlets": nosig._singlets,
+    "isometry_matrix_from_pairs": machines.isometry_matrix_from_pairs,
 }
 
 
@@ -51,6 +55,7 @@ def kernel_calls(monkeypatch):
 
     checks = tuple((check, labelled(check, fn)) for check, fn in verification._CHECKS)
     monkeypatch.setattr(verification, "_CHECKS", checks)
+    verification._check_equivalence_roundtrip.cache_clear()  # a cold run
     verification.run_all_checks(seed=7)
     return counts
 
@@ -98,3 +103,80 @@ def test_benchmark_lookups_exist():
         isinstance(c, tuple) and len(c) == 2 and isinstance(c[0], str) and callable(c[1])
         for c in checks
     )
+
+
+def test_isometry_checks_are_stacked(kernel_calls):
+    # One stacked extension per check, and one per (dimension, size) shape
+    # of the 100 Gram-equivalence round trips: 28 shapes.
+    per_check = {
+        check: n for (check, kernel), n in kernel_calls.items()
+        if kernel == "isometry_matrix_from_pairs"
+    }
+    assert per_check == {
+        "machines.isometry_extension_reproduces_pairs": 1,
+        "machines.termwise_matches_linear_extension": 1,
+        "conservation.isometric_machine_preserves_alice_marginal": 1,
+        "conservation.equivalence_unitary_member_residual": 28,
+    }
+    assert sum(per_check.values()) <= 32
+
+
+def test_no_per_object_machine_calls():
+    # The checks run the stacked machine layer; the per-object functions
+    # are batches of one of it and are tested on their own.
+    tree = ast.parse(Path(verification.__file__).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    per_object = {
+        "extend_to_isometry", "apply_termwise", "apply_linear", "equivalence_roundtrip",
+        "random_isometry", "partial_trace", "MachineSpec", "LinearMachine",
+    }
+    assert not names & per_object
+
+
+def test_round_trip_guard_names_the_trial(monkeypatch):
+    # Trials cycle through dimensions 2..8 and sizes 1..4, so trials 1, 29,
+    # 57 and 85 share a shape; a failure in the second of them names trial 29.
+    real = cons.roundtrips
+
+    def unnormalized_second(families, draws):
+        if families.shape[1:] == (2, 3):
+            families = families.copy()
+            families[1, 0] *= 1.01
+        return real(families, draws)
+
+    monkeypatch.setattr(cons, "roundtrips", unnormalized_second)
+    with pytest.raises(ValueError, match="not normalized at trial 29$"):
+        verification._check_equivalence_roundtrip.__wrapped__(7)
+
+
+class TestFailuresNamed:
+    def _raised(self, exc, label, indices):
+        with pytest.raises(type(exc)) as caught:
+            with core.failures_named(label, indices):
+                raise exc
+        return caught.value
+
+    def test_batch_index_and_chunk(self):
+        exc = ValueError("bad at batch index 2 (in the chunk of points 16 to 19)")
+        renamed = self._raised(exc, "grid point", list(range(100, 120)))
+        assert type(renamed) is ValueError and renamed.__cause__ is exc
+        assert str(renamed) == "bad at grid point 118"
+
+    def test_chunk_of_one_point(self):
+        exc = ValueError("bad (in the chunk of points 16 to 16)")
+        assert str(self._raised(exc, "grid point", list(range(20)))) == "bad at grid point 16"
+
+    def test_batch_of_one(self):
+        exc = ArithmeticError("bad")
+        assert str(self._raised(exc, "trial", [7])) == "bad at trial 7"
+
+    def test_unnamed_entry_of_a_larger_batch(self):
+        exc = ValueError("lengths differ")
+        assert self._raised(exc, "trial", [1, 2]) is exc
+
+    def test_keeps_the_error_type_and_fields(self):
+        exc = cons.GramMismatch(0.5, " at batch index 1")
+        renamed = self._raised(exc, "trial", [3, 4])
+        assert isinstance(renamed, cons.GramMismatch) and renamed.max_deviation == 0.5
+        assert str(renamed) == "Gram matrices differ by 0.5 at trial 4"
