@@ -20,26 +20,23 @@ from .core import (
 )
 from .states import StateFamily, gram, kets_with_overlap
 from .machines import (
-    MODE_LINEAR,
-    MODE_TERMWISE,
     ConflictingRules,
     ConsistencyReport,
     DependentInputsConflict,
     InconsistentGram,
+    IsometryExtension,
     LinearMachine,
     MachineSpec,
     apply_linear,
     apply_termwise,
     check_consistency,
+    extend_to_isometries,
     extend_to_isometry,
     random_isometry,
     wishful_signatures,
 )
 from .conservation import (
     ConservationBatch,
-    EquivalenceRoundtrip,
-    GramMismatch,
-    equivalence_roundtrip,
     equivalence_unitary,
     evaluate_batch,
     lambda_after,

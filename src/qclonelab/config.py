@@ -238,6 +238,8 @@ def parse_grid_axis(spec: str) -> tuple[str, list[float]]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"grid axis {spec!r}: non-numeric bound") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
+        raise ConfigError(f"grid axis {spec!r}: bounds and step must be finite")
     if step <= 0:
         raise ConfigError(f"grid axis {spec!r}: step must be positive")
     if hi < lo:

@@ -18,62 +18,23 @@ import numpy as np
 
 from .core import (
     CHUNK_ENTRIES,
-    Ket,
     eig_hermitian_batch,
     entropy_bits,
     first_failure,
     kron_stack,
     reduced_states,
-    signature,
 )
 from .machines import (
     LinearMachine,
-    gram_comparison,
+    extend_to_isometries,
     haar_draw,
     haar_isometries,
     images,
-    isometry_matrix_from_pairs,
     require_isometries,
     strong_cloner_rules,
 )
 from .states import StateFamily, gram_stack, overlap_pair_amplitudes, random_amplitudes
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
-
-
-class GramMismatch(ValueError):
-    """The two families' Gram matrices differ; no unitary can relate them."""
-
-    def __init__(self, max_deviation: float, where: str = ""):
-        super().__init__(f"Gram matrices differ by {max_deviation:g}{where}")
-        self.max_deviation = max_deviation
-
-
-@dataclass(frozen=True, eq=False)
-class EquivalenceBatch:
-    """Results of :func:`equivalence_batch`, stacked over the trials (axis
-    0): the isometries (n, d', d), the Gram matrices of the source families
-    (n, K, K), and the guards' measures (n,): the largest entrywise
-    deviation of the target families' Gram matrices, the member residuals
-    max_k |U f_k - g_k| and the deviations of U^dag U from the identity."""
-
-    isometries: np.ndarray
-    family_gram: np.ndarray
-    gram_deviation: np.ndarray
-    member_residual: np.ndarray
-    isometry_residual: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class EquivalenceRoundtrip:
-    """A random family, its image under a hidden random isometry, and how
-    well :func:`equivalence_unitary` recovers the map from Gram data."""
-
-    family: StateFamily
-    moved: StateFamily
-    family_gram: np.ndarray
-    gram_deviation: float
-    member_residual: float
-    isometry_residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,52 +198,15 @@ def lambda_after(a: complex, c: complex, branch_weight: float = 0.5) -> float:
     return _lambda_max(abs(complex(a)) ** 2 * abs(complex(c)), branch_weight)
 
 
-def equivalence_batch(
-    family: np.ndarray,
-    moved: np.ndarray,
-    tol: float = ASSERT_TOL,
-    residual_tol: float = 1e-8,
-) -> EquivalenceBatch:
-    """Isometries U with U f_k = g_k for stacked Gram-equal families,
-    ``family`` (n, K, d) and ``moved`` (n, K, d'), from one stacked
-    :func:`~qclonelab.machines.isometry_matrix_from_pairs`.  Guards, each
-    naming the first failing trial: normalized members, agreeing Gram
-    matrices (:class:`GramMismatch`), those of the isometry construction,
-    and member residuals within ``residual_tol``."""
-    if family.shape[-2] != moved.shape[-2]:
-        raise ValueError(f"family sizes differ: {family.shape[-2]} vs {moved.shape[-2]}")
-    if moved.shape[-1] < family.shape[-1]:
-        raise ValueError(
-            f"target dimension {moved.shape[-1]} is smaller than source {family.shape[-1]}"
-        )
-    family_gram, _, dev = gram_comparison(family, moved, tol)
-    bad = dev > tol
-    if np.any(bad):
-        k, where = first_failure(bad)
-        raise GramMismatch(float(dev[k]), where)
-    mats, residual, isometry_residual = isometry_matrix_from_pairs(family, moved, tol)
-    bad = residual > residual_tol
-    if np.any(bad):
-        k, where = first_failure(bad)
-        raise ArithmeticError(
-            f"member reconstruction residual {float(residual[k]):g} exceeds "
-            f"{residual_tol:g}{where}"
-        )
-    return EquivalenceBatch(mats, family_gram, dev, residual, isometry_residual)
-
-
-def equivalence_unitary(
-    f: StateFamily,
-    g: StateFamily,
-    tol: float = ASSERT_TOL,
-    residual_tol: float = 1e-8,
-) -> LinearMachine:
+def equivalence_unitary(f: StateFamily, g: StateFamily) -> LinearMachine:
     """Constructive isometry U with U f_k = g_k for Gram-equal families.  A
-    batch of one of :func:`equivalence_batch`."""
+    batch of one of :func:`~qclonelab.machines.extend_to_isometries`, whose
+    :class:`~qclonelab.machines.InconsistentGram` it raises when the Gram
+    matrices differ."""
     family = np.stack([k.amplitudes for k in f.members])
     moved = np.stack([k.amplitudes for k in g.members])
-    batch = equivalence_batch(family[None], moved[None], tol, residual_tol)
-    return LinearMachine(batch.isometries[0], f.signature, g.signature)
+    found = extend_to_isometries(family[None], moved[None])
+    return LinearMachine(found.isometries[0], f.signature, g.signature)
 
 
 def roundtrip_draws(dim: int, target_dim: int, size: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -293,31 +217,12 @@ def roundtrip_draws(dim: int, target_dim: int, size: int, rng) -> tuple[np.ndarr
     return family, haar_draw(dim, target_dim, rng)
 
 
-def roundtrips(families: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, EquivalenceBatch]:
+def roundtrips(families: np.ndarray, draws: np.ndarray):
     """Stacked round trips of one shape: each family (n, K, d) moved by the
     Haar isometry of its draw (n, d', d), and isometries recovered from the
-    two families alone.  Returns the moved families and the recovery."""
+    two families alone.  Returns the moved families and the recovery, an
+    :class:`~qclonelab.machines.IsometryExtension`."""
     hidden = haar_isometries(draws)
     require_isometries(hidden)
     moved = images(hidden, families)
-    return moved, equivalence_batch(families, moved)
-
-
-def equivalence_roundtrip(dim: int, target_dim: int, size: int, rng) -> EquivalenceRoundtrip:
-    """Draw ``size`` random kets in dimension ``dim``, move them with a random
-    isometry into ``target_dim``, and recover an isometry from the two
-    families alone.  Records the Gram deviation and member residual that
-    :func:`equivalence_unitary` measures for its guards, and the deviation
-    of U^dag U from the identity that the isometry guard measures.  A batch
-    of one of :func:`roundtrips`."""
-    family, draw = roundtrip_draws(dim, target_dim, size, rng)
-    moved, found = roundtrips(family[None], draw[None])
-    sig_f, sig_g = signature(("x", dim)), signature(("y", target_dim))
-    return EquivalenceRoundtrip(
-        StateFamily(tuple(Ket(sig_f, k) for k in family)),
-        StateFamily(tuple(Ket(sig_g, k) for k in moved[0])),
-        found.family_gram[0],
-        float(found.gram_deviation[0]),
-        float(found.member_residual[0]),
-        float(found.isometry_residual[0]),
-    )
+    return moved, extend_to_isometries(families, moved)

@@ -110,8 +110,8 @@ class Ket:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def require_normalized(self, tol: float = ASSERT_TOL) -> "Ket":
-        if abs(self.norm - 1.0) > tol:
+    def require_normalized(self) -> "Ket":
+        if abs(self.norm - 1.0) > ASSERT_TOL:
             raise ValueError(f"ket is not normalized (norm={self.norm!r})")
         return self
 
@@ -183,14 +183,11 @@ def inner(a: Ket, b: Ket) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def density_of(k: Ket, tol: float = ASSERT_TOL) -> DensityMatrix:
+def density_of(k: Ket) -> DensityMatrix:
     """Rank-1 projector |k><k| of a normalized ket."""
-    n = k.norm
-    if n == 0.0:
+    if k.norm == 0.0:
         raise ValueError("cannot form a density matrix from a zero ket")
-    if abs(n - 1.0) > tol:
-        raise ValueError(f"ket is not normalized (norm={n!r})")
-    amp = k.amplitudes
+    amp = k.require_normalized().amplitudes
     return DensityMatrix(k.signature, np.outer(amp, amp.conj()))
 
 
@@ -236,12 +233,8 @@ def first_failure(bad) -> tuple[int, str]:
     return k, ("" if bad.size == 1 else f" at batch index {k}")
 
 
-# The suffix of first_failure, and the chunk that a chunked kernel
-# (nosignal.evaluate_batch) appends to it.
-_NAMED_INDEX = re.compile(
-    r" at batch index (\d+)(?: \(in the chunk of points (\d+) to \d+\))?"
-    r"| \(in the chunk of points (\d+) to \d+\)"
-)
+# The suffix of first_failure.
+_NAMED_INDEX = re.compile(r" at batch index (\d+)")
 
 
 @contextmanager
@@ -249,16 +242,16 @@ def failures_named(label: str, indices):
     """Rename the error of a batch guard raised in the block to say where
     the failing batch entry came from: ``indices[k]`` is the caller's name
     for entry k, and the message says ``at {label} {indices[k]}`` where it
-    named batch index k (plus the chunk's first point).  A batch of one
-    names no index, so its entry is taken to be the first; an error that
-    names no entry of a larger batch passes as it is."""
+    named batch index k.  A batch of one names no index, so its entry is
+    taken to be the first; an error that names no entry of a larger batch
+    passes as it is."""
     try:
         yield
     except (ValueError, ArithmeticError) as exc:
         found = _NAMED_INDEX.search(str(exc))
         if found is None and len(indices) > 1:
             raise
-        k = 0 if found is None else int(found[1] or 0) + int(found[2] or found[3] or 0)
+        k = 0 if found is None else int(found[1])
         named = f" at {label} {indices[k]}"
         message = str(exc) + named if found is None else _NAMED_INDEX.sub(named, str(exc), 1)
         # A copy without __init__, which may take other arguments than the message.
@@ -340,8 +333,19 @@ def _eig_2x2(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def _eigenpairs(stack: np.ndarray, tol: float, residual_tol: float):
-    mat = _require_hermitian(stack, tol)
+def eig_hermitian_batch(stack, tol: float = ASSERT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompositions of a stack of Hermitian matrices, shape (..., n, n).
+
+    Returns eigenvalues (..., n), descending, and eigenvectors (..., n, n)
+    as columns.  The 2x2 closed form runs on the whole stack at once; larger
+    matrices take one LAPACK ``eigh`` call on the whole stack.  The
+    Hermiticity guard (within ``tol``) and the reconstruction-residual guard
+    (within ``RESIDUAL_TOL``) name the first failing batch index.
+    """
+    mat = np.asarray(stack, dtype=complex)
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {mat.shape}")
+    mat = _require_hermitian(mat, tol)
     n = mat.shape[-1]
     if n == 1:
         vals = mat[..., 0].real
@@ -359,51 +363,25 @@ def _eigenpairs(stack: np.ndarray, tol: float, residual_tol: float):
         vecs = np.where(mod > 0.0, vecs * (pivot.conj() / mod), vecs)
     recon = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2).conj()
     residual = np.max(np.abs(mat - recon), axis=(-2, -1))
-    bad = ~(residual <= residual_tol)  # a NaN residual fails too
+    bad = ~(residual <= RESIDUAL_TOL)  # a NaN residual fails too
     if np.any(bad):
         k, where = first_failure(bad)
         raise ArithmeticError(
             f"eigendecomposition residual {float(residual.reshape(-1)[k]):g} "
-            f"exceeds {residual_tol:g}{where}"
+            f"exceeds {RESIDUAL_TOL:g}{where}"
         )
     return vals, vecs
 
 
-def eig_hermitian_batch(
-    stack,
-    tol: float = ASSERT_TOL,
-    residual_tol: float = RESIDUAL_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompositions of a stack of Hermitian matrices, shape (..., n, n).
-
-    Returns eigenvalues (..., n), descending, and eigenvectors (..., n, n)
-    as columns.  The 2x2 closed form runs on the whole stack at once; larger
-    matrices take one LAPACK ``eigh`` call on the whole stack.  The
-    Hermiticity and reconstruction-residual guards name the first failing
-    batch index.
-    """
-    mat = np.asarray(stack, dtype=complex)
-    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {mat.shape}")
-    return _eigenpairs(mat, tol, residual_tol)
-
-
-def eig_hermitian(
-    h,
-    tol: float = ASSERT_TOL,
-    residual_tol: float = RESIDUAL_TOL,
-) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix (or density matrix).
-
-    Uses the closed form for 2x2 inputs and LAPACK ``eigh`` otherwise;
-    raises if the reconstruction residual exceeds ``residual_tol``.
-    """
+def eig_hermitian(h) -> Spectrum:
+    """Eigendecomposition of a Hermitian matrix (or density matrix).  A
+    batch of one of :func:`eig_hermitian_batch`."""
     if isinstance(h, DensityMatrix):
         h = h.entries
     mat = np.asarray(h, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    vals, vecs = _eigenpairs(mat[None], tol, residual_tol)
+    vals, vecs = eig_hermitian_batch(mat[None])
     return Spectrum(vals[0], vecs[0])
 
 

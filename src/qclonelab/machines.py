@@ -1,12 +1,12 @@
 """Machines: maps declared on finite sets of input kets.
 
-A ``MachineSpec`` lists input -> output ket pairs over fixed signatures and
-carries one of two application modes:
+A ``MachineSpec`` lists input -> output ket pairs over fixed signatures.
+The pairs have two readings:
 
-* ``linear-extension``: the declared rules are extended to a genuine isometry
-  (possible exactly when the input and output Gram matrices agree), which is
-  then a physical, unitarizable process.
-* ``termwise``: the rules are applied term by term in a caller-chosen
+* :func:`extend_to_isometry` extends the declared rules to a genuine
+  isometry (possible exactly when the input and output Gram matrices
+  agree), which is then a physical, unitarizable process.
+* :func:`apply_termwise` applies the rules term by term in a caller-chosen
   orthonormal expansion basis of the acted factors.  This is generally not a
   linear map on the whole space, which is precisely what makes the "wishful"
   cloning machines unphysical.
@@ -24,9 +24,6 @@ from .core import CHUNK_ENTRIES, Ket, SubsystemSignature, first_failure, kron_st
 from .states import StateFamily, gram_stack
 from .tolerances import ASSERT_TOL
 
-MODE_LINEAR = "linear-extension"
-MODE_TERMWISE = "termwise"
-MODES = (MODE_LINEAR, MODE_TERMWISE)
 
 class InconsistentGram(ValueError):
     """Declared pairs do not preserve the Gram matrix; carries the report."""
@@ -51,16 +48,13 @@ class ConflictingRules(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MachineSpec:
-    """Finite set of declared input -> output ket pairs plus an application mode."""
+    """Finite set of declared input -> output ket pairs."""
 
     input_signature: SubsystemSignature
     output_signature: SubsystemSignature
     pairs: tuple[tuple[Ket, Ket], ...]
-    mode: str
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown machine mode {self.mode!r}")
         pairs = tuple((x, y) for x, y in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         if not pairs:
@@ -117,10 +111,25 @@ class ConsistencyReport:
             object.__setattr__(self, name, arr)
 
 
-def require_isometries(mats: np.ndarray, tol: float = ASSERT_TOL) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class IsometryExtension:
+    """Results of :func:`extend_to_isometries`, stacked over the slices
+    (axis 0): the isometries (n, d_out, d_in), the Gram matrices of the
+    declared inputs (n, K, K), and the guards' measures (n,): the largest
+    entrywise deviation of the outputs' Gram matrices, the member residuals
+    max_k |M x_k - y_k| and the deviations of M^dag M from the identity."""
+
+    isometries: np.ndarray
+    family_gram: np.ndarray
+    gram_deviation: np.ndarray
+    member_residual: np.ndarray
+    isometry_residual: np.ndarray
+
+
+def require_isometries(mats: np.ndarray) -> np.ndarray:
     """Check that every matrix of a stack (..., out, in), or a single matrix,
-    has orthonormal columns within ``tol``, naming the first that does not.
-    Returns the largest entrywise deviations of M^dag M from the identity,
+    has orthonormal columns within ``ASSERT_TOL``, naming the first that
+    does not.  Returns the largest entrywise deviations of M^dag M from the identity,
     measured a chunk of ``CHUNK_ENTRIES`` entries at a time."""
     stack = mats.reshape(-1, *mats.shape[-2:])
     step = max(1, CHUNK_ENTRIES // stack[0].size)
@@ -130,7 +139,7 @@ def require_isometries(mats: np.ndarray, tol: float = ASSERT_TOL) -> np.ndarray:
         gram_dev = np.swapaxes(part, -1, -2).conj() @ part - np.eye(mats.shape[-1])
         dev[start:start + step] = np.abs(gram_dev).max(axis=(-2, -1))
     dev = dev.reshape(mats.shape[:-2])
-    bad = dev > tol
+    bad = dev > ASSERT_TOL
     if bad.any():
         k, where = first_failure(bad)
         raise ValueError(
@@ -139,27 +148,27 @@ def require_isometries(mats: np.ndarray, tol: float = ASSERT_TOL) -> np.ndarray:
     return dev
 
 
-def gram_comparison(inputs: np.ndarray, outputs: np.ndarray, tol: float = ASSERT_TOL):
+def gram_comparison(inputs: np.ndarray, outputs: np.ndarray):
     """Gram matrices of stacked declared inputs (..., K, d_in) and outputs
     (..., K, d_out), and their largest entrywise deviation (...,), after
-    checking that every rule ket is normalized within ``tol``."""
+    checking that every rule ket is normalized within ``ASSERT_TOL``."""
     g_in, g_out = gram_stack(inputs), gram_stack(outputs)
     for name, g in (("input", g_in), ("output", g_out)):
         norm = np.sqrt(np.diagonal(g, axis1=-2, axis2=-1).real)
-        bad = np.any(np.abs(norm - 1.0) > tol, axis=-1)
+        bad = np.any(np.abs(norm - 1.0) > ASSERT_TOL, axis=-1)
         if np.any(bad):
             _, where = first_failure(bad)
             raise ValueError(f"declared rule {name} is not normalized{where}")
     return g_in, g_out, np.max(np.abs(g_in - g_out), axis=(-2, -1))
 
 
-def check_consistency(m: MachineSpec, tol: float = ASSERT_TOL) -> ConsistencyReport:
+def check_consistency(m: MachineSpec) -> ConsistencyReport:
     """Compare the Gram matrices of declared inputs and outputs entrywise."""
     g_in, g_out, dev = gram_comparison(
         np.stack([x.amplitudes for x, _ in m.pairs]), np.stack([y.amplitudes for _, y in m.pairs])
     )
     dev = float(dev)
-    return ConsistencyReport(g_in, g_out, dev, dev < tol)
+    return ConsistencyReport(g_in, g_out, dev, dev < ASSERT_TOL)
 
 
 def images(mats: np.ndarray, kets: np.ndarray) -> np.ndarray:
@@ -177,7 +186,7 @@ def apply_isometries(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return blocks @ np.swapaxes(mats, -1, -2)
 
 
-def isometry_matrix_from_pairs(inputs, outputs, tol: float = ASSERT_TOL):
+def isometry_matrix_from_pairs(inputs, outputs):
     """Isometries M with M x_k = y_k for stacked declared pairs, assuming
     each slice's two Gram matrices agree.
 
@@ -200,7 +209,7 @@ def isometry_matrix_from_pairs(inputs, outputs, tol: float = ASSERT_TOL):
     max|M X - Y| (n,) with the images formed by :func:`images`, and the
     deviations of M^dag M from the identity (n,).  Pairs that no isometry
     maps (dependent inputs whose outputs are not the induced combination)
-    leave a residual above ``tol`` and raise
+    leave a residual above ``ASSERT_TOL`` and raise
     :class:`DependentInputsConflict`; it and the isometry guard name the
     first failing slice.
     """
@@ -229,40 +238,47 @@ def isometry_matrix_from_pairs(inputs, outputs, tol: float = ASSERT_TOL):
             q[..., :r] *= phases[:, None, :]
             mats[start + group] = q[..., :d_in] @ np.swapaxes(a[group].conj(), -1, -2)
     residual = np.max(np.abs(images(mats, xs) - ys), axis=(-2, -1))
-    bad = ~(residual <= tol)
+    bad = ~(residual <= ASSERT_TOL)
     if np.any(bad):
         k, where = first_failure(bad)
         raise DependentInputsConflict(
             "declared outputs are not an isometric image of the declared inputs "
             f"(residual {float(residual[k]):g}){where}"
         )
-    return mats, residual, require_isometries(mats, tol)
+    return mats, residual, require_isometries(mats)
 
 
-def extend_to_isometries(inputs, outputs, tol: float = ASSERT_TOL):
-    """Isometries extending stacked Gram-consistent declared pairs, inputs
-    (n, K, d_in) and outputs (n, K, d_out), to the whole input space.
+def extend_to_isometries(inputs: np.ndarray, outputs: np.ndarray) -> IsometryExtension:
+    """Isometries M with M x_k = y_k for stacked declared pairs, inputs
+    (n, K, d_in) and outputs (n, K, d_out), extended to the whole input
+    space: the one path that checks Gram agreement and then extends.
 
-    Guards, each naming the first failing slice: normalized rule kets,
-    agreeing Gram matrices (:class:`InconsistentGram`), then those of
-    :func:`isometry_matrix_from_pairs`, whose results it returns.
+    Guards: as many outputs as inputs and d_out >= d_in, then, each naming
+    the first failing slice, normalized rule kets, agreeing Gram matrices
+    (:class:`InconsistentGram`) and those of :func:`isometry_matrix_from_pairs`.
     """
-    g_in, g_out, dev = gram_comparison(inputs, outputs, tol)
-    bad = ~(dev < tol)
+    if inputs.shape[-2] != outputs.shape[-2]:
+        raise ValueError(f"family sizes differ: {inputs.shape[-2]} vs {outputs.shape[-2]}")
+    if outputs.shape[-1] < inputs.shape[-1]:
+        raise ValueError(
+            f"target dimension {outputs.shape[-1]} is smaller than source {inputs.shape[-1]}"
+        )
+    g_in, g_out, dev = gram_comparison(inputs, outputs)
+    bad = ~(dev < ASSERT_TOL)
     if np.any(bad):
         k, where = first_failure(bad)
-        report = ConsistencyReport(g_in[k], g_out[k], float(dev[k]), False)
-        raise InconsistentGram(report, where)
-    return isometry_matrix_from_pairs(inputs, outputs, tol)
+        raise InconsistentGram(ConsistencyReport(g_in[k], g_out[k], float(dev[k]), False), where)
+    mats, residual, isometry_residual = isometry_matrix_from_pairs(inputs, outputs)
+    return IsometryExtension(mats, g_in, dev, residual, isometry_residual)
 
 
-def extend_to_isometry(m: MachineSpec, tol: float = ASSERT_TOL) -> LinearMachine:
+def extend_to_isometry(m: MachineSpec) -> LinearMachine:
     """Extend a Gram-consistent machine to an isometry on the whole input
     space.  A batch of one of :func:`extend_to_isometries`."""
     inputs = np.stack([x.amplitudes for x, _ in m.pairs])
     outputs = np.stack([y.amplitudes for _, y in m.pairs])
-    mats, _, _ = extend_to_isometries(inputs[None], outputs[None], tol)
-    return LinearMachine(mats[0], m.input_signature, m.output_signature)
+    found = extend_to_isometries(inputs[None], outputs[None])
+    return LinearMachine(found.isometries[0], m.input_signature, m.output_signature)
 
 
 def _split_spectators(state: Ket, acted_labels, machine_input: SubsystemSignature):
@@ -412,14 +428,7 @@ def termwise_batch(blocks, basis, inputs, outputs, tol: float = ASSERT_TOL) -> n
     return result
 
 
-def apply_termwise(
-    m: MachineSpec,
-    state: Ket,
-    acted_labels,
-    expansion: StateFamily,
-    renormalize: bool = False,
-    tol: float = ASSERT_TOL,
-) -> Ket:
+def apply_termwise(m: MachineSpec, state: Ket, acted_labels, expansion: StateFamily) -> Ket:
     """Apply declared rules term by term in the given expansion basis.
 
     ``expansion`` must be a complete orthonormal basis of the leading acted
@@ -427,10 +436,9 @@ def apply_termwise(
     matched declared input must carry in one shared fixed state, up to a
     global phase that is folded into the rule's output.  Two rules that then
     take one element to different outputs raise :class:`ConflictingRules`.
-    The state is expanded over the basis, each term is replaced by its
-    declared output with the coefficient (including sign) kept, and the
-    result is renormalized only on request.  A batch of one of
-    :func:`termwise_batch`.
+    The state is expanded over the basis and each term is replaced by its
+    declared output with the coefficient (including sign) kept.  A batch of
+    one of :func:`termwise_batch`.
     """
     spectators, block = _split_spectators(state, acted_labels, m.input_signature)
     in_dims = m.input_signature.dims
@@ -449,12 +457,7 @@ def apply_termwise(
     basis = np.stack([k.amplitudes for k in expansion.members], axis=1)  # (d_exp, d_exp)
     inputs = np.stack([x.amplitudes for x, _ in m.pairs])
     outputs = np.stack([y.amplitudes for _, y in m.pairs])
-    amp = termwise_batch(block[None], basis[None], inputs[None], outputs[None], tol)[0].reshape(-1)
-    if renormalize:
-        n = np.linalg.norm(amp)
-        if n == 0.0:
-            raise ValueError("cannot renormalize a vanishing result")
-        amp = amp / n
+    amp = termwise_batch(block[None], basis[None], inputs[None], outputs[None])[0].reshape(-1)
     return Ket(_result_signature(spectators, m.output_signature), amp)
 
 

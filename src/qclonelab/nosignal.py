@@ -13,8 +13,8 @@ Alice's basis index, breaks exactly this.
 
 from __future__ import annotations
 
-import copy
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     CHUNK_ENTRIES,
     eig_hermitian_batch,
+    failures_named,
     first_failure,
     kron_stack,
     reduced_states,
@@ -139,7 +140,6 @@ def evaluate_batch(
     bases,
     ancilla_dim: int = 4,
     isometries=None,
-    rules=None,
     tol: float = ASSERT_TOL,
 ) -> NosignalBatch:
     """Bob's marginals before and after a machine, for Alice's two basis
@@ -150,13 +150,12 @@ def evaluate_batch(
     ``bases`` has shape (n, 2, 2, 2, 2): per point, Alice's basis choice,
     then psi/alpha, then primary/complement amplitudes.  The machine is one
     per point: ``isometries`` (n, D, 4 ancilla_dim) applied as linear maps
-    to (pb, ab, env), or
-    termwise ``rules`` (inputs (n, R, 4 ancilla_dim), outputs (n, R, D))
-    expanded in the product basis of Alice's choice; with neither, the
-    wishful cloner of both bases (basis 1's rules first).
+    to (pb, ab, env), or else the wishful cloner of both bases (basis 1's
+    rules first) applied termwise in the product basis of Alice's choice,
+    its guards within ``tol``.
 
     Each result is bit-for-bit what a batch of one gives for that point.
-    Every guard runs once per batch and names the first failing point:
+    Every guard names the first failing point by its index in the batch:
     orthonormal bases, normalized joint kets, pre-machine marginals at I/4,
     isometric machines, usable and non-conflicting termwise rules,
     Hermitian unit-trace Bob marginals and the eigendecomposition residuals.
@@ -169,9 +168,7 @@ def evaluate_batch(
         require_isometries(isometries)
         dim = isometries.shape[-2]
     else:
-        if rules is None:
-            rules = wishful_machine_rules(bases, ancilla_dim)
-        rules = [np.asarray(r, dtype=complex) for r in rules]
+        rules = wishful_machine_rules(bases, ancilla_dim)
         dim = rules[1].shape[-1]
 
     # A point holds about D * D entries in every stacked Bob marginal,
@@ -185,19 +182,13 @@ def evaluate_batch(
         machine = (
             isometries[part] if isometries is not None else (rules[0][part], rules[1][part])
         )
-        try:
+        # The guards name indices within the chunk; renamed, they name the batch's.
+        chunk = range(start, min(n, start + step))
+        with failures_named("batch index", chunk) if n > step else nullcontext():
             after[part] = _machine_stage(
                 before.joint[part], bases[part], machine, ancilla_dim, tol
             )
             vals[part], validity[part], distance[part] = _spectra_and_distance(after[part])
-        except (ValueError, ArithmeticError) as exc:
-            if n <= step:
-                raise
-            # The guards name batch indices within this chunk.
-            renamed = copy.copy(exc)
-            last = min(n, start + step) - 1
-            renamed.args = (f"{exc} (in the chunk of points {start} to {last})",)
-            raise renamed from exc
     return NosignalBatch(
         before.joint, before.marginal, before.deviation, after, vals, validity, distance
     )

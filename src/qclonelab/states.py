@@ -108,13 +108,12 @@ def overlap_pair_amplitudes(targets, dimension: int) -> np.ndarray:
     return out
 
 
-def kets_with_overlap(
-    target: complex, dimension: int, label: str = "r"
-) -> tuple[Ket, Ket]:
-    """Deterministic pair of normalized kets with <first|second> = target.
+def kets_with_overlap(target: complex, dimension: int) -> tuple[Ket, Ket]:
+    """Deterministic pair of normalized kets over one factor ``r`` with
+    <first|second> = target.
 
     first = e0, second = target*e0 + sqrt(1-|target|^2)*e1.
     """
     first, second = overlap_pair_amplitudes([target], dimension)[0]
-    sig = signature((label, dimension))
+    sig = signature(("r", dimension))
     return Ket(sig, first), Ket(sig, second)

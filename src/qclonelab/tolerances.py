@@ -1,13 +1,17 @@
 """Shared numerical tolerances.
 
-Two tiers: ASSERT_TOL guards logical claims (orthogonality, Gram equality,
-verdicts), RESIDUAL_TOL guards linear-algebra residuals (eigendecomposition
-reconstruction, trace preservation). The LAPACK kernels (``eigh``,
+Two tiers, both constants: ASSERT_TOL guards logical claims
+(orthogonality, normalization, Gram equality, isometries, verdicts),
+RESIDUAL_TOL guards linear-algebra residuals (eigendecomposition
+reconstruction, closed forms, overlaps).  The LAPACK kernels (``eigh``,
 ``svd``, ``qr``) run without tolerances of their own and their results are
 checked against these; the isometry extension counts rank as
-``np.linalg.matrix_rank`` does. Every public operation that compares
-against a tolerance takes it as a keyword argument defaulting to one of
-these, so callers can tighten or relax per call.
+``np.linalg.matrix_rank`` does.  Only two guards take their tolerance as a
+parameter, because a caller varies it: the Hermiticity guard of
+``core.eig_hermitian_batch`` (``core.trace_distances`` widens it for
+differences of two density matrices), and the termwise-rule guards of
+``nosignal.evaluate_batch`` and ``machines.termwise_batch`` (a nosignal
+config's ``tolerance.assert``).
 """
 
 ASSERT_TOL = 1e-10

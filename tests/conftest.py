@@ -8,8 +8,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from qclonelab.core import Ket, signature
 from qclonelab.machines import (
-    MODE_LINEAR,
-    MODE_TERMWISE,
     MachineSpec,
     deleter_rules,
     strong_cloner_rules,
@@ -37,10 +35,10 @@ def basis_ket(sig, index: int) -> Ket:
     return Ket(sig, np.eye(sig.dim)[index])
 
 
-def spec_from_rules(in_sig, out_sig, inputs, outputs, mode=MODE_LINEAR) -> MachineSpec:
+def spec_from_rules(in_sig, out_sig, inputs, outputs) -> MachineSpec:
     """Machine declaring stacked rule amplitudes (K, d_in) -> (K, d_out)."""
     pairs = tuple((Ket(in_sig, x), Ket(out_sig, y)) for x, y in zip(inputs, outputs))
-    return MachineSpec(in_sig, out_sig, pairs, mode)
+    return MachineSpec(in_sig, out_sig, pairs)
 
 
 def strong_cloner(a, b, c, dim=4) -> MachineSpec:
@@ -76,5 +74,4 @@ def wishful_cloner(*bases, ancilla_dim=4) -> MachineSpec:
         *wishful_signatures(ancilla_dim),
         np.concatenate([x for x, _ in rules]),
         np.concatenate([y for _, y in rules]),
-        MODE_TERMWISE,
     )

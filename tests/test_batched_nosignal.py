@@ -119,9 +119,8 @@ def test_conflict_beyond_the_first_chunk_names_its_chunk():
     bad = [[computational, computational], [basis_amplitudes(math.pi)] * 2]
     step = CHUNK_ENTRIES // 16**2  # points per chunk at ancilla_dim 4
     bases = np.array([good] * (step + 2) + [bad] + [good])
-    with pytest.raises(ConflictingRules, match=(
-        f"batch index 2 \\(in the chunk of points {step} to {step + 3}\\)"
-    )):
+    # Index 2 of the second chunk, named by its index in the whole batch.
+    with pytest.raises(ConflictingRules, match=f"at batch index {step + 2}$"):
         nosig.evaluate_batch(bases)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +114,20 @@ class TestGrid:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             parse_grid_axis("overlap.a=1:0:0.1")
+
+    # A non-finite bound or step once made the expansion loop run forever.
+    @pytest.mark.parametrize(
+        "bounds", ["0:1:nan", "0:inf:0.5", "nan:1:0.5", "-inf:0:0.5", "0:1:inf"]
+    )
+    def test_non_finite_axis_rejected(self, bounds):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_grid_axis(f"overlap.a={bounds}")
+
+    def test_non_finite_axis_exits_2(self, capsys):
+        path = str(Path(__file__).resolve().parents[1] / "configs" / "conservation_violation.cfg")
+        assert main(["sweep", path, "--grid", "overlap.a=0:1:nan"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
 class TestReport:

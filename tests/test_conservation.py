@@ -5,14 +5,20 @@ import qclonelab.conservation as cons
 from conftest import random_ket, strong_cloner
 from oracles import binary_entropy, partial_trace_einsum
 from qclonelab.conservation import (
-    GramMismatch,
     equivalence_unitary,
     evaluate_batch,
     lambda_after,
     lambda_before,
 )
 from qclonelab.core import Ket, eig_hermitian, partial_trace, signature, tensor
-from qclonelab.machines import apply_linear, check_consistency, extend_to_isometry, random_isometry
+from qclonelab.machines import (
+    InconsistentGram,
+    apply_linear,
+    check_consistency,
+    extend_to_isometries,
+    extend_to_isometry,
+    random_isometry,
+)
 from qclonelab.states import StateFamily, kets_with_overlap, overlap_pair_amplitudes
 
 GRID = np.round(np.arange(0.0, 1.0 + 1e-12, 0.1), 10)
@@ -195,9 +201,9 @@ class TestEquivalenceUnitary:
     def test_gram_mismatch_raises_with_deviation(self):
         f = StateFamily(tuple(kets_with_overlap(0.30, 2)))
         g = StateFamily(tuple(kets_with_overlap(0.18, 2)))
-        with pytest.raises(GramMismatch) as exc:
+        with pytest.raises(InconsistentGram) as exc:
             equivalence_unitary(f, g)
-        assert exc.value.max_deviation == pytest.approx(0.12, abs=1e-12)
+        assert exc.value.report.max_deviation == pytest.approx(0.12, abs=1e-12)
 
     def test_dimension_incompatibility(self, rng):
         f = StateFamily(tuple(random_ket(signature(("x", 4)), rng) for _ in range(2)))
@@ -229,32 +235,24 @@ class TestStackedEquivalenceGuards:
         families, hidden = self._trials(rng)
         moved, _ = cons.roundtrips(families, hidden)
         moved[2] = moved[2, ::-1]
-        with pytest.raises(GramMismatch, match="at batch index 2$") as exc:
-            cons.equivalence_batch(families, moved)
-        assert exc.value.max_deviation > 1e-3
-
-    def test_member_residual(self, rng):
-        families, hidden = self._trials(rng)
-        moved, found = cons.roundtrips(families, hidden)
-        assert np.max(found.member_residual) > 0.0
-        k = int(np.argmax(found.member_residual > 0.0))
-        with pytest.raises(ArithmeticError, match=f"at batch index {k}$"):
-            cons.equivalence_batch(families, moved, residual_tol=0.0)
+        with pytest.raises(InconsistentGram, match="at batch index 2$") as exc:
+            extend_to_isometries(families, moved)
+        assert exc.value.report.max_deviation > 1e-3
 
     def test_unnormalized_member(self, rng):
         families, hidden = self._trials(rng)
         moved, _ = cons.roundtrips(families, hidden)
         families[1, 0] *= 1.01
         with pytest.raises(ValueError, match="not normalized at batch index 1$"):
-            cons.equivalence_batch(families, moved)
+            extend_to_isometries(families, moved)
 
     def test_family_shapes(self, rng):
         families, hidden = self._trials(rng)
         moved, _ = cons.roundtrips(families, hidden)
         with pytest.raises(ValueError, match="family sizes differ"):
-            cons.equivalence_batch(families, moved[:, :2])
+            extend_to_isometries(families, moved[:, :2])
         with pytest.raises(ValueError, match="target dimension"):
-            cons.equivalence_batch(families, moved[..., :3])
+            extend_to_isometries(families, moved[..., :3])
 
 
 class TestConsistencySurfaceVerdicts:

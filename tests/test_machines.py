@@ -20,8 +20,6 @@ from oracles import kron_all
 from qclonelab.conservation import equivalence_unitary
 from qclonelab.core import Ket, density_of, partial_trace, signature, tensor
 from qclonelab.machines import (
-    MODE_LINEAR,
-    MODE_TERMWISE,
     ConflictingRules,
     DependentInputsConflict,
     InconsistentGram,
@@ -49,7 +47,6 @@ class TestConsistency:
             sig,
             sig,
             ((basis_ket(sig, 0), basis_ket(sig, 0)), (basis_ket(sig, 1), basis_ket(sig, 1))),
-            MODE_LINEAR,
         )
         assert check_consistency(spec).consistent
 
@@ -70,13 +67,13 @@ class TestExtendToIsometry:
     def test_identity_spec(self):
         sig = signature(("x", 3))
         pairs = tuple((basis_ket(sig, k), basis_ket(sig, k)) for k in range(3))
-        lm = extend_to_isometry(MachineSpec(sig, sig, pairs, MODE_LINEAR))
+        lm = extend_to_isometry(MachineSpec(sig, sig, pairs))
         np.testing.assert_allclose(lm.matrix, np.eye(3), atol=1e-12)
 
     def test_basis_swap_acts_linearly(self):
         sig = signature(("x", 2))
         pairs = ((basis_ket(sig, 0), basis_ket(sig, 1)), (basis_ket(sig, 1), basis_ket(sig, 0)))
-        lm = extend_to_isometry(MachineSpec(sig, sig, pairs, MODE_LINEAR))
+        lm = extend_to_isometry(MachineSpec(sig, sig, pairs))
         plus = np.array([1, 1]) / math.sqrt(2)
         np.testing.assert_allclose(lm.matrix @ plus, plus, atol=1e-12)
 
@@ -102,7 +99,7 @@ class TestExtendToIsometry:
             (a, Ket(sig_out, hide.matrix @ a.amplitudes)),
             (a, Ket(sig_out, hide.matrix @ a.amplitudes)),
         )
-        lm = extend_to_isometry(MachineSpec(sig, sig_out, pairs, MODE_LINEAR))
+        lm = extend_to_isometry(MachineSpec(sig, sig_out, pairs))
         assert np.max(np.abs(lm.matrix @ a.amplitudes - pairs[0][1].amplitudes)) < 1e-10
 
     def test_dependent_inputs_conflicting_outputs_rejected(self):
@@ -114,7 +111,7 @@ class TestExtendToIsometry:
         z = basis_ket(sig, 0)
         eps = 1e-5
         tilted = Ket(sig, np.array([math.cos(eps), math.sin(eps)]))
-        spec = MachineSpec(sig, sig, ((z, z), (z, tilted)), MODE_LINEAR)
+        spec = MachineSpec(sig, sig, ((z, z), (z, tilted)))
         assert check_consistency(spec).consistent
         with pytest.raises(DependentInputsConflict):
             extend_to_isometry(spec)
@@ -138,7 +135,7 @@ def test_extension_of_gram_consistent_spec(in_dim, extra_out, picks, seed):
     pairs = tuple(
         (kets[k], Ket(sig_out, hide.matrix @ kets[k].amplitudes)) for k in picks
     )
-    lm = extend_to_isometry(MachineSpec(sig_in, sig_out, pairs, MODE_LINEAR))
+    lm = extend_to_isometry(MachineSpec(sig_in, sig_out, pairs))
     assert np.max(np.abs(lm.matrix.conj().T @ lm.matrix - np.eye(in_dim))) < 1e-10
     for x, y in pairs:
         assert np.max(np.abs(lm.matrix @ x.amplitudes - y.amplitudes)) < 1e-10
@@ -277,9 +274,7 @@ class TestApplyLinear:
     def test_identity_machine(self, rng):
         sig = signature(("x", 2), ("y", 3))
         lm = extend_to_isometry(
-            MachineSpec(
-                sig, sig, tuple((basis_ket(sig, k), basis_ket(sig, k)) for k in range(6)), MODE_LINEAR
-            )
+            MachineSpec(sig, sig, tuple((basis_ket(sig, k), basis_ket(sig, k)) for k in range(6)))
         )
         state = random_ket(signature(("w", 2), ("x", 2), ("y", 3)), rng)
         out = apply_linear(lm, state, ("x", "y"))
@@ -338,7 +333,7 @@ def _termwise_fixture(rng, d_anc=3):
         )
         for u in expansion.members
     )
-    return MachineSpec(sig_in, sig_out, pairs, MODE_LINEAR), expansion, anc
+    return MachineSpec(sig_in, sig_out, pairs), expansion, anc
 
 
 class TestApplyTermwise:
@@ -362,9 +357,7 @@ class TestApplyTermwise:
 
     def test_uncovered_expansion_element_rejected(self, rng):
         spec, expansion, anc = _termwise_fixture(rng)
-        partial = MachineSpec(
-            spec.input_signature, spec.output_signature, spec.pairs[:2], MODE_LINEAR
-        )
+        partial = MachineSpec(spec.input_signature, spec.output_signature, spec.pairs[:2])
         probe = tensor(random_ket(signature(("w", 2), ("p", 2), ("q", 2)), rng), anc)
         with pytest.raises(ValueError, match="not covered"):
             apply_termwise(partial, probe, ("p", "q", "e"), expansion)
@@ -376,19 +369,9 @@ class TestApplyTermwise:
         with pytest.raises(ValueError, match="ancilla"):
             apply_termwise(spec, probe, ("p", "q", "e"), expansion)
 
-    def test_renormalize_flag(self, rng):
-        spec, expansion, anc = _termwise_fixture(rng)
-        probe = tensor(random_ket(signature(("w", 2), ("p", 2), ("q", 2)), rng), anc)
-        raw = apply_termwise(spec, probe, ("p", "q", "e"), expansion)
-        renorm = apply_termwise(spec, probe, ("p", "q", "e"), expansion, renormalize=True)
-        assert renorm.norm == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(
-            renorm.amplitudes, raw.amplitudes / raw.norm, atol=1e-12
-        )
-
 
 def _with_pairs(spec: MachineSpec, pairs) -> MachineSpec:
-    return MachineSpec(spec.input_signature, spec.output_signature, pairs, spec.mode)
+    return MachineSpec(spec.input_signature, spec.output_signature, pairs)
 
 
 def _rephased(pair, phase):
@@ -444,7 +427,6 @@ class TestWishfulPreset:
     def test_four_normalized_pairs(self):
         spec = wishful_cloner(_same(0.0))
         assert len(spec.pairs) == 4
-        assert spec.mode == MODE_TERMWISE
         for x, y in spec.pairs:
             assert x.norm == pytest.approx(1.0, abs=1e-12)
             assert y.norm == pytest.approx(1.0, abs=1e-12)

@@ -14,7 +14,7 @@ import qclonelab.nosignal as nosig
 import qclonelab.scenarios as scenarios
 from qclonelab.cli import main
 from qclonelab.config import grid_points, load_config
-from qclonelab.conservation import equivalence_roundtrip
+from qclonelab.conservation import roundtrip_draws, roundtrips
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -353,17 +353,23 @@ class TestOneEvaluationPerQuantity:
         assert calls == dict(zip(keys, (1, 1, 2 * chunks, 0)))
 
 
+def _roundtrip(dim, target_dim, size, seed):
+    family, draw = roundtrip_draws(dim, target_dim, size, np.random.default_rng(seed))
+    return family, *roundtrips(family[None], draw[None])
+
+
 class TestEquivalenceRoundtrip:
     def test_rectangular_roundtrip(self):
-        trip = equivalence_roundtrip(3, 5, 4, np.random.default_rng(5))
-        assert len(trip.family) == len(trip.moved) == 4
-        assert trip.family.signature.dim == 3 and trip.moved.signature.dim == 5
-        assert trip.member_residual < 1e-12
-        assert trip.isometry_residual < 1e-12
+        family, moved, found = _roundtrip(3, 5, 4, 5)
+        assert family.shape == (4, 3) and moved.shape == (1, 4, 5)
+        assert found.isometries.shape == (1, 5, 3)
+        assert found.member_residual[0] < 1e-12
+        assert found.isometry_residual[0] < 1e-12
 
     def test_gram_equivalence_report_reads_the_roundtrip(self):
         # configs/gram_equivalence.cfg: dimension 6, four members, seed 3.
         report = scenarios.run_config(load_config(str(CONFIGS / "gram_equivalence.cfg")))
-        trip = equivalence_roundtrip(6, 6, 4, np.random.default_rng(3))
-        assert report.scalars["member_reconstruction_residual"] == trip.member_residual
-        assert report.scalars["isometry_residual"] == trip.isometry_residual
+        _, _, found = _roundtrip(6, 6, 4, 3)
+        assert report.scalars["gram_deviation"] == found.gram_deviation[0]
+        assert report.scalars["member_reconstruction_residual"] == found.member_residual[0]
+        assert report.scalars["isometry_residual"] == found.isometry_residual[0]

@@ -2,12 +2,14 @@
 computed with, and the benchmark finds the functions and checks it times."""
 
 import ast
+import importlib
 import importlib.util
 import inspect
 import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qclonelab.conservation as cons
@@ -90,9 +92,14 @@ def _load_child():
 
 
 def test_benchmark_lookups_exist():
-    # The micro-timings look each (layer, function) up by name among the
-    # layer's public functions, and the tracer wraps every check in place.
+    # The tracer imports every layer by name and wraps the core objects'
+    # __post_init__ and every check in place; the micro-timings look each
+    # (layer, function) up by name among the layer's public functions.
     child = _load_child()
+    for layer in child.LAYERS:
+        importlib.import_module(f"qclonelab.{layer}")
+    for name in child.CORE_OBJECTS:
+        assert callable(getattr(getattr(core, name), "__post_init__", None)), name
     for _, layer, function, _, _ in child.MICRO:
         public = dict(child.public_functions(layer))
         assert function in public, (layer, function)
@@ -128,8 +135,7 @@ def test_no_per_object_machine_calls():
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     per_object = {
-        "extend_to_isometry", "apply_termwise", "apply_linear", "equivalence_roundtrip",
-        "random_isometry", "partial_trace", "MachineSpec", "LinearMachine",
+        "extend_to_isometry", "apply_termwise", "apply_linear", "random_isometry", "partial_trace", "MachineSpec", "LinearMachine",
     }
     assert not names & per_object
 
@@ -157,15 +163,24 @@ class TestFailuresNamed:
                 raise exc
         return caught.value
 
+    def _chunk_raised(self, exc, chunk, points):
+        # A chunked kernel names the batch index of a chunk's entry, and a
+        # sweep renames it to the grid point.
+        with pytest.raises(type(exc)) as caught:
+            with core.failures_named("grid point", points):
+                with core.failures_named("batch index", chunk):
+                    raise exc
+        return caught.value
+
     def test_batch_index_and_chunk(self):
-        exc = ValueError("bad at batch index 2 (in the chunk of points 16 to 19)")
-        renamed = self._raised(exc, "grid point", list(range(100, 120)))
-        assert type(renamed) is ValueError and renamed.__cause__ is exc
+        exc = ValueError("bad at batch index 2")
+        renamed = self._chunk_raised(exc, range(16, 20), list(range(100, 120)))
+        assert type(renamed) is ValueError and renamed.__cause__.__cause__ is exc
         assert str(renamed) == "bad at grid point 118"
 
     def test_chunk_of_one_point(self):
-        exc = ValueError("bad (in the chunk of points 16 to 16)")
-        assert str(self._raised(exc, "grid point", list(range(20)))) == "bad at grid point 16"
+        renamed = self._chunk_raised(ValueError("bad"), range(16, 17), list(range(20)))
+        assert str(renamed) == "bad at grid point 16"
 
     def test_batch_of_one(self):
         exc = ArithmeticError("bad")
@@ -176,7 +191,12 @@ class TestFailuresNamed:
         assert self._raised(exc, "trial", [1, 2]) is exc
 
     def test_keeps_the_error_type_and_fields(self):
-        exc = cons.GramMismatch(0.5, " at batch index 1")
+        # InconsistentGram's __init__ takes a report, not a message.
+        report = machines.ConsistencyReport(np.eye(2), np.eye(2), 0.5, False)
+        exc = machines.InconsistentGram(report, " at batch index 1")
         renamed = self._raised(exc, "trial", [3, 4])
-        assert isinstance(renamed, cons.GramMismatch) and renamed.max_deviation == 0.5
-        assert str(renamed) == "Gram matrices differ by 0.5 at trial 4"
+        assert isinstance(renamed, machines.InconsistentGram) and renamed.report is report
+        assert str(renamed) == (
+            "input/output Gram matrices differ by 0.5; "
+            "no isometry can realize these pairs at trial 4"
+        )
