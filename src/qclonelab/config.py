@@ -8,6 +8,7 @@ values for conservation scenarios are required.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +17,10 @@ from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 KINDS = ("nosignal", "conservation", "gram-equivalence")
 
 DEFAULT_SEED = 7
+
+# Most points a sweep grid, or any one of its axes, may expand to: 150 times
+# the 1331-point (a, b, c) grid, far below what would exhaust memory.
+MAX_GRID_POINTS = 200_000
 
 # key -> (type, default); default None means required.
 _COMMON_SCHEMA: dict[str, tuple[type, object]] = {
@@ -217,6 +222,9 @@ def _validate_ranges(kind: str, values: dict[str, object]) -> None:
                 f"key 'family.target_dimension': {target} is smaller than "
                 f"family.dimension {dim} (0 means the same)"
             )
+    for key, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"key {key!r}: {value!r} is not finite")
 
 
 def load_config(
@@ -245,26 +253,24 @@ def parse_grid_axis(spec: str) -> tuple[str, list[float]]:
     if hi < lo:
         raise ConfigError(f"grid axis {spec!r}: hi must be >= lo")
     values = []
-    k = 0
-    while True:
+    for k in range(MAX_GRID_POINTS + 1):
         v = lo + k * step
         if v > hi + 1e-9:
             break
         values.append(round(v, 12))
-        k += 1
-    if not values:
-        raise ConfigError(f"grid axis {spec!r}: empty grid")
+    else:
+        raise ConfigError(f"grid axis {spec!r}: more than {MAX_GRID_POINTS} points")
     return key.strip(), values
 
 
 def grid_points(config: ScenarioConfig, axis_specs) -> list[ScenarioConfig]:
-    """Cartesian product of the axes, lexicographic in the given axis order."""
+    """Cartesian product of the axes, lexicographic in the given axis order;
+    at most ``MAX_GRID_POINTS`` points."""
     axes = [parse_grid_axis(spec) for spec in axis_specs]
     if not axes:
         raise ConfigError("sweep needs at least one grid axis")
-    points = [config.with_overrides({})]
-    for key, values in axes:
-        points = [
-            p.with_overrides({key: v}) for p in points for v in values
-        ]
-    return points
+    keys, values = zip(*axes)
+    size = math.prod(map(len, values))
+    if size > MAX_GRID_POINTS:
+        raise ConfigError(f"grid of {size} points exceeds {MAX_GRID_POINTS}")
+    return [config.with_overrides(dict(zip(keys, point))) for point in itertools.product(*values)]

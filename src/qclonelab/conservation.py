@@ -23,6 +23,8 @@ from .core import (
     first_failure,
     kron_stack,
     reduced_states,
+    require_density_matrices,
+    require_within,
 )
 from .machines import (
     LinearMachine,
@@ -106,15 +108,6 @@ def _marginals(a, b, c, weight, ancilla_dim: int):
     of :func:`evaluate_batch`."""
     a, b, c = (np.array(z, dtype=complex) for z in (a, b, c))
     w = np.broadcast_to(np.asarray(weight, dtype=float), (len(a),))
-
-    def fail(error, message: str, bad: np.ndarray):
-        if np.any(bad):
-            k, where = first_failure(bad.reshape(len(a), -1).any(axis=1))
-            raise error(
-                f"{message}{where} (a={complex(a[k])!r}, b={complex(b[k])!r}, "
-                f"c={complex(c[k])!r}, weight={float(w[k])!r})"
-            )
-
     psis, alphas, records = _branches(a, b, c, w, ancilla_dim)
     # A point holds 16 * ancilla_dim entries in the stacked rule amplitudes.
     step = max(1, CHUNK_ENTRIES // (16 * ancilla_dim))
@@ -134,7 +127,7 @@ def _marginals(a, b, c, weight, ancilla_dim: int):
     )
     for name, g in (("declared rule input", input_gram), ("declared rule output", output_gram)):
         norm = np.sqrt(np.diagonal(g, axis1=1, axis2=2).real)
-        fail(ValueError, f"{name} is not normalized", np.abs(norm - 1.0) > ASSERT_TOL)
+        require_within(np.abs(norm - 1.0), ASSERT_TOL, ValueError, f"{name} is not normalized")
 
     # Closed forms [[w, pq conj(z)], [pq z, 1 - w]], pq = sqrt(w(1 - w)), with
     # z = ab before and a^2 c after.  The reported deviations from them are
@@ -146,14 +139,12 @@ def _marginals(a, b, c, weight, ancilla_dim: int):
         ("before", before, _cmul(pq * a, b), _cmul(a, b)),
         ("after", after, _cmul(_cmul(pq * a, a), c), _cmul(_cmul(a, a), c)),
     ):
-        herm = np.max(np.abs(rho - np.swapaxes(rho, 1, 2).conj()), axis=(1, 2))
-        fail(ValueError, f"marginal {label} is not Hermitian", herm > ASSERT_TOL)
-        trace = np.abs(rho[:, 0, 0] + rho[:, 1, 1] - 1.0)
-        fail(ValueError, f"marginal {label} trace deviates from 1", trace > ASSERT_TOL)
+        require_density_matrices(rho, f"marginal {label}")
         upper = pq * upper.conj()
         closed.append(np.stack([np.stack([w, upper], -1), np.stack([lower, 1.0 - w], -1)], -2))
         dev = np.max(np.abs(rho - closed[-1]), axis=(1, 2))
-        fail(ArithmeticError, f"marginal {label} deviates from its closed form", dev > RESIDUAL_TOL)
+        message = f"marginal {label} deviates from its closed form"
+        require_within(dev, RESIDUAL_TOL, ArithmeticError, message)
 
     return before, after, *closed, input_gram, output_gram
 

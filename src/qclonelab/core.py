@@ -7,6 +7,10 @@ function; records holding arrays compare by identity, since arrays have no
 single truth value for ``==``.  The stacked kernels (:func:`reduced_states`,
 :func:`trace_distances`, :func:`eig_hermitian_batch`) carry the arithmetic;
 the per-object functions are batches of one of them.
+
+Every guard compares a deviation with its tolerance through
+:func:`require_within`: a deviation passes when it is <= its tolerance, a
+NaN fails, and the error names the first failing entry along axis 0.
 """
 
 from __future__ import annotations
@@ -111,8 +115,9 @@ class Ket:
         return float(np.linalg.norm(self.amplitudes))
 
     def require_normalized(self) -> "Ket":
-        if abs(self.norm - 1.0) > ASSERT_TOL:
-            raise ValueError(f"ket is not normalized (norm={self.norm!r})")
+        norm = self.norm
+        message = f"ket is not normalized (norm={norm!r})"
+        require_within(abs(norm - 1.0), ASSERT_TOL, ValueError, message)
         return self
 
     def as_tensor(self) -> np.ndarray:
@@ -136,12 +141,7 @@ class DensityMatrix:
         d = self.signature.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match signature dimension {d}")
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_dev > ASSERT_TOL:
-            raise ValueError(f"matrix is not Hermitian (max deviation {herm_dev:g})")
-        trace_dev = abs(complex(np.trace(mat)) - 1.0)
-        if trace_dev > ASSERT_TOL:
-            raise ValueError(f"matrix trace deviates from 1 by {trace_dev:g}")
+        require_density_matrices(mat, "matrix")
         object.__setattr__(self, "entries", _frozen(mat))
 
 
@@ -233,6 +233,31 @@ def first_failure(bad) -> tuple[int, str]:
     return k, ("" if bad.size == 1 else f" at batch index {k}")
 
 
+def require_within(dev, tol, error, message: str):
+    """The deviations ``dev``, after checking each is <= ``tol`` (a NaN
+    fails).  Else raise ``error``: ``message`` with ``{dev}`` and ``{tol}``
+    filled in by the first failing deviation and the tolerance, then the
+    suffix of :func:`first_failure` naming the failing entry along axis 0."""
+    bad = ~(np.asarray(dev) <= tol)
+    if bad.any():
+        rows = bad.reshape(len(bad) if bad.ndim else 1, -1)
+        k, where = first_failure(rows.any(axis=1))
+        worst = np.asarray(dev).reshape(rows.shape)[k, np.argmax(rows[k])]
+        raise error(message.format(dev=float(worst), tol=tol) + where)
+    return dev
+
+
+def require_density_matrices(rho, what: str):
+    """Largest entrywise deviations of stacked matrices (..., n, n) from
+    Hermiticity and of their traces from 1, after checking both within
+    ``ASSERT_TOL``; ``what`` names the matrices in the error."""
+    herm = np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj()), axis=(-2, -1))
+    require_within(herm, ASSERT_TOL, ValueError, what + " is not Hermitian (max deviation {dev:g})")
+    trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    require_within(trace, ASSERT_TOL, ValueError, what + " trace deviates from 1 by {dev:g}")
+    return herm, trace
+
+
 # The suffix of first_failure.
 _NAMED_INDEX = re.compile(r" at batch index (\d+)")
 
@@ -266,13 +291,8 @@ def _require_hermitian(mat: np.ndarray, tol: float) -> np.ndarray:
     checking every matrix is Hermitian within ``tol``."""
     adjoint = np.swapaxes(mat, -1, -2).conj()
     dev = np.max(np.abs(mat - adjoint), axis=(-2, -1))
-    bad = dev > tol
-    if np.any(bad):
-        k, where = first_failure(bad)
-        raise ValueError(
-            f"matrix is not Hermitian within {tol:g} "
-            f"(deviation {float(dev.reshape(-1)[k]):g}){where}"
-        )
+    message = "matrix is not Hermitian within {tol:g} (deviation {dev:g})"
+    require_within(dev, tol, ValueError, message)
     return 0.5 * (mat + adjoint)
 
 
@@ -340,7 +360,7 @@ def eig_hermitian_batch(stack, tol: float = ASSERT_TOL) -> tuple[np.ndarray, np.
     as columns.  The 2x2 closed form runs on the whole stack at once; larger
     matrices take one LAPACK ``eigh`` call on the whole stack.  The
     Hermiticity guard (within ``tol``) and the reconstruction-residual guard
-    (within ``RESIDUAL_TOL``) name the first failing batch index.
+    (within ``RESIDUAL_TOL``) name the first failing index along axis 0.
     """
     mat = np.asarray(stack, dtype=complex)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
@@ -363,13 +383,8 @@ def eig_hermitian_batch(stack, tol: float = ASSERT_TOL) -> tuple[np.ndarray, np.
         vecs = np.where(mod > 0.0, vecs * (pivot.conj() / mod), vecs)
     recon = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2).conj()
     residual = np.max(np.abs(mat - recon), axis=(-2, -1))
-    bad = ~(residual <= RESIDUAL_TOL)  # a NaN residual fails too
-    if np.any(bad):
-        k, where = first_failure(bad)
-        raise ArithmeticError(
-            f"eigendecomposition residual {float(residual.reshape(-1)[k]):g} "
-            f"exceeds {RESIDUAL_TOL:g}{where}"
-        )
+    message = "eigendecomposition residual {dev:g} exceeds {tol:g}"
+    require_within(residual, RESIDUAL_TOL, ArithmeticError, message)
     return vals, vecs
 
 

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CHUNK_ENTRIES, Ket, SubsystemSignature, first_failure, kron_stack, signature
+from .core import (
+    CHUNK_ENTRIES, Ket, SubsystemSignature, first_failure, kron_stack, require_within, signature
+)
 from .states import StateFamily, gram_stack
 from .tolerances import ASSERT_TOL
 
@@ -138,37 +140,30 @@ def require_isometries(mats: np.ndarray) -> np.ndarray:
         part = stack[start:start + step]
         gram_dev = np.swapaxes(part, -1, -2).conj() @ part - np.eye(mats.shape[-1])
         dev[start:start + step] = np.abs(gram_dev).max(axis=(-2, -1))
-    dev = dev.reshape(mats.shape[:-2])
-    bad = dev > ASSERT_TOL
-    if bad.any():
-        k, where = first_failure(bad)
-        raise ValueError(
-            f"matrix is not an isometry (M^dag M deviates by {float(dev.reshape(-1)[k]):g}){where}"
-        )
-    return dev
+    message = "matrix is not an isometry (M^dag M deviates by {dev:g})"
+    return require_within(dev.reshape(mats.shape[:-2]), ASSERT_TOL, ValueError, message)
 
 
 def gram_comparison(inputs: np.ndarray, outputs: np.ndarray):
-    """Gram matrices of stacked declared inputs (..., K, d_in) and outputs
-    (..., K, d_out), and their largest entrywise deviation (...,), after
+    """Gram matrices of stacked declared inputs (n, K, d_in) and outputs
+    (n, K, d_out), and their largest entrywise deviation (n,), after
     checking that every rule ket is normalized within ``ASSERT_TOL``."""
     g_in, g_out = gram_stack(inputs), gram_stack(outputs)
     for name, g in (("input", g_in), ("output", g_out)):
         norm = np.sqrt(np.diagonal(g, axis1=-2, axis2=-1).real)
-        bad = np.any(np.abs(norm - 1.0) > ASSERT_TOL, axis=-1)
-        if np.any(bad):
-            _, where = first_failure(bad)
-            raise ValueError(f"declared rule {name} is not normalized{where}")
+        message = f"declared rule {name} is not normalized"
+        require_within(np.abs(norm - 1.0), ASSERT_TOL, ValueError, message)
     return g_in, g_out, np.max(np.abs(g_in - g_out), axis=(-2, -1))
 
 
 def check_consistency(m: MachineSpec) -> ConsistencyReport:
     """Compare the Gram matrices of declared inputs and outputs entrywise."""
     g_in, g_out, dev = gram_comparison(
-        np.stack([x.amplitudes for x, _ in m.pairs]), np.stack([y.amplitudes for _, y in m.pairs])
+        np.stack([x.amplitudes for x, _ in m.pairs])[None],
+        np.stack([y.amplitudes for _, y in m.pairs])[None],
     )
-    dev = float(dev)
-    return ConsistencyReport(g_in, g_out, dev, dev < ASSERT_TOL)
+    dev = float(dev[0])
+    return ConsistencyReport(g_in[0], g_out[0], dev, dev < ASSERT_TOL)
 
 
 def images(mats: np.ndarray, kets: np.ndarray) -> np.ndarray:
@@ -238,13 +233,8 @@ def isometry_matrix_from_pairs(inputs, outputs):
             q[..., :r] *= phases[:, None, :]
             mats[start + group] = q[..., :d_in] @ np.swapaxes(a[group].conj(), -1, -2)
     residual = np.max(np.abs(images(mats, xs) - ys), axis=(-2, -1))
-    bad = ~(residual <= ASSERT_TOL)
-    if np.any(bad):
-        k, where = first_failure(bad)
-        raise DependentInputsConflict(
-            "declared outputs are not an isometric image of the declared inputs "
-            f"(residual {float(residual[k]):g}){where}"
-        )
+    message = "declared outputs are not an isometric image of the declared inputs "
+    require_within(residual, ASSERT_TOL, DependentInputsConflict, message + "(residual {dev:g})")
     return mats, residual, require_isometries(mats)
 
 
@@ -396,10 +386,7 @@ def termwise_batch(blocks, basis, inputs, outputs, tol: float = ASSERT_TOL) -> n
     n, s, _ = blocks.shape
     d_exp = basis.shape[-1]
     gram_dev = np.abs(np.swapaxes(basis, -1, -2).conj() @ basis - np.eye(d_exp))
-    bad = np.max(gram_dev, axis=(-2, -1)) > tol
-    if np.any(bad):
-        _, where = first_failure(bad)
-        raise ValueError(f"non-orthonormal expansion{where}")
+    require_within(np.max(gram_dev, axis=(-2, -1)), tol, ValueError, "non-orthonormal expansion")
     table, covered, ancilla = _termwise_table(basis, inputs, outputs, tol)
     psi = blocks.reshape(n, s, d_exp, -1)
     branch = np.einsum("nek,nsea->nksa", basis.conj(), psi)

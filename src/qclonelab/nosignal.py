@@ -23,9 +23,10 @@ from .core import (
     CHUNK_ENTRIES,
     eig_hermitian_batch,
     failures_named,
-    first_failure,
     kron_stack,
     reduced_states,
+    require_density_matrices,
+    require_within,
     trace_distances,
 )
 from .machines import apply_isometries, require_isometries, termwise_batch, wishful_rules
@@ -59,12 +60,6 @@ class NosignalBatch:
     eigenvalues_after: np.ndarray
     validity_deviation: np.ndarray
     signalling_magnitude: np.ndarray
-
-
-def _fail(error, message: str, bad: np.ndarray) -> None:
-    if np.any(bad):
-        _, where = first_failure(bad)
-        raise error(message + where)
 
 
 def _products(psis: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -105,22 +100,18 @@ def premachine(bases, ancilla_dim: int = 4) -> Premachine:
     if ancilla_dim < 2:
         raise ValueError("environment register needs dimension >= 2")
     overlap = np.vecdot(bases[..., 0, :], bases[..., 1, :])
-    _fail(ValueError, "basis pair is not orthogonal", np.any(np.abs(overlap) > 1e-12, axis=(1, 2)))
+    require_within(np.abs(overlap), RESIDUAL_TOL, ValueError, "basis pair is not orthogonal")
     env = np.zeros(ancilla_dim, dtype=complex)
     env[0] = 1.0
     joint = kron_stack(kron_stack(_singlets(bases[:, 0, 0]), _singlets(bases[:, 0, 1])), env)
     norm = np.linalg.norm(joint, axis=-1)
-    _fail(ValueError, "joint ket is not normalized", np.abs(norm - 1.0) > ASSERT_TOL)
+    require_within(np.abs(norm - 1.0), ASSERT_TOL, ValueError, "joint ket is not normalized")
 
     # Factors (pa, pb, aa, ab, env); Bob holds pb and ab.
     marginal = reduced_states(joint, (2, 2, 2, 2, ancilla_dim), (1, 3))
     deviation = np.max(np.abs(marginal - np.eye(4) / 4.0), axis=(1, 2))
-    bad = deviation > RESIDUAL_TOL
-    if np.any(bad):
-        k, where = first_failure(bad)
-        raise ArithmeticError(
-            f"pre-machine Bob marginal deviates from I/4 by {float(deviation[k]):g}{where}"
-        )
+    message = "pre-machine Bob marginal deviates from I/4 by {dev:g}"
+    require_within(deviation, RESIDUAL_TOL, ArithmeticError, message)
     return Premachine(joint, marginal, deviation)
 
 
@@ -216,10 +207,7 @@ def _spectra_and_distance(rho: np.ndarray):
     """Spectra, validity deviations and trace distances of stacked pairs of
     Bob marginals (n, 2, D, D), after checking that every marginal is a
     Hermitian unit-trace matrix."""
-    herm = np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj()), axis=(-2, -1))
-    _fail(ValueError, "Bob marginal is not Hermitian", np.any(herm > ASSERT_TOL, axis=1))
-    trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
-    _fail(ValueError, "Bob marginal trace deviates from 1", np.any(trace > ASSERT_TOL, axis=1))
+    herm, trace = require_density_matrices(rho, "Bob marginal")
     vals, _ = eig_hermitian_batch(rho)
     validity = np.max(
         np.stack([herm, trace, -vals.min(axis=-1), vals.max(axis=-1) - 1.0]), axis=(0, 2)

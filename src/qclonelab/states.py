@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ket, SubsystemSignature, first_failure, signature
+from .core import Ket, SubsystemSignature, require_within, signature
 from .tolerances import RESIDUAL_TOL
 
 
@@ -90,21 +90,15 @@ def overlap_pair_amplitudes(targets, dimension: int) -> np.ndarray:
     if dimension < 2:
         raise ValueError("need dimension >= 2 to realize an arbitrary overlap")
     moduli = [abs(t) for t in targets]
-    too_large = np.array(moduli) > 1.0 + 1e-12
-    if np.any(too_large):
-        k, where = first_failure(too_large)
-        raise ValueError(f"overlap modulus {moduli[k]!r} exceeds 1{where}")
+    require_within(np.array(moduli), 1.0 + 1e-12, ValueError, "overlap modulus {dev!r} exceeds 1")
     out = np.zeros((len(targets), 2, dimension), dtype=complex)
     out[:, 0, 0] = 1.0
     out[:, 1, 0] = targets
     out[:, 1, 1] = [math.sqrt(max(1.0 - m ** 2, 0.0)) for m in moduli]
     realized = np.vecdot(out[:, 0], out[:, 1])
-    miss = np.abs(realized - np.array(targets, dtype=complex)) > RESIDUAL_TOL
-    if np.any(miss):
-        k, where = first_failure(miss)
-        raise ArithmeticError(
-            f"realized overlap {complex(realized[k])!r} misses requested {targets[k]!r}{where}"
-        )
+    miss = np.abs(realized - np.array(targets, dtype=complex))
+    message = "realized overlap misses its target by {dev:g}"
+    require_within(miss, RESIDUAL_TOL, ArithmeticError, message)
     return out
 
 

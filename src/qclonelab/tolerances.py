@@ -11,7 +11,9 @@ parameter, because a caller varies it: the Hermiticity guard of
 ``core.eig_hermitian_batch`` (``core.trace_distances`` widens it for
 differences of two density matrices), and the termwise-rule guards of
 ``nosignal.evaluate_batch`` and ``machines.termwise_batch`` (a nosignal
-config's ``tolerance.assert``).
+config's ``tolerance.assert``).  Every guard passes a deviation <= its
+tolerance, except the Gram guard of ``machines.extend_to_isometries``, which
+passes only a deviation < ``ASSERT_TOL``, as ``report.Verdict.passed`` does.
 """
 
 ASSERT_TOL = 1e-10

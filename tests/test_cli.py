@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from qclonelab import config
 from qclonelab.cli import main
 from qclonelab.scenarios import run_config
 from qclonelab.config import (
@@ -128,6 +129,69 @@ class TestGrid:
         assert main(["sweep", path, "--grid", "overlap.a=0:1:nan"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+class TestGridBound:
+    # A tiny step once expanded into a list of 10^9 values, growing memory
+    # until the process was killed.
+    def test_long_axis_rejected(self):
+        with pytest.raises(ConfigError, match="more than"):
+            parse_grid_axis("overlap.a=0:1:1e-9")
+
+    def test_axis_at_the_bound_accepted(self):
+        bound = config.MAX_GRID_POINTS
+        assert bound >= 100 * 11**3
+        _, values = parse_grid_axis(f"seed=1:{bound}:1")
+        assert len(values) == bound
+
+    def test_large_product_rejected(self):
+        cfg = parse_config_text(CONS_TEXT)
+        axes = [f"overlap.{key}=0:1:0.01" for key in "abc"]  # 101^3 points
+        with pytest.raises(ConfigError, match="exceeds"):
+            grid_points(cfg, axes)
+
+    def test_long_axis_exits_2(self, capsys):
+        path = str(Path(__file__).resolve().parents[1] / "configs" / "conservation_violation.cfg")
+        assert main(["sweep", path, "--grid", "overlap.a=0:1:1e-9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+
+    def test_each_point_built_once(self, monkeypatch):
+        cfg = parse_config_text(CONS_TEXT)
+        built = []
+        with_overrides = type(cfg).with_overrides
+
+        def counted(self, overrides):
+            built.append(overrides)
+            return with_overrides(self, overrides)
+
+        monkeypatch.setattr(type(cfg), "with_overrides", counted)
+        points = grid_points(cfg, ["overlap.a=0:1:0.5", "overlap.b=0:1:1"])
+        assert len(built) == len(points) == 6
+
+    def test_cross_key_ranges_checked_on_whole_points(self):
+        # Half-built points once failed this check: target 2 against the
+        # default family.dimension 4.
+        cfg = parse_config_text("kind = gram-equivalence\n")
+        (point,) = grid_points(cfg, ["family.target_dimension=2:2:1", "family.dimension=2:2:1"])
+        assert (point.get("family.target_dimension"), point.get("family.dimension")) == (2, 2)
+
+
+class TestNonFiniteConfigValues:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["overlap.a_phase", "overlap.b_phase", "overlap.c_phase"])
+    def test_phase_exits_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "c.cfg"
+        path.write_text(CONS_TEXT + f"{key} = {value}\n")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert key in err and "not finite" in err
+
+    def test_override_rejected(self):
+        cfg = parse_config_text(CONS_TEXT)
+        with pytest.raises(ConfigError, match="overlap.c_phase"):
+            cfg.with_overrides({"overlap.c_phase": float("nan")})
 
 
 class TestReport:

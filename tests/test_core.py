@@ -252,9 +252,20 @@ class TestEig:
         scaled = eig_hermitian(h).eigenvalues * 1e150
         np.testing.assert_allclose(scaled, reference, rtol=1e-14, atol=1e-14 * reference[0])
 
-    def test_nan_residual_raises(self):
-        with pytest.raises(ArithmeticError, match="residual nan"):
+    def test_nan_residual_raises(self, monkeypatch):
+        # A NaN input fails the Hermiticity guard before any eigensolver runs.
+        with pytest.raises(ValueError, match="not Hermitian .*deviation nan"):
             eig_hermitian(np.array([[np.nan, 0.1], [0.1, 0.5]]))
+        # A NaN coming out of the eigensolver fails the residual guard.
+        eigh = np.linalg.eigh
+
+        def nan_eigh(mat):
+            vals, vecs = eigh(mat)
+            return np.full_like(vals, np.nan), vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
+        with pytest.raises(ArithmeticError, match="residual nan"):
+            eig_hermitian(np.diag([0.5, 0.3, 0.2]))
 
 
 class TestTraceDistance:
