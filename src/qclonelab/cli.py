@@ -14,7 +14,6 @@ import os
 import sys
 
 from .config import DEFAULT_SEED, ConfigError, grid_points, load_config, require_tolerance
-from .report import render_csv
 from .scenarios import run_config, run_configs
 from .verification import run_all_checks
 
@@ -50,13 +49,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config, _env_tolerance_overrides())
-    reports = run_configs(grid_points(cfg, args.grid))
+    report = run_configs(grid_points(cfg, args.grid))
     if args.format == "json":
-        text = "[\n" + ",\n".join(r.render("json").rstrip("\n") for r in reports) + "\n]\n"
+        rows = (report.render("json", k).rstrip("\n") for k in range(len(report)))
+        text = "[\n" + ",\n".join(rows) + "\n]\n"
     else:
-        text = render_csv(reports)
+        text = report.render("csv")
     _emit(text, args.out)
-    return 0 if all(r.all_pass for r in reports) else 1
+    return 0 if report.all_pass else 1
 
 
 def _cmd_verify(args) -> int:

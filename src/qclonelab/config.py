@@ -97,13 +97,6 @@ class ScenarioConfig:
     def get(self, key: str):
         return self.values[key]
 
-    def echo(self) -> dict[str, str]:
-        """Fully resolved key/value strings, defaults included."""
-        out = {"kind": self.kind}
-        for k, v in self.values.items():
-            out[k] = repr(v) if isinstance(v, float) else str(v)
-        return out
-
     def with_overrides(self, overrides: dict[str, float]) -> "ScenarioConfig":
         schema = _SCHEMAS[self.kind]
         vals = dict(self.values)
@@ -113,6 +106,8 @@ class ScenarioConfig:
             typ = schema[key][0]
             if typ not in (float, int):
                 raise ConfigError(f"key {key!r} is not numeric and cannot be swept")
+            if typ is int and not float(value).is_integer():
+                raise ConfigError(f"key {key!r}: {value!r} is not an integer")
             vals[key] = typ(value)
         _validate_ranges(self.kind, vals)
         return ScenarioConfig(self.kind, vals)
@@ -132,6 +127,18 @@ class ScenarioConfig:
                 value = specific if specific is not None else shared
                 out.append(float(value) if value is not None else 0.0)
         return tuple(out)
+
+
+def echo_columns(cfgs: list[ScenarioConfig]) -> dict[str, str | list[str]]:
+    """Resolved key/value strings of configs of one kind as columns: one
+    string for a key whose value is one object in every config (as the keys
+    ``with_overrides`` does not set are), else one string per config."""
+    out: dict[str, str | list[str]] = {"kind": cfgs[0].kind}
+    for key, value in cfgs[0].values.items():
+        column = [cfg.values[key] for cfg in cfgs]
+        text = repr if isinstance(value, float) else str
+        out[key] = text(value) if len(set(map(id, column))) == 1 else list(map(text, column))
+    return out
 
 
 def parse_config_text(
@@ -252,14 +259,12 @@ def parse_grid_axis(spec: str) -> tuple[str, list[float]]:
         raise ConfigError(f"grid axis {spec!r}: step must be positive")
     if hi < lo:
         raise ConfigError(f"grid axis {spec!r}: hi must be >= lo")
-    values = []
-    for k in range(MAX_GRID_POINTS + 1):
-        v = lo + k * step
-        if v > hi + 1e-9:
-            break
-        values.append(round(v, 12))
-    else:
+    steps = (hi - lo) / step + 1e-9  # hi may fall short of a step by 1e-9 of it
+    if not steps < MAX_GRID_POINTS:
         raise ConfigError(f"grid axis {spec!r}: more than {MAX_GRID_POINTS} points")
+    values = [round(lo + k * step, 12) for k in range(int(steps) + 1)]
+    if len(set(values)) < len(values):
+        raise ConfigError(f"grid axis {spec!r}: values collide at 12 decimals")
     return key.strip(), values
 
 
@@ -270,6 +275,8 @@ def grid_points(config: ScenarioConfig, axis_specs) -> list[ScenarioConfig]:
     if not axes:
         raise ConfigError("sweep needs at least one grid axis")
     keys, values = zip(*axes)
+    if len(set(keys)) < len(keys):
+        raise ConfigError(f"grid axis key {max(keys, key=keys.count)!r} repeats")
     size = math.prod(map(len, values))
     if size > MAX_GRID_POINTS:
         raise ConfigError(f"grid of {size} points exceeds {MAX_GRID_POINTS}")

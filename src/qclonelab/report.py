@@ -1,15 +1,16 @@
-"""Byte-stable scenario reports.
+"""Byte-stable scenario reports, stacked over points: ``sweep`` renders every
+row of one report, and ``run`` is a batch of one, a report with a single row.
 
 All numbers render at 12 significant digits with lowercase exponents, so a
 report for a given configuration is identical across runs and machines.  The
-JSON rendering is the canonical machine format and parses back losslessly;
-the CSV rendering is the flat scalar record used for sweeps.
+JSON rendering of a row is the canonical machine format and parses back
+losslessly; the CSV rendering is the flat scalar record, one line per row.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +20,11 @@ def format_scalar(x: float) -> str:
     if x == 0.0:
         x = 0.0  # collapse -0.0
     return f"{x:.11e}"
+
+
+def _format_column(values: np.ndarray) -> list[str]:
+    """:func:`format_scalar` of each value; adding 0.0 collapses -0.0."""
+    return [f"{x:.11e}" for x in (np.asarray(values, dtype=float) + 0.0).tolist()]
 
 
 def format_complex(z: complex) -> str:
@@ -46,112 +52,122 @@ class Verdict:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioReport:
-    """Echoed configuration plus computed quantities and named verdicts."""
+    """Echoed configs, quantities and verdicts of n points of one kind, row k
+    for point k: per config key one shared string or n strings; (n,) scalar
+    arrays; (n, rows, cols) matrix stacks, or lists of n matrices once several
+    batches merge; (n,) verdict deviations and tolerances.  A verdict passes
+    where its deviation is below its tolerance."""
 
     kind: str
-    config: dict[str, str]
-    scalars: dict[str, float]
-    matrices: dict[str, np.ndarray] = field(default_factory=dict)
-    verdicts: tuple[Verdict, ...] = ()
+    config: dict[str, str | list[str]]
+    scalars: dict[str, np.ndarray]
+    matrices: dict[str, np.ndarray | list[np.ndarray]]
+    verdicts: dict[str, tuple[np.ndarray, np.ndarray]]
+
+    def __len__(self) -> int:
+        return len(next(iter(self.scalars.values())))
 
     @property
     def all_pass(self) -> bool:
-        return all(v.passed for v in self.verdicts)
+        return all(bool(np.all(dev < tol)) for dev, tol in self.verdicts.values())
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, row: int = 0) -> dict:
+        config = {k: v if isinstance(v, str) else v[row] for k, v in sorted(self.config.items())}
         return {
             "kind": self.kind,
-            "config": dict(sorted(self.config.items())),
-            "scalars": {k: format_scalar(v) for k, v in self.scalars.items()},
+            "config": config,
+            "scalars": {k: format_scalar(v[row]) for k, v in self.scalars.items()},
             "matrices": {
-                name: [[format_complex(z) for z in row] for row in np.asarray(mat)]
-                for name, mat in self.matrices.items()
+                name: [[format_complex(z) for z in r] for r in stack[row]]
+                for name, stack in self.matrices.items()
             },
             "verdicts": [
-                {
-                    "name": v.name,
-                    "passed": v.passed,
-                    "deviation": format_scalar(v.deviation),
-                    "tolerance": format_scalar(v.tolerance),
-                }
-                for v in self.verdicts
+                {"name": name, "passed": bool(dev[row] < tol[row]),
+                 "deviation": format_scalar(dev[row]), "tolerance": format_scalar(tol[row])}
+                for name, (dev, tol) in self.verdicts.items()
             ],
         }
 
-    def render(self, fmt: str = "table") -> str:
+    def render(self, fmt: str = "table", row: int = 0) -> str:
+        """One row as a table or JSON; as CSV, every row."""
         if fmt == "json":
-            return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+            return json.dumps(self.to_json_dict(row), indent=2, sort_keys=True) + "\n"
         if fmt == "csv":
-            return render_csv([self])
-        if fmt == "table":
-            return self._render_table()
-        raise ValueError(f"unknown report format {fmt!r}")
-
-    def _render_table(self) -> str:
+            return render_csv(self)
+        if fmt != "table":
+            raise ValueError(f"unknown report format {fmt!r}")
+        doc = self.to_json_dict(row)
         lines = [f"kind = {self.kind}", "", "[config]"]
-        lines += [f"{k} = {v}" for k, v in sorted(self.config.items())]
+        lines += [f"{k} = {v}" for k, v in doc["config"].items()]
         lines += ["", "[scalars]"]
-        lines += [f"{k} = {format_scalar(v)}" for k, v in self.scalars.items()]
-        for name, mat in self.matrices.items():
-            lines += ["", f"[matrix {name}]"]
-            for row in np.asarray(mat):
-                lines.append("  ".join(format_complex(z) for z in row))
-        lines += ["", "[verdicts]"]
-        lines += [v.line() for v in self.verdicts]
-        lines += ["", f"overall = {'PASS' if self.all_pass else 'FAIL'}"]
+        lines += [f"{k} = {v}" for k, v in doc["scalars"].items()]
+        for name, rows in doc["matrices"].items():
+            lines += ["", f"[matrix {name}]", *("  ".join(r) for r in rows)]
+        verdicts = [Verdict(name, dev[row], tol[row]) for name, (dev, tol) in self.verdicts.items()]
+        lines += ["", "[verdicts]", *(v.line() for v in verdicts)]
+        lines += ["", f"overall = {'PASS' if all(v.passed for v in verdicts) else 'FAIL'}"]
         return "\n".join(lines) + "\n"
-
-    def csv_row(self) -> tuple[list[str], list[str]]:
-        header: list[str] = ["kind"]
-        row: list[str] = [self.kind]
-        for k, v in sorted(self.config.items()):
-            header.append(f"config.{k}")
-            row.append(v)
-        for k, v in self.scalars.items():
-            header.append(k)
-            row.append(format_scalar(v))
-        for v in self.verdicts:
-            header.append(f"verdict.{v.name}")
-            row.append("1" if v.passed else "0")
-            header.append(f"verdict.{v.name}.deviation")
-            row.append(format_scalar(v.deviation))
-        return header, row
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScenarioReport):
             return NotImplemented
-        return self.render("json") == other.render("json")
+        return len(self) == len(other) and all(
+            self.render("json", k) == other.render("json", k) for k in range(len(self))
+        )
 
 
-def render_csv(reports) -> str:
-    reports = list(reports)
-    if not reports:
-        return "\n"
-    header, first_row = reports[0].csv_row()
-    lines = [",".join(header), ",".join(first_row)]
-    for rep in reports[1:]:
-        rep_header, row = rep.csv_row()
-        if rep_header != header:
-            raise ValueError("reports have mismatched columns")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def render_csv(report: ScenarioReport) -> str:
+    """A header line, then one line per row of the report."""
+    n = len(report)
+    columns = {"kind": [report.kind] * n}
+    for key, column in sorted(report.config.items()):
+        columns[f"config.{key}"] = [column] * n if isinstance(column, str) else column
+    for name, values in report.scalars.items():
+        columns[name] = _format_column(values)
+    for name, (dev, tol) in report.verdicts.items():
+        columns[f"verdict.{name}"] = ["1" if p else "0" for p in (dev < tol).tolist()]
+        columns[f"verdict.{name}.deviation"] = _format_column(dev)
+    return "\n".join([",".join(columns), *map(",".join, zip(*columns.values()))]) + "\n"
+
+
+def _merge(columns: list, sizes: list[int], order: np.ndarray):
+    """The columns of parts of ``sizes`` rows as one column in ``order``: the
+    string every part shares, an array of values or a list of rows; tuples
+    and dicts of columns merge entry by entry."""
+    first = columns[0]
+    if isinstance(first, tuple):
+        return tuple(_merge(list(c), sizes, order) for c in zip(*columns))
+    if isinstance(first, dict):
+        return {key: _merge([c[key] for c in columns], sizes, order) for key in first}
+    if all(isinstance(c, str) and c == first for c in columns):
+        return first
+    rows = [r for c, n in zip(columns, sizes) for r in ([c] * n if isinstance(c, str) else c)]
+    rows = [rows[k] for k in order.tolist()]
+    return np.array(rows) if isinstance(first, np.ndarray) and first.ndim == 1 else rows
+
+
+def concatenate_rows(parts: list[ScenarioReport], order: np.ndarray) -> ScenarioReport:
+    """The rows of ``parts`` one after another, taken in ``order``: row k of
+    the result is row ``order[k]`` of the concatenation."""
+    fields = [(p.config, p.scalars, p.matrices, p.verdicts) for p in parts]
+    return ScenarioReport(parts[0].kind, *_merge(fields, [len(p) for p in parts], order))
 
 
 def parse_report(text: str) -> ScenarioReport:
-    """Parse the JSON rendering back into a report."""
+    """Parse the JSON rendering of a row back into a report of one row."""
     doc = json.loads(text)
     return ScenarioReport(
         kind=doc["kind"],
         config=dict(doc["config"]),
-        scalars={k: float(v) for k, v in doc["scalars"].items()},
+        scalars={k: np.array([float(v)]) for k, v in doc["scalars"].items()},
         matrices={
-            name: np.array([[complex(z) for z in row] for row in rows], dtype=complex)
+            name: np.array([[[complex(z) for z in row] for row in rows]], dtype=complex)
             for name, rows in doc["matrices"].items()
         },
-        verdicts=tuple(
-            Verdict(v["name"], float(v["deviation"]), float(v["tolerance"]))
+        verdicts={
+            v["name"]: (np.array([float(v["deviation"])]), np.array([float(v["tolerance"])]))
             for v in doc["verdicts"]
-        ),
+        },
     )

@@ -1,25 +1,26 @@
-"""Scenario runners: configs in, byte-stable reports out.
+"""Scenario runners: configs in, one byte-stable stacked report out.
 
-Each config kind has one runner that evaluates its scenario through the
-physics modules and assembles a :class:`~qclonelab.report.ScenarioReport`:
-scalars, matrices and named verdicts.  ``run`` is a batch of one; ``sweep``
-passes a whole grid, whose conservation and nosignal points are evaluated
-as stacked batches (see :func:`run_configs`).
+Each config kind has one runner that evaluates a batch of its configs through
+the physics modules and fills the columns of a stacked
+:class:`~qclonelab.report.ScenarioReport`: scalars, matrices and named
+verdicts, one row per config.  ``run`` is a batch of one; ``sweep`` passes a
+whole grid (see :func:`run_configs`).
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import nullcontext
+from operator import itemgetter
 
 import numpy as np
 
 from . import conservation as cons
 from . import nosignal as nosig
-from .config import ScenarioConfig
+from .config import ScenarioConfig, echo_columns
 from .core import failures_named
 from .machines import haar_draw, haar_isometries, wishful_signatures
-from .report import ScenarioReport, Verdict
+from .report import ScenarioReport, concatenate_rows
 from .states import basis_amplitudes
 
 
@@ -33,184 +34,160 @@ def _bases(cfg: ScenarioConfig) -> np.ndarray:
     return np.array(out)
 
 
-def _run_nosignal(cfgs: list[ScenarioConfig]) -> list[ScenarioReport]:
-    """Reports for nosignal configs sharing one machine mode,
+def _column(cfgs: list[ScenarioConfig], key: str) -> list:
+    return [cfg.values[key] for cfg in cfgs]
+
+
+def _tolerances(cfgs: list[ScenarioConfig]) -> tuple[np.ndarray, np.ndarray]:
+    return tuple(np.array(_column(cfgs, f"tolerance.{t}")) for t in ("assert", "residual"))
+
+
+def _run_nosignal(cfgs: list[ScenarioConfig]) -> ScenarioReport:
+    """The report of nosignal configs sharing one machine mode,
     ``machine.ancilla_dim`` and ``tolerance.assert``, from a single batched
     evaluation."""
-    tol_assert = float(cfgs[0].get("tolerance.assert"))
-    ancilla_dim = int(cfgs[0].get("machine.ancilla_dim"))
+    first = cfgs[0].values
+    ancilla_dim, isometries = first["machine.ancilla_dim"], None
+    applied_as = "termwise in the measured basis (unphysical step)"
     bases = np.array([_bases(cfg) for cfg in cfgs])
-    if cfgs[0].get("machine.mode") == "isometry":
+    if first["machine.mode"] == "isometry":
         n_in, n_out = (sig.dim for sig in wishful_signatures(ancilla_dim))
-        draws = [
-            haar_draw(n_in, n_out, np.random.default_rng(int(cfg.get("seed")))) for cfg in cfgs
-        ]
+        draws = [haar_draw(n_in, n_out, np.random.default_rng(s)) for s in _column(cfgs, "seed")]
         isometries = haar_isometries(np.stack(draws))
-        batch = nosig.evaluate_batch(bases, ancilla_dim, isometries=isometries, tol=tol_assert)
         applied_as = "fixed isometry (physical)"
-    else:
-        batch = nosig.evaluate_batch(bases, ancilla_dim, tol=tol_assert)
-        applied_as = "termwise in the measured basis (unphysical step)"
+    batch = nosig.evaluate_batch(bases, ancilla_dim, isometries, first["tolerance.assert"])
 
-    magnitude = batch.signalling_magnitude.tolist()
-    pre_dev = batch.premachine_deviation.tolist()
-    validity = batch.validity_deviation.tolist()
-    lam_max = batch.eigenvalues_after[:, :, 0].tolist()
-    reports = []
-    for k, cfg in enumerate(cfgs):
-        tol_residual = float(cfg.get("tolerance.residual"))
-        scalars = {
-            "signalling_magnitude": magnitude[k],
-            "premachine_deviation_from_maximally_mixed": pre_dev[k],
-            "bob_marginal_basis1_lambda_max": lam_max[k][0],
-            "bob_marginal_basis2_lambda_max": lam_max[k][1],
-        }
-        matrices = {
-            "bob_marginal_basis1": batch.marginal_after[k, 0],
-            "bob_marginal_basis2": batch.marginal_after[k, 1],
-        }
-        verdicts = (
-            Verdict("premachine_bob_marginal_maximally_mixed", pre_dev[k], tol_residual),
-            Verdict("bob_marginals_are_density_matrices", validity[k], tol_assert),
-            Verdict("no_signalling", magnitude[k], tol_assert),
-        )
-        echoed = cfg.echo()
-        echoed["machine.applied_as"] = applied_as
-        reports.append(ScenarioReport("nosignal", echoed, scalars, matrices, verdicts))
-    return reports
+    tol_assert, tol_residual = _tolerances(cfgs)
+    lam_max = batch.eigenvalues_after[:, :, 0]
+    scalars = {
+        "signalling_magnitude": batch.signalling_magnitude,
+        "premachine_deviation_from_maximally_mixed": batch.premachine_deviation,
+        "bob_marginal_basis1_lambda_max": lam_max[:, 0],
+        "bob_marginal_basis2_lambda_max": lam_max[:, 1],
+    }
+    matrices = {
+        "bob_marginal_basis1": batch.marginal_after[:, 0],
+        "bob_marginal_basis2": batch.marginal_after[:, 1],
+    }
+    verdicts = {
+        "premachine_bob_marginal_maximally_mixed": (batch.premachine_deviation, tol_residual),
+        "bob_marginals_are_density_matrices": (batch.validity_deviation, tol_assert),
+        "no_signalling": (batch.signalling_magnitude, tol_assert),
+    }
+    config = echo_columns(cfgs)
+    config["machine.applied_as"] = applied_as
+    return ScenarioReport("nosignal", config, scalars, matrices, verdicts)
 
 
-def _overlap(cfg: ScenarioConfig, key: str) -> complex:
-    modulus = float(cfg.get(f"overlap.{key}"))
-    phase = float(cfg.get(f"overlap.{key}_phase"))
-    return modulus * complex(math.cos(phase), math.sin(phase))
+def _overlaps(cfgs: list[ScenarioConfig], key: str) -> list[complex]:
+    moduli = _column(cfgs, f"overlap.{key}")
+    phases = _column(cfgs, f"overlap.{key}_phase")
+    return [m * complex(math.cos(p), math.sin(p)) for m, p in zip(moduli, phases)]
 
 
-def _max_abs(stack: np.ndarray) -> list[float]:
-    return np.max(np.abs(stack), axis=(1, 2)).tolist()
+def _max_abs(stack: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(stack), axis=(1, 2))
 
 
-def _run_conservation(cfgs: list[ScenarioConfig]) -> list[ScenarioReport]:
-    """Reports for conservation configs sharing one ``machine.ancilla_dim``,
+def _run_conservation(cfgs: list[ScenarioConfig]) -> ScenarioReport:
+    """The report of conservation configs sharing one ``machine.ancilla_dim``,
     from a single batched evaluation."""
-    a, b, c = ([_overlap(cfg, key) for cfg in cfgs] for key in "abc")
-    weights = [float(cfg.get("branch.weight")) for cfg in cfgs]
-    batch = cons.evaluate_batch(a, b, c, weights, int(cfgs[0].get("machine.ancilla_dim")))
+    a, b, c = (_overlaps(cfgs, key) for key in "abc")
+    weights = _column(cfgs, "branch.weight")
+    batch = cons.evaluate_batch(a, b, c, weights, cfgs[0].values["machine.ancilla_dim"])
     lam_before = batch.eigenvalues_before[:, 0]
     lam_after = batch.eigenvalues_after[:, 0]
-    delta_lambda = (lam_after - lam_before).tolist()
+    closed_before = np.array([cons.lambda_before(*p) for p in zip(a, b, weights)])
+    closed_after = np.array([cons.lambda_after(*p) for p in zip(a, c, weights)])
     delta_entropy = batch.entropy_after - batch.entropy_before
-    conserved = np.maximum(np.abs(lam_after - lam_before), np.abs(delta_entropy)).tolist()
-    delta_entropy = delta_entropy.tolist()
     gram_dev = _max_abs(batch.input_gram - batch.output_gram)
     modulus_dev = _max_abs(np.abs(batch.input_gram) - np.abs(batch.output_gram))
     before_dev = _max_abs(batch.marginal_before - batch.closed_before)
     after_dev = _max_abs(batch.marginal_after - batch.closed_after)
-
-    reports = []
-    for k, cfg in enumerate(cfgs):
-        tol_assert = float(cfg.get("tolerance.assert"))
-        tol_residual = float(cfg.get("tolerance.residual"))
-        lam_b, lam_a = float(lam_before[k]), float(lam_after[k])
-        lam_b_closed = cons.lambda_before(a[k], b[k], weights[k])
-        lam_a_closed = cons.lambda_after(a[k], c[k], weights[k])
-        scalars = {
-            "lambda_before_numeric": lam_b,
-            "lambda_before_closed": lam_b_closed,
-            "lambda_after_numeric": lam_a,
-            "lambda_after_closed": lam_a_closed,
-            "delta_lambda": delta_lambda[k],
-            "delta_entropy": delta_entropy[k],
-            "gram_deviation_phase_sensitive": gram_dev[k],
-            "gram_deviation_modulus_only": modulus_dev[k],
-        }
-        matrices = {
-            "alice_marginal_before": batch.marginal_before[k],
-            "alice_marginal_after": batch.marginal_after[k],
-            "machine_input_gram": batch.input_gram[k],
-            "machine_output_gram": batch.output_gram[k],
-        }
-        verdicts = (
-            Verdict("alice_marginal_before_matches_closed_form", before_dev[k], tol_residual),
-            Verdict("alice_marginal_after_matches_closed_form", after_dev[k], tol_residual),
-            Verdict("lambda_before_matches_numeric", abs(lam_b - lam_b_closed), tol_residual),
-            Verdict("lambda_after_matches_numeric", abs(lam_a - lam_a_closed), tol_residual),
-            Verdict("machine_gram_consistency", gram_dev[k], tol_assert),
-            Verdict("entanglement_conserved", conserved[k], tol_residual),
-        )
-        reports.append(ScenarioReport("conservation", cfg.echo(), scalars, matrices, verdicts))
-    return reports
-
-
-def _run_gram_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
-    tol_assert = float(cfg.get("tolerance.assert"))
-    dim, size = int(cfg.get("family.dimension")), int(cfg.get("family.size"))
-    target_dim = int(cfg.get("family.target_dimension")) or dim
-    rng = np.random.default_rng(int(cfg.get("seed")))
-    family, draw = cons.roundtrip_draws(dim, target_dim, size, rng)
-    _, found = cons.roundtrips(family[None], draw[None])
-    gram_dev, member, isometry = (
-        float(x[0]) for x in (found.gram_deviation, found.member_residual, found.isometry_residual)
-    )
+    tol_assert, tol_residual = _tolerances(cfgs)
 
     scalars = {
-        "gram_deviation": gram_dev,
-        "member_reconstruction_residual": member,
-        "isometry_residual": isometry,
+        "lambda_before_numeric": lam_before,
+        "lambda_before_closed": closed_before,
+        "lambda_after_numeric": lam_after,
+        "lambda_after_closed": closed_after,
+        "delta_lambda": lam_after - lam_before,
+        "delta_entropy": delta_entropy,
+        "gram_deviation_phase_sensitive": gram_dev,
+        "gram_deviation_modulus_only": modulus_dev,
     }
-    matrices = {"family_gram": found.family_gram[0]}
-    verdicts = (
-        Verdict("families_share_gram_matrix", gram_dev, tol_assert),
-        Verdict("member_reconstruction", member, 1e-8),
-        Verdict("isometry_columns_orthonormal", isometry, 1e-10),
-    )
-    return ScenarioReport("gram-equivalence", cfg.echo(), scalars, matrices, verdicts)
+    matrices = {
+        "alice_marginal_before": batch.marginal_before,
+        "alice_marginal_after": batch.marginal_after,
+        "machine_input_gram": batch.input_gram,
+        "machine_output_gram": batch.output_gram,
+    }
+    conserved = np.maximum(np.abs(lam_after - lam_before), np.abs(delta_entropy))
+    verdicts = {
+        "alice_marginal_before_matches_closed_form": (before_dev, tol_residual),
+        "alice_marginal_after_matches_closed_form": (after_dev, tol_residual),
+        "lambda_before_matches_numeric": (np.abs(lam_before - closed_before), tol_residual),
+        "lambda_after_matches_numeric": (np.abs(lam_after - closed_after), tol_residual),
+        "machine_gram_consistency": (gram_dev, tol_assert),
+        "entanglement_conserved": (conserved, tol_residual),
+    }
+    return ScenarioReport("conservation", echo_columns(cfgs), scalars, matrices, verdicts)
 
 
-def _batch_key(cfg: ScenarioConfig):
-    """Configs with equal keys are evaluated as one batch."""
-    if cfg.kind == "conservation":
-        return cfg.kind, int(cfg.get("machine.ancilla_dim"))
-    if cfg.kind == "nosignal":
-        return (
-            cfg.kind, str(cfg.get("machine.mode")), int(cfg.get("machine.ancilla_dim")),
-            float(cfg.get("tolerance.assert")),
-        )
-    return None
+def _run_gram_equivalence(cfgs: list[ScenarioConfig]) -> ScenarioReport:
+    """The report of gram-equivalence configs sharing one family shape, from
+    one stack of round trips."""
+    first = cfgs[0].values
+    dim, size = first["family.dimension"], first["family.size"]
+    target_dim = first["family.target_dimension"] or dim
+    rngs = map(np.random.default_rng, _column(cfgs, "seed"))
+    draws = [cons.roundtrip_draws(dim, target_dim, size, rng) for rng in rngs]
+    families, hidden = (np.stack(x) for x in zip(*draws))
+    _, found = cons.roundtrips(families, hidden)
+
+    scalars = {
+        "gram_deviation": found.gram_deviation,
+        "member_reconstruction_residual": found.member_residual,
+        "isometry_residual": found.isometry_residual,
+    }
+    matrices = {"family_gram": found.family_gram}
+    verdicts = {
+        "families_share_gram_matrix": (found.gram_deviation, _tolerances(cfgs)[0]),
+        "member_reconstruction": (found.member_residual, np.full(len(cfgs), 1e-8)),
+        "isometry_columns_orthonormal": (found.isometry_residual, np.full(len(cfgs), 1e-10)),
+    }
+    return ScenarioReport("gram-equivalence", echo_columns(cfgs), scalars, matrices, verdicts)
 
 
-_BATCH_RUNNERS = {"conservation": _run_conservation, "nosignal": _run_nosignal}
+# Configs with equal values of their kind's keys are evaluated as one batch.
+_BATCHES = {
+    "conservation": (_run_conservation, ("machine.ancilla_dim",)),
+    "nosignal": (_run_nosignal, ("machine.mode", "machine.ancilla_dim", "tolerance.assert")),
+    "gram-equivalence": (
+        _run_gram_equivalence, ("family.dimension", "family.target_dimension", "family.size")
+    ),
+}
 
 
-def run_configs(cfgs: list[ScenarioConfig]) -> list[ScenarioReport]:
-    """Reports for the configs, in order.  Conservation configs are evaluated
-    as one batch per ``machine.ancilla_dim``, nosignal configs as one batch
-    per machine mode, ``machine.ancilla_dim`` and ``tolerance.assert``;
-    gram-equivalence configs one at a time.  When there is more than one
-    config, a guard error names the failing config's index in ``cfgs`` (its
-    grid point) rather than its index within the batch."""
-    reports: list[ScenarioReport | None] = [None] * len(cfgs)
-    batches: dict[tuple, list[int]] = {}
+def run_configs(cfgs: list[ScenarioConfig]) -> ScenarioReport:
+    """The stacked report of configs of one kind, row k for ``cfgs[k]``,
+    evaluated one batch per value of the kind's ``_BATCHES`` keys.  When
+    there is more than one config, a guard error names the failing config's
+    index in ``cfgs`` (its grid point) rather than its index in the batch."""
+    runner, keys = _BATCHES[cfgs[0].kind]
+    batch_key = itemgetter(*keys)
+    batches: dict[object, list[int]] = {}
     for i, cfg in enumerate(cfgs):
-        key = _batch_key(cfg)
-        if key is None:
-            with _grid_points([i], len(cfgs)):
-                reports[i] = _run_gram_equivalence(cfg)
-        else:
-            batches.setdefault(key, []).append(i)
-    for key, members in batches.items():
-        with _grid_points(members, len(cfgs)):
-            group = _BATCH_RUNNERS[key[0]]([cfgs[i] for i in members])
-        for i, report in zip(members, group):
-            reports[i] = report
-    return reports
-
-
-def _grid_points(members: list[int], n_points: int):
-    """Guard errors of a batch of the configs ``members`` name the failing
-    grid point, unless the sweep has one point."""
-    return failures_named("grid point", members) if n_points > 1 else nullcontext()
+        batches.setdefault(batch_key(cfg.values), []).append(i)
+    parts = []
+    for members in batches.values():
+        with failures_named("grid point", members) if len(cfgs) > 1 else nullcontext():
+            parts.append(runner([cfgs[i] for i in members]))
+    if len(parts) == 1:
+        return parts[0]
+    return concatenate_rows(parts, np.argsort(np.concatenate(list(batches.values()))))
 
 
 def run_config(cfg: ScenarioConfig) -> ScenarioReport:
-    return run_configs([cfg])[0]
+    """The report of one config: a batch of one, with a single row."""
+    return run_configs([cfg])

@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,65 @@ class TestGrid:
         assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
+class TestGridAxisExpansion:
+    """Every value a grid axis gives is a value of its key, once."""
+
+    CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+    # The axes of the byte pins and the benchmark expand to lo + k * step in
+    # exact decimal arithmetic, as they always have.
+    @pytest.mark.parametrize(
+        "bounds", ["0:1:0.1", "0:3.1:0.01", "0:3.1:0.1", "0:6:0.5", "2:5:1", "0:1:0.25", "0:1:0.5"]
+    )
+    def test_pinned_axes_unchanged(self, bounds):
+        lo, hi, step = (Decimal(x) for x in bounds.split(":"))
+        count = int((hi - lo) / step) + 1
+        _, values = parse_grid_axis(f"overlap.a={bounds}")
+        assert values == [float(lo + k * step) for k in range(count)]
+
+    def test_slack_scales_with_the_step(self):
+        # An absolute end slack of 1e-9 once ran this axis to 1.1e-9.
+        _, values = parse_grid_axis("overlap.a=0:1e-10:1e-11")
+        assert len(values) == 11 and values[-1] == 1e-10
+
+    def test_colliding_values_rejected(self):
+        # Rounded to 12 decimals, this axis once gave 10,011 mostly equal values.
+        with pytest.raises(ConfigError, match="collide"):
+            parse_grid_axis("overlap.a=0:1e-12:1e-13")
+
+    def test_repeated_axis_key_rejected(self):
+        # The second axis once replaced the first, emitting 6 rows with repeats.
+        cfg = parse_config_text(CONS_TEXT)
+        with pytest.raises(ConfigError, match="'overlap.a' repeats"):
+            grid_points(cfg, ["overlap.a=0:1:0.5", "overlap.a=0:1:1"])
+
+    @pytest.mark.parametrize("key", ["seed", "machine.ancilla_dim"])
+    def test_fractional_integer_override_rejected(self, key):
+        cfg = parse_config_text(CONS_TEXT)
+        with pytest.raises(ConfigError, match=f"'{key}': 2.5 is not an integer"):
+            cfg.with_overrides({key: 2.5})
+        assert cfg.with_overrides({key: 3.0}).get(key) == 3
+
+    @pytest.mark.parametrize(
+        "config, axes",
+        [
+            # Seeds 1, 1, 2, 2, 3 and ancilla dimensions 2, 2, 3 once ran
+            # and exited 0.
+            ("gram_equivalence", ["seed=1:3:0.5"]),
+            ("conservation_violation", ["machine.ancilla_dim=2:3:0.5"]),
+            ("conservation_violation", ["overlap.a=0:1e-12:1e-13"]),
+            ("conservation_violation", ["overlap.a=0:1:0.5", "overlap.a=0:1:1"]),
+        ],
+        ids=["fractional-seed", "fractional-ancilla-dim", "colliding-values", "repeated-key"],
+    )
+    def test_exits_2(self, capsys, config, axes):
+        path = str(self.CONFIGS / f"{config}.cfg")
+        assert main(["sweep", path, "--grid", *axes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error:") and captured.err.count("\n") == 1
+
+
 class TestGridBound:
     # A tiny step once expanded into a list of 10^9 values, growing memory
     # until the process was killed.
@@ -212,7 +272,7 @@ class TestReport:
 
     def test_csv_columns_stable(self):
         rep = run_config(parse_config_text(CONS_TEXT))
-        header, row = rep.csv_row()
+        header, row = (line.split(",") for line in rep.render("csv").splitlines())
         assert header[0] == "kind"
         assert len(header) == len(row)
         assert "delta_lambda" in header

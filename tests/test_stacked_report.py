@@ -1,0 +1,195 @@
+"""The stacked scenario report: a sweep's rows are the reports ``run`` gives
+for each grid point on its own, and rendering a sweep costs a fixed number of
+report calls, not a number per point."""
+
+import functools
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qclonelab.cli import main
+from qclonelab.config import echo_columns, grid_points, load_config, parse_config_text
+from qclonelab.report import ScenarioReport, Verdict, _format_column, format_scalar, render_csv
+from qclonelab.scenarios import run_configs
+
+# The text of perfbench.workloads.conservation_config(7).
+SEED7_CONFIG = """\
+kind = conservation
+overlap.a = 0.6
+overlap.b = 0.5
+overlap.c = 0.5
+overlap.a_phase = 2.034701269983068
+overlap.b_phase = 0.9478133132026084
+overlap.c_phase = 4.089941916940695
+"""
+
+CONSERVATION_AXES = {
+    "overlap.a": ["0:1:0.5", "0.3:0.9:0.3", "0.6:0.6:1"],
+    "overlap.b": ["0:1:0.5", "0.2:0.4:0.2"],
+    "overlap.c": ["0:1:1", "0.25:0.75:0.25"],
+    "overlap.c_phase": ["0:6:3"],
+    "branch.weight": ["0:1:0.5", "0.2:0.8:0.6"],
+}
+NOSIGNAL_AXES = {
+    "basis1.alpha.theta": ["0:0.7:0.7"],
+    "basis2.theta": ["0:2.4:0.8", "0.3:0.3:1"],
+    "basis2.phi": ["0:4:2"],
+    "seed": ["1:3:1"],
+}
+
+
+def _write(directory: Path, name: str, text: str) -> str:
+    path = directory / name
+    path.write_text(text)
+    return str(path)
+
+
+def _point_text(point) -> str:
+    echoed = echo_columns([point])
+    return "".join(f"{key} = {value}\n" for key, value in echoed.items())
+
+
+def _output(argv: list[str], out: Path) -> tuple[int, str | None]:
+    """Exit code and output of a command; exit 2 writes no output."""
+    code = main([*argv, "--out", str(out)])
+    return code, None if code == 2 else out.read_text()
+
+
+def _assert_sweep_rows_are_runs(config_text: str, axes: list[str]) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = _write(tmp, "base.cfg", config_text)
+        points = grid_points(load_config(path), axes)
+        runs = {fmt: [] for fmt in ("csv", "json")}
+        codes = []
+        for k, point in enumerate(points):
+            point_path = _write(tmp, f"point{k}.cfg", _point_text(point))
+            for fmt in runs:
+                code, text = _output(["run", point_path, "--format", fmt], tmp / "run.out")
+                runs[fmt].append(text)
+            codes.append(code)
+        if 2 in codes:
+            # A point the physics rejects (conflicting wishful rules) stops
+            # the sweep as it stops its own run.
+            assert main(["sweep", path, "--grid", *axes]) == 2
+            return
+        expected_code = 1 if 1 in codes else 0
+
+        code, csv_text = _output(["sweep", path, "--grid", *axes], tmp / "sweep.csv")
+        assert code == expected_code
+        header = runs["csv"][0].splitlines()[0]
+        assert all(text.splitlines()[0] == header for text in runs["csv"])
+        rows = [text.splitlines()[1] for text in runs["csv"]]
+        assert csv_text == "\n".join([header, *rows]) + "\n"
+
+        code, json_text = _output(
+            ["sweep", path, "--grid", *axes, "--format", "json"], tmp / "sweep.json"
+        )
+        assert code == expected_code
+        objects = ",\n".join(text.rstrip("\n") for text in runs["json"])
+        assert json_text == "[\n" + objects + "\n]\n"
+
+
+@st.composite
+def _grid(draw, axes: dict[str, list[str]], dims: list[str]) -> list[str]:
+    """One to three axes of ``axes`` and a ``machine.ancilla_dim`` axis, in a
+    drawn order, so that the dimensions' batches interleave on the grid."""
+    keys = draw(st.lists(st.sampled_from(sorted(axes)), min_size=1, max_size=3, unique=True))
+    specs = [f"{key}={draw(st.sampled_from(axes[key]))}" for key in keys]
+    specs.append(f"machine.ancilla_dim={draw(st.sampled_from(dims))}")
+    return draw(st.permutations(specs))
+
+
+_PROPERTY = settings(
+    max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@_PROPERTY
+@given(
+    moduli=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    phase=st.floats(0.0, 6.0),
+    axes=_grid(CONSERVATION_AXES, ["2:3:1", "2:4:2", "3:5:1"]),
+)
+def test_conservation_sweep_rows_are_runs(moduli, phase, axes):
+    a, b, c = moduli
+    text = (
+        f"kind = conservation\noverlap.a = {a!r}\noverlap.b = {b!r}\noverlap.c = {c!r}\n"
+        f"overlap.b_phase = {phase!r}\n"
+    )
+    _assert_sweep_rows_are_runs(text, axes)
+
+
+@_PROPERTY
+@given(
+    mode=st.sampled_from(["termwise", "isometry"]),
+    theta=st.floats(0.0, 1.5),
+    axes=_grid(NOSIGNAL_AXES, ["2:3:1"]),
+)
+def test_nosignal_sweep_rows_are_runs(mode, theta, axes):
+    text = f"kind = nosignal\nmachine.mode = {mode}\nbasis1.phi = 1.0\nbasis1.psi.theta = {theta!r}\n"
+    _assert_sweep_rows_are_runs(text, axes)
+
+
+def test_csv_columns_format_as_scalars():
+    values = [-0.0, 0.0, 0.65, 1e-12, -2.5e300, float("inf"), float("nan")]
+    assert _format_column(np.array(values)) == [format_scalar(x) for x in values]
+
+
+def test_run_is_a_batch_of_one():
+    report = run_configs([parse_config_text(SEED7_CONFIG)])
+    assert isinstance(report, ScenarioReport) and len(report) == 1
+
+
+class TestSweepCost:
+    """Evaluating and rendering a sweep makes a fixed number of ``report``
+    calls and builds no per-point report or verdict; the whole sweep, grid
+    expansion included, makes a bounded number of package calls per point.
+    Counted under ``sys.setprofile``, so the figures do not depend on the
+    host."""
+
+    @staticmethod
+    @functools.cache
+    def _count(step: str) -> tuple[int, Counter]:
+        cfg = parse_config_text(SEED7_CONFIG)
+        calls = Counter()
+        built = (Verdict, ScenarioReport)
+
+        def profile(frame, event, arg):
+            if event != "call":
+                return
+            module = frame.f_globals.get("__name__", "")
+            if not module.startswith("qclonelab"):
+                return
+            calls["qclonelab"] += 1
+            if module == "qclonelab.report":
+                calls["report"] += 1
+            if frame.f_code.co_name == "__init__" and isinstance(frame.f_locals.get("self"), built):
+                calls[type(frame.f_locals["self"]).__name__] += 1
+
+        sys.setprofile(profile)
+        try:
+            points = grid_points(cfg, [f"overlap.{key}=0:1:{step}" for key in "abc"])
+            render_csv(run_configs(points))
+        finally:
+            sys.setprofile(None)
+        return len(points), calls
+
+    def test_report_calls_do_not_grow_with_the_grid(self):
+        small_points, small = self._count("0.5")
+        cube_points, cube = self._count("0.1")
+        assert (small_points, cube_points) == (27, 1331)
+        assert cube["report"] == small["report"]
+        assert cube["ScenarioReport"] == small["ScenarioReport"] <= 1
+        assert cube["Verdict"] == small["Verdict"] == 0
+
+    @pytest.mark.parametrize("step", ["0.5", "0.1"])
+    def test_package_calls_per_point(self, step):
+        points, calls = self._count(step)
+        assert calls["qclonelab"] <= 20 * points
