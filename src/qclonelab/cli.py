@@ -60,6 +60,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed {args.seed}: must be >= 0")
     tolerance = args.tolerance
     if tolerance is None:
         tolerance = _env_tolerance_overrides().get("tolerance.assert")

@@ -98,6 +98,7 @@ class ScenarioConfig:
         return self.values[key]
 
     def with_overrides(self, overrides: dict[str, float]) -> "ScenarioConfig":
+        """A copy with ``overrides`` set, each value range-checked on its own."""
         schema = _SCHEMAS[self.kind]
         vals = dict(self.values)
         for key, value in overrides.items():
@@ -115,29 +116,52 @@ class ScenarioConfig:
     def basis_angles(self, which: str) -> tuple[float, float, float, float]:
         """(psi_theta, psi_phi, alpha_theta, alpha_phi), honoring the
         ``basisN.theta``/``basisN.phi`` shorthand that sets both parts."""
+        return tuple(column[0] for column in grid_points(self).basis_angles(which))
+
+
+@dataclass(frozen=True)
+class ScenarioGrid:
+    """Points of one kind as columns, row k for point k: the value of each
+    key no axis sweeps, once, and one list of values per swept key."""
+
+    kind: str
+    shared: dict[str, object]
+    swept: dict[str, list]
+    size: int
+
+    def __len__(self) -> int:
+        return self.size
+
+    def column(self, key: str) -> list:
+        """The value of ``key`` at every point."""
+        return self.swept[key] if key in self.swept else [self.shared[key]] * self.size
+
+    def take(self, rows: list[int]) -> "ScenarioGrid":
+        """The points ``rows``, in that order."""
+        swept = {key: [column[k] for k in rows] for key, column in self.swept.items()}
+        return ScenarioGrid(self.kind, self.shared, swept, len(rows))
+
+    def basis_angles(self, which: str) -> list[list[float]]:
+        """The columns of :meth:`ScenarioConfig.basis_angles`."""
         out = []
-        for part in ("psi", "alpha"):
-            for angle in ("theta", "phi"):
-                specific = self.values.get(f"{which}.{part}.{angle}")
-                shared = self.values.get(f"{which}.{angle}")
-                if specific is not None and shared is not None:
-                    raise ConfigError(
-                        f"{which}.{part}.{angle} conflicts with shorthand {which}.{angle}"
-                    )
-                value = specific if specific is not None else shared
-                out.append(float(value) if value is not None else 0.0)
-        return tuple(out)
+        for part, angle in itertools.product(("psi", "alpha"), ("theta", "phi")):
+            keys = [k for k in (f"{which}.{part}.{angle}", f"{which}.{angle}")
+                    if k in self.shared or k in self.swept]
+            if len(keys) == 2:
+                raise ConfigError(f"{keys[0]} conflicts with shorthand {keys[1]}")
+            out.append(self.column(keys[0]) if keys else [0.0] * self.size)
+        return out
 
 
-def echo_columns(cfgs: list[ScenarioConfig]) -> dict[str, str | list[str]]:
-    """Resolved key/value strings of configs of one kind as columns: one
-    string for a key whose value is one object in every config (as the keys
-    ``with_overrides`` does not set are), else one string per config."""
-    out: dict[str, str | list[str]] = {"kind": cfgs[0].kind}
-    for key, value in cfgs[0].values.items():
-        column = [cfg.values[key] for cfg in cfgs]
-        text = repr if isinstance(value, float) else str
-        out[key] = text(value) if len(set(map(id, column))) == 1 else list(map(text, column))
+def echo_columns(grid: ScenarioGrid) -> dict[str, str | list[str]]:
+    """Resolved key/value strings of a grid: one string per shared key, and
+    one per point for a swept key, each distinct value formatted once."""
+    out: dict[str, str | list[str]] = {"kind": grid.kind}
+    for key, value in grid.shared.items():
+        out[key] = repr(value) if isinstance(value, float) else str(value)
+    for key, column in grid.swept.items():
+        text = repr if isinstance(column[0], float) else str
+        out[key] = list(map({value: text(value) for value in set(column)}.__getitem__, column))
     return out
 
 
@@ -219,16 +243,11 @@ def _validate_ranges(kind: str, values: dict[str, object]) -> None:
                 raise ConfigError(f"key {key!r}: {value!r} outside [0, pi]")
             if key.endswith(".phi") and not 0.0 <= float(value) < 2.0 * math.pi:
                 raise ConfigError(f"key {key!r}: {value!r} outside [0, 2*pi)")
-    for key, minimum in (("machine.ancilla_dim", 2), ("family.dimension", 2), ("family.size", 1)):
+    for key, minimum in (
+        ("machine.ancilla_dim", 2), ("family.dimension", 2), ("family.size", 1), ("seed", 0)
+    ):
         if key in values and int(values[key]) < minimum:
             raise ConfigError(f"key {key!r}: must be >= {minimum}")
-    if kind == "gram-equivalence":
-        target, dim = int(values["family.target_dimension"]), int(values["family.dimension"])
-        if target != 0 and target < dim:
-            raise ConfigError(
-                f"key 'family.target_dimension': {target} is smaller than "
-                f"family.dimension {dim} (0 means the same)"
-            )
     for key, value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"key {key!r}: {value!r} is not finite")
@@ -268,16 +287,31 @@ def parse_grid_axis(spec: str) -> tuple[str, list[float]]:
     return key.strip(), values
 
 
-def grid_points(config: ScenarioConfig, axis_specs) -> list[ScenarioConfig]:
-    """Cartesian product of the axes, lexicographic in the given axis order;
-    at most ``MAX_GRID_POINTS`` points."""
+def grid_points(config: ScenarioConfig, axis_specs=()) -> ScenarioGrid:
+    """The grid of ``config`` over the axes: their Cartesian product,
+    lexicographic in the given axis order, of at most ``MAX_GRID_POINTS``
+    points; no axes give the grid of ``config`` alone.  Each axis value is
+    range-checked once, by :meth:`ScenarioConfig.with_overrides`, and the
+    rules between keys on the columns (the basis shorthand conflict where
+    :meth:`ScenarioGrid.basis_angles` resolves it)."""
     axes = [parse_grid_axis(spec) for spec in axis_specs]
-    if not axes:
-        raise ConfigError("sweep needs at least one grid axis")
-    keys, values = zip(*axes)
+    keys = [key for key, _ in axes]
     if len(set(keys)) < len(keys):
         raise ConfigError(f"grid axis key {max(keys, key=keys.count)!r} repeats")
-    size = math.prod(map(len, values))
+    size = math.prod(len(values) for _, values in axes)
     if size > MAX_GRID_POINTS:
         raise ConfigError(f"grid of {size} points exceeds {MAX_GRID_POINTS}")
-    return [config.with_overrides(dict(zip(keys, point))) for point in itertools.product(*values)]
+    options = {key: [value] for key, value in config.values.items()}
+    for key, values in axes:
+        options[key] = [config.with_overrides({key: v}).values[key] for v in values]
+    targets, dims = options.get("family.target_dimension", ()), options.get("family.dimension", ())
+    for target, dim in itertools.product(targets, dims):
+        if target != 0 and target < dim:
+            raise ConfigError(
+                f"key 'family.target_dimension': {target} is smaller than "
+                f"family.dimension {dim} (0 means the same)"
+            )
+    columns = zip(*itertools.product(*(options[key] for key in keys)))
+    swept = {key: list(column) for key, column in zip(keys, columns)}
+    shared = {key: value for key, value in config.values.items() if key not in swept}
+    return ScenarioGrid(config.kind, shared, swept, size)

@@ -11,7 +11,6 @@ monotones certifies that no isometry realizes the declared rules.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .core import (
     entropy_bits,
     first_failure,
     kron_stack,
+    modulus,
     reduced_states,
     require_density_matrices,
     require_within,
@@ -171,22 +171,25 @@ def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
     )
 
 
-def _lambda_max(offdiag_modulus: float, branch_weight: float) -> float:
+def _lambda_max(offdiag_modulus, branch_weight):
+    """1/2 + sqrt((w - 1/2)^2 + w(1 - w)m^2); ``float_power`` squares as a
+    float's ``x ** 2`` does, an array's ``** 2`` may not."""
     w = branch_weight
-    return 0.5 + math.sqrt((w - 0.5) ** 2 + w * (1.0 - w) * offdiag_modulus**2)
+    squares = np.float_power(w - 0.5, 2) + w * (1.0 - w) * np.float_power(offdiag_modulus, 2)
+    return 0.5 + np.sqrt(squares)
 
 
-def lambda_before(a: complex, b: complex, branch_weight: float = 0.5) -> float:
-    """Closed-form largest eigenvalue of Alice's pre-machine marginal.
+def lambda_before(a, b, branch_weight=0.5):
+    """Closed-form largest eigenvalue of Alice's pre-machine marginal, elementwise.
 
     Equal branch weights give 1/2 + |a||b|/2.
     """
-    return _lambda_max(abs(complex(a)) * abs(complex(b)), branch_weight)
+    return _lambda_max(modulus(a) * modulus(b), branch_weight)
 
 
-def lambda_after(a: complex, c: complex, branch_weight: float = 0.5) -> float:
+def lambda_after(a, c, branch_weight=0.5):
     """Closed-form largest eigenvalue after the cloner: 1/2 + |a|^2|c|/2 at equal weights."""
-    return _lambda_max(abs(complex(a)) ** 2 * abs(complex(c)), branch_weight)
+    return _lambda_max(np.float_power(modulus(a), 2) * modulus(c), branch_weight)
 
 
 def equivalence_unitary(f: StateFamily, g: StateFamily) -> LinearMachine:

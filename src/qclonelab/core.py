@@ -296,6 +296,11 @@ def _require_hermitian(mat: np.ndarray, tol: float) -> np.ndarray:
     return 0.5 * (mat + adjoint)
 
 
+def modulus(z):
+    """|z| elementwise as Python's ``abs(complex)`` rounds it; ``np.abs`` may not."""
+    return np.hypot(np.real(z), np.imag(z))
+
+
 def _eig_2x2(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenpairs of a stack of Hermitian 2x2 matrices.
 
@@ -308,7 +313,7 @@ def _eig_2x2(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = mat[..., 0, 0].real
     d = mat[..., 1, 1].real
     b = mat[..., 0, 1]
-    mod_b = np.hypot(b.real, b.imag)
+    mod_b = modulus(b)
     tr = a + d
     squares = np.float_power(a - d, 2) + 4.0 * np.float_power(mod_b, 2)
     # Below the normal range the squares lose their precision or vanish;

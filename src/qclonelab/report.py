@@ -22,11 +22,6 @@ def format_scalar(x: float) -> str:
     return f"{x:.11e}"
 
 
-def _format_column(values: np.ndarray) -> list[str]:
-    """:func:`format_scalar` of each value; adding 0.0 collapses -0.0."""
-    return [f"{x:.11e}" for x in (np.asarray(values, dtype=float) + 0.0).tolist()]
-
-
 def format_complex(z: complex) -> str:
     z = complex(z)
     re = format_scalar(z.real)
@@ -119,17 +114,21 @@ class ScenarioReport:
 
 
 def render_csv(report: ScenarioReport) -> str:
-    """A header line, then one line per row of the report."""
-    n = len(report)
-    columns = {"kind": [report.kind] * n}
-    for key, column in sorted(report.config.items()):
-        columns[f"config.{key}"] = [column] * n if isinstance(column, str) else column
-    for name, values in report.scalars.items():
-        columns[name] = _format_column(values)
+    """A header line, then one line per row of the report, each formatted by
+    one ``%`` template: the strings every row shares are written into it,
+    and numbers format as :func:`format_scalar` does (adding 0.0 collapses
+    -0.0)."""
+    fields = [("kind", "%s", report.kind)]
+    fields += [(f"config.{key}", "%s", column) for key, column in sorted(report.config.items())]
+    fields += [(name, "%.11e", values) for name, values in report.scalars.items()]
     for name, (dev, tol) in report.verdicts.items():
-        columns[f"verdict.{name}"] = ["1" if p else "0" for p in (dev < tol).tolist()]
-        columns[f"verdict.{name}.deviation"] = _format_column(dev)
-    return "\n".join([",".join(columns), *map(",".join, zip(*columns.values()))]) + "\n"
+        fields.append((f"verdict.{name}", "%d", dev < tol))
+        fields.append((f"verdict.{name}.deviation", "%.11e", dev))
+    template = ",".join(c.replace("%", "%%") if isinstance(c, str) else f for _, f, c in fields)
+    columns = [c if f == "%s" else (np.asarray(c, dtype=float) + 0.0).tolist()
+               for _, f, c in fields if not isinstance(c, str)]
+    rows = map(template.__mod__, zip(*columns))
+    return "\n".join([",".join(name for name, _, _ in fields), *rows]) + "\n"
 
 
 def _merge(columns: list, sizes: list[int], order: np.ndarray):

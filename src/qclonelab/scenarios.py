@@ -1,9 +1,10 @@
 """Scenario runners: configs in, one byte-stable stacked report out.
 
-Each config kind has one runner that evaluates a batch of its configs through
-the physics modules and fills the columns of a stacked
+Each config kind has one runner that evaluates a batch of its points, read
+from the columns of a :class:`~qclonelab.config.ScenarioGrid`, through the
+physics modules and fills the columns of a stacked
 :class:`~qclonelab.report.ScenarioReport`: scalars, matrices and named
-verdicts, one row per config.  ``run`` is a batch of one; ``sweep`` passes a
+verdicts, one row per point.  ``run`` is a grid of one; ``sweep`` passes a
 whole grid (see :func:`run_configs`).
 """
 
@@ -11,53 +12,45 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from operator import itemgetter
 
 import numpy as np
 
 from . import conservation as cons
 from . import nosignal as nosig
-from .config import ScenarioConfig, echo_columns
+from .config import ScenarioConfig, ScenarioGrid, echo_columns, grid_points
 from .core import failures_named
 from .machines import haar_draw, haar_isometries, wishful_signatures
 from .report import ScenarioReport, concatenate_rows
 from .states import basis_amplitudes
 
 
-def _bases(cfg: ScenarioConfig) -> np.ndarray:
-    """Basis amplitudes of a nosignal config, in the layout
-    ``nosignal.evaluate_batch`` stacks."""
-    out = []
-    for which in ("basis1", "basis2"):
-        th_psi, ph_psi, th_alpha, ph_alpha = cfg.basis_angles(which)
-        out.append([basis_amplitudes(th_psi, ph_psi), basis_amplitudes(th_alpha, ph_alpha)])
-    return np.array(out)
+def _bases(grid: ScenarioGrid) -> np.ndarray:
+    """Basis amplitudes of nosignal points, in the layout
+    ``nosignal.evaluate_batch`` stacks: (point, basis, psi or alpha, 2, 2)."""
+    angles = [grid.basis_angles(which) for which in ("basis1", "basis2")]
+    out = [[list(map(basis_amplitudes, *a[k:k + 2])) for k in (0, 2)] for a in angles]
+    return np.moveaxis(np.array(out), 2, 0)
 
 
-def _column(cfgs: list[ScenarioConfig], key: str) -> list:
-    return [cfg.values[key] for cfg in cfgs]
+def _tolerances(grid: ScenarioGrid) -> tuple[np.ndarray, np.ndarray]:
+    return tuple(np.array(grid.column(f"tolerance.{t}")) for t in ("assert", "residual"))
 
 
-def _tolerances(cfgs: list[ScenarioConfig]) -> tuple[np.ndarray, np.ndarray]:
-    return tuple(np.array(_column(cfgs, f"tolerance.{t}")) for t in ("assert", "residual"))
-
-
-def _run_nosignal(cfgs: list[ScenarioConfig]) -> ScenarioReport:
-    """The report of nosignal configs sharing one machine mode,
+def _run_nosignal(grid: ScenarioGrid) -> ScenarioReport:
+    """The report of nosignal points sharing one machine mode,
     ``machine.ancilla_dim`` and ``tolerance.assert``, from a single batched
     evaluation."""
-    first = cfgs[0].values
-    ancilla_dim, isometries = first["machine.ancilla_dim"], None
+    ancilla_dim, isometries = grid.column("machine.ancilla_dim")[0], None
     applied_as = "termwise in the measured basis (unphysical step)"
-    bases = np.array([_bases(cfg) for cfg in cfgs])
-    if first["machine.mode"] == "isometry":
+    bases = _bases(grid)
+    if grid.column("machine.mode")[0] == "isometry":
         n_in, n_out = (sig.dim for sig in wishful_signatures(ancilla_dim))
-        draws = [haar_draw(n_in, n_out, np.random.default_rng(s)) for s in _column(cfgs, "seed")]
+        draws = [haar_draw(n_in, n_out, np.random.default_rng(s)) for s in grid.column("seed")]
         isometries = haar_isometries(np.stack(draws))
         applied_as = "fixed isometry (physical)"
-    batch = nosig.evaluate_batch(bases, ancilla_dim, isometries, first["tolerance.assert"])
+    batch = nosig.evaluate_batch(bases, ancilla_dim, isometries, grid.column("tolerance.assert")[0])
 
-    tol_assert, tol_residual = _tolerances(cfgs)
+    tol_assert, tol_residual = _tolerances(grid)
     lam_max = batch.eigenvalues_after[:, :, 0]
     scalars = {
         "signalling_magnitude": batch.signalling_magnitude,
@@ -74,37 +67,39 @@ def _run_nosignal(cfgs: list[ScenarioConfig]) -> ScenarioReport:
         "bob_marginals_are_density_matrices": (batch.validity_deviation, tol_assert),
         "no_signalling": (batch.signalling_magnitude, tol_assert),
     }
-    config = echo_columns(cfgs)
+    config = echo_columns(grid)
     config["machine.applied_as"] = applied_as
     return ScenarioReport("nosignal", config, scalars, matrices, verdicts)
 
 
-def _overlaps(cfgs: list[ScenarioConfig], key: str) -> list[complex]:
-    moduli = _column(cfgs, f"overlap.{key}")
-    phases = _column(cfgs, f"overlap.{key}_phase")
-    return [m * complex(math.cos(p), math.sin(p)) for m, p in zip(moduli, phases)]
+def _overlaps(grid: ScenarioGrid, key: str) -> np.ndarray:
+    """m e^{ip} at each point, rounded as ``m * complex(cos p, sin p)`` is;
+    cos and sin are taken once per distinct phase."""
+    phases, at = np.unique(grid.column(f"overlap.{key}_phase"), return_inverse=True)
+    units = np.array([complex(math.cos(p), math.sin(p)) for p in phases.tolist()])
+    return cons._cmul(np.array(grid.column(f"overlap.{key}"), dtype=complex), units[at])
 
 
 def _max_abs(stack: np.ndarray) -> np.ndarray:
     return np.max(np.abs(stack), axis=(1, 2))
 
 
-def _run_conservation(cfgs: list[ScenarioConfig]) -> ScenarioReport:
-    """The report of conservation configs sharing one ``machine.ancilla_dim``,
+def _run_conservation(grid: ScenarioGrid) -> ScenarioReport:
+    """The report of conservation points sharing one ``machine.ancilla_dim``,
     from a single batched evaluation."""
-    a, b, c = (_overlaps(cfgs, key) for key in "abc")
-    weights = _column(cfgs, "branch.weight")
-    batch = cons.evaluate_batch(a, b, c, weights, cfgs[0].values["machine.ancilla_dim"])
+    a, b, c = (_overlaps(grid, key) for key in "abc")
+    weights = np.array(grid.column("branch.weight"), dtype=float)
+    batch = cons.evaluate_batch(a, b, c, weights, grid.column("machine.ancilla_dim")[0])
     lam_before = batch.eigenvalues_before[:, 0]
     lam_after = batch.eigenvalues_after[:, 0]
-    closed_before = np.array([cons.lambda_before(*p) for p in zip(a, b, weights)])
-    closed_after = np.array([cons.lambda_after(*p) for p in zip(a, c, weights)])
+    closed_before = cons.lambda_before(a, b, weights)
+    closed_after = cons.lambda_after(a, c, weights)
     delta_entropy = batch.entropy_after - batch.entropy_before
     gram_dev = _max_abs(batch.input_gram - batch.output_gram)
     modulus_dev = _max_abs(np.abs(batch.input_gram) - np.abs(batch.output_gram))
     before_dev = _max_abs(batch.marginal_before - batch.closed_before)
     after_dev = _max_abs(batch.marginal_after - batch.closed_after)
-    tol_assert, tol_residual = _tolerances(cfgs)
+    tol_assert, tol_residual = _tolerances(grid)
 
     scalars = {
         "lambda_before_numeric": lam_before,
@@ -131,16 +126,15 @@ def _run_conservation(cfgs: list[ScenarioConfig]) -> ScenarioReport:
         "machine_gram_consistency": (gram_dev, tol_assert),
         "entanglement_conserved": (conserved, tol_residual),
     }
-    return ScenarioReport("conservation", echo_columns(cfgs), scalars, matrices, verdicts)
+    return ScenarioReport("conservation", echo_columns(grid), scalars, matrices, verdicts)
 
 
-def _run_gram_equivalence(cfgs: list[ScenarioConfig]) -> ScenarioReport:
-    """The report of gram-equivalence configs sharing one family shape, from
+def _run_gram_equivalence(grid: ScenarioGrid) -> ScenarioReport:
+    """The report of gram-equivalence points sharing one family shape, from
     one stack of round trips."""
-    first = cfgs[0].values
-    dim, size = first["family.dimension"], first["family.size"]
-    target_dim = first["family.target_dimension"] or dim
-    rngs = map(np.random.default_rng, _column(cfgs, "seed"))
+    dim, size = grid.column("family.dimension")[0], grid.column("family.size")[0]
+    target_dim = grid.column("family.target_dimension")[0] or dim
+    rngs = map(np.random.default_rng, grid.column("seed"))
     draws = [cons.roundtrip_draws(dim, target_dim, size, rng) for rng in rngs]
     families, hidden = (np.stack(x) for x in zip(*draws))
     _, found = cons.roundtrips(families, hidden)
@@ -152,14 +146,14 @@ def _run_gram_equivalence(cfgs: list[ScenarioConfig]) -> ScenarioReport:
     }
     matrices = {"family_gram": found.family_gram}
     verdicts = {
-        "families_share_gram_matrix": (found.gram_deviation, _tolerances(cfgs)[0]),
-        "member_reconstruction": (found.member_residual, np.full(len(cfgs), 1e-8)),
-        "isometry_columns_orthonormal": (found.isometry_residual, np.full(len(cfgs), 1e-10)),
+        "families_share_gram_matrix": (found.gram_deviation, _tolerances(grid)[0]),
+        "member_reconstruction": (found.member_residual, np.full(len(grid), 1e-8)),
+        "isometry_columns_orthonormal": (found.isometry_residual, np.full(len(grid), 1e-10)),
     }
-    return ScenarioReport("gram-equivalence", echo_columns(cfgs), scalars, matrices, verdicts)
+    return ScenarioReport("gram-equivalence", echo_columns(grid), scalars, matrices, verdicts)
 
 
-# Configs with equal values of their kind's keys are evaluated as one batch.
+# Points with equal values of their kind's keys are evaluated as one batch.
 _BATCHES = {
     "conservation": (_run_conservation, ("machine.ancilla_dim",)),
     "nosignal": (_run_nosignal, ("machine.mode", "machine.ancilla_dim", "tolerance.assert")),
@@ -169,25 +163,26 @@ _BATCHES = {
 }
 
 
-def run_configs(cfgs: list[ScenarioConfig]) -> ScenarioReport:
-    """The stacked report of configs of one kind, row k for ``cfgs[k]``,
-    evaluated one batch per value of the kind's ``_BATCHES`` keys.  When
-    there is more than one config, a guard error names the failing config's
-    index in ``cfgs`` (its grid point) rather than its index in the batch."""
-    runner, keys = _BATCHES[cfgs[0].kind]
-    batch_key = itemgetter(*keys)
+def run_configs(grid: ScenarioGrid) -> ScenarioReport:
+    """The stacked report of a grid, row k for point k, evaluated one batch
+    per value of the kind's ``_BATCHES`` keys (one batch when no axis sweeps
+    them).  When there is more than one point, a guard error names the
+    failing point's index on the grid rather than its index in the batch."""
+    runner, keys = _BATCHES[grid.kind]
+    swept = [grid.swept[key] for key in keys if key in grid.swept]
     batches: dict[object, list[int]] = {}
-    for i, cfg in enumerate(cfgs):
-        batches.setdefault(batch_key(cfg.values), []).append(i)
+    for i, value in enumerate(zip(*swept)):
+        batches.setdefault(value, []).append(i)
+    groups = list(batches.values()) or [range(len(grid))]
     parts = []
-    for members in batches.values():
-        with failures_named("grid point", members) if len(cfgs) > 1 else nullcontext():
-            parts.append(runner([cfgs[i] for i in members]))
+    for members in groups:
+        with failures_named("grid point", members) if len(grid) > 1 else nullcontext():
+            parts.append(runner(grid if len(groups) == 1 else grid.take(members)))
     if len(parts) == 1:
         return parts[0]
-    return concatenate_rows(parts, np.argsort(np.concatenate(list(batches.values()))))
+    return concatenate_rows(parts, np.argsort(np.concatenate(groups)))
 
 
 def run_config(cfg: ScenarioConfig) -> ScenarioReport:
-    """The report of one config: a batch of one, with a single row."""
-    return run_configs([cfg])
+    """The report of one config: a grid of one, with a single row."""
+    return run_configs(grid_points(cfg))

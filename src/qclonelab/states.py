@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ket, SubsystemSignature, require_within, signature
+from .core import Ket, SubsystemSignature, modulus, require_within, signature
 from .tolerances import RESIDUAL_TOL
 
 
@@ -86,17 +86,18 @@ def overlap_pair_amplitudes(targets, dimension: int) -> np.ndarray:
     Raises on a modulus above 1 or a realized overlap that misses its target,
     naming the first failing index.
     """
-    targets = [complex(t) for t in targets]
+    targets = np.asarray(targets, dtype=complex)
     if dimension < 2:
         raise ValueError("need dimension >= 2 to realize an arbitrary overlap")
-    moduli = [abs(t) for t in targets]
-    require_within(np.array(moduli), 1.0 + 1e-12, ValueError, "overlap modulus {dev!r} exceeds 1")
+    moduli = modulus(targets)
+    require_within(moduli, 1.0 + 1e-12, ValueError, "overlap modulus {dev!r} exceeds 1")
     out = np.zeros((len(targets), 2, dimension), dtype=complex)
     out[:, 0, 0] = 1.0
     out[:, 1, 0] = targets
-    out[:, 1, 1] = [math.sqrt(max(1.0 - m ** 2, 0.0)) for m in moduli]
+    # As math.sqrt(max(1 - m ** 2, 0)) of each modulus: float_power is pow.
+    out[:, 1, 1] = np.sqrt(np.maximum(1.0 - np.float_power(moduli, 2), 0.0))
     realized = np.vecdot(out[:, 0], out[:, 1])
-    miss = np.abs(realized - np.array(targets, dtype=complex))
+    miss = np.abs(realized - targets)
     message = "realized overlap misses its target by {dev:g}"
     require_within(miss, RESIDUAL_TOL, ArithmeticError, message)
     return out

@@ -400,8 +400,8 @@ def _conservation_grid_devs():
     lam_b = batch.eigenvalues_before[:, 0]
     lam_a = batch.eigenvalues_after[:, 0]
     lam_dev = max(
-        max(abs(x - cons.lambda_before(y, z)) for x, y, z in zip(lam_b, a, b)),
-        max(abs(x - cons.lambda_after(y, z)) for x, y, z in zip(lam_a, a, c)),
+        np.max(np.abs(lam_b - cons.lambda_before(a, b))),
+        np.max(np.abs(lam_a - cons.lambda_after(a, c))),
     )
     delta_form_dev = np.max(np.abs((lam_a - lam_b) - (a * a * c - a * b) / 2.0))
     consistent = np.max(np.abs(batch.input_gram - batch.output_gram), axis=(1, 2)) < ASSERT_TOL

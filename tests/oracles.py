@@ -1,9 +1,12 @@
 """Brute-force reference constructions used to cross-check the package.
 
 Everything here is raw numpy, written independently of the package code
-paths: explicit kron products, reshape-based partial traces, and eigenvalue
-sums from numpy's LAPACK wrappers.
+paths: explicit kron products, reshape-based partial traces, eigenvalue
+sums from numpy's LAPACK wrappers, and the scalar Python arithmetic that the
+stacked per-point formulas must reproduce bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -119,3 +122,27 @@ def wishful_bob_mixture(theta1, theta2, index, sign_faithful=True, phi=0.0):
             conditioned = np.kron(a_src, a_reg).conj() @ after
             rho += np.outer(conditioned, conditioned.conj())
     return rho
+
+
+def overlap_scalar(modulus, phase):
+    """m e^{ip} as Python complex arithmetic rounds it."""
+    return modulus * complex(math.cos(phase), math.sin(phase))
+
+
+def complement_amplitude(target):
+    """The second amplitude sqrt(1 - |t|^2) of the ket with overlap t."""
+    return math.sqrt(max(1.0 - abs(complex(target)) ** 2, 0.0))
+
+
+def lambda_max(offdiag_modulus, branch_weight):
+    """Largest eigenvalue of [[w, pq z], [pq conj z, 1 - w]], |z| given."""
+    w = branch_weight
+    return 0.5 + math.sqrt((w - 0.5) ** 2 + w * (1.0 - w) * offdiag_modulus**2)
+
+
+def lambda_before_scalar(a, b, branch_weight):
+    return lambda_max(abs(complex(a)) * abs(complex(b)), branch_weight)
+
+
+def lambda_after_scalar(a, c, branch_weight):
+    return lambda_max(abs(complex(a)) ** 2 * abs(complex(c)), branch_weight)

@@ -7,7 +7,7 @@ import pytest
 
 from qclonelab import config
 from qclonelab.cli import main
-from qclonelab.scenarios import run_config
+from qclonelab.scenarios import run_config, run_configs
 from qclonelab.config import (
     ConfigError,
     grid_points,
@@ -102,16 +102,17 @@ class TestGrid:
 
     def test_lexicographic_order(self):
         cfg = parse_config_text(CONS_TEXT)
-        points = grid_points(cfg, ["overlap.a=0:1:0.5", "overlap.b=0:1:1"])
-        seen = [(p.get("overlap.a"), p.get("overlap.b")) for p in points]
+        grid = grid_points(cfg, ["overlap.a=0:1:0.5", "overlap.b=0:1:1"])
+        seen = list(zip(grid.column("overlap.a"), grid.column("overlap.b")))
         assert seen == [
             (0.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 1.0), (1.0, 0.0), (1.0, 1.0)
         ]
 
     def test_single_point_grid_matches_run(self):
         cfg = parse_config_text(CONS_TEXT)
-        (point,) = grid_points(cfg, ["overlap.a=0.6:0.6:1"])
-        assert run_config(point).scalars == run_config(cfg).scalars
+        grid = grid_points(cfg, ["overlap.a=0.6:0.6:1"])
+        assert len(grid) == 1
+        assert run_configs(grid).scalars == run_config(cfg).scalars
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -217,6 +218,7 @@ class TestGridBound:
         assert err.startswith("configuration error:") and err.count("\n") == 1
 
     def test_each_point_built_once(self, monkeypatch):
+        # No point is built as a config: each axis value is checked once.
         cfg = parse_config_text(CONS_TEXT)
         built = []
         with_overrides = type(cfg).with_overrides
@@ -226,15 +228,26 @@ class TestGridBound:
             return with_overrides(self, overrides)
 
         monkeypatch.setattr(type(cfg), "with_overrides", counted)
-        points = grid_points(cfg, ["overlap.a=0:1:0.5", "overlap.b=0:1:1"])
-        assert len(built) == len(points) == 6
+        grid = grid_points(cfg, ["overlap.a=0:1:0.5", "overlap.b=0:1:1"])
+        assert len(grid) == 6
+        assert built == [{"overlap.a": 0.0}, {"overlap.a": 0.5}, {"overlap.a": 1.0},
+                         {"overlap.b": 0.0}, {"overlap.b": 1.0}]
 
     def test_cross_key_ranges_checked_on_whole_points(self):
         # Half-built points once failed this check: target 2 against the
         # default family.dimension 4.
         cfg = parse_config_text("kind = gram-equivalence\n")
-        (point,) = grid_points(cfg, ["family.target_dimension=2:2:1", "family.dimension=2:2:1"])
-        assert (point.get("family.target_dimension"), point.get("family.dimension")) == (2, 2)
+        grid = grid_points(cfg, ["family.target_dimension=2:2:1", "family.dimension=2:2:1"])
+        assert len(grid) == 1
+        assert grid.column("family.target_dimension") == grid.column("family.dimension") == [2]
+
+    def test_cross_key_rule_checked_on_every_combination(self):
+        # Target 3 against the default family.dimension 4 holds at no point
+        # of the second grid and at every point of the first.
+        cfg = parse_config_text("kind = gram-equivalence\nfamily.target_dimension = 3\n")
+        assert grid_points(cfg, ["family.dimension=2:3:1"]).column("family.dimension") == [2, 3]
+        with pytest.raises(ConfigError, match="3 is smaller than family.dimension 4"):
+            grid_points(cfg, ["seed=1:2:1"])
 
 
 class TestNonFiniteConfigValues:
@@ -452,3 +465,30 @@ class TestVerifyCommand:
             if verdict["name"] == "machine_gram_consistency":
                 assert verdict["passed"] is True
         assert code == 1  # entanglement_conserved still fails at residual tol
+
+
+class TestNegativeSeed:
+    # A negative seed once reached NumPy and exited 2 with "expected
+    # non-negative integer", naming neither the key nor the flag.
+    CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+    def _err(self, capsys, argv) -> str:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        return captured.err
+
+    def test_run_names_the_key(self, tmp_path, capsys):
+        path = tmp_path / "g.cfg"
+        path.write_text("kind = gram-equivalence\nseed = -3\n")
+        err = self._err(capsys, ["run", str(path)])
+        assert err == "configuration error: key 'seed': must be >= 0\n"
+
+    def test_sweep_names_the_key(self, capsys):
+        path = str(self.CONFIGS / "nosignal_isometry.cfg")
+        err = self._err(capsys, ["sweep", path, "--grid", "seed=-2:1:1"])
+        assert err == "configuration error: key 'seed': must be >= 0\n"
+
+    def test_verify_names_the_flag(self, capsys):
+        err = self._err(capsys, ["verify", "--seed", "-1"])
+        assert err.startswith("configuration error: --seed")

@@ -185,10 +185,9 @@ class TestWishfulMagnitudeOracles:
         """Basis 2's theta and the kernel's magnitude on the 311 points of
         ``sweep --grid basis2.theta=0:3.1:0.01`` at basis1.theta = 0."""
         cfg = parse_config_text("kind = nosignal\nbasis1.theta = 0.0\n")
-        points = grid_points(cfg, ["basis2.theta=0:3.1:0.01"])
-        bases = np.array([scenarios._bases(p) for p in points])
-        thetas = [p.basis_angles("basis2")[0] for p in points]
-        return thetas, nosig.evaluate_batch(bases).signalling_magnitude
+        grid = grid_points(cfg, ["basis2.theta=0:3.1:0.01"])
+        thetas = grid.basis_angles("basis2")[0]
+        return thetas, nosig.evaluate_batch(scenarios._bases(grid)).signalling_magnitude
 
     @staticmethod
     def _oracle_gap(theta1, theta2, phi, magnitude) -> float:

@@ -7,15 +7,23 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qclonelab import conservation
 from qclonelab.cli import main
-from qclonelab.config import echo_columns, grid_points, load_config, parse_config_text
-from qclonelab.report import ScenarioReport, Verdict, _format_column, format_scalar, render_csv
+from qclonelab.config import (
+    ScenarioConfig,
+    echo_columns,
+    grid_points,
+    load_config,
+    parse_config_text,
+)
+from qclonelab.report import ScenarioReport, Verdict, format_scalar, render_csv
 from qclonelab.scenarios import run_configs
 
 # The text of perfbench.workloads.conservation_config(7).
@@ -50,9 +58,13 @@ def _write(directory: Path, name: str, text: str) -> str:
     return str(path)
 
 
-def _point_text(point) -> str:
-    echoed = echo_columns([point])
-    return "".join(f"{key} = {value}\n" for key, value in echoed.items())
+def _point_texts(grid) -> list[str]:
+    """The config text of each point of a grid."""
+    echoed = echo_columns(grid)
+    return [
+        "".join(f"{key} = {v if isinstance(v, str) else v[k]}\n" for key, v in echoed.items())
+        for k in range(len(grid))
+    ]
 
 
 def _output(argv: list[str], out: Path) -> tuple[int, str | None]:
@@ -65,11 +77,11 @@ def _assert_sweep_rows_are_runs(config_text: str, axes: list[str]) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         path = _write(tmp, "base.cfg", config_text)
-        points = grid_points(load_config(path), axes)
+        points = _point_texts(grid_points(load_config(path), axes))
         runs = {fmt: [] for fmt in ("csv", "json")}
         codes = []
         for k, point in enumerate(points):
-            point_path = _write(tmp, f"point{k}.cfg", _point_text(point))
+            point_path = _write(tmp, f"point{k}.cfg", point)
             for fmt in runs:
                 code, text = _output(["run", point_path, "--format", fmt], tmp / "run.out")
                 runs[fmt].append(text)
@@ -139,47 +151,61 @@ def test_nosignal_sweep_rows_are_runs(mode, theta, axes):
 
 def test_csv_columns_format_as_scalars():
     values = [-0.0, 0.0, 0.65, 1e-12, -2.5e300, float("inf"), float("nan")]
-    assert _format_column(np.array(values)) == [format_scalar(x) for x in values]
+    # A shared string is written into the row template, so its % is escaped.
+    report = ScenarioReport("k", {"key": "5%d"}, {"x": np.array(values)}, {}, {})
+    header, *rows = render_csv(report).splitlines()
+    assert header == "kind,config.key,x"
+    assert rows == [f"k,5%d,{format_scalar(x)}" for x in values]
 
 
 def test_run_is_a_batch_of_one():
-    report = run_configs([parse_config_text(SEED7_CONFIG)])
+    report = run_configs(grid_points(parse_config_text(SEED7_CONFIG)))
     assert isinstance(report, ScenarioReport) and len(report) == 1
 
 
 class TestSweepCost:
-    """Evaluating and rendering a sweep makes a fixed number of ``report``
-    calls and builds no per-point report or verdict; the whole sweep, grid
-    expansion included, makes a bounded number of package calls per point.
-    Counted under ``sys.setprofile``, so the figures do not depend on the
-    host."""
+    """Expanding, evaluating and rendering a sweep makes the same package
+    calls on every grid size: it builds no config, report or verdict per
+    point, and checks each axis value once.  Counted under
+    ``sys.setprofile``, so the figures do not depend on the host."""
 
     @staticmethod
     @functools.cache
     def _count(step: str) -> tuple[int, Counter]:
+        """Points and calls of the sweep over ``overlap.{a,b,c}=0:1:step``.
+        ``all`` counts every package call, ``qclonelab`` those made outside
+        the axis value checks, with every point in one chunk of the kernel."""
         cfg = parse_config_text(SEED7_CONFIG)
         calls = Counter()
-        built = (Verdict, ScenarioReport)
+        built = (Verdict, ScenarioReport, ScenarioConfig)
+        checking = [False]
 
         def profile(frame, event, arg):
+            module = frame.f_globals.get("__name__", "")
+            if event not in ("call", "return") or not module.startswith("qclonelab"):
+                return
+            name = frame.f_code.co_name
+            if name == "with_overrides":
+                calls[name] += event == "call"
+                checking[0] = event == "call"
             if event != "call":
                 return
-            module = frame.f_globals.get("__name__", "")
-            if not module.startswith("qclonelab"):
-                return
-            calls["qclonelab"] += 1
+            calls["all"] += 1
+            calls["qclonelab"] += not checking[0]
             if module == "qclonelab.report":
                 calls["report"] += 1
-            if frame.f_code.co_name == "__init__" and isinstance(frame.f_locals.get("self"), built):
+            if name == "__init__" and isinstance(frame.f_locals.get("self"), built):
                 calls[type(frame.f_locals["self"]).__name__] += 1
 
-        sys.setprofile(profile)
-        try:
-            points = grid_points(cfg, [f"overlap.{key}=0:1:{step}" for key in "abc"])
-            render_csv(run_configs(points))
-        finally:
-            sys.setprofile(None)
-        return len(points), calls
+        chunk = 64 * 11**3  # conservation points hold 16 * ancilla_dim entries
+        with mock.patch.object(conservation, "CHUNK_ENTRIES", chunk):
+            sys.setprofile(profile)
+            try:
+                grid = grid_points(cfg, [f"overlap.{key}=0:1:{step}" for key in "abc"])
+                render_csv(run_configs(grid))
+            finally:
+                sys.setprofile(None)
+        return len(grid), calls
 
     def test_report_calls_do_not_grow_with_the_grid(self):
         small_points, small = self._count("0.5")
@@ -192,4 +218,13 @@ class TestSweepCost:
     @pytest.mark.parametrize("step", ["0.5", "0.1"])
     def test_package_calls_per_point(self, step):
         points, calls = self._count(step)
-        assert calls["qclonelab"] <= 20 * points
+        assert calls["all"] <= 20 * points
+
+    def test_package_calls_do_not_grow_with_the_grid(self):
+        assert self._count("0.1")[1]["qclonelab"] == self._count("0.5")[1]["qclonelab"]
+
+    @pytest.mark.parametrize("step, axis_values", [("0.5", 3 * 3), ("0.1", 3 * 11)])
+    def test_each_axis_value_checked_once(self, step, axis_values):
+        # with_overrides returns the one config each check builds.
+        _, calls = self._count(step)
+        assert calls["with_overrides"] == calls["ScenarioConfig"] == axis_values
