@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     CHUNK_ENTRIES,
+    cmul,
     eig_hermitian_batch,
     entropy_bits,
     first_failure,
@@ -62,9 +63,10 @@ class ConservationBatch:
 def _superpose(weight: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """sqrt(w)|0>first + sqrt(1-w)|1>second for stacked branch amplitudes,
     shape (n, 2, m) with Alice's qubit on axis 1."""
-    p = np.sqrt(weight)[:, None]
-    q = np.sqrt(1.0 - weight)[:, None]
-    return np.stack([p * first, q * second], axis=1)
+    out = np.empty((len(first), 2, first.shape[-1]), dtype=complex)
+    np.multiply(np.sqrt(weight)[:, None], first, out=out[:, 0])
+    np.multiply(np.sqrt(1.0 - weight)[:, None], second, out=out[:, 1])
+    return out
 
 
 def _branches(a, b, c, weight, ancilla_dim: int):
@@ -90,16 +92,6 @@ def _shared(weight: np.ndarray, psis: np.ndarray, alphas: np.ndarray) -> np.ndar
     """Stacked shared states, shape (n, 2, 4)."""
     branches = [kron_stack(psis[:, k], alphas[:, k]) for k in (0, 1)]
     return _superpose(weight, *branches)
-
-
-def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x * y for complex arrays, written out in real arithmetic so that it
-    rounds as Python's complex ``*`` does; NumPy's complex multiply can
-    differ in the last bit."""
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
 
 
 def _marginals(a, b, c, weight, ancilla_dim: int):
@@ -136,8 +128,8 @@ def _marginals(a, b, c, weight, ancilla_dim: int):
     pq = np.sqrt(w * (1.0 - w))
     closed = []
     for label, rho, lower, upper in (
-        ("before", before, _cmul(pq * a, b), _cmul(a, b)),
-        ("after", after, _cmul(_cmul(pq * a, a), c), _cmul(_cmul(a, a), c)),
+        ("before", before, cmul(pq * a, b), cmul(a, b)),
+        ("after", after, cmul(cmul(pq * a, a), c), cmul(cmul(a, a), c)),
     ):
         require_density_matrices(rho, f"marginal {label}")
         upper = pq * upper.conj()

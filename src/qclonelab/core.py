@@ -170,8 +170,8 @@ def tensor(a: Ket, b: Ket) -> Ket:
 def kron_stack(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Kronecker product over the last axis of stacked vectors; leading axes
     broadcast.  Entrywise the same products as ``np.kron`` on each pair."""
-    batch = np.broadcast_shapes(u.shape[:-1], v.shape[:-1])
-    return (u[..., :, None] * v[..., None, :]).reshape(*batch, -1)
+    out = u[..., :, None] * v[..., None, :]
+    return out.reshape(*out.shape[:-2], -1)
 
 
 def inner(a: Ket, b: Ket) -> complex:
@@ -197,23 +197,41 @@ def reduced_states(kets, dims, keep) -> np.ndarray:
     ``kets`` (..., prod(dims)) holds amplitudes row-major over factors of
     dimensions ``dims``; ``keep`` lists the kept factor axes.  Returns
     (..., d, d) over the kept factors in their original order.  The traced
-    multi-index is summed in ascending order, one rank-1 term at a time,
-    without forming the projectors.
+    multi-index is summed in ascending order, one rank-1 term after another,
+    into a zero start, without forming the projectors.  A slab of traced
+    indices forms its terms in one multiply into rows 1.. of a buffer whose
+    row 0 holds the running sum, and ``np.add.accumulate`` adds the rows
+    strictly in turn (``np.add.reduce`` may sum pairwise).  A slab's buffer
+    holds at most ``CHUNK_ENTRIES`` entries, or two rows of the batch.
+
+    A traced index whose amplitudes are zero in every batch entry is
+    skipped: its terms are signed zeros, and adding one leaves a sum that
+    started at +0 unchanged, so the bits are those of the full sum.
     """
     kets = np.asarray(kets, dtype=complex)
-    batch, n = kets.shape[:-1], len(dims)
+    batch, m = kets.shape[:-1], math.prod(kets.shape[:-1])
     kept = sorted(keep)
-    traced = [axis for axis in range(n) if axis not in kept]
-    amp = kets.reshape(*batch, *dims)
-    lead = len(batch)
-    amp = np.moveaxis(amp, [lead + axis for axis in kept + traced], range(lead, lead + n))
+    traced = [axis for axis in range(len(dims)) if axis not in kept]
     d_kept = math.prod(dims[axis] for axis in kept)
-    amp = amp.reshape(*batch, d_kept, -1)
-    out = np.zeros((*batch, d_kept, d_kept), dtype=complex)
-    for t in range(amp.shape[-1]):
-        v = amp[..., t]
-        out += v[..., :, None] * v.conj()[..., None, :]
-    return out
+    # terms[t, i, k]: kept index i of batch entry k at traced index t, so
+    # the batch runs innermost in every term.
+    amp = kets.reshape(m, *dims).transpose(*(1 + axis for axis in traced + kept), 0)
+    terms = amp.reshape(-1, d_kept, m)
+    live = np.flatnonzero(np.any(terms, axis=(1, 2)))
+    slab = max(1, CHUNK_ENTRIES // max(m * d_kept * d_kept, 1) - 1)
+    buf = np.zeros((min(slab, len(live)) + 1, d_kept, d_kept, m), dtype=complex)
+    for start in range(0, len(live), slab):
+        v = terms[live[start:start + slab]]
+        sums = buf[: len(v) + 1]
+        np.multiply(v[:, :, None], v.conj()[:, None], out=sums[1:])
+        if len(v) == 1:
+            # One term: a plain add; accumulate calls its inner loop once per
+            # entry of a row, which costs more than the add on a wide row.
+            np.add(sums[0], sums[1], out=sums[0])
+        else:
+            np.add.accumulate(sums, axis=0, out=sums)
+            sums[0] = sums[-1]
+    return np.ascontiguousarray(np.moveaxis(buf[0], -1, 0)).reshape(*batch, d_kept, d_kept)
 
 
 def partial_trace(state: Ket, keep) -> DensityMatrix:
@@ -299,6 +317,16 @@ def _require_hermitian(mat: np.ndarray, tol: float) -> np.ndarray:
 def modulus(z):
     """|z| elementwise as Python's ``abs(complex)`` rounds it; ``np.abs`` may not."""
     return np.hypot(np.real(z), np.imag(z))
+
+
+def cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y for complex arrays, written out in real arithmetic so that it
+    rounds as Python's complex ``*`` does; NumPy's complex multiply can
+    differ in the last bit."""
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
 def _eig_2x2(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

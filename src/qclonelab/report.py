@@ -9,6 +9,7 @@ losslessly; the CSV rendering is the flat scalar record, one line per row.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -114,21 +115,32 @@ class ScenarioReport:
 
 
 def render_csv(report: ScenarioReport) -> str:
-    """A header line, then one line per row of the report, each formatted by
-    one ``%`` template: the strings every row shares are written into it,
-    and numbers format as :func:`format_scalar` does (adding 0.0 collapses
-    -0.0)."""
-    fields = [("kind", "%s", report.kind)]
-    fields += [(f"config.{key}", "%s", column) for key, column in sorted(report.config.items())]
-    fields += [(name, "%.11e", values) for name, values in report.scalars.items()]
+    """A header line, then one line per row of the report, its cells joined
+    by commas: the strings every row shares as they are, verdicts as 1 or 0
+    and numbers as :func:`format_scalar` formats them, each distinct number
+    of the report once."""
+    n = len(report)
+    formatted = iter(_formatted([
+        *report.scalars.values(), *(dev for dev, _ in report.verdicts.values())
+    ], n))
+    fields = [("kind", report.kind)]
+    fields += [(f"config.{key}", column) for key, column in sorted(report.config.items())]
+    fields += [(name, next(formatted)) for name in report.scalars]
     for name, (dev, tol) in report.verdicts.items():
-        fields.append((f"verdict.{name}", "%d", dev < tol))
-        fields.append((f"verdict.{name}.deviation", "%.11e", dev))
-    template = ",".join(c.replace("%", "%%") if isinstance(c, str) else f for _, f, c in fields)
-    columns = [c if f == "%s" else (np.asarray(c, dtype=float) + 0.0).tolist()
-               for _, f, c in fields if not isinstance(c, str)]
-    rows = map(template.__mod__, zip(*columns))
-    return "\n".join([",".join(name for name, _, _ in fields), *rows]) + "\n"
+        fields.append((f"verdict.{name}", np.where(dev < tol, "1", "0").tolist()))
+        fields.append((f"verdict.{name}.deviation", next(formatted)))
+    cells = (itertools.repeat(c, n) if isinstance(c, str) else c for _, c in fields)
+    rows = map(",".join, zip(*cells))
+    return "\n".join([",".join(name for name, _ in fields), *rows]) + "\n"
+
+
+def _formatted(columns: list, n: int) -> list[list[str]]:
+    """:func:`format_scalar` of each value of the n-value columns, run once
+    per distinct value: adding 0.0 first collapses -0.0 into 0.0."""
+    values = np.concatenate([np.asarray(c, dtype=float).reshape(n) for c in columns]) + 0.0
+    distinct, at = np.unique(values, return_inverse=True)
+    text = np.array(["%.11e" % x for x in distinct.tolist()], dtype=object)
+    return text[at].reshape(len(columns), n).tolist()
 
 
 def _merge(columns: list, sizes: list[int], order: np.ndarray):

@@ -10,7 +10,6 @@ whole grid (see :func:`run_configs`).
 
 from __future__ import annotations
 
-import math
 from contextlib import nullcontext
 
 import numpy as np
@@ -18,17 +17,17 @@ import numpy as np
 from . import conservation as cons
 from . import nosignal as nosig
 from .config import ScenarioConfig, ScenarioGrid, echo_columns, grid_points
-from .core import failures_named
+from .core import cmul, failures_named
 from .machines import haar_draw, haar_isometries, wishful_signatures
 from .report import ScenarioReport, concatenate_rows
-from .states import basis_amplitudes
+from .states import basis_amplitudes, unit_phases
 
 
 def _bases(grid: ScenarioGrid) -> np.ndarray:
     """Basis amplitudes of nosignal points, in the layout
     ``nosignal.evaluate_batch`` stacks: (point, basis, psi or alpha, 2, 2)."""
     angles = [grid.basis_angles(which) for which in ("basis1", "basis2")]
-    out = [[list(map(basis_amplitudes, *a[k:k + 2])) for k in (0, 2)] for a in angles]
+    out = [[basis_amplitudes(*a[k:k + 2]) for k in (0, 2)] for a in angles]
     return np.moveaxis(np.array(out), 2, 0)
 
 
@@ -75,9 +74,8 @@ def _run_nosignal(grid: ScenarioGrid) -> ScenarioReport:
 def _overlaps(grid: ScenarioGrid, key: str) -> np.ndarray:
     """m e^{ip} at each point, rounded as ``m * complex(cos p, sin p)`` is;
     cos and sin are taken once per distinct phase."""
-    phases, at = np.unique(grid.column(f"overlap.{key}_phase"), return_inverse=True)
-    units = np.array([complex(math.cos(p), math.sin(p)) for p in phases.tolist()])
-    return cons._cmul(np.array(grid.column(f"overlap.{key}"), dtype=complex), units[at])
+    units = unit_phases(grid.column(f"overlap.{key}_phase"))
+    return cmul(np.array(grid.column(f"overlap.{key}"), dtype=complex), units)
 
 
 def _max_abs(stack: np.ndarray) -> np.ndarray:

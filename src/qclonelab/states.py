@@ -8,13 +8,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ket, SubsystemSignature, modulus, require_within, signature
+from .core import (
+    Ket, SubsystemSignature, cmul, first_failure, modulus, require_within, signature
+)
 from .tolerances import RESIDUAL_TOL
 
 
-def basis_amplitudes(theta: float, phi: float = 0.0) -> np.ndarray:
+def _per_distinct_angle(angles, fn) -> np.ndarray:
+    """``fn`` of each angle, called once per distinct angle; angles are told
+    apart by their bits, so -0.0 is not taken for 0.0."""
+    angles = np.ascontiguousarray(angles, dtype=float).reshape(-1)
+    bits = angles.view(np.int64)
+    if bits.size and (bits == bits[0]).all():
+        # One angle, as in the column of a key no axis sweeps.
+        return np.repeat(np.array([fn(float(angles[0]))]), bits.size, axis=0)
+    bits = bits.tolist()
+    values = {k: fn(a) for k, a in dict(zip(bits, angles.tolist())).items()}
+    return np.array([values[k] for k in bits])
+
+
+def unit_phases(phi) -> np.ndarray:
+    """e^{i phi} of each angle, rounded as ``complex(cos phi, sin phi)``
+    with Python's ``math``; cos and sin are taken once per distinct angle."""
+    units = _per_distinct_angle(phi, lambda p: complex(math.cos(p), math.sin(p)))
+    return units.astype(complex, copy=False)
+
+
+def basis_amplitudes(theta, phi=0.0) -> np.ndarray:
     """Amplitudes [primary, complement] of the orthonormal qubit basis pair
-    at Bloch angles (theta, phi), shape (2, 2):
+    at Bloch angles (theta, phi), shape (2, 2), or (n, 2, 2) for columns of
+    n angles:
 
     primary    = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>
     complement = -e^{-i phi} sin(theta/2)|0> + cos(theta/2)|1>
@@ -22,15 +45,29 @@ def basis_amplitudes(theta: float, phi: float = 0.0) -> np.ndarray:
     The complement phase is fixed so that every pair builds the same
     singlet (|psi psibar> - |psibar psi>)/sqrt(2).  State equality elsewhere
     is always up to global phase (compare |inner| = 1, never amplitudes).
+
+    Each entry rounds as the scalar recipe ``w * s`` and ``-conj(w) * s`` in
+    Python complex arithmetic, with ``c, s = cos(theta/2), sin(theta/2)`` and
+    ``w = complex(cos phi, sin phi)`` taken once per distinct angle.  A range
+    error names the first failing index.
     """
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
-    if not 0.0 <= phi < 2.0 * math.pi:
-        raise ValueError(f"phi must lie in [0, 2*pi), got {phi!r}")
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    w = complex(math.cos(phi), math.sin(phi))
-    return np.array([[c, w * s], [-np.conj(w) * s, c]], dtype=complex)
+    scalar = np.ndim(theta) == 0 and np.ndim(phi) == 0
+    theta, phi = np.broadcast_arrays(np.atleast_1d(theta), np.atleast_1d(phi))
+    for name, values, inside, bounds in (
+        ("theta", theta, (theta >= 0.0) & (theta <= math.pi), "[0, pi]"),
+        ("phi", phi, (phi >= 0.0) & (phi < 2.0 * math.pi), "[0, 2*pi)"),
+    ):
+        if not inside.all():
+            k, where = first_failure(~inside)
+            raise ValueError(f"{name} must lie in {bounds}, got {float(values[k])!r}{where}")
+    halves = _per_distinct_angle(theta, lambda t: (math.cos(t / 2.0), math.sin(t / 2.0)))
+    c, s = halves.reshape(-1, 2).T
+    w = unit_phases(phi)
+    out = np.empty((len(theta), 2, 2), dtype=complex)
+    out[:, 0, 0] = out[:, 1, 1] = c
+    out[:, 0, 1] = cmul(w, s)
+    out[:, 1, 0] = cmul(-w.conj(), s)
+    return out[0] if scalar else out
 
 
 def random_amplitudes(dim: int, rng: np.random.Generator) -> np.ndarray:

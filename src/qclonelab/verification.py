@@ -78,8 +78,8 @@ def _random_basis_angles(rng) -> tuple[float, float]:
 
 def _random_singlets(rng, n: int) -> np.ndarray:
     """Singlets of n random basis pairs, each drawn as (theta, phi)."""
-    pairs = [basis_amplitudes(*_random_basis_angles(rng)) for _ in range(n)]
-    return nosig._singlets(np.array(pairs))
+    angles = np.array([_random_basis_angles(rng) for _ in range(n)])
+    return nosig._singlets(basis_amplitudes(*angles.T))
 
 
 # The factors the partial-trace checks trace down to their kept axes.
@@ -322,25 +322,28 @@ def _check_linear_no_signalling(seed):
     return float(np.max(np.abs(before - after))), RESIDUAL_TOL
 
 
-def _random_bases(rng) -> np.ndarray:
-    """Basis amplitudes of a random scenario: four basis pairs, each drawn as
-    (theta, phi)."""
-    return np.array(
-        [[basis_amplitudes(*_random_basis_angles(rng)) for _ in range(2)] for _ in range(2)]
-    )
+def _random_scenario_angles(rng) -> list[tuple[float, float]]:
+    """Angles of a random scenario's four basis pairs, each drawn as (theta, phi)."""
+    return [_random_basis_angles(rng) for _ in range(4)]
+
+
+def _scenario_bases(angles) -> np.ndarray:
+    """Basis amplitudes (n, 2, 2, 2, 2) of n scenarios' angles (n, 4, 2)."""
+    angles = np.asarray(angles, dtype=float)
+    return basis_amplitudes(*angles.reshape(-1, 2).T).reshape(len(angles), 2, 2, 2, 2)
 
 
 def _computational_against(thetas) -> np.ndarray:
     """Scenarios with the computational basis against each Bloch angle theta."""
     computational = basis_amplitudes(0.0, 0.0)
     return np.array([
-        [[computational, computational], [basis_amplitudes(theta, 0.0)] * 2] for theta in thetas
+        [[computational, computational], [tilted] * 2] for tilted in basis_amplitudes(thetas)
     ])
 
 
 def _check_premachine_bob_marginal(seed):
     rng = _rng(seed, 19)
-    bases = np.array([_random_bases(rng) for _ in range(50)])
+    bases = _scenario_bases([_random_scenario_angles(rng) for _ in range(50)])
     return float(np.max(nosig.premachine(bases).deviation)), RESIDUAL_TOL
 
 
@@ -348,12 +351,12 @@ def _random_isometric_scenarios(rng, n: int):
     """Bases of n random scenarios, each drawn before its random isometry on
     Bob's side, and the isometries."""
     n_in, n_out = (sig.dim for sig in wishful_signatures(4))
-    bases = np.empty((n, 2, 2, 2, 2), dtype=complex)
+    angles = []
     draws = np.empty((n, n_out, n_in), dtype=complex)
     for t in range(n):
-        bases[t] = _random_bases(rng)
+        angles.append(_random_scenario_angles(rng))
         draws[t] = haar_draw(n_in, n_out, rng)
-    return bases, haar_isometries(draws)
+    return _scenario_bases(angles), haar_isometries(draws)
 
 
 def _check_isometric_zero_signalling(seed):

@@ -66,6 +66,35 @@ def partial_trace_loop(rho, dims, keep):
     return rho.reshape(d, d)
 
 
+def reduced_states_loop(kets, dims, keep):
+    """Reduced states of stacked kets (..., prod(dims)) on the kept axes, the
+    traced multi-index summed in ascending order one rank-1 term at a time
+    into a zero start."""
+    kets = np.asarray(kets, dtype=complex)
+    batch, n = kets.shape[:-1], len(dims)
+    kept = sorted(keep)
+    traced = [axis for axis in range(n) if axis not in kept]
+    amp = kets.reshape(*batch, *dims)
+    lead = len(batch)
+    amp = np.moveaxis(amp, [lead + axis for axis in kept + traced], range(lead, lead + n))
+    d_kept = math.prod(dims[axis] for axis in kept)
+    amp = amp.reshape(*batch, d_kept, -1)
+    out = np.zeros((*batch, d_kept, d_kept), dtype=complex)
+    for t in range(amp.shape[-1]):
+        v = amp[..., t]
+        out += v[..., :, None] * v.conj()[..., None, :]
+    return out
+
+
+def basis_amplitudes_scalar(theta, phi=0.0):
+    """[primary, complement] of the qubit basis at (theta, phi) in Python
+    complex arithmetic."""
+    c = math.cos(theta / 2.0)
+    s = math.sin(theta / 2.0)
+    w = complex(math.cos(phi), math.sin(phi))
+    return np.array([[c, w * s], [-np.conj(w) * s, c]], dtype=complex)
+
+
 def binary_entropy(p):
     out = 0.0
     for v in (p, 1.0 - p):

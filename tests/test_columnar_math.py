@@ -21,7 +21,7 @@ from qclonelab.states import overlap_pair_amplitudes
 _EDGE_MODULI = [0.0, 1.0, 1e-160, 1e-300]
 _MODULI = st.one_of(st.floats(0.0, 1.0), st.sampled_from(_EDGE_MODULI))
 _PHASES = st.one_of(
-    st.floats(0.0, 2.0 * math.pi, exclude_max=True), st.sampled_from([0.0, math.pi])
+    st.floats(0.0, 2.0 * math.pi, exclude_max=True), st.sampled_from([0.0, -0.0, math.pi])
 )
 _POINT = st.tuples(_MODULI, _PHASES, _MODULI, _PHASES, st.floats(0.0, 1.0))
 

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_ket
-from oracles import partial_trace_einsum, partial_trace_loop, trace_distance_eigsum
+from oracles import (
+    partial_trace_einsum,
+    partial_trace_loop,
+    reduced_states_loop,
+    trace_distance_eigsum,
+)
+from qclonelab import core
 from qclonelab.core import (
     DensityMatrix,
     Ket,
@@ -177,6 +184,73 @@ class TestPartialTrace:
             want = partial_trace_einsum(np.outer(amp, amp.conj()), dims, keep)
             assert stacked[k].tobytes() == want.tobytes()
             assert reduced_states(kets[k:k + 1], dims, keep).tobytes() == stacked[k:k + 1].tobytes()
+
+
+def _signed_zeros(x: np.ndarray) -> bool:
+    return bool(np.any((x.real == 0.0) & np.signbit(x.real))
+                or np.any((x.imag == 0.0) & np.signbit(x.imag)))
+
+
+@st.composite
+def _stacked_kets(draw):
+    """(kets, dims, keep): Gaussian amplitudes over up to four factors and
+    up to two batch axes, with exact zeros of either sign drawn in."""
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    keep = tuple(draw(st.sets(st.integers(0, len(dims) - 1), min_size=1)))
+    batch = tuple(draw(st.lists(st.integers(1, 5), max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (*batch, math.prod(dims))
+    kets = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    zeros = rng.uniform(size=shape) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    signs = rng.integers(0, 4, shape)
+    kets[zeros] = 0.0
+    kets.real[zeros & (signs & 1 == 1)] = -0.0
+    kets.imag[zeros & (signs & 2 == 2)] = -0.0
+    return kets, dims, keep
+
+
+class TestReducedStatesSlabs:
+    """The slab kernel adds the rank-1 terms in the order of the per-term
+    loop it replaced (``oracles.reduced_states_loop``), whatever the slab
+    length; ``np.add.reduce`` would sum a one-entry block pairwise."""
+
+    @staticmethod
+    def _assert_matches_loop(kets, dims, keep):
+        got = reduced_states(kets, dims, keep)
+        want = reduced_states_loop(kets, dims, keep)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not _signed_zeros(got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_stacked_kets(), chunk=st.sampled_from([1, 8, 64, core.CHUNK_ENTRIES]))
+    def test_matches_the_term_loop_bit_for_bit(self, case, chunk):
+        # A small CHUNK_ENTRIES cuts the traced index into many short slabs.
+        with mock.patch.object(core, "CHUNK_ENTRIES", chunk):
+            self._assert_matches_loop(*case)
+
+    @pytest.mark.parametrize(
+        "batch, dims, keep",
+        [
+            ((1,), (1, 200), (0,)),  # one entry per slab row: reduce would pair
+            ((), (1, 7), (0,)),
+            ((64,), (2, 32), (0,)),  # a conservation chunk: several slabs
+            ((1331,), (2, 32), (0,)),  # a block above CHUNK_ENTRIES: one term a slab
+            ((3, 5), (2, 2, 2, 2, 4), (1, 3)),
+        ],
+    )
+    def test_slab_shapes(self, rng, batch, dims, keep):
+        shape = (*batch, math.prod(dims))
+        kets = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kets[..., ::3] = 0.0
+        kets.real[..., 1::3] = -0.0
+        self._assert_matches_loop(kets, dims, keep)
+
+    def test_negative_zero_terms_sum_to_positive_zero(self):
+        kets = np.full((2, 6), complex(-0.0, -0.0))
+        kets[0, 4] = complex(-0.0, 1e-300)
+        got = reduced_states(kets, (2, 3), (0,))
+        assert not _signed_zeros(got)
+        assert got.tobytes() == reduced_states_loop(kets, (2, 3), (0,)).tobytes()
 
 
 class TestEig:

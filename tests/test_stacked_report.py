@@ -151,11 +151,40 @@ def test_nosignal_sweep_rows_are_runs(mode, theta, axes):
 
 def test_csv_columns_format_as_scalars():
     values = [-0.0, 0.0, 0.65, 1e-12, -2.5e300, float("inf"), float("nan")]
-    # A shared string is written into the row template, so its % is escaped.
+    # A shared string passes through as it is, % included.
     report = ScenarioReport("k", {"key": "5%d"}, {"x": np.array(values)}, {}, {})
     header, *rows = render_csv(report).splitlines()
     assert header == "kind,config.key,x"
     assert rows == [f"k,5%d,{format_scalar(x)}" for x in values]
+
+
+_CELL_VALUES = [
+    0.65, -0.0, 0.0, 0.65, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324,
+    2.2e-308, 0.65, float("nan"), -0.0, 1e-12, -2.5e300, 1e-12,
+]
+
+
+@pytest.mark.parametrize("n", [len(_CELL_VALUES), 1])
+def test_csv_cells_are_format_scalar(n):
+    # Repeated values, both zeros, NaN, infinities and subnormals, shared by
+    # several columns: every cell is format_scalar of its own value.
+    x = np.array(_CELL_VALUES[:n])
+    y, dev = x[::-1].copy(), np.roll(x, 3)
+    tol = np.full(n, 1e-9)
+    swept = [f"{k}%s" for k in range(n)]
+    report = ScenarioReport(
+        "k%", {"a": "5%d%%", "b": swept, "c": "%", "d": "x"}, {"x": x, "y": y}, {},
+        {"v": (dev, tol)},
+    )
+    header, *rows = render_csv(report).splitlines()
+    assert header == "kind,config.a,config.b,config.c,config.d,x,y,verdict.v,verdict.v.deviation"
+    assert len(rows) == n
+    for k, row in enumerate(rows):
+        passed = "1" if dev[k] < tol[k] else "0"
+        assert row.split(",") == [
+            "k%", "5%d%%", swept[k], "%", "x", format_scalar(x[k]), format_scalar(y[k]),
+            passed, format_scalar(dev[k]),
+        ]
 
 
 def test_run_is_a_batch_of_one():

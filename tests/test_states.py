@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import basis_ket, random_basis_angles, random_ket
-from oracles import bloch_pair, kron_all
+from oracles import basis_amplitudes_scalar, bloch_pair, kron_all
 from qclonelab.core import (
     Ket,
     eig_hermitian,
@@ -18,6 +18,16 @@ from qclonelab.core import (
 from qclonelab.nosignal import _singlets
 from qclonelab.states import StateFamily, basis_amplitudes, gram, kets_with_overlap
 from qclonelab.tolerances import ASSERT_TOL
+
+
+# -0.0 lies in range and has its own sine, so it must not share 0.0's.
+_THETAS = st.one_of(
+    st.floats(0.0, math.pi), st.sampled_from([0.0, -0.0, math.pi, 5e-324, math.pi / 2])
+)
+_PHIS = st.one_of(
+    st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    st.sampled_from([0.0, -0.0, math.pi / 2, math.pi, 3 * math.pi / 2, 5e-324]),
+)
 
 
 class TestQubitBasis:
@@ -49,6 +59,37 @@ class TestQubitBasis:
         assert np.linalg.norm(primary) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(complement) == pytest.approx(1.0, abs=1e-12)
         assert abs(np.vdot(primary, complement)) < 1e-12
+
+    def test_out_of_range_names_the_first_failing_index(self):
+        with pytest.raises(ValueError, match=r"got -0\.1$"):
+            basis_amplitudes(-0.1, 0.0)
+        with pytest.raises(ValueError, match=r"theta .* got -1\.0 at batch index 2$"):
+            basis_amplitudes([0.1, 0.2, -1.0, 4.0], 0.0)
+        with pytest.raises(ValueError, match=r"phi .* got nan at batch index 1$"):
+            basis_amplitudes([0.1, 0.2], [0.0, float("nan")])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_THETAS, _PHIS), min_size=1, max_size=30))
+    def test_columns_round_as_the_scalar_recipe(self, angles):
+        want = np.array([basis_amplitudes_scalar(t, p) for t, p in angles])
+        theta, phi = (list(column) for column in zip(*angles))
+        assert basis_amplitudes(theta, phi).tobytes() == want.tobytes()
+        # The scalar call is the batch of one.
+        for (t, p), pair in zip(angles, want):
+            assert basis_amplitudes(t, p).shape == (2, 2)
+            assert basis_amplitudes(t, p).tobytes() == pair.tobytes()
+
+    def test_signed_zero_angles_keep_their_own_bits(self):
+        angles = [(0.0, 4.0), (-0.0, 4.0), (0.5, -0.0), (0.5, 0.0)]
+        want = np.array([basis_amplitudes_scalar(t, p) for t, p in angles])
+        assert basis_amplitudes(*zip(*angles)).tobytes() == want.tobytes()
+
+    def test_columns_round_as_the_scalar_recipe_in_bulk(self):
+        rng = np.random.default_rng(13)
+        theta = rng.uniform(0.0, math.pi, 20_000)
+        phi = rng.uniform(0.0, 2.0 * math.pi, 20_000)
+        want = np.array([basis_amplitudes_scalar(t, p) for t, p in zip(theta.tolist(), phi.tolist())])
+        assert basis_amplitudes(theta, phi).tobytes() == want.tobytes()
 
     def test_overlap_with_pole(self):
         theta = 1.234
