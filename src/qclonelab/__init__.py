@@ -1,43 +1,16 @@
 """Numerical laboratory for cloning machines, no-signalling checks, and
-entanglement bookkeeping on labeled qubit registers."""
+entanglement bookkeeping, computed as stacked arrays."""
 
-from .core import (
-    DensityMatrix,
-    Ket,
-    Spectrum,
-    SubsystemSignature,
-    density_of,
-    eig_hermitian,
-    eig_hermitian_batch,
-    entropy,
-    inner,
-    partial_trace,
-    reduced_states,
-    signature,
-    tensor,
-    trace_distance,
-    trace_distances,
-)
-from .states import StateFamily, gram, kets_with_overlap
+from .core import eig_hermitian_batch, reduced_states, trace_distances
 from .machines import (
     ConflictingRules,
-    ConsistencyReport,
     DependentInputsConflict,
     InconsistentGram,
     IsometryExtension,
-    LinearMachine,
-    MachineSpec,
-    apply_linear,
-    apply_termwise,
-    check_consistency,
     extend_to_isometries,
-    extend_to_isometry,
-    random_isometry,
-    wishful_signatures,
 )
 from .conservation import (
     ConservationBatch,
-    equivalence_unitary,
     evaluate_batch,
     lambda_after,
     lambda_before,

@@ -1,10 +1,11 @@
 """Command-line front end: run one scenario, sweep a grid, or verify invariants.
 
 Exit codes: 0 all verdicts pass, 1 scientific verdict failure, 2 input the
-scenario cannot accept (a configuration error or a rejected value), 3
-numerical failure (a residual guard tripped).  Errors print one line on
-stderr.  The QCLONELAB_TOL environment variable supplies the default
-assertion tolerance; explicit config keys and flags win.
+scenario cannot accept (a configuration error, a file that cannot be read or
+written, a rejected value, or an input too large to allocate), 3 numerical
+failure (a residual guard tripped).  Errors print one line on stderr.  The
+QCLONELAB_TOL environment variable supplies the default assertion
+tolerance; explicit config keys and flags win.
 """
 
 from __future__ import annotations
@@ -111,8 +112,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"input too large: MemoryError: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"rejected input: {type(exc).__name__}: {exc}", file=sys.stderr)

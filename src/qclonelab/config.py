@@ -113,11 +113,6 @@ class ScenarioConfig:
         _validate_ranges(self.kind, vals)
         return ScenarioConfig(self.kind, vals)
 
-    def basis_angles(self, which: str) -> tuple[float, float, float, float]:
-        """(psi_theta, psi_phi, alpha_theta, alpha_phi), honoring the
-        ``basisN.theta``/``basisN.phi`` shorthand that sets both parts."""
-        return tuple(column[0] for column in grid_points(self).basis_angles(which))
-
 
 @dataclass(frozen=True)
 class ScenarioGrid:
@@ -142,7 +137,9 @@ class ScenarioGrid:
         return ScenarioGrid(self.kind, self.shared, swept, len(rows))
 
     def basis_angles(self, which: str) -> list[list[float]]:
-        """The columns of :meth:`ScenarioConfig.basis_angles`."""
+        """The columns (psi_theta, psi_phi, alpha_theta, alpha_phi) of
+        ``which`` basis, honoring the ``basisN.theta``/``basisN.phi``
+        shorthand that sets both parts."""
         out = []
         for part, angle in itertools.product(("psi", "alpha"), ("theta", "phi")):
             keys = [k for k in (f"{which}.{part}.{angle}", f"{which}.{angle}")

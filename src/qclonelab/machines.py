@@ -1,41 +1,47 @@
-"""Machines: maps declared on finite sets of input kets.
+"""Machines: maps declared on finite sets of input kets, stacked.
 
-A ``MachineSpec`` lists input -> output ket pairs over fixed signatures.
-The pairs have two readings:
+Each rule set is a stack of declared input kets (n, K, d_in) and output kets
+(n, K, d_out).  The rules have two readings:
 
-* :func:`extend_to_isometry` extends the declared rules to a genuine
-  isometry (possible exactly when the input and output Gram matrices
-  agree), which is then a physical, unitarizable process.
-* :func:`apply_termwise` applies the rules term by term in a caller-chosen
+* :func:`extend_to_isometries` extends them to genuine isometries (possible
+  exactly when the input and output Gram matrices agree), which are then
+  physical, unitarizable processes.
+* :func:`termwise_batch` applies them term by term in a caller-chosen
   orthonormal expansion basis of the acted factors.  This is generally not a
   linear map on the whole space, which is precisely what makes the "wishful"
   cloning machines unphysical.
 
 Both readings are kept separate on purpose; nothing here ever merges them.
+:class:`MachineSpec`, :func:`extend_to_isometry` and :func:`apply_termwise`
+are their labeled batches of one, reached by no command: they remain only
+because the benchmark harness in ``perfbench/`` binds them by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    CHUNK_ENTRIES, Ket, SubsystemSignature, first_failure, kron_stack, require_within, signature
+    CHUNK_ENTRIES, Ket, SubsystemSignature, first_failure, kron_stack, require_within
 )
 from .states import StateFamily, gram_stack
 from .tolerances import ASSERT_TOL
 
 
 class InconsistentGram(ValueError):
-    """Declared pairs do not preserve the Gram matrix; carries the report."""
+    """Declared pairs do not preserve the Gram matrix; carries the failing
+    slice's two Gram matrices and their largest entrywise deviation."""
 
-    def __init__(self, report: "ConsistencyReport", where: str = ""):
+    def __init__(self, input_gram, output_gram, max_deviation: float, where: str = ""):
         super().__init__(
-            f"input/output Gram matrices differ by {report.max_deviation:g}; "
+            f"input/output Gram matrices differ by {max_deviation:g}; "
             f"no isometry can realize these pairs{where}"
         )
-        self.report = report
+        self.input_gram = input_gram
+        self.output_gram = output_gram
+        self.max_deviation = max_deviation
 
 
 class DependentInputsConflict(ValueError):
@@ -76,44 +82,6 @@ class MachineSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class LinearMachine:
-    """Isometry between labeled spaces; columns are orthonormal.  Keeps the
-    largest entrywise deviation of M^dag M from the identity that its
-    construction guard measured."""
-
-    matrix: np.ndarray = field(repr=False)
-    input_signature: SubsystemSignature
-    output_signature: SubsystemSignature
-    isometry_residual: float = field(init=False, repr=False)
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        expected = (self.output_signature.dim, self.input_signature.dim)
-        if mat.shape != expected:
-            raise ValueError(f"matrix shape {mat.shape}, expected {expected}")
-        object.__setattr__(self, "isometry_residual", float(require_isometries(mat)))
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
-@dataclass(frozen=True, eq=False)
-class ConsistencyReport:
-    """Gram-matrix comparison between declared inputs and outputs."""
-
-    input_gram: np.ndarray = field(repr=False)
-    output_gram: np.ndarray = field(repr=False)
-    max_deviation: float = 0.0
-    consistent: bool = False
-
-    def __post_init__(self):
-        for name in ("input_gram", "output_gram"):
-            arr = np.asarray(getattr(self, name), dtype=complex).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True, eq=False)
 class IsometryExtension:
     """Results of :func:`extend_to_isometries`, stacked over the slices
     (axis 0): the isometries (n, d_out, d_in), the Gram matrices of the
@@ -144,26 +112,22 @@ def require_isometries(mats: np.ndarray) -> np.ndarray:
     return require_within(dev.reshape(mats.shape[:-2]), ASSERT_TOL, ValueError, message)
 
 
-def gram_comparison(inputs: np.ndarray, outputs: np.ndarray):
-    """Gram matrices of stacked declared inputs (n, K, d_in) and outputs
-    (n, K, d_out), and their largest entrywise deviation (n,), after
-    checking that every rule ket is normalized within ``ASSERT_TOL``."""
-    g_in, g_out = gram_stack(inputs), gram_stack(outputs)
+def gram_deviations(g_in: np.ndarray, g_out: np.ndarray) -> np.ndarray:
+    """Largest entrywise deviations |G_in - G_out| (n,) of the stacked Gram
+    matrices of declared rule inputs and outputs (n, K, K), after checking
+    that every rule ket is normalized within ``ASSERT_TOL``."""
     for name, g in (("input", g_in), ("output", g_out)):
         norm = np.sqrt(np.diagonal(g, axis1=-2, axis2=-1).real)
         message = f"declared rule {name} is not normalized"
         require_within(np.abs(norm - 1.0), ASSERT_TOL, ValueError, message)
-    return g_in, g_out, np.max(np.abs(g_in - g_out), axis=(-2, -1))
+    return np.max(np.abs(g_in - g_out), axis=(-2, -1))
 
 
-def check_consistency(m: MachineSpec) -> ConsistencyReport:
-    """Compare the Gram matrices of declared inputs and outputs entrywise."""
-    g_in, g_out, dev = gram_comparison(
-        np.stack([x.amplitudes for x, _ in m.pairs])[None],
-        np.stack([y.amplitudes for _, y in m.pairs])[None],
-    )
-    dev = float(dev[0])
-    return ConsistencyReport(g_in[0], g_out[0], dev, dev < ASSERT_TOL)
+def gram_comparison(inputs: np.ndarray, outputs: np.ndarray):
+    """Gram matrices of stacked declared inputs (n, K, d_in) and outputs
+    (n, K, d_out), and their :func:`gram_deviations`."""
+    g_in, g_out = gram_stack(inputs), gram_stack(outputs)
+    return g_in, g_out, gram_deviations(g_in, g_out)
 
 
 def images(mats: np.ndarray, kets: np.ndarray) -> np.ndarray:
@@ -257,18 +221,17 @@ def extend_to_isometries(inputs: np.ndarray, outputs: np.ndarray) -> IsometryExt
     bad = ~(dev < ASSERT_TOL)
     if np.any(bad):
         k, where = first_failure(bad)
-        raise InconsistentGram(ConsistencyReport(g_in[k], g_out[k], float(dev[k]), False), where)
+        raise InconsistentGram(g_in[k], g_out[k], float(dev[k]), where)
     mats, residual, isometry_residual = isometry_matrix_from_pairs(inputs, outputs)
     return IsometryExtension(mats, g_in, dev, residual, isometry_residual)
 
 
-def extend_to_isometry(m: MachineSpec) -> LinearMachine:
+def extend_to_isometry(m: MachineSpec) -> IsometryExtension:
     """Extend a Gram-consistent machine to an isometry on the whole input
-    space.  A batch of one of :func:`extend_to_isometries`."""
+    space: :func:`extend_to_isometries` on a batch of one."""
     inputs = np.stack([x.amplitudes for x, _ in m.pairs])
     outputs = np.stack([y.amplitudes for _, y in m.pairs])
-    found = extend_to_isometries(inputs[None], outputs[None])
-    return LinearMachine(found.isometries[0], m.input_signature, m.output_signature)
+    return extend_to_isometries(inputs[None], outputs[None])
 
 
 def _split_spectators(state: Ket, acted_labels, machine_input: SubsystemSignature):
@@ -302,17 +265,6 @@ def _result_signature(spectators, output_signature: SubsystemSignature) -> Subsy
     if not spectators:
         return output_signature
     return SubsystemSignature(tuple(spectators)).concat(output_signature)
-
-
-def apply_linear(lm: LinearMachine, state: Ket, acted_labels) -> Ket:
-    """Apply an isometry to the acted factors, leaving spectators untouched.
-
-    The result signature is the spectator labels (original order) followed by
-    the machine's output labels.  A batch of one of :func:`apply_isometries`.
-    """
-    spectators, block = _split_spectators(state, acted_labels, lm.input_signature)
-    out = apply_isometries(lm.matrix[None], block[None])
-    return Ket(_result_signature(spectators, lm.output_signature), out.reshape(-1))
 
 
 def _termwise_table(basis, inputs, outputs, tol):
@@ -455,16 +407,6 @@ def _kron_all(*vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def wishful_signatures(ancilla_dim: int) -> tuple[SubsystemSignature, SubsystemSignature]:
-    """Input (src, reg, env) and output (src, copy, env) signatures of the
-    wishful cloner, and of any machine that replaces it on Bob's side of the
-    two-singlet scenario."""
-    return (
-        signature(("src", 2), ("reg", 2), ("env", ancilla_dim)),
-        signature(("src", 2), ("copy", 2), ("env", ancilla_dim)),
-    )
-
-
 def wishful_rules(
     psi_bases: np.ndarray, alpha_bases: np.ndarray, ancilla_dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -486,8 +428,10 @@ def wishful_rules(
 
     ``psi_bases`` and ``alpha_bases`` hold the amplitudes [primary,
     complement] of the source and register bases, shape (..., 2, 2).  Both
-    results have shape (..., 4, 4 * ancilla_dim) over the signatures of
-    :func:`wishful_signatures`.
+    results have shape (..., 4, 4 * ancilla_dim): the inputs over the factors
+    (src 2, reg 2, env ancilla_dim), the outputs over (src 2, copy 2, env
+    ancilla_dim).  A machine that replaces the cloner on Bob's side of the
+    two-singlet scenario maps the same two spaces.
     """
     if ancilla_dim < 2:
         raise ValueError("environment register needs dimension >= 2")
@@ -534,16 +478,6 @@ def deleter_rules(
     env_in = np.zeros(ancilla_dim, dtype=complex)
     env_in[0] = 1.0
     return _kron_all(psis, psis, env_in), _kron_all(psis, blank, records)
-
-
-def random_isometry(
-    input_signature: SubsystemSignature,
-    output_signature: SubsystemSignature,
-    rng: np.random.Generator,
-) -> LinearMachine:
-    """Haar-style random isometry between the two spaces."""
-    z = haar_draw(input_signature.dim, output_signature.dim, rng)
-    return LinearMachine(haar_isometries(z[None])[0], input_signature, output_signature)
 
 
 def haar_draw(n_in: int, n_out: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,8 +3,10 @@ row of one report, and ``run`` is a batch of one, a report with a single row.
 
 All numbers render at 12 significant digits with lowercase exponents, so a
 report for a given configuration is identical across runs and machines.  The
-JSON rendering of a row is the canonical machine format and parses back
-losslessly; the CSV rendering is the flat scalar record, one line per row.
+JSON rendering of a row is the canonical machine format: it holds every
+string, number and verdict of the row, so a report read back from it renders
+the same bytes again; the CSV rendering is the flat scalar record, one line
+per row.
 """
 
 from __future__ import annotations
@@ -106,13 +108,6 @@ class ScenarioReport:
         lines += ["", f"overall = {'PASS' if all(v.passed for v in verdicts) else 'FAIL'}"]
         return "\n".join(lines) + "\n"
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScenarioReport):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            self.render("json", k) == other.render("json", k) for k in range(len(self))
-        )
-
 
 def render_csv(report: ScenarioReport) -> str:
     """A header line, then one line per row of the report, its cells joined
@@ -165,20 +160,3 @@ def concatenate_rows(parts: list[ScenarioReport], order: np.ndarray) -> Scenario
     fields = [(p.config, p.scalars, p.matrices, p.verdicts) for p in parts]
     return ScenarioReport(parts[0].kind, *_merge(fields, [len(p) for p in parts], order))
 
-
-def parse_report(text: str) -> ScenarioReport:
-    """Parse the JSON rendering of a row back into a report of one row."""
-    doc = json.loads(text)
-    return ScenarioReport(
-        kind=doc["kind"],
-        config=dict(doc["config"]),
-        scalars={k: np.array([float(v)]) for k, v in doc["scalars"].items()},
-        matrices={
-            name: np.array([[[complex(z) for z in row] for row in rows]], dtype=complex)
-            for name, rows in doc["matrices"].items()
-        },
-        verdicts={
-            v["name"]: (np.array([float(v["deviation"])]), np.array([float(v["tolerance"])]))
-            for v in doc["verdicts"]
-        },
-    )

@@ -18,7 +18,7 @@ from . import conservation as cons
 from . import nosignal as nosig
 from .config import ScenarioConfig, ScenarioGrid, echo_columns, grid_points
 from .core import cmul, failures_named
-from .machines import haar_draw, haar_isometries, wishful_signatures
+from .machines import haar_draw, haar_isometries
 from .report import ScenarioReport, concatenate_rows
 from .states import basis_amplitudes, unit_phases
 
@@ -43,8 +43,9 @@ def _run_nosignal(grid: ScenarioGrid) -> ScenarioReport:
     applied_as = "termwise in the measured basis (unphysical step)"
     bases = _bases(grid)
     if grid.column("machine.mode")[0] == "isometry":
-        n_in, n_out = (sig.dim for sig in wishful_signatures(ancilla_dim))
-        draws = [haar_draw(n_in, n_out, np.random.default_rng(s)) for s in grid.column("seed")]
+        # Bob's (src, reg, env) in and (src, copy, env) out, as the cloner's.
+        dim = 4 * ancilla_dim
+        draws = [haar_draw(dim, dim, np.random.default_rng(s)) for s in grid.column("seed")]
         isometries = haar_isometries(np.stack(draws))
         applied_as = "fixed isometry (physical)"
     batch = nosig.evaluate_batch(bases, ancilla_dim, isometries, grid.column("tolerance.assert")[0])
@@ -93,7 +94,7 @@ def _run_conservation(grid: ScenarioGrid) -> ScenarioReport:
     closed_before = cons.lambda_before(a, b, weights)
     closed_after = cons.lambda_after(a, c, weights)
     delta_entropy = batch.entropy_after - batch.entropy_before
-    gram_dev = _max_abs(batch.input_gram - batch.output_gram)
+    gram_dev = batch.gram_deviation
     modulus_dev = _max_abs(np.abs(batch.input_gram) - np.abs(batch.output_gram))
     before_dev = _max_abs(batch.marginal_before - batch.closed_before)
     after_dev = _max_abs(batch.marginal_after - batch.closed_after)

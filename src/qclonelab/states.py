@@ -1,5 +1,10 @@
-"""Constructors for qubit basis amplitudes, state families, overlap-prescribed
-kets, and Gram matrices."""
+"""Constructors for stacked amplitudes: qubit basis pairs, random kets,
+overlap-prescribed ket pairs, and Gram matrices.
+
+:class:`StateFamily`, a labeled list of kets, is reached by no command: it
+remains only because the benchmark harness in ``perfbench/`` binds
+:func:`~qclonelab.machines.apply_termwise`, which takes one.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Ket, SubsystemSignature, cmul, first_failure, modulus, require_within, signature
-)
+from .core import Ket, SubsystemSignature, cmul, first_failure, modulus, require_within
 from .tolerances import RESIDUAL_TOL
 
 
@@ -76,11 +79,6 @@ def random_amplitudes(dim: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def random_ket(sig: SubsystemSignature, rng: np.random.Generator) -> Ket:
-    """Normalized ket with standard complex Gaussian amplitudes."""
-    return Ket(sig, random_amplitudes(sig.dim, rng))
-
-
 @dataclass(frozen=True, eq=False)
 class StateFamily:
     """Ordered list of normalized kets over one shared signature."""
@@ -111,14 +109,11 @@ def gram_stack(stack: np.ndarray) -> np.ndarray:
     return stack.conj() @ np.swapaxes(stack, -1, -2)
 
 
-def gram(family: StateFamily) -> np.ndarray:
-    """Matrix of pairwise inner products G[i][j] = <member_i|member_j>."""
-    return gram_stack(np.stack([k.amplitudes for k in family.members]))
-
-
 def overlap_pair_amplitudes(targets, dimension: int) -> np.ndarray:
-    """Amplitudes of :func:`kets_with_overlap` for each target, stacked:
-    shape (len(targets), 2, dimension).
+    """Deterministic pairs of normalized kets of dimension ``dimension``
+    with <first|second> = target, one pair per target, stacked: shape
+    (len(targets), 2, dimension).  first = e0, second = target*e0 +
+    sqrt(1-|target|^2)*e1.
 
     Raises on a modulus above 1 or a realized overlap that misses its target,
     naming the first failing index.
@@ -139,13 +134,3 @@ def overlap_pair_amplitudes(targets, dimension: int) -> np.ndarray:
     require_within(miss, RESIDUAL_TOL, ArithmeticError, message)
     return out
 
-
-def kets_with_overlap(target: complex, dimension: int) -> tuple[Ket, Ket]:
-    """Deterministic pair of normalized kets over one factor ``r`` with
-    <first|second> = target.
-
-    first = e0, second = target*e0 + sqrt(1-|target|^2)*e1.
-    """
-    first, second = overlap_pair_amplitudes([target], dimension)[0]
-    sig = signature(("r", dimension))
-    return Ket(sig, first), Ket(sig, second)

@@ -20,11 +20,8 @@ from .core import (
     eig_hermitian_batch,
     entropy_bits,
     failures_named,
-    inner,
     kron_stack,
     reduced_states,
-    signature,
-    tensor,
     trace_distances,
 )
 from .machines import (
@@ -40,18 +37,9 @@ from .machines import (
     require_isometries,
     strong_cloner_rules,
     termwise_batch,
-    wishful_signatures,
 )
 from .report import Verdict
-from .states import (
-    StateFamily,
-    basis_amplitudes,
-    gram_stack,
-    kets_with_overlap,
-    overlap_pair_amplitudes,
-    random_amplitudes,
-    random_ket,
-)
+from .states import basis_amplitudes, gram_stack, overlap_pair_amplitudes, random_amplitudes
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
 
@@ -59,14 +47,14 @@ def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng(seed * 1000 + salt)
 
 
-def _random_kets(sig, rng, n: int) -> np.ndarray:
+def _random_kets(dim: int, rng, n: int) -> np.ndarray:
     """Amplitudes of n random kets, drawn one after another, shape (n, dim)."""
-    return np.array([random_amplitudes(sig.dim, rng) for _ in range(n)])
+    return np.array([random_amplitudes(dim, rng) for _ in range(n)])
 
 
 def _random_densities(rng, n: int, dim: int = 4) -> np.ndarray:
     # Reduced states of random pure states on a doubled space: generic mixed.
-    purified = _random_kets(signature(("x", dim), ("_purifier", dim)), rng, n)
+    purified = _random_kets(dim * dim, rng, n)
     return reduced_states(purified, (dim, dim), (0,))
 
 
@@ -83,32 +71,31 @@ def _random_singlets(rng, n: int) -> np.ndarray:
 
 
 # The factors the partial-trace checks trace down to their kept axes.
-_XYZ = signature(("x", 2), ("y", 3), ("z", 2))
+_XYZ = (2, 3, 2)
 
 
 def _check_partial_trace_preserves_trace(seed):
-    kets = _random_kets(_XYZ, _rng(seed, 1), 20)
+    kets = _random_kets(math.prod(_XYZ), _rng(seed, 1), 20)
     dev = 0.0
     for keep in ((0,), (1,), (0, 2)):
-        for r in reduced_states(kets, _XYZ.dims, keep):
+        for r in reduced_states(kets, _XYZ, keep):
             dev = max(dev, abs(complex(np.trace(r)) - 1.0))
     return dev, RESIDUAL_TOL
 
 
 def _check_partial_trace_hermiticity(seed):
-    kets = _random_kets(_XYZ, _rng(seed, 2), 20)
+    kets = _random_kets(math.prod(_XYZ), _rng(seed, 2), 20)
     dev = 0.0
     for keep in ((0,), (1, 2)):
-        for r in reduced_states(kets, _XYZ.dims, keep):
+        for r in reduced_states(kets, _XYZ, keep):
             dev = max(dev, float(np.max(np.abs(r - r.conj().T))))
     return dev, RESIDUAL_TOL
 
 
 def _check_partial_trace_product_marginal(seed):
     rng = _rng(seed, 3)
-    sig_a, sig_b = signature(("x", 3)), signature(("y", 4))
-    pairs = [(random_ket(sig_a, rng), random_ket(sig_b, rng)) for _ in range(10)]
-    a, b = (np.array([k.amplitudes for k in kets]) for kets in zip(*pairs))
+    pairs = [(random_amplitudes(3, rng), random_amplitudes(4, rng)) for _ in range(10)]
+    a, b = (np.array(kets) for kets in zip(*pairs))
     reduced = reduced_states(kron_stack(a, b), (3, 4), (0,))
     dev = np.max(np.abs(reduced - a[:, :, None] * a.conj()[:, None, :]))
     return float(dev), RESIDUAL_TOL
@@ -150,16 +137,15 @@ def _check_inner_factorizes(seed):
     rng = _rng(seed, 8)
     dev = 0.0
     for _ in range(20):
-        a = random_ket(signature(("x", 3)), rng)
-        c = random_ket(signature(("x", 3)), rng)
-        b = random_ket(signature(("y", 4)), rng)
-        d = random_ket(signature(("y", 4)), rng)
-        dev = max(dev, abs(inner(tensor(a, b), tensor(c, d)) - inner(a, c) * inner(b, d)))
+        a, c = random_amplitudes(3, rng), random_amplitudes(3, rng)
+        b, d = random_amplitudes(4, rng), random_amplitudes(4, rng)
+        joint = complex(np.vdot(np.kron(a, b), np.kron(c, d)))
+        dev = max(dev, abs(joint - complex(np.vdot(a, c)) * complex(np.vdot(b, d))))
     return dev, RESIDUAL_TOL
 
 
 def _check_entropy_pure_zero(seed):
-    kets = _random_kets(signature(("x", 5)), _rng(seed, 9), 20)
+    kets = _random_kets(5, _rng(seed, 9), 20)
     projectors = kets[:, :, None] * kets.conj()[:, None, :]
     return float(np.max(np.abs(entropy_bits(eig_hermitian_batch(projectors)[0])))), RESIDUAL_TOL
 
@@ -181,7 +167,7 @@ def _check_singlet_marginal(seed):
 
 def _check_gram_psd(seed):
     rng = _rng(seed, 12)
-    families = np.array([_random_kets(signature(("x", 4)), rng, 3) for _ in range(20)])
+    families = np.array([_random_kets(4, rng, 3) for _ in range(20)])
     vals, _ = eig_hermitian_batch(gram_stack(families))
     return max(0.0, -float(vals.min())), ASSERT_TOL
 
@@ -195,10 +181,9 @@ def _random_isometries(draws) -> np.ndarray:
 
 def _check_gram_unitary_invariance(seed):
     rng = _rng(seed, 13)
-    sig = signature(("x", 5))
     families, draws = [], []
     for _ in range(10):
-        families.append(_random_kets(sig, rng, 4))
+        families.append(_random_kets(5, rng, 4))
         draws.append(haar_draw(5, 5, rng))
     families = np.array(families)
     # Each of the 40 kets is a state of its own, moved as one.
@@ -212,8 +197,8 @@ def _check_overlap_roundtrip(seed):
     for modulus in np.arange(0.0, 1.0 + 1e-12, 0.1):
         for phase in (0.0, math.pi / 3.0, math.pi):
             target = modulus * complex(math.cos(phase), math.sin(phase))
-            a, b = kets_with_overlap(target, 4)
-            dev = max(dev, abs(inner(a, b) - target))
+            a, b = overlap_pair_amplitudes([target], 4)[0]
+            dev = max(dev, abs(complex(np.vdot(a, b)) - target))
     return dev, RESIDUAL_TOL
 
 
@@ -224,7 +209,7 @@ def _check_isometry_extension(seed):
     draws, inputs = [], []
     for _ in range(20):
         draws.append(haar_draw(8, 12, rng))
-        inputs.append(_random_kets(signature(("x", 8)), rng, 4))
+        inputs.append(_random_kets(8, rng, 4))
     inputs = np.array(inputs)
     outputs = images(_random_isometries(draws), inputs)
     found = extend_to_isometries(inputs, outputs)
@@ -350,12 +335,12 @@ def _check_premachine_bob_marginal(seed):
 def _random_isometric_scenarios(rng, n: int):
     """Bases of n random scenarios, each drawn before its random isometry on
     Bob's side, and the isometries."""
-    n_in, n_out = (sig.dim for sig in wishful_signatures(4))
     angles = []
-    draws = np.empty((n, n_out, n_in), dtype=complex)
+    # Bob's (src 2, reg 2, env 4) in and (src 2, copy 2, env 4) out.
+    draws = np.empty((n, 16, 16), dtype=complex)
     for t in range(n):
         angles.append(_random_scenario_angles(rng))
-        draws[t] = haar_draw(n_in, n_out, rng)
+        draws[t] = haar_draw(16, 16, rng)
     return _scenario_bases(angles), haar_isometries(draws)
 
 
@@ -407,7 +392,7 @@ def _conservation_grid_devs():
         np.max(np.abs(lam_a - cons.lambda_after(a, c))),
     )
     delta_form_dev = np.max(np.abs((lam_a - lam_b) - (a * a * c - a * b) / 2.0))
-    consistent = np.max(np.abs(batch.input_gram - batch.output_gram), axis=(1, 2)) < ASSERT_TOL
+    consistent = batch.gram_deviation < ASSERT_TOL
     # Orthogonal source states are clonable for any b, c, so the verdict flip
     # is asserted on the a > 0 part only.
     expected = (a == 0.0) | (np.abs(b - a * c) < 1e-9)
@@ -485,10 +470,9 @@ def _check_equivalence_isometry_residual(seed):
 
 
 def _check_gram_mismatch_raises(seed):
-    f = StateFamily(tuple(kets_with_overlap(0.30, 2)))
-    g = StateFamily(tuple(kets_with_overlap(0.18, 2)))
+    family, moved = (overlap_pair_amplitudes([z], 2) for z in (0.30, 0.18))
     try:
-        cons.equivalence_unitary(f, g)
+        extend_to_isometries(family, moved)
     except InconsistentGram:
         return 0.0, ASSERT_TOL
     return 1.0, ASSERT_TOL

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -6,20 +7,28 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from qclonelab.core import Ket, signature
+from qclonelab.core import Ket, SubsystemSignature
 from qclonelab.machines import (
-    MachineSpec,
     deleter_rules,
+    gram_comparison,
+    haar_draw,
+    haar_isometries,
     strong_cloner_rules,
     wishful_rules,
-    wishful_signatures,
 )
+from qclonelab.report import ScenarioReport
 from qclonelab.states import overlap_pair_amplitudes
+from qclonelab.tolerances import ASSERT_TOL
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250810)
+
+
+def signature(*entries: tuple[str, int]) -> SubsystemSignature:
+    """Signature of the given (label, dimension) factors, in order."""
+    return SubsystemSignature(tuple(entries))
 
 
 def random_ket(sig, rng) -> Ket:
@@ -35,43 +44,61 @@ def basis_ket(sig, index: int) -> Ket:
     return Ket(sig, np.eye(sig.dim)[index])
 
 
-def spec_from_rules(in_sig, out_sig, inputs, outputs) -> MachineSpec:
-    """Machine declaring stacked rule amplitudes (K, d_in) -> (K, d_out)."""
-    pairs = tuple((Ket(in_sig, x), Ket(out_sig, y)) for x, y in zip(inputs, outputs))
-    return MachineSpec(in_sig, out_sig, pairs)
+def random_isometry(n_in: int, n_out: int, rng) -> np.ndarray:
+    """Haar-random isometry (n_out, n_in), drawn from ``rng`` as the
+    commands draw one."""
+    return haar_isometries(haar_draw(n_in, n_out, rng)[None])[0]
 
 
-def strong_cloner(a, b, c, dim=4) -> MachineSpec:
-    """Strong cloner with source, register and record overlaps (a, b, c)."""
-    pairs = (overlap_pair_amplitudes([z], d) for z, d in ((a, 2), (b, 2), (c, 2 * dim)))
-    inputs, outputs = strong_cloner_rules(*pairs, dim)
-    return spec_from_rules(
-        signature(("src", 2), ("blank", 2), ("reg", 2), ("env", dim)),
-        signature(("src", 2), ("copy", 2), ("env", 2 * dim)),
-        inputs[0],
-        outputs[0],
+def strong_cloner(a, b, c, dim=4):
+    """Declared rules (inputs, outputs) of strong cloners with source,
+    register and record overlaps (a, b, c), stacked over the overlaps (a
+    scalar triple is a stack of one)."""
+    pairs = (
+        overlap_pair_amplitudes(np.atleast_1d(z), d) for z, d in ((a, 2), (b, 2), (c, 2 * dim))
     )
+    return strong_cloner_rules(*pairs, dim)
 
 
-def deleter(a, g, dim=4) -> MachineSpec:
-    """Deleter with source overlap a and record overlap g."""
-    inputs, outputs = deleter_rules(
-        overlap_pair_amplitudes([a], 2), overlap_pair_amplitudes([g], dim), dim
-    )
-    return spec_from_rules(
-        signature(("src", 2), ("copy", 2), ("env", dim)),
-        signature(("src", 2), ("blank", 2), ("env", dim)),
-        inputs[0],
-        outputs[0],
-    )
+def deleter(a, g, dim=4):
+    """Declared rules (inputs, outputs) of deleters with source overlap a and
+    record overlap g, stacked over the overlaps."""
+    psis, records = (overlap_pair_amplitudes(np.atleast_1d(z), d) for z, d in ((a, 2), (g, dim)))
+    return deleter_rules(psis, records, dim)
 
 
-def wishful_cloner(*bases, ancilla_dim=4) -> MachineSpec:
-    """Termwise wishful cloner of the (psi, alpha) basis amplitude pairs
-    given, each pair's four rules in turn."""
+def wishful_cloner(*bases, ancilla_dim=4):
+    """Declared rules (inputs, outputs) of the termwise wishful cloner of the
+    (psi, alpha) basis amplitude pairs given, each pair's four rules in turn,
+    as a stack of one."""
     rules = [wishful_rules(psi, alpha, ancilla_dim) for psi, alpha in bases]
-    return spec_from_rules(
-        *wishful_signatures(ancilla_dim),
-        np.concatenate([x for x, _ in rules]),
-        np.concatenate([y for _, y in rules]),
+    return tuple(np.concatenate([r[k] for r in rules])[None] for k in (0, 1))
+
+
+def gram_deviation(rules) -> np.ndarray:
+    """Largest entrywise |G_in - G_out| of each rule set of a stack."""
+    return gram_comparison(*rules)[2]
+
+
+def consistent(rules) -> np.ndarray:
+    """Whether each rule set of a stack preserves the Gram matrix within the
+    assertion tolerance, so that an isometry can realize it."""
+    return gram_deviation(rules) < ASSERT_TOL
+
+
+def parse_report(text: str) -> ScenarioReport:
+    """Parse the JSON rendering of a row back into a report of one row."""
+    doc = json.loads(text)
+    return ScenarioReport(
+        kind=doc["kind"],
+        config=dict(doc["config"]),
+        scalars={k: np.array([float(v)]) for k, v in doc["scalars"].items()},
+        matrices={
+            name: np.array([[[complex(z) for z in row] for row in rows]], dtype=complex)
+            for name, rows in doc["matrices"].items()
+        },
+        verdicts={
+            v["name"]: (np.array([float(v["deviation"])]), np.array([float(v["tolerance"])]))
+            for v in doc["verdicts"]
+        },
     )

@@ -12,18 +12,18 @@ from hypothesis import strategies as st
 
 import qclonelab.nosignal as nosig
 from oracles import kron_all, partial_trace_einsum
-from qclonelab.core import CHUNK_ENTRIES, signature
+from conftest import random_isometry, signature
+from qclonelab.core import CHUNK_ENTRIES
 from qclonelab.machines import (
     ConflictingRules,
     deleter_rules,
     gram_comparison,
     haar_draw,
     haar_isometries,
-    random_isometry,
     require_isometries,
     wishful_rules,
 )
-from qclonelab.states import basis_amplitudes, kets_with_overlap
+from qclonelab.states import basis_amplitudes, overlap_pair_amplitudes
 
 # Bloch angles, with the edges where the two bases' wishful rules coincide
 # (theta = 0) or coincide up to phase (theta = pi).
@@ -145,8 +145,8 @@ class TestStackedMachineParts:
         # out with np.kron.
         blank, env_in = np.eye(2)[0], np.eye(4)[0]
         for a, g in ((0.3, 0.3), (0.8, 0.1)):
-            psis = np.stack([k.amplitudes for k in kets_with_overlap(a, 2)])
-            records = np.stack([k.amplitudes for k in kets_with_overlap(g, 4)])
+            psis = overlap_pair_amplitudes([a], 2)[0]
+            records = overlap_pair_amplitudes([g], 4)[0]
             inputs, outputs = deleter_rules(psis[None], records[None], 4)
             for r in (0, 1):
                 x = kron_all(psis[r], psis[r], env_in.astype(complex))
@@ -170,11 +170,10 @@ class TestStackedMachineParts:
 
     def test_random_isometry_matches_a_plain_qr(self):
         # The stacked QR gives what one np.linalg.qr call on the draw gives.
-        sig_in, sig_out = signature(("m", 3)), signature(("n", 5))
-        lm = random_isometry(sig_in, sig_out, np.random.default_rng(9))
+        lm = random_isometry(3, 5, np.random.default_rng(9))
         q, r = np.linalg.qr(haar_draw(3, 5, np.random.default_rng(9)))
         d = np.diag(r)
-        assert lm.matrix.tobytes() == (q * (d.conj() / np.abs(d))).tobytes()
+        assert lm.tobytes() == (q * (d.conj() / np.abs(d))).tobytes()
 
 
 class TestSignatureFields:

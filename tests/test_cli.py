@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from decimal import Decimal
 from pathlib import Path
 
@@ -14,7 +15,9 @@ from qclonelab.config import (
     parse_config_text,
     parse_grid_axis,
 )
-from qclonelab.report import Verdict, format_scalar, parse_report
+from qclonelab.report import Verdict, format_scalar
+
+from conftest import parse_report
 
 CONS_TEXT = """\
 # conservation demo point
@@ -74,7 +77,7 @@ class TestConfigParsing:
             "kind = nosignal\nbasis2.theta = 0.5\nbasis2.psi.theta = 0.2\n"
         )
         with pytest.raises(ConfigError, match="conflicts"):
-            cfg.basis_angles("basis2")
+            grid_points(cfg).basis_angles("basis2")
 
     def test_cross_outputs_key_rejected(self):
         with pytest.raises(ConfigError, match="machine.cross_outputs"):
@@ -276,7 +279,9 @@ class TestReport:
     def test_json_roundtrip_field_for_field(self):
         report = run_config(parse_config_text(CONS_TEXT))
         parsed = parse_report(report.render("json"))
-        assert parsed == report
+        assert (parsed.kind, parsed.config) == (report.kind, report.config)
+        for field in ("scalars", "matrices", "verdicts"):
+            assert sorted(getattr(parsed, field)) == sorted(getattr(report, field))
         assert parsed.render("json") == report.render("json")
 
     def test_verdict_pass_iff_deviation_below_tolerance(self):
@@ -348,6 +353,48 @@ class TestRunCommand:
     def test_missing_file_exits_2(self, capsys):
         assert main(["run", "/nonexistent/x.cfg"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    # A file that cannot be read or written once ended in a traceback and
+    # exit 1, the code of a failed verdict.
+    @staticmethod
+    def _file_error(capsys, argv) -> str:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("configuration error:")
+        return captured.err
+
+    def test_directory_as_config_exits_2(self, tmp_path, capsys):
+        err = self._file_error(capsys, ["run", str(tmp_path)])
+        assert "Is a directory" in err and str(tmp_path) in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "verify"])
+    def test_directory_as_out_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "c.cfg"
+        path.write_text(CONS_TEXT)
+        argv = {
+            "run": ["run", str(path)],
+            "sweep": ["sweep", str(path), "--grid", "overlap.b=0.3:0.5:0.2"],
+            "verify": ["verify", "--seed", "7"],
+        }[command]
+        err = self._file_error(capsys, [*argv, "--out", str(tmp_path)])
+        assert "Is a directory" in err
+
+    def test_out_below_a_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text(CONS_TEXT)
+        err = self._file_error(capsys, ["run", str(path), "--out", str(path / "r.txt")])
+        assert "Not a directory" in err
+
+    @pytest.mark.skipif(
+        not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root reads any file"
+    )
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text(CONS_TEXT)
+        path.chmod(0)
+        err = self._file_error(capsys, ["run", str(path)])
+        assert "Permission denied" in err
 
 
 class TestSweepCommand:

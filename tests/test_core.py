@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_ket
+from conftest import random_ket, signature
 from oracles import (
     partial_trace_einsum,
     partial_trace_loop,
@@ -17,29 +17,40 @@ from qclonelab import core
 from qclonelab.core import (
     DensityMatrix,
     Ket,
-    density_of,
     eig_hermitian,
     eig_hermitian_batch,
-    entropy,
-    inner,
+    entropy_bits,
+    kron_stack,
     partial_trace,
     reduced_states,
-    signature,
-    tensor,
+    require_density_matrices,
     trace_distance,
     trace_distances,
 )
 from qclonelab.nosignal import _singlets
-from qclonelab.states import basis_amplitudes
+from qclonelab.states import basis_amplitudes, random_amplitudes
 
 
 def ket(label, amps):
     return Ket(signature((label, len(amps))), np.array(amps, dtype=complex))
 
 
+def projector(amp) -> np.ndarray:
+    amp = np.asarray(amp, dtype=complex)
+    return np.outer(amp, amp.conj())
+
+
+def entropy(rho) -> float:
+    """Von Neumann entropy in bits of one density matrix, through the kernels."""
+    return float(entropy_bits(eig_hermitian_batch(rho)[0]))
+
+
 Q0 = ket("q0", [1, 0])
 Q1 = ket("q1", [0, 1])
 PLUS = ket("p", [1 / math.sqrt(2), 1 / math.sqrt(2)])
+# The same states as amplitudes.
+ZERO, ONE = np.eye(2, dtype=complex)
+PLUS_AMP = np.array([1, 1], dtype=complex) / math.sqrt(2)
 
 
 class TestSignature:
@@ -60,66 +71,72 @@ class TestSignature:
 
 
 class TestTensorInner:
+    """Tensor products and inner products of amplitude vectors:
+    :func:`~qclonelab.core.kron_stack` and ``np.vdot``, as ``verify`` takes
+    them."""
+
     def test_basis_product(self):
-        prod = tensor(Q0, Q1)
-        np.testing.assert_allclose(prod.amplitudes, [0, 1, 0, 0])
-        assert prod.signature.labels == ("q0", "q1")
+        np.testing.assert_allclose(kron_stack(ZERO, ONE), [0, 1, 0, 0])
 
     def test_plus_plus_uniform(self):
-        prod = tensor(PLUS, ket("p2", [1 / math.sqrt(2), 1 / math.sqrt(2)]))
-        np.testing.assert_allclose(prod.amplitudes, [0.25**0.5] * 4)
+        np.testing.assert_allclose(kron_stack(PLUS_AMP, PLUS_AMP), [0.25**0.5] * 4)
 
     def test_duplicate_label_named(self):
         with pytest.raises(ValueError, match="q0"):
-            tensor(Q0, ket("q0", [0, 1]))
+            Q0.signature.concat(signature(("q0", 2)))
 
     def test_inner_basics(self):
-        assert inner(Q0, Q0) == pytest.approx(1.0)
-        assert inner(Q0, ket("q0", [0, 1])) == pytest.approx(0.0)
+        assert np.vdot(ZERO, ZERO) == pytest.approx(1.0)
+        assert np.vdot(ZERO, ONE) == pytest.approx(0.0)
 
     def test_inner_conjugate_linear_first(self):
-        a = ket("q", [1j / math.sqrt(2), 1 / math.sqrt(2)])
-        b = ket("q", [1, 0])
-        assert inner(a, b) == pytest.approx(-1j / math.sqrt(2))
+        a = np.array([1j / math.sqrt(2), 1 / math.sqrt(2)])
+        assert np.vdot(a, ZERO) == pytest.approx(-1j / math.sqrt(2))
 
     def test_inner_signature_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            inner(Q0, Q1)
+        with pytest.raises(ValueError, match="size 3"):
+            np.vdot(ZERO, np.ones(3))
 
     def test_bloch_overlap(self):
         theta = 0.83
-        got = inner(ket("q0", basis_amplitudes(theta, 0.0)[0]), Q0)
+        got = np.vdot(basis_amplitudes(theta, 0.0)[0], ZERO)
         assert got == pytest.approx(math.cos(theta / 2.0), abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_inner_factorizes_over_tensor(self, seed):
         rng = np.random.default_rng(seed)
-        a, c = (random_ket(signature(("x", 3)), rng) for _ in range(2))
-        b, d = (random_ket(signature(("y", 4)), rng) for _ in range(2))
-        lhs = inner(tensor(a, b), tensor(c, d))
-        assert lhs == pytest.approx(inner(a, c) * inner(b, d), abs=1e-12)
+        a, c = (random_amplitudes(3, rng) for _ in range(2))
+        b, d = (random_amplitudes(4, rng) for _ in range(2))
+        lhs = np.vdot(kron_stack(a, b), kron_stack(c, d))
+        assert lhs == pytest.approx(np.vdot(a, c) * np.vdot(b, d), abs=1e-12)
 
     def test_tensor_norm_multiplicative(self, rng):
-        a = random_ket(signature(("x", 3)), rng)
-        b = random_ket(signature(("y", 5)), rng)
-        assert tensor(a, b).norm == pytest.approx(a.norm * b.norm, abs=1e-12)
+        a = 2.0 * random_amplitudes(3, rng)
+        b = 0.5 * random_amplitudes(5, rng)
+        got = np.linalg.norm(kron_stack(a, b))
+        assert got == pytest.approx(np.linalg.norm(a) * np.linalg.norm(b), abs=1e-12)
 
 
 class TestDensity:
+    """Rank-1 projectors of amplitude vectors against the density-matrix
+    guard :func:`~qclonelab.core.require_density_matrices`."""
+
     def test_projector_of_zero(self):
-        np.testing.assert_allclose(density_of(Q0).entries, np.diag([1, 0]))
+        np.testing.assert_allclose(projector(ZERO), np.diag([1, 0]))
+        require_density_matrices(projector(ZERO), "projector")
 
     def test_projector_of_plus(self):
-        np.testing.assert_allclose(density_of(PLUS).entries, np.full((2, 2), 0.5), atol=1e-15)
+        np.testing.assert_allclose(projector(PLUS_AMP), np.full((2, 2), 0.5), atol=1e-15)
+        require_density_matrices(projector(PLUS_AMP), "projector")
 
     def test_zero_ket_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            density_of(ket("q", [0, 0]))
+        with pytest.raises(ValueError, match="trace deviates from 1 by 1"):
+            require_density_matrices(projector([0, 0]), "projector")
 
     def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            density_of(ket("q", [1, 1]))
+        with pytest.raises(ValueError, match="trace deviates from 1 by 1"):
+            require_density_matrices(projector([1, 1]), "projector")
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -132,7 +149,7 @@ class TestDensity:
 
 class TestPartialTrace:
     def test_product_state_marginal(self):
-        state = tensor(Q0, Q1)
+        state = Ket(signature(("q0", 2), ("q1", 2)), kron_stack(ZERO, ONE))
         np.testing.assert_allclose(partial_trace(state, ("q0",)).entries, np.diag([1, 0]))
 
     def test_singlet_marginal_maximally_mixed(self):
@@ -144,7 +161,7 @@ class TestPartialTrace:
 
     def test_empty_keep_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            partial_trace(tensor(Q0, Q1), ())
+            partial_trace(Ket(signature(("q0", 2), ("q1", 2)), kron_stack(ZERO, ONE)), ())
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -161,7 +178,7 @@ class TestPartialTrace:
         sig = signature(("x", 2), ("y", 3), ("z", 2))
         state = random_ket(sig, rng)
         got = partial_trace(state, ("x", "z")).entries
-        want = partial_trace_loop(density_of(state).entries, (2, 3, 2), keep=[0, 2])
+        want = partial_trace_loop(projector(state.amplitudes), (2, 3, 2), keep=[0, 2])
         np.testing.assert_allclose(got, want, atol=1e-14)
 
     @pytest.mark.parametrize(
@@ -344,11 +361,13 @@ class TestEig:
 
 class TestTraceDistance:
     def test_self_distance_zero(self):
-        rho = density_of(PLUS)
+        rho = DensityMatrix(PLUS.signature, projector(PLUS_AMP))
         assert trace_distance(rho, rho) == 0.0
 
     def test_orthogonal_states(self):
-        assert trace_distance(density_of(Q0), density_of(ket("q0", [0, 1]))) == pytest.approx(1.0)
+        sig = signature(("q0", 2))
+        rho, sigma = (DensityMatrix(sig, projector(v)) for v in (ZERO, ONE))
+        assert trace_distance(rho, sigma) == pytest.approx(1.0)
 
     def test_bitwise_symmetric(self, rng):
         a = partial_trace(random_ket(signature(("x", 4), ("y", 4)), rng), ("x",))
@@ -383,25 +402,26 @@ class TestTraceDistance:
             assert stacked[k] == trace_distance(DensityMatrix(sig, r[k]), DensityMatrix(sig, s[k]))
 
     def test_signature_mismatch(self):
+        rho = DensityMatrix(Q0.signature, projector(ZERO))
+        sigma = DensityMatrix(Q1.signature, projector(ONE))
         with pytest.raises(ValueError, match="mismatch"):
-            trace_distance(density_of(Q0), density_of(Q1))
+            trace_distance(rho, sigma)
 
 
 class TestEntropy:
+    """Von Neumann entropies through :func:`~qclonelab.core.entropy_bits`."""
+
     def test_pure_state_zero(self, rng):
         for _ in range(5):
-            k = random_ket(signature(("x", 5)), rng)
-            assert abs(entropy(density_of(k))) < 1e-12
+            assert abs(entropy(projector(random_amplitudes(5, rng)))) < 1e-12
 
     def test_maximally_mixed_one_bit(self):
-        rho = DensityMatrix(signature(("q", 2)), np.eye(2) / 2)
-        assert entropy(rho) == pytest.approx(1.0, abs=1e-14)
+        assert entropy(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-14)
 
     def test_product_marginal_zero(self):
-        rho = partial_trace(tensor(Q0, PLUS), ("q0",))
+        rho = reduced_states(kron_stack(ZERO, PLUS_AMP), (2, 2), (0,))
         assert abs(entropy(rho)) < 1e-12
 
     def test_mixed_two_level(self):
-        rho = DensityMatrix(signature(("q", 2)), np.diag([0.65, 0.35]))
         want = -(0.65 * math.log2(0.65) + 0.35 * math.log2(0.35))
-        assert entropy(rho) == pytest.approx(want, abs=1e-13)
+        assert entropy(np.diag([0.65, 0.35])) == pytest.approx(want, abs=1e-13)

@@ -7,18 +7,19 @@ from hypothesis import strategies as st
 
 import qclonelab.nosignal as nosig
 import qclonelab.scenarios as scenarios
-from conftest import random_basis_angles, wishful_cloner
+from conftest import random_basis_angles, random_isometry, wishful_cloner
 from oracles import (
     trace_distance_eigsum,
     wishful_after_state,
     wishful_bob_mixture,
 )
 from qclonelab.config import grid_points, parse_config_text
-from qclonelab.core import Ket, eig_hermitian, partial_trace, signature, trace_distances
-from qclonelab.machines import ConflictingRules, apply_linear, apply_termwise, random_isometry
-from qclonelab.states import StateFamily, basis_amplitudes
+from qclonelab.core import eig_hermitian_batch, reduced_states, trace_distances
+from qclonelab.machines import ConflictingRules, apply_isometries, termwise_batch
+from qclonelab.states import basis_amplitudes
 
-JOINT = signature(("pa", 2), ("pb", 2), ("aa", 2), ("ab", 2), ("env", 4))
+# The joint state's factors: Alice's (pa, aa) and Bob's (pb, ab, env), interleaved.
+JOINT = (2, 2, 2, 2, 4)
 
 
 def scenario_with_angles(theta1, theta2, phi=0.0):
@@ -35,30 +36,34 @@ def random_scenario(rng):
 
 
 def random_bob_machine(rng, d_env=4, d_out=None):
-    return random_isometry(
-        signature(("src", 2), ("reg", 2), ("env", d_env)),
-        signature(("src", 2), ("copy", 2), ("env", d_out or d_env)),
-        rng,
-    )
+    """Random isometry from Bob's (src 2, reg 2, env d_env) to (src 2, copy 2,
+    env d_out)."""
+    return random_isometry(4 * d_env, 4 * (d_out or d_env), rng)
 
 
-def joint_ket(bases) -> Ket:
-    return Ket(JOINT, nosig.premachine(bases).joint[0])
+def joint_ket(bases) -> np.ndarray:
+    return nosig.premachine(bases).joint[0]
+
+
+def bob_block(joint: np.ndarray) -> np.ndarray:
+    """The joint state as a (1, 4, 16) block: Alice's (pa, aa) on axis 1,
+    Bob's (pb, ab, env) on axis 2."""
+    return joint.reshape(2, 2, 2, 2, 4).transpose(0, 2, 1, 3, 4).reshape(1, 4, 16)
 
 
 def signalling_magnitude(bases, lm=None) -> float:
-    machine = {} if lm is None else {"isometries": lm.matrix[None]}
+    machine = {} if lm is None else {"isometries": lm[None]}
     return float(nosig.evaluate_batch(bases, **machine).signalling_magnitude[0])
 
 
-def wishful_after(bases, index) -> Ket:
+def wishful_after(bases, index) -> np.ndarray:
     """The termwise image of the joint state under the two-basis wishful
-    cloner, expanded in the product basis of Alice's choice ``index``."""
+    cloner, expanded in the product basis of Alice's choice ``index``, over
+    Alice's (pa, aa) then Bob's (src, copy, env)."""
     psi, alpha = bases[0, index - 1]
-    machine = wishful_cloner(*bases[0])
-    sig = signature(("src", 2), ("reg", 2))
-    expansion = StateFamily(tuple(Ket(sig, v) for v in nosig._products(psi, alpha)))
-    return apply_termwise(machine, joint_ket(bases), ("pb", "ab", "env"), expansion)
+    inputs, outputs = wishful_cloner(*bases[0])
+    expansion = np.stack(nosig._products(psi, alpha), axis=1)[None]  # elements as columns
+    return termwise_batch(bob_block(joint_ket(bases)), expansion, inputs, outputs).reshape(-1)
 
 
 class TestScenario:
@@ -96,12 +101,12 @@ class TestBobMarginalAfter:
         for index in (1, 2):
             after = wishful_after(bases, index)
             want = wishful_after_state(0.0, theta, index)
-            assert np.max(np.abs(after.amplitudes - want)) < 1e-12
+            assert np.max(np.abs(after - want)) < 1e-12
 
     def test_outcome_probabilities_quarter_each(self):
         theta = math.pi / 8
         bases = scenario_with_angles(0.0, theta)
-        block = wishful_after(bases, 1).amplitudes.reshape(4, -1)
+        block = wishful_after(bases, 1).reshape(4, -1)
         for outcome in nosig._products(*bases[0, 0]):
             p = np.linalg.norm(outcome.conj() @ block) ** 2
             assert p == pytest.approx(0.25, abs=1e-12)
@@ -116,7 +121,7 @@ class TestBobMarginalAfter:
     def test_isometric_machine_index_independent(self, rng):
         bases = random_scenario(rng)
         lm = random_bob_machine(rng)
-        m = nosig.evaluate_batch(bases, isometries=lm.matrix[None]).marginal_after
+        m = nosig.evaluate_batch(bases, isometries=lm[None]).marginal_after
         assert trace_distances(m[0, 0], m[0, 1]) < 1e-12
 
     def test_marginals_are_density_matrices(self):
@@ -124,7 +129,7 @@ class TestBobMarginalAfter:
         for index in (1, 2):
             marg = marginals[0, index - 1]
             assert abs(complex(np.trace(marg)) - 1.0) < 1e-12
-            assert eig_hermitian(marg).eigenvalues.min() > -1e-12
+            assert eig_hermitian_batch(marg)[0].min() > -1e-12
 
 
 class TestSignallingMagnitude:
@@ -161,9 +166,9 @@ class TestSignallingMagnitude:
     def test_alice_marginal_unchanged_by_isometry(self, rng):
         joint = joint_ket(random_scenario(rng))
         lm = random_bob_machine(rng, d_out=8)
-        before = partial_trace(joint, ("pa", "aa")).entries
-        moved = apply_linear(lm, joint, ("pb", "ab", "env"))
-        after = partial_trace(moved, ("pa", "aa")).entries
+        before = reduced_states(joint, JOINT, (0, 2))
+        moved = apply_isometries(lm[None], bob_block(joint))
+        after = reduced_states(moved.reshape(-1), (4, 32), (0,))
         assert np.max(np.abs(before - after)) < 1e-12
 
 

@@ -3,6 +3,10 @@ documented exit codes, and one evaluation of each scenario quantity."""
 
 import ast
 import hashlib
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +187,27 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         _one_line(captured.err, "rejected input: ConflictingRules:")
+
+    def test_2_allocation_failure(self, tmp_path):
+        # machine.ancilla_dim = 100000 passes parsing, then asks for Bob's
+        # 400000 x 400000 marginals: 4.66 TiB.  The child's address space is
+        # capped, so the allocation fails before any of it is touched,
+        # whatever the host's overcommit policy.
+        limit = 1 << 30
+
+        def capped():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        text = "kind = nosignal\nbasis1.theta = 0.0\nbasis2.theta = 0.5\n"
+        path = _write(tmp_path, text + "machine.ancilla_dim = 100000\n")
+        threads = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env = {**os.environ, **threads, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "qclonelab.cli", "run", path],
+            env=env, preexec_fn=capped, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        _one_line(done.stderr, "input too large: MemoryError: Unable to allocate")
 
     def test_3_numerical_failure(self, monkeypatch, capsys):
         def tripped(cfg):

@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import basis_ket, random_basis_angles, random_ket
+from conftest import random_basis_angles, random_isometry, signature
 from oracles import basis_amplitudes_scalar, bloch_pair, kron_all
-from qclonelab.core import (
-    Ket,
-    eig_hermitian,
-    inner,
-    kron_stack,
-    reduced_states,
-    signature,
-)
+from qclonelab.core import Ket, eig_hermitian_batch, kron_stack, reduced_states
+from qclonelab.machines import apply_isometries
 from qclonelab.nosignal import _singlets
-from qclonelab.states import StateFamily, basis_amplitudes, gram, kets_with_overlap
+from qclonelab.states import (
+    basis_amplitudes,
+    gram_stack,
+    overlap_pair_amplitudes,
+    random_amplitudes,
+)
 from qclonelab.tolerances import ASSERT_TOL
 
 
@@ -146,80 +145,72 @@ class TestSinglet:
         np.testing.assert_allclose(got, want, atol=1e-14)
 
 
+ZERO, ONE = np.eye(2, dtype=complex)
+PLUS = np.array([1, 1]) / math.sqrt(2)
+
+
 class TestGram:
     def test_orthonormal_family_identity(self):
-        sig = signature(("x", 3))
-        fam = StateFamily(tuple(basis_ket(sig, k) for k in range(3)))
-        np.testing.assert_allclose(gram(fam), np.eye(3))
+        np.testing.assert_allclose(gram_stack(np.eye(3, dtype=complex)), np.eye(3))
 
     def test_zero_plus_family(self):
-        sig = signature(("x", 2))
-        zero = basis_ket(sig, 0)
-        plus = Ket(sig, np.array([1, 1]) / math.sqrt(2))
-        g = gram(StateFamily((zero, plus)))
+        g = gram_stack(np.array([ZERO, PLUS]))
         assert g[0, 1] == pytest.approx(1 / math.sqrt(2))
         assert g[1, 0] == pytest.approx(1 / math.sqrt(2))
 
     def test_unitary_invariance(self, rng):
-        from qclonelab.machines import apply_linear, random_isometry
-
-        sig = signature(("x", 5))
-        fam = StateFamily(tuple(random_ket(sig, rng) for _ in range(4)))
-        u = random_isometry(sig, signature(("y", 5)), rng)
-        moved = StateFamily(tuple(apply_linear(u, k, ("x",)) for k in fam.members))
-        np.testing.assert_allclose(gram(fam), gram(moved), atol=1e-12)
+        fam = np.array([random_amplitudes(5, rng) for _ in range(4)])
+        u = random_isometry(5, 5, rng)
+        moved = apply_isometries(u[None], fam[None])[0]
+        np.testing.assert_allclose(gram_stack(fam), gram_stack(moved), atol=1e-12)
 
     def test_positive_semidefinite(self, rng):
-        sig = signature(("x", 4))
-        fam = StateFamily(tuple(random_ket(sig, rng) for _ in range(3)))
-        assert eig_hermitian(gram(fam)).eigenvalues.min() > -1e-10
+        fam = np.array([random_amplitudes(4, rng) for _ in range(3)])
+        assert eig_hermitian_batch(gram_stack(fam))[0].min() > -1e-10
 
 
-def has_orthogonal_pair(family: StateFamily) -> bool:
+def has_orthogonal_pair(family: np.ndarray) -> bool:
     """Whether two members have a Gram entry below the assertion tolerance."""
-    g = np.abs(gram(family))
+    g = np.abs(gram_stack(family))
     return bool(np.any(g[np.triu_indices(len(family), 1)] < ASSERT_TOL))
 
 
 class TestOrthogonalPair:
     def test_detects_orthogonal(self):
-        sig = signature(("x", 2))
-        z, o = basis_ket(sig, 0), basis_ket(sig, 1)
-        assert has_orthogonal_pair(StateFamily((z, o)))
+        assert has_orthogonal_pair(np.array([ZERO, ONE]))
 
     def test_rejects_nonorthogonal(self):
-        z, p = kets_with_overlap(1 / math.sqrt(2), 2)
-        assert not has_orthogonal_pair(StateFamily((z, p)))
+        assert not has_orthogonal_pair(overlap_pair_amplitudes([1 / math.sqrt(2)], 2)[0])
 
     def test_triple_with_hidden_pair(self):
-        sig = signature(("x", 2))
-        z, o = basis_ket(sig, 0), basis_ket(sig, 1)
-        plus = Ket(sig, np.array([1, 1]) / math.sqrt(2))
-        assert has_orthogonal_pair(StateFamily((z, plus, o)))
+        assert has_orthogonal_pair(np.array([ZERO, PLUS, ONE]))
 
 
 class TestKetsWithOverlap:
+    """Ket pairs with a prescribed overlap:
+    :func:`~qclonelab.states.overlap_pair_amplitudes`."""
+
     def test_orthogonal_target(self):
-        a, b = kets_with_overlap(0.0, 3)
-        assert inner(a, b) == pytest.approx(0.0, abs=1e-15)
+        a, b = overlap_pair_amplitudes([0.0], 3)[0]
+        assert np.vdot(a, b) == pytest.approx(0.0, abs=1e-15)
 
     def test_identical_target(self):
-        a, b = kets_with_overlap(1.0, 2)
-        np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-15)
+        a, b = overlap_pair_amplitudes([1.0], 2)[0]
+        np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_roundtrip_grid(self):
         for modulus in np.arange(0.0, 1.0 + 1e-12, 0.1):
             for phase in (0.0, math.pi / 3, math.pi):
                 target = modulus * np.exp(1j * phase)
-                a, b = kets_with_overlap(target, 4)
-                assert a.norm == pytest.approx(1.0, abs=1e-12)
-                assert b.norm == pytest.approx(1.0, abs=1e-12)
-                assert inner(a, b) == pytest.approx(target, abs=1e-12)
+                a, b = overlap_pair_amplitudes([target], 4)[0]
+                assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
+                assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-12)
+                assert np.vdot(a, b) == pytest.approx(target, abs=1e-12)
 
     def test_requested_value_verified(self):
-        a, b = kets_with_overlap(0.6, 4)
-        assert inner(a, b) == pytest.approx(0.6, abs=1e-15)
+        a, b = overlap_pair_amplitudes([0.6], 4)[0]
+        assert np.vdot(a, b) == pytest.approx(0.6, abs=1e-15)
 
     def test_modulus_above_one_rejected(self):
         with pytest.raises(ValueError, match="exceeds 1"):
-            kets_with_overlap(1.2, 2)
+            overlap_pair_amplitudes([1.2], 2)

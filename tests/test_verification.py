@@ -5,6 +5,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -83,19 +86,20 @@ def test_verify_reaches_the_kernels(kernel_calls):
         assert kernel_calls[check, kernel] > 0, (check, kernel)
 
 
-def _load_child():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
-    spec = importlib.util.spec_from_file_location("perfbench_child", path)
-    child = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(child)
-    return child
+def _load_perfbench(name: str):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_lookups_exist():
     # The tracer imports every layer by name and wraps the core objects'
     # __post_init__ and every check in place; the micro-timings look each
     # (layer, function) up by name among the layer's public functions.
-    child = _load_child()
+    child = _load_perfbench("child")
     for layer in child.LAYERS:
         importlib.import_module(f"qclonelab.{layer}")
     for name in child.CORE_OBJECTS:
@@ -110,6 +114,39 @@ def test_benchmark_lookups_exist():
         isinstance(c, tuple) and len(c) == 2 and isinstance(c[0], str) and callable(c[1])
         for c in checks
     )
+
+
+def _run_child(*args) -> dict:
+    """One benchmark child on this source tree, single-threaded as the
+    harness runs it; its exit code must be 0 and its last line JSON."""
+    root = Path(__file__).resolve().parents[1]
+    threads = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {k: v for k, v in os.environ.items() if k != "QCLONELAB_TOL"}
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), str(root / "src"), *args],
+        capture_output=True, text=True, timeout=300, env={**env, **threads}, cwd=root,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_benchmark_child_runs(tmp_path):
+    # The harness's two child modes on this tree: a traced verify pass, and
+    # the micro-timings captured from runs of the three workload configs.
+    found = _run_child(
+        "pass", "--spans", str(tmp_path / "spans.npz"), "--",
+        "verify", "--seed", "7", "--out", str(tmp_path / "verify.txt"),
+    )
+    assert found["rc"] == 0 and "error" not in found
+    assert (tmp_path / "spans.npz").exists()
+    workloads = _load_perfbench("workloads")
+    configs = []
+    for name in ("conservation", "wishful", "isometry"):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(getattr(workloads, f"{name}_config")(7))
+        configs.append(str(path))
+    found = _run_child("micro", *configs, "7", str(tmp_path / "micro.txt"))
+    assert isinstance(found["micro_us"], dict)
 
 
 def test_isometry_checks_are_stacked(kernel_calls):
@@ -129,13 +166,15 @@ def test_isometry_checks_are_stacked(kernel_calls):
 
 
 def test_no_per_object_machine_calls():
-    # The checks run the stacked machine layer; the per-object functions
-    # are batches of one of it and are tested on their own.
+    # The checks run the stacked kernels on plain arrays; the labeled
+    # records and their batches of one are left only for the benchmark.
     tree = ast.parse(Path(verification.__file__).read_text())
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     per_object = {
-        "extend_to_isometry", "apply_termwise", "apply_linear", "random_isometry", "partial_trace", "MachineSpec", "LinearMachine",
+        "extend_to_isometry", "apply_termwise", "partial_trace", "eig_hermitian",
+        "trace_distance", "MachineSpec", "StateFamily", "Ket", "SubsystemSignature",
+        "DensityMatrix", "Spectrum",
     }
     assert not names & per_object
 
@@ -191,11 +230,13 @@ class TestFailuresNamed:
         assert self._raised(exc, "trial", [1, 2]) is exc
 
     def test_keeps_the_error_type_and_fields(self):
-        # InconsistentGram's __init__ takes a report, not a message.
-        report = machines.ConsistencyReport(np.eye(2), np.eye(2), 0.5, False)
-        exc = machines.InconsistentGram(report, " at batch index 1")
+        # InconsistentGram's __init__ takes the Gram matrices, not a message.
+        g_in, g_out = np.eye(2), np.eye(2)
+        exc = machines.InconsistentGram(g_in, g_out, 0.5, " at batch index 1")
         renamed = self._raised(exc, "trial", [3, 4])
-        assert isinstance(renamed, machines.InconsistentGram) and renamed.report is report
+        assert isinstance(renamed, machines.InconsistentGram)
+        assert renamed.input_gram is g_in and renamed.output_gram is g_out
+        assert renamed.max_deviation == 0.5
         assert str(renamed) == (
             "input/output Gram matrices differ by 0.5; "
             "no isometry can realize these pairs at trial 4"
