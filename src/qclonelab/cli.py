@@ -11,14 +11,28 @@ tolerance; explicit config keys and flags win.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
+import stat
 import sys
 
-from .config import DEFAULT_SEED, ConfigError, grid_points, load_config, require_tolerance
-from .scenarios import run_config, run_configs
+from .config import DEFAULT_SEED, ConfigError, checked_value, grid_points, load_config
+from .scenarios import run_configs
 from .verification import run_all_checks
 
 ENV_TOLERANCE = "QCLONELAB_TOL"
+
+
+def _refuse_unwritable(path: str) -> None:
+    """Fail, before any work, as opening ``path`` to write would where it
+    names a directory or its parent is not one; create or truncate no file."""
+    try:
+        if os.path.isdir(path) or path.endswith(os.sep):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -33,24 +47,19 @@ def _env_tolerance_overrides() -> dict[str, object]:
     raw = os.environ.get(ENV_TOLERANCE)
     if raw is None:
         return {}
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{ENV_TOLERANCE}={raw!r} is not a number") from exc
-    return {"tolerance.assert": require_tolerance(f"{ENV_TOLERANCE}={raw!r}", value)}
+    return {"tolerance.assert": checked_value("tolerance.assert", raw, f"{ENV_TOLERANCE}={raw!r}")}
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config, _env_tolerance_overrides())
-    report = run_config(cfg)
-    fmt = args.format or str(cfg.get("format"))
-    _emit(report.render(fmt), args.out)
+    grid = grid_points(load_config(args.config, _env_tolerance_overrides()))
+    report = run_configs(grid)
+    _emit(report.render(args.format or grid.shared["format"]), args.out)
     return 0 if report.all_pass else 1
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config, _env_tolerance_overrides())
-    report = run_configs(grid_points(cfg, args.grid))
+    grid = grid_points(load_config(args.config, _env_tolerance_overrides()), args.grid)
+    report = run_configs(grid)
     if args.format == "json":
         rows = (report.render("json", k).rstrip("\n") for k in range(len(report)))
         text = "[\n" + ",\n".join(rows) + "\n]\n"
@@ -61,13 +70,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed {args.seed}: must be >= 0")
-    tolerance = args.tolerance
-    if tolerance is None:
+    checked_value("seed", args.seed, f"--seed {args.seed}")
+    if args.tolerance is None:
         tolerance = _env_tolerance_overrides().get("tolerance.assert")
     else:
-        require_tolerance("--tolerance", tolerance)
+        tolerance = checked_value("tolerance.assert", args.tolerance, "--tolerance")
     results = run_all_checks(seed=args.seed, tolerance=tolerance)
     lines = [r.line() for r in results]
     failed = sum(0 if r.passed else 1 for r in results)
@@ -111,6 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out:
+            _refuse_unwritable(args.out)
         return args.fn(args)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

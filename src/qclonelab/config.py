@@ -1,9 +1,10 @@
 """Line-oriented scenario configuration files.
 
 One scenario per file; ``key = value`` lines with dotted section keys, blank
-lines and ``#`` comments ignored.  Unknown keys are rejected with the line
-number.  Missing keys take documented defaults; ``kind`` and the overlap
-values for conservation scenarios are required.
+lines and ``#`` comments ignored.  Unknown and repeated keys are
+rejected.  Missing keys take documented defaults; ``kind`` and the overlap
+values for conservation scenarios are required.  A config is a grid of one
+point; each value, from a file or a grid axis, is checked once.
 """
 
 from __future__ import annotations
@@ -70,48 +71,59 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
     "gram-equivalence": (),
 }
 
+_TYPES = {key: typ for schema in _SCHEMAS.values() for key, (typ, _) in schema.items()}
+
 _CHOICES: dict[str, tuple[str, ...]] = {
     "format": ("table", "csv", "json"),
     "machine.mode": ("termwise", "isometry"),
 }
+
+_MINIMUM = {"machine.ancilla_dim": 2, "family.dimension": 2, "family.size": 1, "seed": 0}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def require_tolerance(name: str, value: float) -> float:
-    """A tolerance must be a finite positive number: a NaN, infinite or
-    non-positive one would pass or fail every verdict regardless of the
-    physics."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise ConfigError(f"{name}: tolerance {value!r} must be finite and positive")
-    return value
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    kind: str
-    values: dict[str, object]
-
-    def get(self, key: str):
-        return self.values[key]
-
-    def with_overrides(self, overrides: dict[str, float]) -> "ScenarioConfig":
-        """A copy with ``overrides`` set, each value range-checked on its own."""
-        schema = _SCHEMAS[self.kind]
-        vals = dict(self.values)
-        for key, value in overrides.items():
-            if key not in schema:
-                raise ConfigError(f"unknown key {key!r} for kind {self.kind!r}")
-            typ = schema[key][0]
-            if typ not in (float, int):
-                raise ConfigError(f"key {key!r} is not numeric and cannot be swept")
-            if typ is int and not float(value).is_integer():
-                raise ConfigError(f"key {key!r}: {value!r} is not an integer")
-            vals[key] = typ(value)
-        _validate_ranges(self.kind, vals)
-        return ScenarioConfig(self.kind, vals)
+def checked_value(key: str, value, name: str | None = None):
+    """``value`` as ``key``'s type, range-checked on its own.  Text, from a
+    file or from the environment (whose variable ``name`` labels the
+    errors), parses as the type does; a number, from a grid axis or a flag,
+    must be integral for an integer key, and a text key takes none.  A
+    tolerance must be finite and positive: a NaN, infinite or non-positive
+    one would pass or fail every verdict regardless of the physics."""
+    typ, label = _TYPES[key], name or f"key {key!r}"
+    if isinstance(value, str):
+        try:
+            value = typ(value)
+        except ValueError as exc:
+            raise ConfigError(f"{name} is not a number" if name else
+                              f"{label}: cannot parse {value!r} as {typ.__name__}") from exc
+    elif typ is str:
+        raise ConfigError(f"{label} is not numeric and cannot be swept")
+    elif typ is int and not float(value).is_integer():
+        raise ConfigError(f"{label}: {value!r} is not an integer")
+    else:
+        value = typ(value)
+    if key in _CHOICES and value not in _CHOICES[key]:
+        fault = f"{value!r} is not one of {_CHOICES[key]}"
+    elif key.startswith("tolerance.") and not (math.isfinite(value) and value > 0.0):
+        fault = f"tolerance {value!r} must be finite and positive"
+    elif key in ("overlap.a", "overlap.b", "overlap.c") and not 0.0 <= value <= 1.0:
+        fault = f"modulus {value!r} outside [0, 1]"
+    elif key == "branch.weight" and not 0.0 <= value <= 1.0:
+        fault = f"{value!r} outside [0, 1]"
+    elif key.endswith(".theta") and not 0.0 <= value <= math.pi:
+        fault = f"{value!r} outside [0, pi]"
+    elif key.endswith(".phi") and not 0.0 <= value < 2.0 * math.pi:
+        fault = f"{value!r} outside [0, 2*pi)"
+    elif key in _MINIMUM and value < _MINIMUM[key]:
+        fault = f"must be >= {_MINIMUM[key]}"
+    elif isinstance(value, float) and not math.isfinite(value):
+        fault = f"{value!r} is not finite"
+    else:
+        return value
+    raise ConfigError(f"{label}: {fault}")
 
 
 @dataclass(frozen=True)
@@ -139,13 +151,12 @@ class ScenarioGrid:
     def basis_angles(self, which: str) -> list[list[float]]:
         """The columns (psi_theta, psi_phi, alpha_theta, alpha_phi) of
         ``which`` basis, honoring the ``basisN.theta``/``basisN.phi``
-        shorthand that sets both parts."""
+        shorthand that sets both parts (:func:`grid_points` refuses a part
+        beside its shorthand)."""
         out = []
         for part, angle in itertools.product(("psi", "alpha"), ("theta", "phi")):
             keys = [k for k in (f"{which}.{part}.{angle}", f"{which}.{angle}")
                     if k in self.shared or k in self.swept]
-            if len(keys) == 2:
-                raise ConfigError(f"{keys[0]} conflicts with shorthand {keys[1]}")
             out.append(self.column(keys[0]) if keys else [0.0] * self.size)
         return out
 
@@ -164,29 +175,25 @@ def echo_columns(grid: ScenarioGrid) -> dict[str, str | list[str]]:
 
 def parse_config_text(
     text: str, default_overrides: dict[str, object] | None = None
-) -> ScenarioConfig:
-    """Parse one scenario config.  ``default_overrides`` replaces schema
-    defaults (for environment-supplied tolerances); explicit file keys win."""
+) -> ScenarioGrid:
+    """One scenario config, as a grid of one point, each value checked as it
+    is read.  ``default_overrides`` (checked, from the environment) replaces
+    schema defaults; explicit file keys win."""
     raw: dict[str, str] = {}
-    kind = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = map(str.strip, stripped.partition("="))
         if not key or not value:
             raise ConfigError(f"line {lineno}: empty key or value")
-        if key == "kind":
-            kind = value
-            continue
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
 
+    kind = raw.pop("kind", None)
     if kind is None:
         raise ConfigError("missing required key 'kind'")
     if kind not in KINDS:
@@ -197,62 +204,19 @@ def parse_config_text(
     for key, value in raw.items():
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} for kind {kind!r}")
-        typ = schema[key][0]
-        try:
-            values[key] = typ(value)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: cannot parse {value!r} as {typ.__name__}") from exc
-        if key in _CHOICES and values[key] not in _CHOICES[key]:
-            raise ConfigError(
-                f"key {key!r}: {value!r} is not one of {_CHOICES[key]}"
-            )
-
+        values[key] = checked_value(key, value)
     for key in _REQUIRED[kind]:
         if key not in values:
             raise ConfigError(f"missing required key {key!r} for kind {kind!r}")
-
-    overrides = default_overrides or {}
-    for key, value in overrides.items():
-        if key in schema and key not in values:
-            values[key] = schema[key][0](value)
     for key, (_typ, default) in schema.items():
         if key not in values and default is not None:
-            values[key] = default
-
-    _validate_ranges(kind, values)
-    return ScenarioConfig(kind, values)
-
-
-def _validate_ranges(kind: str, values: dict[str, object]) -> None:
-    for key in ("tolerance.assert", "tolerance.residual"):
-        require_tolerance(f"key {key!r}", float(values[key]))
-    if kind == "conservation":
-        for key in ("overlap.a", "overlap.b", "overlap.c"):
-            v = float(values[key])
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"key {key!r}: modulus {v!r} outside [0, 1]")
-        w = float(values["branch.weight"])
-        if not 0.0 <= w <= 1.0:
-            raise ConfigError(f"key 'branch.weight': {w!r} outside [0, 1]")
-    if kind == "nosignal":
-        for key, value in values.items():
-            if key.endswith(".theta") and not 0.0 <= float(value) <= math.pi:
-                raise ConfigError(f"key {key!r}: {value!r} outside [0, pi]")
-            if key.endswith(".phi") and not 0.0 <= float(value) < 2.0 * math.pi:
-                raise ConfigError(f"key {key!r}: {value!r} outside [0, 2*pi)")
-    for key, minimum in (
-        ("machine.ancilla_dim", 2), ("family.dimension", 2), ("family.size", 1), ("seed", 0)
-    ):
-        if key in values and int(values[key]) < minimum:
-            raise ConfigError(f"key {key!r}: must be >= {minimum}")
-    for key, value in values.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"key {key!r}: {value!r} is not finite")
+            values[key] = (default_overrides or {}).get(key, default)
+    return ScenarioGrid(kind, values, {}, 1)
 
 
 def load_config(
     path: str, default_overrides: dict[str, object] | None = None
-) -> ScenarioConfig:
+) -> ScenarioGrid:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read(), default_overrides)
 
@@ -284,13 +248,13 @@ def parse_grid_axis(spec: str) -> tuple[str, list[float]]:
     return key.strip(), values
 
 
-def grid_points(config: ScenarioConfig, axis_specs=()) -> ScenarioGrid:
-    """The grid of ``config`` over the axes: their Cartesian product,
-    lexicographic in the given axis order, of at most ``MAX_GRID_POINTS``
-    points; no axes give the grid of ``config`` alone.  Each axis value is
-    range-checked once, by :meth:`ScenarioConfig.with_overrides`, and the
-    rules between keys on the columns (the basis shorthand conflict where
-    :meth:`ScenarioGrid.basis_angles` resolves it)."""
+def grid_points(grid: ScenarioGrid, axis_specs=()) -> ScenarioGrid:
+    """A grid of one, as :func:`parse_config_text` gives, over the axes:
+    their Cartesian product, lexicographic in the given axis order, of at
+    most ``MAX_GRID_POINTS`` points.  Each axis value is checked once, by
+    :func:`checked_value`; then the rules between keys hold on the columns
+    (a target dimension against the dimension, a basis part beside its
+    shorthand), so a broken one stops the grid before any batch runs."""
     axes = [parse_grid_axis(spec) for spec in axis_specs]
     keys = [key for key, _ in axes]
     if len(set(keys)) < len(keys):
@@ -298,9 +262,11 @@ def grid_points(config: ScenarioConfig, axis_specs=()) -> ScenarioGrid:
     size = math.prod(len(values) for _, values in axes)
     if size > MAX_GRID_POINTS:
         raise ConfigError(f"grid of {size} points exceeds {MAX_GRID_POINTS}")
-    options = {key: [value] for key, value in config.values.items()}
+    options = {key: [value] for key, value in grid.shared.items()}
     for key, values in axes:
-        options[key] = [config.with_overrides({key: v}).values[key] for v in values]
+        if key not in _SCHEMAS[grid.kind]:
+            raise ConfigError(f"unknown key {key!r} for kind {grid.kind!r}")
+        options[key] = [checked_value(key, v) for v in values]
     targets, dims = options.get("family.target_dimension", ()), options.get("family.dimension", ())
     for target, dim in itertools.product(targets, dims):
         if target != 0 and target < dim:
@@ -308,7 +274,11 @@ def grid_points(config: ScenarioConfig, axis_specs=()) -> ScenarioGrid:
                 f"key 'family.target_dimension': {target} is smaller than "
                 f"family.dimension {dim} (0 means the same)"
             )
+    parts = itertools.product(("basis1", "basis2"), ("psi", "alpha"), ("theta", "phi"))
+    for which, part, angle in parts:
+        if f"{which}.{part}.{angle}" in options and f"{which}.{angle}" in options:
+            raise ConfigError(f"{which}.{part}.{angle} conflicts with shorthand {which}.{angle}")
     columns = zip(*itertools.product(*(options[key] for key in keys)))
     swept = {key: list(column) for key, column in zip(keys, columns)}
-    shared = {key: value for key, value in config.values.items() if key not in swept}
-    return ScenarioGrid(config.kind, shared, swept, size)
+    shared = {key: value for key, value in grid.shared.items() if key not in swept}
+    return ScenarioGrid(grid.kind, shared, swept, size)

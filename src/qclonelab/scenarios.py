@@ -16,7 +16,7 @@ import numpy as np
 
 from . import conservation as cons
 from . import nosignal as nosig
-from .config import ScenarioConfig, ScenarioGrid, echo_columns, grid_points
+from .config import ScenarioGrid, echo_columns
 from .core import cmul, failures_named
 from .machines import haar_draw, haar_isometries
 from .report import ScenarioReport, concatenate_rows
@@ -180,8 +180,3 @@ def run_configs(grid: ScenarioGrid) -> ScenarioReport:
     if len(parts) == 1:
         return parts[0]
     return concatenate_rows(parts, np.argsort(np.concatenate(groups)))
-
-
-def run_config(cfg: ScenarioConfig) -> ScenarioReport:
-    """The report of one config: a grid of one, with a single row."""
-    return run_configs(grid_points(cfg))

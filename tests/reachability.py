@@ -40,9 +40,11 @@ def commands(out: Path) -> tuple[list[list[str]], list[list[str]]]:
     without ``--format``; the cube, wishful and isometry sweeps as CSV and
     JSON; a gram-equivalence sweep over the family size (one batch per
     size); and ``verify``.  The second are the exit-2 cases of
-    ``tests/test_cli.py``, its file cases, and the conflicting wishful rules
-    of ``tests/test_scenarios.py``.  No test drives a config to exit 3: the
-    one exit-3 case patches the runner.
+    ``tests/test_cli.py`` (a repeated ``kind``, a basis part beside its
+    shorthand on a swept ``machine.ancilla_dim``, a zero tolerance), its file
+    cases (a directory as the config or as ``--out``), and the conflicting
+    wishful rules of ``tests/test_scenarios.py``.  No test drives a config
+    to exit 3: the one exit-3 case patches the runner.
     """
     argv = []
     for cfg in sorted(CONFIGS.glob("*.cfg")):
@@ -75,6 +77,9 @@ def commands(out: Path) -> tuple[list[list[str]], list[list[str]]]:
         ),
         "negative-seed": "kind = gram-equivalence\nseed = -3\n",
         "conflicting-rules": f"kind = nosignal\nbasis1.theta = 0.0\nbasis2.theta = {PI}\n",
+        "repeated-kind": "kind = nosignal\nkind = conservation\n",
+        "zero-tolerance": "kind = gram-equivalence\ntolerance.assert = 0\n",
+        "shorthand-conflict": "kind = nosignal\nbasis2.theta = 0.5\nbasis2.psi.theta = 0.2\n",
     }
     for name, text in texts.items():
         (bad / f"{name}.cfg").write_text(text)
@@ -93,9 +98,13 @@ def commands(out: Path) -> tuple[list[list[str]], list[list[str]]]:
         failing.append(["sweep", violation, "--grid", *axes])
     failing.append(["sweep", _config("gram_equivalence"), "--grid", "seed=1:3:0.5"])
     failing.append(["sweep", _config("nosignal_isometry"), "--grid", "seed=-2:1:1"])
+    failing.append(["sweep", str(bad / "shorthand-conflict.cfg"), "--grid",
+                    "machine.ancilla_dim=2:3:1"])
     failing.append(["run", "/nonexistent/x.cfg"])
     failing.append(["run", str(bad)])
     failing.append(["run", violation, "--out", str(bad)])
+    failing.append(["sweep", violation, "--grid", *CUBE, "--format", "json", "--out", str(bad)])
+    failing.append(["verify", "--seed", "7", "--out", str(bad)])
     failing.append(["verify", "--seed", "-1"])
     return argv, failing
 

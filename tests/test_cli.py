@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from qclonelab import config
+from qclonelab import cli, config
 from qclonelab.cli import main
-from qclonelab.scenarios import run_config, run_configs
+from qclonelab.scenarios import run_configs
 from qclonelab.config import (
     ConfigError,
+    checked_value,
     grid_points,
     parse_config_text,
     parse_grid_axis,
@@ -36,13 +37,18 @@ seed = 11
 """
 
 
+def _run(text: str):
+    """The report ``run`` gives for a config text."""
+    return run_configs(grid_points(parse_config_text(text)))
+
+
 class TestConfigParsing:
     def test_defaults_filled(self):
         cfg = parse_config_text(CONS_TEXT)
-        assert cfg.kind == "conservation"
-        assert cfg.get("machine.ancilla_dim") == 4
-        assert cfg.get("tolerance.assert") == 1e-10
-        assert cfg.get("branch.weight") == 0.5
+        assert (cfg.kind, len(cfg), cfg.swept) == ("conservation", 1, {})
+        assert cfg.shared["machine.ancilla_dim"] == 4
+        assert cfg.shared["tolerance.assert"] == 1e-10
+        assert cfg.shared["branch.weight"] == 0.5
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
@@ -72,12 +78,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("kind = nosignal\nseed = 1\nseed = 2\n")
 
+    # A second kind line once silently replaced the first: this config ran
+    # as a conservation scenario and exited 1.
+    def test_repeated_kind_rejected(self, tmp_path, capsys):
+        text = "kind = nosignal\n" + CONS_TEXT
+        with pytest.raises(ConfigError, match="^line 3: duplicate key 'kind'$"):
+            parse_config_text(text)
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: line 3: duplicate key 'kind'\n"
+
     def test_shorthand_conflict_rejected(self):
         cfg = parse_config_text(
             "kind = nosignal\nbasis2.theta = 0.5\nbasis2.psi.theta = 0.2\n"
         )
         with pytest.raises(ConfigError, match="conflicts"):
-            grid_points(cfg).basis_angles("basis2")
+            grid_points(cfg)
 
     def test_cross_outputs_key_rejected(self):
         with pytest.raises(ConfigError, match="machine.cross_outputs"):
@@ -85,11 +104,90 @@ class TestConfigParsing:
 
     def test_env_default_override(self):
         cfg = parse_config_text(NOSIG_TEXT, {"tolerance.assert": 1e-6})
-        assert cfg.get("tolerance.assert") == 1e-6
+        assert cfg.shared["tolerance.assert"] == 1e-6
         explicit = parse_config_text(
             NOSIG_TEXT + "tolerance.assert = 1e-4\n", {"tolerance.assert": 1e-6}
         )
-        assert explicit.get("tolerance.assert") == 1e-4
+        assert explicit.shared["tolerance.assert"] == 1e-4
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("no work may run")
+
+
+class TestRulesBetweenKeysBeforeAnyBatch:
+    """A rule between keys stops a grid before any runner is called.  A part
+    beside its basis shorthand was once found by the runner, so that a sweep
+    whose points split into batches blamed "grid point 0" for it."""
+
+    @pytest.mark.parametrize(
+        "text, axis, message",
+        [
+            ("kind = nosignal\nbasis2.theta = 0.5\nbasis2.psi.theta = 0.2\n",
+             "machine.ancilla_dim=2:3:1",
+             "basis2.psi.theta conflicts with shorthand basis2.theta"),
+            ("kind = nosignal\nbasis2.theta = 0.5\nbasis2.psi.theta = 0.2\n", "seed=2:3:1",
+             "basis2.psi.theta conflicts with shorthand basis2.theta"),
+            ("kind = gram-equivalence\nfamily.target_dimension = 3\n", "seed=2:3:1",
+             "key 'family.target_dimension': 3 is smaller than family.dimension 4 "
+             "(0 means the same)"),
+        ],
+        ids=["shorthand-ancilla-dim", "shorthand-seed", "target-dimension-seed"],
+    )
+    def test_sweep_exits_2_before_any_runner(self, tmp_path, capsys, monkeypatch,
+                                             text, axis, message):
+        monkeypatch.setattr(cli, "run_configs", _never)
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        assert main(["sweep", str(path), "--grid", axis]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {message}\n"
+
+
+class TestOneRuleForEverySource:
+    """A value of a key is accepted or refused alike, with the same message,
+    whether a config file gives it or a one-point grid axis does."""
+
+    BASES = {
+        "nosignal": "kind = nosignal\n",
+        "conservation": CONS_TEXT,
+        "gram-equivalence": "kind = gram-equivalence\n",
+    }
+    # Each exactly what an axis lo:lo:1 gives: range boundaries (0, 1, pi
+    # and 2*pi at 12 decimals), values just beside them, and values far out.
+    PROBES = [-1.0, 0.0, 1e-12, 0.5, 1.0, 1.5, 2.0, 3.0, 3.141592653589, 3.14159265359,
+              6.283185307179, 6.28318530718, 1e300]
+
+    @staticmethod
+    def _outcome(make, key):
+        try:
+            return make().column(key)
+        except ConfigError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [(kind, key) for kind, schema in config._SCHEMAS.items()
+         for key, (typ, _) in schema.items() if typ is not str],
+    )
+    def test_file_and_axis_agree(self, kind, key):
+        typ = config._SCHEMAS[kind][key][0]
+        lines = [line for line in self.BASES[kind].splitlines(keepends=True)
+                 if not line.startswith(f"{key} =")]
+        base = parse_config_text(self.BASES[kind])
+        accepted = 0
+        for value in self.PROBES:
+            if typ is int and not value.is_integer():
+                continue  # a file's "2.5" and an axis' 2.5 each fail their own parse
+            text = repr(typ(value))
+            from_file = self._outcome(
+                lambda: grid_points(parse_config_text("".join(lines) + f"{key} = {text}\n")), key
+            )
+            from_axis = self._outcome(lambda: grid_points(base, [f"{key}={text}:{text}:1"]), key)
+            assert from_file == from_axis, (key, text)
+            accepted += isinstance(from_file, list)
+        assert accepted
 
 
 class TestGrid:
@@ -115,7 +213,7 @@ class TestGrid:
         cfg = parse_config_text(CONS_TEXT)
         grid = grid_points(cfg, ["overlap.a=0.6:0.6:1"])
         assert len(grid) == 1
-        assert run_configs(grid).scalars == run_config(cfg).scalars
+        assert run_configs(grid).scalars == run_configs(grid_points(cfg)).scalars
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -172,8 +270,8 @@ class TestGridAxisExpansion:
     def test_fractional_integer_override_rejected(self, key):
         cfg = parse_config_text(CONS_TEXT)
         with pytest.raises(ConfigError, match=f"'{key}': 2.5 is not an integer"):
-            cfg.with_overrides({key: 2.5})
-        assert cfg.with_overrides({key: 3.0}).get(key) == 3
+            grid_points(cfg, [f"{key}=2.5:2.5:1"])
+        assert grid_points(cfg, [f"{key}=3:3:1"]).column(key) == [3]
 
     @pytest.mark.parametrize(
         "config, axes",
@@ -223,18 +321,17 @@ class TestGridBound:
     def test_each_point_built_once(self, monkeypatch):
         # No point is built as a config: each axis value is checked once.
         cfg = parse_config_text(CONS_TEXT)
-        built = []
-        with_overrides = type(cfg).with_overrides
+        checked = []
 
-        def counted(self, overrides):
-            built.append(overrides)
-            return with_overrides(self, overrides)
+        def counted(key, value, name=None):
+            checked.append((key, value))
+            return checked_value(key, value, name)
 
-        monkeypatch.setattr(type(cfg), "with_overrides", counted)
+        monkeypatch.setattr(config, "checked_value", counted)
         grid = grid_points(cfg, ["overlap.a=0:1:0.5", "overlap.b=0:1:1"])
         assert len(grid) == 6
-        assert built == [{"overlap.a": 0.0}, {"overlap.a": 0.5}, {"overlap.a": 1.0},
-                         {"overlap.b": 0.0}, {"overlap.b": 1.0}]
+        assert checked == [("overlap.a", 0.0), ("overlap.a", 0.5), ("overlap.a", 1.0),
+                           ("overlap.b", 0.0), ("overlap.b", 1.0)]
 
     def test_cross_key_ranges_checked_on_whole_points(self):
         # Half-built points once failed this check: target 2 against the
@@ -265,9 +362,9 @@ class TestNonFiniteConfigValues:
         assert key in err and "not finite" in err
 
     def test_override_rejected(self):
-        cfg = parse_config_text(CONS_TEXT)
-        with pytest.raises(ConfigError, match="overlap.c_phase"):
-            cfg.with_overrides({"overlap.c_phase": float("nan")})
+        # A grid axis never gives a NaN; the check of its numbers refuses one.
+        with pytest.raises(ConfigError, match="^key 'overlap.c_phase': nan is not finite$"):
+            checked_value("overlap.c_phase", float("nan"))
 
 
 class TestReport:
@@ -277,7 +374,7 @@ class TestReport:
         assert format_scalar(1e-12) == "1.00000000000e-12"
 
     def test_json_roundtrip_field_for_field(self):
-        report = run_config(parse_config_text(CONS_TEXT))
+        report = _run(CONS_TEXT)
         parsed = parse_report(report.render("json"))
         assert (parsed.kind, parsed.config) == (report.kind, report.config)
         for field in ("scalars", "matrices", "verdicts"):
@@ -289,15 +386,14 @@ class TestReport:
         assert not Verdict("x", 1e-11, 1e-12).passed
 
     def test_csv_columns_stable(self):
-        rep = run_config(parse_config_text(CONS_TEXT))
+        rep = _run(CONS_TEXT)
         header, row = (line.split(",") for line in rep.render("csv").splitlines())
         assert header[0] == "kind"
         assert len(header) == len(row)
         assert "delta_lambda" in header
 
     def test_deterministic_rendering(self):
-        cfg = parse_config_text(CONS_TEXT)
-        assert run_config(cfg).render("table") == run_config(cfg).render("table")
+        assert _run(CONS_TEXT).render("table") == _run(CONS_TEXT).render("table")
 
 
 class TestRunCommand:
@@ -395,6 +491,49 @@ class TestRunCommand:
         path.chmod(0)
         err = self._file_error(capsys, ["run", str(path)])
         assert "Permission denied" in err
+
+
+class TestUnwritableOutBeforeAnyWork:
+    """An ``--out`` that cannot be opened to write once failed only after the
+    whole command had run: 0.57 s for the cube sweep as JSON."""
+
+    CUBE = ["overlap.a=0:1:0.1", "overlap.b=0:1:0.1", "overlap.c=0:1:0.1"]
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        monkeypatch.setattr(cli, "run_configs", _never)
+        monkeypatch.setattr(cli, "run_all_checks", _never)
+
+    @pytest.mark.parametrize("where", ["directory", "below-a-file", "trailing-separator"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "verify"])
+    def test_refused_before_any_work(self, tmp_path, capsys, command, where):
+        path = tmp_path / "c.cfg"
+        path.write_text(CONS_TEXT)
+        (tmp_path / "d").mkdir()
+        out, fault = {
+            "directory": (tmp_path / "d", "[Errno 21] Is a directory"),
+            "below-a-file": (path / "r.txt", "[Errno 20] Not a directory"),
+            "trailing-separator": (f"{tmp_path / 'new'}{os.sep}", "[Errno 21] Is a directory"),
+        }[where]
+        argv = {
+            "run": ["run", str(path)],
+            "sweep": ["sweep", str(path), "--grid", *self.CUBE, "--format", "json"],
+            "verify": ["verify", "--seed", "7"],
+        }[command]
+        before = sorted(tmp_path.rglob("*"))
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {fault}: {str(out)!r}\n"
+        assert sorted(tmp_path.rglob("*")) == before and path.read_text() == CONS_TEXT
+
+    def test_failed_run_leaves_out_untouched(self, tmp_path):
+        out = tmp_path / "r.txt"
+        out.write_text("earlier report\n")
+        path = tmp_path / "bad.cfg"
+        path.write_text(CONS_TEXT + "wat = 1\n")
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert out.read_text() == "earlier report\n"
 
 
 class TestSweepCommand:

@@ -210,10 +210,10 @@ class TestExitCodes:
         _one_line(done.stderr, "input too large: MemoryError: Unable to allocate")
 
     def test_3_numerical_failure(self, monkeypatch, capsys):
-        def tripped(cfg):
+        def tripped(grid):
             raise ArithmeticError("eigendecomposition residual 0.5 exceeds 1e-12")
 
-        monkeypatch.setattr(cli, "run_config", tripped)
+        monkeypatch.setattr(cli, "run_configs", tripped)
         assert main(["run", str(CONFIGS / "conservation_consistent.cfg")]) == 3
         _one_line(capsys.readouterr().err, "numerical failure: ArithmeticError:")
 
@@ -367,7 +367,7 @@ class TestOneEvaluationPerQuantity:
         for key in ("eig_hermitian_batch", "eig_hermitian"):
             monkeypatch.setattr(core, key, counted(key, getattr(core, key)))
         cfg = load_config(str(CONFIGS / f"{name}.cfg"))
-        report = scenarios.run_config(cfg)
+        report = scenarios.run_configs(grid_points(cfg))
         assert calls == dict(zip(keys, (1, 1, 2, 0)))
         assert report.scalars["premachine_deviation_from_maximally_mixed"] < 1e-12
 
@@ -393,7 +393,8 @@ class TestEquivalenceRoundtrip:
 
     def test_gram_equivalence_report_reads_the_roundtrip(self):
         # configs/gram_equivalence.cfg: dimension 6, four members, seed 3.
-        report = scenarios.run_config(load_config(str(CONFIGS / "gram_equivalence.cfg")))
+        cfg = load_config(str(CONFIGS / "gram_equivalence.cfg"))
+        report = scenarios.run_configs(grid_points(cfg))
         _, _, found = _roundtrip(6, 6, 4, 3)
         assert report.scalars["gram_deviation"] == found.gram_deviation[0]
         assert report.scalars["member_reconstruction_residual"] == found.member_residual[0]

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from qclonelab import conservation
 from qclonelab.cli import main
 from qclonelab.config import (
-    ScenarioConfig,
     echo_columns,
     grid_points,
     load_config,
@@ -206,7 +205,7 @@ class TestSweepCost:
         the axis value checks, with every point in one chunk of the kernel."""
         cfg = parse_config_text(SEED7_CONFIG)
         calls = Counter()
-        built = (Verdict, ScenarioReport, ScenarioConfig)
+        built = (Verdict, ScenarioReport)
         checking = [False]
 
         def profile(frame, event, arg):
@@ -214,7 +213,7 @@ class TestSweepCost:
             if event not in ("call", "return") or not module.startswith("qclonelab"):
                 return
             name = frame.f_code.co_name
-            if name == "with_overrides":
+            if name == "checked_value":
                 calls[name] += event == "call"
                 checking[0] = event == "call"
             if event != "call":
@@ -254,6 +253,5 @@ class TestSweepCost:
 
     @pytest.mark.parametrize("step, axis_values", [("0.5", 3 * 3), ("0.1", 3 * 11)])
     def test_each_axis_value_checked_once(self, step, axis_values):
-        # with_overrides returns the one config each check builds.
         _, calls = self._count(step)
-        assert calls["with_overrides"] == calls["ScenarioConfig"] == axis_values
+        assert calls["checked_value"] == axis_values
