@@ -36,7 +36,7 @@ from .machines import (
     require_isometries,
     strong_cloner_rules,
 )
-from .states import gram_stack, overlap_pair_amplitudes, random_amplitudes
+from .states import gram_stack, overlap_pair_amplitudes, random_kets
 from .tolerances import RESIDUAL_TOL
 
 
@@ -190,7 +190,7 @@ def roundtrip_draws(dim: int, target_dim: int, size: int, rng) -> tuple[np.ndarr
     """The draws of one round trip, in order: ``size`` random kets in
     dimension ``dim`` (size, dim), then the Gaussian draw (target_dim, dim)
     of the hidden isometry into ``target_dim``."""
-    family = np.array([random_amplitudes(dim, rng) for _ in range(size)])
+    family = random_kets(dim, rng, size)
     return family, haar_draw(dim, target_dim, rng)
 
 

@@ -73,10 +73,19 @@ def basis_amplitudes(theta, phi=0.0) -> np.ndarray:
     return out[0] if scalar else out
 
 
+def random_kets(dim: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n normalized standard complex Gaussian kets of dimension ``dim``,
+    shape (n, dim), drawn one after another (real parts, then imaginary
+    parts).  Each norm rounds as ``np.linalg.norm`` of its ket does: the
+    strided dot products of its real and imaginary parts."""
+    re, im = np.moveaxis(rng.standard_normal((n, 2, dim)), 1, 0)
+    z = re + 1j * im
+    return z / np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
+
+
 def random_amplitudes(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Normalized standard complex Gaussian amplitudes of dimension ``dim``."""
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
+    """A batch of one of :func:`random_kets`."""
+    return random_kets(dim, rng, 1)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,7 +39,13 @@ from .machines import (
     termwise_batch,
 )
 from .report import Verdict
-from .states import basis_amplitudes, gram_stack, overlap_pair_amplitudes, random_amplitudes
+from .states import (
+    basis_amplitudes,
+    gram_stack,
+    overlap_pair_amplitudes,
+    random_amplitudes,
+    random_kets,
+)
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
 
@@ -47,27 +53,20 @@ def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng(seed * 1000 + salt)
 
 
-def _random_kets(dim: int, rng, n: int) -> np.ndarray:
-    """Amplitudes of n random kets, drawn one after another, shape (n, dim)."""
-    return np.array([random_amplitudes(dim, rng) for _ in range(n)])
-
-
 def _random_densities(rng, n: int, dim: int = 4) -> np.ndarray:
     # Reduced states of random pure states on a doubled space: generic mixed.
-    purified = _random_kets(dim * dim, rng, n)
+    purified = random_kets(dim * dim, rng, n)
     return reduced_states(purified, (dim, dim), (0,))
 
 
-def _random_basis_angles(rng) -> tuple[float, float]:
-    theta = float(rng.uniform(0.0, math.pi))
-    phi = float(rng.uniform(0.0, 2.0 * math.pi - 1e-9))
-    return theta, phi
+def _random_basis_angles(rng, n: int) -> np.ndarray:
+    """Angles (n, 2) of n random basis pairs, drawn in turn as (theta, phi)."""
+    return rng.uniform(0.0, np.tile([math.pi, 2.0 * math.pi - 1e-9], n)).reshape(n, 2)
 
 
 def _random_singlets(rng, n: int) -> np.ndarray:
     """Singlets of n random basis pairs, each drawn as (theta, phi)."""
-    angles = np.array([_random_basis_angles(rng) for _ in range(n)])
-    return nosig._singlets(basis_amplitudes(*angles.T))
+    return nosig._singlets(basis_amplitudes(*_random_basis_angles(rng, n).T))
 
 
 # The factors the partial-trace checks trace down to their kept axes.
@@ -75,7 +74,7 @@ _XYZ = (2, 3, 2)
 
 
 def _check_partial_trace_preserves_trace(seed):
-    kets = _random_kets(math.prod(_XYZ), _rng(seed, 1), 20)
+    kets = random_kets(math.prod(_XYZ), _rng(seed, 1), 20)
     dev = 0.0
     for keep in ((0,), (1,), (0, 2)):
         for r in reduced_states(kets, _XYZ, keep):
@@ -84,7 +83,7 @@ def _check_partial_trace_preserves_trace(seed):
 
 
 def _check_partial_trace_hermiticity(seed):
-    kets = _random_kets(math.prod(_XYZ), _rng(seed, 2), 20)
+    kets = random_kets(math.prod(_XYZ), _rng(seed, 2), 20)
     dev = 0.0
     for keep in ((0,), (1, 2)):
         for r in reduced_states(kets, _XYZ, keep):
@@ -116,9 +115,8 @@ def _check_eig_reconstruction(seed):
     rng = _rng(seed, 6)
     dev = 0.0
     for n in (2, 8, 16):
-        z = np.array([
-            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(5)
-        ])
+        re, im = np.moveaxis(rng.standard_normal((5, 2, n, n)), 1, 0)
+        z = re + 1j * im
         h = 0.5 * (z + np.swapaxes(z, -1, -2).conj())
         vals, vecs = eig_hermitian_batch(h)
         adjoint = np.swapaxes(vecs, -1, -2).conj()
@@ -145,7 +143,7 @@ def _check_inner_factorizes(seed):
 
 
 def _check_entropy_pure_zero(seed):
-    kets = _random_kets(5, _rng(seed, 9), 20)
+    kets = random_kets(5, _rng(seed, 9), 20)
     projectors = kets[:, :, None] * kets.conj()[:, None, :]
     return float(np.max(np.abs(entropy_bits(eig_hermitian_batch(projectors)[0])))), RESIDUAL_TOL
 
@@ -167,7 +165,7 @@ def _check_singlet_marginal(seed):
 
 def _check_gram_psd(seed):
     rng = _rng(seed, 12)
-    families = np.array([_random_kets(4, rng, 3) for _ in range(20)])
+    families = random_kets(4, rng, 60).reshape(20, 3, 4)
     vals, _ = eig_hermitian_batch(gram_stack(families))
     return max(0.0, -float(vals.min())), ASSERT_TOL
 
@@ -183,7 +181,7 @@ def _check_gram_unitary_invariance(seed):
     rng = _rng(seed, 13)
     families, draws = [], []
     for _ in range(10):
-        families.append(_random_kets(5, rng, 4))
+        families.append(random_kets(5, rng, 4))
         draws.append(haar_draw(5, 5, rng))
     families = np.array(families)
     # Each of the 40 kets is a state of its own, moved as one.
@@ -209,7 +207,7 @@ def _check_isometry_extension(seed):
     draws, inputs = [], []
     for _ in range(20):
         draws.append(haar_draw(8, 12, rng))
-        inputs.append(_random_kets(8, rng, 4))
+        inputs.append(random_kets(8, rng, 4))
     inputs = np.array(inputs)
     outputs = images(_random_isometries(draws), inputs)
     found = extend_to_isometries(inputs, outputs)
@@ -224,7 +222,7 @@ def _strong_cloner_deviation(a, b, c) -> np.ndarray:
 
 def _check_strong_cloner_boundary(seed):
     rng = _rng(seed, 15)
-    a, c = np.array([rng.uniform(0.05, 1.0, size=2) for _ in range(100)]).T
+    a, c = rng.uniform(0.05, 1.0, size=(100, 2)).T
     dev = float(np.max(_strong_cloner_deviation(a, a * c, c)))
     off_surface = []
     for _ in range(100):
@@ -247,7 +245,7 @@ def _deleter_deviation(a, g) -> np.ndarray:
 
 def _check_deleter_boundary(seed):
     rng = _rng(seed, 16)
-    a = np.array([rng.uniform(0.05, 1.0) for _ in range(100)])
+    a = rng.uniform(0.05, 1.0, size=100)
     dev = float(np.max(_deleter_deviation(a, a)))
     off_surface = []
     for _ in range(100):
@@ -307,11 +305,6 @@ def _check_linear_no_signalling(seed):
     return float(np.max(np.abs(before - after))), RESIDUAL_TOL
 
 
-def _random_scenario_angles(rng) -> list[tuple[float, float]]:
-    """Angles of a random scenario's four basis pairs, each drawn as (theta, phi)."""
-    return [_random_basis_angles(rng) for _ in range(4)]
-
-
 def _scenario_bases(angles) -> np.ndarray:
     """Basis amplitudes (n, 2, 2, 2, 2) of n scenarios' angles (n, 4, 2)."""
     angles = np.asarray(angles, dtype=float)
@@ -328,7 +321,7 @@ def _computational_against(thetas) -> np.ndarray:
 
 def _check_premachine_bob_marginal(seed):
     rng = _rng(seed, 19)
-    bases = _scenario_bases([_random_scenario_angles(rng) for _ in range(50)])
+    bases = _scenario_bases(_random_basis_angles(rng, 200).reshape(50, 4, 2))
     return float(np.max(nosig.premachine(bases).deviation)), RESIDUAL_TOL
 
 
@@ -339,7 +332,7 @@ def _random_isometric_scenarios(rng, n: int):
     # Bob's (src 2, reg 2, env 4) in and (src 2, copy 2, env 4) out.
     draws = np.empty((n, 16, 16), dtype=complex)
     for t in range(n):
-        angles.append(_random_scenario_angles(rng))
+        angles.append(_random_basis_angles(rng, 4))
         draws[t] = haar_draw(16, 16, rng)
     return _scenario_bases(angles), haar_isometries(draws)
 
@@ -422,7 +415,7 @@ def _check_checker_flips_on_surface(seed):
 
 def _check_isometric_preserves_alice(seed):
     rng = _rng(seed, 24)
-    a, c = np.array([rng.uniform(0.0, 1.0, size=2) for _ in range(50)]).T
+    a, c = rng.uniform(0.0, 1.0, size=(50, 2)).T
     psis, alphas, records = (overlap_pair_amplitudes(z, d) for z, d in ((a, 2), (a * c, 2), (c, 8)))
     inputs, outputs = strong_cloner_rules(psis, alphas, records, 4)
     # Shared states over (A, src, reg), then a blank slot and the environment

@@ -15,6 +15,7 @@ from qclonelab.states import (
     gram_stack,
     overlap_pair_amplitudes,
     random_amplitudes,
+    random_kets,
 )
 from qclonelab.tolerances import ASSERT_TOL
 
@@ -147,6 +148,20 @@ class TestSinglet:
 
 ZERO, ONE = np.eye(2, dtype=complex)
 PLUS = np.array([1, 1]) / math.sqrt(2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 300), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_random_kets_are_the_one_at_a_time_draws_bit_for_bit(dim, n, seed):
+    # The stream and the rounding of one ket after another, each divided by
+    # np.linalg.norm of its amplitudes.
+    rng = np.random.default_rng(seed)
+    one_at_a_time = []
+    for _ in range(n):
+        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        one_at_a_time.append(z / np.linalg.norm(z))
+    stacked = random_kets(dim, np.random.default_rng(seed), n)
+    assert stacked.tobytes() == np.array(one_at_a_time).tobytes()
 
 
 class TestGram:
