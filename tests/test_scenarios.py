@@ -4,6 +4,7 @@ documented exit codes, and one evaluation of each scenario quantity."""
 import ast
 import hashlib
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -142,6 +143,120 @@ def test_verify_more_seeds_bytes_pinned(tmp_path, seed):
     out = tmp_path / "verify.txt"
     assert main(["verify", "--seed", str(seed), "--out", str(out)]) == 0
     assert _sha256(out) == VERIFY_PINNED[seed]
+
+
+# An isometric machine's signalling magnitude is a rounding residual (about
+# 1e-16): its digits follow the order of the arithmetic that forms it, and
+# they are the only bytes a change of that order may move.  These pins hash
+# every other byte: `verify` without the isometric check's line, and the
+# isometric reports and sweep with the magnitude fields blanked.  Every value
+# they leave out must stay below MOVED_BOUND.
+MOVED_BOUND = 1e-15
+_ISOMETRIC_CHECK = " nosignal.isometric_machine_zero_signalling deviation="
+_MAGNITUDE_CELLS = ("signalling_magnitude", "verdict.no_signalling.deviation")
+_MAGNITUDE_FIELDS = (
+    re.compile(r"(?<=^signalling_magnitude = )\S+$", re.M),
+    re.compile(r"(?<= no_signalling deviation=)\S+"),
+    re.compile(r'(?<="signalling_magnitude": ")[^"]+'),
+    re.compile(r'(?<="deviation": ")[^"]+(?=",\s+"name": "no_signalling")'),
+)
+
+VERIFY_MASKED = {
+    1: "47ab786b5029b2601f2fde3f5baf7f59c0a7b7e2cb8db4436eca61440c81b261",
+    2: "483f520f894100418cf6241d3186cdc329b2cc5735ef9f5900719d0ba830f878",
+    3: "1204617ccc7389b0c7bfe82873745fab0dfa30671821dd044b6be3de209e9d17",
+    4: "2fe63d7e281980f09af1f79e6710541eaac3255e7c197a33c4c8920d84d24ad9",
+    5: "51db8eb14b2cb98739b8e7fb25258fc9608e9675f91b7cb1ade1cabdac475b44",
+    6: "e63af379c1a52be51ce5e80d7ed2c2752bb9cae61817cf14c18d7981f6086833",
+    7: "833c75bc910c65159e9167bdaa42067fe9cad2dcd45e9f6e90afe2d14d2e2ee2",
+    8: "c43799cff20b9ac165852bef9c80039d0f30bfe1a46e23271a660a7d363b8633",
+    9: "7188863498aeb1faeb39b2962cff0a7ddf3851a226bd2735f72ef31cdeedcf1b",
+    10: "84de21eae332e9cb7519f114be7538e72189a1805d01fab2490aac8c377814eb",
+    200: "60e103325b907a65dcdf1f9e978bcfd0a662ec34087f83f81b98eccdf2f99177",
+    201: "908a8c994d56b0a491c55a12b8f54419548774ee95b70519fd825dbb4e16a720",
+    202: "86b79348cd933ee4b4b97d51982b6732b674541fce4721aeafc1492d7a9f5e31",
+    203: "1014b1b90b9c93a64120a7070995f27d13f483b76537c279e88617d74647741b",
+    204: "aac6cd01368c9110b5daed25a9e253adddae14f611a1a1eb44e18319d06f54dc",
+    205: "4ab75d4b0258f1c8f1404d8f3d94e31e504672d6513cc36fb34c47174f411b20",
+    206: "a66a6b57c046a70d736af9f8ee840de01c34c33315bbf4a0b499a2d09b0c0336",
+    207: "f6e968af61e4ff2ff3487d3d61acfc248016a70ec2801eff4c1d10c15c585f36",
+    208: "e28439726b4d9324b3ba034555fb58857f4dfeabace3e863560289d73bbefacb",
+    209: "7b4b5126ec6cac5746d6f06f1555c7173c086725c33e551ae022a921a30ccaac",
+    501: "64a8c7c6f32db05ef9c306acb819b8d638c35c01d05442a53637d06b5d2325a8",
+}
+RUN_ISOMETRY_MASKED = {
+    "table": "5993ad801b8623f1e817ec1d7810d1d0c12019de299790e9ee01be4607cb29a2",
+    "csv": "92004765b2900307b1e488861700f59283a244f84da2166b789acff3ebf60962",
+    "json": "88fad536d71f0c5be946d910c73a866980133be62c21fc8aaaaad47b395c5081",
+}
+SWEEP_ISOMETRY_MASKED = "895216c8d371677afcb34de527237a4b133f5964368976f549d3bd15d779a99a"
+
+
+def _without_isometric_check(text: str) -> tuple[str, list[float]]:
+    """``verify`` text without the isometric check's line, and its deviation."""
+    lines = text.splitlines(keepends=True)
+    moved = [line for line in lines if _ISOMETRIC_CHECK in line]
+    assert len(moved) == 1
+    kept = "".join(line for line in lines if _ISOMETRIC_CHECK not in line)
+    return kept, [float(moved[0].split("deviation=")[1].split()[0])]
+
+
+def _without_magnitudes(text: str, fmt: str) -> tuple[str, list[float]]:
+    """A nosignal report (table, csv or json) with its signalling magnitude
+    and no-signalling deviation blanked, and the values blanked."""
+    moved = []
+    if fmt == "csv":
+        rows = [line.split(",") for line in text.split("\n")]
+        columns = [rows[0].index(name) for name in _MAGNITUDE_CELLS]
+        for row in rows[1:-1]:
+            for c in columns:
+                moved.append(float(row[c]))
+                row[c] = "*"
+        return "\n".join(",".join(row) for row in rows), moved
+
+    def blank(match) -> str:
+        moved.append(float(match[0]))
+        return "*"
+
+    for field in _MAGNITUDE_FIELDS:
+        text = field.sub(blank, text)
+    return text, moved
+
+
+def _masked_digest(masked: tuple[str, list[float]], count: int) -> str:
+    """sha256 of a masked text, after checking it left out ``count`` values,
+    each below MOVED_BOUND."""
+    text, moved = masked
+    assert len(moved) == count and max(moved) < MOVED_BOUND, moved
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_MASKED))
+def test_verify_bytes_but_the_isometric_check_pinned(tmp_path, seed):
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--seed", str(seed), "--out", str(out)]) == 0
+    masked = _without_isometric_check(out.read_text())
+    assert _masked_digest(masked, 1) == VERIFY_MASKED[seed]
+
+
+@pytest.mark.parametrize("fmt", sorted(RUN_ISOMETRY_MASKED))
+def test_isometric_run_bytes_but_the_magnitude_pinned(tmp_path, fmt):
+    out = tmp_path / f"report.{fmt}"
+    code = main(["run", str(CONFIGS / "nosignal_isometry.cfg"), "--format", fmt, "--out", str(out)])
+    assert code == 0
+    masked = _without_magnitudes(out.read_text(), fmt)
+    assert _masked_digest(masked, 2) == RUN_ISOMETRY_MASKED[fmt]
+
+
+def test_isometric_sweep_bytes_but_the_magnitude_pinned(tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = main([
+        "sweep", str(CONFIGS / "nosignal_isometry.cfg"), "--grid", "basis2.theta=0:3.1:0.1",
+        "--out", str(out),
+    ])
+    assert code == 0
+    masked = _without_magnitudes(out.read_text(), "csv")
+    assert _masked_digest(masked, 2 * 32) == SWEEP_ISOMETRY_MASKED
 
 
 def _write(tmp_path, text: str) -> str:
