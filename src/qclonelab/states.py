@@ -78,8 +78,8 @@ def random_kets(dim: int, rng: np.random.Generator, n: int) -> np.ndarray:
     shape (n, dim), drawn one after another (real parts, then imaginary
     parts).  Each norm rounds as ``np.linalg.norm`` of its ket does: the
     strided dot products of its real and imaginary parts."""
-    re, im = np.moveaxis(rng.standard_normal((n, 2, dim)), 1, 0)
-    z = re + 1j * im
+    draws = rng.standard_normal((n, 2, dim))
+    z = draws[:, 0] + 1j * draws[:, 1]
     return z / np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
 
 

@@ -40,11 +40,7 @@ from .machines import (
 )
 from .report import Verdict
 from .states import (
-    basis_amplitudes,
-    gram_stack,
-    overlap_pair_amplitudes,
-    random_amplitudes,
-    random_kets,
+    basis_amplitudes, gram_stack, overlap_pair_amplitudes, random_amplitudes, random_kets
 )
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
@@ -61,7 +57,7 @@ def _random_densities(rng, n: int, dim: int = 4) -> np.ndarray:
 
 def _random_basis_angles(rng, n: int) -> np.ndarray:
     """Angles (n, 2) of n random basis pairs, drawn in turn as (theta, phi)."""
-    return rng.uniform(0.0, np.tile([math.pi, 2.0 * math.pi - 1e-9], n)).reshape(n, 2)
+    return rng.uniform(0.0, [math.pi, 2.0 * math.pi - 1e-9], size=(n, 2))
 
 
 def _random_singlets(rng, n: int) -> np.ndarray:
