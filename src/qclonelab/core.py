@@ -406,13 +406,17 @@ def eig_hermitian(h) -> Spectrum:
     return Spectrum(vals[0], vecs[0])
 
 
-def trace_distances(first, second) -> np.ndarray:
+def trace_distances(first, second, basis=None) -> np.ndarray:
     """Half the trace norms of ``first - second`` for stacked pairs of
     Hermitian matrices (..., n, n).
 
     Each pair's difference is formed in a canonical order of its two
-    matrices (by their bytes), so every distance is bitwise symmetric.  The
-    eigensolver's guards name the first failing pair.
+    matrices (by their bytes), so every distance is bitwise symmetric.  Given
+    orthonormal columns ``basis`` (..., n, m) spanning each difference, the
+    eigenvalues are those of the m x m projected differences.  The guards
+    name the first failing pair: the eigensolver's, and that the squared
+    eigenvalues sum to the difference's squared Frobenius norm (a difference
+    outside its basis fails it) within ``RESIDUAL_TOL``.
     """
     first, second = np.broadcast_arrays(
         np.asarray(first, dtype=complex), np.asarray(second, dtype=complex)
@@ -422,7 +426,11 @@ def trace_distances(first, second) -> np.ndarray:
     swap = np.array([s.tobytes() < f.tobytes() for f, s in pairs], dtype=bool)
     swap = swap.reshape(first.shape[:-2])[..., None, None]
     diff = np.where(swap, second, first) - np.where(swap, first, second)
-    vals, _ = eig_hermitian_batch(diff, tol=10 * ASSERT_TOL)
+    projected = diff if basis is None else np.swapaxes(basis, -1, -2).conj() @ diff @ basis
+    vals, _ = eig_hermitian_batch(projected, tol=10 * ASSERT_TOL)
+    missed = np.abs(np.sum(np.abs(diff) ** 2, axis=(-2, -1)) - np.sum(vals**2, axis=-1))
+    message = "difference's squared eigenvalues miss its squared Frobenius norm by {dev:g}"
+    require_within(missed, RESIDUAL_TOL, ArithmeticError, message)
     return 0.5 * np.sum(np.abs(vals), axis=-1)
 
 

@@ -30,6 +30,7 @@ from .core import (
     trace_distances,
 )
 from .machines import apply_isometries, require_isometries, termwise_batch, wishful_rules
+from .states import gram_stack
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
 
@@ -48,9 +49,10 @@ class NosignalBatch:
     """Results of :func:`evaluate_batch`, stacked over the batch (axis 0).
 
     Bob's marginals after the machine, conditioned on Alice's basis 1 and 2,
-    have shape (n, 2, D, D) and their spectra (n, 2, D), descending; the
-    validity deviation is the worst of both marginals' Hermiticity, trace
-    and eigenvalue-range deviations.
+    have shape (n, 2, D, D) and their spectra (n, 2, D), descending: the
+    Gram spectra of the states conditioned on Alice's four outcomes, padded
+    with exact zeros.  The validity deviation is the worst of both
+    marginals' Hermiticity, trace and eigenvalue-range deviations.
     """
 
     joint: np.ndarray
@@ -115,16 +117,9 @@ def premachine(bases, ancilla_dim: int = 4) -> Premachine:
     return Premachine(joint, marginal, deviation)
 
 
-def _bob_marginal(after: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-    """Outcome-averaged Bob states (n, D, D) of states ``after`` (n, 4, D),
-    Alice's two qubits leading, over her product basis ``outcomes``
-    (n, 4, 4): the conditioned states summed in outcome order."""
-    n, _, dim = after.shape
-    rho = np.zeros((n, dim, dim), dtype=complex)
-    for o in range(outcomes.shape[1]):
-        conditioned = (outcomes[:, o].conj()[:, None, :] @ after)[:, 0]
-        rho += conditioned[:, :, None] * conditioned.conj()[:, None, :]
-    return rho
+def _span(states: np.ndarray) -> np.ndarray:
+    """Orthonormal columns (n, D, m) spanning stacked states (n, m, D)."""
+    return np.linalg.qr(np.swapaxes(states, -1, -2))[0]
 
 
 def evaluate_batch(
@@ -176,22 +171,24 @@ def evaluate_batch(
         # The guards name indices within the chunk; renamed, they name the batch's.
         chunk = range(start, min(n, start + step))
         with failures_named("batch index", chunk) if n > step else nullcontext():
-            after[part] = _machine_stage(
+            conditioned = _machine_stage(
                 before.joint[part], bases[part], machine, ancilla_dim, tol
             )
-            vals[part], validity[part], distance[part] = _spectra_and_distance(after[part])
+            results = _spectra_and_distance(conditioned)
+            after[part], vals[part], validity[part], distance[part] = results
     return NosignalBatch(
         before.joint, before.marginal, before.deviation, after, vals, validity, distance
     )
 
 
 def _machine_stage(joint, bases, machine, ancilla_dim: int, tol: float) -> np.ndarray:
-    """Bob's marginals (n, 2, D, D) after an isometry stack or termwise rule
-    stacks (inputs, outputs), for Alice's two basis choices."""
+    """Bob's unnormalized states (n, 2, 4, D) conditioned on each outcome of
+    Alice's two basis choices, after an isometry stack or termwise rule
+    stacks (inputs, outputs)."""
     # Spectators (pa, aa) lead, then the acted (pb, ab, env).
     blocks = joint.reshape(-1, 2, 2, 2, 2, ancilla_dim)
     blocks = blocks.transpose(0, 1, 3, 2, 4, 5).reshape(-1, 4, 4 * ancilla_dim)
-    marginals = []
+    conditioned = []
     for k in (0, 1):
         outcomes = _products(bases[:, k, 0], bases[:, k, 1])
         if isinstance(machine, np.ndarray):
@@ -199,17 +196,29 @@ def _machine_stage(joint, bases, machine, ancilla_dim: int, tol: float) -> np.nd
         else:
             basis = np.ascontiguousarray(np.swapaxes(outcomes, -1, -2))
             state = termwise_batch(blocks, basis, *machine, tol)
-        marginals.append(_bob_marginal(state, outcomes))
-    return np.stack(marginals, axis=1)
+        rows = [outcomes[:, o].conj()[:, None, :] @ state for o in range(4)]
+        conditioned.append(np.concatenate(rows, axis=1))
+    return np.stack(conditioned, axis=1)
 
 
-def _spectra_and_distance(rho: np.ndarray):
-    """Spectra, validity deviations and trace distances of stacked pairs of
-    Bob marginals (n, 2, D, D), after checking that every marginal is a
-    Hermitian unit-trace matrix."""
+def _spectra_and_distance(conditioned: np.ndarray):
+    """Stacked pairs of Bob marginals (n, 2, D, D), each the sum of c c^dagger
+    over its conditioned states (n, 2, 4, D) in outcome order, and their
+    spectra, validity deviations and trace distances, after checking that
+    every marginal is a Hermitian unit-trace matrix.  A marginal's nonzero
+    eigenvalues are its states' Gram eigenvalues, and a pair's difference
+    lies in the span of the pair's eight states."""
+    n, _, m, dim = conditioned.shape
+    rho = np.zeros((n, 2, dim, dim), dtype=complex)
+    for c in np.moveaxis(conditioned, 2, 0):
+        rho += c[..., :, None] * c.conj()[..., None, :]
     herm, trace = require_density_matrices(rho, "Bob marginal")
-    vals, _ = eig_hermitian_batch(rho)
+    vals = np.zeros((n, 2, dim))
+    vals[..., :m] = eig_hermitian_batch(gram_stack(conditioned))[0]
+    # Sorted after padding, so that a Gram eigenvalue of -1e-17 follows the zeros.
+    vals = np.sort(vals, axis=-1)[..., ::-1]
     validity = np.max(
         np.stack([herm, trace, -vals.min(axis=-1), vals.max(axis=-1) - 1.0]), axis=(0, 2)
     )
-    return vals, validity, trace_distances(rho[:, 0], rho[:, 1])
+    span = _span(conditioned.reshape(n, 2 * m, dim))
+    return rho, vals, validity, trace_distances(rho[:, 0], rho[:, 1], span)

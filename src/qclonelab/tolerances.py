@@ -3,7 +3,7 @@
 Two tiers, both constants: ASSERT_TOL guards logical claims
 (orthogonality, normalization, Gram equality, isometries, verdicts),
 RESIDUAL_TOL guards linear-algebra residuals (eigendecomposition
-reconstruction, closed forms, overlaps).  The LAPACK kernels (``eigh``,
+reconstruction, a trace distance's Frobenius norm, closed forms, overlaps).  The LAPACK kernels (``eigh``,
 ``svd``, ``qr``) run without tolerances of their own and their results are
 checked against these; the isometry extension counts rank as
 ``np.linalg.matrix_rank`` does.  Only two guards take their tolerance as a

@@ -34,6 +34,12 @@ def trace_distance_eigsum(r, s):
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(r - s))))
 
 
+def spectra_eigvalsh(rho):
+    """Eigenvalues, descending, of stacked Hermitian matrices (..., n, n),
+    each from one dense LAPACK solve of the whole matrix."""
+    return np.linalg.eigvalsh(rho)[..., ::-1]
+
+
 def partial_trace_einsum(rho, dims, keep):
     """Partial trace of a dense density matrix as one einsum: row axes get
     fresh letters, and each traced column axis reuses its row letter."""

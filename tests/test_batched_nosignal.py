@@ -7,11 +7,11 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import qclonelab.nosignal as nosig
-from oracles import kron_all, partial_trace_einsum
+from oracles import kron_all, partial_trace_einsum, spectra_eigvalsh, trace_distance_eigsum
 from conftest import random_isometry, signature
 from qclonelab.core import CHUNK_ENTRIES
 from qclonelab.machines import (
@@ -23,7 +23,7 @@ from qclonelab.machines import (
     require_isometries,
     wishful_rules,
 )
-from qclonelab.states import basis_amplitudes, overlap_pair_amplitudes
+from qclonelab.states import basis_amplitudes, overlap_pair_amplitudes, random_kets
 
 # Bloch angles, with the edges where the two bases' wishful rules coincide
 # (theta = 0) or coincide up to phase (theta = pi).
@@ -84,6 +84,65 @@ def test_batch_equals_batches_of_one(angles, ancilla_dim, isometric, seed):
     for f in fields(nosig.NosignalBatch):
         one_by_one = np.concatenate([getattr(s, f.name) for s in singles])
         assert getattr(batch, f.name).tobytes() == one_by_one.tobytes(), f.name
+
+
+def _machine(isometric: bool, n: int, ancilla_dim: int, seed: int) -> dict:
+    """``evaluate_batch``'s machine argument: n Haar isometries, or none for
+    the wishful cloner."""
+    if not isometric:
+        return {}
+    return {"isometries": haar_isometries(_isometries(range(seed, seed + n), ancilla_dim))}
+
+
+_generic_scenario = st.lists(
+    st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi - 1e-9)),
+    min_size=4, max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    angles=st.lists(_generic_scenario, min_size=1, max_size=3),
+    ancilla_dim=st.integers(2, 8),
+    isometric=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_low_rank_spectra_and_distance_match_dense_eigvalsh(angles, ancilla_dim, isometric, seed):
+    try:
+        batch = nosig.evaluate_batch(
+            _bases(angles), ancilla_dim, **_machine(isometric, len(angles), ancilla_dim, seed)
+        )
+    except ConflictingRules:
+        reject()
+    vals = batch.eigenvalues_after
+    assert np.max(np.abs(vals - spectra_eigvalsh(batch.marginal_after))) < 1e-13
+    assert np.all(np.diff(vals, axis=-1) <= 0.0)
+    for magnitude, (first, second) in zip(batch.signalling_magnitude, batch.marginal_after):
+        assert abs(magnitude - trace_distance_eigsum(first, second)) < 1e-13
+
+
+def test_a_negative_gram_eigenvalue_sorts_after_the_padded_zeros():
+    # Two equal conditioned states make each Gram matrix singular; at this
+    # seed basis 1's smallest Gram eigenvalue rounds below zero.
+    conditioned = 0.5 * random_kets(8, np.random.default_rng(0), 8).reshape(1, 2, 4, 8)
+    conditioned[:, :, 3] = conditioned[:, :, 2]
+    rho, vals, validity, _ = nosig._spectra_and_distance(conditioned)
+    assert vals.min() < 0.0 and np.all(np.diff(vals, axis=-1) <= 0.0)
+    assert validity[0] >= -vals.min()
+    assert np.max(np.abs(vals - spectra_eigvalsh(rho))) < 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    basis1=st.lists(st.tuples(_theta, _phi), min_size=2, max_size=2),
+    ancilla_dim=st.integers(2, 8),
+    isometric=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_magnitude_exactly_zero_when_basis_2_is_basis_1(basis1, ancilla_dim, isometric, seed):
+    bases = _bases([basis1 * 2])
+    batch = nosig.evaluate_batch(bases, ancilla_dim, **_machine(isometric, 1, ancilla_dim, seed))
+    assert batch.signalling_magnitude.tolist() == [0.0]
 
 
 @settings(max_examples=30, deadline=None)

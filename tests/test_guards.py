@@ -9,9 +9,10 @@ import qclonelab.conservation as cons
 import qclonelab.core as core
 import qclonelab.nosignal as nosig
 from conftest import signature
-from qclonelab.core import DensityMatrix, Ket, eig_hermitian_batch
+from oracles import trace_distance_eigsum
+from qclonelab.core import CHUNK_ENTRIES, DensityMatrix, Ket, eig_hermitian_batch
 from qclonelab.machines import haar_isometries, require_isometries
-from qclonelab.states import basis_amplitudes
+from qclonelab.states import basis_amplitudes, random_kets
 
 Q = signature(("q", 2))
 
@@ -80,3 +81,53 @@ def test_eigensolver_names_the_leading_index():
     stack[1, 1, 0, 1] = 0.1
     with pytest.raises(ValueError, match="not Hermitian .* at batch index 1$"):
         eig_hermitian_batch(stack)
+
+
+class TestDifferenceOutsideItsBasis:
+    """``trace_distances`` on a basis checks that the squared eigenvalues of
+    the projected difference sum to the difference's squared Frobenius norm;
+    a basis that misses part of a difference fails at that pair."""
+
+    @staticmethod
+    def _pairs(rng, n: int = 4):
+        # Each pair sums four rank-1 terms per side: its difference lies in
+        # the span of eight states in dimension 16.
+        states = 0.5 * random_kets(16, rng, 8 * n).reshape(n, 8, 16)
+        terms = states[..., :, None] * states.conj()[..., None, :]
+        return terms[:, :4].sum(axis=1), terms[:, 4:].sum(axis=1), states
+
+    @staticmethod
+    def _basis(states):
+        return np.linalg.qr(np.swapaxes(states, -1, -2))[0]
+
+    def test_projected_distance_is_the_dense_one(self):
+        first, second, states = self._pairs(np.random.default_rng(1))
+        got = core.trace_distances(first, second, self._basis(states))
+        brute = [trace_distance_eigsum(f, s) for f, s in zip(first, second)]
+        np.testing.assert_allclose(got, brute, rtol=0.0, atol=1e-13)
+
+    def test_a_state_dropped_from_the_basis_is_named(self):
+        first, second, states = self._pairs(np.random.default_rng(2))
+        states[2, 5] = 0.0
+        with pytest.raises(ArithmeticError, match=r"Frobenius norm by .* at batch index 2$"):
+            core.trace_distances(first, second, self._basis(states))
+
+    def test_a_span_missing_a_conditioned_state_is_named(self, monkeypatch):
+        # The wishful cloner's basis 2 first cloned-branch state (outcome
+        # psi alpha) dropped from the span of one point of the second chunk.
+        span, calls = nosig._span, []
+
+        def dropping(states):
+            calls.append(len(states))
+            if len(calls) == 2:
+                states = states.copy()
+                states[2, 4] = 0.0
+            return span(states)
+
+        monkeypatch.setattr(nosig, "_span", dropping)
+        step = CHUNK_ENTRIES // 16**2  # points per chunk at ancilla_dim 4
+        computational, tilted = basis_amplitudes(0.0), basis_amplitudes(0.7)
+        bases = np.array([[[computational] * 2, [tilted] * 2]] * (step + 4))
+        with pytest.raises(ArithmeticError, match=f"at batch index {step + 2}$"):
+            nosig.evaluate_batch(bases)
+        assert calls == [step, 4]
