@@ -111,8 +111,8 @@ def _check_eig_reconstruction(seed):
     rng = _rng(seed, 6)
     dev = 0.0
     for n in (2, 8, 16):
-        re, im = np.moveaxis(rng.standard_normal((5, 2, n, n)), 1, 0)
-        z = re + 1j * im
+        draws = rng.standard_normal((5, 2, n, n))
+        z = draws[:, 0] + 1j * draws[:, 1]
         h = 0.5 * (z + np.swapaxes(z, -1, -2).conj())
         vals, vecs = eig_hermitian_batch(h)
         adjoint = np.swapaxes(vecs, -1, -2).conj()
