@@ -81,6 +81,32 @@ SWEEP_PINNED = [
                  id="isometry"),
 ]
 
+# Sweeps over the keys that split nosignal points into batches: the ancilla
+# dimension in both machine modes (252 rows) and the wishful cloner's
+# assertion tolerance (630 rows), each against basis 2's theta.
+_DIM_THETA = ("machine.ancilla_dim=2:8:2", "basis2.theta=0:3.1:0.05")
+_TOL_THETA = ("tolerance.assert=1e-11:2e-9:2e-10", "basis2.theta=0:3.1:0.05")
+BATCHED_SWEEP_PINNED = [
+    pytest.param("nosignal_wishful", _DIM_THETA, "csv", 1,
+                 "04f450587067fe0ff64e81f5a9b203eba9d210fedccf2f1afb6ecb4b5482cfe6",
+                 id="wishful-dim-csv"),
+    pytest.param("nosignal_wishful", _DIM_THETA, "json", 1,
+                 "f4060eb545404ad61278ea8d076fadce6ffb6dde105fef4178d575d428419436",
+                 id="wishful-dim-json"),
+    pytest.param("nosignal_isometry", _DIM_THETA, "csv", 0,
+                 "1240df369b60ce91e2a8bbcb57c2315e3f4bfcfed14e04c56976914827f9abd0",
+                 id="isometry-dim-csv"),
+    pytest.param("nosignal_isometry", _DIM_THETA, "json", 0,
+                 "308bbccec49a7ea4296d263663596806eba26232f8b1a4f135e3f8874d8174ad",
+                 id="isometry-dim-json"),
+    pytest.param("nosignal_wishful", _TOL_THETA, "csv", 1,
+                 "763980948d5ce1987e0a0474c346de0cde75868e16531a697990436664213c9c",
+                 id="wishful-tol-csv"),
+    pytest.param("nosignal_wishful", _TOL_THETA, "json", 1,
+                 "bb677875c6c9815cd73555356349231704de5f56d1f01cda3e0effe90eb53c40",
+                 id="wishful-tol-json"),
+]
+
 VERIFY_SEED7 = "6fc9561161dac3b352ecdf8d147613e65e6d727ffae3e3ab2d0435d2fe55e17e"
 # `verify` on more seeds: 1 and 501 taken from the per-point nosignal and
 # Gram-boundary checks that the batched kernel replaced; 2-10 and 200-209
@@ -129,6 +155,17 @@ def test_nosignal_sweep_bytes_pinned(tmp_path, name, exit_code, digest):
     out = tmp_path / "sweep.csv"
     code = main([
         "sweep", str(CONFIGS / f"{name}.cfg"), "--grid", "basis2.theta=0:3.1:0.1",
+        "--out", str(out),
+    ])
+    assert code == exit_code
+    assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("name, grid, fmt, exit_code, digest", BATCHED_SWEEP_PINNED)
+def test_sweep_over_nosignal_batch_keys_pinned(tmp_path, name, grid, fmt, exit_code, digest):
+    out = tmp_path / f"sweep.{fmt}"
+    code = main([
+        "sweep", str(CONFIGS / f"{name}.cfg"), "--grid", *grid, "--format", fmt,
         "--out", str(out),
     ])
     assert code == exit_code
