@@ -363,8 +363,8 @@ def eig_hermitian_batch(stack, tol: float = ASSERT_TOL) -> tuple[np.ndarray, np.
     """Eigendecompositions of a stack of Hermitian matrices, shape (..., n, n).
 
     Returns eigenvalues (..., n), descending, and eigenvectors (..., n, n)
-    as columns.  The 2x2 closed form runs on the whole stack at once; larger
-    matrices take one LAPACK ``eigh`` call on the whole stack.  The
+    as columns.  The 2x2 closed form runs on the whole stack at once; other
+    sizes take one LAPACK ``eigh`` call on the whole stack.  The
     Hermiticity guard (within ``tol``) and the reconstruction-residual guard
     (within ``RESIDUAL_TOL``) name the first failing index along axis 0.
     """
@@ -372,11 +372,7 @@ def eig_hermitian_batch(stack, tol: float = ASSERT_TOL) -> tuple[np.ndarray, np.
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {mat.shape}")
     mat = _require_hermitian(mat, tol)
-    n = mat.shape[-1]
-    if n == 1:
-        vals = mat[..., 0].real
-        vecs = np.ones(mat.shape, dtype=complex)
-    elif n == 2:
+    if mat.shape[-1] == 2:
         vals, vecs = _eig_2x2(mat)
     else:
         vals, vecs = np.linalg.eigh(mat)

@@ -267,10 +267,10 @@ def _result_signature(spectators, output_signature: SubsystemSignature) -> Subsy
     return SubsystemSignature(tuple(spectators)).concat(output_signature)
 
 
-def _termwise_table(basis, inputs, outputs, tol):
+def _termwise_table(basis, inputs, outputs):
     """Rule table of termwise machines over stacked expansion bases.
 
-    ``basis`` (n, e, e) holds each point's expansion elements as columns,
+    ``basis`` (n, e, e) holds each point's expansion elements as rows,
     ``inputs`` (n, R, e * a) and ``outputs`` (n, R, d_out) its declared
     rules.  A rule is usable when its input factors as (expansion element)
     x (ancilla state); the ancilla state of a point is that of its first
@@ -282,28 +282,28 @@ def _termwise_table(basis, inputs, outputs, tol):
     """
     n, n_rules = inputs.shape[:2]
     d_exp = basis.shape[-1]
-    coeffs = np.swapaxes(basis.conj(), -1, -2)[:, None] @ inputs.reshape(n, n_rules, d_exp, -1)
+    coeffs = basis.conj()[:, None] @ inputs.reshape(n, n_rules, d_exp, -1)
     element = np.argmax(np.linalg.norm(coeffs, axis=-1), axis=-1)  # (n, R)
-    column = np.take_along_axis(basis[:, None], element[..., None, None], axis=-1)[..., 0]
+    row = np.take_along_axis(basis[:, None], element[..., None, None], axis=-2)[..., 0, :]
     factor = np.take_along_axis(coeffs, element[..., None, None], axis=-2)[..., 0, :]
-    usable = ~(np.max(np.abs(kron_stack(column, factor) - inputs), axis=-1) > tol)
+    usable = ~(np.max(np.abs(kron_stack(row, factor) - inputs), axis=-1) > ASSERT_TOL)
 
     points = np.arange(n)
     ancilla = factor[points, np.argmax(usable, axis=1)]
     outputs = np.array(outputs, dtype=complex)
     stray = np.zeros((n, n_rules), dtype=bool)
-    rephased = usable & (np.max(np.abs(ancilla[:, None] - factor), axis=-1) > tol)
+    rephased = usable & (np.max(np.abs(ancilla[:, None] - factor), axis=-1) > ASSERT_TOL)
     for p, i in zip(*np.nonzero(rephased)):
         overlap = complex(np.vdot(ancilla[p], factor[p, i]))
-        phase = overlap / abs(overlap) if abs(overlap) > tol else 0.0
-        stray[p, i] = float(np.max(np.abs(phase * ancilla[p] - factor[p, i]))) > tol
+        phase = overlap / abs(overlap) if abs(overlap) > ASSERT_TOL else 0.0
+        stray[p, i] = float(np.max(np.abs(phase * ancilla[p] - factor[p, i]))) > ASSERT_TOL
         outputs[p, i] = outputs[p, i] * phase.conjugate()
 
     # owner[p, i]: the first usable rule of point p on rule i's element.
     same = usable[:, :, None] & usable[:, None, :] & (element[:, :, None] == element[:, None, :])
     owner = np.argmax(same, axis=2)
     gap = np.max(np.abs(np.take_along_axis(outputs, owner[..., None], axis=1) - outputs), axis=-1)
-    conflict = usable & (gap > tol)
+    conflict = usable & (gap > ASSERT_TOL)
     failed = stray | conflict
     if np.any(failed):
         p, where = first_failure(failed.any(axis=1))
@@ -324,7 +324,7 @@ def _termwise_table(basis, inputs, outputs, tol):
     return table, covered, ancilla
 
 
-def termwise_batch(blocks, basis, inputs, outputs, tol: float = ASSERT_TOL) -> np.ndarray:
+def termwise_batch(blocks, basis, inputs, outputs) -> np.ndarray:
     """Termwise images of stacked states under stacked rule sets.
 
     ``blocks`` (n, s, e * a) holds each point's state with the spectators
@@ -332,20 +332,21 @@ def termwise_batch(blocks, basis, inputs, outputs, tol: float = ASSERT_TOL) -> n
     ``basis``, ``inputs`` and ``outputs`` are as in the rule table.  Each
     state is expanded over its basis, and every term carrying weight is
     replaced by its declared output with the coefficient (including sign)
-    kept.  Returns (n, s, d_out); every guard names the first failing point,
-    starting with the orthonormality of each basis.
+    kept.  Returns (n, s, d_out); every guard, within ``ASSERT_TOL``, names
+    the first failing point, starting with the orthonormality of each basis.
     """
     n, s, _ = blocks.shape
     d_exp = basis.shape[-1]
-    gram_dev = np.abs(np.swapaxes(basis, -1, -2).conj() @ basis - np.eye(d_exp))
-    require_within(np.max(gram_dev, axis=(-2, -1)), tol, ValueError, "non-orthonormal expansion")
-    table, covered, ancilla = _termwise_table(basis, inputs, outputs, tol)
+    gram_dev = np.abs(basis @ np.swapaxes(basis, -1, -2).conj() - np.eye(d_exp))
+    message = "non-orthonormal expansion"
+    require_within(np.max(gram_dev, axis=(-2, -1)), ASSERT_TOL, ValueError, message)
+    table, covered, ancilla = _termwise_table(basis, inputs, outputs)
     psi = blocks.reshape(n, s, d_exp, -1)
-    branch = np.einsum("nek,nsea->nksa", basis.conj(), psi)
-    weight = np.linalg.norm(branch, axis=(-2, -1)) > tol
+    branch = np.einsum("nke,nsea->nksa", basis.conj(), psi)
+    weight = np.linalg.norm(branch, axis=(-2, -1)) > ASSERT_TOL
     coeff = (branch @ ancilla.conj()[:, None, :, None])[..., 0]  # (n, e, s)
     residue = branch - coeff[..., None] * ancilla[:, None, None, :]
-    outside = np.max(np.abs(residue), axis=(-2, -1)) > tol
+    outside = np.max(np.abs(residue), axis=(-2, -1)) > ASSERT_TOL
     uncovered = weight & ~covered
     failed = uncovered | (weight & outside)
     if np.any(failed):
@@ -393,7 +394,7 @@ def apply_termwise(m: MachineSpec, state: Ket, acted_labels, expansion: StateFam
             f"expansion must contain {d_exp} states to span the acted factors, "
             f"got {len(expansion)}"
         )
-    basis = np.stack([k.amplitudes for k in expansion.members], axis=1)  # (d_exp, d_exp)
+    basis = np.stack([k.amplitudes for k in expansion.members])  # (d_exp, d_exp)
     inputs = np.stack([x.amplitudes for x, _ in m.pairs])
     outputs = np.stack([y.amplitudes for _, y in m.pairs])
     amp = termwise_batch(block[None], basis[None], inputs[None], outputs[None])[0].reshape(-1)
@@ -405,6 +406,18 @@ def _kron_all(*vecs: np.ndarray) -> np.ndarray:
     for v in vecs:
         out = kron_stack(out, v)
     return out
+
+
+def product_outcomes(psi_bases: np.ndarray, alpha_bases: np.ndarray) -> np.ndarray:
+    """Product kets (..., 4, 4) of stacked source and register basis pairs
+    (..., 2, 2) [primary, complement], in the outcome order psi alpha,
+    psibar alphabar, psi alphabar, psibar alpha: Alice's product basis of
+    one basis choice, and the (src, reg) factors of the wishful rules."""
+    psi, psibar = psi_bases[..., 0, :], psi_bases[..., 1, :]
+    alpha, alphabar = alpha_bases[..., 0, :], alpha_bases[..., 1, :]
+    sources = np.stack([psi, psibar, psi, psibar], axis=-2)
+    registers = np.stack([alpha, alphabar, alphabar, alpha], axis=-2)
+    return kron_stack(sources, registers)
 
 
 def wishful_rules(
@@ -436,13 +449,13 @@ def wishful_rules(
     if ancilla_dim < 2:
         raise ValueError("environment register needs dimension >= 2")
     env_in, c2 = np.eye(2, ancilla_dim, dtype=complex)  # C1 is the input state |C>
-    psi, psibar = psi_bases[..., 0, :], psi_bases[..., 1, :]
-    alpha, alphabar = alpha_bases[..., 0, :], alpha_bases[..., 1, :]
-    sources = np.stack([psi, psibar, psi, psibar], axis=-2)
-    registers = np.stack([alpha, alphabar, alphabar, alpha], axis=-2)
-    copies = np.stack([psi, psibar, alphabar, alpha], axis=-2)
+    outcomes = product_outcomes(psi_bases, alpha_bases)
+    # (src, copy): psi psi and psibar psibar cloned, the other two passed through.
+    copied = np.concatenate(
+        [product_outcomes(psi_bases, psi_bases)[..., :2, :], outcomes[..., 2:, :]], axis=-2
+    )
     records = np.stack([env_in, c2, env_in, env_in])
-    return _kron_all(sources, registers, env_in), _kron_all(sources, copies, records)
+    return kron_stack(outcomes, env_in), kron_stack(copied, records)
 
 
 def strong_cloner_rules(

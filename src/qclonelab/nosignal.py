@@ -29,8 +29,10 @@ from .core import (
     require_within,
     trace_distances,
 )
-from .machines import apply_isometries, require_isometries, termwise_batch, wishful_rules
-from .states import gram_stack
+from .machines import (
+    apply_isometries, product_outcomes, require_isometries, termwise_batch, wishful_rules
+)
+from .states import basis_amplitudes, gram_stack
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
 
@@ -64,12 +66,12 @@ class NosignalBatch:
     signalling_magnitude: np.ndarray
 
 
-def _products(psis: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Alice's product basis for one basis choice, stacked (..., 4, 4):
-    psi alpha, psibar alphabar, psi alphabar, psibar alpha."""
-    p, pb = psis[..., 0, :], psis[..., 1, :]
-    a, ab = alphas[..., 0, :], alphas[..., 1, :]
-    return kron_stack(np.stack([p, pb, p, pb], axis=-2), np.stack([a, ab, ab, a], axis=-2))
+def scenario_bases(angles) -> np.ndarray:
+    """Basis amplitudes (n, 2, 2, 2, 2) of n scenarios' Bloch angles
+    (n, 2, 2, 2): per point, Alice's basis choice, then psi/alpha, then
+    (theta, phi); one :func:`~qclonelab.states.basis_amplitudes` call."""
+    angles = np.asarray(angles, dtype=float)
+    return basis_amplitudes(*angles.reshape(-1, 2).T).reshape(*angles.shape[:-1], 2, 2)
 
 
 def wishful_machine_rules(
@@ -77,10 +79,8 @@ def wishful_machine_rules(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Declared inputs and outputs (n, 8, 4 ancilla_dim) of the wishful
     cloner of both basis choices, basis 1's rules first."""
-    inputs, outputs = zip(
-        *(wishful_rules(bases[:, k, 0], bases[:, k, 1], ancilla_dim) for k in (0, 1))
-    )
-    return np.concatenate(inputs, axis=1), np.concatenate(outputs, axis=1)
+    inputs, outputs = wishful_rules(bases[:, :, 0], bases[:, :, 1], ancilla_dim)
+    return inputs.reshape(len(bases), 8, -1), outputs.reshape(len(bases), 8, -1)
 
 
 def _singlets(pairs: np.ndarray) -> np.ndarray:
@@ -126,7 +126,6 @@ def evaluate_batch(
     bases,
     ancilla_dim: int = 4,
     isometries=None,
-    tol: float = ASSERT_TOL,
 ) -> NosignalBatch:
     """Bob's marginals before and after a machine, for Alice's two basis
     choices, their spectra and validity deviations, and the signalling
@@ -137,8 +136,7 @@ def evaluate_batch(
     then psi/alpha, then primary/complement amplitudes.  The machine is one
     per point: ``isometries`` (n, D, 4 ancilla_dim) applied as linear maps
     to (pb, ab, env), or else the wishful cloner of both bases (basis 1's
-    rules first) applied termwise in the product basis of Alice's choice,
-    its guards within ``tol``.
+    rules first) applied termwise in the product basis of Alice's choice.
 
     Each result is bit-for-bit what a batch of one gives for that point.
     Every guard names the first failing point by its index in the batch:
@@ -171,9 +169,7 @@ def evaluate_batch(
         # The guards name indices within the chunk; renamed, they name the batch's.
         chunk = range(start, min(n, start + step))
         with failures_named("batch index", chunk) if n > step else nullcontext():
-            conditioned = _machine_stage(
-                before.joint[part], bases[part], machine, ancilla_dim, tol
-            )
+            conditioned = _machine_stage(before.joint[part], bases[part], machine, ancilla_dim)
             results = _spectra_and_distance(conditioned)
             after[part], vals[part], validity[part], distance[part] = results
     return NosignalBatch(
@@ -181,24 +177,20 @@ def evaluate_batch(
     )
 
 
-def _machine_stage(joint, bases, machine, ancilla_dim: int, tol: float) -> np.ndarray:
+def _machine_stage(joint, bases, machine, ancilla_dim: int) -> np.ndarray:
     """Bob's unnormalized states (n, 2, 4, D) conditioned on each outcome of
     Alice's two basis choices, after an isometry stack or termwise rule
     stacks (inputs, outputs)."""
     # Spectators (pa, aa) lead, then the acted (pb, ab, env).
     blocks = joint.reshape(-1, 2, 2, 2, 2, ancilla_dim)
     blocks = blocks.transpose(0, 1, 3, 2, 4, 5).reshape(-1, 4, 4 * ancilla_dim)
-    conditioned = []
-    for k in (0, 1):
-        outcomes = _products(bases[:, k, 0], bases[:, k, 1])
-        if isinstance(machine, np.ndarray):
-            state = apply_isometries(machine, blocks)
-        else:
-            basis = np.ascontiguousarray(np.swapaxes(outcomes, -1, -2))
-            state = termwise_batch(blocks, basis, *machine, tol)
-        rows = [outcomes[:, o].conj()[:, None, :] @ state for o in range(4)]
-        conditioned.append(np.concatenate(rows, axis=1))
-    return np.stack(conditioned, axis=1)
+    outcomes = product_outcomes(bases[:, :, 0], bases[:, :, 1])  # (n, 2, 4, 4)
+    if isinstance(machine, np.ndarray):
+        states = apply_isometries(machine, blocks)[:, None]  # one image for both choices
+    else:
+        # One call per choice: stacked, one point's two choices would name batch indices.
+        states = np.stack([termwise_batch(blocks, outcomes[:, k], *machine) for k in (0, 1)], 1)
+    return outcomes.conj() @ states
 
 
 def _spectra_and_distance(conditioned: np.ndarray):

@@ -20,15 +20,14 @@ from .config import ScenarioGrid, echo_columns
 from .core import cmul, failures_named
 from .machines import haar_draw, haar_isometries
 from .report import ScenarioReport, concatenate_rows
-from .states import basis_amplitudes, unit_phases
+from .states import unit_phases
 
 
 def _bases(grid: ScenarioGrid) -> np.ndarray:
     """Basis amplitudes of nosignal points, in the layout
     ``nosignal.evaluate_batch`` stacks: (point, basis, psi or alpha, 2, 2)."""
-    angles = [grid.basis_angles(which) for which in ("basis1", "basis2")]
-    out = [[basis_amplitudes(*a[k:k + 2]) for k in (0, 2)] for a in angles]
-    return np.moveaxis(np.array(out), 2, 0)
+    angles = np.array([grid.basis_angles(which) for which in ("basis1", "basis2")])
+    return nosig.scenario_bases(angles.reshape(2, 2, 2, -1).transpose(3, 0, 1, 2))
 
 
 def _tolerances(grid: ScenarioGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -36,9 +35,8 @@ def _tolerances(grid: ScenarioGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_nosignal(grid: ScenarioGrid) -> ScenarioReport:
-    """The report of nosignal points sharing one machine mode,
-    ``machine.ancilla_dim`` and ``tolerance.assert``, from a single batched
-    evaluation."""
+    """The report of nosignal points sharing one machine mode and
+    ``machine.ancilla_dim``, from a single batched evaluation."""
     ancilla_dim, isometries = grid.column("machine.ancilla_dim")[0], None
     applied_as = "termwise in the measured basis (unphysical step)"
     bases = _bases(grid)
@@ -48,7 +46,7 @@ def _run_nosignal(grid: ScenarioGrid) -> ScenarioReport:
         draws = [haar_draw(dim, dim, np.random.default_rng(s)) for s in grid.column("seed")]
         isometries = haar_isometries(np.stack(draws))
         applied_as = "fixed isometry (physical)"
-    batch = nosig.evaluate_batch(bases, ancilla_dim, isometries, grid.column("tolerance.assert")[0])
+    batch = nosig.evaluate_batch(bases, ancilla_dim, isometries)
 
     tol_assert, tol_residual = _tolerances(grid)
     lam_max = batch.eigenvalues_after[:, :, 0]
@@ -155,7 +153,7 @@ def _run_gram_equivalence(grid: ScenarioGrid) -> ScenarioReport:
 # Points with equal values of their kind's keys are evaluated as one batch.
 _BATCHES = {
     "conservation": (_run_conservation, ("machine.ancilla_dim",)),
-    "nosignal": (_run_nosignal, ("machine.mode", "machine.ancilla_dim", "tolerance.assert")),
+    "nosignal": (_run_nosignal, ("machine.mode", "machine.ancilla_dim")),
     "gram-equivalence": (
         _run_gram_equivalence, ("family.dimension", "family.target_dimension", "family.size")
     ),

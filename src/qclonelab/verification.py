@@ -34,6 +34,7 @@ from .machines import (
     haar_isometries,
     images,
     isometry_matrix_from_pairs,
+    product_outcomes,
     require_isometries,
     strong_cloner_rules,
     termwise_batch,
@@ -280,8 +281,7 @@ def _check_termwise_matches_linear(seed):
         return np.repeat(stack, 10, axis=0)
 
     blocks = kron_stack(np.array(probes), per_probe(ancillas)).reshape(100, 3, 12)
-    basis = per_probe(np.swapaxes(elements, -1, -2))  # elements as columns
-    via_term = termwise_batch(blocks, basis, per_probe(inputs), per_probe(outputs))
+    via_term = termwise_batch(blocks, per_probe(elements), per_probe(inputs), per_probe(outputs))
     via_lin = apply_isometries(per_probe(linear), blocks)
     return float(np.max(np.abs(via_term - via_lin))), ASSERT_TOL
 
@@ -301,23 +301,16 @@ def _check_linear_no_signalling(seed):
     return float(np.max(np.abs(before - after))), RESIDUAL_TOL
 
 
-def _scenario_bases(angles) -> np.ndarray:
-    """Basis amplitudes (n, 2, 2, 2, 2) of n scenarios' angles (n, 4, 2)."""
-    angles = np.asarray(angles, dtype=float)
-    return basis_amplitudes(*angles.reshape(-1, 2).T).reshape(len(angles), 2, 2, 2, 2)
-
-
 def _computational_against(thetas) -> np.ndarray:
     """Scenarios with the computational basis against each Bloch angle theta."""
-    computational = basis_amplitudes(0.0, 0.0)
-    return np.array([
-        [[computational, computational], [tilted] * 2] for tilted in basis_amplitudes(thetas)
-    ])
+    angles = np.zeros((len(thetas), 2, 2, 2))
+    angles[:, 1, :, 0] = np.asarray(thetas)[:, None]
+    return nosig.scenario_bases(angles)
 
 
 def _check_premachine_bob_marginal(seed):
     rng = _rng(seed, 19)
-    bases = _scenario_bases(_random_basis_angles(rng, 200).reshape(50, 4, 2))
+    bases = nosig.scenario_bases(_random_basis_angles(rng, 200).reshape(50, 2, 2, 2))
     return float(np.max(nosig.premachine(bases).deviation)), RESIDUAL_TOL
 
 
@@ -330,7 +323,7 @@ def _random_isometric_scenarios(rng, n: int):
     for t in range(n):
         angles.append(_random_basis_angles(rng, 4))
         draws[t] = haar_draw(16, 16, rng)
-    return _scenario_bases(angles), haar_isometries(draws)
+    return nosig.scenario_bases(np.reshape(angles, (n, 2, 2, 2))), haar_isometries(draws)
 
 
 def _check_isometric_zero_signalling(seed):
@@ -359,7 +352,7 @@ def _check_sign_reading_invariance(seed):
         for index in (1, 2):
             psi, alpha = bases[point, index - 1]
             mix = np.zeros((16, 16), dtype=complex)
-            for u in nosig._products(psi, alpha):
+            for u in product_outcomes(psi, alpha):
                 out = rules[np.kron(u, env).tobytes()]
                 mix += 0.25 * np.outer(out, out.conj())
             dev = max(dev, float(np.max(np.abs(marginals[point, index - 1] - mix))))

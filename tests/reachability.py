@@ -39,7 +39,8 @@ def commands(out: Path) -> tuple[list[list[str]], list[list[str]]]:
     The first are ``run`` on every shipped config in every format and
     without ``--format``; the cube, wishful and isometry sweeps as CSV and
     JSON; a gram-equivalence sweep over the family size (one batch per
-    size); and ``verify``.  The second are the exit-2 cases of
+    size); the wishful config loosened to ``tolerance.assert = 0.5``; and
+    ``verify``.  The second are the exit-2 cases of
     ``tests/test_cli.py`` (a repeated ``kind``, a basis part beside its
     shorthand on a swept ``machine.ancilla_dim``, a zero tolerance), its file
     cases (a directory as the config or as ``--out``), and the conflicting
@@ -61,6 +62,9 @@ def commands(out: Path) -> tuple[list[list[str]], list[list[str]]]:
                          "--out", str(out / "sweep")])
     argv.append(["sweep", _config("gram_equivalence"), "--grid", "family.size=1:4:1",
                  "--out", str(out / "sweep")])
+    loose = out / "loose-wishful.cfg"
+    loose.write_text(Path(_config("nosignal_wishful")).read_text() + "tolerance.assert = 0.5\n")
+    argv.append(["run", str(loose)])
     argv.append(["verify", "--seed", "7", "--out", str(out / "verify")])
 
     failing = []

@@ -247,7 +247,7 @@ def test_criterion_9_termwise_linear_agreement():
         for _ in range(10):
             zz = rng.standard_normal(12) + 1j * rng.standard_normal(12)
             block = np.kron(zz / np.linalg.norm(zz), anc).reshape(1, 3, 12)
-            via_term = termwise_batch(block, expansion[None], inputs[None], outputs[None])
+            via_term = termwise_batch(block, expansion.T[None], inputs[None], outputs[None])
             via_lin = apply_isometries(lm, block)
             worst = max(worst, float(np.max(np.abs(via_term - via_lin))))
             checked += 1

@@ -35,11 +35,7 @@ _scenario = st.lists(st.tuples(_theta, _phi), min_size=4, max_size=4)
 def _bases(angles) -> np.ndarray:
     """(n, 2, 2, 2, 2) basis amplitudes of scenarios given as four (theta, phi)
     pairs: basis 1 psi, basis 1 alpha, basis 2 psi, basis 2 alpha."""
-    return np.array([
-        [[basis_amplitudes(*point[0]), basis_amplitudes(*point[1])],
-         [basis_amplitudes(*point[2]), basis_amplitudes(*point[3])]]
-        for point in angles
-    ])
+    return nosig.scenario_bases(np.reshape(angles, (-1, 2, 2, 2)))
 
 
 def _failing_index(exc: Exception) -> int:

@@ -303,13 +303,18 @@ class TestEig:
         assert np.all(np.diff(vals) <= 1e-14)
 
     def test_dense_batch_equals_single_calls_bitwise(self, rng):
-        z = rng.standard_normal((5, 16, 16)) + 1j * rng.standard_normal((5, 16, 16))
-        stack = 0.5 * (z + np.swapaxes(z, -1, -2).conj())
-        vals, vecs = eig_hermitian_batch(stack)
-        for k, h in enumerate(stack):
-            spec = eig_hermitian(h)
-            assert vals[k].tobytes() == spec.eigenvalues.tobytes()
-            assert vecs[k].tobytes() == spec.eigenvectors.tobytes()
+        # A 1x1 stack takes LAPACK's path too: its eigenvalue is the entry
+        # and its eigenvector [1].
+        for dim in (16, 1):
+            z = rng.standard_normal((5, dim, dim)) + 1j * rng.standard_normal((5, dim, dim))
+            stack = 0.5 * (z + np.swapaxes(z, -1, -2).conj())
+            vals, vecs = eig_hermitian_batch(stack)
+            for k, h in enumerate(stack):
+                spec = eig_hermitian(h)
+                assert vals[k].tobytes() == spec.eigenvalues.tobytes()
+                assert vecs[k].tobytes() == spec.eigenvectors.tobytes()
+        assert vals.tobytes() == stack[..., 0].real.tobytes()
+        assert vecs.tobytes() == np.ones((5, 1, 1), dtype=complex).tobytes()
 
     @pytest.mark.parametrize(
         "a, d, b",

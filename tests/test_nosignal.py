@@ -15,7 +15,9 @@ from oracles import (
 )
 from qclonelab.config import grid_points, parse_config_text
 from qclonelab.core import eig_hermitian_batch, reduced_states, trace_distances
-from qclonelab.machines import ConflictingRules, apply_isometries, termwise_batch
+from qclonelab.machines import (
+    ConflictingRules, apply_isometries, product_outcomes, termwise_batch
+)
 from qclonelab.states import basis_amplitudes
 
 # The joint state's factors: Alice's (pa, aa) and Bob's (pb, ab, env), interleaved.
@@ -62,7 +64,7 @@ def wishful_after(bases, index) -> np.ndarray:
     Alice's (pa, aa) then Bob's (src, copy, env)."""
     psi, alpha = bases[0, index - 1]
     inputs, outputs = wishful_cloner(*bases[0])
-    expansion = np.stack(nosig._products(psi, alpha), axis=1)[None]  # elements as columns
+    expansion = product_outcomes(psi, alpha)[None]  # elements as rows
     return termwise_batch(bob_block(joint_ket(bases)), expansion, inputs, outputs).reshape(-1)
 
 
@@ -107,7 +109,7 @@ class TestBobMarginalAfter:
         theta = math.pi / 8
         bases = scenario_with_angles(0.0, theta)
         block = wishful_after(bases, 1).reshape(4, -1)
-        for outcome in nosig._products(*bases[0, 0]):
+        for outcome in product_outcomes(*bases[0, 0]):
             p = np.linalg.norm(outcome.conj() @ block) ** 2
             assert p == pytest.approx(0.25, abs=1e-12)
 

@@ -2,7 +2,9 @@
 documented exit codes, and one evaluation of each scenario quantity."""
 
 import ast
+import csv
 import hashlib
+import io
 import os
 import re
 import resource
@@ -374,9 +376,9 @@ class TestExitCodes:
 
 
 class TestSweepGuardsNameGridPoints:
-    """A sweep evaluates its points in groups (one per machine mode, ancilla
-    dimension and assertion tolerance) and a nosignal group in chunks; a
-    guard error names the failing point's index on the whole grid."""
+    """A sweep evaluates its points in groups (one per machine mode and
+    ancilla dimension) and a nosignal group in chunks; a guard error names
+    the failing point's index on the whole grid."""
 
     # At basis1.psi.theta = pi - 1 with phi = pi, basis 1's psi is basis 2's
     # psibar up to a sign, and the two rule sets clone it differently.
@@ -447,6 +449,49 @@ class TestSweepGuardsNameGridPoints:
         err = capsys.readouterr().err
         _one_line(err, "rejected input: ConflictingRules:")
         assert "point" not in err and "batch index" not in err
+
+
+class TestAssertionToleranceJudgesVerdictsOnly:
+    """A config's ``tolerance.assert`` judges its verdicts and nothing else:
+    the termwise cloner matches its rules within ``ASSERT_TOL`` whatever the
+    config says.  Loosened, it once broke the machine: at 0.5 the wishful
+    run exited 2 on a Bob marginal of trace 2, and at 1e-2 the theta sweep
+    exited 2 at grid point 1."""
+
+    WISHFUL = str(CONFIGS / "nosignal_wishful.cfg")
+
+    @staticmethod
+    def _csv_rows(monkeypatch, capsys, tolerance, argv) -> list[dict[str, str]]:
+        if tolerance is None:
+            monkeypatch.delenv("QCLONELAB_TOL", raising=False)
+        else:
+            monkeypatch.setenv("QCLONELAB_TOL", tolerance)
+        code = main([*argv, "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code in (0, 1), captured.err
+        return list(csv.DictReader(io.StringIO(captured.out)))
+
+    def test_loose_run_moves_only_the_echo_and_the_no_signalling_verdict(
+        self, monkeypatch, capsys
+    ):
+        argv = ["run", self.WISHFUL]
+        default = self._csv_rows(monkeypatch, capsys, None, argv)
+        loose = self._csv_rows(monkeypatch, capsys, "0.5", argv)
+        moved = ("config.tolerance.assert", "verdict.no_signalling")
+        assert [loose[0][key] for key in moved] == ["0.5", "1"]
+        assert [default[0][key] for key in moved] == ["1e-10", "0"]
+        for row in default + loose:
+            for key in moved:
+                del row[key]
+        assert loose == default
+
+    def test_loose_theta_sweep_keeps_the_magnitudes(self, monkeypatch, capsys):
+        argv = ["sweep", self.WISHFUL, "--grid", "basis2.theta=0:3.1:0.01"]
+        default = self._csv_rows(monkeypatch, capsys, None, argv)
+        loose = self._csv_rows(monkeypatch, capsys, "1e-2", argv)
+        assert len(default) == 311
+        magnitudes = [[row["signalling_magnitude"] for row in rows] for rows in (default, loose)]
+        assert magnitudes[1] == magnitudes[0]
 
 
 BAD_TOLERANCES = ["nan", "inf", "-1", "0"]
@@ -554,6 +599,21 @@ class TestOneEvaluationPerQuantity:
         assert len(reports) == 32
         chunks = -(-32 // max(1, core.CHUNK_ENTRIES // 16**2))  # 16x16 Bob marginals
         assert calls == dict(zip(keys, (1, 1, 2 * chunks, 0)))
+
+
+    def test_isometric_machine_applied_once_per_chunk(self, monkeypatch):
+        # Both of Alice's basis choices condition one image of the shared state.
+        apply, sizes = nosig.apply_isometries, []
+
+        def counted(mats, blocks):
+            sizes.append(len(mats))
+            return apply(mats, blocks)
+
+        monkeypatch.setattr(nosig, "apply_isometries", counted)
+        cfg = load_config(str(CONFIGS / "nosignal_isometry.cfg"))
+        scenarios.run_configs(grid_points(cfg, ["basis2.theta=0:3.1:0.1"]))
+        step = core.CHUNK_ENTRIES // 16**2  # points per chunk at ancilla_dim 4
+        assert step == 16 and sizes == [16, 16]
 
 
 def _roundtrip(dim, target_dim, size, seed):
