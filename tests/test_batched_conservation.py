@@ -10,6 +10,7 @@ import hashlib
 import math
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +66,40 @@ def test_sweep_bytes_pinned(tmp_path, extra, grid, fmt, digest):
     out = tmp_path / f"sweep.{fmt}"
     code = main(["sweep", str(cfg), "--grid", *grid, "--format", fmt, "--out", str(out)])
     assert code == 1  # off-surface points fail the conservation verdict
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# 1,125 points that share Alice's state before (a, b, weight) or after (a,
+# c, weight): 345 and 207 distinct by bits.  At a = 0 the phases give
+# overlaps with either sign of zero in their real or imaginary part, so the
+# same points have only 315 and 189 distinct values.
+SHARED_HALVES = [
+    "overlap.a=0:1:0.25", "overlap.b=0:1:0.25", "overlap.c=0:1:0.5",
+    "overlap.a_phase=0:6:1.5", "branch.weight=0:1:0.5",
+]
+SHARED_HALVES_PINNED = [
+    pytest.param([], "csv",
+                 "c63776a5177ccf3f040d380685111044ce6034a7409c49e5eed2be114f8d894c",
+                 id="csv"),
+    pytest.param([], "json",
+                 "d24c660273a0c58db5c663783289b8e39cab842c80afe9071a9bfeb94dabb891",
+                 id="json"),
+    pytest.param(["machine.ancilla_dim=2:3:1"], "csv",
+                 "87a8b7825c1150a3cc14b1811541d3f205d01f5235ea01f5210e832344067c22",
+                 id="dims-csv"),
+    pytest.param(["machine.ancilla_dim=2:3:1"], "json",
+                 "ca8a025e78a855a64dd2c720efef5083659cefb86dfa74606aeef7bc8f9c56ae",
+                 id="dims-json"),
+]
+
+
+@pytest.mark.parametrize("extra, fmt, digest", SHARED_HALVES_PINNED)
+def test_sweep_with_shared_halves_pinned(tmp_path, extra, fmt, digest):
+    config = Path(__file__).resolve().parents[1] / "configs" / "conservation_violation.cfg"
+    out = tmp_path / f"sweep.{fmt}"
+    grid = [*SHARED_HALVES, *extra]
+    code = main(["sweep", str(config), "--grid", *grid, "--format", fmt, "--out", str(out)])
+    assert code == 1
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
