@@ -242,9 +242,11 @@ def parse_grid_axis(spec: str) -> tuple[str, list[float]]:
     steps = (hi - lo) / step + 1e-9  # hi may fall short of a step by 1e-9 of it
     if not steps < MAX_GRID_POINTS:
         raise ConfigError(f"grid axis {spec!r}: more than {MAX_GRID_POINTS} points")
-    values = [round(lo + k * step, 12) for k in range(int(steps) + 1)]
+    # 12 decimals, or 12 significant digits on an axis below 0.1.
+    digits = max(12, 11 - math.floor(math.log10(max(abs(lo), abs(hi)) or 1.0)))
+    values = [round(lo + k * step, digits) for k in range(int(steps) + 1)]
     if len(set(values)) < len(values):
-        raise ConfigError(f"grid axis {spec!r}: values collide at 12 decimals")
+        raise ConfigError(f"grid axis {spec!r}: values collide at {digits} decimals")
     return key.strip(), values
 
 

@@ -11,6 +11,7 @@ monotones certifies that no isometry realizes the declared rules.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .core import (
     cmul,
     eig_hermitian_batch,
     entropy_bits,
+    failures_named,
     first_failure,
     kron_stack,
     modulus,
@@ -34,7 +36,8 @@ from .machines import (
     haar_isometries,
     images,
     require_isometries,
-    strong_cloner_rules,
+    strong_cloner_inputs,
+    strong_cloner_outputs,
 )
 from .states import gram_stack, overlap_pair_amplitudes, random_kets
 from .tolerances import RESIDUAL_TOL
@@ -96,29 +99,50 @@ def _shared(weight: np.ndarray, psis: np.ndarray, alphas: np.ndarray) -> np.ndar
     return _superpose(weight, *branches)
 
 
+def _before(weight, psis, alphas, ancilla_dim: int):
+    """Alice's marginals before the cloner, and its inputs' Gram matrices."""
+    shared = _shared(weight, psis, alphas).reshape(len(psis), 8)
+    inputs = strong_cloner_inputs(psis, alphas, ancilla_dim)
+    return reduced_states(shared, (2, 4), (0,)), gram_stack(inputs)
+
+
+def _after(weight, psis, records, ancilla_dim: int):
+    """Alice's marginals after the cloner, and its outputs' Gram matrices."""
+    outputs = strong_cloner_outputs(psis, records)
+    moved = _superpose(weight, outputs[:, 0], outputs[:, 1]).reshape(len(psis), -1)
+    return reduced_states(moved, (2, 8 * ancilla_dim), (0,)), gram_stack(outputs)
+
+
+def _distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of stacked columns, by bits (-0.0 and 0.0 differ): each
+    row's first index, in order of first occurrence, and each index's row."""
+    keys = np.ascontiguousarray(np.stack(columns, -1))
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[-1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
+
+
 def _marginals(a, b, c, weight, ancilla_dim: int):
     """Guarded stacked marginals (before, after), their closed forms
-    (before, after), rule Gram matrices (input, output) and the Gram
-    matrices' deviations; the first stage of :func:`evaluate_batch`."""
+    (before, after), rule Gram matrices (input, output), the Gram matrices'
+    deviations and the :func:`_distinct` rows of the points' halves (before,
+    after); the first stage of :func:`evaluate_batch`."""
     a, b, c = (np.array(z, dtype=complex) for z in (a, b, c))
     w = np.broadcast_to(np.asarray(weight, dtype=float), (len(a),))
     psis, alphas, records = _branches(a, b, c, w, ancilla_dim)
     # A point holds 16 * ancilla_dim entries in the stacked rule amplitudes.
     step = max(1, CHUNK_ENTRIES // (16 * ancilla_dim))
-    before, after, input_gram, output_gram = [], [], [], []
-    for start in range(0, len(a), step):
-        part = slice(start, start + step)
-        inputs, outputs = strong_cloner_rules(psis[part], alphas[part], records[part], ancilla_dim)
-        input_gram.append(gram_stack(inputs))
-        output_gram.append(gram_stack(outputs))
-        shared = _shared(w[part], psis[part], alphas[part])
-        moved = _superpose(w[part], outputs[:, 0], outputs[:, 1])
-        # Alice's qubit leads; Bob's factors are traced as one index.
-        for out, amp in ((before, shared), (after, moved)):
-            out.append(reduced_states(amp.reshape(len(amp), -1), amp.shape[1:], (0,)))
-    before, after, input_gram, output_gram = (
-        np.concatenate(x) for x in (before, after, input_gram, output_gram)
-    )
+    # Alice's state before depends on (a, b, w) only, after on (a, c, w): each
+    # half runs once per distinct key, by bits, and is gathered to the points.
+    halves, rows = [], []
+    for half, partner, factors in ((_before, b, alphas), (_after, c, records)):
+        first, inverse = _distinct(a, partner, w)
+        parts = [first[start:start + step] for start in range(0, len(first), step)]
+        results = [half(w[k], psis[k], factors[k], ancilla_dim) for k in parts]
+        halves.append([np.concatenate(x)[inverse] for x in zip(*results)])
+        rows.append((first, inverse))
+    (before, input_gram), (after, output_gram) = halves
     # Guarded on the whole batch, so that a failure names its batch index.
     gram_deviation = gram_deviations(input_gram, output_gram)
 
@@ -139,7 +163,7 @@ def _marginals(a, b, c, weight, ancilla_dim: int):
         message = f"marginal {label} deviates from its closed form"
         require_within(dev, RESIDUAL_TOL, ArithmeticError, message)
 
-    return before, after, *closed, input_gram, output_gram, gram_deviation
+    return before, after, *closed, input_gram, output_gram, gram_deviation, rows
 
 
 def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
@@ -148,21 +172,22 @@ def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
     deviations, for a batch of overlap triples (a, b, c) and branch weights
     at one ancilla dimension.
 
-    The batch is evaluated as stacked arrays; each result is bit-for-bit what
-    a batch of one gives for that point.  Every guard runs once per batch with
-    the default tolerances and names the first failing point: overlap moduli
-    and weights in range, realized overlaps, normalized rule kets, Hermitian
-    unit-trace marginals (the trace is the joint ket's squared norm),
-    marginals matching their closed forms [[w, pq conj(z)], [pq z, 1 - w]]
-    (z = ab before, a^2 c after, pq = sqrt(w(1 - w))), and the
-    eigendecomposition residuals.
+    The batch is evaluated as stacked arrays, each half once per distinct key
+    (see :func:`_marginals`); each result is bit-for-bit what a batch of one
+    gives for that point.  Every guard runs once per batch with the default
+    tolerances and names the first failing point: overlap moduli and weights
+    in range, realized overlaps, normalized rule kets, Hermitian unit-trace
+    marginals (the trace is the joint ket's squared norm), marginals matching
+    their closed forms [[w, pq conj(z)], [pq z, 1 - w]] (z = ab before, a^2 c
+    after, pq = sqrt(w(1 - w))), and the eigendecomposition residuals.
     """
-    marginals = _marginals(a, b, c, weight, ancilla_dim)
-    vals_before, _ = eig_hermitian_batch(marginals[0])
-    vals_after, _ = eig_hermitian_batch(marginals[1])
-    return ConservationBatch(
-        *marginals, vals_before, vals_after, entropy_bits(vals_before), entropy_bits(vals_after)
-    )
+    *marginals, rows = _marginals(a, b, c, weight, ancilla_dim)
+    spectra = []
+    for rho, (first, inverse) in zip(marginals, rows):
+        # Rows follow their first points: the first failing one names the first point.
+        with failures_named("batch index", first) if len(inverse) > 1 else nullcontext():
+            spectra.append(eig_hermitian_batch(rho[first])[0][inverse])
+    return ConservationBatch(*marginals, *spectra, *map(entropy_bits, spectra))
 
 
 def _lambda_max(offdiag_modulus, branch_weight):

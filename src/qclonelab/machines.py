@@ -26,7 +26,7 @@ import numpy as np
 from .core import (
     CHUNK_ENTRIES, Ket, SubsystemSignature, first_failure, kron_stack, require_within
 )
-from .states import StateFamily, gram_stack
+from .states import StateFamily, complex_normals, gram_stack
 from .tolerances import ASSERT_TOL
 
 
@@ -458,23 +458,23 @@ def wishful_rules(
     return kron_stack(outcomes, env_in), kron_stack(copied, records)
 
 
-def strong_cloner_rules(
-    psis: np.ndarray, alphas: np.ndarray, env_outs: np.ndarray, ancilla_dim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Declared inputs |psi_k>|0>|alpha_k>|C> and outputs |psi_k>|psi_k>|C_k>
-    of the strong cloner, stacked: a cloner fed a blank slot and a
-    supplementary register.  The output environment has twice the input
-    environment dimension, so the total output dimension matches the input
-    and an isometric extension is possible whenever the Gram matrices agree.
-
-    ``psis`` and ``alphas`` hold the two source and register qubit kets,
-    shape (..., 2, 2); ``env_outs`` holds the two output records, shape
-    (..., 2, 2 * ancilla_dim).  Both results have shape (..., 2, 8 * ancilla_dim).
-    """
+def strong_cloner_inputs(psis: np.ndarray, alphas: np.ndarray, ancilla_dim: int) -> np.ndarray:
+    """Declared inputs |psi_k>|0>|alpha_k>|C> of the strong cloner, stacked: a
+    cloner fed a blank slot and a supplementary register.  ``psis`` and
+    ``alphas`` hold the two source and register qubit kets, shape (..., 2,
+    2); the result has shape (..., 2, 8 * ancilla_dim)."""
     blank = np.array([1.0, 0.0], dtype=complex)
     env_in = np.zeros(ancilla_dim, dtype=complex)
     env_in[0] = 1.0
-    return _kron_all(psis, blank, alphas, env_in), _kron_all(psis, psis, env_outs)
+    return _kron_all(psis, blank, alphas, env_in)
+
+
+def strong_cloner_outputs(psis: np.ndarray, env_outs: np.ndarray) -> np.ndarray:
+    """Declared outputs |psi_k>|psi_k>|C_k> of the strong cloner, stacked, for
+    the two output records ``env_outs`` (..., 2, 2 * ancilla_dim): the total
+    output dimension matches the input's, so an isometric extension exists
+    whenever the Gram matrices agree."""
+    return _kron_all(psis, psis, env_outs)
 
 
 def deleter_rules(
@@ -498,7 +498,7 @@ def haar_draw(n_in: int, n_out: int, rng: np.random.Generator) -> np.ndarray:
     into a Haar-random isometry; draws from ``rng`` in a fixed order."""
     if n_out < n_in:
         raise ValueError("output dimension must be at least the input dimension")
-    return rng.standard_normal((n_out, n_in)) + 1j * rng.standard_normal((n_out, n_in))
+    return complex_normals(rng.standard_normal(2 * n_out * n_in), n_out, n_in)
 
 
 def haar_isometries(z: np.ndarray) -> np.ndarray:

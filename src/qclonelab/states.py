@@ -73,19 +73,25 @@ def basis_amplitudes(theta, phi=0.0) -> np.ndarray:
     return out[0] if scalar else out
 
 
+def complex_normals(normals: np.ndarray, *shape: int) -> np.ndarray:
+    """Complex standard normals (..., *shape) of real ones (..., 2 *
+    prod(shape)) in draw order: the real block, then the imaginary block."""
+    z = np.moveaxis(normals.reshape(*normals.shape[:-1], 2, *shape), -1 - len(shape), 0)
+    return z[0] + 1j * z[1]
+
+
+def unit_kets(normals: np.ndarray, dim: int) -> np.ndarray:
+    """Normalized kets (..., dim) of standard normals (..., 2 * dim), paired
+    by :func:`complex_normals`.  Each norm rounds as ``np.linalg.norm`` of its
+    ket does: the strided dot products of its real and imaginary parts."""
+    z = complex_normals(normals, dim)
+    return z / np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[..., None]
+
+
 def random_kets(dim: int, rng: np.random.Generator, n: int) -> np.ndarray:
     """n normalized standard complex Gaussian kets of dimension ``dim``,
-    shape (n, dim), drawn one after another (real parts, then imaginary
-    parts).  Each norm rounds as ``np.linalg.norm`` of its ket does: the
-    strided dot products of its real and imaginary parts."""
-    draws = rng.standard_normal((n, 2, dim))
-    z = draws[:, 0] + 1j * draws[:, 1]
-    return z / np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
-
-
-def random_amplitudes(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A batch of one of :func:`random_kets`."""
-    return random_kets(dim, rng, 1)[0]
+    shape (n, dim), drawn one after another as :func:`unit_kets` reads them."""
+    return unit_kets(rng.standard_normal((n, 2 * dim)), dim)
 
 
 @dataclass(frozen=True, eq=False)

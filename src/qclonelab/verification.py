@@ -36,12 +36,13 @@ from .machines import (
     isometry_matrix_from_pairs,
     product_outcomes,
     require_isometries,
-    strong_cloner_rules,
+    strong_cloner_inputs,
+    strong_cloner_outputs,
     termwise_batch,
 )
 from .report import Verdict
 from .states import (
-    basis_amplitudes, gram_stack, overlap_pair_amplitudes, random_amplitudes, random_kets
+    basis_amplitudes, complex_normals, gram_stack, overlap_pair_amplitudes, random_kets, unit_kets
 )
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
@@ -89,9 +90,9 @@ def _check_partial_trace_hermiticity(seed):
 
 
 def _check_partial_trace_product_marginal(seed):
-    rng = _rng(seed, 3)
-    pairs = [(random_amplitudes(3, rng), random_amplitudes(4, rng)) for _ in range(10)]
-    a, b = (np.array(kets) for kets in zip(*pairs))
+    # Ten trials, each a qutrit ket then a ququart ket.
+    draws = _rng(seed, 3).standard_normal((10, 14))
+    a, b = unit_kets(draws[:, :6], 3), unit_kets(draws[:, 6:], 4)
     reduced = reduced_states(kron_stack(a, b), (3, 4), (0,))
     dev = np.max(np.abs(reduced - a[:, :, None] * a.conj()[:, None, :]))
     return float(dev), RESIDUAL_TOL
@@ -129,11 +130,12 @@ def _check_density_eigenvalue_range(seed):
 
 
 def _check_inner_factorizes(seed):
-    rng = _rng(seed, 8)
+    # Twenty trials, each two qutrit kets a, c then two ququart kets b, d.
+    draws = _rng(seed, 8).standard_normal((20, 28))
+    qutrits = unit_kets(draws[:, :12].reshape(20, 2, 6), 3)
+    ququarts = unit_kets(draws[:, 12:].reshape(20, 2, 8), 4)
     dev = 0.0
-    for _ in range(20):
-        a, c = random_amplitudes(3, rng), random_amplitudes(3, rng)
-        b, d = random_amplitudes(4, rng), random_amplitudes(4, rng)
+    for (a, c), (b, d) in zip(qutrits, ququarts):
         joint = complex(np.vdot(np.kron(a, b), np.kron(c, d)))
         dev = max(dev, abs(joint - complex(np.vdot(a, c)) * complex(np.vdot(b, d))))
     return dev, RESIDUAL_TOL
@@ -175,14 +177,11 @@ def _random_isometries(draws) -> np.ndarray:
 
 
 def _check_gram_unitary_invariance(seed):
-    rng = _rng(seed, 13)
-    families, draws = [], []
-    for _ in range(10):
-        families.append(random_kets(5, rng, 4))
-        draws.append(haar_draw(5, 5, rng))
-    families = np.array(families)
+    # Each trial draws four kets (40 normals), then its isometry (50).
+    draws = _rng(seed, 13).standard_normal((10, 90))
+    families = unit_kets(draws[:, :40].reshape(10, 4, 10), 5)
     # Each of the 40 kets is a state of its own, moved as one.
-    u = np.repeat(_random_isometries(draws), 4, axis=0)
+    u = np.repeat(_random_isometries(complex_normals(draws[:, 40:], 5, 5)), 4, axis=0)
     moved = apply_isometries(u, families.reshape(40, 1, 5)).reshape(10, 4, 5)
     return float(np.max(np.abs(gram_stack(families) - gram_stack(moved)))), RESIDUAL_TOL
 
@@ -199,22 +198,20 @@ def _check_overlap_roundtrip(seed):
 
 def _check_isometry_extension(seed):
     # Four random kets in dimension 8 per trial, declared to map to their
-    # images under a hidden random isometry into dimension 12.
-    rng = _rng(seed, 14)
-    draws, inputs = [], []
-    for _ in range(20):
-        draws.append(haar_draw(8, 12, rng))
-        inputs.append(random_kets(8, rng, 4))
-    inputs = np.array(inputs)
-    outputs = images(_random_isometries(draws), inputs)
+    # images under a hidden random isometry into dimension 12.  Each trial
+    # draws the isometry (192 normals), then the kets (64).
+    draws = _rng(seed, 14).standard_normal((20, 256))
+    inputs = unit_kets(draws[:, 192:].reshape(20, 4, 16), 8)
+    outputs = images(_random_isometries(complex_normals(draws[:, :192], 12, 8)), inputs)
     found = extend_to_isometries(inputs, outputs)
     return float(max(np.max(found.member_residual), np.max(found.isometry_residual))), ASSERT_TOL
 
 
 def _strong_cloner_deviation(a, b, c) -> np.ndarray:
     """Gram deviations of strong cloners realizing the overlap triples."""
-    pairs = (overlap_pair_amplitudes(z, dim) for z, dim in ((a, 2), (b, 2), (c, 8)))
-    return gram_comparison(*strong_cloner_rules(*pairs, 4))[2]
+    psis, alphas, records = (overlap_pair_amplitudes(z, d) for z, d in ((a, 2), (b, 2), (c, 8)))
+    inputs = strong_cloner_inputs(psis, alphas, 4)
+    return gram_comparison(inputs, strong_cloner_outputs(psis, records))[2]
 
 
 def _check_strong_cloner_boundary(seed):
@@ -261,18 +258,15 @@ def _check_termwise_matches_linear(seed):
     # qubits times a fixed qutrit ancilla state and mapping it with a random
     # isometry; ten probes (a qutrit spectator, two qubits, the ancilla
     # state) per machine.
-    rng = _rng(seed, 17)
-    basis_draws, ancillas, out_draws, probes = [], [], [], []
-    for _ in range(10):
-        basis_draws.append(haar_draw(4, 4, rng))
-        ancillas.append(random_amplitudes(3, rng))
-        out_draws.append(haar_draw(12, 12, rng))
-        for _ in range(10):
-            spectator = random_amplitudes(3, rng)
-            probes.append(kron_stack(spectator, random_amplitudes(4, rng)))
+    # A machine draws its basis (32 normals), ancilla (6) and outputs (288),
+    # then its probes' qutrit (6) and qubits (8) one probe after another.
+    draws = _rng(seed, 17).standard_normal((10, 466))
+    basis_draws, ancillas = complex_normals(draws[:, :32], 4, 4), unit_kets(draws[:, 32:38], 3)
+    out_draws = complex_normals(draws[:, 38:326], 12, 12)
+    probes = draws[:, 326:].reshape(100, 14)
+    probes = kron_stack(unit_kets(probes[:, :6], 3), unit_kets(probes[:, 6:], 4))
     # Expansion element k is row k of the basis isometry's adjoint.
     elements = np.swapaxes(_random_isometries(basis_draws), -1, -2).conj()
-    ancillas = np.array(ancillas)
     inputs = kron_stack(elements, ancillas[:, None])
     outputs = images(_random_isometries(out_draws), inputs)
     linear = extend_to_isometries(inputs, outputs).isometries
@@ -280,7 +274,7 @@ def _check_termwise_matches_linear(seed):
     def per_probe(stack):
         return np.repeat(stack, 10, axis=0)
 
-    blocks = kron_stack(np.array(probes), per_probe(ancillas)).reshape(100, 3, 12)
+    blocks = kron_stack(probes, per_probe(ancillas)).reshape(100, 3, 12)
     via_term = termwise_batch(blocks, per_probe(elements), per_probe(inputs), per_probe(outputs))
     via_lin = apply_isometries(per_probe(linear), blocks)
     return float(np.max(np.abs(via_term - via_lin))), ASSERT_TOL
@@ -289,13 +283,12 @@ def _check_termwise_matches_linear(seed):
 def _check_linear_no_signalling(seed):
     # Random states over (al 3, b1 2, b2 4); a random isometry takes Bob's
     # (b1, b2) to (n1 4, n2 3).
-    rng = _rng(seed, 18)
-    states, draws = [], []
-    for _ in range(20):
-        states.append(random_amplitudes(24, rng))
-        draws.append(haar_draw(8, 12, rng))
-    states = np.array(states)
-    moved = apply_isometries(_random_isometries(draws), states.reshape(20, 3, 8))
+    # Each trial draws its state (48 normals), then its isometry (192).
+    draws = _rng(seed, 18).standard_normal((20, 240))
+    states = unit_kets(draws[:, :48], 24)
+    moved = apply_isometries(
+        _random_isometries(complex_normals(draws[:, 48:], 12, 8)), states.reshape(20, 3, 8)
+    )
     before = reduced_states(states, (3, 2, 4), (0,))
     after = reduced_states(moved.reshape(20, 36), (3, 4, 3), (0,))
     return float(np.max(np.abs(before - after))), RESIDUAL_TOL
@@ -406,7 +399,7 @@ def _check_isometric_preserves_alice(seed):
     rng = _rng(seed, 24)
     a, c = rng.uniform(0.0, 1.0, size=(50, 2)).T
     psis, alphas, records = (overlap_pair_amplitudes(z, d) for z, d in ((a, 2), (a * c, 2), (c, 8)))
-    inputs, outputs = strong_cloner_rules(psis, alphas, records, 4)
+    inputs, outputs = strong_cloner_inputs(psis, alphas, 4), strong_cloner_outputs(psis, records)
     # Shared states over (A, src, reg), then a blank slot and the environment
     # input appended and moved into the cloner's (src, blank, reg, env) order.
     shared = cons._shared(np.full(len(a), 0.5), psis, alphas).reshape(len(a), 8)

@@ -13,7 +13,8 @@ from qclonelab.machines import (
     gram_comparison,
     haar_draw,
     haar_isometries,
-    strong_cloner_rules,
+    strong_cloner_inputs,
+    strong_cloner_outputs,
     wishful_rules,
 )
 from qclonelab.report import ScenarioReport
@@ -57,7 +58,8 @@ def strong_cloner(a, b, c, dim=4):
     pairs = (
         overlap_pair_amplitudes(np.atleast_1d(z), d) for z, d in ((a, 2), (b, 2), (c, 2 * dim))
     )
-    return strong_cloner_rules(*pairs, dim)
+    psis, alphas, records = pairs
+    return strong_cloner_inputs(psis, alphas, dim), strong_cloner_outputs(psis, records)
 
 
 def deleter(a, g, dim=4):

@@ -23,6 +23,13 @@ def bloch_pair(theta, phi=0.0):
     return psi, bar
 
 
+def random_amplitudes(dim, rng):
+    """A standard complex Gaussian ket of dimension ``dim``, normalized: the
+    real parts drawn first, then the imaginary parts."""
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return z / np.linalg.norm(z)
+
+
 def kron_all(*xs):
     out = np.array([1.0 + 0j])
     for x in xs:

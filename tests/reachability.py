@@ -39,8 +39,8 @@ def commands(out: Path) -> tuple[list[list[str]], list[list[str]]]:
     The first are ``run`` on every shipped config in every format and
     without ``--format``; the cube, wishful and isometry sweeps as CSV and
     JSON; a gram-equivalence sweep over the family size (one batch per
-    size); the wishful config loosened to ``tolerance.assert = 0.5``; and
-    ``verify``.  The second are the exit-2 cases of
+    size); the wishful config loosened to ``tolerance.assert = 0.5``; a
+    wishful sweep at ``tolerance.assert = 1e-13``; and ``verify``.  The second are the exit-2 cases of
     ``tests/test_cli.py`` (a repeated ``kind``, a basis part beside its
     shorthand on a swept ``machine.ancilla_dim``, a zero tolerance), its file
     cases (a directory as the config or as ``--out``), and the conflicting
@@ -65,6 +65,8 @@ def commands(out: Path) -> tuple[list[list[str]], list[list[str]]]:
     loose = out / "loose-wishful.cfg"
     loose.write_text(Path(_config("nosignal_wishful")).read_text() + "tolerance.assert = 0.5\n")
     argv.append(["run", str(loose)])
+    argv.append(["sweep", _config("nosignal_wishful"), "--grid", "basis2.theta=0:0.2:0.1",
+                 "tolerance.assert=1e-13:1e-13:1", "--out", str(out / "sweep")])
     argv.append(["verify", "--seed", "7", "--out", str(out / "verify")])
 
     failing = []
@@ -92,7 +94,7 @@ def commands(out: Path) -> tuple[list[list[str]], list[list[str]]]:
     for axes in (
         ["overlap.a=0:1:nan"],
         ["overlap.a=0:1:1e-9"],
-        ["overlap.a=0:1e-12:1e-13"],
+        ["overlap.a=0.5:0.500000000001:1e-13"],
         ["overlap.a=0:1:0.5", "overlap.a=0:1:1"],
         ["machine.ancilla_dim=2:3:0.5"],
         ["overlap.a=0.9:1.2:0.1"],

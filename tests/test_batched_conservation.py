@@ -9,6 +9,7 @@ byte-stable report contract across that change.
 import hashlib
 import math
 import re
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qclonelab.conservation as cons
+from qclonelab import core
 from oracles import partial_trace_einsum
 from qclonelab.cli import main
 from qclonelab.conservation import ConservationBatch, evaluate_batch
@@ -117,15 +119,9 @@ def _failing_index(exc: Exception) -> int:
     return int(found.group(1)) if found else 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(points=st.lists(_point, min_size=1, max_size=6), ancilla_dim=st.integers(2, 5))
-def test_batch_equals_batches_of_one(points, ancilla_dim):
-    a = [_complex(*p[0]) for p in points]
-    b = [_complex(*p[1]) for p in points]
-    c = [_complex(*p[2]) for p in points]
-    w = [p[3] for p in points]
+def _assert_batch_is_batches_of_one(a, b, c, w, ancilla_dim):
     singles = []
-    for k in range(len(points)):
+    for k in range(len(a)):
         try:
             singles.append(evaluate_batch([a[k]], [b[k]], [c[k]], [w[k]], ancilla_dim))
         except ArithmeticError as exc:
@@ -146,6 +142,99 @@ def test_batch_equals_batches_of_one(points, ancilla_dim):
         shared = cons._shared(np.array([w[k]]), psis, alphas).reshape(-1)
         reference = partial_trace_einsum(np.outer(shared, shared.conj()), (2, 2, 2), (0,))
         assert batch.marginal_before[k].tobytes() == reference.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.lists(_point, min_size=1, max_size=6), ancilla_dim=st.integers(2, 5))
+def test_batch_equals_batches_of_one(points, ancilla_dim):
+    a = [_complex(*p[0]) for p in points]
+    b = [_complex(*p[1]) for p in points]
+    c = [_complex(*p[2]) for p in points]
+    w = [p[3] for p in points]
+    _assert_batch_is_batches_of_one(a, b, c, w, ancilla_dim)
+
+
+# Phases 0 and pi put +0.0 and -0.0 in the real part of a zero overlap.
+_pool_overlap = st.builds(
+    _complex,
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, 2.0 * math.pi)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    overlaps=st.lists(_pool_overlap, min_size=1, max_size=3),
+    weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2),
+    picks=st.lists(st.tuples(*[st.integers(0, 2)] * 4), min_size=2, max_size=12),
+    ancilla_dim=st.integers(2, 5),
+)
+def test_batch_with_repeated_halves_equals_batches_of_one(overlaps, weights, picks, ancilla_dim):
+    # Points drawn from a pool of at most three overlaps and two weights
+    # share their halves before (a, b, weight) and after (a, c, weight).
+    a, b, c = ([overlaps[p[k] % len(overlaps)] for p in picks] for k in range(3))
+    w = [weights[p[3] % len(weights)] for p in picks]
+    _assert_batch_is_batches_of_one(a, b, c, w, ancilla_dim)
+
+
+def test_cube_evaluates_each_half_once_per_distinct_key(tmp_path, monkeypatch):
+    # The cube's 1,331 points have 121 distinct (a, b, weight) and 121
+    # distinct (a, c, weight).
+    rows = Counter()
+
+    def counted(name, fn, key):
+        def wrapper(*args, **kwargs):
+            rows[key(*args)] += len(args[0])
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(cons, name, wrapper)
+
+    # Alice's state before has 4 amplitudes per branch, after 8 * ancilla_dim.
+    stage = {4: "before", 32: "after"}
+    counted("reduced_states", cons.reduced_states, lambda kets, dims, keep: stage[dims[1]])
+    counted("eig_hermitian_batch", cons.eig_hermitian_batch, lambda stack: "eig")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SEED7_CONFIG)
+    assert main(["sweep", str(cfg), "--grid", *CUBE, "--out", str(tmp_path / "sweep.csv")]) == 1
+    assert rows == {"before": 121, "after": 121, "eig": 121 + 121}
+
+
+class TestResidualFailureNamesFirstPoint:
+    """An eigendecomposition residual that fails on some distinct halves
+    names the first grid point among them, whatever order their keys sort
+    in."""
+
+    # Points b = 0.1, 0.3, 0.5 (each against three c); Alice's state before
+    # fails on b = 0.3 and 0.5, first met at grid point 3.  Their keys sort
+    # by bytes as b = 0.5, 0.3, 0.1 (lowest mantissa bytes 0x00, 0x33, 0x9a).
+    GRID = ["overlap.b=0.1:0.5:0.2", "overlap.c=0:1:0.5"]
+    CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "conservation_violation.cfg")
+
+    @pytest.fixture(autouse=True)
+    def fail_large_offdiagonals(self, monkeypatch):
+        exact = core._eig_2x2
+
+        def failing(mat):
+            vals, vecs = exact(mat)
+            # |off-diagonal| = 0.3 b before: 0.03, 0.09 and 0.15.
+            return vals + (np.abs(mat[..., 1, 0]) > 0.06)[..., None], vecs
+
+        monkeypatch.setattr(core, "_eig_2x2", failing)
+
+    def test_sweep_names_the_earlier_point(self, capsys):
+        assert main(["sweep", self.CONFIG, "--grid", *self.GRID]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: ArithmeticError: eigendecomposition residual 1 " \
+                      "exceeds 1e-12 at grid point 3\n"
+
+    def test_run_names_no_point(self, capsys):
+        assert main(["run", self.CONFIG]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: ArithmeticError: eigendecomposition residual 1 " \
+                      "exceeds 1e-12\n"
+
+    def test_one_distinct_half_names_batch_index_0(self):
+        with pytest.raises(ArithmeticError, match=r"exceeds 1e-12 at batch index 0$"):
+            evaluate_batch([0.6] * 3, [0.5] * 3, [0.5] * 3, [0.5] * 3)
 
 
 @settings(max_examples=60, deadline=None)

@@ -257,8 +257,24 @@ class TestGridAxisExpansion:
 
     def test_colliding_values_rejected(self):
         # Rounded to 12 decimals, this axis once gave 10,011 mostly equal values.
-        with pytest.raises(ConfigError, match="collide"):
-            parse_grid_axis("overlap.a=0:1e-12:1e-13")
+        with pytest.raises(ConfigError, match="collide at 12 decimals"):
+            parse_grid_axis("overlap.a=0.5:0.500000000001:1e-13")
+
+    def test_small_axis_keeps_its_significant_digits(self):
+        # Rounded to 12 decimals, a tolerance of 1e-13 once read as 0.
+        assert parse_grid_axis("tolerance.assert=1e-13:1e-13:1") == ("tolerance.assert", [1e-13])
+        _, values = parse_grid_axis("overlap.a=0:1e-12:1e-13")
+        assert len(set(values)) == 11 and values[1] == 1e-13 and values[-1] == 1e-12
+
+    def test_small_swept_tolerance_reports(self, tmp_path):
+        # The same axis once exited 2: "tolerance 0.0 must be finite and positive".
+        out = tmp_path / "sweep.csv"
+        axes = ["basis2.theta=0:0.2:0.1", "tolerance.assert=1e-13:1e-13:1"]
+        path = str(self.CONFIGS / "nosignal_wishful.cfg")
+        assert main(["sweep", path, "--grid", *axes, "--out", str(out)]) == 1
+        lines = out.read_text().splitlines()
+        column = lines[0].split(",").index("config.tolerance.assert")
+        assert [line.split(",")[column] for line in lines[1:]] == ["1e-13"] * 3
 
     def test_repeated_axis_key_rejected(self):
         # The second axis once replaced the first, emitting 6 rows with repeats.
@@ -280,7 +296,7 @@ class TestGridAxisExpansion:
             # and exited 0.
             ("gram_equivalence", ["seed=1:3:0.5"]),
             ("conservation_violation", ["machine.ancilla_dim=2:3:0.5"]),
-            ("conservation_violation", ["overlap.a=0:1e-12:1e-13"]),
+            ("conservation_violation", ["overlap.a=0.5:0.500000000001:1e-13"]),
             ("conservation_violation", ["overlap.a=0:1:0.5", "overlap.a=0:1:1"]),
         ],
         ids=["fractional-seed", "fractional-ancilla-dim", "colliding-values", "repeated-key"],

@@ -3,7 +3,7 @@ import pytest
 
 import qclonelab.conservation as cons
 from conftest import consistent, random_isometry, strong_cloner
-from oracles import binary_entropy, partial_trace_einsum
+from oracles import binary_entropy, partial_trace_einsum, random_amplitudes
 from qclonelab.conservation import evaluate_batch, lambda_after, lambda_before
 from qclonelab.core import eig_hermitian_batch, kron_stack, reduced_states
 from qclonelab.machines import (
@@ -12,7 +12,7 @@ from qclonelab.machines import (
     extend_to_isometries,
     gram_comparison,
 )
-from qclonelab.states import overlap_pair_amplitudes, random_amplitudes
+from qclonelab.states import overlap_pair_amplitudes
 
 GRID = np.round(np.arange(0.0, 1.0 + 1e-12, 0.1), 10)
 

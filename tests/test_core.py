@@ -10,6 +10,7 @@ from conftest import random_ket, signature
 from oracles import (
     partial_trace_einsum,
     partial_trace_loop,
+    random_amplitudes,
     reduced_states_loop,
     trace_distance_eigsum,
 )
@@ -28,7 +29,7 @@ from qclonelab.core import (
     trace_distances,
 )
 from qclonelab.nosignal import _singlets
-from qclonelab.states import basis_amplitudes, random_amplitudes
+from qclonelab.states import basis_amplitudes
 
 
 def ket(label, amps):

@@ -18,7 +18,7 @@ from conftest import (
     strong_cloner,
     wishful_cloner,
 )
-from oracles import kron_all
+from oracles import kron_all, random_amplitudes
 from qclonelab.core import Ket, reduced_states
 from qclonelab.machines import (
     ConflictingRules,
@@ -37,7 +37,7 @@ from qclonelab.machines import (
     require_isometries,
     termwise_batch,
 )
-from qclonelab.states import StateFamily, basis_amplitudes, random_amplitudes
+from qclonelab.states import StateFamily, basis_amplitudes
 
 
 class TestConsistency:

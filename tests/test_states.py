@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_basis_angles, random_isometry, signature
-from oracles import basis_amplitudes_scalar, bloch_pair, kron_all
+from oracles import basis_amplitudes_scalar, bloch_pair, kron_all, random_amplitudes
 from qclonelab.core import Ket, eig_hermitian_batch, kron_stack, reduced_states
 from qclonelab.machines import apply_isometries
 from qclonelab.nosignal import _singlets
@@ -14,7 +14,6 @@ from qclonelab.states import (
     basis_amplitudes,
     gram_stack,
     overlap_pair_amplitudes,
-    random_amplitudes,
     random_kets,
 )
 from qclonelab.tolerances import ASSERT_TOL
