@@ -46,6 +46,9 @@ PINNED = [
     pytest.param("", CUBE, "csv",
                  "6394458328593676468347a84467578e97fd3ff1295e91e04ca2f36351cd940d",
                  id="cube-1331-csv"),
+    pytest.param("", CUBE, "json",
+                 "7c91b5822b71154776948e134ade1ec54dee03a56a70411ba4f6eb6ca758af69",
+                 id="cube-1331-json"),
     pytest.param("machine.ancilla_dim = 3\n", WEIGHT_PHASE, "csv",
                  "9c17982ab805865eaae6f14a0f553c172b2b1232e3d8c84379b7c3297a9c21d4",
                  id="weight-phase-dim3-csv"),
