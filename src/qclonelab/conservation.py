@@ -47,15 +47,16 @@ from .tolerances import RESIDUAL_TOL
 class ConservationBatch:
     """Results of :func:`evaluate_batch`, stacked over the batch (axis 0).
 
-    Marginals, their closed forms and the cloner's Gram matrices have shape
-    (n, 2, 2), the Gram matrices' largest entrywise deviation (n,),
-    eigenvalues (n, 2) in descending order, entropies (n,) in bits.
+    Marginals and the cloner's Gram matrices have shape (n, 2, 2), the
+    marginals' largest entrywise deviations from their closed forms and the
+    Gram matrices' from each other (n,), eigenvalues (n, 2) in descending
+    order, entropies (n,) in bits.
     """
 
     marginal_before: np.ndarray
     marginal_after: np.ndarray
-    closed_before: np.ndarray
-    closed_after: np.ndarray
+    closed_deviation_before: np.ndarray
+    closed_deviation_after: np.ndarray
     input_gram: np.ndarray
     output_gram: np.ndarray
     gram_deviation: np.ndarray
@@ -123,71 +124,60 @@ def _distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], np.argsort(order)[inverse]
 
 
-def _marginals(a, b, c, weight, ancilla_dim: int):
-    """Guarded stacked marginals (before, after), their closed forms
-    (before, after), rule Gram matrices (input, output), the Gram matrices'
-    deviations and the :func:`_distinct` rows of the points' halves (before,
-    after); the first stage of :func:`evaluate_batch`."""
+def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
+    """Alice's marginals before and after the branchwise strong cloner, their
+    deviations from the closed forms, spectra and entropies, and the cloner's
+    Gram matrices and their deviations, for a batch of overlap triples (a, b,
+    c) and branch weights at one ancilla dimension.
+
+    The batch is evaluated as stacked arrays.  Alice's state before depends
+    on (a, b, weight) only, after on (a, c, weight): each half is built,
+    guarded and diagonalized once per distinct key, by bits, and gathered to
+    the points; only the Gram deviations, which mix the halves, run per
+    point.  Each result is bit-for-bit what a batch of one gives for that
+    point.  Every guard runs once per batch with the default tolerances and
+    names the first failing point: overlap moduli and weights in range,
+    realized overlaps, Hermitian unit-trace marginals (the trace is the
+    joint ket's squared norm), marginals matching their closed forms [[w, pq
+    conj(z)], [pq z, 1 - w]] (z = ab before, a^2 c after, pq = sqrt(w(1 -
+    w))), the eigendecomposition residuals and normalized rule kets.
+    """
     a, b, c = (np.array(z, dtype=complex) for z in (a, b, c))
     w = np.broadcast_to(np.asarray(weight, dtype=float), (len(a),))
     psis, alphas, records = _branches(a, b, c, w, ancilla_dim)
     # A point holds 16 * ancilla_dim entries in the stacked rule amplitudes.
     step = max(1, CHUNK_ENTRIES // (16 * ancilla_dim))
-    # Alice's state before depends on (a, b, w) only, after on (a, c, w): each
-    # half runs once per distinct key, by bits, and is gathered to the points.
-    halves, rows = [], []
-    for half, partner, factors in ((_before, b, alphas), (_after, c, records)):
-        first, inverse = _distinct(a, partner, w)
-        parts = [first[start:start + step] for start in range(0, len(first), step)]
-        results = [half(w[k], psis[k], factors[k], ancilla_dim) for k in parts]
-        halves.append([np.concatenate(x)[inverse] for x in zip(*results)])
-        rows.append((first, inverse))
-    (before, input_gram), (after, output_gram) = halves
-    # Guarded on the whole batch, so that a failure names its batch index.
-    gram_deviation = gram_deviations(input_gram, output_gram)
-
-    # Closed forms [[w, pq conj(z)], [pq z, 1 - w]], pq = sqrt(w(1 - w)), with
-    # z = ab before and a^2 c after.  The reported deviations from them are
-    # pinned to this rounding: (pq a) b and ((pq a) a) c below the diagonal,
-    # pq conj(ab) and pq conj((a a) c) above it.
-    pq = np.sqrt(w * (1.0 - w))
-    closed = []
-    for label, rho, lower, upper in (
-        ("before", before, cmul(pq * a, b), cmul(a, b)),
-        ("after", after, cmul(cmul(pq * a, a), c), cmul(cmul(a, a), c)),
+    halves = []
+    # A half is keyed on (a, the last factor of z, w).  The reported
+    # closed-form deviations are pinned to this rounding: (pq a) b and ((pq
+    # a) a) c below the diagonal, pq conj(ab) and pq conj((a a) c) above it.
+    for label, build, factors, z in (
+        ("before", _before, alphas, (a, b)), ("after", _after, records, (a, a, c))
     ):
-        require_density_matrices(rho, f"marginal {label}")
+        first, inverse = _distinct(a, z[-1], w)
+        parts = [first[start:start + step] for start in range(0, len(first), step)]
+        results = [build(w[k], psis[k], factors[k], ancilla_dim) for k in parts]
+        rho, gram = map(np.concatenate, zip(*results))
+        v, head, *tail = (x[first] for x in (w, *z))
+        pq = np.sqrt(v * (1.0 - v))
+        lower, upper = pq * head, head
+        for x in tail:
+            lower, upper = cmul(lower, x), cmul(upper, x)
         upper = pq * upper.conj()
-        closed.append(np.stack([np.stack([w, upper], -1), np.stack([lower, 1.0 - w], -1)], -2))
-        dev = np.max(np.abs(rho - closed[-1]), axis=(1, 2))
-        message = f"marginal {label} deviates from its closed form"
-        require_within(dev, RESIDUAL_TOL, ArithmeticError, message)
-
-    return before, after, *closed, input_gram, output_gram, gram_deviation, rows
-
-
-def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
-    """Alice's marginals before and after the branchwise strong cloner, their
-    spectra and entropies, and the cloner's Gram matrices and their
-    deviations, for a batch of overlap triples (a, b, c) and branch weights
-    at one ancilla dimension.
-
-    The batch is evaluated as stacked arrays, each half once per distinct key
-    (see :func:`_marginals`); each result is bit-for-bit what a batch of one
-    gives for that point.  Every guard runs once per batch with the default
-    tolerances and names the first failing point: overlap moduli and weights
-    in range, realized overlaps, normalized rule kets, Hermitian unit-trace
-    marginals (the trace is the joint ket's squared norm), marginals matching
-    their closed forms [[w, pq conj(z)], [pq z, 1 - w]] (z = ab before, a^2 c
-    after, pq = sqrt(w(1 - w))), and the eigendecomposition residuals.
-    """
-    *marginals, rows = _marginals(a, b, c, weight, ancilla_dim)
-    spectra = []
-    for rho, (first, inverse) in zip(marginals, rows):
+        closed = np.stack([np.stack([v, upper], -1), np.stack([lower, 1.0 - v], -1)], -2)
         # Rows follow their first points: the first failing one names the first point.
-        with failures_named("batch index", first) if len(inverse) > 1 else nullcontext():
-            spectra.append(eig_hermitian_batch(rho[first])[0][inverse])
-    return ConservationBatch(*marginals, *spectra, *map(entropy_bits, spectra))
+        with failures_named("batch index", first) if len(a) > 1 else nullcontext():
+            require_density_matrices(rho, f"marginal {label}")
+            dev = np.max(np.abs(rho - closed), axis=(1, 2))
+            message = f"marginal {label} deviates from its closed form"
+            require_within(dev, RESIDUAL_TOL, ArithmeticError, message)
+            spectrum = eig_hermitian_batch(rho)[0]
+        halves.append([x[inverse] for x in (rho, gram, dev, spectrum, entropy_bits(spectrum))])
+    (before, g_in, dev_b, vals_b, s_b), (after, g_out, dev_a, vals_a, s_a) = halves
+    return ConservationBatch(
+        before, after, dev_b, dev_a, g_in, g_out, gram_deviations(g_in, g_out),
+        vals_b, vals_a, s_b, s_a,
+    )
 
 
 def _lambda_max(offdiag_modulus, branch_weight):

@@ -195,49 +195,100 @@ def test_cube_evaluates_each_half_once_per_distinct_key(tmp_path, monkeypatch):
     stage = {4: "before", 32: "after"}
     counted("reduced_states", cons.reduced_states, lambda kets, dims, keep: stage[dims[1]])
     counted("eig_hermitian_batch", cons.eig_hermitian_batch, lambda stack: "eig")
+    counted("require_density_matrices", cons.require_density_matrices, lambda rho, what: what)
     cfg = tmp_path / "c.cfg"
     cfg.write_text(SEED7_CONFIG)
     assert main(["sweep", str(cfg), "--grid", *CUBE, "--out", str(tmp_path / "sweep.csv")]) == 1
-    assert rows == {"before": 121, "after": 121, "eig": 121 + 121}
+    assert rows == {
+        "before": 121, "after": 121, "eig": 121 + 121,
+        "marginal before": 121, "marginal after": 121,
+    }
 
 
 class TestResidualFailureNamesFirstPoint:
-    """An eigendecomposition residual that fails on some distinct halves
-    names the first grid point among them, whatever order their keys sort
-    in."""
+    """A guard of Alice's state that fails on some distinct halves names the
+    first grid point among them, whatever order their keys sort in.  Here
+    the eigendecomposition residual fails; the subclasses below fail the
+    density and closed-form guards, which also run on the distinct rows."""
 
     # Points b = 0.1, 0.3, 0.5 (each against three c); Alice's state before
     # fails on b = 0.3 and 0.5, first met at grid point 3.  Their keys sort
     # by bytes as b = 0.5, 0.3, 0.1 (lowest mantissa bytes 0x00, 0x33, 0x9a).
     GRID = ["overlap.b=0.1:0.5:0.2", "overlap.c=0:1:0.5"]
     CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "conservation_violation.cfg")
+    ERROR, CODE, MESSAGE = ArithmeticError, 3, "eigendecomposition residual 1 exceeds 1e-12"
 
     @pytest.fixture(autouse=True)
-    def fail_large_offdiagonals(self, monkeypatch):
+    def passing_dims(self, monkeypatch):
+        """Fails the guard on Alice's states whose |off-diagonal| exceeds 0.06
+        (0.3 b before: 0.03, 0.09 and 0.15), except in batches at the
+        ancilla dimensions added to the returned set."""
+        passing, evaluate, batch_dim = set(), cons.evaluate_batch, [None]
+
+        def evaluate_at(a, b, c, weight, ancilla_dim=4):
+            batch_dim[0] = ancilla_dim
+            return evaluate(a, b, c, weight, ancilla_dim)
+
+        def bad(mat):
+            return (np.abs(mat[..., 1, 0]) > 0.06) & (batch_dim[0] not in passing)
+
+        monkeypatch.setattr(cons, "evaluate_batch", evaluate_at)
+        self.fail(monkeypatch, bad)
+        return passing
+
+    def fail(self, monkeypatch, bad):
         exact = core._eig_2x2
 
         def failing(mat):
             vals, vecs = exact(mat)
-            # |off-diagonal| = 0.3 b before: 0.03, 0.09 and 0.15.
-            return vals + (np.abs(mat[..., 1, 0]) > 0.06)[..., None], vecs
+            return vals + bad(mat)[..., None], vecs
 
         monkeypatch.setattr(core, "_eig_2x2", failing)
 
+    def stderr(self, where=""):
+        kind = "numerical failure" if self.ERROR is ArithmeticError else "rejected input"
+        return f"{kind}: {self.ERROR.__name__}: {self.MESSAGE}{where}\n"
+
     def test_sweep_names_the_earlier_point(self, capsys):
-        assert main(["sweep", self.CONFIG, "--grid", *self.GRID]) == 3
-        err = capsys.readouterr().err
-        assert err == "numerical failure: ArithmeticError: eigendecomposition residual 1 " \
-                      "exceeds 1e-12 at grid point 3\n"
+        assert main(["sweep", self.CONFIG, "--grid", *self.GRID]) == self.CODE
+        assert capsys.readouterr().err == self.stderr(" at grid point 3")
 
     def test_run_names_no_point(self, capsys):
-        assert main(["run", self.CONFIG]) == 3
-        err = capsys.readouterr().err
-        assert err == "numerical failure: ArithmeticError: eigendecomposition residual 1 " \
-                      "exceeds 1e-12\n"
+        assert main(["run", self.CONFIG]) == self.CODE
+        assert capsys.readouterr().err == self.stderr()
 
     def test_one_distinct_half_names_batch_index_0(self):
-        with pytest.raises(ArithmeticError, match=r"exceeds 1e-12 at batch index 0$"):
+        with pytest.raises(self.ERROR) as exc:
             evaluate_batch([0.6] * 3, [0.5] * 3, [0.5] * 3, [0.5] * 3)
+        assert str(exc.value) == self.MESSAGE + " at batch index 0"
+
+    def test_failure_in_a_later_batch_names_its_grid_point(self, capsys, passing_dims):
+        # Grid point (b, c, dim) is 6 ib + 2 ic + id: the batch at dim 3 holds
+        # the odd points, and its first failing one (b = 0.3, c = 0) is 7.
+        passing_dims.add(2)
+        grid = [*self.GRID, "machine.ancilla_dim=2:3:1"]
+        assert main(["sweep", self.CONFIG, "--grid", *grid]) == self.CODE
+        assert capsys.readouterr().err == self.stderr(" at grid point 7")
+
+
+class TestDensityFailureNamesFirstPoint(TestResidualFailureNamesFirstPoint):
+    ERROR, CODE, MESSAGE = ValueError, 2, "marginal before trace deviates from 1 by 1"
+    SHIFT = np.diag([1.0, 0.0])
+
+    def fail(self, monkeypatch, bad):
+        reduce = cons.reduced_states
+
+        def shifted(*args):
+            rho = reduce(*args)
+            return rho + self.SHIFT * bad(rho)[:, None, None]
+
+        monkeypatch.setattr(cons, "reduced_states", shifted)
+
+
+class TestClosedFormFailureNamesFirstPoint(TestDensityFailureNamesFirstPoint):
+    # Still Hermitian with unit trace, and 0.5 off the closed form.
+    ERROR, CODE, MESSAGE = ArithmeticError, 3, "marginal before deviates from its closed form"
+    SHIFT = np.diag([0.5, -0.5])
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,16 +310,19 @@ def test_closed_forms_round_as_scalar_arithmetic(points):
         after = np.array(
             [[wk, pq * np.conj(ak * ak * ck)], [pq * ak * ak * ck, 1.0 - wk]], dtype=complex
         )
-        assert np.abs(batch.closed_before[k] - before).tobytes() == bytes(32)
-        assert np.abs(batch.closed_after[k] - after).tobytes() == bytes(32)
+        for rho, closed, dev in (
+            (batch.marginal_before, before, batch.closed_deviation_before),
+            (batch.marginal_after, after, batch.closed_deviation_after),
+        ):
+            assert dev[k].tobytes() == np.max(np.abs(rho[k] - closed)).tobytes()
 
 
-def test_marginal_helpers_need_no_spectrum():
-    # Here Alice's after-marginal is degenerate up to 1e-20, where the
-    # closed-form 2x2 eigenvectors lose accuracy; the marginal stage does not
-    # diagonalize anything, so it still answers.
-    after = cons._marginals([1.0], [0.0], [1e-20], [0.5], 4)[1]
-    np.testing.assert_allclose(after[0], np.eye(2) / 2, atol=1e-15)
+def test_degenerate_marginal_after_has_a_flat_spectrum():
+    # Alice's state after is degenerate up to 1e-20 here: the closed-form 2x2
+    # eigensolver still answers, within its residual guard.
+    batch = evaluate_batch([1.0], [0.0], [1e-20], [0.5], 4)
+    np.testing.assert_allclose(batch.marginal_after[0], np.eye(2) / 2, atol=1e-15)
+    np.testing.assert_allclose(batch.eigenvalues_after[0], [0.5, 0.5], atol=1e-15)
 
 
 class TestGuardsNameFirstFailingPoint:
