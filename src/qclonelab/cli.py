@@ -1,24 +1,34 @@
 """Command-line front end: run one scenario, sweep a grid, or verify invariants.
 
 Exit codes: 0 all verdicts pass, 1 scientific verdict failure, 2 input the
-scenario cannot accept (a configuration error, a file that cannot be read or
-written, a rejected value, or an input too large to allocate), 3 numerical
-failure (a residual guard tripped).  Errors print one line on stderr.  The
-QCLONELAB_TOL environment variable supplies the default assertion
-tolerance; explicit config keys and flags win.
+scenario cannot accept (a misused command line, a configuration error, a
+file that cannot be read or written, a rejected value, or an input too
+large to allocate), 3 numerical failure (a residual guard tripped).  Errors
+print one line on stderr.  The QCLONELAB_TOL environment variable supplies
+the default assertion tolerance; explicit config keys and flags win.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import os
 import stat
 import sys
+from contextlib import nullcontext
+from itertools import chain
 
 from .config import DEFAULT_SEED, ConfigError, checked_value, grid_points, load_config
+from .report import render_csv
 from .scenarios import run_configs
 from .verification import run_all_checks
+
+USAGE = """\
+usage: qclonelab run CONFIG [--format table|csv|json] [--out PATH]
+       qclonelab sweep CONFIG --grid KEY=LO:HI:STEP... [--format csv|json] [--out PATH]
+       qclonelab verify [--seed N] [--tolerance X] [--out PATH]
+A flag takes its value as --flag VALUE or --flag=VALUE.  Exit codes: 0 pass,
+1 verdict failure, 2 input refused, 3 numerical failure.
+"""
 
 ENV_TOLERANCE = "QCLONELAB_TOL"
 
@@ -35,12 +45,14 @@ def _refuse_unwritable(path: str) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+class UsageError(Exception):
+    """A command line that names no command, config path or flag as :data:`USAGE` does."""
+
+
+def _emit(pieces, out_path: str | None) -> None:
+    """Write the strings ``pieces`` in turn to ``out_path``, or to stdout."""
+    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
+        fh.writelines(pieces)
 
 
 def _env_tolerance_overrides() -> dict[str, object]:
@@ -50,82 +62,93 @@ def _env_tolerance_overrides() -> dict[str, object]:
     return {"tolerance.assert": checked_value("tolerance.assert", raw, f"{ENV_TOLERANCE}={raw!r}")}
 
 
-def _cmd_run(args) -> int:
-    grid = grid_points(load_config(args.config, _env_tolerance_overrides()))
+def _cmd_run(path: str, flags: dict) -> int:
+    grid = grid_points(load_config(path, _env_tolerance_overrides()))
     report = run_configs(grid)
-    _emit(report.render(args.format or grid.shared["format"]), args.out)
+    _emit([report.render(flags.get("--format") or grid.shared["format"])], flags.get("--out"))
     return 0 if report.all_pass else 1
 
 
-def _cmd_sweep(args) -> int:
-    grid = grid_points(load_config(args.config, _env_tolerance_overrides()), args.grid)
+def _cmd_sweep(path: str, flags: dict) -> int:
+    if not flags.get("--grid"):
+        raise UsageError("sweep needs --grid with at least one KEY=LO:HI:STEP axis")
+    if flags.get("--format") == "table":
+        raise UsageError("sweep --format takes csv or json")
+    grid = grid_points(load_config(path, _env_tolerance_overrides()), flags["--grid"])
     report = run_configs(grid)
-    if args.format == "json":
-        rows = (report.render("json", k).rstrip("\n") for k in range(len(report)))
-        text = "[\n" + ",\n".join(rows) + "\n]\n"
-    else:
-        text = report.render("csv")
-    _emit(text, args.out)
+    rows = (("," if k else "[") + "\n" + report.render("json", k)[:-1] for k in range(len(report)))
+    pieces = chain(rows, ["\n]\n"]) if flags.get("--format") == "json" else render_csv(report)
+    _emit(pieces, flags.get("--out"))
     return 0 if report.all_pass else 1
 
 
-def _cmd_verify(args) -> int:
-    checked_value("seed", args.seed, f"--seed {args.seed}")
-    if args.tolerance is None:
-        tolerance = _env_tolerance_overrides().get("tolerance.assert")
-    else:
-        tolerance = checked_value("tolerance.assert", args.tolerance, "--tolerance")
-    results = run_all_checks(seed=args.seed, tolerance=tolerance)
-    lines = [r.line() for r in results]
+def _cmd_verify(_path, flags: dict) -> int:
+    tolerance = flags.get("--tolerance") or _env_tolerance_overrides().get("tolerance.assert")
+    results = run_all_checks(seed=flags.get("--seed", DEFAULT_SEED), tolerance=tolerance)
     failed = sum(0 if r.passed else 1 for r in results)
-    lines.append(f"{len(results) - failed}/{len(results)} checks passed")
-    _emit("\n".join(lines) + "\n", args.out)
+    summary = f"{len(results) - failed}/{len(results)} checks passed\n"
+    _emit([*(f"{r.line()}\n" for r in results), summary], flags.get("--out"))
     return 0 if failed == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qclonelab",
-        description="Cloning machines, signalling magnitudes, and entanglement deltas "
-        "on labeled qubit registers.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Per command: its handler, whether it takes a config path, and its flags with
+# the config key each value is checked as (None: as given; --grid: a list).
+_COMMANDS = {
+    "run": (_cmd_run, True, {"--format": "format", "--out": None}),
+    "sweep": (_cmd_sweep, True, {"--grid": None, "--format": "format", "--out": None}),
+    "verify": (_cmd_verify, False,
+               {"--tolerance": "tolerance.assert", "--seed": "seed", "--out": None}),
+}
 
-    p_run = sub.add_parser("run", help="run one scenario config file")
-    p_run.add_argument("config")
-    p_run.add_argument("--format", choices=("table", "csv", "json"), default=None)
-    p_run.add_argument("--out", default=None)
-    p_run.set_defaults(fn=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run a parameter grid over a config file")
-    p_sweep.add_argument("config")
-    p_sweep.add_argument(
-        "--grid", nargs="+", required=True, metavar="KEY=LO:HI:STEP",
-        help="one or more sweep axes",
-    )
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.set_defaults(fn=_cmd_sweep)
-
-    p_verify = sub.add_parser("verify", help="run every invariant check")
-    p_verify.add_argument("--tolerance", type=float, default=None)
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--out", default=None)
-    p_verify.set_defaults(fn=_cmd_verify)
-    return parser
+def _parse(argv: list[str]):
+    """The handler, config path and checked flag values that ``argv`` names.
+    A flag is matched whole, never by a prefix, and given at most once."""
+    command, *rest = argv or [""]
+    if command not in _COMMANDS:
+        raise UsageError(f"unknown command {command!r}" if argv else "no command given")
+    fn, takes_config, known = _COMMANDS[command]
+    paths, flags = [], {}
+    while rest:
+        token = rest.pop(0)
+        flag, eq, value = token.partition("=")
+        if not token.startswith("-"):
+            paths.append(token)
+        elif flag not in known or flag in flags:
+            raise UsageError(f"{command}: {'repeated' if flag in flags else 'unknown'} flag {flag}")
+        elif flag == "--grid":
+            flags[flag] = [value] if eq else []
+            while rest and not rest[0].startswith("-"):
+                flags[flag].append(rest.pop(0))
+        elif eq or rest:
+            value, key = value if eq else rest.pop(0), known[flag]
+            flags[flag] = value if key is None else checked_value(key, value, f"{flag} {value}")
+        else:
+            raise UsageError(f"{command}: flag {flag} needs a value")
+    if len(paths) != takes_config:
+        raise UsageError(f"{command} takes {'one' if takes_config else 'no'} config path, "
+                         f"got {len(paths)}")
+    return fn, paths[0] if paths else None, flags
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "--help" in argv or "-h" in argv:
+        sys.stdout.write(USAGE)
+        return 0
     try:
-        if args.out:
-            _refuse_unwritable(args.out)
-        return args.fn(args)
+        fn, path, flags = _parse(argv)
+        if flags.get("--out"):
+            _refuse_unwritable(flags["--out"])
+        return fn(path, flags)
+    except UsageError as exc:
+        print(f"usage error: {exc}; see qclonelab --help", file=sys.stderr)
+        return 2
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"input too large: MemoryError: {exc}", file=sys.stderr)
+        print(f"input too large: MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"rejected input: {type(exc).__name__}: {exc}", file=sys.stderr)

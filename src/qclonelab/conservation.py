@@ -75,9 +75,9 @@ def _superpose(weight: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.
     return out
 
 
-def _branches(a, b, c, weight, ancilla_dim: int):
-    """Validated overlap pairs (psis, alphas, records) for a batch of overlap
-    triples and branch weights."""
+def _check_batch(a, b, c, weight, ancilla_dim: int) -> None:
+    """Refuse a batch of overlap triples and branch weights whose ancilla
+    dimension, lengths or weights are out of range."""
     if ancilla_dim < 2:
         raise ValueError("environment register needs dimension >= 2")
     if not len(a) == len(b) == len(c) == len(weight):
@@ -87,11 +87,6 @@ def _branches(a, b, c, weight, ancilla_dim: int):
     if np.any(outside):
         k, where = first_failure(outside)
         raise ValueError(f"branch weight must lie in [0, 1], got {float(w[k])!r}{where}")
-    return (
-        overlap_pair_amplitudes(a, 2),
-        overlap_pair_amplitudes(b, 2),
-        overlap_pair_amplitudes(c, 2 * ancilla_dim),
-    )
 
 
 def _shared(weight: np.ndarray, psis: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -135,8 +130,9 @@ def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
     guarded and diagonalized once per distinct key, by bits, and gathered to
     the points; only the Gram deviations, which mix the halves, run per
     point.  Each result is bit-for-bit what a batch of one gives for that
-    point.  Every guard runs once per batch with the default tolerances and
-    names the first failing point: overlap moduli and weights in range,
+    point.  Every guard runs once per batch, or once per half on its
+    distinct rows, with the default tolerances and names the first failing
+    point: weights in range, then per half the overlap moduli in range,
     realized overlaps, Hermitian unit-trace marginals (the trace is the
     joint ket's squared norm), marginals matching their closed forms [[w, pq
     conj(z)], [pq z, 1 - w]] (z = ab before, a^2 c after, pq = sqrt(w(1 -
@@ -144,20 +140,18 @@ def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
     """
     a, b, c = (np.array(z, dtype=complex) for z in (a, b, c))
     w = np.broadcast_to(np.asarray(weight, dtype=float), (len(a),))
-    psis, alphas, records = _branches(a, b, c, w, ancilla_dim)
+    _check_batch(a, b, c, w, ancilla_dim)
     # A point holds 16 * ancilla_dim entries in the stacked rule amplitudes.
     step = max(1, CHUNK_ENTRIES // (16 * ancilla_dim))
     halves = []
-    # A half is keyed on (a, the last factor of z, w).  The reported
-    # closed-form deviations are pinned to this rounding: (pq a) b and ((pq
-    # a) a) c below the diagonal, pq conj(ab) and pq conj((a a) c) above it.
-    for label, build, factors, z in (
-        ("before", _before, alphas, (a, b)), ("after", _after, records, (a, a, c))
+    # A half is keyed on (a, the last factor of z, w), and its overlap pairs
+    # are those of a and of that factor.  The reported closed-form
+    # deviations are pinned to this rounding: (pq a) b and ((pq a) a) c
+    # below the diagonal, pq conj(ab) and pq conj((a a) c) above it.
+    for label, build, z, dim in (
+        ("before", _before, (a, b), 2), ("after", _after, (a, a, c), 2 * ancilla_dim)
     ):
         first, inverse = _distinct(a, z[-1], w)
-        parts = [first[start:start + step] for start in range(0, len(first), step)]
-        results = [build(w[k], psis[k], factors[k], ancilla_dim) for k in parts]
-        rho, gram = map(np.concatenate, zip(*results))
         v, head, *tail = (x[first] for x in (w, *z))
         pq = np.sqrt(v * (1.0 - v))
         lower, upper = pq * head, head
@@ -167,6 +161,11 @@ def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
         closed = np.stack([np.stack([v, upper], -1), np.stack([lower, 1.0 - v], -1)], -2)
         # Rows follow their first points: the first failing one names the first point.
         with failures_named("batch index", first) if len(a) > 1 else nullcontext():
+            psis = overlap_pair_amplitudes(head, 2)
+            factors = overlap_pair_amplitudes(tail[-1], dim)
+            parts = [slice(start, start + step) for start in range(0, len(first), step)]
+            results = [build(v[k], psis[k], factors[k], ancilla_dim) for k in parts]
+            rho, gram = map(np.concatenate, zip(*results))
             require_density_matrices(rho, f"marginal {label}")
             dev = np.max(np.abs(rho - closed), axis=(1, 2))
             message = f"marginal {label} deviates from its closed form"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,7 @@ class ScenarioReport:
         if fmt == "json":
             return json.dumps(self.to_json_dict(row), indent=2, sort_keys=True) + "\n"
         if fmt == "csv":
-            return render_csv(self)
+            return "".join(render_csv(self))
         if fmt != "table":
             raise ValueError(f"unknown report format {fmt!r}")
         doc = self.to_json_dict(row)
@@ -109,11 +110,11 @@ class ScenarioReport:
         return "\n".join(lines) + "\n"
 
 
-def render_csv(report: ScenarioReport) -> str:
-    """A header line, then one line per row of the report, its cells joined
-    by commas: the strings every row shares as they are, verdicts as 1 or 0
-    and numbers as :func:`format_scalar` formats them, each distinct number
-    of the report once."""
+def render_csv(report: ScenarioReport) -> Iterator[str]:
+    """A header line, then one line per row of the report, each ending in a
+    newline, its cells joined by commas: the strings every row shares as
+    they are, verdicts as 1 or 0 and numbers as :func:`format_scalar`
+    formats them, each distinct number of the report once."""
     n = len(report)
     formatted = iter(_formatted([
         *report.scalars.values(), *(dev for dev, _ in report.verdicts.values())
@@ -125,17 +126,17 @@ def render_csv(report: ScenarioReport) -> str:
         fields.append((f"verdict.{name}", np.where(dev < tol, "1", "0").tolist()))
         fields.append((f"verdict.{name}.deviation", next(formatted)))
     cells = (itertools.repeat(c, n) if isinstance(c, str) else c for _, c in fields)
-    rows = map(",".join, zip(*cells))
-    return "\n".join([",".join(name for name, _ in fields), *rows]) + "\n"
+    rows = map(str.__add__, map(",".join, zip(*cells)), itertools.repeat("\n"))
+    return itertools.chain([",".join(name for name, _ in fields) + "\n"], rows)
 
 
 def _formatted(columns: list, n: int) -> list[list[str]]:
-    """:func:`format_scalar` of each value of the n-value columns, run once
-    per distinct value: adding 0.0 first collapses -0.0 into 0.0."""
+    """:func:`format_scalar` of each value of the n-value columns, by one ``%``
+    that formats each distinct value once: adding 0.0 collapses -0.0 first."""
     values = np.concatenate([np.asarray(c, dtype=float).reshape(n) for c in columns]) + 0.0
     distinct, at = np.unique(values, return_inverse=True)
-    text = np.array(["%.11e" % x for x in distinct.tolist()], dtype=object)
-    return text[at].reshape(len(columns), n).tolist()
+    text = ("%.11e\n" * len(distinct) % tuple(distinct.tolist())).split("\n")[:-1]
+    return np.array(text, dtype=object)[at].reshape(len(columns), n).tolist()
 
 
 def _merge(columns: list, sizes: list[int], order: np.ndarray):

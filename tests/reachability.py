@@ -40,11 +40,12 @@ def commands(out: Path) -> tuple[list[list[str]], list[list[str]]]:
     without ``--format``; the cube, wishful and isometry sweeps as CSV and
     JSON; a gram-equivalence sweep over the family size (one batch per
     size); the wishful config loosened to ``tolerance.assert = 0.5``; a
-    wishful sweep at ``tolerance.assert = 1e-13``; and ``verify``.  The second are the exit-2 cases of
-    ``tests/test_cli.py`` (a repeated ``kind``, a basis part beside its
-    shorthand on a swept ``machine.ancilla_dim``, a zero tolerance), its file
-    cases (a directory as the config or as ``--out``), and the conflicting
-    wishful rules of ``tests/test_scenarios.py``.  No test drives a config
+    wishful sweep at ``tolerance.assert = 1e-13``; ``verify``; and
+    ``--help``.  The second are the exit-2 cases of ``tests/test_cli.py`` (a
+    repeated ``kind``, a basis part beside its shorthand on a swept
+    ``machine.ancilla_dim``, a zero tolerance), its file cases (a directory
+    as the config or as ``--out``), a flag given by a prefix, and the
+    conflicting wishful rules of ``tests/test_scenarios.py``.  No test drives a config
     to exit 3: the one exit-3 case patches the runner.
     """
     argv = []
@@ -68,6 +69,7 @@ def commands(out: Path) -> tuple[list[list[str]], list[list[str]]]:
     argv.append(["sweep", _config("nosignal_wishful"), "--grid", "basis2.theta=0:0.2:0.1",
                  "tolerance.assert=1e-13:1e-13:1", "--out", str(out / "sweep")])
     argv.append(["verify", "--seed", "7", "--out", str(out / "verify")])
+    argv.append(["--help"])
 
     failing = []
     bad = out / "bad"
@@ -112,6 +114,7 @@ def commands(out: Path) -> tuple[list[list[str]], list[list[str]]]:
     failing.append(["sweep", violation, "--grid", *CUBE, "--format", "json", "--out", str(bad)])
     failing.append(["verify", "--seed", "7", "--out", str(bad)])
     failing.append(["verify", "--seed", "-1"])
+    failing.append(["run", violation, "--form", "json"])
     return argv, failing
 
 

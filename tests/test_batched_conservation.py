@@ -196,12 +196,17 @@ def test_cube_evaluates_each_half_once_per_distinct_key(tmp_path, monkeypatch):
     counted("reduced_states", cons.reduced_states, lambda kets, dims, keep: stage[dims[1]])
     counted("eig_hermitian_batch", cons.eig_hermitian_batch, lambda stack: "eig")
     counted("require_density_matrices", cons.require_density_matrices, lambda rho, what: what)
+    # Each half builds the overlap pairs of a and of its own factor: b
+    # before, c (at dimension 2 * ancilla_dim) after.
+    counted("overlap_pair_amplitudes", cons.overlap_pair_amplitudes,
+            lambda targets, dimension: f"pairs at dimension {dimension}")
     cfg = tmp_path / "c.cfg"
     cfg.write_text(SEED7_CONFIG)
     assert main(["sweep", str(cfg), "--grid", *CUBE, "--out", str(tmp_path / "sweep.csv")]) == 1
     assert rows == {
         "before": 121, "after": 121, "eig": 121 + 121,
         "marginal before": 121, "marginal after": 121,
+        "pairs at dimension 2": 121 + 121 + 121, "pairs at dimension 8": 121,
     }
 
 

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -694,3 +696,112 @@ class TestNegativeSeed:
     def test_verify_names_the_flag(self, capsys):
         err = self._err(capsys, ["verify", "--seed", "-1"])
         assert err.startswith("configuration error: --seed")
+
+
+class TestArgvReader:
+    """The command line is read by one table-driven reader: any misuse exits
+    2 with one stderr line before any work, ``--help`` prints the usage."""
+
+    CUBE = ["overlap.a=0:1:0.1", "overlap.b=0:1:0.1", "overlap.c=0:1:0.1"]
+    SEE = "; see qclonelab --help\n"
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        monkeypatch.setattr(cli, "run_configs", _never)
+        monkeypatch.setattr(cli, "run_all_checks", _never)
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            ([], "usage error: no command given" + SEE),
+            (["wat", "CFG", "--out", "OUT"], "usage error: unknown command 'wat'" + SEE),
+            (["run", "--out", "OUT"], "usage error: run takes one config path, got 0" + SEE),
+            (["sweep", "--grid", *CUBE, "--out", "OUT"],
+             "usage error: sweep takes one config path, got 0" + SEE),
+            (["verify", "CFG", "--out", "OUT"],
+             "usage error: verify takes no config path, got 1" + SEE),
+            (["sweep", "CFG", "--out", "OUT"],
+             "usage error: sweep needs --grid with at least one KEY=LO:HI:STEP axis" + SEE),
+            (["sweep", "CFG", "--grid", "--out", "OUT"],
+             "usage error: sweep needs --grid with at least one KEY=LO:HI:STEP axis" + SEE),
+            (["run", "CFG", "--wat", "--out", "OUT"], "usage error: run: unknown flag --wat" + SEE),
+            # Argparse once expanded a unique prefix of a flag.
+            (["run", "CFG", "--form", "json", "--out", "OUT"],
+             "usage error: run: unknown flag --form" + SEE),
+            (["run", "CFG", "--out", "OUT", "--out", "OUT"],
+             "usage error: run: repeated flag --out" + SEE),
+            (["run", "CFG", "--out", "OUT", "--format"],
+             "usage error: run: flag --format needs a value" + SEE),
+            (["sweep", "CFG", "--grid", *CUBE, "--format", "table", "--out", "OUT"],
+             "usage error: sweep --format takes csv or json" + SEE),
+            (["run", "CFG", "--format", "xml", "--out", "OUT"],
+             "configuration error: --format xml: 'xml' is not one of ('table', 'csv', 'json')\n"),
+            (["verify", "--seed", "abc", "--out", "OUT"],
+             "configuration error: --seed abc is not a number\n"),
+            (["verify", "--seed=2.5", "--out", "OUT"],
+             "configuration error: --seed 2.5 is not a number\n"),
+            (["verify", "--tolerance", "x", "--out", "OUT"],
+             "configuration error: --tolerance x is not a number\n"),
+        ],
+        ids=["no-command", "unknown-command", "run-no-config", "sweep-no-config",
+             "verify-with-config", "no-grid", "grid-without-axis", "unknown-flag",
+             "flag-prefix", "repeated-flag", "flag-without-value", "sweep-table",
+             "unknown-format", "seed-abc", "seed-fraction", "tolerance-x"],
+    )
+    def test_misuse_exits_2_with_one_line(self, tmp_path, capsys, argv, err):
+        path = tmp_path / "c.cfg"
+        path.write_text(CONS_TEXT)
+        out = tmp_path / "out.txt"
+        argv = [{"CFG": str(path), "OUT": str(out)}.get(a, a) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["sweep", "--help"],
+                                      ["verify", "--seed", "abc", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (cli.USAGE, "")
+        assert captured.out.startswith("usage: qclonelab run CONFIG")
+
+    @staticmethod
+    def _flags(monkeypatch, command: str, argv: list[str]) -> dict:
+        """The flag values the reader hands ``command``'s handler."""
+        seen = []
+        entry = cli._COMMANDS[command]
+        monkeypatch.setitem(cli._COMMANDS, command,
+                            (lambda path, flags: seen.append(flags) or 0, *entry[1:]))
+        assert main(argv) == 0
+        return seen[0]
+
+    def test_flag_value_after_equals_sign(self, monkeypatch):
+        spaced = ["sweep", "c.cfg", "--grid", *self.CUBE, "--format", "json", "--out", "o"]
+        joined = ["sweep", "--out=o", f"--grid={self.CUBE[0]}", *self.CUBE[1:], "--format=json",
+                  "c.cfg"]
+        expected = {"--grid": self.CUBE, "--format": "json", "--out": "o"}
+        assert self._flags(monkeypatch, "sweep", spaced) == expected
+        assert self._flags(monkeypatch, "sweep", joined) == expected
+
+    def test_values_are_checked_as_their_keys(self, monkeypatch):
+        flags = self._flags(monkeypatch, "verify", ["verify", "--seed", "3", "--tolerance=1e-9"])
+        assert flags == {"--seed": 3, "--tolerance": 1e-9}
+
+
+def test_cli_imports_neither_argparse_nor_locale(tmp_path):
+    # Argparse's first use cost 2.7-3.4 ms of every cold command, 1.2-2.3 ms
+    # of it gettext importing locale.
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "import qclonelab.cli as cli\n"
+        "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+        f"code = cli.main(['sweep', {str(root / 'configs' / 'conservation_violation.cfg')!r},"
+        f" '--grid', *{TestArgvReader.CUBE!r}, '--out', {str(tmp_path / 's.csv')!r}])\n"
+        "print(code, sorted(m for m in ('argparse', 'locale') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout == "[]\n1 []\n"

@@ -366,6 +366,18 @@ class TestExitCodes:
         assert done.returncode == 2 and done.stdout == ""
         _one_line(done.stderr, "input too large: MemoryError: Unable to allocate")
 
+    def test_2_allocation_failure_without_a_message(self, monkeypatch, capsys):
+        # A MemoryError raised with no message once printed an empty reason:
+        # "input too large: MemoryError: ".
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(nosig, "evaluate_batch", exhausted)
+        assert main(["run", str(CONFIGS / "nosignal_wishful.cfg")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input too large: MemoryError: out of memory\n"
+
     def test_3_numerical_failure(self, monkeypatch, capsys):
         def tripped(grid):
             raise ArithmeticError("eigendecomposition residual 0.5 exceeds 1e-12")

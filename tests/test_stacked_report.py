@@ -148,11 +148,18 @@ def test_nosignal_sweep_rows_are_runs(mode, theta, axes):
     _assert_sweep_rows_are_runs(text, axes)
 
 
+def _csv_lines(report: ScenarioReport) -> list[str]:
+    """The lines ``render_csv`` yields, each one line ending in a newline."""
+    lines = list(render_csv(report))
+    assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+    return [line[:-1] for line in lines]
+
+
 def test_csv_columns_format_as_scalars():
     values = [-0.0, 0.0, 0.65, 1e-12, -2.5e300, float("inf"), float("nan")]
     # A shared string passes through as it is, % included.
     report = ScenarioReport("k", {"key": "5%d"}, {"x": np.array(values)}, {}, {})
-    header, *rows = render_csv(report).splitlines()
+    header, *rows = _csv_lines(report)
     assert header == "kind,config.key,x"
     assert rows == [f"k,5%d,{format_scalar(x)}" for x in values]
 
@@ -175,7 +182,7 @@ def test_csv_cells_are_format_scalar(n):
         "k%", {"a": "5%d%%", "b": swept, "c": "%", "d": "x"}, {"x": x, "y": y}, {},
         {"v": (dev, tol)},
     )
-    header, *rows = render_csv(report).splitlines()
+    header, *rows = _csv_lines(report)
     assert header == "kind,config.a,config.b,config.c,config.d,x,y,verdict.v,verdict.v.deviation"
     assert len(rows) == n
     for k, row in enumerate(rows):
@@ -230,7 +237,7 @@ class TestSweepCost:
             sys.setprofile(profile)
             try:
                 grid = grid_points(cfg, [f"overlap.{key}=0:1:{step}" for key in "abc"])
-                render_csv(run_configs(grid))
+                "".join(render_csv(run_configs(grid)))
             finally:
                 sys.setprofile(None)
         return len(grid), calls
