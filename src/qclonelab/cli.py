@@ -2,8 +2,8 @@
 
 Exit codes: 0 all verdicts pass, 1 scientific verdict failure, 2 input the
 scenario cannot accept (a misused command line, a configuration error, a
-file that cannot be read or written, a rejected value, or an input too
-large to allocate), 3 numerical failure (a residual guard tripped).  Errors
+file or stdout that cannot be read or written, a rejected value, or an input
+too large to allocate), 3 numerical failure (a residual guard tripped).  Errors
 print one line on stderr.  The QCLONELAB_TOL environment variable supplies
 the default assertion tolerance; explicit config keys and flags win.
 """
@@ -143,6 +143,11 @@ def main(argv=None) -> int:
         return fn(path, flags)
     except UsageError as exc:
         print(f"usage error: {exc}; see qclonelab --help", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader left: stdout's flush at exit goes to os.devnull, not the pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("output error: stdout was closed before all output was written", file=sys.stderr)
         return 2
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -280,7 +280,11 @@ def grid_points(grid: ScenarioGrid, axis_specs=()) -> ScenarioGrid:
     for which, part, angle in parts:
         if f"{which}.{part}.{angle}" in options and f"{which}.{angle}" in options:
             raise ConfigError(f"{which}.{part}.{angle} conflicts with shorthand {which}.{angle}")
-    columns = zip(*itertools.product(*(options[key] for key in keys)))
-    swept = {key: list(column) for key, column in zip(keys, columns)}
+    # Each value repeats over the later axes' points, tiled over the earlier's.
+    swept, outer = {}, 1
+    for key in keys:
+        values = options[key]
+        swept[key] = [v for v in values for _ in range(size // outer // len(values))] * outer
+        outer *= len(values)
     shared = {key: value for key, value in grid.shared.items() if key not in swept}
     return ScenarioGrid(grid.kind, shared, swept, size)

@@ -11,14 +11,14 @@ monotones certifies that no isometry realizes the declared rules.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    CHUNK_ENTRIES,
+    chunks,
     cmul,
+    distinct_rows,
     eig_hermitian_batch,
     entropy_bits,
     failures_named,
@@ -109,16 +109,6 @@ def _after(weight, psis, records, ancilla_dim: int):
     return reduced_states(moved, (2, 8 * ancilla_dim), (0,)), gram_stack(outputs)
 
 
-def _distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of stacked columns, by bits (-0.0 and 0.0 differ): each
-    row's first index, in order of first occurrence, and each index's row."""
-    keys = np.ascontiguousarray(np.stack(columns, -1))
-    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[-1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse]
-
-
 def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
     """Alice's marginals before and after the branchwise strong cloner, their
     deviations from the closed forms, spectra and entropies, and the cloner's
@@ -141,8 +131,6 @@ def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
     a, b, c = (np.array(z, dtype=complex) for z in (a, b, c))
     w = np.broadcast_to(np.asarray(weight, dtype=float), (len(a),))
     _check_batch(a, b, c, w, ancilla_dim)
-    # A point holds 16 * ancilla_dim entries in the stacked rule amplitudes.
-    step = max(1, CHUNK_ENTRIES // (16 * ancilla_dim))
     halves = []
     # A half is keyed on (a, the last factor of z, w), and its overlap pairs
     # are those of a and of that factor.  The reported closed-form
@@ -151,7 +139,7 @@ def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
     for label, build, z, dim in (
         ("before", _before, (a, b), 2), ("after", _after, (a, a, c), 2 * ancilla_dim)
     ):
-        first, inverse = _distinct(a, z[-1], w)
+        first, inverse = distinct_rows(a, z[-1], w)
         v, head, *tail = (x[first] for x in (w, *z))
         pq = np.sqrt(v * (1.0 - v))
         lower, upper = pq * head, head
@@ -160,10 +148,10 @@ def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
         upper = pq * upper.conj()
         closed = np.stack([np.stack([v, upper], -1), np.stack([lower, 1.0 - v], -1)], -2)
         # Rows follow their first points: the first failing one names the first point.
-        with failures_named("batch index", first) if len(a) > 1 else nullcontext():
+        with failures_named("batch index", first, len(a)):
             psis = overlap_pair_amplitudes(head, 2)
             factors = overlap_pair_amplitudes(tail[-1], dim)
-            parts = [slice(start, start + step) for start in range(0, len(first), step)]
+            parts = chunks(len(first), 16 * ancilla_dim)  # a point's rule amplitudes
             results = [build(v[k], psis[k], factors[k], ancilla_dim) for k in parts]
             rho, gram = map(np.concatenate, zip(*results))
             require_density_matrices(rho, f"marginal {label}")

@@ -15,6 +15,10 @@ by name.
 Every guard compares a deviation with its tolerance through
 :func:`require_within`: a deviation passes when it is <= its tolerance, a
 NaN fails, and the error names the first failing entry along axis 0.
+
+Each batch policy is one function: the step of a stack (:func:`chunks`),
+rows told apart by bits (:func:`distinct_rows`) and the point a guard error
+names (:func:`failures_named`).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
-# Entries per stacked working array of a chunked kernel stage: 2**12 complex
+# Entries per stacked working array of a stage's chunks(): 2**12 complex
 # entries (64 KiB) keep a stage's working set, and the process's peak memory,
 # flat in the batch size.  At 2**13 a cold verify's peak RSS rose by 1 MB.
 CHUNK_ENTRIES = 1 << 12
@@ -157,6 +161,27 @@ class Spectrum:
         object.__setattr__(self, "eigenvectors", _frozen(self.eigenvectors))
 
 
+def chunks(n: int, entries_per_item: int) -> list[slice]:
+    """Slices of ``range(n)``, in order, each of as many items as hold at
+    most ``CHUNK_ENTRIES`` entries in all, or of one item that holds more."""
+    step = max(1, CHUNK_ENTRIES // max(entries_per_item, 1))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def distinct_rows(*columns) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of stacked columns, by bits (-0.0 and 0.0 differ): each
+    row's first index, in order of first occurrence, and each index's row;
+    keyed on a void view, as ``np.unique`` of numbers may import ``numpy.ma``."""
+    keys = np.ascontiguousarray(np.stack(columns, -1))
+    bits = keys.view(np.uint8 if keys.itemsize % 8 else np.uint64)
+    if len(bits) and (bits == bits[0]).all():  # as the columns of unswept keys
+        return np.zeros(1, dtype=np.intp), np.zeros(len(bits), dtype=np.intp)
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[-1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
+
+
 def kron_stack(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Kronecker product over the last axis of stacked vectors; leading axes
     broadcast.  Entrywise the same products as ``np.kron`` on each pair."""
@@ -174,8 +199,8 @@ def reduced_states(kets, dims, keep) -> np.ndarray:
     into a zero start, without forming the projectors.  A slab of traced
     indices forms its terms in one multiply into rows 1.. of a buffer whose
     row 0 holds the running sum, and ``np.add.accumulate`` adds the rows
-    strictly in turn (``np.add.reduce`` may sum pairwise).  A slab's buffer
-    holds at most ``CHUNK_ENTRIES`` entries, or two rows of the batch.
+    strictly in turn (``np.add.reduce`` may sum pairwise).  The slabs are
+    :func:`chunks`, so the buffer may hold one row over ``CHUNK_ENTRIES``.
 
     A traced index whose amplitudes are zero in every batch entry is
     skipped: its terms are signed zeros, and adding one leaves a sum that
@@ -191,10 +216,10 @@ def reduced_states(kets, dims, keep) -> np.ndarray:
     amp = kets.reshape(m, *dims).transpose(*(1 + axis for axis in traced + kept), 0)
     terms = amp.reshape(-1, d_kept, m)
     live = np.flatnonzero(np.any(terms, axis=(1, 2)))
-    slab = max(1, CHUNK_ENTRIES // max(m * d_kept * d_kept, 1) - 1)
-    buf = np.zeros((min(slab, len(live)) + 1, d_kept, d_kept, m), dtype=complex)
-    for start in range(0, len(live), slab):
-        v = terms[live[start:start + slab]]
+    slabs = chunks(len(live), m * d_kept * d_kept)
+    buf = np.zeros((slabs[0].stop + 1 if slabs else 1, d_kept, d_kept, m), dtype=complex)
+    for slab in slabs:
+        v = terms[live[slab]]
         sums = buf[: len(v) + 1]
         np.multiply(v[:, :, None], v.conj()[:, None], out=sums[1:])
         if len(v) == 1:
@@ -254,21 +279,21 @@ _NAMED_INDEX = re.compile(r" at batch index (\d+)")
 
 
 @contextmanager
-def failures_named(label: str, indices):
+def failures_named(label: str, rows, size: int):
     """Rename the error of a batch guard raised in the block to say where
-    the failing batch entry came from: ``indices[k]`` is the caller's name
-    for entry k, and the message says ``at {label} {indices[k]}`` where it
-    named batch index k.  A batch of one names no index, so its entry is
-    taken to be the first; an error that names no entry of a larger batch
-    passes as it is."""
+    the failing entry came from: ``rows[k]`` names entry k, and the message
+    says ``at {label} {rows[k]}`` where it named batch index k.  A batch of
+    one names no index, so its entry is taken to be the first.  An error
+    passes as it is if it names no entry of a larger batch, or if the
+    enclosing batch, of ``size`` entries, has one."""
     try:
         yield
     except (ValueError, ArithmeticError) as exc:
         found = _NAMED_INDEX.search(str(exc))
-        if found is None and len(indices) > 1:
+        if size == 1 or (found is None and len(rows) > 1):
             raise
         k = 0 if found is None else int(found[1])
-        named = f" at {label} {indices[k]}"
+        named = f" at {label} {rows[k]}"
         message = str(exc) + named if found is None else _NAMED_INDEX.sub(named, str(exc), 1)
         # A copy without __init__, which may take other arguments than the message.
         renamed = type(exc).__new__(type(exc))

@@ -23,9 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CHUNK_ENTRIES, Ket, SubsystemSignature, first_failure, kron_stack, require_within
-)
+from .core import Ket, SubsystemSignature, chunks, first_failure, kron_stack, require_within
 from .states import StateFamily, complex_normals, gram_stack
 from .tolerances import ASSERT_TOL
 
@@ -100,14 +98,12 @@ def require_isometries(mats: np.ndarray) -> np.ndarray:
     """Check that every matrix of a stack (..., out, in), or a single matrix,
     has orthonormal columns within ``ASSERT_TOL``, naming the first that
     does not.  Returns the largest entrywise deviations of M^dag M from the identity,
-    measured a chunk of ``CHUNK_ENTRIES`` entries at a time."""
+    measured one of :func:`~qclonelab.core.chunks` at a time."""
     stack = mats.reshape(-1, *mats.shape[-2:])
-    step = max(1, CHUNK_ENTRIES // stack[0].size)
     dev = np.empty(len(stack))
-    for start in range(0, len(stack), step):
-        part = stack[start:start + step]
-        gram_dev = np.swapaxes(part, -1, -2).conj() @ part - np.eye(mats.shape[-1])
-        dev[start:start + step] = np.abs(gram_dev).max(axis=(-2, -1))
+    for part in chunks(len(stack), stack.shape[1] * stack.shape[2]):
+        gram_dev = np.swapaxes(stack[part], -1, -2).conj() @ stack[part] - np.eye(stack.shape[2])
+        dev[part] = np.abs(gram_dev).max(axis=(-2, -1))
     message = "matrix is not an isometry (M^dag M deviates by {dev:g})"
     return require_within(dev.reshape(mats.shape[:-2]), ASSERT_TOL, ValueError, message)
 
@@ -161,14 +157,14 @@ def isometry_matrix_from_pairs(inputs, outputs):
     residual stays at rounding level however close the inputs are to
     dependent.
 
-    One SVD factors each chunk of the stack (of ``CHUNK_ENTRIES`` entries
-    per working array), and each group of a chunk's slices of equal rank
-    takes one complete QR; every slice gets the bits it gets in a stack of
-    one.  Returns the isometries (n, d_out, d_in), the residuals
-    max|M X - Y| (n,) with the images formed by :func:`images`, and the
-    deviations of M^dag M from the identity (n,).  Pairs that no isometry
-    maps (dependent inputs whose outputs are not the induced combination)
-    leave a residual above ``ASSERT_TOL`` and raise
+    One SVD factors each of the stack's :func:`~qclonelab.core.chunks` (a
+    slice holds d_out^2 entries in each working array), and each group of
+    a chunk's slices of equal rank takes one complete QR; every slice gets
+    the bits it gets in a stack of one.  Returns the isometries (n, d_out,
+    d_in), the residuals max|M X - Y| (n,) with the images formed by
+    :func:`images`, and the deviations of M^dag M from the identity (n,).
+    Pairs that no isometry maps (dependent inputs whose outputs are not the
+    induced combination) leave a residual above ``ASSERT_TOL`` and raise
     :class:`DependentInputsConflict`; it and the isometry guard name the
     first failing slice.
     """
@@ -181,10 +177,8 @@ def isometry_matrix_from_pairs(inputs, outputs):
             f"output dimension must be at least the input dimension ({d_out} < {d_in})"
         )
     mats = np.empty((n, d_out, d_in), dtype=complex)
-    # A slice holds at most d_out^2 entries in each working array.
-    step = max(1, CHUNK_ENTRIES // (d_out * d_out))
-    for start in range(0, n, step):
-        x = np.swapaxes(xs[start:start + step], -1, -2)
+    for part in chunks(n, d_out * d_out):
+        start, x = part.start, np.swapaxes(xs[part], -1, -2)
         a, s, bh = np.linalg.svd(x)
         rank = np.sum(s > s[:, :1] * max(d_in, x.shape[-1]) * np.finfo(float).eps, axis=-1)
         for r in sorted(set(rank.tolist())):  # np.unique would import numpy.ma
@@ -507,9 +501,8 @@ def haar_isometries(z: np.ndarray) -> np.ndarray:
     result is Haar distributed.  Each matrix gets the bits it gets in a
     stack of one."""
     out = np.empty(z.shape, dtype=complex)
-    step = max(1, CHUNK_ENTRIES // (z.shape[1] * z.shape[2]))
-    for start in range(0, len(z), step):
-        q, r = np.linalg.qr(z[start:start + step])
+    for part in chunks(len(z), z.shape[1] * z.shape[2]):
+        q, r = np.linalg.qr(z[part])
         d = np.diagonal(r, axis1=1, axis2=2)
-        out[start:start + step] = q * (d.conj() / np.abs(d))[:, None, :]
+        out[part] = q * (d.conj() / np.abs(d))[:, None, :]
     return out

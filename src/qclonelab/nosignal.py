@@ -14,13 +14,12 @@ Alice's basis index, breaks exactly this.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    CHUNK_ENTRIES,
+    chunks,
     eig_hermitian_batch,
     failures_named,
     kron_stack,
@@ -155,20 +154,17 @@ def evaluate_batch(
         rules = wishful_machine_rules(bases, ancilla_dim)
         dim = rules[1].shape[-1]
 
-    # A point holds about D * D entries in every stacked Bob marginal,
-    # difference and isometry of the machine stage.
-    step = max(1, CHUNK_ENTRIES // (dim * dim))
     after = np.empty((n, 2, dim, dim), dtype=complex)
     vals = np.empty((n, 2, dim))
     validity, distance = np.empty(n), np.empty(n)
-    for start in range(0, n, step):
-        part = slice(start, start + step)
+    # A point holds about D * D entries in every stacked Bob marginal,
+    # difference and isometry of the machine stage.
+    for part in chunks(n, dim * dim):
         machine = (
             isometries[part] if isometries is not None else (rules[0][part], rules[1][part])
         )
         # The guards name indices within the chunk; renamed, they name the batch's.
-        chunk = range(start, min(n, start + step))
-        with failures_named("batch index", chunk) if n > step else nullcontext():
+        with failures_named("batch index", range(n)[part], n):
             conditioned = _machine_stage(before.joint[part], bases[part], machine, ancilla_dim)
             results = _spectra_and_distance(conditioned)
             after[part], vals[part], validity[part], distance[part] = results

@@ -10,14 +10,12 @@ whole grid (see :func:`run_configs`).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
 from . import conservation as cons
 from . import nosignal as nosig
 from .config import ScenarioGrid, echo_columns
-from .core import cmul, failures_named
+from .core import cmul, distinct_rows, failures_named
 from .machines import haar_draw, haar_isometries
 from .report import ScenarioReport, concatenate_rows
 from .states import unit_phases
@@ -41,10 +39,12 @@ def _run_nosignal(grid: ScenarioGrid) -> ScenarioReport:
     applied_as = "termwise in the measured basis (unphysical step)"
     bases = _bases(grid)
     if grid.column("machine.mode")[0] == "isometry":
-        # Bob's (src, reg, env) in and (src, copy, env) out, as the cloner's.
-        dim = 4 * ancilla_dim
-        draws = [haar_draw(dim, dim, np.random.default_rng(s)) for s in grid.column("seed")]
-        isometries = haar_isometries(np.stack(draws))
+        # Bob's (src, reg, env) in and (src, copy, env) out, as the cloner's,
+        # drawn once per distinct seed, keyed by its digits (it may pass 64 bits).
+        dim, seeds = 4 * ancilla_dim, grid.column("seed")
+        first, inverse = distinct_rows(np.array(seeds, dtype=str))
+        draws = [haar_draw(dim, dim, np.random.default_rng(seeds[k])) for k in first]
+        isometries = haar_isometries(np.stack(draws))[inverse]
         applied_as = "fixed isometry (physical)"
     batch = nosig.evaluate_batch(bases, ancilla_dim, isometries)
 
@@ -171,7 +171,7 @@ def run_configs(grid: ScenarioGrid) -> ScenarioReport:
     groups = list(batches.values()) or [range(len(grid))]
     parts = []
     for members in groups:
-        with failures_named("grid point", members) if len(grid) > 1 else nullcontext():
+        with failures_named("grid point", members, len(grid)):
             parts.append(runner(grid if len(groups) == 1 else grid.take(members)))
     if len(parts) == 1:
         return parts[0]

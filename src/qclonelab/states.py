@@ -1,5 +1,7 @@
 """Constructors for stacked amplitudes: qubit basis pairs, random kets,
-overlap-prescribed ket pairs, and Gram matrices.
+overlap-prescribed ket pairs, and Gram matrices.  The trigonometry of a
+column of angles runs once per distinct angle, as
+:func:`~qclonelab.core.distinct_rows` tells them apart.
 
 :class:`StateFamily`, a labeled list of kets, is reached by no command: it
 remains only because the benchmark harness in ``perfbench/`` binds
@@ -13,28 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ket, SubsystemSignature, cmul, first_failure, modulus, require_within
+from .core import (
+    Ket, SubsystemSignature, cmul, distinct_rows, first_failure, modulus, require_within
+)
 from .tolerances import RESIDUAL_TOL
-
-
-def _per_distinct_angle(angles, fn) -> np.ndarray:
-    """``fn`` of each angle, called once per distinct angle; angles are told
-    apart by their bits, so -0.0 is not taken for 0.0."""
-    angles = np.ascontiguousarray(angles, dtype=float).reshape(-1)
-    bits = angles.view(np.int64)
-    if bits.size and (bits == bits[0]).all():
-        # One angle, as in the column of a key no axis sweeps.
-        return np.repeat(np.array([fn(float(angles[0]))]), bits.size, axis=0)
-    bits = bits.tolist()
-    values = {k: fn(a) for k, a in dict(zip(bits, angles.tolist())).items()}
-    return np.array([values[k] for k in bits])
 
 
 def unit_phases(phi) -> np.ndarray:
     """e^{i phi} of each angle, rounded as ``complex(cos phi, sin phi)``
     with Python's ``math``; cos and sin are taken once per distinct angle."""
-    units = _per_distinct_angle(phi, lambda p: complex(math.cos(p), math.sin(p)))
-    return units.astype(complex, copy=False)
+    phi = np.asarray(phi, dtype=float).reshape(-1)
+    first, inverse = distinct_rows(phi)
+    units = [complex(math.cos(p), math.sin(p)) for p in phi[first].tolist()]
+    return np.array(units, dtype=complex)[inverse]
 
 
 def basis_amplitudes(theta, phi=0.0) -> np.ndarray:
@@ -63,8 +56,9 @@ def basis_amplitudes(theta, phi=0.0) -> np.ndarray:
         if not inside.all():
             k, where = first_failure(~inside)
             raise ValueError(f"{name} must lie in {bounds}, got {float(values[k])!r}{where}")
-    halves = _per_distinct_angle(theta, lambda t: (math.cos(t / 2.0), math.sin(t / 2.0)))
-    c, s = halves.reshape(-1, 2).T
+    first, inverse = distinct_rows(theta)
+    halves = [(math.cos(t / 2.0), math.sin(t / 2.0)) for t in theta[first].tolist()]
+    c, s = np.array(halves).reshape(-1, 2)[inverse].T
     w = unit_phases(phi)
     out = np.empty((len(theta), 2, 2), dtype=complex)
     out[:, 0, 0] = out[:, 1, 1] = c

@@ -427,7 +427,7 @@ def _check_equivalence_roundtrip(seed):
     for trials in trials_of_shape.values():
         families = np.array([draws[t][0] for t in trials])
         hidden = np.array([draws[t][1] for t in trials])
-        with failures_named("trial", trials):
+        with failures_named("trial", trials, len(draws)):
             _, found = cons.roundtrips(families, hidden)
         member = max(member, float(np.max(found.member_residual)))
         isometry = max(isometry, float(np.max(found.isometry_residual)))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -210,6 +211,19 @@ class TestGrid:
         assert seen == [
             (0.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 1.0), (1.0, 0.0), (1.0, 1.0)
         ]
+
+    @pytest.mark.parametrize("axes", [
+        ["overlap.a=0:1:0.25"],
+        ["overlap.b=0:1:0.5", "overlap.a=0:1:0.25"],
+        ["overlap.c=0:1:0.25", "branch.weight=0:1:1", "overlap.a=0:1:0.5"],
+    ])
+    def test_columns_follow_the_product(self, axes):
+        # Each column repeats and tiles its values, with no tuple per point.
+        keys, values = zip(*map(parse_grid_axis, axes))
+        grid = grid_points(parse_config_text(CONS_TEXT), axes)
+        assert len(grid) == math.prod(map(len, values))
+        expected = [list(column) for column in zip(*itertools.product(*values))]
+        assert [grid.column(key) for key in keys] == expected
 
     def test_single_point_grid_matches_run(self):
         cfg = parse_config_text(CONS_TEXT)
@@ -805,3 +819,48 @@ def test_cli_imports_neither_argparse_nor_locale(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout == "[]\n1 []\n"
+
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_closed_stdout_pipe_exits_2_with_one_output_line():
+    # Piped into `head -c 10`, the cube sweep once said "configuration error:
+    # [Errno 32] Broken pipe", and the flush at exit could add a second line.
+    root = Path(__file__).resolve().parents[1]
+    argv = [sys.executable, "-m", "qclonelab.cli", "sweep",
+            str(_CONFIGS / "conservation_violation.cfg"), "--grid", *TestArgvReader.CUBE]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10) == b"kind,confi"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert code == 2
+    assert err.startswith("output error: stdout") and err.count("\n") == 1
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # Importing numpy.ma, as np.unique of integers may, cost 15-17 ms: more
+    # than a whole cold cube sweep.
+    root = Path(__file__).resolve().parents[1]
+    commands = [
+        ["sweep", str(_CONFIGS / "conservation_violation.cfg"), "--grid", *TestArgvReader.CUBE],
+        ["sweep", str(_CONFIGS / "nosignal_isometry.cfg"),
+         "--grid", "seed=1:3:1", "basis2.theta=0:3:0.5"],
+        ["sweep", str(_CONFIGS / "nosignal_wishful.cfg"), "--grid", "basis2.theta=0:3.1:0.1"],
+        ["sweep", str(_CONFIGS / "gram_equivalence.cfg"), "--grid", "seed=0:4:1"],
+        ["verify", "--seed", "7"],
+    ]
+    script = (
+        "import sys\n"
+        "import qclonelab.cli as cli\n"
+        f"for k, argv in enumerate({commands!r}):\n"
+        f"    cli.main([*argv, '--out', {str(tmp_path)!r} + '/' + str(k)])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert done.stdout == "False\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [str(k) for k in range(len(commands))]

@@ -431,3 +431,69 @@ class TestEntropy:
     def test_mixed_two_level(self):
         want = -(0.65 * math.log2(0.65) + 0.35 * math.log2(0.35))
         assert entropy(np.diag([0.65, 0.35])) == pytest.approx(want, abs=1e-13)
+
+
+class TestChunks:
+    """Every chunked stage steps through its stack by :func:`core.chunks`."""
+
+    @staticmethod
+    def _covered(n, entries):
+        return [i for part in core.chunks(n, entries) for i in range(n)[part]]
+
+    @pytest.mark.parametrize("n", [0, 1, core.CHUNK_ENTRIES // 16 + 1])
+    def test_exact_cover_in_as_few_slices_as_fit(self, n):
+        parts = core.chunks(n, 16)
+        assert self._covered(n, 16) == list(range(n))
+        assert all(16 * len(range(n)[part]) <= core.CHUNK_ENTRIES for part in parts)
+        assert len(parts) == -(-n // (core.CHUNK_ENTRIES // 16))
+
+    def test_one_item_a_slice_above_the_bound(self):
+        parts = core.chunks(3, core.CHUNK_ENTRIES + 1)
+        assert [(part.start, part.stop) for part in parts] == [(0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_items_that_hold_no_entries(self, n):
+        assert self._covered(n, 0) == list(range(n))
+
+
+# Key values with equal numbers of different bits (-0.0 and 0.0).
+_KEY_POOLS = {
+    "float": [0.0, -0.0, 0.5, 1.0, math.nan],
+    "complex": [0j, complex(-0.0, 0.0), complex(0.0, -0.0), 0.5 + 1j, 1j],
+    "int": [0, 1, -1, 2**40],
+}
+
+
+@st.composite
+def _key_columns(draw):
+    kind = draw(st.sampled_from(sorted(_KEY_POOLS)))
+    n = draw(st.integers(0, 24))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        values = draw(st.lists(st.sampled_from(_KEY_POOLS[kind]), min_size=n, max_size=n))
+        if values and draw(st.booleans()):
+            values = values[:1] * n  # the column of a key no axis sweeps
+        columns.append(np.array(values, dtype=kind))
+    return columns
+
+
+class TestDistinctRows:
+    @given(columns=_key_columns())
+    @settings(deadline=None)
+    def test_matches_a_dict_by_bits(self, columns):
+        first_of = {}
+        rows = [row.tobytes() for row in np.stack(columns, -1)]
+        for k, row in enumerate(rows):
+            first_of.setdefault(row, k)
+        first = list(first_of.values())
+        found_first, inverse = core.distinct_rows(*columns)
+        assert found_first.tolist() == first
+        assert inverse.tolist() == [first.index(first_of[row]) for row in rows]
+
+    def test_signed_zeros_differ(self):
+        first, inverse = core.distinct_rows(np.array([0.0, -0.0, 0.0]))
+        assert first.tolist() == [0, 1] and inverse.tolist() == [0, 1, 0]
+
+    def test_constant_columns_are_one_row(self):
+        first, inverse = core.distinct_rows(np.full(7, 0.3), np.full(7, 2 + 1j))
+        assert first.tolist() == [0] and inverse.tolist() == [0] * 7

@@ -20,7 +20,7 @@ import qclonelab.core as core
 import qclonelab.nosignal as nosig
 import qclonelab.scenarios as scenarios
 from qclonelab.cli import main
-from qclonelab.config import grid_points, load_config
+from qclonelab.config import grid_points, load_config, parse_config_text
 from qclonelab.conservation import roundtrip_draws, roundtrips
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -626,6 +626,58 @@ class TestOneEvaluationPerQuantity:
         scenarios.run_configs(grid_points(cfg, ["basis2.theta=0:3.1:0.1"]))
         step = core.CHUNK_ENTRIES // 16**2  # points per chunk at ancilla_dim 4
         assert step == 16 and sizes == [16, 16]
+
+
+class TestIsometriesPerDistinctSeed:
+    """An isometric sweep draws and factors one Haar matrix per distinct
+    seed and gathers it to the points, with the bits of a draw per point."""
+
+    @staticmethod
+    def _sweep(monkeypatch, axes, seed=11):
+        draw, seeds = scenarios.haar_draw, []
+
+        def counted(n_in, n_out, rng):
+            seeds.append(rng)
+            return draw(n_in, n_out, rng)
+
+        monkeypatch.setattr(scenarios, "haar_draw", counted)
+        text = (CONFIGS / "nosignal_isometry.cfg").read_text()
+        text = text.replace("seed = 11", f"seed = {seed}")
+        grid = grid_points(parse_config_text(text), axes)
+        return grid, scenarios.run_configs(grid), len(seeds)
+
+    @staticmethod
+    def _per_point(grid):
+        # The draw per point that the gathered draws replace.
+        dim = 4 * grid.column("machine.ancilla_dim")[0]
+        rngs = map(np.random.default_rng, grid.column("seed"))
+        draws = [scenarios.haar_draw(dim, dim, rng) for rng in rngs]
+        isometries = scenarios.haar_isometries(np.stack(draws))
+        return nosig.evaluate_batch(scenarios._bases(grid), dim // 4, isometries)
+
+    @pytest.mark.parametrize("axes, points, seeds", [
+        (["basis2.theta=0:3.1:0.01"], 311, 1),
+        (["seed=1:3:1", "basis2.theta=0:3:0.5"], 21, 3),
+        (["basis2.theta=0:3:0.5", "seed=1:3:1"], 21, 3),
+    ])
+    def test_one_draw_per_distinct_seed(self, monkeypatch, axes, points, seeds):
+        grid, report, draws = self._sweep(monkeypatch, axes)
+        assert (len(report), draws) == (points, seeds)
+        reference = self._per_point(grid)
+        assert report.scalars["signalling_magnitude"].tobytes() == (
+            reference.signalling_magnitude.tobytes()
+        )
+        assert report.matrices["bob_marginal_basis2"].tobytes() == (
+            reference.marginal_after[:, 1].tobytes()
+        )
+
+    def test_seed_past_64_bits(self, monkeypatch):
+        grid, report, draws = self._sweep(monkeypatch, ["basis2.theta=0:3:1"], seed=10**24)
+        assert (len(report), draws) == (4, 1)
+        reference = self._per_point(grid)
+        assert report.scalars["signalling_magnitude"].tobytes() == (
+            reference.signalling_magnitude.tobytes()
+        )
 
 
 def _roundtrip(dim, target_dim, size, seed):

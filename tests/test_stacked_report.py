@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qclonelab import conservation
+from qclonelab import core
 from qclonelab.cli import main
 from qclonelab.config import (
     echo_columns,
@@ -233,7 +233,7 @@ class TestSweepCost:
                 calls[type(frame.f_locals["self"]).__name__] += 1
 
         chunk = 64 * 11**3  # conservation points hold 16 * ancilla_dim entries
-        with mock.patch.object(conservation, "CHUNK_ENTRIES", chunk):
+        with mock.patch.object(core, "CHUNK_ENTRIES", chunk):
             sys.setprofile(profile)
             try:
                 grid = grid_points(cfg, [f"overlap.{key}=0:1:{step}" for key in "abc"])

@@ -196,9 +196,9 @@ def test_round_trip_guard_names_the_trial(monkeypatch):
 
 
 class TestFailuresNamed:
-    def _raised(self, exc, label, indices):
+    def _raised(self, exc, label, rows, size=100):
         with pytest.raises(type(exc)) as caught:
-            with core.failures_named(label, indices):
+            with core.failures_named(label, rows, size):
                 raise exc
         return caught.value
 
@@ -206,8 +206,8 @@ class TestFailuresNamed:
         # A chunked kernel names the batch index of a chunk's entry, and a
         # sweep renames it to the grid point.
         with pytest.raises(type(exc)) as caught:
-            with core.failures_named("grid point", points):
-                with core.failures_named("batch index", chunk):
+            with core.failures_named("grid point", points, len(points)):
+                with core.failures_named("batch index", chunk, len(points)):
                     raise exc
         return caught.value
 
@@ -228,6 +228,12 @@ class TestFailuresNamed:
     def test_unnamed_entry_of_a_larger_batch(self):
         exc = ValueError("lengths differ")
         assert self._raised(exc, "trial", [1, 2]) is exc
+
+    @pytest.mark.parametrize("message", ["bad", "bad at batch index 0"])
+    def test_enclosing_batch_of_one_passes_the_error(self, message):
+        # A run of one point has no point to name: its error stays as raised.
+        exc = ValueError(message)
+        assert self._raised(exc, "grid point", [0], size=1) is exc
 
     def test_keeps_the_error_type_and_fields(self):
         # InconsistentGram's __init__ takes the Gram matrices, not a message.
