@@ -32,14 +32,13 @@ from .core import (
 from .machines import (
     extend_to_isometries,
     gram_deviations,
-    haar_draw,
     haar_isometries,
     images,
     require_isometries,
     strong_cloner_inputs,
     strong_cloner_outputs,
 )
-from .states import gram_stack, overlap_pair_amplitudes, random_kets
+from .states import complex_normals, gram_stack, overlap_pair_amplitudes, unit_kets
 from .tolerances import RESIDUAL_TOL
 
 
@@ -188,12 +187,25 @@ def lambda_after(a, c, branch_weight=0.5):
     return _lambda_max(np.float_power(modulus(a), 2) * modulus(c), branch_weight)
 
 
-def roundtrip_draws(dim: int, target_dim: int, size: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of one round trip, in order: ``size`` random kets in
-    dimension ``dim`` (size, dim), then the Gaussian draw (target_dim, dim)
-    of the hidden isometry into ``target_dim``."""
-    family = random_kets(dim, rng, size)
-    return family, haar_draw(dim, target_dim, rng)
+def roundtrip_normals(dim: int, target_dim: int, size: int, rng) -> np.ndarray:
+    """The standard normals of one round trip, in draw order: those of
+    ``size`` random kets in dimension ``dim``, then those of the Gaussian
+    draw of the hidden isometry into ``target_dim``.  :func:`roundtrip_draws`
+    reads a stack of them."""
+    normals = np.empty(2 * dim * (size + target_dim))
+    rng.standard_normal(out=normals[: 2 * dim * size])
+    rng.standard_normal(out=normals[2 * dim * size:])
+    return normals
+
+
+def roundtrip_draws(dim: int, target_dim: int, size: int, normals):
+    """The families (n, size, dim) and the hidden isometries' Gaussian draws
+    (n, target_dim, dim) of stacked :func:`roundtrip_normals` (n, 2 dim
+    (size + target_dim)), each as its round trip alone would give it."""
+    if target_dim < dim:
+        raise ValueError("output dimension must be at least the input dimension")
+    kets, draws = np.split(np.asarray(normals, dtype=float), [2 * dim * size], axis=-1)
+    return unit_kets(kets.reshape(-1, size, 2 * dim), dim), complex_normals(draws, target_dim, dim)
 
 
 def roundtrips(families: np.ndarray, draws: np.ndarray):

@@ -170,16 +170,33 @@ def chunks(n: int, entries_per_item: int) -> list[slice]:
 
 def distinct_rows(*columns) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of stacked columns, by bits (-0.0 and 0.0 differ): each
-    row's first index, in order of first occurrence, and each index's row;
-    keyed on a void view, as ``np.unique`` of numbers may import ``numpy.ma``."""
+    row's first index, in order of first occurrence, and each index's row.
+
+    A row's key is its bits read as unsigned words, 64-bit where the row's
+    item size allows, else bytes, less the words that no row changes (the
+    columns of unswept keys, the zero imaginary parts of real overlaps).  A
+    stable ``np.lexsort`` over the key words puts equal rows next to each
+    other in index order, so each run of equal keys starts at its row's
+    first index.  ``np.unique`` is not used: on numbers it may import
+    ``numpy.ma``, and on a void view it compares whole rows as byte strings."""
     keys = np.ascontiguousarray(np.stack(columns, -1))
-    bits = keys.view(np.uint8 if keys.itemsize % 8 else np.uint64)
-    if len(bits) and (bits == bits[0]).all():  # as the columns of unswept keys
-        return np.zeros(1, dtype=np.intp), np.zeros(len(bits), dtype=np.intp)
-    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[-1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse]
+    words = keys.view(np.uint8 if keys.itemsize % 8 else np.uint64).T
+    words = [word for word in words if (word != word[:1]).any()]
+    if not words:  # no row differs from the first, or no rows
+        return np.zeros(min(len(keys), 1), dtype=np.intp), np.zeros(len(keys), dtype=np.intp)
+    order = np.lexsort(words)
+    starts = np.zeros(len(order), dtype=bool)
+    starts[0] = True
+    for word in words:
+        word = word[order]
+        starts[1:] |= word[1:] != word[:-1]
+    first = order[starts]
+    rank = np.argsort(first)  # runs in order of first occurrence
+    row_of_run = np.empty_like(rank)
+    row_of_run[rank] = np.arange(len(rank))
+    inverse = np.empty_like(order)
+    inverse[order] = row_of_run[np.cumsum(starts) - 1]
+    return first[rank], inverse
 
 
 def kron_stack(u: np.ndarray, v: np.ndarray) -> np.ndarray:

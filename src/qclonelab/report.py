@@ -12,7 +12,6 @@ per row.
 from __future__ import annotations
 
 import itertools
-import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -92,6 +91,8 @@ class ScenarioReport:
     def render(self, fmt: str = "table", row: int = 0) -> str:
         """One row as a table or JSON; as CSV, every row."""
         if fmt == "json":
+            import json  # here, so that no other command pays its import
+
             return json.dumps(self.to_json_dict(row), indent=2, sort_keys=True) + "\n"
         if fmt == "csv":
             return "".join(render_csv(self))

@@ -130,8 +130,8 @@ def _run_gram_equivalence(grid: ScenarioGrid) -> ScenarioReport:
     dim, size = grid.column("family.dimension")[0], grid.column("family.size")[0]
     target_dim = grid.column("family.target_dimension")[0] or dim
     rngs = map(np.random.default_rng, grid.column("seed"))
-    draws = [cons.roundtrip_draws(dim, target_dim, size, rng) for rng in rngs]
-    families, hidden = (np.stack(x) for x in zip(*draws))
+    normals = [cons.roundtrip_normals(dim, target_dim, size, rng) for rng in rngs]
+    families, hidden = cons.roundtrip_draws(dim, target_dim, size, normals)
     _, found = cons.roundtrips(families, hidden)
 
     scalars = {

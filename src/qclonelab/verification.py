@@ -17,10 +17,13 @@ from . import conservation as cons
 from . import nosignal as nosig
 from .config import DEFAULT_SEED
 from .core import (
+    chunks,
+    cmul,
     eig_hermitian_batch,
     entropy_bits,
     failures_named,
     kron_stack,
+    modulus,
     reduced_states,
     trace_distances,
 )
@@ -30,7 +33,6 @@ from .machines import (
     deleter_rules,
     extend_to_isometries,
     gram_comparison,
-    haar_draw,
     haar_isometries,
     images,
     isometry_matrix_from_pairs,
@@ -57,9 +59,15 @@ def _random_densities(rng, n: int, dim: int = 4) -> np.ndarray:
     return reduced_states(purified, (dim, dim), (0,))
 
 
+# The ranges [0, high) of a basis pair's (theta, phi).
+_ANGLE_HIGH = np.array([math.pi, 2.0 * math.pi - 1e-9])
+
+
 def _random_basis_angles(rng, n: int) -> np.ndarray:
-    """Angles (n, 2) of n random basis pairs, drawn in turn as (theta, phi)."""
-    return rng.uniform(0.0, [math.pi, 2.0 * math.pi - 1e-9], size=(n, 2))
+    """Angles (n, 2) of n random basis pairs, drawn in turn as (theta, phi):
+    ``rng.uniform(0.0, _ANGLE_HIGH, (n, 2))`` bit for bit (0 + high u is
+    high u), without its broadcasting, which costs more than the draws."""
+    return rng.random((n, 2)) * _ANGLE_HIGH
 
 
 def _random_singlets(rng, n: int) -> np.ndarray:
@@ -73,19 +81,17 @@ _XYZ = (2, 3, 2)
 
 def _check_partial_trace_preserves_trace(seed):
     kets = random_kets(math.prod(_XYZ), _rng(seed, 1), 20)
-    dev = 0.0
-    for keep in ((0,), (1,), (0, 2)):
-        for r in reduced_states(kets, _XYZ, keep):
-            dev = max(dev, abs(complex(np.trace(r)) - 1.0))
-    return dev, RESIDUAL_TOL
+    traces = [
+        np.trace(reduced_states(kets, _XYZ, keep), axis1=-2, axis2=-1)
+        for keep in ((0,), (1,), (0, 2))
+    ]
+    return float(np.max(modulus(np.array(traces) - 1.0))), RESIDUAL_TOL
 
 
 def _check_partial_trace_hermiticity(seed):
     kets = random_kets(math.prod(_XYZ), _rng(seed, 2), 20)
-    dev = 0.0
-    for keep in ((0,), (1, 2)):
-        for r in reduced_states(kets, _XYZ, keep):
-            dev = max(dev, float(np.max(np.abs(r - r.conj().T))))
+    reduced = (reduced_states(kets, _XYZ, keep) for keep in ((0,), (1, 2)))
+    dev = max(float(np.max(np.abs(r - np.swapaxes(r, -1, -2).conj()))) for r in reduced)
     return dev, RESIDUAL_TOL
 
 
@@ -134,11 +140,9 @@ def _check_inner_factorizes(seed):
     draws = _rng(seed, 8).standard_normal((20, 28))
     qutrits = unit_kets(draws[:, :12].reshape(20, 2, 6), 3)
     ququarts = unit_kets(draws[:, 12:].reshape(20, 2, 8), 4)
-    dev = 0.0
-    for (a, c), (b, d) in zip(qutrits, ququarts):
-        joint = complex(np.vdot(np.kron(a, b), np.kron(c, d)))
-        dev = max(dev, abs(joint - complex(np.vdot(a, c)) * complex(np.vdot(b, d))))
-    return dev, RESIDUAL_TOL
+    (a, c), (b, d) = np.moveaxis(qutrits, 1, 0), np.moveaxis(ququarts, 1, 0)
+    joint = np.vecdot(kron_stack(a, b), kron_stack(c, d))
+    return float(np.max(modulus(joint - cmul(np.vecdot(a, c), np.vecdot(b, d))))), RESIDUAL_TOL
 
 
 def _check_entropy_pure_zero(seed):
@@ -149,8 +153,8 @@ def _check_entropy_pure_zero(seed):
 
 def _check_singlet_invariance(seed):
     singlets = _random_singlets(_rng(seed, 10), 100)
-    dev = max(abs(1.0 - abs(np.vdot(s1, s2))) for s1, s2 in zip(singlets[::2], singlets[1::2]))
-    return dev, ASSERT_TOL
+    overlaps = np.vecdot(singlets[::2], singlets[1::2])
+    return float(np.max(np.abs(1.0 - modulus(overlaps)))), ASSERT_TOL
 
 
 def _check_singlet_marginal(seed):
@@ -187,13 +191,10 @@ def _check_gram_unitary_invariance(seed):
 
 
 def _check_overlap_roundtrip(seed):
-    dev = 0.0
-    for modulus in np.arange(0.0, 1.0 + 1e-12, 0.1):
-        for phase in (0.0, math.pi / 3.0, math.pi):
-            target = modulus * complex(math.cos(phase), math.sin(phase))
-            a, b = overlap_pair_amplitudes([target], 4)[0]
-            dev = max(dev, abs(complex(np.vdot(a, b)) - target))
-    return dev, RESIDUAL_TOL
+    units = [complex(math.cos(phase), math.sin(phase)) for phase in (0.0, math.pi / 3.0, math.pi)]
+    targets = np.multiply.outer(np.arange(0.0, 1.0 + 1e-12, 0.1), units).ravel()
+    pairs = overlap_pair_amplitudes(targets, 4)
+    return float(np.max(modulus(np.vecdot(pairs[:, 0], pairs[:, 1]) - targets))), RESIDUAL_TOL
 
 
 def _check_isometry_extension(seed):
@@ -207,6 +208,11 @@ def _check_isometry_extension(seed):
     return float(max(np.max(found.member_residual), np.max(found.isometry_residual))), ASSERT_TOL
 
 
+def _moved_off(surface: np.ndarray) -> np.ndarray:
+    """Overlaps 0.1 above the surface's, or below where that passes 1."""
+    return np.where(surface + 0.1 <= 1.0, surface + 0.1, surface - 0.1)
+
+
 def _strong_cloner_deviation(a, b, c) -> np.ndarray:
     """Gram deviations of strong cloners realizing the overlap triples."""
     psis, alphas, records = (overlap_pair_amplitudes(z, d) for z, d in ((a, 2), (b, 2), (c, 8)))
@@ -218,15 +224,11 @@ def _check_strong_cloner_boundary(seed):
     rng = _rng(seed, 15)
     a, c = rng.uniform(0.05, 1.0, size=(100, 2)).T
     dev = float(np.max(_strong_cloner_deviation(a, a * c, c)))
-    off_surface = []
-    for _ in range(100):
-        a = rng.uniform(0.1, 1.0)
-        c = rng.uniform(0.0, 1.0)
-        b = rng.uniform(0.0, 1.0)
-        if abs(b - a * c) < 0.05:
-            b = a * c + 0.1 if a * c + 0.1 <= 1.0 else a * c - 0.1
-        off_surface.append((a, b, c))
-    if np.any(_strong_cloner_deviation(*np.array(off_surface).T) < ASSERT_TOL):
+    # A hundred trials, each drawn as (a, c, b); b is moved off the surface.
+    a, c, b = rng.uniform([0.1, 0.0, 0.0], 1.0, size=(100, 3)).T
+    surface = a * c
+    b = np.where(np.abs(b - surface) < 0.05, _moved_off(surface), b)
+    if np.any(_strong_cloner_deviation(a, b, c) < ASSERT_TOL):
         dev = max(dev, 1.0)
     return dev, ASSERT_TOL
 
@@ -241,14 +243,10 @@ def _check_deleter_boundary(seed):
     rng = _rng(seed, 16)
     a = rng.uniform(0.05, 1.0, size=100)
     dev = float(np.max(_deleter_deviation(a, a)))
-    off_surface = []
-    for _ in range(100):
-        a = rng.uniform(0.1, 1.0)
-        g = rng.uniform(0.0, 1.0)
-        if abs(g - a) < 0.05:
-            g = a + 0.1 if a + 0.1 <= 1.0 else a - 0.1
-        off_surface.append((a, g))
-    if np.any(_deleter_deviation(*np.array(off_surface).T) < ASSERT_TOL):
+    # A hundred trials, each drawn as (a, g); g is moved off the surface.
+    a, g = rng.uniform([0.1, 0.0], 1.0, size=(100, 2)).T
+    g = np.where(np.abs(g - a) < 0.05, _moved_off(a), g)
+    if np.any(_deleter_deviation(a, g) < ASSERT_TOL):
         dev = max(dev, 1.0)
     return dev, ASSERT_TOL
 
@@ -310,13 +308,15 @@ def _check_premachine_bob_marginal(seed):
 def _random_isometric_scenarios(rng, n: int):
     """Bases of n random scenarios, each drawn before its random isometry on
     Bob's side, and the isometries."""
-    angles = []
+    angles = np.empty((n, 4, 2))
     # Bob's (src 2, reg 2, env 4) in and (src 2, copy 2, env 4) out.
-    draws = np.empty((n, 16, 16), dtype=complex)
+    normals = np.empty((n, 2 * 16 * 16))
     for t in range(n):
-        angles.append(_random_basis_angles(rng, 4))
-        draws[t] = haar_draw(16, 16, rng)
-    return nosig.scenario_bases(np.reshape(angles, (n, 2, 2, 2))), haar_isometries(draws)
+        angles[t] = _random_basis_angles(rng, 4)
+        rng.standard_normal(out=normals[t])
+    # Converted a chunk at a time: the whole stack at once raised verify's peak RSS.
+    draws = np.concatenate([complex_normals(normals[part], 16, 16) for part in chunks(n, 16 * 16)])
+    return nosig.scenario_bases(angles.reshape(n, 2, 2, 2)), haar_isometries(draws)
 
 
 def _check_isometric_zero_signalling(seed):
@@ -325,19 +325,17 @@ def _check_isometric_zero_signalling(seed):
     return float(np.max(batch.signalling_magnitude)), RESIDUAL_TOL
 
 
-def _check_wishful_signalling_positive(seed):
-    floor = 1e-6
+@lru_cache(maxsize=1)
+def _wishful_devs():
+    """One wishful batch of the computational basis against pi/8, pi/4 and
+    3 pi/8: the smallest signalling magnitude, and the sign-reading
+    deviation of the pi/8 and 3 pi/8 points."""
     bases = _computational_against((math.pi / 8.0, math.pi / 4.0, 3.0 * math.pi / 8.0))
-    worst = float(np.min(nosig.evaluate_batch(bases).signalling_magnitude))
-    return max(0.0, floor - worst), ASSERT_TOL
-
-
-def _check_sign_reading_invariance(seed):
+    batch = nosig.evaluate_batch(bases)
     # The conditioned mixture must not depend on the +/- signs carried by the
     # singlet product expansion: rebuild it with all-positive coefficients.
-    dev = 0.0
-    bases = _computational_against((math.pi / 8.0, 3.0 * math.pi / 8.0))
-    marginals = nosig.evaluate_batch(bases).marginal_after
+    sign_dev = 0.0
+    bases, marginals = bases[::2], batch.marginal_after[::2]
     env = np.zeros(4, dtype=complex)
     env[0] = 1.0
     for point, (inputs, outputs) in enumerate(zip(*nosig.wishful_machine_rules(bases))):
@@ -348,8 +346,17 @@ def _check_sign_reading_invariance(seed):
             for u in product_outcomes(psi, alpha):
                 out = rules[np.kron(u, env).tobytes()]
                 mix += 0.25 * np.outer(out, out.conj())
-            dev = max(dev, float(np.max(np.abs(marginals[point, index - 1] - mix))))
-    return dev, RESIDUAL_TOL
+            sign_dev = max(sign_dev, float(np.max(np.abs(marginals[point, index - 1] - mix))))
+    return float(np.min(batch.signalling_magnitude)), sign_dev
+
+
+def _check_wishful_signalling_positive(seed):
+    floor = 1e-6
+    return max(0.0, floor - _wishful_devs()[0]), ASSERT_TOL
+
+
+def _check_sign_reading_invariance(seed):
+    return _wishful_devs()[1], RESIDUAL_TOL
 
 
 _GRID = np.round(np.arange(0.0, 1.0 + 1e-12, 0.1), 10)
@@ -357,22 +364,31 @@ _GRID = np.round(np.arange(0.0, 1.0 + 1e-12, 0.1), 10)
 
 @lru_cache(maxsize=1)
 def _conservation_grid_devs():
-    """One batch over the (a, b, c) grid; each named check reads one field."""
+    """One batch over the (a, b, c) grid, then the consistency surface (a, a
+    c, c) of its (a, c) grid; each named check reads one deviation."""
     a, b, c = (x.ravel() for x in np.meshgrid(_GRID, _GRID, _GRID, indexing="ij"))
-    batch = cons.evaluate_batch(a, b, c, np.full(a.size, 0.5))
-    lam_b = batch.eigenvalues_before[:, 0]
-    lam_a = batch.eigenvalues_after[:, 0]
+    on_a, on_c = (x.ravel() for x in np.meshgrid(_GRID, _GRID, indexing="ij"))
+    cube, surface = slice(0, a.size), slice(a.size, None)
+    batch = cons.evaluate_batch(
+        *(np.concatenate(x) for x in ((a, on_a), (b, on_a * on_c), (c, on_c))),
+        np.full(a.size + on_a.size, 0.5),
+    )
+    vals_b, vals_a = batch.eigenvalues_before[:, 0], batch.eigenvalues_after[:, 0]
+    delta_lambda = (vals_a - vals_b)[surface]
+    delta_entropy = (batch.entropy_after - batch.entropy_before)[surface]
+    surface_dev = max(np.max(np.abs(delta_lambda)), np.max(np.abs(delta_entropy)))
+    lam_b, lam_a = vals_b[cube], vals_a[cube]
     lam_dev = max(
         np.max(np.abs(lam_b - cons.lambda_before(a, b))),
         np.max(np.abs(lam_a - cons.lambda_after(a, c))),
     )
     delta_form_dev = np.max(np.abs((lam_a - lam_b) - (a * a * c - a * b) / 2.0))
-    consistent = batch.gram_deviation < ASSERT_TOL
+    consistent = batch.gram_deviation[cube] < ASSERT_TOL
     # Orthogonal source states are clonable for any b, c, so the verdict flip
     # is asserted on the a > 0 part only.
     expected = (a == 0.0) | (np.abs(b - a * c) < 1e-9)
     flip_dev = 1.0 if np.any(consistent != expected) else 0.0
-    return lam_dev, delta_form_dev, flip_dev
+    return lam_dev, delta_form_dev, flip_dev, surface_dev
 
 
 def _check_lambda_closed_forms(seed):
@@ -380,11 +396,7 @@ def _check_lambda_closed_forms(seed):
 
 
 def _check_delta_zero_on_surface(seed):
-    a, c = (x.ravel() for x in np.meshgrid(_GRID, _GRID, indexing="ij"))
-    batch = cons.evaluate_batch(a, a * c, c, np.full(a.size, 0.5))
-    delta_lambda = batch.eigenvalues_after[:, 0] - batch.eigenvalues_before[:, 0]
-    delta_entropy = batch.entropy_after - batch.entropy_before
-    return max(np.max(np.abs(delta_lambda)), np.max(np.abs(delta_entropy))), RESIDUAL_TOL
+    return _conservation_grid_devs()[3], RESIDUAL_TOL
 
 
 def _check_delta_closed_form(seed):
@@ -418,16 +430,15 @@ def _check_equivalence_roundtrip(seed):
     # Square families of dimensions 2..8 and sizes 1..4, drawn trial by
     # trial and recovered as one stack per (dimension, size).
     trials_of_shape: dict[tuple[int, int], list[int]] = {}
-    draws = []
+    normals = []
     for t in range(100):
         dim, size = 2 + t % 7, 1 + t % 4
         trials_of_shape.setdefault((dim, size), []).append(t)
-        draws.append(cons.roundtrip_draws(dim, dim, size, rng))
+        normals.append(cons.roundtrip_normals(dim, dim, size, rng))
     member = isometry = 0.0
-    for trials in trials_of_shape.values():
-        families = np.array([draws[t][0] for t in trials])
-        hidden = np.array([draws[t][1] for t in trials])
-        with failures_named("trial", trials, len(draws)):
+    for (dim, size), trials in trials_of_shape.items():
+        families, hidden = cons.roundtrip_draws(dim, dim, size, [normals[t] for t in trials])
+        with failures_named("trial", trials, len(normals)):
             _, found = cons.roundtrips(families, hidden)
         member = max(member, float(np.max(found.member_residual)))
         isometry = max(isometry, float(np.max(found.isometry_residual)))

@@ -188,3 +188,32 @@ def lambda_before_scalar(a, b, branch_weight):
 
 def lambda_after_scalar(a, c, branch_weight):
     return lambda_max(abs(complex(a)) ** 2 * abs(complex(c)), branch_weight)
+
+
+def gaussian_matrix(n_out, n_in, rng):
+    """A complex Gaussian (n_out, n_in) matrix drawn in one call: every real
+    part, then every imaginary part, row-major."""
+    z = rng.standard_normal(2 * n_out * n_in).reshape(2, n_out, n_in)
+    return z[0] + 1j * z[1]
+
+
+def isometric_scenario_draws(rng, n):
+    """The draws of n random isometric scenarios, one trial after another:
+    four basis pairs' (theta, phi), uniform below (pi, 2 pi - 1e-9), then
+    the 16 x 16 Gaussian matrix of Bob's isometry.  Angles (n, 4, 2) and
+    matrices (n, 16, 16)."""
+    angles, draws = [], []
+    for _ in range(n):
+        angles.append(rng.uniform(0.0, [math.pi, 2.0 * math.pi - 1e-9], size=(4, 2)))
+        draws.append(gaussian_matrix(16, 16, rng))
+    return np.array(angles), np.array(draws)
+
+
+def roundtrip_trial(dim, target_dim, size, rng):
+    """The draws of one Gram-equivalence round trip: ``size`` kets in
+    dimension ``dim``, drawn in one call with each ket's real parts before
+    its imaginary parts and normalized by ``np.linalg.norm``, then the
+    (target_dim, dim) Gaussian matrix of the hidden isometry."""
+    z = rng.standard_normal((size, 2 * dim))
+    family = np.array([k / np.linalg.norm(k) for k in z[:, :dim] + 1j * z[:, dim:]])
+    return family, gaussian_matrix(target_dim, dim, rng)

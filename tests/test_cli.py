@@ -841,8 +841,9 @@ def test_closed_stdout_pipe_exits_2_with_one_output_line():
 
 
 def test_no_command_imports_numpy_ma(tmp_path):
-    # Importing numpy.ma, as np.unique of integers may, cost 15-17 ms: more
-    # than a whole cold cube sweep.
+    # One import audit of the commands that render no JSON.  Importing
+    # numpy.ma, as np.unique of integers may, cost 15-17 ms: more than a
+    # whole cold cube sweep; json, which only a JSON rendering needs, 1-2 ms.
     root = Path(__file__).resolve().parents[1]
     commands = [
         ["sweep", str(_CONFIGS / "conservation_violation.cfg"), "--grid", *TestArgvReader.CUBE],
@@ -850,6 +851,7 @@ def test_no_command_imports_numpy_ma(tmp_path):
          "--grid", "seed=1:3:1", "basis2.theta=0:3:0.5"],
         ["sweep", str(_CONFIGS / "nosignal_wishful.cfg"), "--grid", "basis2.theta=0:3.1:0.1"],
         ["sweep", str(_CONFIGS / "gram_equivalence.cfg"), "--grid", "seed=0:4:1"],
+        ["run", str(_CONFIGS / "nosignal_wishful.cfg")],
         ["verify", "--seed", "7"],
     ]
     script = (
@@ -857,10 +859,10 @@ def test_no_command_imports_numpy_ma(tmp_path):
         "import qclonelab.cli as cli\n"
         f"for k, argv in enumerate({commands!r}):\n"
         f"    cli.main([*argv, '--out', {str(tmp_path)!r} + '/' + str(k)])\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print(sorted({'numpy.ma', 'json'} & set(sys.modules)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
-    assert done.stdout == "False\n"
+    assert done.stdout == "[]\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == [str(k) for k in range(len(commands))]

@@ -212,8 +212,8 @@ class TestStackedEquivalenceGuards:
     names the first failing trial."""
 
     def _trials(self, rng, n=4, size=3, dim=4):
-        draws = [cons.roundtrip_draws(dim, dim, size, rng) for _ in range(n)]
-        return (np.array([d[k] for d in draws]) for k in (0, 1))
+        normals = [cons.roundtrip_normals(dim, dim, size, rng) for _ in range(n)]
+        return cons.roundtrip_draws(dim, dim, size, normals)
 
     def test_roundtrips_are_batches_of_one(self, rng):
         families, hidden = self._trials(rng)

@@ -53,10 +53,11 @@ class TestNanFailsEveryGuardFamily:
     def test_linear_machine(self):
         # The hidden isometry of a round trip, made from a NaN Gaussian draw
         # (whose QR phases NumPy warns about on the way).
-        families, draws = cons.roundtrip_draws(2, 2, 2, np.random.default_rng(5))
-        draws[0, 0] = np.nan
+        normals = cons.roundtrip_normals(2, 2, 2, np.random.default_rng(5))
+        families, draws = cons.roundtrip_draws(2, 2, 2, [normals])
+        draws[0, 0, 0] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not an isometry"):
-            cons.roundtrips(families[None], draws[None])
+            cons.roundtrips(families, draws)
 
     def test_density_matrix(self):
         with pytest.raises(ValueError, match="not Hermitian"):

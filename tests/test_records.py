@@ -18,9 +18,9 @@ _RULE_SIGS = (
     signature(("src", 2), ("copy", 2), ("env", 8)),
 )
 _BASES = np.array([[[basis_amplitudes(0.0)] * 2, [basis_amplitudes(0.7)] * 2]])
-_ROUNDTRIP = tuple(x[None] for x in cons.roundtrip_draws(3, 4, 2, np.random.default_rng(5)))
-_ROUNDTRIPS = tuple(
-    np.stack(x) for x in zip(*(cons.roundtrip_draws(3, 4, 2, np.random.default_rng(s)) for s in (6, 7)))
+_ROUNDTRIP, _ROUNDTRIPS = (
+    cons.roundtrip_draws(3, 4, 2, [cons.roundtrip_normals(3, 4, 2, rng) for rng in rngs])
+    for rngs in (map(np.random.default_rng, seeds) for seeds in ((5,), (6, 7)))
 )
 
 

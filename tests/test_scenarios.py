@@ -21,7 +21,7 @@ import qclonelab.nosignal as nosig
 import qclonelab.scenarios as scenarios
 from qclonelab.cli import main
 from qclonelab.config import grid_points, load_config, parse_config_text
-from qclonelab.conservation import roundtrip_draws, roundtrips
+from qclonelab.conservation import roundtrip_draws, roundtrip_normals, roundtrips
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -681,8 +681,9 @@ class TestIsometriesPerDistinctSeed:
 
 
 def _roundtrip(dim, target_dim, size, seed):
-    family, draw = roundtrip_draws(dim, target_dim, size, np.random.default_rng(seed))
-    return family, *roundtrips(family[None], draw[None])
+    normals = roundtrip_normals(dim, target_dim, size, np.random.default_rng(seed))
+    families, draws = roundtrip_draws(dim, target_dim, size, [normals])
+    return families[0], *roundtrips(families, draws)
 
 
 class TestEquivalenceRoundtrip:

@@ -20,6 +20,7 @@ import qclonelab.core as core
 import qclonelab.machines as machines
 import qclonelab.nosignal as nosig
 import qclonelab.verification as verification
+from oracles import isometric_scenario_draws, roundtrip_trial
 
 KERNELS = {
     "reduced_states": core.reduced_states,
@@ -45,6 +46,14 @@ def _rebind_counting(monkeypatch, name, fn, counts, current):
                 monkeypatch.setattr(mod, attr, counted)
 
 
+def _cold_caches():
+    """Forget what every cached helper of the checks holds, so that the next
+    run computes it again."""
+    for value in vars(verification).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Calls of each shared kernel made by each check of one ``verify`` run."""
@@ -60,7 +69,7 @@ def kernel_calls(monkeypatch):
 
     checks = tuple((check, labelled(check, fn)) for check, fn in verification._CHECKS)
     monkeypatch.setattr(verification, "_CHECKS", checks)
-    verification._check_equivalence_roundtrip.cache_clear()  # a cold run
+    _cold_caches()  # a cold run: no check reads a batch an earlier test cached
     verification.run_all_checks(seed=7)
     return counts
 
@@ -84,6 +93,64 @@ def test_verify_reaches_the_kernels(kernel_calls):
         ("conservation.isometric_machine_preserves_alice_marginal", "reduced_states"),
     ):
         assert kernel_calls[check, kernel] > 0, (check, kernel)
+
+
+def test_verify_runs_each_shared_batch_once(monkeypatch):
+    # The four conservation checks read one batch over the cube and the
+    # consistency surface, and the wishful signalling and sign-reading checks
+    # read one termwise batch; the isometric check runs its own.
+    calls = Counter()
+    real_cons, real_nosig = cons.evaluate_batch, nosig.evaluate_batch
+
+    def cons_batch(*args, **kwargs):
+        calls["conservation"] += 1
+        return real_cons(*args, **kwargs)
+
+    def nosig_batch(bases, ancilla_dim=4, isometries=None):
+        calls["termwise" if isometries is None else "isometric"] += 1
+        return real_nosig(bases, ancilla_dim, isometries)
+
+    monkeypatch.setattr(cons, "evaluate_batch", cons_batch)
+    monkeypatch.setattr(nosig, "evaluate_batch", nosig_batch)
+    _cold_caches()
+    verification.run_all_checks(seed=7)
+    assert calls == {"conservation": 1, "termwise": 1, "isometric": 1}
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_verdicts_do_not_depend_on_the_check_order(monkeypatch, seed):
+    # Whichever check of a shared batch runs first computes it.
+    _cold_caches()
+    forward = verification.run_all_checks(seed=seed)
+    monkeypatch.setattr(verification, "_CHECKS", verification._CHECKS[::-1])
+    _cold_caches()
+    assert verification.run_all_checks(seed=seed)[::-1] == forward
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_stacked_draws_follow_the_per_trial_order(monkeypatch, seed):
+    # The isometric scenarios: each trial's angles, then its Gaussian matrix.
+    bases, isometries = verification._random_isometric_scenarios(verification._rng(seed, 20), 100)
+    angles, draws = isometric_scenario_draws(verification._rng(seed, 20), 100)
+    assert bases.tobytes() == nosig.scenario_bases(angles.reshape(100, 2, 2, 2)).tobytes()
+    assert isometries.tobytes() == machines.haar_isometries(draws).tobytes()
+    # The round trips: trial t has dimension 2 + t % 7 and size 1 + t % 4,
+    # so shape k of the 28, in order of first trial, holds trials k, k + 28, ...
+    stacks, real = [], cons.roundtrips
+
+    def recorded(families, hidden):
+        stacks.append((families, hidden))
+        return real(families, hidden)
+
+    monkeypatch.setattr(cons, "roundtrips", recorded)
+    verification._check_equivalence_roundtrip.__wrapped__(seed)
+    rng = verification._rng(seed, 25)
+    trials = [roundtrip_trial(2 + t % 7, 2 + t % 7, 1 + t % 4, rng) for t in range(100)]
+    assert len(stacks) == 28
+    for k, (families, hidden) in enumerate(stacks):
+        expected = [trials[t] for t in range(k, 100, 28)]
+        assert families.tobytes() == np.array([f for f, _ in expected]).tobytes()
+        assert hidden.tobytes() == np.array([h for _, h in expected]).tobytes()
 
 
 def _load_perfbench(name: str):
