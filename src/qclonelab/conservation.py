@@ -192,10 +192,7 @@ def roundtrip_normals(dim: int, target_dim: int, size: int, rng) -> np.ndarray:
     ``size`` random kets in dimension ``dim``, then those of the Gaussian
     draw of the hidden isometry into ``target_dim``.  :func:`roundtrip_draws`
     reads a stack of them."""
-    normals = np.empty(2 * dim * (size + target_dim))
-    rng.standard_normal(out=normals[: 2 * dim * size])
-    rng.standard_normal(out=normals[2 * dim * size:])
-    return normals
+    return rng.standard_normal(2 * dim * (size + target_dim))
 
 
 def roundtrip_draws(dim: int, target_dim: int, size: int, normals):

@@ -12,9 +12,9 @@ Each rule set is a stack of declared input kets (n, K, d_in) and output kets
   cloning machines unphysical.
 
 Both readings are kept separate on purpose; nothing here ever merges them.
-:class:`MachineSpec`, :func:`extend_to_isometry` and :func:`apply_termwise`
-are their labeled batches of one, reached by no command: they remain only
-because the benchmark harness in ``perfbench/`` binds them by name.
+:func:`extend_to_isometry` and :func:`apply_termwise` are their batches of
+one, reached by no command: they remain only because the benchmark harness
+in ``perfbench/`` indexes them by name.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ket, SubsystemSignature, chunks, first_failure, kron_stack, require_within
-from .states import StateFamily, complex_normals, gram_stack
+from .core import chunks, first_failure, kron_stack, require_within
+from .states import complex_normals, gram_stack
 from .tolerances import ASSERT_TOL
 
 
@@ -50,33 +50,6 @@ class DependentInputsConflict(ValueError):
 class ConflictingRules(ValueError):
     """Two declared rules take one expansion element, up to global phase, to
     different outputs, so a termwise application has no single reading."""
-
-
-@dataclass(frozen=True, eq=False)
-class MachineSpec:
-    """Finite set of declared input -> output ket pairs."""
-
-    input_signature: SubsystemSignature
-    output_signature: SubsystemSignature
-    pairs: tuple[tuple[Ket, Ket], ...]
-
-    def __post_init__(self):
-        pairs = tuple((x, y) for x, y in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        if not pairs:
-            raise ValueError("machine needs at least one declared pair")
-        if self.output_signature.dim < self.input_signature.dim:
-            raise ValueError(
-                "output dimension must be at least the input dimension "
-                f"({self.output_signature.dim} < {self.input_signature.dim})"
-            )
-        for x, y in pairs:
-            if x.signature != self.input_signature:
-                raise ValueError("declared input does not match the input signature")
-            if y.signature != self.output_signature:
-                raise ValueError("declared output does not match the output signature")
-            x.require_normalized()
-            y.require_normalized()
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,45 +193,12 @@ def extend_to_isometries(inputs: np.ndarray, outputs: np.ndarray) -> IsometryExt
     return IsometryExtension(mats, g_in, dev, residual, isometry_residual)
 
 
-def extend_to_isometry(m: MachineSpec) -> IsometryExtension:
-    """Extend a Gram-consistent machine to an isometry on the whole input
-    space: :func:`extend_to_isometries` on a batch of one."""
-    inputs = np.stack([x.amplitudes for x, _ in m.pairs])
-    outputs = np.stack([y.amplitudes for _, y in m.pairs])
+def extend_to_isometry(inputs: np.ndarray, outputs: np.ndarray) -> IsometryExtension:
+    """:func:`extend_to_isometries` on one rule set, inputs (K, d_in) and
+    outputs (K, d_out).  No command calls it: it exists only because the
+    benchmark harness's ``MICRO`` table in ``perfbench/child.py`` indexes it
+    by name."""
     return extend_to_isometries(inputs[None], outputs[None])
-
-
-def _split_spectators(state: Ket, acted_labels, machine_input: SubsystemSignature):
-    """Validate acted labels against the machine input and reorder the state
-    tensor to (spectators..., acted...) with acted axes in machine order."""
-    acted = tuple(acted_labels)
-    sig = state.signature
-    if len(acted) != len(machine_input.entries):
-        raise ValueError(
-            f"expected {len(machine_input.entries)} acted labels, got {len(acted)}"
-        )
-    if len(set(acted)) != len(acted):
-        raise ValueError("acted labels must be distinct")
-    for lab, (mlab, mdim) in zip(acted, machine_input.entries):
-        axis = sig.axis_of(lab)  # raises on unknown label
-        dim = sig.dims[axis]
-        if dim != mdim:
-            raise ValueError(
-                f"label {lab!r} has dimension {dim}, machine factor {mlab!r} needs {mdim}"
-            )
-    acted_set = set(acted)
-    spectators = tuple(e for e in sig.entries if e[0] not in acted_set)
-    axes = [sig.axis_of(lab) for lab, _ in spectators]
-    axes += [sig.axis_of(lab) for lab in acted]
-    d_spec = int(np.prod([d for _, d in spectators], dtype=np.int64)) if spectators else 1
-    block = state.as_tensor().transpose(axes).reshape(d_spec, machine_input.dim)
-    return spectators, block
-
-
-def _result_signature(spectators, output_signature: SubsystemSignature) -> SubsystemSignature:
-    if not spectators:
-        return output_signature
-    return SubsystemSignature(tuple(spectators)).concat(output_signature)
 
 
 def _termwise_table(basis, inputs, outputs):
@@ -362,37 +302,12 @@ def termwise_batch(blocks, basis, inputs, outputs) -> np.ndarray:
     return result
 
 
-def apply_termwise(m: MachineSpec, state: Ket, acted_labels, expansion: StateFamily) -> Ket:
-    """Apply declared rules term by term in the given expansion basis.
-
-    ``expansion`` must be a complete orthonormal basis of the leading acted
-    factors; the remaining acted factors form the ancilla, which every
-    matched declared input must carry in one shared fixed state, up to a
-    global phase that is folded into the rule's output.  Two rules that then
-    take one element to different outputs raise :class:`ConflictingRules`.
-    The state is expanded over the basis and each term is replaced by its
-    declared output with the coefficient (including sign) kept.  A batch of
-    one of :func:`termwise_batch`.
-    """
-    spectators, block = _split_spectators(state, acted_labels, m.input_signature)
-    in_dims = m.input_signature.dims
-    exp_dims = expansion.signature.dims
-    if exp_dims != in_dims[: len(exp_dims)]:
-        raise ValueError(
-            f"expansion dimensions {exp_dims} do not match the leading "
-            f"machine input factors {in_dims[:len(exp_dims)]}"
-        )
-    d_exp = expansion.signature.dim
-    if len(expansion) != d_exp:
-        raise ValueError(
-            f"expansion must contain {d_exp} states to span the acted factors, "
-            f"got {len(expansion)}"
-        )
-    basis = np.stack([k.amplitudes for k in expansion.members])  # (d_exp, d_exp)
-    inputs = np.stack([x.amplitudes for x, _ in m.pairs])
-    outputs = np.stack([y.amplitudes for _, y in m.pairs])
-    amp = termwise_batch(block[None], basis[None], inputs[None], outputs[None])[0].reshape(-1)
-    return Ket(_result_signature(spectators, m.output_signature), amp)
+def apply_termwise(block, basis, inputs, outputs) -> np.ndarray:
+    """:func:`termwise_batch` on one state (s, e * a), basis (e, e) and rule
+    set, inputs (R, e * a) and outputs (R, d_out), giving (s, d_out).  No
+    command calls it: it exists only because the benchmark harness's
+    ``MICRO`` table in ``perfbench/child.py`` indexes it by name."""
+    return termwise_batch(block[None], basis[None], inputs[None], outputs[None])[0]
 
 
 def _kron_all(*vecs: np.ndarray) -> np.ndarray:

@@ -148,10 +148,11 @@ def _run_gram_equivalence(grid: ScenarioGrid) -> ScenarioReport:
     return ScenarioReport("gram-equivalence", echo_columns(grid), scalars, matrices, verdicts)
 
 
-# Points with equal values of their kind's keys are evaluated as one batch.
+# Points with equal values of their kind's keys are evaluated as one batch.  A
+# text key such as machine.mode cannot be swept, so it never splits a batch.
 _BATCHES = {
     "conservation": (_run_conservation, ("machine.ancilla_dim",)),
-    "nosignal": (_run_nosignal, ("machine.mode", "machine.ancilla_dim")),
+    "nosignal": (_run_nosignal, ("machine.ancilla_dim",)),
     "gram-equivalence": (
         _run_gram_equivalence, ("family.dimension", "family.target_dimension", "family.size")
     ),

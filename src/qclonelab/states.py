@@ -2,22 +2,15 @@
 overlap-prescribed ket pairs, and Gram matrices.  The trigonometry of a
 column of angles runs once per distinct angle, as
 :func:`~qclonelab.core.distinct_rows` tells them apart.
-
-:class:`StateFamily`, a labeled list of kets, is reached by no command: it
-remains only because the benchmark harness in ``perfbench/`` binds
-:func:`~qclonelab.machines.apply_termwise`, which takes one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Ket, SubsystemSignature, cmul, distinct_rows, first_failure, modulus, require_within
-)
+from .core import cmul, distinct_rows, first_failure, modulus, require_within
 from .tolerances import RESIDUAL_TOL
 
 
@@ -86,31 +79,6 @@ def random_kets(dim: int, rng: np.random.Generator, n: int) -> np.ndarray:
     """n normalized standard complex Gaussian kets of dimension ``dim``,
     shape (n, dim), drawn one after another as :func:`unit_kets` reads them."""
     return unit_kets(rng.standard_normal((n, 2 * dim)), dim)
-
-
-@dataclass(frozen=True, eq=False)
-class StateFamily:
-    """Ordered list of normalized kets over one shared signature."""
-
-    members: tuple[Ket, ...]
-
-    def __post_init__(self):
-        members = tuple(self.members)
-        object.__setattr__(self, "members", members)
-        if not members:
-            raise ValueError("state family must not be empty")
-        sig = members[0].signature
-        for k in members:
-            if k.signature != sig:
-                raise ValueError("all family members must share one signature")
-            k.require_normalized()
-
-    @property
-    def signature(self) -> SubsystemSignature:
-        return self.members[0].signature
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def gram_stack(stack: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -37,12 +38,19 @@ def random_ket(sig, rng) -> Ket:
     return Ket(sig, z / np.linalg.norm(z))
 
 
+def load_perfbench(name: str):
+    """The benchmark harness's module ``perfbench/<name>.py``, loaded from
+    its file as it stands."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def random_basis_angles(rng):
     return float(rng.uniform(0.0, np.pi)), float(rng.uniform(0.0, 2.0 * np.pi - 1e-9))
-
-
-def basis_ket(sig, index: int) -> Ket:
-    return Ket(sig, np.eye(sig.dim)[index])
 
 
 def random_isometry(n_in: int, n_out: int, rng) -> np.ndarray:

@@ -324,6 +324,17 @@ class TestGridAxisExpansion:
         assert captured.out == ""
         assert captured.err.startswith("configuration error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["machine.mode", "format"])
+    def test_text_key_sweep_exits_2(self, capsys, key):
+        # A text key is never swept, so machine.mode never splits a batch.
+        path = str(self.CONFIGS / "nosignal_isometry.cfg")
+        assert main(["sweep", path, "--grid", f"{key}=0:1:1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"configuration error: key '{key}' is not numeric and cannot be swept\n"
+        )
+
 
 class TestGridBound:
     # A tiny step once expanded into a list of 10^9 values, growing memory

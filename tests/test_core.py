@@ -18,6 +18,7 @@ from qclonelab import core
 from qclonelab.core import (
     DensityMatrix,
     Ket,
+    SubsystemSignature,
     eig_hermitian,
     eig_hermitian_batch,
     entropy_bits,
@@ -84,7 +85,7 @@ class TestTensorInner:
 
     def test_duplicate_label_named(self):
         with pytest.raises(ValueError, match="q0"):
-            Q0.signature.concat(signature(("q0", 2)))
+            SubsystemSignature(Q0.signature.entries + (("q0", 2),))
 
     def test_inner_basics(self):
         assert np.vdot(ZERO, ZERO) == pytest.approx(1.0)

@@ -10,8 +10,8 @@ import qclonelab.core as core
 import qclonelab.nosignal as nosig
 from conftest import signature
 from oracles import trace_distance_eigsum
-from qclonelab.core import CHUNK_ENTRIES, DensityMatrix, Ket, eig_hermitian_batch
-from qclonelab.machines import haar_isometries, require_isometries
+from qclonelab.core import CHUNK_ENTRIES, DensityMatrix, eig_hermitian_batch
+from qclonelab.machines import gram_deviations, haar_isometries, require_isometries
 from qclonelab.states import basis_amplitudes, random_kets
 
 Q = signature(("q", 2))
@@ -64,8 +64,10 @@ class TestNanFailsEveryGuardFamily:
             DensityMatrix(Q, np.full((2, 2), np.nan))
 
     def test_ket_require_normalized(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            Ket(Q, np.array([np.nan, 0.0])).require_normalized()
+        # A NaN rule ket puts a NaN on its Gram matrix's diagonal.
+        nan_gram = np.full((1, 2, 2), np.nan, dtype=complex)
+        with pytest.raises(ValueError, match="^declared rule input is not normalized$"):
+            gram_deviations(nan_gram, np.eye(2, dtype=complex)[None])
 
     def test_nosignal_isometry_named(self):
         bases = np.array([[[basis_amplitudes(0.1)] * 2] * 2] * 3)

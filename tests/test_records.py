@@ -9,27 +9,15 @@ import qclonelab.conservation as cons
 import qclonelab.nosignal as nosig
 from conftest import signature, strong_cloner
 from qclonelab.core import DensityMatrix, Ket, eig_hermitian
-from qclonelab.machines import InconsistentGram, MachineSpec, extend_to_isometries
-from qclonelab.states import StateFamily, basis_amplitudes, overlap_pair_amplitudes
+from qclonelab.machines import InconsistentGram, extend_to_isometries, extend_to_isometry
+from qclonelab.states import basis_amplitudes
 
 _SIG = signature(("x", 3))
-_RULE_SIGS = (
-    signature(("src", 2), ("blank", 2), ("reg", 2), ("env", 4)),
-    signature(("src", 2), ("copy", 2), ("env", 8)),
-)
 _BASES = np.array([[[basis_amplitudes(0.0)] * 2, [basis_amplitudes(0.7)] * 2]])
 _ROUNDTRIP, _ROUNDTRIPS = (
     cons.roundtrip_draws(3, 4, 2, [cons.roundtrip_normals(3, 4, 2, rng) for rng in rngs])
     for rngs in (map(np.random.default_rng, seeds) for seeds in ((5,), (6, 7)))
 )
-
-
-def _machine_spec() -> MachineSpec:
-    inputs, outputs = (rules[0] for rules in strong_cloner(0.6, 0.3, 0.5))
-    pairs = tuple(
-        (Ket(_RULE_SIGS[0], x), Ket(_RULE_SIGS[1], y)) for x, y in zip(inputs, outputs)
-    )
-    return MachineSpec(*_RULE_SIGS, pairs)
 
 
 def _inconsistent_gram() -> InconsistentGram:
@@ -41,15 +29,15 @@ def _inconsistent_gram() -> InconsistentGram:
 
 
 _PROJECTOR = np.outer([0.6, 0.8j, 0.0], np.conj([0.6, 0.8j, 0.0]))
-_PAIR = overlap_pair_amplitudes([0.3], 2)[0]
+_CLONER = tuple(rules[0] for rules in strong_cloner(0.6, 0.3, 0.5))
 
 RECORDS = {
     "Ket": lambda: Ket(_SIG, np.array([0.6, 0.8j, 0.0])),
     "DensityMatrix": lambda: DensityMatrix(_SIG, _PROJECTOR),
     "Spectrum": lambda: eig_hermitian(np.diag([0.25, 0.75])),
-    "StateFamily": lambda: StateFamily(tuple(Ket(signature(("r", 2)), k) for k in _PAIR)),
+    "StateFamily": lambda: nosig.premachine(_BASES),
     "LinearMachine": lambda: extend_to_isometries(_ROUNDTRIP[0], _ROUNDTRIP[0]),
-    "MachineSpec": _machine_spec,
+    "MachineSpec": lambda: extend_to_isometry(*_CLONER),
     "ConsistencyReport": _inconsistent_gram,
     "Premachine": lambda: nosig.premachine(_BASES),
     "NosignalBatch": lambda: nosig.evaluate_batch(_BASES),
@@ -59,13 +47,17 @@ RECORDS = {
     "EquivalenceRoundtrip": lambda: cons.roundtrips(*_ROUNDTRIP)[1],
 }
 # These cases keep the names of the records they made before they were
-# stacked: the round trips and the isometry of one machine now return an
-# IsometryExtension, and a failed Gram comparison rides on InconsistentGram.
+# stacked: the round trips and the isometry of one machine, declared or
+# extended, now return an IsometryExtension; a failed Gram comparison rides
+# on InconsistentGram; and a family of kets is a stack of amplitudes, held
+# by records such as the Premachine's joint kets.
 RECORD_TYPE = {
     "EquivalenceBatch": "IsometryExtension",
     "EquivalenceRoundtrip": "IsometryExtension",
     "LinearMachine": "IsometryExtension",
+    "MachineSpec": "IsometryExtension",
     "ConsistencyReport": "InconsistentGram",
+    "StateFamily": "Premachine",
 }
 
 

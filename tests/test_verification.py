@@ -3,7 +3,6 @@ computed with, and the benchmark finds the functions and checks it times."""
 
 import ast
 import importlib
-import importlib.util
 import inspect
 import json
 import os
@@ -20,6 +19,7 @@ import qclonelab.core as core
 import qclonelab.machines as machines
 import qclonelab.nosignal as nosig
 import qclonelab.verification as verification
+from conftest import load_perfbench
 from oracles import isometric_scenario_draws, roundtrip_trial
 
 KERNELS = {
@@ -153,20 +153,11 @@ def test_stacked_draws_follow_the_per_trial_order(monkeypatch, seed):
         assert hidden.tobytes() == np.array([h for _, h in expected]).tobytes()
 
 
-def _load_perfbench(name: str):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_benchmark_lookups_exist():
     # The tracer imports every layer by name and wraps the core objects'
     # __post_init__ and every check in place; the micro-timings look each
     # (layer, function) up by name among the layer's public functions.
-    child = _load_perfbench("child")
+    child = load_perfbench("child")
     for layer in child.LAYERS:
         importlib.import_module(f"qclonelab.{layer}")
     for name in child.CORE_OBJECTS:
@@ -206,7 +197,7 @@ def test_benchmark_child_runs(tmp_path):
     )
     assert found["rc"] == 0 and "error" not in found
     assert (tmp_path / "spans.npz").exists()
-    workloads = _load_perfbench("workloads")
+    workloads = load_perfbench("workloads")
     configs = []
     for name in ("conservation", "wishful", "isometry"):
         path = tmp_path / f"{name}.cfg"
