@@ -23,7 +23,8 @@ DEFAULT_SEED = 7
 # the 1331-point (a, b, c) grid, far below what would exhaust memory.
 MAX_GRID_POINTS = 200_000
 
-# key -> (type, default); default None means required.
+# key -> (type, default); a default of None fills no value (an optional basis
+# key, or a key that _REQUIRED lists as required).
 _COMMON_SCHEMA: dict[str, tuple[type, object]] = {
     "tolerance.assert": (float, ASSERT_TOL),
     "tolerance.residual": (float, RESIDUAL_TOL),

@@ -38,7 +38,7 @@ from .machines import (
     strong_cloner_inputs,
     strong_cloner_outputs,
 )
-from .states import complex_normals, gram_stack, overlap_pair_amplitudes, unit_kets
+from .states import gram_stack, overlap_pair_amplitudes, unit_kets
 from .tolerances import RESIDUAL_TOL
 
 
@@ -189,28 +189,21 @@ def lambda_after(a, c, branch_weight=0.5):
 
 def roundtrip_normals(dim: int, target_dim: int, size: int, rng) -> np.ndarray:
     """The standard normals of one round trip, in draw order: those of
-    ``size`` random kets in dimension ``dim``, then those of the Gaussian
-    draw of the hidden isometry into ``target_dim``.  :func:`roundtrip_draws`
-    reads a stack of them."""
+    ``size`` random kets in dimension ``dim``, then those of the hidden Haar
+    isometry into ``target_dim``.  :func:`roundtrips` reads a stack of them."""
     return rng.standard_normal(2 * dim * (size + target_dim))
 
 
-def roundtrip_draws(dim: int, target_dim: int, size: int, normals):
-    """The families (n, size, dim) and the hidden isometries' Gaussian draws
-    (n, target_dim, dim) of stacked :func:`roundtrip_normals` (n, 2 dim
-    (size + target_dim)), each as its round trip alone would give it."""
-    if target_dim < dim:
-        raise ValueError("output dimension must be at least the input dimension")
-    kets, draws = np.split(np.asarray(normals, dtype=float), [2 * dim * size], axis=-1)
-    return unit_kets(kets.reshape(-1, size, 2 * dim), dim), complex_normals(draws, target_dim, dim)
-
-
-def roundtrips(families: np.ndarray, draws: np.ndarray):
-    """Stacked round trips of one shape: each family (n, K, d) moved by the
-    Haar isometry of its draw (n, d', d), and isometries recovered from the
-    two families alone.  Returns the moved families and the recovery, an
+def roundtrips(dim: int, target_dim: int, size: int, normals):
+    """Stacked round trips of one shape, from stacked :func:`roundtrip_normals`
+    (n, 2 dim (size + target_dim)): each family (n, size, dim) moved by its
+    hidden Haar isometry into ``target_dim``, and isometries recovered from
+    the two families alone, each as its round trip alone would give it.
+    Returns the families, the moved families and the recovery, an
     :class:`~qclonelab.machines.IsometryExtension`."""
-    hidden = haar_isometries(draws)
+    kets, draws = np.split(np.asarray(normals, dtype=float), [2 * dim * size], axis=-1)
+    families = unit_kets(kets.reshape(-1, size, 2 * dim), dim)
+    hidden = haar_isometries(draws, target_dim, dim)
     require_isometries(hidden)
     moved = images(hidden, families)
-    return moved, extend_to_isometries(families, moved)
+    return families, moved, extend_to_isometries(families, moved)

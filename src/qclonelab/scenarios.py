@@ -16,7 +16,7 @@ from . import conservation as cons
 from . import nosignal as nosig
 from .config import ScenarioGrid, echo_columns
 from .core import cmul, distinct_rows, failures_named
-from .machines import haar_draw, haar_isometries
+from .machines import haar_isometries
 from .report import ScenarioReport, concatenate_rows
 from .states import unit_phases
 
@@ -43,8 +43,8 @@ def _run_nosignal(grid: ScenarioGrid) -> ScenarioReport:
         # drawn once per distinct seed, keyed by its digits (it may pass 64 bits).
         dim, seeds = 4 * ancilla_dim, grid.column("seed")
         first, inverse = distinct_rows(np.array(seeds, dtype=str))
-        draws = [haar_draw(dim, dim, np.random.default_rng(seeds[k])) for k in first]
-        isometries = haar_isometries(np.stack(draws))[inverse]
+        normals = [np.random.default_rng(seeds[k]).standard_normal(2 * dim * dim) for k in first]
+        isometries = haar_isometries(np.stack(normals), dim, dim)[inverse]
         applied_as = "fixed isometry (physical)"
     batch = nosig.evaluate_batch(bases, ancilla_dim, isometries)
 
@@ -131,8 +131,7 @@ def _run_gram_equivalence(grid: ScenarioGrid) -> ScenarioReport:
     target_dim = grid.column("family.target_dimension")[0] or dim
     rngs = map(np.random.default_rng, grid.column("seed"))
     normals = [cons.roundtrip_normals(dim, target_dim, size, rng) for rng in rngs]
-    families, hidden = cons.roundtrip_draws(dim, target_dim, size, normals)
-    _, found = cons.roundtrips(families, hidden)
+    found = cons.roundtrips(dim, target_dim, size, normals)[2]
 
     scalars = {
         "gram_deviation": found.gram_deviation,

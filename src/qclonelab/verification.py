@@ -17,7 +17,6 @@ from . import conservation as cons
 from . import nosignal as nosig
 from .config import DEFAULT_SEED
 from .core import (
-    chunks,
     cmul,
     eig_hermitian_batch,
     entropy_bits,
@@ -43,9 +42,7 @@ from .machines import (
     termwise_batch,
 )
 from .report import Verdict
-from .states import (
-    basis_amplitudes, complex_normals, gram_stack, overlap_pair_amplitudes, random_kets, unit_kets
-)
+from .states import basis_amplitudes, gram_stack, overlap_pair_amplitudes, random_kets, unit_kets
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
 
@@ -173,9 +170,9 @@ def _check_gram_psd(seed):
     return max(0.0, -float(vals.min())), ASSERT_TOL
 
 
-def _random_isometries(draws) -> np.ndarray:
-    """Guarded Haar isometries of stacked Gaussian draws."""
-    isometries = haar_isometries(np.array(draws))
+def _random_isometries(normals, n_out: int, n_in: int) -> np.ndarray:
+    """Guarded Haar isometries (n, n_out, n_in) of stacked standard normals."""
+    isometries = haar_isometries(normals, n_out, n_in)
     require_isometries(isometries)
     return isometries
 
@@ -185,7 +182,7 @@ def _check_gram_unitary_invariance(seed):
     draws = _rng(seed, 13).standard_normal((10, 90))
     families = unit_kets(draws[:, :40].reshape(10, 4, 10), 5)
     # Each of the 40 kets is a state of its own, moved as one.
-    u = np.repeat(_random_isometries(complex_normals(draws[:, 40:], 5, 5)), 4, axis=0)
+    u = np.repeat(_random_isometries(draws[:, 40:], 5, 5), 4, axis=0)
     moved = apply_isometries(u, families.reshape(40, 1, 5)).reshape(10, 4, 5)
     return float(np.max(np.abs(gram_stack(families) - gram_stack(moved)))), RESIDUAL_TOL
 
@@ -203,7 +200,7 @@ def _check_isometry_extension(seed):
     # draws the isometry (192 normals), then the kets (64).
     draws = _rng(seed, 14).standard_normal((20, 256))
     inputs = unit_kets(draws[:, 192:].reshape(20, 4, 16), 8)
-    outputs = images(_random_isometries(complex_normals(draws[:, :192], 12, 8)), inputs)
+    outputs = images(_random_isometries(draws[:, :192], 12, 8), inputs)
     found = extend_to_isometries(inputs, outputs)
     return float(max(np.max(found.member_residual), np.max(found.isometry_residual))), ASSERT_TOL
 
@@ -259,14 +256,13 @@ def _check_termwise_matches_linear(seed):
     # A machine draws its basis (32 normals), ancilla (6) and outputs (288),
     # then its probes' qutrit (6) and qubits (8) one probe after another.
     draws = _rng(seed, 17).standard_normal((10, 466))
-    basis_draws, ancillas = complex_normals(draws[:, :32], 4, 4), unit_kets(draws[:, 32:38], 3)
-    out_draws = complex_normals(draws[:, 38:326], 12, 12)
+    ancillas = unit_kets(draws[:, 32:38], 3)
     probes = draws[:, 326:].reshape(100, 14)
     probes = kron_stack(unit_kets(probes[:, :6], 3), unit_kets(probes[:, 6:], 4))
     # Expansion element k is row k of the basis isometry's adjoint.
-    elements = np.swapaxes(_random_isometries(basis_draws), -1, -2).conj()
+    elements = np.swapaxes(_random_isometries(draws[:, :32], 4, 4), -1, -2).conj()
     inputs = kron_stack(elements, ancillas[:, None])
-    outputs = images(_random_isometries(out_draws), inputs)
+    outputs = images(_random_isometries(draws[:, 38:326], 12, 12), inputs)
     linear = extend_to_isometries(inputs, outputs).isometries
 
     def per_probe(stack):
@@ -284,9 +280,7 @@ def _check_linear_no_signalling(seed):
     # Each trial draws its state (48 normals), then its isometry (192).
     draws = _rng(seed, 18).standard_normal((20, 240))
     states = unit_kets(draws[:, :48], 24)
-    moved = apply_isometries(
-        _random_isometries(complex_normals(draws[:, 48:], 12, 8)), states.reshape(20, 3, 8)
-    )
+    moved = apply_isometries(_random_isometries(draws[:, 48:], 12, 8), states.reshape(20, 3, 8))
     before = reduced_states(states, (3, 2, 4), (0,))
     after = reduced_states(moved.reshape(20, 36), (3, 4, 3), (0,))
     return float(np.max(np.abs(before - after))), RESIDUAL_TOL
@@ -314,9 +308,7 @@ def _random_isometric_scenarios(rng, n: int):
     for t in range(n):
         angles[t] = _random_basis_angles(rng, 4)
         rng.standard_normal(out=normals[t])
-    # Converted a chunk at a time: the whole stack at once raised verify's peak RSS.
-    draws = np.concatenate([complex_normals(normals[part], 16, 16) for part in chunks(n, 16 * 16)])
-    return nosig.scenario_bases(angles.reshape(n, 2, 2, 2)), haar_isometries(draws)
+    return nosig.scenario_bases(angles.reshape(n, 2, 2, 2)), haar_isometries(normals, 16, 16)
 
 
 def _check_isometric_zero_signalling(seed):
@@ -437,9 +429,8 @@ def _check_equivalence_roundtrip(seed):
         normals.append(cons.roundtrip_normals(dim, dim, size, rng))
     member = isometry = 0.0
     for (dim, size), trials in trials_of_shape.items():
-        families, hidden = cons.roundtrip_draws(dim, dim, size, [normals[t] for t in trials])
         with failures_named("trial", trials, len(normals)):
-            _, found = cons.roundtrips(families, hidden)
+            found = cons.roundtrips(dim, dim, size, [normals[t] for t in trials])[2]
         member = max(member, float(np.max(found.member_residual)))
         isometry = max(isometry, float(np.max(found.isometry_residual)))
     return member, isometry

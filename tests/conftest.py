@@ -12,7 +12,6 @@ from qclonelab.core import Ket, SubsystemSignature
 from qclonelab.machines import (
     deleter_rules,
     gram_comparison,
-    haar_draw,
     haar_isometries,
     strong_cloner_inputs,
     strong_cloner_outputs,
@@ -56,7 +55,7 @@ def random_basis_angles(rng):
 def random_isometry(n_in: int, n_out: int, rng) -> np.ndarray:
     """Haar-random isometry (n_out, n_in), drawn from ``rng`` as the
     commands draw one."""
-    return haar_isometries(haar_draw(n_in, n_out, rng)[None])[0]
+    return haar_isometries(rng.standard_normal((1, 2 * n_out * n_in)), n_out, n_in)[0]
 
 
 def strong_cloner(a, b, c, dim=4):

@@ -18,7 +18,6 @@ from qclonelab.machines import (
     ConflictingRules,
     deleter_rules,
     gram_comparison,
-    haar_draw,
     haar_isometries,
     require_isometries,
     wishful_rules,
@@ -44,9 +43,14 @@ def _failing_index(exc: Exception) -> int:
     return int(found.group(1)) if found else 0
 
 
+def _normals(seeds, n):
+    """Standard normals of one Haar (n, n) isometry per seed, stacked."""
+    return np.stack([np.random.default_rng(seed).standard_normal(2 * n * n) for seed in seeds])
+
+
 def _isometries(seeds, ancilla_dim):
     n = 4 * ancilla_dim
-    return np.stack([haar_draw(n, n, np.random.default_rng(seed)) for seed in seeds])
+    return haar_isometries(_normals(seeds, n), n, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -61,7 +65,7 @@ def test_batch_equals_batches_of_one(angles, ancilla_dim, isometric, seed):
     machine = {}
     if isometric:
         seeds = range(seed, seed + len(angles))
-        machine["isometries"] = haar_isometries(_isometries(seeds, ancilla_dim))
+        machine["isometries"] = _isometries(seeds, ancilla_dim)
     singles = []
     for k in range(len(angles)):
         one = {key: value[k:k + 1] for key, value in machine.items()}
@@ -87,7 +91,7 @@ def _machine(isometric: bool, n: int, ancilla_dim: int, seed: int) -> dict:
     the wishful cloner."""
     if not isometric:
         return {}
-    return {"isometries": haar_isometries(_isometries(range(seed, seed + n), ancilla_dim))}
+    return {"isometries": _isometries(range(seed, seed + n), ancilla_dim)}
 
 
 _generic_scenario = st.lists(
@@ -181,7 +185,7 @@ def test_conflict_beyond_the_first_chunk_names_its_chunk():
 
 def test_non_isometric_machine_named():
     bases = _bases([[(0.1, 0.0)] * 4] * 3)
-    machines = haar_isometries(_isometries([1, 2, 3], 4))
+    machines = _isometries([1, 2, 3], 4)
     machines[2, 0, 0] += 0.1
     with pytest.raises(ValueError, match="not an isometry .*batch index 2"):
         nosig.evaluate_batch(bases, isometries=machines)
@@ -217,16 +221,17 @@ class TestStackedMachineParts:
             gram_comparison(inputs, outputs)
 
     def test_stacked_haar_isometries_match_one_at_a_time(self):
-        draws = _isometries(range(40), 2)  # 8x8: several QR chunks
-        singles = np.concatenate([haar_isometries(z[None]) for z in draws])
-        stacked = haar_isometries(draws)
+        normals = _normals(range(40), 16)  # 16x16: three QR chunks
+        singles = np.concatenate([haar_isometries(z[None], 16, 16) for z in normals])
+        stacked = haar_isometries(normals, 16, 16)
         assert stacked.tobytes() == singles.tobytes()
         require_isometries(stacked)
 
     def test_random_isometry_matches_a_plain_qr(self):
         # The stacked QR gives what one np.linalg.qr call on the draw gives.
         lm = random_isometry(3, 5, np.random.default_rng(9))
-        q, r = np.linalg.qr(haar_draw(3, 5, np.random.default_rng(9)))
+        real, imag = np.random.default_rng(9).standard_normal((2, 5, 3))
+        q, r = np.linalg.qr(real + 1j * imag)
         d = np.diag(r)
         assert lm.tobytes() == (q * (d.conj() / np.abs(d))).tobytes()
 

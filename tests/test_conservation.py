@@ -211,15 +211,17 @@ class TestStackedEquivalenceGuards:
     """The stacked round trips behind ``verify`` keep every guard, and each
     names the first failing trial."""
 
-    def _trials(self, rng, n=4, size=3, dim=4):
-        normals = [cons.roundtrip_normals(dim, dim, size, rng) for _ in range(n)]
-        return cons.roundtrip_draws(dim, dim, size, normals)
+    _SHAPE = (4, 4, 3)  # dimension, target dimension, family size
+
+    def _trials(self, rng, n=4):
+        return np.array([cons.roundtrip_normals(*self._SHAPE, rng) for _ in range(n)])
 
     def test_roundtrips_are_batches_of_one(self, rng):
-        families, hidden = self._trials(rng)
-        moved, found = cons.roundtrips(families, hidden)
-        for k in range(len(families)):
-            one_moved, one = cons.roundtrips(families[k:k + 1], hidden[k:k + 1])
+        normals = self._trials(rng)
+        families, moved, found = cons.roundtrips(*self._SHAPE, normals)
+        for k in range(len(normals)):
+            one_family, one_moved, one = cons.roundtrips(*self._SHAPE, normals[k:k + 1])
+            assert one_family[0].tobytes() == families[k].tobytes()
             assert one_moved[0].tobytes() == moved[k].tobytes()
             for name in ("isometries", "family_gram", "member_residual", "isometry_residual"):
                 assert getattr(one, name)[0].tobytes() == getattr(found, name)[k].tobytes()
@@ -227,23 +229,20 @@ class TestStackedEquivalenceGuards:
         assert np.max(found.isometry_residual) < 1e-12
 
     def test_gram_mismatch(self, rng):
-        families, hidden = self._trials(rng)
-        moved, _ = cons.roundtrips(families, hidden)
+        families, moved, _ = cons.roundtrips(*self._SHAPE, self._trials(rng))
         moved[2] = moved[2, ::-1]
         with pytest.raises(InconsistentGram, match="at batch index 2$") as exc:
             extend_to_isometries(families, moved)
         assert exc.value.max_deviation > 1e-3
 
     def test_unnormalized_member(self, rng):
-        families, hidden = self._trials(rng)
-        moved, _ = cons.roundtrips(families, hidden)
+        families, moved, _ = cons.roundtrips(*self._SHAPE, self._trials(rng))
         families[1, 0] *= 1.01
         with pytest.raises(ValueError, match="not normalized at batch index 1$"):
             extend_to_isometries(families, moved)
 
     def test_family_shapes(self, rng):
-        families, hidden = self._trials(rng)
-        moved, _ = cons.roundtrips(families, hidden)
+        families, moved, _ = cons.roundtrips(*self._SHAPE, self._trials(rng))
         with pytest.raises(ValueError, match="family sizes differ"):
             extend_to_isometries(families, moved[:, :2])
         with pytest.raises(ValueError, match="target dimension"):

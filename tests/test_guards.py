@@ -52,12 +52,12 @@ class TestNanFailsEveryGuardFamily:
 
     def test_linear_machine(self):
         # The hidden isometry of a round trip, made from a NaN Gaussian draw
-        # (whose QR phases NumPy warns about on the way).
+        # (whose QR phases NumPy warns about on the way): its first normal
+        # follows the family's 8.
         normals = cons.roundtrip_normals(2, 2, 2, np.random.default_rng(5))
-        families, draws = cons.roundtrip_draws(2, 2, 2, [normals])
-        draws[0, 0, 0] = np.nan
+        normals[8] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not an isometry"):
-            cons.roundtrips(families, draws)
+            cons.roundtrips(2, 2, 2, [normals])
 
     def test_density_matrix(self):
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -72,8 +72,7 @@ class TestNanFailsEveryGuardFamily:
     def test_nosignal_isometry_named(self):
         bases = np.array([[[basis_amplitudes(0.1)] * 2] * 2] * 3)
         rng = np.random.default_rng(5)
-        draws = rng.standard_normal((3, 16, 16)) + 1j * rng.standard_normal((3, 16, 16))
-        machines = haar_isometries(draws)
+        machines = haar_isometries(rng.standard_normal((3, 2 * 16 * 16)), 16, 16)
         machines[1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="not an isometry .* at batch index 1$"):
             nosig.evaluate_batch(bases, isometries=machines)

@@ -27,7 +27,6 @@ from qclonelab.machines import (
     extend_to_isometries,
     extend_to_isometry,
     gram_comparison,
-    haar_draw,
     haar_isometries,
     images,
     isometry_matrix_from_pairs,
@@ -126,7 +125,7 @@ def _hidden_images(rng, inputs, out_dim):
     """Images of stacked inputs (n, K, d_in) under one hidden random
     isometry into ``out_dim`` per slice."""
     n, _, in_dim = inputs.shape
-    hidden = haar_isometries(np.array([haar_draw(in_dim, out_dim, rng) for _ in range(n)]))
+    hidden = haar_isometries(rng.standard_normal((n, 2 * out_dim * in_dim)), out_dim, in_dim)
     return images(hidden, inputs)
 
 
@@ -453,9 +452,8 @@ class TestDeleterPreset:
 
 
 class TestRandomIsometry:
-    """Haar-random isometries as the commands draw them:
-    :func:`~qclonelab.machines.haar_draw`, then
-    :func:`~qclonelab.machines.haar_isometries`."""
+    """Haar-random isometries as the commands draw them: standard normals in
+    draw order, made isometries by :func:`~qclonelab.machines.haar_isometries`."""
 
     def test_columns_orthonormal(self, rng):
         for n_in, n_out in ((4, 4), (4, 7)):
@@ -467,3 +465,8 @@ class TestRandomIsometry:
         m1 = random_isometry(4, 4, np.random.default_rng(5))
         m2 = random_isometry(4, 4, np.random.default_rng(5))
         np.testing.assert_array_equal(m1, m2)
+
+    def test_refuses_fewer_outputs_than_inputs(self):
+        message = "output dimension must be at least the input dimension"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            haar_isometries(np.zeros((1, 12)), 2, 3)

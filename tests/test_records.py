@@ -14,10 +14,12 @@ from qclonelab.states import basis_amplitudes
 
 _SIG = signature(("x", 3))
 _BASES = np.array([[[basis_amplitudes(0.0)] * 2, [basis_amplitudes(0.7)] * 2]])
+# The arguments of cons.roundtrips: one round trip, and a stack of two.
 _ROUNDTRIP, _ROUNDTRIPS = (
-    cons.roundtrip_draws(3, 4, 2, [cons.roundtrip_normals(3, 4, 2, rng) for rng in rngs])
+    (3, 4, 2, [cons.roundtrip_normals(3, 4, 2, rng) for rng in rngs])
     for rngs in (map(np.random.default_rng, seeds) for seeds in ((5,), (6, 7)))
 )
+_FAMILY = cons.roundtrips(*_ROUNDTRIP)[0]
 
 
 def _inconsistent_gram() -> InconsistentGram:
@@ -36,15 +38,15 @@ RECORDS = {
     "DensityMatrix": lambda: DensityMatrix(_SIG, _PROJECTOR),
     "Spectrum": lambda: eig_hermitian(np.diag([0.25, 0.75])),
     "StateFamily": lambda: nosig.premachine(_BASES),
-    "LinearMachine": lambda: extend_to_isometries(_ROUNDTRIP[0], _ROUNDTRIP[0]),
+    "LinearMachine": lambda: extend_to_isometries(_FAMILY, _FAMILY),
     "MachineSpec": lambda: extend_to_isometry(*_CLONER),
     "ConsistencyReport": _inconsistent_gram,
     "Premachine": lambda: nosig.premachine(_BASES),
     "NosignalBatch": lambda: nosig.evaluate_batch(_BASES),
     "ConservationBatch": lambda: cons.evaluate_batch([0.6], [0.5], [0.5], [0.5]),
-    "IsometryExtension": lambda: extend_to_isometries(_ROUNDTRIP[0], _ROUNDTRIP[0]),
-    "EquivalenceBatch": lambda: cons.roundtrips(*_ROUNDTRIPS)[1],
-    "EquivalenceRoundtrip": lambda: cons.roundtrips(*_ROUNDTRIP)[1],
+    "IsometryExtension": lambda: extend_to_isometries(_FAMILY, _FAMILY),
+    "EquivalenceBatch": lambda: cons.roundtrips(*_ROUNDTRIPS)[2],
+    "EquivalenceRoundtrip": lambda: cons.roundtrips(*_ROUNDTRIP)[2],
 }
 # These cases keep the names of the records they made before they were
 # stacked: the round trips and the isometry of one machine, declared or

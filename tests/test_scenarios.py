@@ -21,7 +21,8 @@ import qclonelab.nosignal as nosig
 import qclonelab.scenarios as scenarios
 from qclonelab.cli import main
 from qclonelab.config import grid_points, load_config, parse_config_text
-from qclonelab.conservation import roundtrip_draws, roundtrip_normals, roundtrips
+from qclonelab.conservation import roundtrip_normals, roundtrips
+from qclonelab.machines import haar_isometries
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -634,25 +635,25 @@ class TestIsometriesPerDistinctSeed:
 
     @staticmethod
     def _sweep(monkeypatch, axes, seed=11):
-        draw, seeds = scenarios.haar_draw, []
+        rows = []
 
-        def counted(n_in, n_out, rng):
-            seeds.append(rng)
-            return draw(n_in, n_out, rng)
+        def counted(normals, n_out, n_in):
+            rows.append(len(normals))
+            return haar_isometries(normals, n_out, n_in)
 
-        monkeypatch.setattr(scenarios, "haar_draw", counted)
+        monkeypatch.setattr(scenarios, "haar_isometries", counted)
         text = (CONFIGS / "nosignal_isometry.cfg").read_text()
         text = text.replace("seed = 11", f"seed = {seed}")
         grid = grid_points(parse_config_text(text), axes)
-        return grid, scenarios.run_configs(grid), len(seeds)
+        return grid, scenarios.run_configs(grid), sum(rows)
 
     @staticmethod
     def _per_point(grid):
         # The draw per point that the gathered draws replace.
         dim = 4 * grid.column("machine.ancilla_dim")[0]
         rngs = map(np.random.default_rng, grid.column("seed"))
-        draws = [scenarios.haar_draw(dim, dim, rng) for rng in rngs]
-        isometries = scenarios.haar_isometries(np.stack(draws))
+        normals = [rng.standard_normal(2 * dim * dim) for rng in rngs]
+        isometries = haar_isometries(np.stack(normals), dim, dim)
         return nosig.evaluate_batch(scenarios._bases(grid), dim // 4, isometries)
 
     @pytest.mark.parametrize("axes, points, seeds", [
@@ -682,8 +683,8 @@ class TestIsometriesPerDistinctSeed:
 
 def _roundtrip(dim, target_dim, size, seed):
     normals = roundtrip_normals(dim, target_dim, size, np.random.default_rng(seed))
-    families, draws = roundtrip_draws(dim, target_dim, size, [normals])
-    return families[0], *roundtrips(families, draws)
+    families, moved, found = roundtrips(dim, target_dim, size, [normals])
+    return families[0], moved, found
 
 
 class TestEquivalenceRoundtrip:

@@ -133,14 +133,21 @@ def test_stacked_draws_follow_the_per_trial_order(monkeypatch, seed):
     bases, isometries = verification._random_isometric_scenarios(verification._rng(seed, 20), 100)
     angles, draws = isometric_scenario_draws(verification._rng(seed, 20), 100)
     assert bases.tobytes() == nosig.scenario_bases(angles.reshape(100, 2, 2, 2)).tobytes()
-    assert isometries.tobytes() == machines.haar_isometries(draws).tobytes()
+    # Each isometry is the Q factor of its Gaussian matrix, with R's diagonal
+    # phases moved into it.
+    q, r = np.linalg.qr(draws)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    assert isometries.tobytes() == (q * (d.conj() / np.abs(d))[:, None, :]).tobytes()
     # The round trips: trial t has dimension 2 + t % 7 and size 1 + t % 4,
     # so shape k of the 28, in order of first trial, holds trials k, k + 28, ...
     stacks, real = [], cons.roundtrips
 
-    def recorded(families, hidden):
-        stacks.append((families, hidden))
-        return real(families, hidden)
+    def recorded(dim, target_dim, size, normals):
+        families, moved, found = real(dim, target_dim, size, normals)
+        # The hidden matrix's normals follow the family's: real parts, then imaginary.
+        z = np.asarray(normals)[:, 2 * dim * size:].reshape(-1, 2, target_dim, dim)
+        stacks.append((families, z[:, 0] + 1j * z[:, 1]))
+        return families, moved, found
 
     monkeypatch.setattr(cons, "roundtrips", recorded)
     verification._check_equivalence_roundtrip.__wrapped__(seed)
@@ -240,15 +247,15 @@ def test_no_per_object_machine_calls():
 def test_round_trip_guard_names_the_trial(monkeypatch):
     # Trials cycle through dimensions 2..8 and sizes 1..4, so trials 1, 29,
     # 57 and 85 share a shape; a failure in the second of them names trial 29.
-    real = cons.roundtrips
+    real = cons.extend_to_isometries
 
-    def unnormalized_second(families, draws):
+    def unnormalized_second(families, moved):
         if families.shape[1:] == (2, 3):
             families = families.copy()
             families[1, 0] *= 1.01
-        return real(families, draws)
+        return real(families, moved)
 
-    monkeypatch.setattr(cons, "roundtrips", unnormalized_second)
+    monkeypatch.setattr(cons, "extend_to_isometries", unnormalized_second)
     with pytest.raises(ValueError, match="not normalized at trial 29$"):
         verification._check_equivalence_roundtrip.__wrapped__(7)
 
