@@ -34,9 +34,11 @@ ENV_TOLERANCE = "QCLONELAB_TOL"
 
 
 def _refuse_unwritable(path: str) -> None:
-    """Fail, before any work, as opening ``path`` to write would where it
-    names a directory or its parent is not one; create or truncate no file."""
+    """Fail, before any work, as opening ``path`` to write would where it is
+    empty, names a directory or its parent is not one; create or truncate no file."""
     try:
+        if not path:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
         if os.path.isdir(path) or path.endswith(os.sep):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
@@ -51,7 +53,8 @@ class UsageError(Exception):
 
 def _emit(pieces, out_path: str | None) -> None:
     """Write the strings ``pieces`` in turn to ``out_path``, or to stdout."""
-    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
+    out = nullcontext(sys.stdout) if out_path is None else open(out_path, "w", encoding="utf-8")
+    with out as fh:
         fh.writelines(pieces)
 
 
@@ -138,7 +141,7 @@ def main(argv=None) -> int:
         return 0
     try:
         fn, path, flags = _parse(argv)
-        if flags.get("--out"):
+        if flags.get("--out") is not None:
             _refuse_unwritable(flags["--out"])
         return fn(path, flags)
     except UsageError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
@@ -127,8 +127,7 @@ def checked_value(key: str, value, name: str | None = None):
     raise ConfigError(f"{label}: {fault}")
 
 
-@dataclass(frozen=True)
-class ScenarioGrid:
+class ScenarioGrid(NamedTuple):
     """Points of one kind as columns, row k for point k: the value of each
     key no axis sweeps, once, and one list of values per swept key."""
 

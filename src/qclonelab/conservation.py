@@ -11,11 +11,10 @@ monotones certifies that no isometry realizes the declared rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
+    Record,
     chunks,
     cmul,
     distinct_rows,
@@ -42,8 +41,7 @@ from .states import gram_stack, overlap_pair_amplitudes, unit_kets
 from .tolerances import RESIDUAL_TOL
 
 
-@dataclass(frozen=True, eq=False)
-class ConservationBatch:
+class ConservationBatch(Record):
     """Results of :func:`evaluate_batch`, stacked over the batch (axis 0).
 
     Marginals and the cloner's Gram matrices have shape (n, 2, 2), the

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,15 +44,39 @@ def _frozen(array: np.ndarray, dtype=complex) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SubsystemSignature:
+class Record:
+    """An immutable record: the fields its class annotates, set by position or
+    keyword, then the class's ``__post_init__``, if any, called as looked up
+    at construction.  It equals only itself unless its class says otherwise."""
+
+    def __init__(self, *args, **kwargs):
+        fields = type(self).__annotations__
+        values = dict(zip(fields, args), **kwargs)
+        if len(args) > len(fields) or values.keys() != fields.keys():
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+
+class SubsystemSignature(Record):
     """Ordered list of (label, dimension) factors of a tensor-product space."""
 
     entries: tuple[tuple[str, int], ...]
-    # Derived once, at construction; equality and hashing use entries only.
-    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    dim: int = field(init=False, repr=False, compare=False)
+    # labels, dims and dim are derived once, at construction; == and hash use entries only.
+
+    def __eq__(self, other):
+        return type(other) is SubsystemSignature and other.entries == self.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"SubsystemSignature(entries={self.entries!r})"
 
     def __post_init__(self):
         entries = tuple((str(lab), int(dim)) for lab, dim in self.entries)
@@ -90,8 +113,7 @@ class SubsystemSignature:
         return SubsystemSignature(kept)
 
 
-@dataclass(frozen=True, eq=False)
-class Ket:
+class Ket(Record):
     """State vector over a signature; row-major amplitude order.
 
     Physical states are unit norm; intermediates produced inside operations
@@ -99,7 +121,7 @@ class Ket:
     """
 
     signature: SubsystemSignature
-    amplitudes: np.ndarray = field(repr=False)
+    amplitudes: np.ndarray
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
@@ -110,8 +132,7 @@ class Ket:
         object.__setattr__(self, "amplitudes", _frozen(amp))
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(Record):
     """Hermitian unit-trace operator over a signature.
 
     Construction checks Hermiticity and trace; positivity is a mathematical
@@ -120,7 +141,7 @@ class DensityMatrix:
     """
 
     signature: SubsystemSignature
-    entries: np.ndarray = field(repr=False)
+    entries: np.ndarray
 
     def __post_init__(self):
         mat = np.asarray(self.entries, dtype=complex)
@@ -131,12 +152,11 @@ class DensityMatrix:
         object.__setattr__(self, "entries", _frozen(mat))
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(Record):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
 
-    eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _frozen(self.eigenvalues, dtype=float))

@@ -19,11 +19,9 @@ in ``perfbench/`` indexes them by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import chunks, first_failure, kron_stack, require_within
+from .core import Record, chunks, first_failure, kron_stack, require_within
 from .states import complex_normals, gram_stack
 from .tolerances import ASSERT_TOL
 
@@ -52,8 +50,7 @@ class ConflictingRules(ValueError):
     different outputs, so a termwise application has no single reading."""
 
 
-@dataclass(frozen=True, eq=False)
-class IsometryExtension:
+class IsometryExtension(Record):
     """Results of :func:`extend_to_isometries`, stacked over the slices
     (axis 0): the isometries (n, d_out, d_in), the Gram matrices of the
     declared inputs (n, K, K), and the guards' measures (n,): the largest

@@ -14,11 +14,11 @@ Alice's basis index, breaks exactly this.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    Record,
     chunks,
     eig_hermitian_batch,
     failures_named,
@@ -35,8 +35,7 @@ from .states import basis_amplitudes, gram_stack
 from .tolerances import ASSERT_TOL, RESIDUAL_TOL
 
 
-@dataclass(frozen=True, eq=False)
-class Premachine:
+class Premachine(Record):
     """Joint kets (n, 16 ancilla_dim), Bob's pre-machine marginals (n, 4, 4)
     and their largest entrywise deviations from I/4 (n,)."""
 
@@ -45,8 +44,7 @@ class Premachine:
     deviation: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class NosignalBatch:
+class NosignalBatch(Record):
     """Results of :func:`evaluate_batch`, stacked over the batch (axis 0).
 
     Bob's marginals after the machine, conditioned on Alice's basis 1 and 2,

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .core import Record
 
 
 def format_scalar(x: float) -> str:
@@ -32,8 +34,7 @@ def format_complex(z: complex) -> str:
     return f"{re}{im}j" if im.startswith("-") else f"{re}+{im}j"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     name: str
     deviation: float
     tolerance: float
@@ -50,8 +51,7 @@ class Verdict:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ScenarioReport:
+class ScenarioReport(Record):
     """Echoed configs, quantities and verdicts of n points of one kind, row k
     for point k: per config key one shared string or n strings; (n,) scalar
     arrays; (n, rows, cols) matrix stacks, or lists of n matrices once several

@@ -10,7 +10,6 @@ import hashlib
 import math
 import re
 from collections import Counter
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -138,8 +137,8 @@ def _assert_batch_is_batches_of_one(a, b, c, w, ancilla_dim):
         return
     batch = evaluate_batch(a, b, c, w, ancilla_dim)
     for k, one in enumerate(singles):
-        for f in fields(ConservationBatch):
-            assert getattr(batch, f.name)[k].tobytes() == getattr(one, f.name)[0].tobytes(), f.name
+        for name in ConservationBatch.__annotations__:
+            assert getattr(batch, name)[k].tobytes() == getattr(one, name)[0].tobytes(), name
         # The generic partial trace of the dense projector is the reference.
         psis, alphas = (overlap_pair_amplitudes([z[k]], 2) for z in (a, b))
         shared = cons._shared(np.array([w[k]]), psis, alphas).reshape(-1)

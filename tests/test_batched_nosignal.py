@@ -3,7 +3,6 @@ stacked machine building blocks it is made of."""
 
 import math
 import re
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -81,9 +80,9 @@ def test_batch_equals_batches_of_one(angles, ancilla_dim, isometric, seed):
         assert _failing_index(caught.value) == failed[0]
         return
     batch = nosig.evaluate_batch(bases, ancilla_dim, **machine)
-    for f in fields(nosig.NosignalBatch):
-        one_by_one = np.concatenate([getattr(s, f.name) for s in singles])
-        assert getattr(batch, f.name).tobytes() == one_by_one.tobytes(), f.name
+    for name in nosig.NosignalBatch.__annotations__:
+        one_by_one = np.concatenate([getattr(s, name) for s in singles])
+        assert getattr(batch, name).tobytes() == one_by_one.tobytes(), name
 
 
 def _machine(isometric: bool, n: int, ancilla_dim: int, seed: int) -> dict:

@@ -570,6 +570,22 @@ class TestUnwritableOutBeforeAnyWork:
         assert captured.err == f"configuration error: {fault}: {str(out)!r}\n"
         assert sorted(tmp_path.rglob("*")) == before and path.read_text() == CONS_TEXT
 
+    @pytest.mark.parametrize("out", [["--out", ""], ["--out="]], ids=["spaced", "joined"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "verify"])
+    def test_empty_out_refused_before_any_work(self, tmp_path, capsys, command, out):
+        # An empty --out once wrote the whole output to stdout and exited 0.
+        path = tmp_path / "c.cfg"
+        path.write_text(CONS_TEXT)
+        argv = {
+            "run": ["run", str(path)],
+            "sweep": ["sweep", str(path), "--grid", *self.CUBE],
+            "verify": ["verify", "--seed", "7"],
+        }[command]
+        assert main([*argv, *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: [Errno 2] No such file or directory: ''\n"
+
     def test_failed_run_leaves_out_untouched(self, tmp_path):
         out = tmp_path / "r.txt"
         out.write_text("earlier report\n")
@@ -854,7 +870,9 @@ def test_closed_stdout_pipe_exits_2_with_one_output_line():
 def test_no_command_imports_numpy_ma(tmp_path):
     # One import audit of the commands that render no JSON.  Importing
     # numpy.ma, as np.unique of integers may, cost 15-17 ms: more than a
-    # whole cold cube sweep; json, which only a JSON rendering needs, 1-2 ms.
+    # whole cold cube sweep; json, which only a JSON rendering needs, 1-2 ms;
+    # dataclasses, which numpy does not load, 1-2 ms, and its decorators
+    # another 6-8 ms of generated code.
     root = Path(__file__).resolve().parents[1]
     commands = [
         ["sweep", str(_CONFIGS / "conservation_violation.cfg"), "--grid", *TestArgvReader.CUBE],
@@ -870,7 +888,7 @@ def test_no_command_imports_numpy_ma(tmp_path):
         "import qclonelab.cli as cli\n"
         f"for k, argv in enumerate({commands!r}):\n"
         f"    cli.main([*argv, '--out', {str(tmp_path)!r} + '/' + str(k)])\n"
-        "print(sorted({'numpy.ma', 'json'} & set(sys.modules)))\n"
+        "print(sorted({'numpy.ma', 'json', 'dataclasses'} & set(sys.modules)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,

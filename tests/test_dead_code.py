@@ -5,8 +5,11 @@ The commands run in a fresh interpreter under ``sys.setprofile`` (see
 ``reachability.py``).  The allowed entries are exactly what
 ``perfbench/child.py`` binds (the tracer wraps the four core records'
 ``__post_init__``, and the micro-timings index five functions through
-``MICRO``) and the three helpers those need; none may be reached by a
-command.  They go once the harness binds the stacked kernels instead.
+``MICRO``), the helpers and value methods that only those bindings reach
+(``SubsystemSignature``'s equality, hash and repr among them), and the
+assignment guard of ``core.Record``, which no command trips; none may be
+reached by a command.  All but the guard go once the harness binds the
+stacked kernels instead.
 """
 
 import json
@@ -34,6 +37,11 @@ ALLOWED = {
                                        "with it",
     "core.SubsystemSignature.keep": "method of a kept class; partial_trace's kept factors",
     "core._frozen": "helper of Ket, DensityMatrix and Spectrum, which freeze their arrays with it",
+    "core.SubsystemSignature.__eq__": "method of a kept class; trace_distance compares its "
+                                      "operands' signatures with it",
+    "core.SubsystemSignature.__hash__": "method of a kept class; TestSignatureFields pins it",
+    "core.SubsystemSignature.__repr__": "method of a kept class; TestSignatureFields pins it",
+    "core.Record.__setattr__": "the records' immutability guard; no command assigns to a field",
 }
 
 

@@ -1,6 +1,7 @@
 """Records that hold arrays compare by identity: ``==`` on two equal-valued
 records would otherwise compare their arrays and raise on the ambiguous
-truth value."""
+truth value.  They are plain classes on ``core.Record``, which compares by
+identity unless a class defines its own equality."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ import pytest
 import qclonelab.conservation as cons
 import qclonelab.nosignal as nosig
 from conftest import signature, strong_cloner
+from qclonelab.config import ScenarioGrid
 from qclonelab.core import DensityMatrix, Ket, eig_hermitian
 from qclonelab.machines import InconsistentGram, extend_to_isometries, extend_to_isometry
+from qclonelab.report import Verdict
 from qclonelab.states import basis_amplitudes
 
 _SIG = signature(("x", 3))
@@ -72,3 +75,15 @@ def test_equal_valued_records_compare_without_raising(name):
     assert first != second
     assert first in [second, first]
     assert second not in [first]
+
+
+@pytest.mark.parametrize("record, name", [
+    (Verdict("v", 0.5, 1.0), "deviation"),
+    (ScenarioGrid("conservation", {"overlap.a": 0.6}, {}, 1), "size"),
+    (RECORDS["Ket"](), "amplitudes"),
+], ids=["Verdict", "ScenarioGrid", "Ket"])
+def test_assigning_to_a_field_raises(record, name):
+    before = getattr(record, name)
+    with pytest.raises(AttributeError):
+        setattr(record, name, 0)
+    assert getattr(record, name) is before
