@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from itertools import chain
 
 from .config import DEFAULT_SEED, ConfigError, checked_value, grid_points, load_config
-from .report import render_csv
+from .report import render_csv, render_json
 from .scenarios import run_configs
 from .verification import run_all_checks
 
@@ -51,11 +51,23 @@ class UsageError(Exception):
     """A command line that names no command, config path or flag as :data:`USAGE` does."""
 
 
+class OutputError(Exception):
+    """A write of a command's output failed: a full disk, a closed pipe."""
+
+
 def _emit(pieces, out_path: str | None) -> None:
-    """Write the strings ``pieces`` in turn to ``out_path``, or to stdout."""
-    out = nullcontext(sys.stdout) if out_path is None else open(out_path, "w", encoding="utf-8")
-    with out as fh:
-        fh.writelines(pieces)
+    """Write the strings ``pieces`` in turn to ``out_path``, or to stdout and
+    flush it; a failed write raises :class:`OutputError`."""
+    try:
+        out = nullcontext(sys.stdout) if out_path is None else open(out_path, "w", encoding="utf-8")
+        with out as fh:
+            fh.writelines(pieces)
+            fh.flush()
+    except OSError as exc:
+        if out_path is None:  # stdout's flush at exit goes to os.devnull, and cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        closed = isinstance(exc, BrokenPipeError)  # the reader left
+        raise OutputError("stdout was closed before all output was written" if closed else exc)
 
 
 def _env_tolerance_overrides() -> dict[str, object]:
@@ -79,7 +91,7 @@ def _cmd_sweep(path: str, flags: dict) -> int:
         raise UsageError("sweep --format takes csv or json")
     grid = grid_points(load_config(path, _env_tolerance_overrides()), flags["--grid"])
     report = run_configs(grid)
-    rows = (("," if k else "[") + "\n" + report.render("json", k)[:-1] for k in range(len(report)))
+    rows = (("," if k else "[") + "\n" + doc for k, doc in enumerate(render_json(report)))
     pieces = chain(rows, ["\n]\n"]) if flags.get("--format") == "json" else render_csv(report)
     _emit(pieces, flags.get("--out"))
     return 0 if report.all_pass else 1
@@ -147,10 +159,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}; see qclonelab --help", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader left: stdout's flush at exit goes to os.devnull, not the pipe.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("output error: stdout was closed before all output was written", file=sys.stderr)
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -2,11 +2,13 @@
 row of one report, and ``run`` is a batch of one, a report with a single row.
 
 All numbers render at 12 significant digits with lowercase exponents, so a
-report for a given configuration is identical across runs and machines.  The
-JSON rendering of a row is the canonical machine format: it holds every
-string, number and verdict of the row, so a report read back from it renders
-the same bytes again; the CSV rendering is the flat scalar record, one line
-per row.
+report for a given configuration is identical across runs and machines.  One
+formatting pass, :func:`_formatted`, gives every format its numbers: the CSV
+all at once, the table and JSON one window of rows at a time through
+:meth:`ScenarioReport.documents`.  The JSON rendering of a row is the
+canonical machine format: it holds every string, number and verdict of the
+row, so a report read back from it renders the same bytes again; the table
+shows the same fields, and the CSV is the flat scalar record, one line per row.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Record
+from .core import Record, chunks
 
 
 def format_scalar(x: float) -> str:
@@ -25,13 +27,6 @@ def format_scalar(x: float) -> str:
     if x == 0.0:
         x = 0.0  # collapse -0.0
     return f"{x:.11e}"
-
-
-def format_complex(z: complex) -> str:
-    z = complex(z)
-    re = format_scalar(z.real)
-    im = format_scalar(z.imag)
-    return f"{re}{im}j" if im.startswith("-") else f"{re}+{im}j"
 
 
 class Verdict(NamedTuple):
@@ -71,44 +66,55 @@ class ScenarioReport(Record):
     def all_pass(self) -> bool:
         return all(bool(np.all(dev < tol)) for dev, tol in self.verdicts.values())
 
-    def to_json_dict(self, row: int = 0) -> dict:
-        config = {k: v if isinstance(v, str) else v[row] for k, v in sorted(self.config.items())}
-        return {
-            "kind": self.kind,
-            "config": config,
-            "scalars": {k: format_scalar(v[row]) for k, v in self.scalars.items()},
-            "matrices": {
-                name: [[format_complex(z) for z in r] for r in stack[row]]
-                for name, stack in self.matrices.items()
-            },
-            "verdicts": [
-                {"name": name, "passed": bool(dev[row] < tol[row]),
-                 "deviation": format_scalar(dev[row]), "tolerance": format_scalar(tol[row])}
-                for name, (dev, tol) in self.verdicts.items()
-            ],
-        }
+    def documents(self) -> Iterator[dict]:
+        """Each row's JSON document in turn, its numbers from one
+        :func:`_formatted` call per :func:`~qclonelab.core.chunks` window of
+        rows, so that a long report is never held formatted whole."""
+        reals = [*self.scalars.values(), *(c for pair in self.verdicts.values() for c in pair)]
+        matrices, config = list(self.matrices.values()), sorted(self.config.items())
+        for window in chunks(len(self), sum(np.size(c[0]) for c in reals + matrices)):
+            texts = _formatted([c[window] for c in reals], [m[window] for m in matrices])
+            numbers = iter(texts[len(self.scalars):len(reals)])
+            checks = [(name, (dev[window] < tol[window]).tolist(), next(numbers), next(numbers))
+                      for name, (dev, tol) in self.verdicts.items()]
+            for k, row in enumerate(range(len(self))[window]):
+                yield {
+                    "kind": self.kind,
+                    "config": {key: v if isinstance(v, str) else v[row] for key, v in config},
+                    "scalars": {name: t[k] for name, t in zip(self.scalars, texts)},
+                    "matrices": {name: t[k] for name, t in zip(self.matrices, texts[len(reals):])},
+                    "verdicts": [{"name": v, "passed": p[k], "deviation": d[k], "tolerance": t[k]}
+                                 for v, p, d, t in checks],
+                }
 
-    def render(self, fmt: str = "table", row: int = 0) -> str:
-        """One row as a table or JSON; as CSV, every row."""
+    def render(self, fmt: str = "table") -> str:
+        """The first row (``run``'s only one) as a table or JSON; as CSV, every row."""
         if fmt == "json":
-            import json  # here, so that no other command pays its import
-
-            return json.dumps(self.to_json_dict(row), indent=2, sort_keys=True) + "\n"
+            return next(render_json(self)) + "\n"
         if fmt == "csv":
             return "".join(render_csv(self))
         if fmt != "table":
             raise ValueError(f"unknown report format {fmt!r}")
-        doc = self.to_json_dict(row)
+        doc = next(self.documents())
         lines = [f"kind = {self.kind}", "", "[config]"]
         lines += [f"{k} = {v}" for k, v in doc["config"].items()]
         lines += ["", "[scalars]"]
         lines += [f"{k} = {v}" for k, v in doc["scalars"].items()]
         for name, rows in doc["matrices"].items():
             lines += ["", f"[matrix {name}]", *("  ".join(r) for r in rows)]
-        verdicts = [Verdict(name, dev[row], tol[row]) for name, (dev, tol) in self.verdicts.items()]
-        lines += ["", "[verdicts]", *(v.line() for v in verdicts)]
-        lines += ["", f"overall = {'PASS' if all(v.passed for v in verdicts) else 'FAIL'}"]
+        verdicts = doc["verdicts"]
+        lines += ["", "[verdicts]", *("{} {name} deviation={deviation} tolerance={tolerance}".format(
+            "PASS" if v["passed"] else "FAIL", **v) for v in verdicts)]
+        lines += ["", f"overall = {'PASS' if all(v['passed'] for v in verdicts) else 'FAIL'}"]
         return "\n".join(lines) + "\n"
+
+
+def render_json(report: ScenarioReport) -> Iterator[str]:
+    """Each row's document as ``json.dumps(indent=2, sort_keys=True)`` gives it."""
+    import json  # here, so that no other command pays its import
+
+    for doc in report.documents():
+        yield json.dumps(doc, indent=2, sort_keys=True)
 
 
 def render_csv(report: ScenarioReport) -> Iterator[str]:
@@ -119,7 +125,7 @@ def render_csv(report: ScenarioReport) -> Iterator[str]:
     n = len(report)
     formatted = iter(_formatted([
         *report.scalars.values(), *(dev for dev, _ in report.verdicts.values())
-    ], n))
+    ]))
     fields = [("kind", report.kind)]
     fields += [(f"config.{key}", column) for key, column in sorted(report.config.items())]
     fields += [(name, next(formatted)) for name in report.scalars]
@@ -131,13 +137,25 @@ def render_csv(report: ScenarioReport) -> Iterator[str]:
     return itertools.chain([",".join(name for name, _ in fields) + "\n"], rows)
 
 
-def _formatted(columns: list, n: int) -> list[list[str]]:
-    """:func:`format_scalar` of each value of the n-value columns, by one ``%``
-    that formats each distinct value once: adding 0.0 collapses -0.0 first."""
-    values = np.concatenate([np.asarray(c, dtype=float).reshape(n) for c in columns]) + 0.0
-    distinct, at = np.unique(values, return_inverse=True)
+def _formatted(reals: list, complexes: list = ()) -> list:
+    """:func:`format_scalar` of each value of the ``reals`` columns, then of
+    each entry of the ``complexes`` columns as ``re+imj`` or ``re-imj``, in
+    nested lists of each column's shape: (n,) values, an (n, rows, cols) stack
+    or a list of differently sized matrices.  One ``%`` formats each distinct
+    real or imaginary part once: adding 0.0 collapses -0.0 first."""
+    arrays = [(np.asarray(a), j) for j, part in enumerate((reals, complexes)) for c in part
+              for a in (c if isinstance(c, list) else [c])]
+    parts = [p.ravel() for a, j in arrays for p in ((a.real, a.imag) if j else (a,))]
+    distinct, at = np.unique(np.concatenate(parts, dtype=float) + 0.0, return_inverse=True)
     text = ("%.11e\n" * len(distinct) % tuple(distinct.tolist())).split("\n")[:-1]
-    return np.array(text, dtype=object)[at].reshape(len(columns), n).tolist()
+    text = np.array(text, dtype=object)
+    shown, ends = text[at], list(itertools.accumulate(map(len, parts)))
+    imag = np.where(distinct < 0, text, "+" + text) + "j" if complexes else None
+    spans = map(slice, [0, *ends], ends)
+    cells = iter([(shown[next(spans)] + imag[at[next(spans)]] if j else shown[next(spans)])
+                  .reshape(a.shape).tolist() for a, j in arrays])
+    return [[next(cells) for _ in c] if isinstance(c, list) else next(cells)
+            for c in [*reals, *complexes]]
 
 
 def _merge(columns: list, sizes: list[int], order: np.ndarray):

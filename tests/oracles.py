@@ -2,13 +2,16 @@
 
 Everything here is raw numpy, written independently of the package code
 paths: explicit kron products, reshape-based partial traces, eigenvalue
-sums from numpy's LAPACK wrappers, and the scalar Python arithmetic that the
-stacked per-point formulas must reproduce bit for bit.
+sums from numpy's LAPACK wrappers, the scalar Python arithmetic that the
+stacked per-point formulas must reproduce bit for bit, and a report row
+rendered one value at a time by ``format_scalar``.
 """
 
 import math
 
 import numpy as np
+
+from qclonelab.report import Verdict, format_scalar
 
 D_ENV = 4
 _E = np.eye(D_ENV, dtype=complex)
@@ -217,3 +220,47 @@ def roundtrip_trial(dim, target_dim, size, rng):
     z = rng.standard_normal((size, 2 * dim))
     family = np.array([k / np.linalg.norm(k) for k in z[:, :dim] + 1j * z[:, dim:]])
     return family, gaussian_matrix(target_dim, dim, rng)
+
+
+def format_complex(z):
+    """A matrix entry as a report renders it: its real and imaginary parts
+    each by ``format_scalar``, joined as ``re+imj`` or ``re-imj``."""
+    z = complex(z)
+    re, im = format_scalar(z.real), format_scalar(z.imag)
+    return f"{re}{im}j" if im.startswith("-") else f"{re}+{im}j"
+
+
+def report_row(report, row):
+    """Row ``row`` of a stacked report as its JSON document, every number
+    formatted on its own."""
+    config = {k: v if isinstance(v, str) else v[row] for k, v in sorted(report.config.items())}
+    return {
+        "kind": report.kind,
+        "config": config,
+        "scalars": {k: format_scalar(v[row]) for k, v in report.scalars.items()},
+        "matrices": {
+            name: [[format_complex(z) for z in r] for r in stack[row]]
+            for name, stack in report.matrices.items()
+        },
+        "verdicts": [
+            {"name": name, "passed": bool(dev[row] < tol[row]),
+             "deviation": format_scalar(dev[row]), "tolerance": format_scalar(tol[row])}
+            for name, (dev, tol) in report.verdicts.items()
+        ],
+    }
+
+
+def report_table(report):
+    """The table of a report's first row, from :func:`report_row` and
+    ``Verdict.line``."""
+    doc = report_row(report, 0)
+    lines = [f"kind = {report.kind}", "", "[config]"]
+    lines += [f"{k} = {v}" for k, v in doc["config"].items()]
+    lines += ["", "[scalars]"]
+    lines += [f"{k} = {v}" for k, v in doc["scalars"].items()]
+    for name, rows in doc["matrices"].items():
+        lines += ["", f"[matrix {name}]", *("  ".join(r) for r in rows)]
+    verdicts = [Verdict(name, dev[0], tol[0]) for name, (dev, tol) in report.verdicts.items()]
+    lines += ["", "[verdicts]", *(v.line() for v in verdicts)]
+    lines += ["", f"overall = {'PASS' if all(v.passed for v in verdicts) else 'FAIL'}"]
+    return "\n".join(lines) + "\n"

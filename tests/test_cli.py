@@ -867,6 +867,33 @@ def test_closed_stdout_pipe_exits_2_with_one_output_line():
     assert err.startswith("output error: stdout") and err.count("\n") == 1
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("target", ["stdout", "stdout-unbuffered", "--out"])
+@pytest.mark.parametrize("command", ["run", "sweep", "verify"])
+def test_full_device_is_one_output_error(command, target):
+    # A write that fails on a full disk once said "configuration error:
+    # [Errno 28] No space left on device", though the config was fine.
+    root = Path(__file__).resolve().parents[1]
+    violation = str(_CONFIGS / "conservation_violation.cfg")
+    argv = {
+        "run": ["run", violation],
+        "sweep": ["sweep", violation, "--grid", "overlap.a=0:1:0.5", "--format", "json"],
+        "verify": ["verify", "--seed", "7"],
+    }[command]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    if target == "stdout-unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    if target == "--out":
+        argv += ["--out", "/dev/full"]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "qclonelab.cli", *argv], env=env,
+                              stdout=full if target != "--out" else subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr == "output error: [Errno 28] No space left on device\n"
+
+
 def test_no_command_imports_numpy_ma(tmp_path):
     # One import audit of the commands that render no JSON.  Importing
     # numpy.ma, as np.unique of integers may, cost 15-17 ms: more than a

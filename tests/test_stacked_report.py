@@ -22,7 +22,7 @@ from qclonelab.config import (
     load_config,
     parse_config_text,
 )
-from qclonelab.report import ScenarioReport, Verdict, format_scalar, render_csv
+from qclonelab.report import ScenarioReport, Verdict, format_scalar, render_csv, render_json
 from qclonelab.scenarios import run_configs
 
 # The text of perfbench.workloads.conservation_config(7).
@@ -206,10 +206,12 @@ class TestSweepCost:
 
     @staticmethod
     @functools.cache
-    def _count(step: str) -> tuple[int, Counter]:
-        """Points and calls of the sweep over ``overlap.{a,b,c}=0:1:step``.
-        ``all`` counts every package call, ``qclonelab`` those made outside
-        the axis value checks, with every point in one chunk of the kernel."""
+    def _count(step: str, fmt: str = "csv") -> tuple[int, Counter]:
+        """Points and calls of the sweep over ``overlap.{a,b,c}=0:1:step``
+        rendered as ``fmt``.  ``all`` counts every package call, ``qclonelab``
+        those made outside the axis value checks, with every point in one
+        chunk of the kernel; ``report.NAME`` the calls of each function of
+        ``report``, and ``windows`` the slices ``core.chunks`` gives it."""
         cfg = parse_config_text(SEED7_CONFIG)
         calls = Counter()
         built = (Verdict, ScenarioReport)
@@ -220,6 +222,9 @@ class TestSweepCost:
             if event not in ("call", "return") or not module.startswith("qclonelab"):
                 return
             name = frame.f_code.co_name
+            if event == "return" and name == "chunks" and \
+                    frame.f_back.f_globals["__name__"] == "qclonelab.report":
+                calls["windows"] += len(arg)
             if name == "checked_value":
                 calls[name] += event == "call"
                 checking[0] = event == "call"
@@ -229,6 +234,7 @@ class TestSweepCost:
             calls["qclonelab"] += not checking[0]
             if module == "qclonelab.report":
                 calls["report"] += 1
+                calls[f"report.{name}"] += 1
             if name == "__init__" and isinstance(frame.f_locals.get("self"), built):
                 calls[type(frame.f_locals["self"]).__name__] += 1
 
@@ -237,7 +243,7 @@ class TestSweepCost:
             sys.setprofile(profile)
             try:
                 grid = grid_points(cfg, [f"overlap.{key}=0:1:{step}" for key in "abc"])
-                "".join(render_csv(run_configs(grid)))
+                "".join({"csv": render_csv, "json": render_json}[fmt](run_configs(grid)))
             finally:
                 sys.setprofile(None)
         return len(grid), calls
@@ -249,6 +255,14 @@ class TestSweepCost:
         assert cube["report"] == small["report"]
         assert cube["ScenarioReport"] == small["ScenarioReport"] <= 1
         assert cube["Verdict"] == small["Verdict"] == 0
+
+    @pytest.mark.parametrize("step", ["0.5", "0.1"])
+    def test_json_formats_once_per_window(self, step):
+        # Rendering JSON once called format_scalar for every number of every
+        # row; its numbers now come from one _formatted call per window.
+        _, calls = self._count(step, "json")
+        assert calls["report.format_scalar"] == 0
+        assert 1 <= calls["report._formatted"] <= calls["windows"]
 
     @pytest.mark.parametrize("step", ["0.5", "0.1"])
     def test_package_calls_per_point(self, step):
