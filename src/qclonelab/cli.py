@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from itertools import chain
 
 from .config import DEFAULT_SEED, ConfigError, checked_value, grid_points, load_config
-from .report import render_csv, render_json
+from .report import render_csv, render_json, verdict_lines
 from .scenarios import run_configs
 from .verification import run_all_checks
 
@@ -66,8 +66,10 @@ def _emit(pieces, out_path: str | None) -> None:
     except OSError as exc:
         if out_path is None:  # stdout's flush at exit goes to os.devnull, and cannot fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        closed = isinstance(exc, BrokenPipeError)  # the reader left
-        raise OutputError("stdout was closed before all output was written" if closed else exc)
+        if isinstance(exc, BrokenPipeError):  # the reader left
+            target = "stdout" if out_path is None else f"--out {out_path}"
+            exc = f"{target} was closed before all output was written"
+        raise OutputError(exc)
 
 
 def _env_tolerance_overrides() -> dict[str, object]:
@@ -102,7 +104,7 @@ def _cmd_verify(_path, flags: dict) -> int:
     results = run_all_checks(seed=flags.get("--seed", DEFAULT_SEED), tolerance=tolerance)
     failed = sum(0 if r.passed else 1 for r in results)
     summary = f"{len(results) - failed}/{len(results)} checks passed\n"
-    _emit([*(f"{r.line()}\n" for r in results), summary], flags.get("--out"))
+    _emit([*(f"{line}\n" for line in verdict_lines(results)), summary], flags.get("--out"))
     return 0 if failed == 0 else 1
 
 

@@ -23,6 +23,11 @@ DEFAULT_SEED = 7
 # the 1331-point (a, b, c) grid, far below what would exhaust memory.
 MAX_GRID_POINTS = 200_000
 
+# Most entries one point may hold in its largest stack: 2**30, 16 GiB of
+# complex entries, which no machine running the lab holds.  A nosignal point
+# holds Bob's 2 (4 ancilla_dim)^2 marginal entries.
+MAX_POINT_ENTRIES = 1 << 30
+
 # key -> (type, default); a default of None fills no value (an optional basis
 # key, or a key that _REQUIRED lists as required).
 _COMMON_SCHEMA: dict[str, tuple[type, object]] = {
@@ -269,6 +274,10 @@ def grid_points(grid: ScenarioGrid, axis_specs=()) -> ScenarioGrid:
         if key not in _SCHEMAS[grid.kind]:
             raise ConfigError(f"unknown key {key!r} for kind {grid.kind!r}")
         options[key] = [checked_value(key, v) for v in values]
+    dim = max(options.get("machine.ancilla_dim", [0]))
+    if grid.kind == "nosignal" and 2 * (4 * dim) ** 2 > MAX_POINT_ENTRIES:
+        raise ConfigError(f"key 'machine.ancilla_dim': {dim} needs 2 x {4 * dim}^2 entries "
+                          f"for Bob's marginals at a point, more than {MAX_POINT_ENTRIES}")
     targets, dims = options.get("family.target_dimension", ()), options.get("family.dimension", ())
     for target, dim in itertools.product(targets, dims):
         if target != 0 and target < dim:

@@ -5,7 +5,8 @@ All numbers render at 12 significant digits with lowercase exponents, so a
 report for a given configuration is identical across runs and machines.  One
 formatting pass, :func:`_formatted`, gives every format its numbers: the CSV
 all at once, the table and JSON one window of rows at a time through
-:meth:`ScenarioReport.documents`.  The JSON rendering of a row is the
+:meth:`ScenarioReport.documents`, and the verdict lines of the table and of
+``verify`` through :func:`verdict_lines`.  The JSON rendering of a row is the
 canonical machine format: it holds every string, number and verdict of the
 row, so a report read back from it renders the same bytes again; the table
 shows the same fields, and the CSV is the flat scalar record, one line per row.
@@ -22,13 +23,6 @@ import numpy as np
 from .core import Record, chunks
 
 
-def format_scalar(x: float) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # collapse -0.0
-    return f"{x:.11e}"
-
-
 class Verdict(NamedTuple):
     name: str
     deviation: float
@@ -38,12 +32,14 @@ class Verdict(NamedTuple):
     def passed(self) -> bool:
         return self.deviation < self.tolerance
 
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{status} {self.name} deviation={format_scalar(self.deviation)} "
-            f"tolerance={format_scalar(self.tolerance)}"
-        )
+
+def verdict_lines(verdicts: list[Verdict]) -> list[str]:
+    """Each verdict as ``PASS name deviation=D tolerance=T``, or ``FAIL ...``,
+    its numbers from one :func:`_formatted` pass over all of them."""
+    deviations, tolerances = _formatted([np.array([v.deviation for v in verdicts], dtype=float),
+                                         np.array([v.tolerance for v in verdicts], dtype=float)])
+    return [f"{'PASS' if v.passed else 'FAIL'} {v.name} deviation={d} tolerance={t}"
+            for v, d, t in zip(verdicts, deviations, tolerances)]
 
 
 class ScenarioReport(Record):
@@ -102,10 +98,9 @@ class ScenarioReport(Record):
         lines += [f"{k} = {v}" for k, v in doc["scalars"].items()]
         for name, rows in doc["matrices"].items():
             lines += ["", f"[matrix {name}]", *("  ".join(r) for r in rows)]
-        verdicts = doc["verdicts"]
-        lines += ["", "[verdicts]", *("{} {name} deviation={deviation} tolerance={tolerance}".format(
-            "PASS" if v["passed"] else "FAIL", **v) for v in verdicts)]
-        lines += ["", f"overall = {'PASS' if all(v['passed'] for v in verdicts) else 'FAIL'}"]
+        verdicts = [Verdict(name, dev[0], tol[0]) for name, (dev, tol) in self.verdicts.items()]
+        lines += ["", "[verdicts]", *verdict_lines(verdicts)]
+        lines += ["", f"overall = {'PASS' if all(v.passed for v in verdicts) else 'FAIL'}"]
         return "\n".join(lines) + "\n"
 
 
@@ -120,8 +115,8 @@ def render_json(report: ScenarioReport) -> Iterator[str]:
 def render_csv(report: ScenarioReport) -> Iterator[str]:
     """A header line, then one line per row of the report, each ending in a
     newline, its cells joined by commas: the strings every row shares as
-    they are, verdicts as 1 or 0 and numbers as :func:`format_scalar`
-    formats them, each distinct number of the report once."""
+    they are, verdicts as 1 or 0 and numbers as :func:`_formatted` formats
+    them, each distinct number of the report once."""
     n = len(report)
     formatted = iter(_formatted([
         *report.scalars.values(), *(dev for dev, _ in report.verdicts.values())
@@ -138,11 +133,11 @@ def render_csv(report: ScenarioReport) -> Iterator[str]:
 
 
 def _formatted(reals: list, complexes: list = ()) -> list:
-    """:func:`format_scalar` of each value of the ``reals`` columns, then of
-    each entry of the ``complexes`` columns as ``re+imj`` or ``re-imj``, in
-    nested lists of each column's shape: (n,) values, an (n, rows, cols) stack
-    or a list of differently sized matrices.  One ``%`` formats each distinct
-    real or imaginary part once: adding 0.0 collapses -0.0 first."""
+    """Each value of the ``reals`` columns as ``%.11e`` formats it, then each
+    entry of the ``complexes`` columns as ``re+imj`` or ``re-imj``, in nested
+    lists of each column's shape: (n,) values, an (n, rows, cols) stack or a
+    list of differently sized matrices.  One ``%`` formats each distinct real
+    or imaginary part once: adding 0.0 collapses -0.0 first."""
     arrays = [(np.asarray(a), j) for j, part in enumerate((reals, complexes)) for c in part
               for a in (c if isinstance(c, list) else [c])]
     parts = [p.ravel() for a, j in arrays for p in ((a.real, a.imag) if j else (a,))]

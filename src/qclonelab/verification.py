@@ -9,7 +9,7 @@ replaces each check's default threshold.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -205,9 +205,18 @@ def _check_isometry_extension(seed):
     return float(max(np.max(found.member_residual), np.max(found.isometry_residual))), ASSERT_TOL
 
 
-def _moved_off(surface: np.ndarray) -> np.ndarray:
-    """Overlaps 0.1 above the surface's, or below where that passes 1."""
-    return np.where(surface + 0.1 <= 1.0, surface + 0.1, surface - 0.1)
+def _moved_off(x: np.ndarray, surface: np.ndarray) -> np.ndarray:
+    """Overlaps ``x``, but 0.1 above the surface's where within 0.05 of it,
+    or 0.1 below where that passes 1."""
+    moved = np.where(surface + 0.1 <= 1.0, surface + 0.1, surface - 0.1)
+    return np.where(np.abs(x - surface) < 0.05, moved, x)
+
+
+def _boundary(on_surface: np.ndarray, off_surface: np.ndarray) -> float:
+    """The largest Gram deviation on the consistency surface, or 1.0 if a
+    draw off it passes the Gram check."""
+    dev = float(np.max(on_surface))
+    return max(dev, 1.0) if np.any(off_surface < ASSERT_TOL) else dev
 
 
 def _strong_cloner_deviation(a, b, c) -> np.ndarray:
@@ -220,14 +229,10 @@ def _strong_cloner_deviation(a, b, c) -> np.ndarray:
 def _check_strong_cloner_boundary(seed):
     rng = _rng(seed, 15)
     a, c = rng.uniform(0.05, 1.0, size=(100, 2)).T
-    dev = float(np.max(_strong_cloner_deviation(a, a * c, c)))
+    on_surface = _strong_cloner_deviation(a, a * c, c)
     # A hundred trials, each drawn as (a, c, b); b is moved off the surface.
     a, c, b = rng.uniform([0.1, 0.0, 0.0], 1.0, size=(100, 3)).T
-    surface = a * c
-    b = np.where(np.abs(b - surface) < 0.05, _moved_off(surface), b)
-    if np.any(_strong_cloner_deviation(a, b, c) < ASSERT_TOL):
-        dev = max(dev, 1.0)
-    return dev, ASSERT_TOL
+    return _boundary(on_surface, _strong_cloner_deviation(a, _moved_off(b, a * c), c)), ASSERT_TOL
 
 
 def _deleter_deviation(a, g) -> np.ndarray:
@@ -239,13 +244,10 @@ def _deleter_deviation(a, g) -> np.ndarray:
 def _check_deleter_boundary(seed):
     rng = _rng(seed, 16)
     a = rng.uniform(0.05, 1.0, size=100)
-    dev = float(np.max(_deleter_deviation(a, a)))
+    on_surface = _deleter_deviation(a, a)
     # A hundred trials, each drawn as (a, g); g is moved off the surface.
     a, g = rng.uniform([0.1, 0.0], 1.0, size=(100, 2)).T
-    g = np.where(np.abs(g - a) < 0.05, _moved_off(a), g)
-    if np.any(_deleter_deviation(a, g) < ASSERT_TOL):
-        dev = max(dev, 1.0)
-    return dev, ASSERT_TOL
+    return _boundary(on_surface, _deleter_deviation(a, _moved_off(g, a))), ASSERT_TOL
 
 
 def _check_termwise_matches_linear(seed):
@@ -286,13 +288,6 @@ def _check_linear_no_signalling(seed):
     return float(np.max(np.abs(before - after))), RESIDUAL_TOL
 
 
-def _computational_against(thetas) -> np.ndarray:
-    """Scenarios with the computational basis against each Bloch angle theta."""
-    angles = np.zeros((len(thetas), 2, 2, 2))
-    angles[:, 1, :, 0] = np.asarray(thetas)[:, None]
-    return nosig.scenario_bases(angles)
-
-
 def _check_premachine_bob_marginal(seed):
     rng = _rng(seed, 19)
     bases = nosig.scenario_bases(_random_basis_angles(rng, 200).reshape(50, 2, 2, 2))
@@ -317,19 +312,20 @@ def _check_isometric_zero_signalling(seed):
     return float(np.max(batch.signalling_magnitude)), RESIDUAL_TOL
 
 
-@lru_cache(maxsize=1)
-def _wishful_devs():
+@lru_cache(maxsize=4)
+def _wishful_batch(seed):
     """One wishful batch of the computational basis against pi/8, pi/4 and
-    3 pi/8: the smallest signalling magnitude, and the sign-reading
-    deviation of the pi/8 and 3 pi/8 points."""
-    bases = _computational_against((math.pi / 8.0, math.pi / 4.0, 3.0 * math.pi / 8.0))
+    3 pi/8, whatever the seed: the shortfall of its smallest signalling
+    magnitude from 1e-6, and the sign-reading deviation at pi/8 and 3 pi/8."""
+    angles = np.zeros((3, 2, 2, 2))  # every angle 0 but basis 2's theta
+    angles[:, 1, :, 0] = np.array([math.pi / 8.0, math.pi / 4.0, 3.0 * math.pi / 8.0])[:, None]
+    bases = nosig.scenario_bases(angles)
     batch = nosig.evaluate_batch(bases)
     # The conditioned mixture must not depend on the +/- signs carried by the
     # singlet product expansion: rebuild it with all-positive coefficients.
     sign_dev = 0.0
     bases, marginals = bases[::2], batch.marginal_after[::2]
-    env = np.zeros(4, dtype=complex)
-    env[0] = 1.0
+    env = np.eye(4, dtype=complex)[0]
     for point, (inputs, outputs) in enumerate(zip(*nosig.wishful_machine_rules(bases))):
         rules = {x.tobytes(): y for x, y in zip(inputs, outputs)}
         for index in (1, 2):
@@ -339,25 +335,18 @@ def _wishful_devs():
                 out = rules[np.kron(u, env).tobytes()]
                 mix += 0.25 * np.outer(out, out.conj())
             sign_dev = max(sign_dev, float(np.max(np.abs(marginals[point, index - 1] - mix))))
-    return float(np.min(batch.signalling_magnitude)), sign_dev
-
-
-def _check_wishful_signalling_positive(seed):
-    floor = 1e-6
-    return max(0.0, floor - _wishful_devs()[0]), ASSERT_TOL
-
-
-def _check_sign_reading_invariance(seed):
-    return _wishful_devs()[1], RESIDUAL_TOL
+    shortfall = max(0.0, 1e-6 - float(np.min(batch.signalling_magnitude)))
+    return (shortfall, ASSERT_TOL), (sign_dev, RESIDUAL_TOL)
 
 
 _GRID = np.round(np.arange(0.0, 1.0 + 1e-12, 0.1), 10)
 
 
-@lru_cache(maxsize=1)
-def _conservation_grid_devs():
+@lru_cache(maxsize=4)
+def _conservation_batch(seed):
     """One batch over the (a, b, c) grid, then the consistency surface (a, a
-    c, c) of its (a, c) grid; each named check reads one deviation."""
+    c, c) of its (a, c) grid, whatever the seed: the closed forms', the
+    surface shift's, the shift's closed form's and the verdict flip's deviations."""
     a, b, c = (x.ravel() for x in np.meshgrid(_GRID, _GRID, _GRID, indexing="ij"))
     on_a, on_c = (x.ravel() for x in np.meshgrid(_GRID, _GRID, indexing="ij"))
     cube, surface = slice(0, a.size), slice(a.size, None)
@@ -380,23 +369,8 @@ def _conservation_grid_devs():
     # is asserted on the a > 0 part only.
     expected = (a == 0.0) | (np.abs(b - a * c) < 1e-9)
     flip_dev = 1.0 if np.any(consistent != expected) else 0.0
-    return lam_dev, delta_form_dev, flip_dev, surface_dev
-
-
-def _check_lambda_closed_forms(seed):
-    return _conservation_grid_devs()[0], RESIDUAL_TOL
-
-
-def _check_delta_zero_on_surface(seed):
-    return _conservation_grid_devs()[3], RESIDUAL_TOL
-
-
-def _check_delta_closed_form(seed):
-    return _conservation_grid_devs()[1], RESIDUAL_TOL
-
-
-def _check_checker_flips_on_surface(seed):
-    return _conservation_grid_devs()[2], ASSERT_TOL
+    return ((lam_dev, RESIDUAL_TOL), (surface_dev, RESIDUAL_TOL), (delta_form_dev, RESIDUAL_TOL),
+            (flip_dev, ASSERT_TOL))
 
 
 def _check_isometric_preserves_alice(seed):
@@ -417,7 +391,8 @@ def _check_isometric_preserves_alice(seed):
 
 
 @lru_cache(maxsize=4)
-def _check_equivalence_roundtrip(seed):
+def _roundtrip_batch(seed):
+    """The largest member and isometry residuals of 100 round trips."""
     rng = _rng(seed, 25)
     # Square families of dimensions 2..8 and sizes 1..4, drawn trial by
     # trial and recovered as one stack per (dimension, size).
@@ -433,17 +408,25 @@ def _check_equivalence_roundtrip(seed):
             found = cons.roundtrips(dim, dim, size, [normals[t] for t in trials])[2]
         member = max(member, float(np.max(found.member_residual)))
         isometry = max(isometry, float(np.max(found.isometry_residual)))
-    return member, isometry
+    return (member, 1e-8), (isometry, 1e-10)
 
 
-def _check_equivalence_member_residual(seed):
-    member_dev, _ = _check_equivalence_roundtrip(seed)
-    return member_dev, 1e-8
+_ANSWERS = {
+    _wishful_batch: ("nosignal.wishful_cloner_signalling_positive",
+                     "nosignal.sign_reading_invariance"),
+    _conservation_batch: ("conservation.lambda_closed_forms_grid",
+                          "conservation.delta_zero_on_consistency_surface",
+                          "conservation.delta_matches_closed_form",
+                          "conservation.checker_flips_on_surface"),
+    _roundtrip_batch: ("conservation.equivalence_unitary_member_residual",
+                       "conservation.equivalence_unitary_isometry_residual"),
+}
 
 
-def _check_equivalence_isometry_residual(seed):
-    _, iso_dev = _check_equivalence_roundtrip(seed)
-    return iso_dev, 1e-10
+def _answer(batch, name: str, seed):
+    """The (deviation, tolerance) pair of check ``name`` from the cached run of
+    ``batch``, which gives the pairs of the checks ``_ANSWERS`` names in turn."""
+    return dict(zip(_ANSWERS[batch], batch(seed), strict=True))[name]
 
 
 def _check_gram_mismatch_raises(seed):
@@ -477,15 +460,11 @@ _CHECKS = (
     ("machines.linear_machine_no_signalling", _check_linear_no_signalling),
     ("nosignal.premachine_bob_marginal", _check_premachine_bob_marginal),
     ("nosignal.isometric_machine_zero_signalling", _check_isometric_zero_signalling),
-    ("nosignal.wishful_cloner_signalling_positive", _check_wishful_signalling_positive),
-    ("nosignal.sign_reading_invariance", _check_sign_reading_invariance),
-    ("conservation.lambda_closed_forms_grid", _check_lambda_closed_forms),
-    ("conservation.delta_zero_on_consistency_surface", _check_delta_zero_on_surface),
-    ("conservation.delta_matches_closed_form", _check_delta_closed_form),
-    ("conservation.checker_flips_on_surface", _check_checker_flips_on_surface),
+    *((name, partial(_answer, _wishful_batch, name)) for name in _ANSWERS[_wishful_batch]),
+    *((name, partial(_answer, _conservation_batch, name))
+      for name in _ANSWERS[_conservation_batch]),
     ("conservation.isometric_machine_preserves_alice_marginal", _check_isometric_preserves_alice),
-    ("conservation.equivalence_unitary_member_residual", _check_equivalence_member_residual),
-    ("conservation.equivalence_unitary_isometry_residual", _check_equivalence_isometry_residual),
+    *((name, partial(_answer, _roundtrip_batch, name)) for name in _ANSWERS[_roundtrip_batch]),
     ("conservation.equivalence_unitary_gram_mismatch_raises", _check_gram_mismatch_raises),
 )
 

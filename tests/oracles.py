@@ -3,15 +3,13 @@
 Everything here is raw numpy, written independently of the package code
 paths: explicit kron products, reshape-based partial traces, eigenvalue
 sums from numpy's LAPACK wrappers, the scalar Python arithmetic that the
-stacked per-point formulas must reproduce bit for bit, and a report row
-rendered one value at a time by ``format_scalar``.
+stacked per-point formulas must reproduce bit for bit, and a report row and
+verdict lines rendered one value at a time by ``format_scalar``.
 """
 
 import math
 
 import numpy as np
-
-from qclonelab.report import Verdict, format_scalar
 
 D_ENV = 4
 _E = np.eye(D_ENV, dtype=complex)
@@ -222,6 +220,19 @@ def roundtrip_trial(dim, target_dim, size, rng):
     return family, gaussian_matrix(target_dim, dim, rng)
 
 
+def format_scalar(x):
+    """A number as a report renders it: 12 significant digits, -0.0 as 0.0."""
+    x = float(x)
+    return f"{0.0 if x == 0.0 else x:.11e}"
+
+
+def verdict_line(name, deviation, tolerance):
+    """A verdict as the table and ``verify`` print it, each number formatted on its own."""
+    status = "PASS" if deviation < tolerance else "FAIL"
+    dev, tol = format_scalar(deviation), format_scalar(tolerance)
+    return f"{status} {name} deviation={dev} tolerance={tol}"
+
+
 def format_complex(z):
     """A matrix entry as a report renders it: its real and imaginary parts
     each by ``format_scalar``, joined as ``re+imj`` or ``re-imj``."""
@@ -252,7 +263,7 @@ def report_row(report, row):
 
 def report_table(report):
     """The table of a report's first row, from :func:`report_row` and
-    ``Verdict.line``."""
+    :func:`verdict_line`."""
     doc = report_row(report, 0)
     lines = [f"kind = {report.kind}", "", "[config]"]
     lines += [f"{k} = {v}" for k, v in doc["config"].items()]
@@ -260,7 +271,7 @@ def report_table(report):
     lines += [f"{k} = {v}" for k, v in doc["scalars"].items()]
     for name, rows in doc["matrices"].items():
         lines += ["", f"[matrix {name}]", *("  ".join(r) for r in rows)]
-    verdicts = [Verdict(name, dev[0], tol[0]) for name, (dev, tol) in report.verdicts.items()]
-    lines += ["", "[verdicts]", *(v.line() for v in verdicts)]
-    lines += ["", f"overall = {'PASS' if all(v.passed for v in verdicts) else 'FAIL'}"]
+    verdicts = [(name, dev[0], tol[0]) for name, (dev, tol) in report.verdicts.items()]
+    lines += ["", "[verdicts]", *(verdict_line(*v) for v in verdicts)]
+    lines += ["", f"overall = {'PASS' if all(d < t for _, d, t in verdicts) else 'FAIL'}"]
     return "\n".join(lines) + "\n"

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from decimal import Decimal
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from qclonelab.config import (
     parse_config_text,
     parse_grid_axis,
 )
-from qclonelab.report import Verdict, format_scalar
+from qclonelab.report import Verdict, verdict_lines
 
 from conftest import parse_report
 
@@ -412,9 +413,11 @@ class TestNonFiniteConfigValues:
 
 class TestReport:
     def test_scalar_formatting(self):
-        assert format_scalar(0.65) == "6.50000000000e-01"
-        assert format_scalar(-0.0) == "0.00000000000e+00"
-        assert format_scalar(1e-12) == "1.00000000000e-12"
+        # 12 significant digits with a lowercase exponent, -0.0 as 0.0.
+        assert verdict_lines([Verdict("x", -0.0, 0.65), Verdict("y", 1e-12, 1e-12)]) == [
+            "PASS x deviation=0.00000000000e+00 tolerance=6.50000000000e-01",
+            "FAIL y deviation=1.00000000000e-12 tolerance=1.00000000000e-12",
+        ]
 
     def test_json_roundtrip_field_for_field(self):
         report = _run(CONS_TEXT)
@@ -865,6 +868,28 @@ def test_closed_stdout_pipe_exits_2_with_one_output_line():
         code = proc.wait(timeout=120)
     assert code == 2
     assert err.startswith("output error: stdout") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+def test_closed_out_fifo_names_out(tmp_path, capsys):
+    # A reader of an --out FIFO that leaves after 10 bytes once gave "stdout
+    # was closed", though stdout was never written.
+    fifo, got = tmp_path / "fifo", []
+    os.mkfifo(fifo)
+
+    def read_ten():
+        with open(fifo, "rb") as fh:
+            got.append(fh.read(10))
+
+    reader = threading.Thread(target=read_ten, daemon=True)
+    reader.start()
+    code = main(["sweep", str(_CONFIGS / "conservation_violation.cfg"), "--grid",
+                 *TestArgvReader.CUBE, "--out", str(fifo)])
+    reader.join(timeout=10)  # a daemon, left blocked if the command never opened the FIFO
+    assert got == [b"kind,confi"] and code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"output error: --out {fifo} was closed before all output was written\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

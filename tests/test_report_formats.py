@@ -1,7 +1,8 @@
 """Every report format takes its numbers from one formatting pass: each row
 of ``render_json`` and the table of ``render`` equal the reference that
 formats every value on its own (``oracles.report_row``), on drawn reports
-whose rows split into drawn ``core.chunks`` windows."""
+whose rows split into drawn ``core.chunks`` windows, and so do ``verify``'s
+verdict lines (``oracles.verdict_line``)."""
 
 import json
 from unittest import mock
@@ -10,9 +11,9 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import report_row, report_table
+from oracles import report_row, report_table, verdict_line
 from qclonelab import core
-from qclonelab.report import ScenarioReport, render_json
+from qclonelab.report import ScenarioReport, Verdict, render_json, verdict_lines
 
 # Signed zeros, infinities, NaN, subnormals and the ends of the exponent
 # range, beside any float.
@@ -67,3 +68,10 @@ def test_every_format_matches_the_per_value_reference(report, chunk):
                     for k in range(len(report))]
     assert first == rows[0] + "\n"
     assert table == report_table(report)
+
+
+@settings(max_examples=150, deadline=None)
+@given(verdicts=st.lists(st.tuples(_TEXT, _NUMBER, _NUMBER), max_size=40))
+def test_verdict_lines_match_the_per_value_reference(verdicts):
+    lines = verdict_lines([Verdict(*v) for v in verdicts])
+    assert lines == [verdict_line(*v) for v in verdicts]

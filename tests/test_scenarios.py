@@ -346,26 +346,52 @@ class TestExitCodes:
         assert captured.out == ""
         _one_line(captured.err, "rejected input: ConflictingRules:")
 
-    def test_2_allocation_failure(self, tmp_path):
-        # machine.ancilla_dim = 100000 passes parsing, then asks for Bob's
-        # 400000 x 400000 marginals: 4.66 TiB.  The child's address space is
-        # capped, so the allocation fails before any of it is touched,
-        # whatever the host's overcommit policy.
+    @staticmethod
+    def _capped_run(tmp_path, ancilla_dim: int) -> tuple[int, str, float]:
+        """``run`` of a nosignal point at ``ancilla_dim`` in a child whose
+        address space is capped at 1 GiB, so that an allocation fails before
+        any of it is touched, whatever the host's overcommit policy: the exit
+        code, stderr and peak RSS in MB, which the child prints as its only
+        stdout after the command."""
         limit = 1 << 30
 
         def capped():
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
         text = "kind = nosignal\nbasis1.theta = 0.0\nbasis2.theta = 0.5\n"
-        path = _write(tmp_path, text + "machine.ancilla_dim = 100000\n")
+        path = _write(tmp_path, text + f"machine.ancilla_dim = {ancilla_dim}\n")
         threads = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
         env = {**os.environ, **threads, "PYTHONPATH": str(ROOT / "src")}
+        script = (
+            "import resource, sys\nfrom qclonelab.cli import main\ncode = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\nsys.exit(code)\n"
+        )
         done = subprocess.run(
-            [sys.executable, "-m", "qclonelab.cli", "run", path],
+            [sys.executable, "-c", script, "run", path],
             env=env, preexec_fn=capped, capture_output=True, text=True, timeout=120,
         )
-        assert done.returncode == 2 and done.stdout == ""
-        _one_line(done.stderr, "input too large: MemoryError: Unable to allocate")
+        return done.returncode, done.stderr, float(done.stdout)
+
+    def test_2_allocation_failure(self, tmp_path):
+        # machine.ancilla_dim = 5000 is within the point bound (Bob's 2 x
+        # 20000^2 marginal entries), then asks for 11.9 GiB of them, which
+        # the capped child cannot allocate: the MemoryError backstop.
+        code, err, _ = self._capped_run(tmp_path, 5000)
+        assert code == 2
+        _one_line(err, "input too large: MemoryError: Unable to allocate")
+
+    def test_2_oversized_point_refused_before_any_work(self, tmp_path):
+        # machine.ancilla_dim = 100000 would ask for Bob's 400000 x 400000
+        # marginals, 4.66 TiB.  It once ran about 150 MB of work before its
+        # MemoryError; grid_points now refuses it, at the import's peak RSS,
+        # which a point below the key's minimum, refused on parsing, shows.
+        code, err, rss = self._capped_run(tmp_path, 100000)
+        assert code == 2
+        _one_line(err, "configuration error: key 'machine.ancilla_dim': 100000 needs ")
+        assert "more than 1073741824" in err
+        _, parse_err, import_rss = self._capped_run(tmp_path, 1)
+        assert parse_err.startswith("configuration error: key 'machine.ancilla_dim'")
+        assert rss < import_rss + 10.0
 
     def test_2_allocation_failure_without_a_message(self, monkeypatch, capsys):
         # A MemoryError raised with no message once printed an empty reason:

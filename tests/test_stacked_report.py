@@ -22,8 +22,9 @@ from qclonelab.config import (
     load_config,
     parse_config_text,
 )
-from qclonelab.report import ScenarioReport, Verdict, format_scalar, render_csv, render_json
+from qclonelab.report import ScenarioReport, Verdict, render_csv, render_json
 from qclonelab.scenarios import run_configs
+from oracles import format_scalar
 
 # The text of perfbench.workloads.conservation_config(7).
 SEED7_CONFIG = """\

@@ -150,7 +150,7 @@ def test_stacked_draws_follow_the_per_trial_order(monkeypatch, seed):
         return families, moved, found
 
     monkeypatch.setattr(cons, "roundtrips", recorded)
-    verification._check_equivalence_roundtrip.__wrapped__(seed)
+    verification._roundtrip_batch.__wrapped__(seed)
     rng = verification._rng(seed, 25)
     trials = [roundtrip_trial(2 + t % 7, 2 + t % 7, 1 + t % 4, rng) for t in range(100)]
     assert len(stacks) == 28
@@ -257,7 +257,7 @@ def test_round_trip_guard_names_the_trial(monkeypatch):
 
     monkeypatch.setattr(cons, "extend_to_isometries", unnormalized_second)
     with pytest.raises(ValueError, match="not normalized at trial 29$"):
-        verification._check_equivalence_roundtrip.__wrapped__(7)
+        verification._roundtrip_batch.__wrapped__(7)
 
 
 class TestFailuresNamed:
