@@ -222,8 +222,13 @@ def parse_config_text(
 def load_config(
     path: str, default_overrides: dict[str, object] | None = None
 ) -> ScenarioGrid:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), default_overrides)
+    try:
+        # utf-8-sig: a byte-order mark is not part of the first key.
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return parse_config_text(text, default_overrides)
 
 
 def parse_grid_axis(spec: str) -> tuple[str, list[float]]:

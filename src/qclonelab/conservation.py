@@ -11,6 +11,8 @@ monotones certifies that no isometry realizes the declared rules.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .core import (
@@ -22,7 +24,6 @@ from .core import (
     entropy_bits,
     failures_named,
     first_failure,
-    kron_stack,
     modulus,
     reduced_states,
     require_density_matrices,
@@ -86,24 +87,12 @@ def _check_batch(a, b, c, weight, ancilla_dim: int) -> None:
         raise ValueError(f"branch weight must lie in [0, 1], got {float(w[k])!r}{where}")
 
 
-def _shared(weight: np.ndarray, psis: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Stacked shared states, shape (n, 2, 4)."""
-    branches = [kron_stack(psis[:, k], alphas[:, k]) for k in (0, 1)]
-    return _superpose(weight, *branches)
-
-
-def _before(weight, psis, alphas, ancilla_dim: int):
-    """Alice's marginals before the cloner, and its inputs' Gram matrices."""
-    shared = _shared(weight, psis, alphas).reshape(len(psis), 8)
-    inputs = strong_cloner_inputs(psis, alphas, ancilla_dim)
-    return reduced_states(shared, (2, 4), (0,)), gram_stack(inputs)
-
-
-def _after(weight, psis, records, ancilla_dim: int):
-    """Alice's marginals after the cloner, and its outputs' Gram matrices."""
-    outputs = strong_cloner_outputs(psis, records)
-    moved = _superpose(weight, outputs[:, 0], outputs[:, 1]).reshape(len(psis), -1)
-    return reduced_states(moved, (2, 8 * ancilla_dim), (0,)), gram_stack(outputs)
+def _half(weight: np.ndarray, rules: np.ndarray):
+    """Alice's marginals (n, 2, 2) of sqrt(w)|0>r_0 + sqrt(1-w)|1>r_1 over
+    stacked pairs of the cloner's rule kets (n, 2, m), and those kets' Gram
+    matrices: the half before reads its inputs, the half after its outputs."""
+    joint = _superpose(weight, rules[:, 0], rules[:, 1]).reshape(len(rules), -1)
+    return reduced_states(joint, (2, rules.shape[-1]), (0,)), gram_stack(rules)
 
 
 def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
@@ -113,7 +102,8 @@ def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
     c) and branch weights at one ancilla dimension.
 
     The batch is evaluated as stacked arrays.  Alice's state before depends
-    on (a, b, weight) only, after on (a, c, weight): each half is built,
+    on (a, b, weight) only, after on (a, c, weight): each half, one
+    :func:`_half` of the cloner's declared inputs or outputs, is built,
     guarded and diagonalized once per distinct key, by bits, and gathered to
     the points; only the Gram deviations, which mix the halves, run per
     point.  Each result is bit-for-bit what a batch of one gives for that
@@ -133,8 +123,9 @@ def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
     # are those of a and of that factor.  The reported closed-form
     # deviations are pinned to this rounding: (pq a) b and ((pq a) a) c
     # below the diagonal, pq conj(ab) and pq conj((a a) c) above it.
-    for label, build, z, dim in (
-        ("before", _before, (a, b), 2), ("after", _after, (a, a, c), 2 * ancilla_dim)
+    for label, rules, z, dim in (
+        ("before", partial(strong_cloner_inputs, ancilla_dim=ancilla_dim), (a, b), 2),
+        ("after", strong_cloner_outputs, (a, a, c), 2 * ancilla_dim),
     ):
         first, inverse = distinct_rows(a, z[-1], w)
         v, head, *tail = (x[first] for x in (w, *z))
@@ -149,7 +140,7 @@ def evaluate_batch(a, b, c, weight, ancilla_dim: int = 4) -> ConservationBatch:
             psis = overlap_pair_amplitudes(head, 2)
             factors = overlap_pair_amplitudes(tail[-1], dim)
             parts = chunks(len(first), 16 * ancilla_dim)  # a point's rule amplitudes
-            results = [build(v[k], psis[k], factors[k], ancilla_dim) for k in parts]
+            results = [_half(v[k], rules(psis[k], factors[k])) for k in parts]
             rho, gram = map(np.concatenate, zip(*results))
             require_density_matrices(rho, f"marginal {label}")
             dev = np.max(np.abs(rho - closed), axis=(1, 2))

@@ -119,21 +119,19 @@ def _span(states: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.swapaxes(states, -1, -2))[0]
 
 
-def evaluate_batch(
-    bases,
-    ancilla_dim: int = 4,
-    isometries=None,
-) -> NosignalBatch:
+def evaluate_batch(bases, machine) -> NosignalBatch:
     """Bob's marginals before and after a machine, for Alice's two basis
     choices, their spectra and validity deviations, and the signalling
     magnitude (half the trace norm of their difference), for a batch of
-    scenarios at one ancilla dimension.
+    scenarios.
 
     ``bases`` has shape (n, 2, 2, 2, 2): per point, Alice's basis choice,
-    then psi/alpha, then primary/complement amplitudes.  The machine is one
-    per point: ``isometries`` (n, D, 4 ancilla_dim) applied as linear maps
-    to (pb, ab, env), or else the wishful cloner of both bases (basis 1's
-    rules first) applied termwise in the product basis of Alice's choice.
+    then psi/alpha, then primary/complement amplitudes.  ``machine`` is one
+    per point, over (pb, ab, env): an isometry stack (n, D, 4 ancilla_dim)
+    applied as linear maps, or a termwise rule pair, inputs (n, R, 4
+    ancilla_dim) and outputs (n, R, D), applied in the product basis of
+    Alice's choice (the wishful cloner is :func:`wishful_machine_rules`).
+    The ancilla dimension is read from the machine's input dimension.
 
     Each result is bit-for-bit what a batch of one gives for that point.
     Every guard names the first failing point by its index in the batch:
@@ -142,15 +140,12 @@ def evaluate_batch(
     Hermitian unit-trace Bob marginals and the eigendecomposition residuals.
     """
     bases = np.asarray(bases, dtype=complex)
-    before = premachine(bases, ancilla_dim)
+    linear = isinstance(machine, np.ndarray)
+    before = premachine(bases, (machine if linear else machine[0]).shape[-1] // 4)
     n = bases.shape[0]
-    if isometries is not None:
-        isometries = np.asarray(isometries, dtype=complex)
-        require_isometries(isometries)
-        dim = isometries.shape[-2]
-    else:
-        rules = wishful_machine_rules(bases, ancilla_dim)
-        dim = rules[1].shape[-1]
+    if linear:
+        require_isometries(machine)
+    dim = machine.shape[-2] if linear else machine[1].shape[-1]
 
     after = np.empty((n, 2, dim, dim), dtype=complex)
     vals = np.empty((n, 2, dim))
@@ -158,12 +153,10 @@ def evaluate_batch(
     # A point holds about D * D entries in every stacked Bob marginal,
     # difference and isometry of the machine stage.
     for part in chunks(n, dim * dim):
-        machine = (
-            isometries[part] if isometries is not None else (rules[0][part], rules[1][part])
-        )
+        piece = machine[part] if linear else (machine[0][part], machine[1][part])
         # The guards name indices within the chunk; renamed, they name the batch's.
         with failures_named("batch index", range(n)[part], n):
-            conditioned = _machine_stage(before.joint[part], bases[part], machine, ancilla_dim)
+            conditioned = _machine_stage(before.joint[part], bases[part], piece)
             results = _spectra_and_distance(conditioned)
             after[part], vals[part], validity[part], distance[part] = results
     return NosignalBatch(
@@ -171,13 +164,13 @@ def evaluate_batch(
     )
 
 
-def _machine_stage(joint, bases, machine, ancilla_dim: int) -> np.ndarray:
+def _machine_stage(joint, bases, machine) -> np.ndarray:
     """Bob's unnormalized states (n, 2, 4, D) conditioned on each outcome of
     Alice's two basis choices, after an isometry stack or termwise rule
     stacks (inputs, outputs)."""
     # Spectators (pa, aa) lead, then the acted (pb, ab, env).
-    blocks = joint.reshape(-1, 2, 2, 2, 2, ancilla_dim)
-    blocks = blocks.transpose(0, 1, 3, 2, 4, 5).reshape(-1, 4, 4 * ancilla_dim)
+    blocks = joint.reshape(len(joint), 2, 2, 2, 2, -1)
+    blocks = blocks.transpose(0, 1, 3, 2, 4, 5).reshape(len(joint), 4, -1)
     outcomes = product_outcomes(bases[:, :, 0], bases[:, :, 1])  # (n, 2, 4, 4)
     if isinstance(machine, np.ndarray):
         states = apply_isometries(machine, blocks)[:, None]  # one image for both choices

@@ -35,18 +35,19 @@ def _tolerances(grid: ScenarioGrid) -> tuple[np.ndarray, np.ndarray]:
 def _run_nosignal(grid: ScenarioGrid) -> ScenarioReport:
     """The report of nosignal points sharing one machine mode and
     ``machine.ancilla_dim``, from a single batched evaluation."""
-    ancilla_dim, isometries = grid.column("machine.ancilla_dim")[0], None
-    applied_as = "termwise in the measured basis (unphysical step)"
-    bases = _bases(grid)
+    ancilla_dim, bases = grid.column("machine.ancilla_dim")[0], _bases(grid)
     if grid.column("machine.mode")[0] == "isometry":
         # Bob's (src, reg, env) in and (src, copy, env) out, as the cloner's,
         # drawn once per distinct seed, keyed by its digits (it may pass 64 bits).
         dim, seeds = 4 * ancilla_dim, grid.column("seed")
         first, inverse = distinct_rows(np.array(seeds, dtype=str))
         normals = [np.random.default_rng(seeds[k]).standard_normal(2 * dim * dim) for k in first]
-        isometries = haar_isometries(np.stack(normals), dim, dim)[inverse]
+        machine = haar_isometries(np.stack(normals), dim, dim)[inverse]
         applied_as = "fixed isometry (physical)"
-    batch = nosig.evaluate_batch(bases, ancilla_dim, isometries)
+    else:
+        machine = nosig.wishful_machine_rules(bases, ancilla_dim)
+        applied_as = "termwise in the measured basis (unphysical step)"
+    batch = nosig.evaluate_batch(bases, machine)
 
     tol_assert, tol_residual = _tolerances(grid)
     lam_max = batch.eigenvalues_after[:, :, 0]

@@ -308,7 +308,7 @@ def _random_isometric_scenarios(rng, n: int):
 
 def _check_isometric_zero_signalling(seed):
     bases, isometries = _random_isometric_scenarios(_rng(seed, 20), 100)
-    batch = nosig.evaluate_batch(bases, isometries=isometries)
+    batch = nosig.evaluate_batch(bases, isometries)
     return float(np.max(batch.signalling_magnitude)), RESIDUAL_TOL
 
 
@@ -320,13 +320,14 @@ def _wishful_batch(seed):
     angles = np.zeros((3, 2, 2, 2))  # every angle 0 but basis 2's theta
     angles[:, 1, :, 0] = np.array([math.pi / 8.0, math.pi / 4.0, 3.0 * math.pi / 8.0])[:, None]
     bases = nosig.scenario_bases(angles)
-    batch = nosig.evaluate_batch(bases)
+    machine = nosig.wishful_machine_rules(bases)
+    batch = nosig.evaluate_batch(bases, machine)
     # The conditioned mixture must not depend on the +/- signs carried by the
     # singlet product expansion: rebuild it with all-positive coefficients.
     sign_dev = 0.0
     bases, marginals = bases[::2], batch.marginal_after[::2]
     env = np.eye(4, dtype=complex)[0]
-    for point, (inputs, outputs) in enumerate(zip(*nosig.wishful_machine_rules(bases))):
+    for point, (inputs, outputs) in enumerate(zip(*(x[::2] for x in machine))):
         rules = {x.tobytes(): y for x, y in zip(inputs, outputs)}
         for index in (1, 2):
             psi, alpha = bases[point, index - 1]
@@ -378,15 +379,10 @@ def _check_isometric_preserves_alice(seed):
     a, c = rng.uniform(0.0, 1.0, size=(50, 2)).T
     psis, alphas, records = (overlap_pair_amplitudes(z, d) for z, d in ((a, 2), (a * c, 2), (c, 8)))
     inputs, outputs = strong_cloner_inputs(psis, alphas, 4), strong_cloner_outputs(psis, records)
-    # Shared states over (A, src, reg), then a blank slot and the environment
-    # input appended and moved into the cloner's (src, blank, reg, env) order.
-    shared = cons._shared(np.full(len(a), 0.5), psis, alphas).reshape(len(a), 8)
-    blank, env = np.eye(2, dtype=complex)[0], np.eye(4, dtype=complex)[0]
-    full = kron_stack(kron_stack(shared, blank), env)
-    blocks = full.reshape(-1, 2, 2, 2, 2, 4).transpose(0, 1, 2, 4, 3, 5).reshape(-1, 2, 32)
-    moved = apply_isometries(isometry_matrix_from_pairs(inputs, outputs)[0], blocks)
-    before = reduced_states(shared, (2, 4), (0,))
-    after = reduced_states(moved.reshape(len(a), -1), (2, 32), (0,))
+    # Shared states over (A, src, blank, reg, env): the declared inputs superposed.
+    shared = cons._superpose(np.full(50, 0.5), inputs[:, 0], inputs[:, 1])
+    moved = apply_isometries(isometry_matrix_from_pairs(inputs, outputs)[0], shared)
+    before, after = (reduced_states(x.reshape(50, -1), (2, 32), (0,)) for x in (shared, moved))
     return float(np.max(np.abs(before - after))), RESIDUAL_TOL
 
 

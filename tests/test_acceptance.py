@@ -90,7 +90,7 @@ def test_criterion_3_no_signalling_of_physical_maps():
         bases = _random_scenario(rng)
         d_out = 4 if trial % 2 == 0 else 8
         lm = random_isometry(16, 4 * d_out, rng)
-        batch = nosig.evaluate_batch(bases, isometries=lm[None])
+        batch = nosig.evaluate_batch(bases, lm[None])
         worst_mag = max(worst_mag, float(batch.signalling_magnitude[0]))
         joint = batch.joint[0]
         before = reduced_states(joint, joint_dims, (0, 2))
@@ -109,7 +109,8 @@ def test_criterion_4_signalling_from_negation():
     for theta, frozen in FROZEN_SIGNALLING.items():
         computational, tilted = basis_amplitudes(0.0, 0.0), basis_amplitudes(theta, 0.0)
         bases = np.array([[[computational, computational], [tilted, tilted]]])
-        magnitude = float(nosig.evaluate_batch(bases).signalling_magnitude[0])
+        batch = nosig.evaluate_batch(bases, nosig.wishful_machine_rules(bases))
+        magnitude = float(batch.signalling_magnitude[0])
         brute = trace_distance_eigsum(
             wishful_bob_mixture(0.0, theta, 1), wishful_bob_mixture(0.0, theta, 2)
         )

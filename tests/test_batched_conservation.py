@@ -22,7 +22,7 @@ from qclonelab import core
 from oracles import partial_trace_einsum
 from qclonelab.cli import main
 from qclonelab.conservation import ConservationBatch, evaluate_batch
-from qclonelab.core import eig_hermitian_batch
+from qclonelab.core import eig_hermitian_batch, kron_stack
 from qclonelab.states import overlap_pair_amplitudes
 
 # The text of perfbench.workloads.conservation_config(7): an off-surface
@@ -141,7 +141,8 @@ def _assert_batch_is_batches_of_one(a, b, c, w, ancilla_dim):
             assert getattr(batch, name)[k].tobytes() == getattr(one, name)[0].tobytes(), name
         # The generic partial trace of the dense projector is the reference.
         psis, alphas = (overlap_pair_amplitudes([z[k]], 2) for z in (a, b))
-        shared = cons._shared(np.array([w[k]]), psis, alphas).reshape(-1)
+        branches = (kron_stack(psis[:, j], alphas[:, j]) for j in (0, 1))
+        shared = cons._superpose(np.array([w[k]]), *branches).reshape(-1)
         reference = partial_trace_einsum(np.outer(shared, shared.conj()), (2, 2, 2), (0,))
         assert batch.marginal_before[k].tobytes() == reference.tobytes()
 
@@ -190,9 +191,10 @@ def test_cube_evaluates_each_half_once_per_distinct_key(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(cons, name, wrapper)
 
-    # Alice's state before has 4 amplitudes per branch, after 8 * ancilla_dim.
-    stage = {4: "before", 32: "after"}
-    counted("reduced_states", cons.reduced_states, lambda kets, dims, keep: stage[dims[1]])
+    # Alice's states before and after both have 8 * ancilla_dim amplitudes
+    # per branch: a reduction belongs to the half whose density guard is next.
+    counted("reduced_states", cons.reduced_states,
+            lambda kets, dims, keep: "after" if rows["marginal before"] else "before")
     counted("eig_hermitian_batch", cons.eig_hermitian_batch, lambda stack: "eig")
     counted("require_density_matrices", cons.require_density_matrices, lambda rho, what: what)
     # Each half builds the overlap pairs of a and of its own factor: b

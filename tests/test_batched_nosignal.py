@@ -6,22 +6,24 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import qclonelab.nosignal as nosig
 from oracles import kron_all, partial_trace_einsum, spectra_eigvalsh, trace_distance_eigsum
 from conftest import random_isometry, signature
-from qclonelab.core import CHUNK_ENTRIES
+from qclonelab.core import CHUNK_ENTRIES, kron_stack
 from qclonelab.machines import (
     ConflictingRules,
     deleter_rules,
     gram_comparison,
     haar_isometries,
+    product_outcomes,
     require_isometries,
     wishful_rules,
 )
 from qclonelab.states import basis_amplitudes, overlap_pair_amplitudes, random_kets
+from qclonelab.tolerances import ASSERT_TOL
 
 # Bloch angles, with the edges where the two bases' wishful rules coincide
 # (theta = 0) or coincide up to phase (theta = pi).
@@ -61,36 +63,33 @@ def _isometries(seeds, ancilla_dim):
 )
 def test_batch_equals_batches_of_one(angles, ancilla_dim, isometric, seed):
     bases = _bases(angles)
-    machine = {}
-    if isometric:
-        seeds = range(seed, seed + len(angles))
-        machine["isometries"] = _isometries(seeds, ancilla_dim)
+    machine = _machine(isometric, bases, ancilla_dim, seed)
     singles = []
     for k in range(len(angles)):
-        one = {key: value[k:k + 1] for key, value in machine.items()}
+        one = machine[k:k + 1] if isometric else tuple(x[k:k + 1] for x in machine)
         try:
-            singles.append(nosig.evaluate_batch(bases[k:k + 1], ancilla_dim, **one))
+            singles.append(nosig.evaluate_batch(bases[k:k + 1], one))
         except ValueError as exc:
             singles.append(exc)
     failed = [k for k, s in enumerate(singles) if isinstance(s, Exception)]
     if failed:
         with pytest.raises(ValueError) as caught:
-            nosig.evaluate_batch(bases, ancilla_dim, **machine)
+            nosig.evaluate_batch(bases, machine)
         assert type(caught.value) is type(singles[failed[0]])
         assert _failing_index(caught.value) == failed[0]
         return
-    batch = nosig.evaluate_batch(bases, ancilla_dim, **machine)
+    batch = nosig.evaluate_batch(bases, machine)
     for name in nosig.NosignalBatch.__annotations__:
         one_by_one = np.concatenate([getattr(s, name) for s in singles])
         assert getattr(batch, name).tobytes() == one_by_one.tobytes(), name
 
 
-def _machine(isometric: bool, n: int, ancilla_dim: int, seed: int) -> dict:
-    """``evaluate_batch``'s machine argument: n Haar isometries, or none for
-    the wishful cloner."""
+def _machine(isometric: bool, bases, ancilla_dim: int, seed: int):
+    """``evaluate_batch``'s machine argument: one Haar isometry per point, or
+    the wishful cloner's rules."""
     if not isometric:
-        return {}
-    return {"isometries": _isometries(range(seed, seed + n), ancilla_dim)}
+        return nosig.wishful_machine_rules(bases, ancilla_dim)
+    return _isometries(range(seed, seed + len(bases)), ancilla_dim)
 
 
 _generic_scenario = st.lists(
@@ -108,9 +107,8 @@ _generic_scenario = st.lists(
 )
 def test_low_rank_spectra_and_distance_match_dense_eigvalsh(angles, ancilla_dim, isometric, seed):
     try:
-        batch = nosig.evaluate_batch(
-            _bases(angles), ancilla_dim, **_machine(isometric, len(angles), ancilla_dim, seed)
-        )
+        bases = _bases(angles)
+        batch = nosig.evaluate_batch(bases, _machine(isometric, bases, ancilla_dim, seed))
     except ConflictingRules:
         reject()
     vals = batch.eigenvalues_after
@@ -140,7 +138,7 @@ def test_a_negative_gram_eigenvalue_sorts_after_the_padded_zeros():
 )
 def test_magnitude_exactly_zero_when_basis_2_is_basis_1(basis1, ancilla_dim, isometric, seed):
     bases = _bases([basis1 * 2])
-    batch = nosig.evaluate_batch(bases, ancilla_dim, **_machine(isometric, 1, ancilla_dim, seed))
+    batch = nosig.evaluate_batch(bases, _machine(isometric, bases, ancilla_dim, seed))
     assert batch.signalling_magnitude.tolist() == [0.0]
 
 
@@ -179,7 +177,7 @@ def test_conflict_beyond_the_first_chunk_names_its_chunk():
     bases = np.array([good] * (step + 2) + [bad] + [good])
     # Index 2 of the second chunk, named by its index in the whole batch.
     with pytest.raises(ConflictingRules, match=f"at batch index {step + 2}$"):
-        nosig.evaluate_batch(bases)
+        nosig.evaluate_batch(bases, nosig.wishful_machine_rules(bases))
 
 
 def test_non_isometric_machine_named():
@@ -187,7 +185,7 @@ def test_non_isometric_machine_named():
     machines = _isometries([1, 2, 3], 4)
     machines[2, 0, 0] += 0.1
     with pytest.raises(ValueError, match="not an isometry .*batch index 2"):
-        nosig.evaluate_batch(bases, isometries=machines)
+        nosig.evaluate_batch(bases, machines)
 
 
 def test_non_orthogonal_basis_named():
@@ -195,6 +193,57 @@ def test_non_orthogonal_basis_named():
     bases[1, 1, 0, 1] = bases[1, 1, 0, 0]
     with pytest.raises(ValueError, match="not orthogonal at batch index 1"):
         nosig.premachine(bases)
+
+
+def _termwise_deleter(bases) -> tuple[np.ndarray, np.ndarray]:
+    """A machine built outside the kernel: the termwise deleter of both basis
+    choices, basis 1's rules first, over (src, reg, env 2) in and (src,
+    second, env 2) out.  psi alpha C -> psi 0 R and psibar alphabar C ->
+    psibar 0 R, with R = |1> orthogonal to C = |0>; psi alphabar C and
+    psibar alpha C pass through."""
+    c, r = np.eye(2, dtype=complex)
+    outcomes = product_outcomes(bases[:, :, 0], bases[:, :, 1])  # (n, 2, 4, 4)
+    deleted = kron_stack(kron_stack(bases[:, :, 0], c), r)  # psi 0 R, psibar 0 R
+    outputs = np.concatenate([deleted, kron_stack(outcomes[..., 2:, :], c)], axis=-2)
+    return kron_stack(outcomes, c).reshape(len(bases), 8, 8), outputs.reshape(len(bases), 8, 8)
+
+
+# Within about 2e-10 of pi, basis 2's rule inputs factor over basis 1's
+# expansion within ASSERT_TOL, and the kernel refuses them as it does at pi.
+@settings(max_examples=60, deadline=None)
+@given(theta=st.floats(0.0, math.pi - 1e-9), phi=_phi)
+@example(theta=1e-8, phi=0.0)
+@example(theta=1e-10, phi=0.0)
+def test_a_deleter_built_outside_the_kernel_signals_as_its_closed_form(theta, phi):
+    # Basis 1 computational, basis 2 at (theta, phi), psi = alpha in both:
+    # the magnitude is s sqrt(1 - s^2) / 2 with s = |<psi_1|psi_2>|, and the
+    # rules' input dimension 8 is an ancilla dimension of 2.  sqrt(1 - s^2)
+    # is read as |<psi_1|psibar_2>|: near s = 1, 1 - s * s loses every digit
+    # (at theta = 1e-8, s rounds to 1 and the closed form to 0, not 2.5e-9).
+    bases = _bases([[(0.0, 0.0)] * 2 + [(theta, phi)] * 2])
+    batch = nosig.evaluate_batch(bases, _termwise_deleter(bases))
+    assert batch.marginal_after.shape == (1, 2, 8, 8)
+    s, s_perp = (abs(np.vdot(bases[0, 0, 0, 0], bases[0, 1, 0, k])) for k in (0, 1))
+    # Below about theta = 2e-10, basis 2's rule kets match basis 1's within
+    # ASSERT_TOL, the resolution of the termwise rule table, which then
+    # applies basis 1's rules: the magnitude, at most theta / 4, reads 0.
+    tolerance = ASSERT_TOL if theta < 1e-9 else 1e-12
+    assert abs(batch.signalling_magnitude[0] - s * s_perp / 2.0) < tolerance
+
+
+@settings(max_examples=30, deadline=None)
+@given(basis1=st.tuples(_theta, _phi))
+def test_the_deleter_is_silent_when_basis_2_is_basis_1(basis1):
+    bases = _bases([[basis1] * 4])
+    batch = nosig.evaluate_batch(bases, _termwise_deleter(bases))
+    assert batch.signalling_magnitude.tolist() == [0.0]
+
+
+def test_the_deleter_at_swapped_bases_raises_conflicting_rules():
+    # At theta_2 = pi, basis 2's kets are basis 1's swapped, up to phase.
+    bases = _bases([[(0.0, 0.0)] * 2 + [(math.pi, 0.0)] * 2])
+    with pytest.raises(ConflictingRules):
+        nosig.evaluate_batch(bases, _termwise_deleter(bases))
 
 
 class TestStackedMachineParts:

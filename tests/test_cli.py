@@ -538,6 +538,29 @@ class TestRunCommand:
         err = self._file_error(capsys, ["run", str(path)])
         assert "Permission denied" in err
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, capsys):
+        # A config saved with a UTF-8 byte-order mark once read its first key
+        # as '\ufeffkind' and exited 2 with "missing required key 'kind'".
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(CONS_TEXT, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + CONS_TEXT.encode())
+        outputs = []
+        for path in (plain, marked):
+            assert main(["run", str(path), "--format", "csv"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+
+    def test_config_that_is_not_utf8_is_a_configuration_error(self, tmp_path, capsys):
+        # A Latin-1 byte in a comment once exited 2 as "rejected input:
+        # UnicodeDecodeError", the label of a value the physics rejects.
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("# café\n".encode("latin-1") + CONS_TEXT.encode())
+        err = self._file_error(capsys, ["run", str(path)])
+        assert err == f"configuration error: {path}: not UTF-8 text " \
+                      "(invalid continuation byte at byte 5)\n"
+
 
 class TestUnwritableOutBeforeAnyWork:
     """An ``--out`` that cannot be opened to write once failed only after the

@@ -33,7 +33,8 @@ def after(a, b, c, weight=0.5):
 def shared(a, b, weight=0.5):
     """The shared state over (A, bp, br), flat."""
     psis, alphas = overlap_pair_amplitudes([a], 2), overlap_pair_amplitudes([b], 2)
-    return cons._shared(np.array([weight]), psis, alphas).reshape(-1)
+    branches = (kron_stack(psis[:, k], alphas[:, k]) for k in (0, 1))
+    return cons._superpose(np.array([weight]), *branches).reshape(-1)
 
 
 def largest_eigenvalue(rho) -> float:

@@ -75,7 +75,7 @@ class TestNanFailsEveryGuardFamily:
         machines = haar_isometries(rng.standard_normal((3, 2 * 16 * 16)), 16, 16)
         machines[1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="not an isometry .* at batch index 1$"):
-            nosig.evaluate_batch(bases, isometries=machines)
+            nosig.evaluate_batch(bases, machines)
 
 
 def test_eigensolver_names_the_leading_index():
@@ -131,5 +131,5 @@ class TestDifferenceOutsideItsBasis:
         computational, tilted = basis_amplitudes(0.0), basis_amplitudes(0.7)
         bases = np.array([[[computational] * 2, [tilted] * 2]] * (step + 4))
         with pytest.raises(ArithmeticError, match=f"at batch index {step + 2}$"):
-            nosig.evaluate_batch(bases)
+            nosig.evaluate_batch(bases, nosig.wishful_machine_rules(bases))
         assert calls == [step, 4]

@@ -53,9 +53,14 @@ def bob_block(joint: np.ndarray) -> np.ndarray:
     return joint.reshape(2, 2, 2, 2, 4).transpose(0, 2, 1, 3, 4).reshape(1, 4, 16)
 
 
+def wishful_batch(bases):
+    """The kernel on the wishful cloner of the scenarios' own bases."""
+    return nosig.evaluate_batch(bases, nosig.wishful_machine_rules(bases))
+
+
 def signalling_magnitude(bases, lm=None) -> float:
-    machine = {} if lm is None else {"isometries": lm[None]}
-    return float(nosig.evaluate_batch(bases, **machine).signalling_magnitude[0])
+    batch = wishful_batch(bases) if lm is None else nosig.evaluate_batch(bases, lm[None])
+    return float(batch.signalling_magnitude[0])
 
 
 def wishful_after(bases, index) -> np.ndarray:
@@ -89,7 +94,7 @@ class TestScenario:
 class TestBobMarginalAfter:
     def test_matches_bruteforce_mixture(self):
         for theta in (math.pi / 8, math.pi / 4, 3 * math.pi / 8):
-            marginals = nosig.evaluate_batch(scenario_with_angles(0.0, theta)).marginal_after
+            marginals = wishful_batch(scenario_with_angles(0.0, theta)).marginal_after
             for index in (1, 2):
                 got = marginals[0, index - 1]
                 want = wishful_bob_mixture(0.0, theta, index)
@@ -123,11 +128,11 @@ class TestBobMarginalAfter:
     def test_isometric_machine_index_independent(self, rng):
         bases = random_scenario(rng)
         lm = random_bob_machine(rng)
-        m = nosig.evaluate_batch(bases, isometries=lm[None]).marginal_after
+        m = nosig.evaluate_batch(bases, lm[None]).marginal_after
         assert trace_distances(m[0, 0], m[0, 1]) < 1e-12
 
     def test_marginals_are_density_matrices(self):
-        marginals = nosig.evaluate_batch(scenario_with_angles(0.0, math.pi / 4)).marginal_after
+        marginals = wishful_batch(scenario_with_angles(0.0, math.pi / 4)).marginal_after
         for index in (1, 2):
             marg = marginals[0, index - 1]
             assert abs(complex(np.trace(marg)) - 1.0) < 1e-12
@@ -194,7 +199,7 @@ class TestWishfulMagnitudeOracles:
         cfg = parse_config_text("kind = nosignal\nbasis1.theta = 0.0\n")
         grid = grid_points(cfg, ["basis2.theta=0:3.1:0.01"])
         thetas = grid.basis_angles("basis2")[0]
-        return thetas, nosig.evaluate_batch(scenarios._bases(grid)).signalling_magnitude
+        return thetas, wishful_batch(scenarios._bases(grid)).signalling_magnitude
 
     @staticmethod
     def _oracle_gap(theta1, theta2, phi, magnitude) -> float:

@@ -45,7 +45,7 @@ RECORDS = {
     "MachineSpec": lambda: extend_to_isometry(*_CLONER),
     "ConsistencyReport": _inconsistent_gram,
     "Premachine": lambda: nosig.premachine(_BASES),
-    "NosignalBatch": lambda: nosig.evaluate_batch(_BASES),
+    "NosignalBatch": lambda: nosig.evaluate_batch(_BASES, nosig.wishful_machine_rules(_BASES)),
     "ConservationBatch": lambda: cons.evaluate_batch([0.6], [0.5], [0.5], [0.5]),
     "IsometryExtension": lambda: extend_to_isometries(_FAMILY, _FAMILY),
     "EquivalenceBatch": lambda: cons.roundtrips(*_ROUNDTRIPS)[2],

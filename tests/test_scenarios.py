@@ -680,7 +680,7 @@ class TestIsometriesPerDistinctSeed:
         rngs = map(np.random.default_rng, grid.column("seed"))
         normals = [rng.standard_normal(2 * dim * dim) for rng in rngs]
         isometries = haar_isometries(np.stack(normals), dim, dim)
-        return nosig.evaluate_batch(scenarios._bases(grid), dim // 4, isometries)
+        return nosig.evaluate_batch(scenarios._bases(grid), isometries)
 
     @pytest.mark.parametrize("axes, points, seeds", [
         (["basis2.theta=0:3.1:0.01"], 311, 1),

@@ -98,23 +98,30 @@ def test_verify_reaches_the_kernels(kernel_calls):
 def test_verify_runs_each_shared_batch_once(monkeypatch):
     # The four conservation checks read one batch over the cube and the
     # consistency surface, and the wishful signalling and sign-reading checks
-    # read one termwise batch; the isometric check runs its own.
+    # read one termwise batch, whose wishful rules are built once for the
+    # batch and its sign-reading oracle; the isometric check runs its own.
     calls = Counter()
     real_cons, real_nosig = cons.evaluate_batch, nosig.evaluate_batch
+    real_rules = nosig.wishful_machine_rules
 
     def cons_batch(*args, **kwargs):
         calls["conservation"] += 1
         return real_cons(*args, **kwargs)
 
-    def nosig_batch(bases, ancilla_dim=4, isometries=None):
-        calls["termwise" if isometries is None else "isometric"] += 1
-        return real_nosig(bases, ancilla_dim, isometries)
+    def nosig_batch(bases, machine):
+        calls["isometric" if isinstance(machine, np.ndarray) else "termwise"] += 1
+        return real_nosig(bases, machine)
+
+    def rules(*args, **kwargs):
+        calls["wishful rules"] += 1
+        return real_rules(*args, **kwargs)
 
     monkeypatch.setattr(cons, "evaluate_batch", cons_batch)
     monkeypatch.setattr(nosig, "evaluate_batch", nosig_batch)
+    monkeypatch.setattr(nosig, "wishful_machine_rules", rules)
     _cold_caches()
     verification.run_all_checks(seed=7)
-    assert calls == {"conservation": 1, "termwise": 1, "isometric": 1}
+    assert calls == {"conservation": 1, "termwise": 1, "isometric": 1, "wishful rules": 1}
 
 
 @pytest.mark.parametrize("seed", [3, 7])
