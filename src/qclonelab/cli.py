@@ -15,10 +15,9 @@ import os
 import stat
 import sys
 from contextlib import nullcontext
-from itertools import chain
 
 from .config import DEFAULT_SEED, ConfigError, checked_value, grid_points, load_config
-from .report import render_csv, render_json, verdict_lines
+from .report import render_sweep, verdict_lines
 from .scenarios import run_configs
 from .verification import run_all_checks
 
@@ -81,7 +80,7 @@ def _env_tolerance_overrides() -> dict[str, object]:
 
 def _cmd_run(path: str, flags: dict) -> int:
     grid = grid_points(load_config(path, _env_tolerance_overrides()))
-    report = run_configs(grid)
+    [(report, _)] = run_configs(grid)
     _emit([report.render(flags.get("--format") or grid.shared["format"])], flags.get("--out"))
     return 0 if report.all_pass else 1
 
@@ -92,11 +91,9 @@ def _cmd_sweep(path: str, flags: dict) -> int:
     if flags.get("--format") == "table":
         raise UsageError("sweep --format takes csv or json")
     grid = grid_points(load_config(path, _env_tolerance_overrides()), flags["--grid"])
-    report = run_configs(grid)
-    rows = (("," if k else "[") + "\n" + doc for k, doc in enumerate(render_json(report)))
-    pieces = chain(rows, ["\n]\n"]) if flags.get("--format") == "json" else render_csv(report)
-    _emit(pieces, flags.get("--out"))
-    return 0 if report.all_pass else 1
+    parts = run_configs(grid)
+    _emit(render_sweep(parts, flags.get("--format") or "csv"), flags.get("--out"))
+    return 0 if all(report.all_pass for report, _ in parts) else 1
 
 
 def _cmd_verify(_path, flags: dict) -> int:

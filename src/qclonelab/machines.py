@@ -206,8 +206,8 @@ def _termwise_table(basis, inputs, outputs):
     rules.  A rule is usable when its input factors as (expansion element)
     x (ancilla state); the ancilla state of a point is that of its first
     usable rule, and a later rule carrying it up to a global phase has the
-    phase folded into its output.  The first usable rule for an element
-    owns it; another that maps the element elsewhere raises
+    phase folded into its output.  The best-matching usable rule for an
+    element owns it (the first of ties); another mapping it elsewhere raises
     :class:`ConflictingRules`.  Returns the table (n, e, d_out), which
     elements are covered (n, e) and the ancilla states (n, a).
     """
@@ -217,7 +217,8 @@ def _termwise_table(basis, inputs, outputs):
     element = np.argmax(np.linalg.norm(coeffs, axis=-1), axis=-1)  # (n, R)
     row = np.take_along_axis(basis[:, None], element[..., None, None], axis=-2)[..., 0, :]
     factor = np.take_along_axis(coeffs, element[..., None, None], axis=-2)[..., 0, :]
-    usable = ~(np.max(np.abs(kron_stack(row, factor) - inputs), axis=-1) > ASSERT_TOL)
+    residual = np.max(np.abs(kron_stack(row, factor) - inputs), axis=-1)
+    usable = ~(residual > ASSERT_TOL)
 
     points = np.arange(n)
     ancilla = factor[points, np.argmax(usable, axis=1)]
@@ -230,9 +231,9 @@ def _termwise_table(basis, inputs, outputs):
         stray[p, i] = float(np.max(np.abs(phase * ancilla[p] - factor[p, i]))) > ASSERT_TOL
         outputs[p, i] = outputs[p, i] * phase.conjugate()
 
-    # owner[p, i]: the first usable rule of point p on rule i's element.
+    # owner[p, i]: point p's usable rule best matching rule i's element, the first of ties.
     same = usable[:, :, None] & usable[:, None, :] & (element[:, :, None] == element[:, None, :])
-    owner = np.argmax(same, axis=2)
+    owner = np.argmin(np.where(same, residual[:, None, :], np.inf), axis=2)
     gap = np.max(np.abs(np.take_along_axis(outputs, owner[..., None], axis=1) - outputs), axis=-1)
     conflict = usable & (gap > ASSERT_TOL)
     failed = stray | conflict

@@ -131,7 +131,9 @@ def evaluate_batch(bases, machine) -> NosignalBatch:
     applied as linear maps, or a termwise rule pair, inputs (n, R, 4
     ancilla_dim) and outputs (n, R, D), applied in the product basis of
     Alice's choice (the wishful cloner is :func:`wishful_machine_rules`).
-    The ancilla dimension is read from the machine's input dimension.
+    The ancilla dimension is read from the machine's input dimension, which
+    must be a multiple of 4, with one machine per point and as many rule
+    outputs as inputs.
 
     Each result is bit-for-bit what a batch of one gives for that point.
     Every guard names the first failing point by its index in the batch:
@@ -141,8 +143,12 @@ def evaluate_batch(bases, machine) -> NosignalBatch:
     """
     bases = np.asarray(bases, dtype=complex)
     linear = isinstance(machine, np.ndarray)
-    before = premachine(bases, (machine if linear else machine[0]).shape[-1] // 4)
-    n = bases.shape[0]
+    n, shapes = bases.shape[0], [np.shape(m) for m in ([machine] if linear else machine)]
+    if {s[0] for s in shapes} != {n} or shapes[0][-1] % 4 or shapes[0][1] != shapes[-1][1]:
+        raise ValueError(f"a machine of shape {' and '.join(map(str, shapes))} does not fit "
+                         f"a batch of {n}: one per point, its input dimension a multiple of 4, "
+                         "as many rule outputs as inputs")
+    before = premachine(bases, shapes[0][-1] // 4)
     if linear:
         require_isometries(machine)
     dim = machine.shape[-2] if linear else machine[1].shape[-1]

@@ -1,5 +1,6 @@
-"""Byte-stable scenario reports, stacked over points: ``sweep`` renders every
-row of one report, and ``run`` is a batch of one, a report with a single row.
+"""Byte-stable scenario reports, stacked over points: ``run`` is a batch of
+one, a report with a single row, and ``sweep`` writes the rows of its
+batches' reports in grid order through :func:`render_sweep`.
 
 All numbers render at 12 significant digits with lowercase exponents, so a
 report for a given configuration is identical across runs and machines.  One
@@ -15,7 +16,7 @@ shows the same fields, and the CSV is the flat scalar record, one line per row.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -45,14 +46,13 @@ def verdict_lines(verdicts: list[Verdict]) -> list[str]:
 class ScenarioReport(Record):
     """Echoed configs, quantities and verdicts of n points of one kind, row k
     for point k: per config key one shared string or n strings; (n,) scalar
-    arrays; (n, rows, cols) matrix stacks, or lists of n matrices once several
-    batches merge; (n,) verdict deviations and tolerances.  A verdict passes
-    where its deviation is below its tolerance."""
+    arrays; (n, rows, cols) matrix stacks; (n,) verdict deviations and
+    tolerances.  A verdict passes where its deviation is below its tolerance."""
 
     kind: str
     config: dict[str, str | list[str]]
     scalars: dict[str, np.ndarray]
-    matrices: dict[str, np.ndarray | list[np.ndarray]]
+    matrices: dict[str, np.ndarray]
     verdicts: dict[str, tuple[np.ndarray, np.ndarray]]
 
     def __len__(self) -> int:
@@ -132,14 +132,29 @@ def render_csv(report: ScenarioReport) -> Iterator[str]:
     return itertools.chain([",".join(name for name, _ in fields) + "\n"], rows)
 
 
+def render_sweep(parts: list[tuple[ScenarioReport, Sequence[int]]], fmt: str) -> Iterator[str]:
+    """A sweep's output from each batch's report and the grid indices of its
+    rows, in ascending order: as CSV, one header line and then every point's
+    line; as JSON, the array of every point's document; the points in grid order."""
+    streams = [(render_csv if fmt == "csv" else render_json)(report) for report, _ in parts]
+    # owner[k]: the batch of grid row k, which is the next row of that batch's stream.
+    owner = np.empty(sum(len(at) for _, at in parts), dtype=np.intp)
+    for p, (_, at) in enumerate(parts):
+        owner[at] = p
+    rows = map(next, map(streams.__getitem__, owner.tolist()))
+    if fmt == "csv":  # every batch's header names the grid's keys; the first stands for all
+        return itertools.chain([next(stream) for stream in streams][:1], rows)
+    docs = (("," if k else "[") + "\n" + doc for k, doc in enumerate(rows))
+    return itertools.chain(docs, ["\n]\n"])
+
+
 def _formatted(reals: list, complexes: list = ()) -> list:
     """Each value of the ``reals`` columns as ``%.11e`` formats it, then each
     entry of the ``complexes`` columns as ``re+imj`` or ``re-imj``, in nested
-    lists of each column's shape: (n,) values, an (n, rows, cols) stack or a
-    list of differently sized matrices.  One ``%`` formats each distinct real
-    or imaginary part once: adding 0.0 collapses -0.0 first."""
-    arrays = [(np.asarray(a), j) for j, part in enumerate((reals, complexes)) for c in part
-              for a in (c if isinstance(c, list) else [c])]
+    lists of each column's shape: (n,) values or an (n, rows, cols) stack.
+    One ``%`` formats each distinct real or imaginary part once: adding 0.0
+    collapses -0.0 first."""
+    arrays = [(np.asarray(c), j) for j, part in enumerate((reals, complexes)) for c in part]
     parts = [p.ravel() for a, j in arrays for p in ((a.real, a.imag) if j else (a,))]
     distinct, at = np.unique(np.concatenate(parts, dtype=float) + 0.0, return_inverse=True)
     text = ("%.11e\n" * len(distinct) % tuple(distinct.tolist())).split("\n")[:-1]
@@ -147,31 +162,5 @@ def _formatted(reals: list, complexes: list = ()) -> list:
     shown, ends = text[at], list(itertools.accumulate(map(len, parts)))
     imag = np.where(distinct < 0, text, "+" + text) + "j" if complexes else None
     spans = map(slice, [0, *ends], ends)
-    cells = iter([(shown[next(spans)] + imag[at[next(spans)]] if j else shown[next(spans)])
-                  .reshape(a.shape).tolist() for a, j in arrays])
-    return [[next(cells) for _ in c] if isinstance(c, list) else next(cells)
-            for c in [*reals, *complexes]]
-
-
-def _merge(columns: list, sizes: list[int], order: np.ndarray):
-    """The columns of parts of ``sizes`` rows as one column in ``order``: the
-    string every part shares, an array of values or a list of rows; tuples
-    and dicts of columns merge entry by entry."""
-    first = columns[0]
-    if isinstance(first, tuple):
-        return tuple(_merge(list(c), sizes, order) for c in zip(*columns))
-    if isinstance(first, dict):
-        return {key: _merge([c[key] for c in columns], sizes, order) for key in first}
-    if all(isinstance(c, str) and c == first for c in columns):
-        return first
-    rows = [r for c, n in zip(columns, sizes) for r in ([c] * n if isinstance(c, str) else c)]
-    rows = [rows[k] for k in order.tolist()]
-    return np.array(rows) if isinstance(first, np.ndarray) and first.ndim == 1 else rows
-
-
-def concatenate_rows(parts: list[ScenarioReport], order: np.ndarray) -> ScenarioReport:
-    """The rows of ``parts`` one after another, taken in ``order``: row k of
-    the result is row ``order[k]`` of the concatenation."""
-    fields = [(p.config, p.scalars, p.matrices, p.verdicts) for p in parts]
-    return ScenarioReport(parts[0].kind, *_merge(fields, [len(p) for p in parts], order))
-
+    return [(shown[next(spans)] + imag[at[next(spans)]] if j else shown[next(spans)])
+            .reshape(a.shape).tolist() for a, j in arrays]

@@ -1,4 +1,4 @@
-"""Scenario runners: configs in, one byte-stable stacked report out.
+"""Scenario runners: configs in, one byte-stable stacked report per batch out.
 
 Each config kind has one runner that evaluates a batch of its points, read
 from the columns of a :class:`~qclonelab.config.ScenarioGrid`, through the
@@ -10,6 +10,8 @@ whole grid (see :func:`run_configs`).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from . import conservation as cons
@@ -17,7 +19,7 @@ from . import nosignal as nosig
 from .config import ScenarioGrid, echo_columns
 from .core import cmul, distinct_rows, failures_named
 from .machines import haar_isometries
-from .report import ScenarioReport, concatenate_rows
+from .report import ScenarioReport
 from .states import unit_phases
 
 
@@ -159,11 +161,12 @@ _BATCHES = {
 }
 
 
-def run_configs(grid: ScenarioGrid) -> ScenarioReport:
-    """The stacked report of a grid, row k for point k, evaluated one batch
-    per value of the kind's ``_BATCHES`` keys (one batch when no axis sweeps
-    them).  When there is more than one point, a guard error names the
-    failing point's index on the grid rather than its index in the batch."""
+def run_configs(grid: ScenarioGrid) -> list[tuple[ScenarioReport, Sequence[int]]]:
+    """Each batch's stacked report with the grid indices of its rows, in
+    ascending order, one batch per value of the kind's ``_BATCHES`` keys (one
+    batch when no axis sweeps them).  When there is more than one point, a
+    guard error names the failing point's index on the grid rather than its
+    index in the batch."""
     runner, keys = _BATCHES[grid.kind]
     swept = [grid.swept[key] for key in keys if key in grid.swept]
     batches: dict[object, list[int]] = {}
@@ -173,7 +176,5 @@ def run_configs(grid: ScenarioGrid) -> ScenarioReport:
     parts = []
     for members in groups:
         with failures_named("grid point", members, len(grid)):
-            parts.append(runner(grid if len(groups) == 1 else grid.take(members)))
-    if len(parts) == 1:
-        return parts[0]
-    return concatenate_rows(parts, np.argsort(np.concatenate(groups)))
+            parts.append((runner(grid if len(groups) == 1 else grid.take(members)), members))
+    return parts

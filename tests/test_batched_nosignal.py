@@ -23,7 +23,6 @@ from qclonelab.machines import (
     wishful_rules,
 )
 from qclonelab.states import basis_amplitudes, overlap_pair_amplitudes, random_kets
-from qclonelab.tolerances import ASSERT_TOL
 
 # Bloch angles, with the edges where the two bases' wishful rules coincide
 # (theta = 0) or coincide up to phase (theta = pi).
@@ -224,11 +223,9 @@ def test_a_deleter_built_outside_the_kernel_signals_as_its_closed_form(theta, ph
     batch = nosig.evaluate_batch(bases, _termwise_deleter(bases))
     assert batch.marginal_after.shape == (1, 2, 8, 8)
     s, s_perp = (abs(np.vdot(bases[0, 0, 0, 0], bases[0, 1, 0, k])) for k in (0, 1))
-    # Below about theta = 2e-10, basis 2's rule kets match basis 1's within
-    # ASSERT_TOL, the resolution of the termwise rule table, which then
-    # applies basis 1's rules: the magnitude, at most theta / 4, reads 0.
-    tolerance = ASSERT_TOL if theta < 1e-9 else 1e-12
-    assert abs(batch.signalling_magnitude[0] - s * s_perp / 2.0) < tolerance
+    # Below about theta = 2e-10, basis 1's rule kets also match basis 2's
+    # within ASSERT_TOL; basis 2's own rules, the closer match, answer for it.
+    assert abs(batch.signalling_magnitude[0] - s * s_perp / 2.0) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -244,6 +241,26 @@ def test_the_deleter_at_swapped_bases_raises_conflicting_rules():
     bases = _bases([[(0.0, 0.0)] * 2 + [(math.pi, 0.0)] * 2])
     with pytest.raises(ConflictingRules):
         nosig.evaluate_batch(bases, _termwise_deleter(bases))
+
+
+# One point against machines that do not fit it: an isometry stack whose
+# input dimension is not a multiple of 4, rule inputs cut to 10 columns, 7
+# rule inputs against 8 outputs, and two isometries for one point.
+_ONE_POINT = _bases([[(0.0, 0.0)] * 2 + [(0.7, 0.3)] * 2])
+_RULES = nosig.wishful_machine_rules(_ONE_POINT, 4)
+_MISFITS = {
+    "input-dimension-10": (haar_isometries(_normals([1], 10), 10, 10), r"\(1, 10, 10\)"),
+    "10-input-columns": ((_RULES[0][..., :10], _RULES[1]), r"\(1, 8, 10\) and \(1, 8, 16\)"),
+    "7-inputs-8-outputs": ((_RULES[0][:, :7], _RULES[1]), r"\(1, 7, 16\) and \(1, 8, 16\)"),
+    "2-machines-1-point": (_isometries([1, 2], 2), r"\(2, 8, 8\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISFITS))
+def test_a_machine_that_does_not_fit_is_refused_by_its_shapes(case):
+    machine, shapes = _MISFITS[case]
+    with pytest.raises(ValueError, match=f"machine of shape {shapes} does not fit a batch of 1:"):
+        nosig.evaluate_batch(_ONE_POINT, machine)
 
 
 class TestStackedMachineParts:

@@ -43,7 +43,8 @@ seed = 11
 
 def _run(text: str):
     """The report ``run`` gives for a config text."""
-    return run_configs(grid_points(parse_config_text(text)))
+    [(report, _)] = run_configs(grid_points(parse_config_text(text)))
+    return report
 
 
 class TestConfigParsing:
@@ -230,7 +231,7 @@ class TestGrid:
         cfg = parse_config_text(CONS_TEXT)
         grid = grid_points(cfg, ["overlap.a=0.6:0.6:1"])
         assert len(grid) == 1
-        assert run_configs(grid).scalars == run_configs(grid_points(cfg)).scalars
+        assert run_configs(grid)[0][0].scalars == run_configs(grid_points(cfg))[0][0].scalars
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -485,6 +486,19 @@ class TestRunCommand:
         assert float(doc["scalars"]["signalling_magnitude"]) == pytest.approx(
             0.26050269163999357, abs=1e-10
         )
+
+    @pytest.mark.parametrize("theta", [1e-10, 2e-10])
+    def test_wishful_magnitude_near_basis_1(self, tmp_path, capsys, theta):
+        # Basis 1's rule kets match basis 2's within ASSERT_TOL here; basis
+        # 2's own rules answer for it, so the magnitude is its closed form
+        # sqrt(1 - cos^4(theta / 2)) / 2, written without the cancellation.
+        path = tmp_path / "n.cfg"
+        path.write_text(f"kind = nosignal\nbasis2.theta = {theta!r}\n")
+        main(["run", str(path), "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        half = theta / 2
+        closed = math.sin(half) * math.sqrt(1 + math.cos(half) ** 2) / 2
+        assert float(doc["scalars"]["signalling_magnitude"]) == pytest.approx(closed, rel=1e-9)
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

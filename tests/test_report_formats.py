@@ -30,8 +30,8 @@ _TEXT = st.text(st.one_of(st.sampled_from(['"', "\\", "\n", "\x00", "é", "→",
 @st.composite
 def _reports(draw) -> ScenarioReport:
     """A report of 1 to 5 rows: shared and per-row config strings, scalars,
-    matrices as (n, rows, cols) stacks of complex or real entries or as
-    lists of two sizes of matrix, and verdicts."""
+    matrices as (n, rows, cols) stacks of complex or real entries, and
+    verdicts."""
     n = draw(st.integers(1, 5))
 
     def numbers(*shape):
@@ -48,12 +48,8 @@ def _reports(draw) -> ScenarioReport:
     scalars = {f"s{k}": numbers(n) for k in range(draw(st.integers(1, 3)))}
     matrices = {}
     for k in range(draw(st.integers(0, 3))):
-        if draw(st.booleans()):
-            shape = n, draw(st.integers(1, 3)), draw(st.integers(1, 3))
-            matrices[f"m{k}"] = complexes(*shape) if draw(st.booleans()) else numbers(*shape)
-        else:  # as concatenate_rows leaves them when batches of two sizes merge
-            sizes = [2, 3, *draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n))]
-            matrices[f"m{k}"] = [complexes(d, d) for d in sizes[:n]]
+        shape = n, draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        matrices[f"m{k}"] = complexes(*shape) if draw(st.booleans()) else numbers(*shape)
     verdicts = {f"v{k}": (numbers(n), numbers(n)) for k in range(draw(st.integers(0, 2)))}
     return ScenarioReport(draw(_TEXT), config, scalars, matrices, verdicts)
 

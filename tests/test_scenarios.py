@@ -629,12 +629,12 @@ class TestOneEvaluationPerQuantity:
         for key in ("eig_hermitian_batch", "eig_hermitian"):
             monkeypatch.setattr(core, key, counted(key, getattr(core, key)))
         cfg = load_config(str(CONFIGS / f"{name}.cfg"))
-        report = scenarios.run_configs(grid_points(cfg))
+        [(report, _)] = scenarios.run_configs(grid_points(cfg))
         assert calls == dict(zip(keys, (1, 1, 2, 0)))
         assert report.scalars["premachine_deviation_from_maximally_mixed"] < 1e-12
 
         calls.update(dict.fromkeys(calls, 0))
-        reports = scenarios.run_configs(grid_points(cfg, ["basis2.theta=0:3.1:0.1"]))
+        [(reports, _)] = scenarios.run_configs(grid_points(cfg, ["basis2.theta=0:3.1:0.1"]))
         assert len(reports) == 32
         chunks = -(-32 // max(1, core.CHUNK_ENTRIES // 16**2))  # 16x16 Bob marginals
         assert calls == dict(zip(keys, (1, 1, 2 * chunks, 0)))
@@ -671,7 +671,8 @@ class TestIsometriesPerDistinctSeed:
         text = (CONFIGS / "nosignal_isometry.cfg").read_text()
         text = text.replace("seed = 11", f"seed = {seed}")
         grid = grid_points(parse_config_text(text), axes)
-        return grid, scenarios.run_configs(grid), sum(rows)
+        [(report, _)] = scenarios.run_configs(grid)
+        return grid, report, sum(rows)
 
     @staticmethod
     def _per_point(grid):
@@ -724,7 +725,7 @@ class TestEquivalenceRoundtrip:
     def test_gram_equivalence_report_reads_the_roundtrip(self):
         # configs/gram_equivalence.cfg: dimension 6, four members, seed 3.
         cfg = load_config(str(CONFIGS / "gram_equivalence.cfg"))
-        report = scenarios.run_configs(grid_points(cfg))
+        [(report, _)] = scenarios.run_configs(grid_points(cfg))
         _, _, found = _roundtrip(6, 6, 4, 3)
         assert report.scalars["gram_deviation"] == found.gram_deviation[0]
         assert report.scalars["member_reconstruction_residual"] == found.member_residual[0]

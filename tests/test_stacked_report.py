@@ -22,7 +22,7 @@ from qclonelab.config import (
     load_config,
     parse_config_text,
 )
-from qclonelab.report import ScenarioReport, Verdict, render_csv, render_json
+from qclonelab.report import ScenarioReport, Verdict, render_csv, render_sweep
 from qclonelab.scenarios import run_configs
 from oracles import format_scalar
 
@@ -49,6 +49,10 @@ NOSIGNAL_AXES = {
     "basis2.theta": ["0:2.4:0.8", "0.3:0.3:1"],
     "basis2.phi": ["0:4:2"],
     "seed": ["1:3:1"],
+}
+GRAM_AXES = {
+    "family.size": ["1:4:3", "2:3:1", "1:3:2"],  # two sizes each
+    "seed": ["1:2:1", "0:6:3", "5:5:1"],
 }
 
 
@@ -149,6 +153,19 @@ def test_nosignal_sweep_rows_are_runs(mode, theta, axes):
     _assert_sweep_rows_are_runs(text, axes)
 
 
+@_PROPERTY
+@given(
+    dimension=st.integers(2, 4),
+    axes=st.tuples(*(st.sampled_from([f"{key}={spec}" for spec in specs])
+                     for key, specs in GRAM_AXES.items())).flatmap(st.permutations),
+)
+def test_gram_equivalence_sweep_rows_are_runs(dimension, axes):
+    # Each family size is its own batch, so the rows' family_gram matrices
+    # come in two sizes; with the seed axis first, the batches interleave.
+    text = f"kind = gram-equivalence\nfamily.dimension = {dimension}\n"
+    _assert_sweep_rows_are_runs(text, axes)
+
+
 def _csv_lines(report: ScenarioReport) -> list[str]:
     """The lines ``render_csv`` yields, each one line ending in a newline."""
     lines = list(render_csv(report))
@@ -195,8 +212,8 @@ def test_csv_cells_are_format_scalar(n):
 
 
 def test_run_is_a_batch_of_one():
-    report = run_configs(grid_points(parse_config_text(SEED7_CONFIG)))
-    assert isinstance(report, ScenarioReport) and len(report) == 1
+    [(report, rows)] = run_configs(grid_points(parse_config_text(SEED7_CONFIG)))
+    assert isinstance(report, ScenarioReport) and len(report) == 1 and list(rows) == [0]
 
 
 class TestSweepCost:
@@ -244,7 +261,7 @@ class TestSweepCost:
             sys.setprofile(profile)
             try:
                 grid = grid_points(cfg, [f"overlap.{key}=0:1:{step}" for key in "abc"])
-                "".join({"csv": render_csv, "json": render_json}[fmt](run_configs(grid)))
+                "".join(render_sweep(run_configs(grid), fmt))
             finally:
                 sys.setprofile(None)
         return len(grid), calls
